@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 
@@ -24,8 +23,6 @@ void save_csv(const csv::Table& table, const std::string& name) {
 void banner(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
-
-int env_int(const char* name, int fallback) { return common::env_int(name, fallback); }
 
 PhaseTimer::PhaseTimer(std::string bench, std::string phase)
     : bench_(std::move(bench)), phase_(std::move(phase)), start_us_(trace::now_us()) {}

@@ -18,10 +18,6 @@ void save_csv(const csv::Table& table, const std::string& name);
 /// Section banner.
 void banner(const std::string& title);
 
-/// Number of Monte Carlo samples etc. can be overridden via environment
-/// (e.g. GNRFET_MC_SAMPLES); returns fallback when unset/invalid.
-int env_int(const char* name, int fallback);
-
 /// Wall-clock timer for one named bench phase. On stop (or destruction)
 /// it prints the elapsed time and appends a
 /// `{bench, phase, seconds, threads}` row to bench_out/perf_timings.csv,

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "explore/montecarlo.hpp"
 
 using namespace gnrfet;
@@ -17,7 +18,7 @@ int main() {
   bench::banner("Fig. 6: Monte Carlo over the 15-stage ring oscillator");
   explore::DesignKit kit;
   explore::MonteCarloOptions opts;
-  opts.samples = bench::env_int("GNRFET_MC_SAMPLES", 60);
+  opts.samples = common::env::get_positive_int("GNRFET_MC_SAMPLES", 60);
   opts.ring.t_stop_s = 1.5e-9;
   opts.ring.dt_s = 0.5e-12;
   std::printf("samples: %d (override with GNRFET_MC_SAMPLES)\n", opts.samples);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "gnr/modespace.hpp"
 #include "negf/transport.hpp"
@@ -54,9 +55,10 @@ uint64_t fnv1a(const std::vector<double>& v) {
 }  // namespace
 
 int main() {
-  const int n_gnr = bench::env_int("GNRFET_BENCH_NEGF_N", 12);
-  const size_t ncol = static_cast<size_t>(bench::env_int("GNRFET_BENCH_NEGF_NCOL", 64));
-  const int nvd = bench::env_int("GNRFET_BENCH_NEGF_NVD", 6);
+  const int n_gnr = common::env::get_positive_int("GNRFET_BENCH_NEGF_N", 12);
+  const size_t ncol =
+      static_cast<size_t>(common::env::get_positive_int("GNRFET_BENCH_NEGF_NCOL", 64));
+  const int nvd = common::env::get_positive_int("GNRFET_BENCH_NEGF_NVD", 6);
   const auto modes = gnr::build_mode_set(n_gnr, {2.7, 0.12}, 3);
   const size_t nlines = static_cast<size_t>(modes.n_index);
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "device/geometry.hpp"
 #include "device/selfconsistent.hpp"
@@ -69,10 +70,13 @@ int main() {
   // and ~400k at scale 2, where the mesh-independent multigrid iteration
   // count must widen its lead over IC(0). Shrink via env for the CI smoke
   // run.
-  const size_t base_nx = static_cast<size_t>(bench::env_int("GNRFET_BENCH_POISSON_NX", 48));
-  const size_t base_ny = static_cast<size_t>(bench::env_int("GNRFET_BENCH_POISSON_NY", 32));
-  const size_t base_nz = static_cast<size_t>(bench::env_int("GNRFET_BENCH_POISSON_NZ", 32));
-  const int repeats = bench::env_int("GNRFET_BENCH_POISSON_REPEATS", 3);
+  const size_t base_nx =
+      static_cast<size_t>(common::env::get_positive_int("GNRFET_BENCH_POISSON_NX", 48));
+  const size_t base_ny =
+      static_cast<size_t>(common::env::get_positive_int("GNRFET_BENCH_POISSON_NY", 32));
+  const size_t base_nz =
+      static_cast<size_t>(common::env::get_positive_int("GNRFET_BENCH_POISSON_NZ", 32));
+  const int repeats = common::env::get_positive_int("GNRFET_BENCH_POISSON_REPEATS", 3);
 
   bench::banner("Poisson PCG preconditioners (fixed assembly, fixed RHS set)");
   bench::output_path("poisson_solver");  // ensures bench_out/ exists

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "gnr/modespace.hpp"
 #include "negf/batch_rgf.hpp"
@@ -99,10 +100,11 @@ int effective_simd_width() {
 }  // namespace
 
 int main() {
-  const size_t ncol = static_cast<size_t>(bench::env_int("GNRFET_BENCH_RGF_NCOL", 64));
-  const int nvd = bench::env_int("GNRFET_BENCH_RGF_NVD", 6);
-  const int ne = bench::env_int("GNRFET_BENCH_RGF_NE", 608);
-  const int repeats = bench::env_int("GNRFET_BENCH_RGF_REPEATS", 3);
+  const size_t ncol =
+      static_cast<size_t>(common::env::get_positive_int("GNRFET_BENCH_RGF_NCOL", 64));
+  const int nvd = common::env::get_positive_int("GNRFET_BENCH_RGF_NVD", 6);
+  const int ne = common::env::get_positive_int("GNRFET_BENCH_RGF_NE", 608);
+  const int repeats = common::env::get_positive_int("GNRFET_BENCH_RGF_REPEATS", 3);
 
   bench::banner("Batched RGF kernels (SoA energy lanes vs per-energy scalar)");
   std::printf("%zu columns, %d bias points, %d energies, %d repeats, SIMD width %d%s\n", ncol,

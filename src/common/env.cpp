@@ -15,15 +15,6 @@ bool env_set(const char* name) {
   return v && *v;
 }
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  const int parsed = std::atoi(v);
-  return parsed >= 1 ? parsed : fallback;
-}
-
-void env_clear(const char* name) { ::unsetenv(name); }
-
 namespace env {
 
 EnvError::EnvError(std::string name, std::string value, const std::string& reason)

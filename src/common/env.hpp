@@ -16,18 +16,6 @@ std::string env_or(const char* name, const std::string& fallback);
 /// True when `name` is set to a non-empty value.
 bool env_set(const char* name);
 
-/// Positive-integer value of `name`; `fallback` when unset, empty, or not
-/// parseable as an integer >= 1. Lenient by design (bench knobs); config
-/// that changes results should use env::get_positive_int instead so typos
-/// fail loudly.
-int env_int(const char* name, int fallback);
-
-/// Remove `name` from this process's environment (wraps unsetenv so code
-/// outside src/common/ never touches <cstdlib> environment calls). Worker
-/// children use this to drop inherited per-process settings — e.g. a
-/// GNRFET_TRACE path that belongs to the parent.
-void env_clear(const char* name);
-
 namespace env {
 
 /// A set-but-unusable environment variable. Thrown instead of silently
@@ -47,8 +35,8 @@ class EnvError : public std::runtime_error {
 
 /// Strictly parsed positive integer: unset or empty yields `fallback`;
 /// anything else must be all decimal digits, fit in int, and be >= 1, or
-/// an EnvError is thrown. Shared by GNRFET_THREADS, GNRFET_TABLE_LRU_MB,
-/// and GNRFET_TABLE_WORKERS so the three knobs reject garbage identically.
+/// an EnvError is thrown. The one integer parser: GNRFET_THREADS and every
+/// bench knob (GNRFET_MC_SAMPLES, GNRFET_BENCH_*) reject garbage alike.
 int get_positive_int(const char* name, int fallback);
 
 }  // namespace env

@@ -67,13 +67,11 @@ size_t bucket_of(double value) {
 const char* kCounterNames[kNumCounters] = {
     "gummel_iterations", "negf_energy_points",  "rgf_solves",
     "rgf_batch_solves",
-    "negf_energy_points_saved",
+    "negf_energy_points_uniform_equiv",
     "poisson_newton_iterations", "pcg_iterations", "pcg_precond_setups",
     "mg_vcycles",
     "table_cache_hits",  "table_cache_misses",
-    "table_service_hits", "table_service_misses", "table_service_evictions",
-    "table_service_coalesced",
-    "table_shard_dispatches", "table_shard_retries",
+    "table_service_hits", "table_service_misses", "table_service_coalesced",
     "mna_factorizations",
     "transient_steps",
 };

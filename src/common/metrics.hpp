@@ -27,19 +27,16 @@ enum class Counter {
   kNegfEnergyPoints,          ///< negf: energy grid points laid out
   kRgfSolves,                 ///< negf: individual RGF solves (per energy, per mode)
   kRgfBatchSolves,            ///< negf: batched RGF kernel invocations (SoA energy batches)
-  kNegfEnergyPointsSaved,     ///< negf: adaptive-grid evaluations avoided vs the uniform grid
+  kNegfEnergyPointsUniformEquiv,  ///< negf: uniform-grid solves the adaptive path stands in for
   kPoissonNewtonIterations,   ///< poisson: damped-Newton iterations
   kPcgIterations,             ///< linalg: PCG iterations
   kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
   kMgVcycles,                 ///< poisson: multigrid V-cycles (apply + standalone)
   kTableCacheHits,            ///< device: bias tables served from disk cache
   kTableCacheMisses,          ///< device: bias tables generated cold
-  kTableServiceHits,          ///< service: queries answered from the in-memory LRU
+  kTableServiceHits,          ///< service: queries answered from the in-memory memo
   kTableServiceMisses,        ///< service: queries that went cold (disk load or generation)
-  kTableServiceEvictions,     ///< service: LRU entries dropped under capacity pressure
   kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
-  kTableShardDispatches,      ///< service: table-column shards sent to worker processes
-  kTableShardRetries,         ///< service: shards re-dispatched after a worker died mid-shard
   kMnaFactorizations,         ///< circuit: dense LU factorizations of the MNA Jacobian
   kTransientSteps,            ///< circuit: accepted transient time steps
   kCount

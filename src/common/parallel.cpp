@@ -179,16 +179,19 @@ class ThreadPool {
 
   void ensure_workers() GNRFET_REQUIRES(mu_) {
     // Participant 0 is the caller, so the pool carries threads - 1 workers.
+    // A new worker starts from the epoch current at its spawn, not the one
+    // it finds once it first takes mu_: a run() that bumps the epoch in
+    // between must wake it, or it would sleep through that region.
     while (static_cast<int>(workers_.size()) < target_threads_ - 1) {
       const size_t slot = workers_.size() + 1;
-      workers_.emplace_back([this, slot] { worker_main(slot); });
+      const uint64_t epoch = epoch_;
+      workers_.emplace_back([this, slot, epoch] { worker_main(slot, epoch); });
     }
   }
 
-  void worker_main(size_t slot) {
+  void worker_main(size_t slot, uint64_t seen) {
     t_in_worker = true;
     mu_.lock();
-    uint64_t seen = epoch_;
     while (true) {
       while (!(stop_ || epoch_ != seen)) wake_cv_.wait(mu_);
       if (stop_) {
@@ -228,8 +231,6 @@ int thread_count() { return ThreadPool::instance().threads(); }
 void set_thread_count(int n) { ThreadPool::instance().set_threads(n); }
 
 bool in_parallel_region() { return t_in_worker; }
-
-void pin_inline() { t_in_worker = true; }
 
 size_t num_chunks(size_t n, size_t grain) {
   if (grain == 0) grain = 1;

@@ -36,15 +36,6 @@ void set_thread_count(int n);
 /// pool worker or as the top-level caller helping its own region.
 bool in_parallel_region();
 
-/// Permanently pin the calling thread to inline execution: every parallel
-/// region it opens runs serially on it and never touches the process-wide
-/// pool. This is mandatory in fork-entry worker children
-/// (common/subprocess): the pool's threads did not survive the fork, and
-/// its mutex may have been held by a parent thread at fork time, so any
-/// pool access in the child could deadlock. Results are unchanged — the
-/// chunk layout is thread-count invariant by contract.
-void pin_inline();
-
 /// Number of fixed chunks covering [0, n) at the given grain. The layout
 /// is a pure function of (n, grain): chunk c covers
 /// [c * grain, min(n, (c + 1) * grain)).

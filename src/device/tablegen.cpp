@@ -194,52 +194,6 @@ DeviceTable load_table(const std::string& path) {
   return table;
 }
 
-bool table_chains_context(const TableGenOptions& opts) {
-  return opts.warm_bias_context && negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive;
-}
-
-TableHeadRow solve_table_heads(const SelfConsistentSolver& solver, const std::vector<double>& vg,
-                               const std::vector<double>& vd, const TableGenOptions& opts) {
-  // Phase 1: the serial chain of column heads (ig = 0 across drain
-  // biases), each warm-started from the previous head. The adaptive
-  // TransportContext walks the same chain and is snapshotted per column,
-  // so each VG chain advances its own copy.
-  TableHeadRow row;
-  row.chain_ctx = table_chains_context(opts);
-  const size_t nvd = vd.size();
-  row.heads.resize(nvd);
-  if (row.chain_ctx) row.ctx.resize(nvd);
-  negf::TransportContext row_ctx;
-  for (size_t id = 0; id < nvd; ++id) {
-    row.heads[id] = solver.solve({vg[0], vd[id]}, id > 0 ? &row.heads[id - 1] : nullptr,
-                                 row.chain_ctx ? &row_ctx : nullptr);
-    if (row.chain_ctx) row.ctx[id] = row_ctx;
-  }
-  return row;
-}
-
-TableColumnResult solve_table_column(const SelfConsistentSolver& solver,
-                                     const std::vector<double>& vg, double vd,
-                                     const DeviceSolution& head, negf::TransportContext* ctx) {
-  // Phase 2: one drain column's VG chain, warm-started from its head.
-  // Bit-identity across process/thread layouts rests on this function: the
-  // in-process path, the shard worker, and the retry after a worker crash
-  // all run exactly this code on exactly these inputs.
-  TableColumnResult col;
-  const size_t nvg = vg.size();
-  if (nvg <= 1) return col;
-  col.current_A.resize(nvg - 1);
-  col.charge_C.resize(nvg - 1);
-  DeviceSolution prev = head;
-  for (size_t ig = 1; ig < nvg; ++ig) {
-    DeviceSolution sol = solver.solve({vg[ig], vd}, &prev, ctx);
-    col.current_A[ig - 1] = sol.current_A;
-    col.charge_C[ig - 1] = -constants::kElementaryCharge * sol.net_electrons;
-    prev = std::move(sol);
-  }
-  return col;
-}
-
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts) {
   trace::Span span("device", "generate_device_table");
   const std::string payload = table_cache_payload(spec, opts);
@@ -263,27 +217,39 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   // Walk the grid drain-major, warm-starting each point from the previous
   // gate point in the same column, and each column head from the previous
   // column's head solution. Phase 1 solves the serial chain of column
-  // heads; given its head, each drain column is then independent, so
-  // phase 2 fans the intra-column VG chains out across threads (or, in
-  // service/shardgen, across worker processes). The warm-start graph is
-  // identical to the serial walk, so the table is bit-identical for any
-  // thread or worker count.
+  // heads (ig = 0 across drain biases); given its head, each drain column
+  // is then independent, so phase 2 fans the intra-column VG chains out
+  // across threads. The warm-start graph is identical to the serial walk,
+  // so the table is bit-identical for any thread count.
+  //
+  // With warm_bias_context under the adaptive grid, the TransportContext
+  // walks the same chain: it is snapshotted after each column head, so
+  // every VG chain advances its own copy.
+  const bool chain_ctx =
+      opts.warm_bias_context && negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive;
+  const size_t nvg = table.vg.size();
   const size_t nvd = table.vd.size();
-  TableHeadRow row = solve_table_heads(solver, table.vg, table.vd, opts);
+  std::vector<DeviceSolution> heads(nvd);
+  std::vector<negf::TransportContext> head_ctx(chain_ctx ? nvd : 0);
+  negf::TransportContext row_ctx;
   for (size_t id = 0; id < nvd; ++id) {
-    table.current_A[id] = row.heads[id].current_A;
-    table.charge_C[id] = -constants::kElementaryCharge * row.heads[id].net_electrons;
+    heads[id] = solver.solve({table.vg[0], table.vd[id]}, id > 0 ? &heads[id - 1] : nullptr,
+                             chain_ctx ? &row_ctx : nullptr);
+    if (chain_ctx) head_ctx[id] = row_ctx;
+    table.current_A[id] = heads[id].current_A;
+    table.charge_C[id] = -constants::kElementaryCharge * heads[id].net_electrons;
   }
   par::parallel_for(nvd, [&](size_t id) {
     negf::TransportContext col_ctx;
-    if (row.chain_ctx) col_ctx = std::move(row.ctx[id]);
-    const TableColumnResult col = solve_table_column(solver, table.vg, table.vd[id],
-                                                     row.heads[id],
-                                                     row.chain_ctx ? &col_ctx : nullptr);
-    for (size_t ig = 1; ig < table.vg.size(); ++ig) {
+    if (chain_ctx) col_ctx = std::move(head_ctx[id]);
+    DeviceSolution prev = heads[id];
+    for (size_t ig = 1; ig < nvg; ++ig) {
+      DeviceSolution sol =
+          solver.solve({table.vg[ig], table.vd[id]}, &prev, chain_ctx ? &col_ctx : nullptr);
       const size_t idx = ig * nvd + id;
-      table.current_A[idx] = col.current_A[ig - 1];
-      table.charge_C[idx] = col.charge_C[ig - 1];
+      table.current_A[idx] = sol.current_A;
+      table.charge_C[idx] = -constants::kElementaryCharge * sol.net_electrons;
+      prev = std::move(sol);
     }
   });
 

@@ -44,40 +44,6 @@ struct TableGenOptions {
 /// Serializable identity of (spec, options); the cache key.
 std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& opts);
 
-/// True when generation chains the adaptive TransportContext across bias
-/// points (opts.warm_bias_context under GNRFET_NEGF_GRID=adaptive).
-bool table_chains_context(const TableGenOptions& opts);
-
-/// Phase-1 output of table generation: the serial chain of column-head
-/// solutions (ig = 0 across drain biases) plus, when the context chains,
-/// the TransportContext snapshot each column starts from.
-struct TableHeadRow {
-  std::vector<DeviceSolution> heads;       ///< one per vd point
-  std::vector<negf::TransportContext> ctx; ///< per-column snapshots; empty unless chain_ctx
-  bool chain_ctx = false;
-};
-
-/// Phase-2 output for one drain column: currents and charges for
-/// ig = 1..nvg-1 (the head row is phase 1's).
-struct TableColumnResult {
-  std::vector<double> current_A;  ///< [ig - 1] for ig in 1..nvg-1
-  std::vector<double> charge_C;
-};
-
-/// Solve the serial head row (phase 1). Exposed so the shard scheduler
-/// (service/shardgen) can run phase 1 in-process and ship each column's
-/// head + context to a worker; the warm-start graph — and therefore every
-/// bit of the result — is identical to in-process generation.
-TableHeadRow solve_table_heads(const SelfConsistentSolver& solver, const std::vector<double>& vg,
-                               const std::vector<double>& vd, const TableGenOptions& opts);
-
-/// Solve one drain column's VG chain (phase 2) from its head solution.
-/// `ctx` is the column's TransportContext (advanced in place), or nullptr
-/// when the context does not chain.
-TableColumnResult solve_table_column(const SelfConsistentSolver& solver,
-                                     const std::vector<double>& vg, double vd,
-                                     const DeviceSolution& head, negf::TransportContext* ctx);
-
 /// Generate (or load from cache) the device table. Generation walks the
 /// bias grid warm-starting each point from its neighbour.
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts = {});

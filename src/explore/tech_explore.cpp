@@ -35,9 +35,7 @@ device::TableGenOptions standard_table_options() {
   return opts;
 }
 
-DesignKit::DesignKit(model::Parasitics parasitics, service::TableService* service)
-    : parasitics_(parasitics),
-      service_(service != nullptr ? service : &service::TableService::shared()) {}
+DesignKit::DesignKit(model::Parasitics parasitics) : parasitics_(parasitics) {}
 
 const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
   {
@@ -48,7 +46,7 @@ const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
   // Resolve outside the kit lock: distinct variants generate concurrently,
   // identical ones coalesce onto one generation inside the service.
   trace::Span span("explore", "design_kit_table");
-  auto table = service_->query(request_for(v));
+  auto table = service::TableService::shared().query(request_for(v));
   common::MutexLock lk(mu_);
   return adopt_locked(v, std::move(table));
 }
@@ -69,14 +67,10 @@ void DesignKit::warm(const std::vector<VariantSpec>& variants) {
       if (tables_.find(v) == tables_.end()) missing.push_back(v);
     }
   }
-  if (missing.empty()) return;
-  std::vector<service::TableRequest> requests;
-  requests.reserve(missing.size());
-  for (const auto& v : missing) requests.push_back(request_for(v));
-  auto replies = service_->query_batch(requests);
-  common::MutexLock lk(mu_);
-  for (size_t i = 0; i < missing.size(); ++i) {
-    adopt_locked(missing[i], std::move(replies[i].table));
+  for (const auto& v : missing) {
+    auto table = service::TableService::shared().query(request_for(v));
+    common::MutexLock lk(mu_);
+    adopt_locked(v, std::move(table));
   }
 }
 
@@ -84,7 +78,7 @@ void DesignKit::set_table(const VariantSpec& v, device::DeviceTable table) {
   common::MutexLock lk(mu_);
   // Refuse to replace an existing entry: table() hands out references whose
   // validity rests on map entries never being reassigned. Injection stays
-  // kit-local on purpose — it must not pollute the shared service pool.
+  // kit-local on purpose — it must not pollute the shared service memo.
   auto shared = std::make_shared<const device::DeviceTable>(std::move(table));
   if (!tables_.emplace(v, std::move(shared)).second) {
     throw std::logic_error(

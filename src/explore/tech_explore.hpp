@@ -30,10 +30,9 @@ device::TableGenOptions standard_table_options();
 
 /// Loads (generating on miss) device tables and builds circuit models.
 ///
-/// Table resolution goes through a service::TableService (the process-wide
-/// shared() instance unless one is injected): the kit only keeps shared
-/// handles per variant, while the service owns the in-memory LRU, the
-/// batch path, and single-flight coalescing with other kits/processes.
+/// Table resolution goes through service::TableService::shared(): the kit
+/// only keeps shared handles per variant, while the service owns the
+/// in-memory memo and single-flight coalescing with other kits/processes.
 ///
 /// Thread safety: all public methods may be called concurrently (the
 /// parallel Monte Carlo and plane sweeps do); the per-kit maps are guarded
@@ -41,15 +40,13 @@ device::TableGenOptions standard_table_options();
 /// generate concurrently; identical ones coalesce in the service).
 class DesignKit {
  public:
-  explicit DesignKit(model::Parasitics parasitics = model::Parasitics::from_per_width(0.1, 40.0),
-                     service::TableService* service = nullptr);
+  explicit DesignKit(model::Parasitics parasitics = model::Parasitics::from_per_width(0.1, 40.0));
 
   /// Cached table lookup; generates (minutes) on first use of a variant.
   const device::DeviceTable& table(const VariantSpec& v);
 
-  /// Resolve a batch of variants through the service's deduplicating batch
-  /// API before fanning a study out: warm variants cost one lock pass, cold
-  /// ones generate once each in deterministic order.
+  /// Resolve every variant the kit does not hold yet before fanning a study
+  /// out: cold ones generate once each, in the given order.
   void warm(const std::vector<VariantSpec>& variants);
 
   /// Inject a pre-built table for a variant (tests and synthetic studies:
@@ -85,10 +82,9 @@ class DesignKit {
       GNRFET_REQUIRES(mu_);
 
   model::Parasitics parasitics_;
-  service::TableService* service_;  ///< never null; defaults to TableService::shared()
   /// Guards every cache below. The table handles are shared with the
-  /// service pool, so references table() hands out stay valid even after
-  /// an LRU eviction; map entries are stable under insertion.
+  /// service memo, so references table() hands out stay valid even after
+  /// a TableService::clear(); map entries are stable under insertion.
   common::Mutex mu_;
   std::map<VariantSpec, std::shared_ptr<const device::DeviceTable>> tables_
       GNRFET_GUARDED_BY(mu_);

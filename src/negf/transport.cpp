@@ -301,14 +301,14 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
     const double mode_lo = std::max(win.lo, u_p_min - m.band_top_eV() - kSupportMargin_eV);
     const double mode_hi = std::min(win.hi, u_p_max + m.band_top_eV() + kSupportMargin_eV);
     // What the uniform path would have solved for this mode (its skip
-    // range intersected with the uniform grid) — the baseline for the
-    // points-saved metric.
+    // range intersected with the uniform grid), counted beside the
+    // adaptive evaluations so their ratio shows a loss as well as a gain.
     const auto [u_ilo, u_ihi] = index_window(grid.points, skip_lo, skip_hi);
-    const size_t uniform_equiv = u_ihi > u_ilo ? u_ihi - u_ilo : 0;
+    metrics::add(metrics::Counter::kNegfEnergyPointsUniformEquiv,
+                 u_ihi > u_ilo ? u_ihi - u_ilo : 0);
     if (!(mode_hi - mode_lo > opts.energy_step_eV)) {
       // Mode entirely outside the integration window: zero contribution,
       // zero RGF solves.
-      metrics::add(metrics::Counter::kNegfEnergyPointsSaved, uniform_equiv);
       continue;
     }
 
@@ -492,9 +492,6 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
     }
     adaptive_points += res.evaluations;
     metrics::add(metrics::Counter::kNegfEnergyPoints, res.evaluations);
-    if (res.evaluations < uniform_equiv) {
-      metrics::add(metrics::Counter::kNegfEnergyPointsSaved, uniform_equiv - res.evaluations);
-    }
     for (size_t d = 0; d < res.depth_counts.size(); ++d) {
       for (uint32_t k = 0; k < res.depth_counts[d]; ++k) {
         metrics::observe(metrics::Histogram::kAdaptiveRefinementDepth,

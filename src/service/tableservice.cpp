@@ -9,23 +9,12 @@
 #include <utility>
 
 #include "common/cache.hpp"
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "service/shardgen.hpp"
 
 namespace gnrfet::service {
 
 namespace {
-
-constexpr size_t kDefaultCapacityMb = 256;
-
-/// Payload footprint of one pooled table (the dominant vectors plus the
-/// struct itself); the LRU budget is accounted in these bytes.
-size_t table_bytes(const device::DeviceTable& t) {
-  const size_t doubles = t.vg.size() + t.vd.size() + t.current_A.size() + t.charge_C.size();
-  return doubles * sizeof(double) + sizeof(device::DeviceTable);
-}
 
 /// Advisory flock(2) on a sidecar file beside the cache entry, serializing
 /// cold generation across *processes* sharing one cache directory (the
@@ -71,37 +60,8 @@ class FileLock {
 
 }  // namespace
 
-TableService::TableService() : TableService(Options{}) {}
-
-TableService::TableService(Options opts) : cross_process_lock_(opts.cross_process_lock) {
-  if (opts.generator) {
-    generator_ = std::move(opts.generator);
-  } else {
-    // GNRFET_TABLE_SHARD=on routes cold generation through a worker-process
-    // pool (service/shardgen); off — the default — is the unchanged
-    // in-process path. The two produce byte-identical tables, so the switch
-    // is purely a throughput knob.
-    const std::string shard = common::env_or("GNRFET_TABLE_SHARD", "off");
-    if (shard == "on") {
-      auto scheduler = std::make_shared<ShardScheduler>();
-      generator_ = [scheduler](const device::DeviceSpec& spec,
-                               const device::TableGenOptions& gen_opts) {
-        return scheduler->generate(spec, gen_opts);
-      };
-    } else if (shard == "off") {
-      generator_ = &device::generate_device_table;
-    } else {
-      throw common::env::EnvError("GNRFET_TABLE_SHARD", shard, "expected on or off");
-    }
-  }
-  if (opts.capacity_bytes > 0) {
-    capacity_bytes_ = opts.capacity_bytes;
-  } else {
-    const int mb = common::env::get_positive_int("GNRFET_TABLE_LRU_MB",
-                                                 static_cast<int>(kDefaultCapacityMb));
-    capacity_bytes_ = static_cast<size_t>(mb) * 1024 * 1024;
-  }
-}
+TableService::TableService(Generator generator)
+    : generator_(generator ? std::move(generator) : Generator(&device::generate_device_table)) {}
 
 TableService& TableService::shared() {
   static TableService instance;
@@ -110,60 +70,16 @@ TableService& TableService::shared() {
 
 std::shared_ptr<const device::DeviceTable> TableService::query(const TableRequest& request) {
   trace::Span span("service", "query");
-  return resolve(device::table_cache_payload(request.spec, request.opts), request);
-}
-
-std::vector<TableReply> TableService::query_batch(const std::vector<TableRequest>& requests) {
-  trace::Span span("service", "query_batch");
-  std::vector<TableReply> replies(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    replies[i].key = device::table_cache_payload(requests[i].spec, requests[i].opts);
-  }
-
-  // Pass 1, one lock hold: answer every warm request straight from the
-  // pool and collect the unique cold keys in first-appearance order.
-  std::vector<std::string> cold_order;
-  std::map<std::string, size_t> cold_first;
-  {
-    common::MutexLock lk(mu_);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (auto hit = lookup_locked(replies[i].key)) {
-        replies[i].table = std::move(hit);
-        replies[i].warm = true;
-        ++stats_.hits;
-        metrics::add(metrics::Counter::kTableServiceHits);
-      } else if (cold_first.emplace(replies[i].key, i).second) {
-        cold_order.push_back(replies[i].key);
-      }
-    }
-  }
-
-  // Pass 2: resolve each unique cold key once, in batch order. Sequential
-  // on purpose — generation is internally parallel (the NEGF bias grid),
-  // and a fixed resolution order keeps the batch deterministic for any
-  // GNRFET_THREADS.
-  std::map<std::string, std::shared_ptr<const device::DeviceTable>> resolved;
-  for (const auto& key : cold_order) {
-    resolved[key] = resolve(key, requests[cold_first[key]]);
-  }
-
-  // Pass 3: duplicate cold requests share the leader's entry.
-  for (auto& reply : replies) {
-    if (!reply.table) reply.table = resolved.at(reply.key);
-  }
-  return replies;
-}
-
-std::shared_ptr<const device::DeviceTable> TableService::resolve(const std::string& key,
-                                                                 const TableRequest& request) {
+  const std::string key = device::table_cache_payload(request.spec, request.opts);
   std::shared_ptr<Flight> flight;
   bool leader = false;
   {
     common::MutexLock lk(mu_);
-    if (auto hit = lookup_locked(key)) {
+    const auto hit = entries_.find(key);
+    if (hit != entries_.end()) {
       ++stats_.hits;
       metrics::add(metrics::Counter::kTableServiceHits);
-      return hit;
+      return hit->second;
     }
     const auto it = inflight_.find(key);
     if (it != inflight_.end()) {
@@ -180,7 +96,7 @@ std::shared_ptr<const device::DeviceTable> TableService::resolve(const std::stri
   }
 
   if (!leader) {
-    trace::Span span("service", "coalesce_wait");
+    trace::Span wait_span("service", "coalesce_wait");
     common::MutexLock lk(flight->mu);
     while (!flight->done) flight->cv.wait(flight->mu);
     if (flight->error) std::rethrow_exception(flight->error);
@@ -196,7 +112,9 @@ std::shared_ptr<const device::DeviceTable> TableService::resolve(const std::stri
   }
   {
     common::MutexLock lk(mu_);
-    if (table) insert_locked(key, table);
+    // emplace keeps a resident entry (a clear()-vs-leader race); both are
+    // bit-identical by construction.
+    if (table) entries_.emplace(key, table);
     inflight_.erase(key);
   }
   {
@@ -213,7 +131,7 @@ std::shared_ptr<const device::DeviceTable> TableService::resolve(const std::stri
 std::shared_ptr<const device::DeviceTable> TableService::resolve_cold(
     const std::string& key, const TableRequest& request) {
   trace::Span span("service", "resolve_cold");
-  if (request.opts.use_cache && cross_process_lock_) {
+  if (request.opts.use_cache) {
     const std::string path = cache::path_for("device-table", key);
     FileLock lock(path + ".lock");
     // Another process may have finished the same generation while we
@@ -227,58 +145,16 @@ std::shared_ptr<const device::DeviceTable> TableService::resolve_cold(
   return std::make_shared<const device::DeviceTable>(generator_(request.spec, request.opts));
 }
 
-std::shared_ptr<const device::DeviceTable> TableService::lookup_locked(const std::string& key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // bump to most recent
-  return it->second.table;
-}
-
-void TableService::insert_locked(const std::string& key,
-                                 const std::shared_ptr<const device::DeviceTable>& table) {
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Lost a clear()-vs-leader race or a duplicate injection; keep the
-    // resident entry (both are bit-identical by construction).
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return;
-  }
-  lru_.push_front(key);
-  Entry entry;
-  entry.table = table;
-  entry.bytes = table_bytes(*table);
-  entry.lru_pos = lru_.begin();
-  bytes_ += entry.bytes;
-  entries_.emplace(key, std::move(entry));
-  // Evict from the cold end, but always retain the newest entry so a
-  // single oversized table still gets pooled.
-  while (bytes_ > capacity_bytes_ && entries_.size() > 1) {
-    const std::string& victim = lru_.back();
-    const auto vit = entries_.find(victim);
-    bytes_ -= vit->second.bytes;
-    entries_.erase(vit);
-    lru_.pop_back();
-    ++stats_.evictions;
-    metrics::add(metrics::Counter::kTableServiceEvictions);
-  }
-  // Resident high-water, after eviction: transient pre-eviction overshoot
-  // is not residency, so the gauge reflects what the pool actually held.
-  if (bytes_ > stats_.peak_bytes) stats_.peak_bytes = bytes_;
-}
-
 TableService::Stats TableService::stats() const {
   common::MutexLock lk(mu_);
   Stats s = stats_;
   s.entries = entries_.size();
-  s.bytes = bytes_;
   return s;
 }
 
 void TableService::clear() {
   common::MutexLock lk(mu_);
   entries_.clear();
-  lru_.clear();
-  bytes_ = 0;
 }
 
 }  // namespace gnrfet::service

@@ -2,32 +2,26 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "device/tablegen.hpp"
 
-/// In-process serving layer over the device-table cache (ROADMAP: "device
-/// table service"). Every consumer of I_D(V_G,V_D)/Q(V_G,V_D) tables — the
-/// DesignKit, the Monte Carlo / contour / latch pipelines, the benches —
-/// funnels through one TableService, which fronts the on-disk cache
-/// (common/cache.hpp + device/tablegen.hpp) with:
+/// The in-process store of device tables. Every consumer of
+/// I_D(V_G,V_D)/Q(V_G,V_D) tables — the DesignKit, the Monte Carlo /
+/// contour / latch pipelines, the benches — funnels through one
+/// TableService, which fronts device::generate_device_table and its
+/// on-disk cache (common/cache.hpp) with:
 ///
-///   - a capacity-bounded in-memory LRU keyed on table_cache_payload()
-///     (shared, immutable entries; GNRFET_TABLE_LRU_MB sets the budget),
-///   - a batch query API that deduplicates requests within the batch and
-///     answers warm ones without touching the generation machinery,
+///   - an in-memory memo keyed on table_cache_payload() (shared, immutable
+///     entries; the working set is about a dozen ~5 KB tables, so nothing
+///     is ever evicted),
 ///   - single-flight request coalescing: concurrent callers asking for the
-///     same cold variant share one generation, and a cross-process lockfile
+///     same cold variant share one generation, and a flock(2) lockfile
 ///     beside the cache path keeps two processes sharing data/cache from
 ///     duplicating minutes of generation work.
-///
-/// This is the async/queueing seam a future gnrfet_tabled daemon plugs
-/// into: the request/reply structs are already serialization-shaped.
 namespace gnrfet::service {
 
 /// One device-table query: which device variant, on which bias grid.
@@ -36,81 +30,42 @@ struct TableRequest {
   device::TableGenOptions opts;
 };
 
-/// The answer to one request. `table` is shared and immutable: entries stay
-/// valid after LRU eviction for as long as any caller holds them.
-struct TableReply {
-  std::shared_ptr<const device::DeviceTable> table;
-  std::string key;    ///< cache identity (table_cache_payload of the request)
-  bool warm = false;  ///< served straight from the in-memory pool
-};
-
 class TableService {
  public:
-  /// Generation hook; defaults to device::generate_device_table. Tests and
-  /// synthetic studies inject cheap generators here to drive the LRU /
-  /// coalescing machinery without the NEGF pipeline.
+  /// Generation hook; defaults to device::generate_device_table. Tests
+  /// inject cheap generators here to drive the memo / coalescing machinery
+  /// without the NEGF pipeline.
   using Generator =
       std::function<device::DeviceTable(const device::DeviceSpec&, const device::TableGenOptions&)>;
 
-  struct Options {
-    /// In-memory pool budget in bytes; 0 reads GNRFET_TABLE_LRU_MB
-    /// (default 256 MB). The pool always retains at least the most
-    /// recently inserted entry, even when it alone exceeds the budget.
-    size_t capacity_bytes = 0;
-    /// Serialize cold generation across processes via a flock(2) lockfile
-    /// beside the cache path (only for cached requests).
-    bool cross_process_lock = true;
-    Generator generator;  ///< empty = device::generate_device_table
-  };
-
   /// Service-local counters (mirrored into the global metrics registry as
-  /// table_service_hits / _misses / _evictions / _coalesced).
+  /// table_service_hits / _misses / _coalesced).
   struct Stats {
-    uint64_t hits = 0;       ///< answered from the in-memory LRU
+    uint64_t hits = 0;       ///< answered from the in-memory memo
     uint64_t misses = 0;     ///< led a cold resolution (disk load or generation)
-    uint64_t evictions = 0;  ///< entries dropped under capacity pressure
     uint64_t coalesced = 0;  ///< cold queries that joined an in-flight generation
-    size_t entries = 0;      ///< current pool size
-    size_t bytes = 0;        ///< current pool payload bytes
-    /// High-water mark of resident pool bytes, sampled after each insert's
-    /// eviction pass: the gauge CI uses to assert the LRU stayed within
-    /// GNRFET_TABLE_LRU_MB under load (a single oversized entry is the
-    /// only sanctioned excursion).
-    size_t peak_bytes = 0;
+    size_t entries = 0;      ///< current memo size
   };
 
-  TableService();  ///< default Options (a nested-class default argument trips gcc)
-  explicit TableService(Options opts);
+  /// An empty `generator` means device::generate_device_table.
+  explicit TableService(Generator generator = {});
 
-  /// Resolve one request: LRU hit, join of an in-flight generation, disk
+  /// Resolve one request: memo hit, join of an in-flight generation, disk
   /// load, or cold generation — in that order. Blocks until the table is
   /// available; rethrows the leader's exception to every coalesced caller.
   std::shared_ptr<const device::DeviceTable> query(const TableRequest& request);
 
-  /// Resolve a batch. Duplicate requests within the batch collapse onto one
-  /// resolution; warm entries are answered under a single lock pass without
-  /// touching the generation machinery; unique cold keys then resolve in
-  /// first-appearance order (deterministic for any caller thread count).
-  std::vector<TableReply> query_batch(const std::vector<TableRequest>& requests);
-
   Stats stats() const;
-  size_t capacity_bytes() const { return capacity_bytes_; }
 
-  /// Drop every pool entry (benches/tests; outstanding shared_ptrs stay
+  /// Drop every memo entry (benches/tests; outstanding shared_ptrs stay
   /// valid). In-flight generations are unaffected.
   void clear();
 
   /// Process-wide default instance shared by every DesignKit: in-process
-  /// consumers coalesce onto one pool and one generation per variant.
+  /// consumers coalesce onto one memo and one generation per variant.
   static TableService& shared();
 
  private:
-  struct Entry {
-    std::shared_ptr<const device::DeviceTable> table;
-    size_t bytes = 0;
-    std::list<std::string>::iterator lru_pos;  ///< position in lru_
-  };
-
   /// One in-flight cold resolution; coalesced callers block on cv until the
   /// leader publishes the table (or its failure).
   struct Flight {
@@ -121,29 +76,17 @@ class TableService {
     std::exception_ptr error GNRFET_GUARDED_BY(mu);
   };
 
-  /// Full resolution of one keyed request (hit / join / lead).
-  std::shared_ptr<const device::DeviceTable> resolve(const std::string& key,
-                                                     const TableRequest& request);
   /// The leader's cold path: disk load or generation, under the
   /// cross-process lockfile when the request is cached.
   std::shared_ptr<const device::DeviceTable> resolve_cold(const std::string& key,
                                                           const TableRequest& request);
-  std::shared_ptr<const device::DeviceTable> lookup_locked(const std::string& key)
-      GNRFET_REQUIRES(mu_);
-  void insert_locked(const std::string& key,
-                     const std::shared_ptr<const device::DeviceTable>& table)
-      GNRFET_REQUIRES(mu_);
 
   Generator generator_;
-  size_t capacity_bytes_ = 0;
-  bool cross_process_lock_ = true;
 
   mutable common::Mutex mu_;
-  std::map<std::string, Entry> entries_ GNRFET_GUARDED_BY(mu_);
-  /// Recency order, front = most recently used; entries_ holds iterators.
-  std::list<std::string> lru_ GNRFET_GUARDED_BY(mu_);
+  std::map<std::string, std::shared_ptr<const device::DeviceTable>> entries_
+      GNRFET_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<Flight>> inflight_ GNRFET_GUARDED_BY(mu_);
-  size_t bytes_ GNRFET_GUARDED_BY(mu_) = 0;
   Stats stats_ GNRFET_GUARDED_BY(mu_);
 };
 

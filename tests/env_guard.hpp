@@ -1,0 +1,39 @@
+#pragma once
+
+#include <cstdlib>
+#include <string>
+
+#include "common/env.hpp"
+
+namespace gnrfet::tests {
+
+/// Scoped set (or, with a null value, unset) of one environment variable,
+/// restoring the prior state on exit so the single-process `ctest -L fast`
+/// run sees no cross-test pollution.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name), was_set_(common::env_set(name)) {
+    if (was_set_) previous_ = common::env_or(name, "");
+    if (value) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~EnvGuard() {
+    if (was_set_) {
+      ::setenv(name_.c_str(), previous_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  std::string name_;
+  bool was_set_;
+  std::string previous_;
+};
+
+}  // namespace gnrfet::tests

@@ -15,10 +15,12 @@
 #include "negf/adaptive.hpp"
 #include "negf/scalar_rgf.hpp"
 #include "negf/transport.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 
 uint64_t fnv1a(const std::vector<double>& v) {
   uint64_t h = 1469598103934665603ull;
@@ -38,31 +40,6 @@ std::vector<double> flatten(const std::vector<std::vector<double>>& m) {
   for (const auto& row : m) f.insert(f.end(), row.begin(), row.end());
   return f;
 }
-
-/// Scoped GNRFET_NEGF_GRID override that restores the prior state, so the
-/// single-process `ctest -L fast` run sees no cross-test pollution.
-class GridEnvGuard {
- public:
-  explicit GridEnvGuard(const char* value) : was_set_(common::env_set("GNRFET_NEGF_GRID")) {
-    if (was_set_) previous_ = common::env_or("GNRFET_NEGF_GRID", "");
-    if (value) {
-      ::setenv("GNRFET_NEGF_GRID", value, 1);
-    } else {
-      ::unsetenv("GNRFET_NEGF_GRID");
-    }
-  }
-  ~GridEnvGuard() {
-    if (was_set_) {
-      ::setenv("GNRFET_NEGF_GRID", previous_.c_str(), 1);
-    } else {
-      ::unsetenv("GNRFET_NEGF_GRID");
-    }
-  }
-
- private:
-  bool was_set_;
-  std::string previous_;
-};
 
 /// The fixed mode-space problem behind the uniform golden pin: a 12-line
 /// ribbon with a source-drain ramp plus a line-direction ripple.
@@ -94,7 +71,7 @@ TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
   // (hoisted skip window, workspace RGF kernels) must reproduce the
   // pre-adaptive transport output bit-for-bit. Hashes and hexfloats below
   // were captured from the pre-PR solver.
-  GridEnvGuard guard("uniform");
+  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
   GoldenProblem p;
   const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
   EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
@@ -111,7 +88,7 @@ TEST(AdaptiveGolden, UniformDeviceTableBitIdenticalToPreAdaptiveSolver) {
   // End-to-end pin through the self-consistent device stack (Gummel loop,
   // stencil-hoisted gather/deposit, tablegen): uniform-grid tables must
   // match the pre-PR solver bit-for-bit.
-  GridEnvGuard guard("uniform");
+  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
   device::DeviceSpec spec;
   spec.channel_length_nm = 8.0;
   device::TableGenOptions opts;
@@ -138,19 +115,22 @@ TEST(AdaptiveAccuracy, MatchesFineUniformReferenceWithFewerSolves) {
   uint64_t solves_uniform = 0;
   negf::TransportSolution ref;
   {
-    GridEnvGuard guard("uniform");
+    EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
     metrics::reset();
     const auto coarse = negf::solve_mode_space(p.modes, p.u, p.opts);
     solves_uniform = rgf_solves();
     (void)coarse;
     ref = negf::solve_mode_space(p.modes, p.u, fine);
   }
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   metrics::reset();
   const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
   const uint64_t solves_adaptive = rgf_solves();
-  const uint64_t saved =
-      metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kNegfEnergyPointsSaved)];
+  const metrics::Snapshot work = metrics::snapshot();
+  const uint64_t evaluated =
+      work.counters[static_cast<size_t>(metrics::Counter::kNegfEnergyPoints)];
+  const uint64_t uniform_equiv =
+      work.counters[static_cast<size_t>(metrics::Counter::kNegfEnergyPointsUniformEquiv)];
 
   // Accuracy contract: <= 1e-4 relative on current against the 4x-finer
   // uniform reference (measured ~4e-10 on this problem).
@@ -158,13 +138,14 @@ TEST(AdaptiveAccuracy, MatchesFineUniformReferenceWithFewerSolves) {
   EXPECT_LE(std::abs(sol.total_net_electrons - ref.total_net_electrons),
             5e-4 * std::abs(ref.total_net_electrons));
   // Perf contract: at most half the uniform solve count (measured ~2.7x
-  // fewer), and the saved-points counter reflects the reduction.
+  // fewer), and the paired work counters show the same reduction.
   EXPECT_LE(2 * solves_adaptive, solves_uniform);
-  EXPECT_GT(saved, 0u);
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_LE(2 * evaluated, uniform_equiv);
 }
 
 TEST(AdaptiveDeterminism, BitIdenticalAcrossThreadCounts) {
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   GoldenProblem p;
   const int before = par::thread_count();
   par::set_thread_count(1);
@@ -182,7 +163,7 @@ TEST(AdaptiveDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(AdaptiveContext, WarmStartReusesConvergedEdges) {
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   GoldenProblem p;
   negf::TransportContext ctx;
   const auto cold = negf::solve_mode_space(p.modes, p.u, p.opts, ctx);
@@ -203,9 +184,8 @@ TEST(AdaptiveContext, WarmStartReusesConvergedEdges) {
 
 TEST(AdaptiveWindow, ModeOutsideWindowContributesNothingAndSolvesNothing) {
   // Window override far above every mode's support: the skip branch must
-  // produce a zero solution without a single RGF solve, and account the
-  // skipped work as saved points.
-  GridEnvGuard guard("adaptive");
+  // produce a zero solution without a single RGF solve.
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   GoldenProblem p;
   negf::TransportOptions opts = p.opts;
   opts.window_lo_eV = 30.0;
@@ -304,7 +284,7 @@ TEST(TablegenWarmBias, UniformTableBitIdenticalToColdStart) {
   // The uniform energy grid ignores the TransportContext entirely, so
   // cross-bias chaining must leave the pinned uniform tables bit-identical
   // to a cold start, and must not fork their cache key.
-  GridEnvGuard guard("uniform");
+  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
   const auto spec = warmbias_spec();
   const auto warm = device::generate_device_table(spec, warmbias_opts(true));
   const auto cold = device::generate_device_table(spec, warmbias_opts(false));
@@ -320,7 +300,7 @@ TEST(TablegenWarmBias, UniformTableBitIdenticalToColdStart) {
 TEST(TablegenWarmBias, AdaptiveCachePayloadKeyedByContextChaining) {
   // Chained panel seeding moves adaptive table values within tolerance, so
   // warm and cold tables must live under different cache keys.
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   const auto spec = warmbias_spec();
   const std::string warm_key = device::table_cache_payload(spec, warmbias_opts(true));
   const std::string cold_key = device::table_cache_payload(spec, warmbias_opts(false));
@@ -334,7 +314,7 @@ TEST(TablegenWarmBias, AdaptiveWarmTableAgreesWithColdStart) {
   // the refinement structure, so warm and cold tables are not bit-equal;
   // they must agree within the adaptive tolerance as amplified by the
   // Gummel stopping window.
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   const auto spec = warmbias_spec();
   const auto warm = device::generate_device_table(spec, warmbias_opts(true));
   const auto cold = device::generate_device_table(spec, warmbias_opts(false));
@@ -351,7 +331,7 @@ TEST(TablegenWarmBiasParallel, AdaptiveWarmTableBitIdentical1v4Threads) {
   // The context chain follows the warm-start graph (serial head row, then
   // per-column copies), so chained tables must stay bit-identical for any
   // thread count. Also the TSan target for the chaining code.
-  GridEnvGuard guard("adaptive");
+  EnvGuard guard("GNRFET_NEGF_GRID", "adaptive");
   const auto spec = warmbias_spec();
   ThreadCountGuard g1(1);
   const auto serial = device::generate_device_table(spec, warmbias_opts(true));

@@ -22,10 +22,12 @@
 #include "negf/scalar_rgf.hpp"
 #include "negf/selfenergy.hpp"
 #include "negf/transport.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 
 uint64_t fnv1a(const std::vector<double>& v) {
   uint64_t h = 1469598103934665603ull;
@@ -57,32 +59,6 @@ std::vector<double> flatten(const std::vector<std::vector<double>>& m) {
          << b_expr << " = " << b << " (0x" << std::bit_cast<uint64_t>(b) << ")";
 }
 #define EXPECT_BITS_EQ(a, b) EXPECT_PRED_FORMAT2(bits_eq, a, b)
-
-/// Scoped env override restoring the prior state (mirrors the adaptive
-/// suite's GridEnvGuard), parameterized on the variable name.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name), was_set_(common::env_set(name)) {
-    if (was_set_) previous_ = common::env_or(name, "");
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (was_set_) {
-      ::setenv(name_.c_str(), previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool was_set_;
-  std::string previous_;
-};
 
 struct ThreadCountGuard {
   explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }

@@ -10,10 +10,12 @@
 #include "common/csv.hpp"
 #include "common/env.hpp"
 #include "common/strings.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 
 TEST(Constants, FermiLimits) {
   EXPECT_NEAR(constants::fermi(0.0), 0.5, 1e-12);
@@ -83,32 +85,6 @@ TEST(Cache, PathIsDeterministic) {
   EXPECT_NE(p1, p3);
 }
 
-/// Scoped set/unset of one environment variable, restoring on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value)
-      : name_(name), was_set_(common::env_set(name)) {
-    if (was_set_) previous_ = common::env_or(name, "");
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (was_set_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool was_set_;
-  std::string previous_;
-};
-
 constexpr const char* kEnvName = "GNRFET_TEST_POSITIVE_INT";
 
 TEST(Env, GetPositiveIntParsesWellFormedValues) {
@@ -134,8 +110,8 @@ TEST(Env, GetPositiveIntFallsBackWhenUnsetOrEmpty) {
 }
 
 TEST(Env, GetPositiveIntRejectsMalformedValues) {
-  // Unlike the lenient env_int (which silently falls back), a set-but-bad
-  // value is a typed error naming the variable and value.
+  // A set-but-bad value is a typed error naming the variable and value,
+  // never a silent fallback.
   for (const char* bad : {"0", "-3", "+3", "3 ", " 3", "3x", "abc", "1e3", "0x10",
                           "2147483648", "99999999999999999999"}) {
     EnvGuard g(kEnvName, bad);
@@ -148,13 +124,6 @@ TEST(Env, GetPositiveIntRejectsMalformedValues) {
       EXPECT_NE(std::string(e.what()).find(kEnvName), std::string::npos);
     }
   }
-}
-
-TEST(Env, ClearRemovesVariable) {
-  EnvGuard g(kEnvName, "42");
-  EXPECT_TRUE(common::env_set(kEnvName));
-  common::env_clear(kEnvName);
-  EXPECT_FALSE(common::env_set(kEnvName));
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 #include "device/selfconsistent.hpp"
 #include "device/sweeps.hpp"
 #include "device/tablegen.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using namespace gnrfet::device;
+using tests::EnvGuard;
 
 /// Small, coarse device for fast tests (short channel, coarse mesh and
 /// energy grid) — still a real self-consistent NEGF-Poisson solve.
@@ -285,24 +287,6 @@ std::string bits_hash(const std::vector<double>& v) {
       std::string(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double)));
 }
 
-/// Scoped GNRFET_CACHE_DIR override restoring the previous value on exit.
-struct CacheDirGuard {
-  explicit CacheDirGuard(const std::string& dir)
-      : had_(common::env_set("GNRFET_CACHE_DIR")),
-        previous_(common::env_or("GNRFET_CACHE_DIR", "")) {
-    ::setenv("GNRFET_CACHE_DIR", dir.c_str(), 1);
-  }
-  ~CacheDirGuard() {
-    if (had_) {
-      ::setenv("GNRFET_CACHE_DIR", previous_.c_str(), 1);
-    } else {
-      ::unsetenv("GNRFET_CACHE_DIR");
-    }
-  }
-  bool had_;
-  std::string previous_;
-};
-
 TEST(TableGen, CsvRoundTripIsBitExact) {
   // Values with no finite decimal expansion: at the old precision(12) the
   // save/load round trip flipped low-order mantissa bits, so a table served
@@ -333,7 +317,7 @@ TEST(TableGen, CacheHitMatchesMissBitExact) {
   // through the cache must produce the same table down to the last bit.
   const auto dir = std::filesystem::temp_directory_path() / "gnrfet_cache_bitexact";
   std::filesystem::remove_all(dir);
-  CacheDirGuard guard(dir.string());
+  EnvGuard guard("GNRFET_CACHE_DIR", dir.c_str());
   TableGenOptions opts;
   opts.vg_points = 2;
   opts.vd_points = 2;

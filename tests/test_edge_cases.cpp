@@ -7,11 +7,13 @@
 #include "common/cache.hpp"
 #include "explore/contours.hpp"
 #include "negf/energygrid.hpp"
+#include "env_guard.hpp"
 #include "synthetic_device.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 
 TEST(EnergyGridEdge, DegenerateWindowClampsToMinimalGrid) {
   // lo >= hi no longer throws: the degenerate-window contract clamps to a
@@ -87,10 +89,8 @@ TEST(MeasureEdge, AverageAfterRespectsWindow) {
 }
 
 TEST(CacheEdge, EnvironmentOverrideWins) {
-  setenv("GNRFET_CACHE_DIR", "/tmp/gnrfet-cache-test", 1);
-  const std::string dir = cache::directory();
-  EXPECT_EQ(dir, "/tmp/gnrfet-cache-test");
-  unsetenv("GNRFET_CACHE_DIR");
+  EnvGuard guard("GNRFET_CACHE_DIR", "/tmp/gnrfet-cache-test");
+  EXPECT_EQ(cache::directory(), "/tmp/gnrfet-cache-test");
 }
 
 TEST(SyntheticModel, ChargeDerivativesGiveSaneCapacitances) {

@@ -15,10 +15,12 @@
 #include "poisson/grid.hpp"
 #include "poisson/multigrid.hpp"
 #include "poisson/solver.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 using linalg::PreconditionerKind;
 
 uint64_t fnv1a(const std::vector<double>& v) {
@@ -33,32 +35,6 @@ uint64_t fnv1a(const std::vector<double>& v) {
   }
   return h;
 }
-
-/// Scoped environment override restoring the prior state on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value)
-      : name_(name), was_set_(common::env_set(name)) {
-    if (was_set_) previous_ = common::env_or(name, "");
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (was_set_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool was_set_;
-  std::string previous_;
-};
 
 /// A grid deep enough for a three-level hierarchy: one grounded plane,
 /// a biased plane, a dielectric step, and deposited point charges.

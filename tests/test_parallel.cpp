@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -145,6 +147,27 @@ negf::TransportSolution solve_reference_device() {
   opt.mu_drain_eV = -0.4;
   opt.energy_step_eV = 2e-3;
   return negf::solve_mode_space(modes, u, opt);
+}
+
+TEST(Parallel, GrownPoolWakesEveryNewWorkerForItsFirstRegion) {
+  // Growing the pool spawns workers just before the next region starts.
+  // Every chunk of that region waits at a barrier until all participants
+  // hold a chunk at once, so a new worker that sleeps through the region
+  // leaves its chunk unclaimed and the barrier times out instead of filling.
+  constexpr int kThreads = 24;  // above every other test's count: the pool grows
+  ThreadCountGuard guard(kThreads);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> released{0};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  par::parallel_for(kThreads, [&](size_t) {
+    std::unique_lock<std::mutex> lk(mu);
+    ++arrived;
+    cv.notify_all();
+    if (cv.wait_until(lk, deadline, [&] { return arrived >= kThreads; })) released.fetch_add(1);
+  });
+  EXPECT_EQ(released.load(), kThreads) << "a worker slept through the region";
 }
 
 TEST(ParallelDeterminism, ModeSpaceSolveBitIdentical1v4Threads) {

@@ -12,10 +12,12 @@
 #include "poisson/grid.hpp"
 #include "poisson/nonlinear.hpp"
 #include "poisson/solver.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 using linalg::PreconditionerKind;
 
 /// FNV-1a over the raw double bytes: any single-bit difference anywhere in
@@ -32,31 +34,6 @@ uint64_t fnv1a(const std::vector<double>& v) {
   }
   return h;
 }
-
-/// Scoped GNRFET_POISSON_PC override that restores the prior state, so the
-/// single-process `ctest -L fast` run sees no cross-test pollution.
-class PcEnvGuard {
- public:
-  explicit PcEnvGuard(const char* value) : was_set_(common::env_set("GNRFET_POISSON_PC")) {
-    if (was_set_) previous_ = common::env_or("GNRFET_POISSON_PC", "");
-    if (value) {
-      ::setenv("GNRFET_POISSON_PC", value, 1);
-    } else {
-      ::unsetenv("GNRFET_POISSON_PC");
-    }
-  }
-  ~PcEnvGuard() {
-    if (was_set_) {
-      ::setenv("GNRFET_POISSON_PC", previous_.c_str(), 1);
-    } else {
-      ::unsetenv("GNRFET_POISSON_PC");
-    }
-  }
-
- private:
-  bool was_set_;
-  std::string previous_;
-};
 
 /// The golden nonlinear problem: a 7^3 grid with one grounded/biased
 /// electrode plane, a deposited fixed charge, and point electron/hole
@@ -93,7 +70,7 @@ TEST(PoissonSolverGolden, JacobiModeBitIdenticalToPrePreconditionerSolver) {
   // (persistent Jacobian, reused workspace, hoisted rhs) must reproduce
   // the historical solve_nonlinear_poisson output bit-for-bit. The hashes
   // and hexfloat samples below were captured from the pre-PR solver.
-  PcEnvGuard guard("jacobi");
+  EnvGuard guard("GNRFET_POISSON_PC", "jacobi");
   GoldenProblem p;
 
   const auto r1 =
@@ -120,19 +97,19 @@ TEST(PoissonSolverGolden, JacobiModeBitIdenticalToPrePreconditionerSolver) {
 TEST(PoissonSolver, EnvKnobSelectsPreconditioner) {
   GoldenProblem p;
   {
-    PcEnvGuard guard(nullptr);  // unset -> default
+    EnvGuard guard("GNRFET_POISSON_PC", nullptr);  // unset -> default
     EXPECT_EQ(poisson::preconditioner_kind_from_env(), PreconditionerKind::kIc0);
   }
   {
-    PcEnvGuard guard("jacobi");
+    EnvGuard guard("GNRFET_POISSON_PC", "jacobi");
     EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kJacobi);
   }
   {
-    PcEnvGuard guard("ssor");
+    EnvGuard guard("GNRFET_POISSON_PC", "ssor");
     EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kSsor);
   }
   {
-    PcEnvGuard guard("lucky-guess");
+    EnvGuard guard("GNRFET_POISSON_PC", "lucky-guess");
     EXPECT_THROW(poisson::preconditioner_kind_from_env(), std::invalid_argument);
   }
 }
@@ -170,7 +147,7 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
   ASSERT_TRUE(a1.converged);
   EXPECT_EQ(fnv1a(a1.phi_full), fnv1a(b1.phi_full));
   {
-    PcEnvGuard guard("ic0");
+    EnvGuard guard("GNRFET_POISSON_PC", "ic0");
     const auto free1 =
         poisson::solve_nonlinear_poisson(p.assembly, {0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
     EXPECT_EQ(fnv1a(free1.phi_full), fnv1a(a1.phi_full));

@@ -9,40 +9,23 @@
 #include <vector>
 
 #include "common/cache.hpp"
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "service/tableservice.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using service::TableRequest;
 using service::TableService;
+using tests::EnvGuard;
 
 /// Scoped thread-count override restoring the previous value on exit.
 struct ThreadCountGuard {
   explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
   ~ThreadCountGuard() { par::set_thread_count(old_); }
   int old_;
-};
-
-/// Scoped environment override restoring the previous value on exit.
-struct EnvGuard {
-  EnvGuard(const char* name, const std::string& value)
-      : name_(name), had_(common::env_set(name)), previous_(common::env_or(name, "")) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  bool had_;
-  std::string previous_;
 };
 
 /// A request whose cache key is a pure function of `n` (uncached: the
@@ -54,8 +37,8 @@ TableRequest synth_request(int n) {
   return req;
 }
 
-/// Fixed-footprint synthetic table: 8 + 8 axis values and 2 * 64 entries,
-/// ~1.3 kB in the service's accounting. Values encode n for identity checks.
+/// Synthetic table: 8 + 8 axis values and 2 * 64 entries. Values encode n
+/// for identity checks.
 device::DeviceTable synth_table(int n) {
   device::DeviceTable t;
   for (int i = 0; i < 8; ++i) {
@@ -70,14 +53,12 @@ device::DeviceTable synth_table(int n) {
 
 /// A TableService over a counting synthetic generator.
 struct SyntheticService {
-  explicit SyntheticService(size_t capacity_bytes) {
-    TableService::Options opts;
-    opts.capacity_bytes = capacity_bytes;
-    opts.generator = [this](const device::DeviceSpec& spec, const device::TableGenOptions&) {
-      calls.fetch_add(1, std::memory_order_relaxed);
-      return synth_table(spec.n_index);
-    };
-    svc = std::make_unique<TableService>(std::move(opts));
+  SyntheticService() {
+    svc = std::make_unique<TableService>(
+        [this](const device::DeviceSpec& spec, const device::TableGenOptions&) {
+          calls.fetch_add(1, std::memory_order_relaxed);
+          return synth_table(spec.n_index);
+        });
   }
   std::atomic<int> calls{0};
   std::unique_ptr<TableService> svc;
@@ -87,84 +68,8 @@ uint64_t counter_total(metrics::Counter c) {
   return metrics::snapshot().counters[static_cast<size_t>(c)];
 }
 
-TEST(TableService, LruEvictsLeastRecentlyUsed) {
-  // Capacity fits two synthetic tables (~1.3 kB each) but not three.
-  SyntheticService s(2700);
-  s.svc->query(synth_request(9));    // pool: [9]
-  s.svc->query(synth_request(12));   // pool: [12, 9]
-  EXPECT_EQ(s.calls.load(), 2);
-  s.svc->query(synth_request(9));    // hit; 9 becomes most recent: [9, 12]
-  EXPECT_EQ(s.calls.load(), 2);
-  s.svc->query(synth_request(15));   // evicts the cold end: 12
-  EXPECT_EQ(s.calls.load(), 3);
-  TableService::Stats st = s.svc->stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 1u);
-  // 12 was evicted (cold miss again); 9 survived the eviction.
-  s.svc->query(synth_request(12));
-  EXPECT_EQ(s.calls.load(), 4);
-  s.svc->query(synth_request(15));   // still resident after 12's re-insert
-  EXPECT_EQ(s.calls.load(), 4);
-  st = s.svc->stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 2u);  // 9 went when 12 came back
-  EXPECT_EQ(st.hits, 2u);
-  EXPECT_EQ(st.misses, 4u);
-}
-
-TEST(TableService, ResidentBytesStayWithinBudgetUnderReplayLoad) {
-  // Zipf-ish replay over far more variants than fit: the pool must churn
-  // (evictions) while the resident high-water gauge never crosses the
-  // configured budget — the bench's LRU contract, in miniature.
-  const size_t capacity = 8 * 1024;  // ~6 synthetic tables
-  SyntheticService s(capacity);
-  uint64_t lcg = 0x9e3779b97f4a7c15ull;
-  for (int q = 0; q < 5000; ++q) {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    // Skewed variant choice: low ids dominate, tail ids churn the LRU.
-    const int variant = static_cast<int>((lcg >> 33) % 64) / ((q % 3) + 1);
-    s.svc->query(synth_request(variant));
-    const TableService::Stats st = s.svc->stats();
-    ASSERT_LE(st.bytes, capacity) << "resident bytes exceeded the budget at query " << q;
-  }
-  const TableService::Stats st = s.svc->stats();
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_GT(st.hits, 0u);
-  EXPECT_LE(st.peak_bytes, capacity);
-  EXPECT_GE(st.peak_bytes, st.bytes);  // the gauge is a high-water mark
-}
-
-TEST(TableService, PeakBytesTracksHighWaterAcrossClear) {
-  SyntheticService s(1 << 20);
-  s.svc->query(synth_request(9));
-  s.svc->query(synth_request(12));
-  const size_t resident = s.svc->stats().bytes;
-  EXPECT_EQ(s.svc->stats().peak_bytes, resident);
-  s.svc->clear();
-  const TableService::Stats st = s.svc->stats();
-  EXPECT_EQ(st.bytes, 0u);
-  EXPECT_EQ(st.peak_bytes, resident);  // clear() drops residency, not history
-}
-
-TEST(TableService, OversizedEntryIsStillPooled) {
-  // A single table above the budget must not evict itself: the newest
-  // entry is always retained, so repeated queries still hit.
-  SyntheticService s(64);  // far below one table's footprint
-  const auto first = s.svc->query(synth_request(12));
-  const auto second = s.svc->query(synth_request(12));
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(s.calls.load(), 1);
-  EXPECT_EQ(s.svc->stats().entries, 1u);
-}
-
-TEST(TableService, CapacityComesFromEnvKnob) {
-  EnvGuard mb("GNRFET_TABLE_LRU_MB", "3");
-  TableService svc;  // capacity_bytes = 0 -> env
-  EXPECT_EQ(svc.capacity_bytes(), 3u * 1024 * 1024);
-}
-
 TEST(TableService, QueryPoolsAndSharesEntries) {
-  SyntheticService s(1 << 20);
+  SyntheticService s;
   const auto a = s.svc->query(synth_request(9));
   const auto b = s.svc->query(synth_request(9));
   EXPECT_EQ(a.get(), b.get());
@@ -176,54 +81,22 @@ TEST(TableService, QueryPoolsAndSharesEntries) {
 }
 
 TEST(TableService, ClearKeepsOutstandingHandlesValid) {
-  SyntheticService s(1 << 20);
+  SyntheticService s;
   const auto held = s.svc->query(synth_request(9));
   s.svc->clear();
   EXPECT_EQ(s.svc->stats().entries, 0u);
-  EXPECT_DOUBLE_EQ(held->band_gap_eV, 0.09);  // eviction never frees held entries
+  EXPECT_DOUBLE_EQ(held->band_gap_eV, 0.09);  // clear() never frees held entries
   s.svc->query(synth_request(9));             // cold again after clear
   EXPECT_EQ(s.calls.load(), 2);
 }
 
-TEST(TableService, BatchDeduplicatesWithinTheBatch) {
-  SyntheticService s(1 << 20);
-  const std::vector<TableRequest> batch = {synth_request(9), synth_request(12),
-                                           synth_request(9), synth_request(12),
-                                           synth_request(9)};
-  const auto replies = s.svc->query_batch(batch);
-  ASSERT_EQ(replies.size(), 5u);
-  EXPECT_EQ(s.calls.load(), 2);  // two distinct variants, one generation each
-  EXPECT_EQ(replies[0].table.get(), replies[2].table.get());
-  EXPECT_EQ(replies[0].table.get(), replies[4].table.get());
-  EXPECT_EQ(replies[1].table.get(), replies[3].table.get());
-  EXPECT_NE(replies[0].table.get(), replies[1].table.get());
-  EXPECT_EQ(replies[0].key, replies[2].key);
-  for (const auto& r : replies) EXPECT_FALSE(r.warm);
-  EXPECT_EQ(s.svc->stats().misses, 2u);
-}
-
-TEST(TableService, BatchAnswersWarmEntriesWithoutGeneration) {
-  SyntheticService s(1 << 20);
-  const std::vector<TableRequest> batch = {synth_request(9), synth_request(12),
-                                           synth_request(9)};
-  s.svc->query_batch(batch);
-  const int calls_after_first = s.calls.load();
-  const auto replies = s.svc->query_batch(batch);
-  EXPECT_EQ(s.calls.load(), calls_after_first);  // fully warm batch
-  for (const auto& r : replies) EXPECT_TRUE(r.warm);
-  EXPECT_EQ(s.svc->stats().hits, 3u);
-}
-
 TEST(TableService, GenerationErrorPropagatesAndSlotIsReleased) {
-  TableService::Options opts;
-  opts.capacity_bytes = 1 << 20;
   std::atomic<int> calls{0};
-  opts.generator = [&](const device::DeviceSpec&,
+  TableService svc([&](const device::DeviceSpec&,
                        const device::TableGenOptions&) -> device::DeviceTable {
     calls.fetch_add(1, std::memory_order_relaxed);
     throw std::runtime_error("generator boom");
-  };
-  TableService svc(std::move(opts));
+  });
   EXPECT_THROW(svc.query(synth_request(9)), std::runtime_error);
   // The failed flight must not wedge the key: a retry leads a new one.
   EXPECT_THROW(svc.query(synth_request(9)), std::runtime_error);
@@ -232,7 +105,7 @@ TEST(TableService, GenerationErrorPropagatesAndSlotIsReleased) {
 }
 
 TEST(TableServiceParallel, ConcurrentMixedQueriesCoalesceAndShare) {
-  SyntheticService s(1 << 20);
+  SyntheticService s;
   ThreadCountGuard threads(8);
   std::vector<std::shared_ptr<const device::DeviceTable>> got(64);
   par::parallel_for(got.size(), [&](size_t i) {
@@ -241,11 +114,37 @@ TEST(TableServiceParallel, ConcurrentMixedQueriesCoalesceAndShare) {
   EXPECT_EQ(s.calls.load(), 4);  // one generation per distinct variant
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(got[i]);
-    EXPECT_EQ(got[i].get(), got[i % 4].get());  // everyone shares the pool entry
+    EXPECT_EQ(got[i].get(), got[i % 4].get());  // everyone shares the memo entry
   }
   const TableService::Stats st = s.svc->stats();
   EXPECT_EQ(st.misses, 4u);
   EXPECT_EQ(st.hits + st.coalesced, 60u);
+}
+
+TEST(TableServiceParallel, CoalescedCallersReceiveTheLeadersError) {
+  // Callers that join a failing flight get the leader's exception, not a
+  // null table; a caller arriving after the failure leads a fresh flight.
+  std::atomic<int> calls{0};
+  TableService svc([&](const device::DeviceSpec&,
+                       const device::TableGenOptions&) -> device::DeviceTable {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw std::runtime_error("generator boom");
+  });
+  ThreadCountGuard threads(8);
+  std::atomic<int> errors{0};
+  par::parallel_for(8, [&](size_t) {
+    try {
+      svc.query(synth_request(9));
+    } catch (const std::runtime_error&) {
+      errors.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(errors.load(), 8);
+  const TableService::Stats st = svc.stats();
+  EXPECT_EQ(st.misses, static_cast<uint64_t>(calls.load()));
+  EXPECT_EQ(st.misses + st.coalesced, 8u);
+  EXPECT_EQ(st.entries, 0u);
 }
 
 TEST(TableServiceParallel, SingleFlightStampedeGeneratesOnce) {
@@ -254,10 +153,8 @@ TEST(TableServiceParallel, SingleFlightStampedeGeneratesOnce) {
   // device-layer cache-miss counter — and everyone shares its result.
   const auto dir = std::filesystem::temp_directory_path() / "gnrfet_service_stampede";
   std::filesystem::remove_all(dir);
-  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.string());
-  TableService::Options opts;
-  opts.capacity_bytes = 1 << 20;
-  TableService svc(std::move(opts));  // default generator: generate_device_table
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+  TableService svc;  // default generator: generate_device_table
   TableRequest req;
   req.spec.n_index = 12;
   req.spec.channel_length_nm = 6.0;
@@ -291,21 +188,19 @@ TEST(TableServiceParallel, LockfileSerializesTwoServices) {
   // the other, once through the lock, loads the finished table from disk.
   const auto dir = std::filesystem::temp_directory_path() / "gnrfet_service_lockfile";
   std::filesystem::remove_all(dir);
-  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.string());
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
   std::atomic<int> generations{0};
   const auto make_service = [&] {
-    TableService::Options opts;
-    opts.capacity_bytes = 1 << 20;
-    opts.generator = [&](const device::DeviceSpec& spec, const device::TableGenOptions& o) {
-      generations.fetch_add(1, std::memory_order_relaxed);
-      // Hold the lock long enough for the other service to pile up on it.
-      std::this_thread::sleep_for(std::chrono::milliseconds(150));
-      device::DeviceTable t = synth_table(spec.n_index);
-      const std::string key = device::table_cache_payload(spec, o);
-      device::save_table(t, cache::path_for("device-table", key), key);
-      return t;
-    };
-    return std::make_unique<TableService>(std::move(opts));
+    return std::make_unique<TableService>(
+        [&](const device::DeviceSpec& spec, const device::TableGenOptions& o) {
+          generations.fetch_add(1, std::memory_order_relaxed);
+          // Hold the lock long enough for the other service to pile up on it.
+          std::this_thread::sleep_for(std::chrono::milliseconds(150));
+          device::DeviceTable t = synth_table(spec.n_index);
+          const std::string key = device::table_cache_payload(spec, o);
+          device::save_table(t, cache::path_for("device-table", key), key);
+          return t;
+        });
   };
   auto service_a = make_service();
   auto service_b = make_service();

@@ -19,10 +19,12 @@
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "device/tablegen.hpp"
+#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
 
 /// Scoped thread-count override restoring the previous value on exit.
 struct ThreadCountGuard {
@@ -320,11 +322,12 @@ TEST(TableWriterParallel, ConcurrentFailingSavesLeaveNoTempFiles) {
 TEST(CacheDirParallel, DirectoryIsStableUnderConcurrentCalls) {
   const auto dir = std::filesystem::temp_directory_path() / "gnrfet_cache_dir_test";
   std::filesystem::remove_all(dir);
-  ::setenv("GNRFET_CACHE_DIR", dir.string().c_str(), 1);
-  ThreadCountGuard threads(8);
   std::vector<std::string> results(64);
-  par::parallel_for(results.size(), [&](size_t i) { results[i] = cache::directory(); });
-  ::unsetenv("GNRFET_CACHE_DIR");
+  {
+    EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+    ThreadCountGuard threads(8);
+    par::parallel_for(results.size(), [&](size_t i) { results[i] = cache::directory(); });
+  }
   for (const auto& r : results) EXPECT_EQ(r, dir.string());
   EXPECT_TRUE(std::filesystem::is_directory(dir));
   std::filesystem::remove_all(dir);

@@ -18,11 +18,9 @@
 #               NEGF grid bench: the adaptive energy grid must do at most
 #               half the uniform RGF solves at <= 1e-4 relative current
 #               error, and the uniform grid must be bit-identical across
-#               GNRFET_THREADS=1 and 4. Finally the sharded table-generation
-#               bench: bit-identical tables across {workers 1,4} x
-#               {GNRFET_THREADS 1,4}, >= 1.5x sharded speedup at 4 workers
-#               (multi-core hosts only), and the Zipf replay's warm rate
-#               >= 100x its cold generation rate inside the LRU byte budget.
+#               GNRFET_THREADS=1 and 4. Finally the batched-RGF bench: the
+#               SoA kernel holds >= 1.5x the scalar solve rate with
+#               bit-identical transmission and transport currents.
 #   analyze   gnrfet_lint repo rules + the gnrfet_analyze passes: layering
 #             DAG, determinism rules, contract-coverage baseline
 #   thread-safety  clang -Wthread-safety -Werror=thread-safety build over the
@@ -116,8 +114,7 @@ for stage in "${STAGES[@]}"; do
       # the concurrent PoissonSolver and multigrid paths rides in the tsan
       # stage above (its -R 'Parallel' filter picks up
       # PoissonSolverParallel.*, MultigridParallel.*,
-      # TablegenWarmBiasParallel.*, SubprocessParallel.*, and
-      # TableShardParallel.*).
+      # TablegenWarmBiasParallel.*, and TableServiceParallel.*).
       DIR="$ROOT/build-ci-perf"
       mkdir -p "$DIR"
       cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >"$DIR/configure.log" 2>&1 ||
@@ -220,44 +217,6 @@ for stage in "${STAGES[@]}"; do
         { echo "perf-smoke: adaptive grid not thread-deterministic ($A1 vs $A4)" >&2; exit 1; }
       echo "perf-smoke: uniform and adaptive currents bit-identical across GNRFET_THREADS=1/4"
 
-      # Table-service smoke: the warm-batch replay must serve lookups at
-      # >= 100x the cold generation rate, and the 8-caller cold stampede
-      # must coalesce onto exactly one generation with a wall time near a
-      # single cold generation (3x headroom for scheduling noise).
-      cmake --build "$DIR" -j "$JOBS" --target bench_table_service
-      (cd "$DIR" && GNRFET_BENCH_TS_LOOKUPS=100000 ./bench/bench_table_service)
-      TS_JSON="$DIR/bench_out/BENCH_tableservice.json"
-      test -s "$TS_JSON" || { echo "perf-smoke: no BENCH_tableservice.json written" >&2; exit 1; }
-      ts_field() {
-        sed -n "s/.*\"phase\":\"$1\".*\"$2\":\([0-9.e+-]*\).*/\1/p" "$TS_JSON"
-      }
-      COLD_VARIANTS="$(ts_field cold variants)"
-      COLD_GENS="$(ts_field cold generations)"
-      COLD_SECS="$(ts_field cold seconds)"
-      WARM_GENS="$(ts_field warm_batch generations)"
-      WARM_RATE="$(ts_field warm_batch rate_per_s)"
-      STAMPEDE_GENS="$(ts_field stampede generations)"
-      STAMPEDE_SECS="$(ts_field stampede seconds)"
-      [ -n "$COLD_VARIANTS" ] && [ -n "$COLD_SECS" ] && [ -n "$WARM_RATE" ] &&
-        [ -n "$STAMPEDE_GENS" ] && [ -n "$STAMPEDE_SECS" ] ||
-        { echo "perf-smoke: missing phase records in $TS_JSON" >&2; exit 1; }
-      echo "perf-smoke: table service cold=$COLD_SECS s/$COLD_VARIANTS variants," \
-           "warm rate=$WARM_RATE /s, stampede=$STAMPEDE_SECS s ($STAMPEDE_GENS gen)"
-      [ "$COLD_GENS" = "$COLD_VARIANTS" ] ||
-        { echo "perf-smoke: cold phase ran $COLD_GENS generations for $COLD_VARIANTS variants" \
-               >&2; exit 1; }
-      [ "$WARM_GENS" = "0" ] ||
-        { echo "perf-smoke: warm batch replay triggered $WARM_GENS generations" >&2; exit 1; }
-      awk -v r="$WARM_RATE" -v v="$COLD_VARIANTS" -v s="$COLD_SECS" \
-        'BEGIN { exit (r >= 100 * v / s) ? 0 : 1 }' ||
-        { echo "perf-smoke: warm-batch rate $WARM_RATE not >= 100x cold rate" >&2; exit 1; }
-      [ "$STAMPEDE_GENS" = "1" ] ||
-        { echo "perf-smoke: stampede ran $STAMPEDE_GENS generations, expected 1" >&2; exit 1; }
-      awk -v t="$STAMPEDE_SECS" -v v="$COLD_VARIANTS" -v s="$COLD_SECS" \
-        'BEGIN { exit (t <= 3 * s / v) ? 0 : 1 }' ||
-        { echo "perf-smoke: coalesced stampede ($STAMPEDE_SECS s) not within 3x one cold" \
-               "generation ($COLD_SECS s / $COLD_VARIANTS)" >&2; exit 1; }
-
       # Batched-RGF smoke: the SoA energy-batch kernel must hold >= 1.5x
       # the scalar solve rate with a bit-identical transmission stream,
       # and the batched transport sweep must reproduce the legacy path's
@@ -297,66 +256,6 @@ for stage in "${STAGES[@]}"; do
                "($TH_ON vs $TH_ON4)" >&2; exit 1; }
       awk -v s="$RGF_SPEED" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' ||
         { echo "perf-smoke: batched RGF speedup $RGF_SPEED below 1.5x" >&2; exit 1; }
-
-      # Sharded table-generation smoke. Hash matrix: the cross-process
-      # scheduler must assemble the exact bits of the in-process path for
-      # every {workers 1,4} x {GNRFET_THREADS 1,4} combination (8 hashes,
-      # all equal). The >= 1.5x speedup gate only runs where parallel
-      # hardware exists; the bit-identity gates always run.
-      cmake --build "$DIR" -j "$JOBS" --target bench_table_load
-      load_field() {  # $1 = dir suffix, $2 = field name (quoted-string value)
-        sed -n "s/.*\"$2\":\"\([0-9a-f]*\)\".*/\1/p" \
-          "$DIR/bench_load_$1/bench_out/BENCH_tableload.json"
-      }
-      LOAD_HASHES=""
-      for w in 1 4; do
-        for t in 1 4; do
-          (cd "$DIR" && rm -rf "bench_load_w${w}_t${t}" && mkdir -p "bench_load_w${w}_t${t}" &&
-            cd "bench_load_w${w}_t${t}" && GNRFET_THREADS=$t GNRFET_BENCH_LOAD_WORKERS=$w \
-            GNRFET_BENCH_LOAD_QUERIES=0 ../bench/bench_table_load >/dev/null)
-          HU="$(load_field "w${w}_t${t}" unsharded_hash)"
-          HS="$(load_field "w${w}_t${t}" sharded_hash)"
-          [ -n "$HU" ] && [ -n "$HS" ] ||
-            { echo "perf-smoke: missing table hashes for workers=$w threads=$t" >&2; exit 1; }
-          LOAD_HASHES="$LOAD_HASHES $HU $HS"
-        done
-      done
-      LOAD_REF=""
-      for h in $LOAD_HASHES; do
-        [ -n "$LOAD_REF" ] || LOAD_REF="$h"
-        [ "$h" = "$LOAD_REF" ] ||
-          { echo "perf-smoke: table hash matrix mismatch:$LOAD_HASHES" >&2; exit 1; }
-      done
-      echo "perf-smoke: table bits identical across workers {1,4} x threads {1,4} ($LOAD_REF)"
-      if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
-        LOAD_SPEED="$(sed -n 's/.*"speedup":\([0-9.e+-]*\).*/\1/p' \
-          "$DIR/bench_load_w4_t1/bench_out/BENCH_tableload.json")"
-        echo "perf-smoke: sharded table generation ${LOAD_SPEED}x at 4 workers"
-        awk -v s="$LOAD_SPEED" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' ||
-          { echo "perf-smoke: sharded speedup $LOAD_SPEED below 1.5x at 4 workers" >&2; exit 1; }
-      else
-        echo "perf-smoke: fewer than 4 cores; skipping the sharded >=1.5x speedup gate"
-      fi
-
-      # Replay gate: the Zipf warm/cold mix must serve warm lookups at
-      # >= 100x the cold generation rate and the LRU must stay inside its
-      # byte budget (peak_bytes gauge; reduced query count for CI).
-      (cd "$DIR" && rm -rf bench_load_replay && mkdir -p bench_load_replay &&
-        cd bench_load_replay && GNRFET_BENCH_LOAD_QUERIES=200000 ../bench/bench_table_load)
-      LOAD_JSON="$DIR/bench_load_replay/bench_out/BENCH_tableload.json"
-      replay_field() {
-        sed -n "s/.*\"phase\":\"replay\".*\"$1\":\([0-9.e+-]*\).*/\1/p" "$LOAD_JSON"
-      }
-      LOAD_WARM="$(replay_field warm_rate_per_s)"
-      LOAD_COLD="$(replay_field cold_gen_per_s)"
-      LOAD_LRU_OK="$(replay_field lru_ok)"
-      [ -n "$LOAD_WARM" ] && [ -n "$LOAD_COLD" ] && [ -n "$LOAD_LRU_OK" ] ||
-        { echo "perf-smoke: missing replay record in $LOAD_JSON" >&2; exit 1; }
-      echo "perf-smoke: replay warm rate $LOAD_WARM /s, cold gen rate $LOAD_COLD /s"
-      awk -v w="$LOAD_WARM" -v c="$LOAD_COLD" 'BEGIN { exit (w >= 100 * c) ? 0 : 1 }' ||
-        { echo "perf-smoke: warm rate $LOAD_WARM not >= 100x cold rate $LOAD_COLD" >&2; exit 1; }
-      [ "$LOAD_LRU_OK" = "1" ] ||
-        { echo "perf-smoke: replay LRU exceeded its byte budget" >&2; exit 1; }
       ;;
     analyze)
       banner "static analysis: repo lint + layering/determinism/contract passes"

@@ -5,25 +5,13 @@
 /// N = 9/12/15/18 (Table 2, Fig. 4), N = 12 with oxide charge impurities
 /// -2q..+2q (Table 3, Fig. 5), and N = 9/18 with -q/+q (Table 4, Figs. 6-7).
 ///
-/// Modes:
-///   gen_tables                 generate in-process (threads per GNRFET_THREADS)
-///   gen_tables --workers N     shard cold generation across N worker
-///                              processes (this binary re-exec'd as workers);
-///                              tables are byte-identical to in-process mode
-///   gen_tables --worker        worker entry: serve the shard protocol on
-///                              stdin/stdout (spawned by --workers, not users)
-#include <unistd.h>
-
+/// Generation runs in-process on GNRFET_THREADS threads; takes no arguments.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <stdexcept>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "device/tablegen.hpp"
-#include "service/shardgen.hpp"
 
 using namespace gnrfet;
 
@@ -38,46 +26,12 @@ device::DeviceSpec make_spec(int n_index, double impurity_q) {
   return spec;
 }
 
-/// Path of this executable, for re-exec'ing it as `--worker` children.
-/// /proc/self/exe survives cwd changes and $PATH-less invocation.
-std::string self_exe(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return std::string(buf);
-  }
-  return std::string(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  int workers = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--worker") == 0) {
-      return service::shard_worker_main(0, 1);
-    }
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-      if (workers < 1) {
-        std::fprintf(stderr, "gen_tables: --workers wants a positive integer, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "usage: gen_tables [--workers N | --worker]\n");
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (no arguments)\n", argv[0]);
     return 2;
-  }
-
-  std::unique_ptr<service::ShardScheduler> scheduler;
-  if (workers > 0) {
-    service::ShardOptions shard;
-    shard.workers = workers;
-    shard.worker_argv = {self_exe(argv[0]), "--worker"};
-    scheduler = std::make_unique<service::ShardScheduler>(std::move(shard));
-    std::printf("sharding cold generation across %d worker processes\n", workers);
   }
 
   std::vector<std::pair<int, double>> configs = {
@@ -90,8 +44,7 @@ int main(int argc, char** argv) {
   for (const auto& [n, q] : configs) {
     const auto spec = make_spec(n, q);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto table =
-        scheduler ? scheduler->generate(spec, opts) : device::generate_device_table(spec, opts);
+    const auto table = device::generate_device_table(spec, opts);
     const double dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     std::printf("table N=%d q=%+.0f: %zux%zu points, Eg=%.3f eV (%.1f s)\n", n, q,
                 table.vg.size(), table.vd.size(), table.band_gap_eV, dt);
