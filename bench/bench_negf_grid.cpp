@@ -1,22 +1,39 @@
-/// NEGF energy-integration benchmark: the same mode-space I-V sweep (a
-/// fig2-style source-drain ramp family) solved on the uniform grid and on
-/// the adaptive grid, both checked against a 4x-finer uniform reference.
-/// Emits bench_out/BENCH_negf.json with one {grid, rgf_solves,
-/// energy_points, seconds, max_rel_current_err} record per line — the
-/// perf-trajectory file behind tools/ci_checks.sh perf-smoke, which
-/// asserts the adaptive grid does at most half the uniform RGF solves at
-/// <= 1e-4 relative current error.
+/// NEGF energy-integration benchmark, in two sections.
+///
+/// Synthetic: the same mode-space I-V sweep (a fig2-style source-drain
+/// ramp family) solved on the uniform grid and on the adaptive grid, both
+/// checked against a 4x-finer uniform reference. One {grid, rgf_solves,
+/// energy_points, seconds, max_rel_current_err, current_hash} record per
+/// grid; tools/ci_checks.sh perf-smoke asserts the adaptive grid does at
+/// most half the uniform RGF solves at <= 1e-4 relative current error.
+///
+/// Real device: a cold N=12 sub-table of the standard bias plane (VG
+/// 0.2-1.0 V x VD 0-0.75 V, 9 x 4 points by default) generated through
+/// the full self-consistent stack on the uniform 2.5 meV grid, on the
+/// adaptive grid, and on a uniform grid at a 4x finer step (the
+/// reference). One {device_grid, step_meV, rgf_solves, gummel_iterations,
+/// seconds, max_rel_current_err, mean_rel_current_err,
+/// max_charge_err_of_qmax} record per grid; current errors count the
+/// points with |I| > 1e-3 * Imax, charge errors are relative to the
+/// reference table's largest |Q|. perf-smoke asserts the uniform default
+/// stays within 0.5% of the reference on both.
+///
+/// Both sections write bench_out/BENCH_negf.json, one record per line.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/metrics.hpp"
+#include "device/tablegen.hpp"
 #include "gnr/modespace.hpp"
 #include "negf/transport.hpp"
 
@@ -50,6 +67,107 @@ uint64_t fnv1a(const std::vector<double>& v) {
     }
   }
   return h;
+}
+
+uint64_t counter_delta(const metrics::Snapshot& before, const metrics::Snapshot& after,
+                       metrics::Counter c) {
+  return after.counters[static_cast<size_t>(c)] - before.counters[static_cast<size_t>(c)];
+}
+
+/// One real-device grid run: which grid, at what energy step.
+struct DeviceGrid {
+  const char* name;  ///< record label
+  const char* env;   ///< GNRFET_NEGF_GRID value
+  double step_eV;
+};
+
+/// Errors of a table against the reference table.
+struct TableErrors {
+  double max_rel_current = 0.0;   ///< over |I_ref| > 1e-3 * Imax
+  double mean_rel_current = 0.0;  ///< same points
+  double max_charge_of_qmax = 0.0;
+};
+
+TableErrors score(const device::DeviceTable& t, const device::DeviceTable& ref) {
+  double i_max = 0.0, q_max = 0.0;
+  for (size_t k = 0; k < ref.current_A.size(); ++k) {
+    i_max = std::max(i_max, std::abs(ref.current_A[k]));
+    q_max = std::max(q_max, std::abs(ref.charge_C[k]));
+  }
+  TableErrors e;
+  size_t counted = 0;
+  for (size_t k = 0; k < ref.current_A.size(); ++k) {
+    e.max_charge_of_qmax =
+        std::max(e.max_charge_of_qmax, std::abs(t.charge_C[k] - ref.charge_C[k]) / q_max);
+    if (std::abs(ref.current_A[k]) <= 1e-3 * i_max) continue;
+    const double rel = std::abs(t.current_A[k] - ref.current_A[k]) / std::abs(ref.current_A[k]);
+    e.max_rel_current = std::max(e.max_rel_current, rel);
+    e.mean_rel_current += rel;
+    ++counted;
+  }
+  if (counted > 0) e.mean_rel_current /= static_cast<double>(counted);
+  return e;
+}
+
+/// Real-device section: cold sub-tables of the N=12 device on each grid,
+/// scored against the 4x-finer uniform one.
+void device_section(std::ofstream& json) {
+  const int nvg = common::env::get_positive_int("GNRFET_BENCH_NEGF_DEVICE_NVG", 9);
+  const int nvd = common::env::get_positive_int("GNRFET_BENCH_NEGF_DEVICE_NVD", 4);
+  bench::banner("NEGF energy integration on the real device (cold N=12 sub-table)");
+  device::TableGenOptions opts;
+  opts.vg_min = 0.2;
+  opts.vg_max = 1.0;
+  opts.vg_points = static_cast<size_t>(nvg);
+  opts.vd_min = 0.0;
+  opts.vd_max = 0.75;
+  opts.vd_points = static_cast<size_t>(nvd);
+  opts.use_cache = false;
+  const double step = opts.solve.energy_step_eV;
+  std::printf("VG %.2f-%.2f V x VD %.2f-%.2f V, %d x %d points, default step %.3g meV\n",
+              opts.vg_min, opts.vg_max, opts.vd_min, opts.vd_max, nvg, nvd, step * 1e3);
+
+  const DeviceGrid grids[] = {{"uniform", "uniform", step},
+                               {"adaptive", "adaptive", step},
+                               {"reference", "uniform", step / 4.0}};
+  std::vector<device::DeviceTable> tables;
+  std::vector<uint64_t> solves, gummel;
+  std::vector<double> seconds;
+  for (const DeviceGrid& g : grids) {
+    setenv("GNRFET_NEGF_GRID", g.env, 1);
+    device::TableGenOptions run = opts;
+    run.solve.energy_step_eV = g.step_eV;
+    const auto before = metrics::snapshot();
+    bench::PhaseTimer timer("negf_grid", std::string("device_") + g.name);
+    tables.push_back(device::generate_device_table(device::DeviceSpec{}, run));
+    seconds.push_back(timer.stop());
+    const auto after = metrics::snapshot();
+    solves.push_back(counter_delta(before, after, metrics::Counter::kRgfSolves));
+    gummel.push_back(counter_delta(before, after, metrics::Counter::kGummelIterations));
+  }
+
+  csv::Table table({"grid_id", "step_meV", "rgf_solves", "gummel_iterations", "seconds",
+                    "max_rel_current_err", "mean_rel_current_err", "max_charge_err_of_qmax"});
+  table.set_meta("grid_id", "0 = uniform, 1 = adaptive, 2 = 4x-finer uniform reference");
+  for (size_t i = 0; i < std::size(grids); ++i) {
+    const TableErrors e = score(tables[i], tables.back());
+    const double step_meV = grids[i].step_eV * 1e3;
+    std::printf(
+        "%-9s: %5.3g meV, %9llu RGF solves, %4llu Gummel, %7.2f s, max |dI/I| = %.2e, "
+        "mean |dI/I| = %.2e, max |dQ|/Qmax = %.2e\n",
+        grids[i].name, step_meV, static_cast<unsigned long long>(solves[i]),
+        static_cast<unsigned long long>(gummel[i]), seconds[i], e.max_rel_current,
+        e.mean_rel_current, e.max_charge_of_qmax);
+    json << "{\"device_grid\":\"" << grids[i].name << "\",\"step_meV\":" << step_meV
+         << ",\"rgf_solves\":" << solves[i] << ",\"gummel_iterations\":" << gummel[i]
+         << ",\"seconds\":" << seconds[i] << ",\"max_rel_current_err\":" << e.max_rel_current
+         << ",\"mean_rel_current_err\":" << e.mean_rel_current
+         << ",\"max_charge_err_of_qmax\":" << e.max_charge_of_qmax << "}\n";
+    table.add_row({static_cast<double>(i), step_meV, static_cast<double>(solves[i]),
+                   static_cast<double>(gummel[i]), seconds[i], e.max_rel_current,
+                   e.mean_rel_current, e.max_charge_of_qmax});
+  }
+  bench::save_csv(table, "negf_grid_device");
 }
 
 }  // namespace
@@ -104,11 +222,8 @@ int main() {
     }
     const double seconds = timer.stop();
     const auto after = metrics::snapshot();
-    const auto solves = after.counters[static_cast<size_t>(metrics::Counter::kRgfSolves)] -
-                        before.counters[static_cast<size_t>(metrics::Counter::kRgfSolves)];
-    const auto points =
-        after.counters[static_cast<size_t>(metrics::Counter::kNegfEnergyPoints)] -
-        before.counters[static_cast<size_t>(metrics::Counter::kNegfEnergyPoints)];
+    const auto solves = counter_delta(before, after, metrics::Counter::kRgfSolves);
+    const auto points = counter_delta(before, after, metrics::Counter::kNegfEnergyPoints);
     char hash[32];
     std::snprintf(hash, sizeof hash, "%016llx",
                   static_cast<unsigned long long>(fnv1a(currents)));
@@ -123,8 +238,10 @@ int main() {
     table.add_row({grid[0] == 'u' ? 0.0 : 1.0, double(solves), double(points), seconds,
                    max_rel});
   }
+  bench::save_csv(table, "negf_grid");
+
+  device_section(json);
   json.close();
   std::printf("[json] bench_out/BENCH_negf.json\n");
-  bench::save_csv(table, "negf_grid");
   return 0;
 }

@@ -74,6 +74,7 @@ const char* kCounterNames[kNumCounters] = {
     "table_service_hits", "table_service_misses", "table_service_coalesced",
     "mna_factorizations",
     "transient_steps",
+    "gummel_unconverged", "poisson_newton_unconverged",
 };
 
 const char* kHistogramNames[kNumHistograms] = {

@@ -39,6 +39,8 @@ enum class Counter {
   kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
   kMnaFactorizations,         ///< circuit: dense LU factorizations of the MNA Jacobian
   kTransientSteps,            ///< circuit: accepted transient time steps
+  kGummelUnconverged,         ///< device: bias points that hit max_gummel_iterations
+  kPoissonNewtonUnconverged,  ///< poisson: nonlinear solves that hit max_newton_iterations
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);

@@ -128,6 +128,7 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
     }
   }
   metrics::add(metrics::Counter::kGummelIterations, static_cast<uint64_t>(sol.iterations));
+  if (!sol.converged) metrics::add(metrics::Counter::kGummelUnconverged);
   metrics::observe(metrics::Histogram::kGummelIterationsPerBias,
                    static_cast<double>(sol.iterations));
 

@@ -36,10 +36,11 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
      << ";kT=" << opts.solve.kT_eV << ";gtol=" << opts.solve.gummel_tolerance_V
      << ";gmax=" << opts.solve.max_gummel_iterations;
   // The energy-integration strategy changes table values (within the
-  // adaptive tolerance), so adaptive tables get their own cache entries.
-  // The uniform payload stays byte-identical to the pre-adaptive one: old
-  // cached tables remain valid for GNRFET_NEGF_GRID=uniform, which is
-  // bit-identical to the pre-adaptive solver.
+  // adaptive tolerance), so tables made under the opt-in
+  // GNRFET_NEGF_GRID=adaptive get their own cache entries. The default
+  // uniform grid is bit-identical to the pre-adaptive solver, and its
+  // payload stays byte-identical to the pre-adaptive one: old cached
+  // tables remain valid under the default.
   if (negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive) {
     os << ";grid=adaptive";
     // Cross-bias context chaining reseeds the adaptive panels, which moves
@@ -222,9 +223,9 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   // across threads. The warm-start graph is identical to the serial walk,
   // so the table is bit-identical for any thread count.
   //
-  // With warm_bias_context under the adaptive grid, the TransportContext
-  // walks the same chain: it is snapshotted after each column head, so
-  // every VG chain advances its own copy.
+  // With warm_bias_context under the opt-in adaptive grid, the
+  // TransportContext walks the same chain: it is snapshotted after each
+  // column head, so every VG chain advances its own copy.
   const bool chain_ctx =
       opts.warm_bias_context && negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive;
   const size_t nvg = table.vg.size();

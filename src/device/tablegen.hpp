@@ -32,12 +32,14 @@ struct TableGenOptions {
   size_t vd_points = 16;
   SolveOptions solve;
   bool use_cache = true;
-  /// Chain the adaptive energy-grid TransportContext across bias points
-  /// along each warm-start chain (column heads serially, then up each VG
-  /// column): every solve seeds its panel edges from the previous bias
-  /// instead of the coarse grid. Values move within the adaptive
-  /// tolerance (cache entries get their own key); the uniform grid is
-  /// unaffected. Tables stay bit-identical for any GNRFET_THREADS.
+  /// Matters only under the opt-in GNRFET_NEGF_GRID=adaptive; the default
+  /// uniform grid ignores it (same table, same cache key). Chains the
+  /// adaptive energy-grid TransportContext across bias points along each
+  /// warm-start chain (column heads serially, then up each VG column):
+  /// every solve seeds its panel edges from the previous bias instead of
+  /// the coarse grid. Values move within the adaptive tolerance (cache
+  /// entries get their own key). Tables stay bit-identical for any
+  /// GNRFET_THREADS.
   bool warm_bias_context = true;
 };
 

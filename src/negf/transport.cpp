@@ -88,7 +88,7 @@ struct ModePartial {
 }  // namespace
 
 NegfGridKind negf_grid_from_env() {
-  const std::string s = common::env_or("GNRFET_NEGF_GRID", "adaptive");
+  const std::string s = common::env_or("GNRFET_NEGF_GRID", "uniform");
   if (s == "uniform") return NegfGridKind::kUniform;
   if (s == "adaptive") return NegfGridKind::kAdaptive;
   throw std::invalid_argument("GNRFET_NEGF_GRID must be 'uniform' or 'adaptive', got '" + s +
@@ -542,7 +542,7 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
   const double band_top = 3.0 * params.hopping_eV * (1.0 + params.edge_delta);
   // The real-space path is the validation/reference solver: it always
   // integrates on the uniform grid regardless of GNRFET_NEGF_GRID (the
-  // adaptive layer serves the mode-space production path).
+  // opt-in adaptive layer serves only the mode-space path).
   const EnergyWindow win = resolve_window(opts, u_min, u_max, band_top);
   const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
   metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());

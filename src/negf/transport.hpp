@@ -21,12 +21,15 @@ namespace gnrfet::negf {
 
 /// Energy-integration strategy, selected by GNRFET_NEGF_GRID.
 enum class NegfGridKind {
-  kUniform,   ///< fixed-step trapezoid grid (pre-adaptive behavior, bit-identical)
-  kAdaptive,  ///< deterministic adaptive Simpson refinement (default)
+  kUniform,   ///< fixed-step trapezoid grid (default; pre-adaptive behavior, bit-identical)
+  kAdaptive,  ///< deterministic adaptive Simpson refinement (opt-in)
 };
 
-/// Resolve GNRFET_NEGF_GRID ("uniform" | "adaptive"; default "adaptive").
-/// Throws std::invalid_argument on any other value.
+/// Resolve GNRFET_NEGF_GRID ("uniform" | "adaptive"; default "uniform").
+/// Uniform is the production grid: on the real device it meets 0.5% of a
+/// 4x-finer reference at a fraction of the adaptive grid's RGF solves
+/// (bench/bench_negf_grid.cpp). Throws std::invalid_argument on any other
+/// value.
 NegfGridKind negf_grid_from_env();
 
 /// Common transport settings.
@@ -52,21 +55,21 @@ struct TransportOptions {
   double adaptive_rel_tol = 1e-4;
 };
 
-/// Reusable state for repeated transport solves: the converged adaptive
+/// Reusable state for repeated transport solves under the opt-in adaptive
+/// grid (the default uniform grid ignores it): the converged adaptive
 /// panel edges of each mode warm-start the next solve, so later solves
 /// skip re-discovering the refinement structure. Shared across the Gummel
 /// iterations of one bias point, and — when the caller chains it through
 /// SelfConsistentSolver::solve along a warm-start chain — across
 /// neighbouring bias points too (tablegen's column walks). reset() when
-/// jumping to an unrelated operating point. The
-/// uniform path ignores it. Note the Simpson refinement identity: total
-/// evaluations are 4 * retired_panels + 1 whatever the starting grid, so
-/// warm-starting trades refinement rounds (latency, batch sizes) for none
-/// of the evaluation count — its value is keeping the panel structure
-/// stable across Gummel iterations, not fewer RGF solves. Warm-starting
-/// changes which panels the next solve begins from — results stay within
-/// the adaptive tolerance but are not bit-identical to a cold solve
-/// (determinism across thread counts is unaffected).
+/// jumping to an unrelated operating point. Note the Simpson refinement
+/// identity: total evaluations are 4 * retired_panels + 1 whatever the
+/// starting grid, so warm-starting trades refinement rounds (latency,
+/// batch sizes) for none of the evaluation count — its value is keeping
+/// the panel structure stable across Gummel iterations, not fewer RGF
+/// solves. Warm-starting changes which panels the next solve begins from
+/// — results stay within the adaptive tolerance but are not bit-identical
+/// to a cold solve (determinism across thread counts is unaffected).
 struct TransportContext {
   std::vector<std::vector<double>> mode_edges;  ///< per-mode panel edges
   void reset() { mode_edges.clear(); }

@@ -25,7 +25,8 @@ struct NonlinearOptions {
 
 struct NonlinearResult {
   std::vector<double> phi_full;  ///< potential on the full grid [V]
-  bool converged = false;
+  bool converged = false;  ///< false: ran out of Newton iterations (counted
+                           ///< in metrics as poisson_newton_unconverged)
   int iterations = 0;
   double last_update_V = 0.0;
 };

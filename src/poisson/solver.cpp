@@ -248,6 +248,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
   }
   metrics::add(metrics::Counter::kPoissonNewtonIterations,
                static_cast<uint64_t>(result.iterations));
+  if (!result.converged) metrics::add(metrics::Counter::kPoissonNewtonUnconverged);
   metrics::observe(metrics::Histogram::kNewtonIterationsPerSolve,
                    static_cast<double>(result.iterations));
   result.phi_full = assembly_.expand(phi, electrode_voltages);

@@ -4,9 +4,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/cache.hpp"
 #include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -372,6 +377,61 @@ TEST(ScalarRgfWorkspace, ReuseAcrossSolvesMatchesFreshWorkspace) {
       }
     }
   }
+}
+
+TEST(NegfGridDefault, UnsetResolvesToUniform) {
+  EnvGuard guard("GNRFET_NEGF_GRID", nullptr);
+  EXPECT_EQ(negf::negf_grid_from_env(), negf::NegfGridKind::kUniform);
+}
+
+TEST(NegfGridDefault, BadValueStillThrows) {
+  EnvGuard guard("GNRFET_NEGF_GRID", "simpson");
+  EXPECT_THROW(negf::negf_grid_from_env(), std::invalid_argument);
+}
+
+TEST(NegfGridDefault, UnsetPayloadEqualsExplicitUniformWithoutGridSuffix) {
+  // Default tables key to the pre-adaptive payload, so caches written by
+  // GNRFET_NEGF_GRID=uniform stay warm under the default.
+  const auto spec = warmbias_spec();
+  const auto opts = warmbias_opts(true);
+  std::string unset_key, uniform_key;
+  {
+    EnvGuard guard("GNRFET_NEGF_GRID", nullptr);
+    unset_key = device::table_cache_payload(spec, opts);
+  }
+  {
+    EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
+    uniform_key = device::table_cache_payload(spec, opts);
+  }
+  EXPECT_EQ(unset_key, uniform_key);
+  EXPECT_EQ(unset_key.find(";grid="), std::string::npos) << unset_key;
+  EXPECT_EQ(unset_key.find(";ctx="), std::string::npos) << unset_key;
+}
+
+TEST(NegfGridDefault, UnsetColdTableWritesTheExplicitUniformCacheFile) {
+  // End to end through generation and the disk cache: the default run and
+  // the explicit-uniform run must leave byte-identical cache CSVs.
+  const auto spec = warmbias_spec();
+  device::TableGenOptions opts = warmbias_opts(true);
+  opts.use_cache = true;
+  const auto cache_file = [&](const char* grid, const std::string& dir_name) {
+    const auto dir = std::filesystem::temp_directory_path() / dir_name;
+    std::filesystem::remove_all(dir);
+    EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+    EnvGuard guard("GNRFET_NEGF_GRID", grid);
+    device::generate_device_table(spec, opts);
+    const std::string path =
+        cache::path_for("device-table", device::table_cache_payload(spec, opts));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::filesystem::remove_all(dir);
+    return bytes.str();
+  };
+  const std::string unset_csv = cache_file(nullptr, "gnrfet_grid_default_unset");
+  const std::string uniform_csv = cache_file("uniform", "gnrfet_grid_default_uniform");
+  ASSERT_FALSE(unset_csv.empty());
+  EXPECT_EQ(unset_csv, uniform_csv);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "device/sweeps.hpp"
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
+#include "poisson/nonlinear.hpp"
 
 namespace {
 
@@ -111,6 +112,42 @@ TEST(SelfConsistent, WarmStartReducesIterations) {
   const DeviceSolution cold = solver.solve({0.4, 0.4});
   const DeviceSolution warm = solver.solve({0.45, 0.4}, &cold);
   EXPECT_LT(warm.iterations, cold.iterations);
+}
+
+TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
+  // A solve that runs out of iterations keeps its result (no behaviour
+  // change) but must show up in the failure counters.
+  const auto counter = [](metrics::Counter c) {
+    return metrics::snapshot().counters[static_cast<size_t>(c)];
+  };
+  const DeviceGeometry geo(tiny_spec());
+  SolveOptions opts = fast_opts();
+  opts.max_gummel_iterations = 1;
+  const uint64_t gummel_before = counter(metrics::Counter::kGummelUnconverged);
+  const DeviceSolution sol = SelfConsistentSolver(geo, opts).solve({0.5, 0.5});
+  EXPECT_FALSE(sol.converged);
+  EXPECT_EQ(sol.iterations, 1);
+  EXPECT_EQ(counter(metrics::Counter::kGummelUnconverged), gummel_before + 1);
+
+  // One damped Newton step from phi = 0 towards 0.5 V electrodes moves the
+  // potential by the full 0.1 V clamp, far above the 1e-5 V tolerance.
+  poisson::NonlinearOptions popt;
+  popt.max_newton_iterations = 1;
+  const size_t nodes = geo.domain().spec().num_nodes();
+  const std::vector<double> zeros(nodes, 0.0);
+  const uint64_t newton_before = counter(metrics::Counter::kPoissonNewtonUnconverged);
+  const poisson::NonlinearResult pres = poisson::solve_nonlinear_poisson(
+      geo.assembly(), geo.electrode_voltages(0.0, 0.5, 0.5), zeros, zeros,
+      geo.impurity_charge(), zeros, zeros, popt);
+  EXPECT_FALSE(pres.converged);
+  EXPECT_EQ(pres.iterations, 1);
+  EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), newton_before + 1);
+  // A converged solve leaves both counters alone.
+  const uint64_t gummel_mid = counter(metrics::Counter::kGummelUnconverged);
+  const uint64_t newton_mid = counter(metrics::Counter::kPoissonNewtonUnconverged);
+  ASSERT_TRUE(SelfConsistentSolver(geo, fast_opts()).solve({0.5, 0.5}).converged);
+  EXPECT_EQ(counter(metrics::Counter::kGummelUnconverged), gummel_mid);
+  EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), newton_mid);
 }
 
 #if GNRFET_CHECKS_ENABLED
