@@ -69,7 +69,6 @@ const char* kCounterNames[kNumCounters] = {
     "rgf_batch_solves",
     "negf_energy_points_uniform_equiv",
     "poisson_newton_iterations", "pcg_iterations", "pcg_precond_setups",
-    "mg_vcycles",
     "table_cache_hits",  "table_cache_misses",
     "table_service_hits", "table_service_misses", "table_service_coalesced",
     "mna_factorizations",
@@ -80,8 +79,7 @@ const char* kCounterNames[kNumCounters] = {
 const char* kHistogramNames[kNumHistograms] = {
     "gummel_iterations_per_bias",  "newton_iterations_per_solve",
     "pcg_iterations_per_solve",    "pcg_iterations_jacobi",
-    "pcg_iterations_ssor",         "pcg_iterations_ic0",
-    "pcg_iterations_mg",
+    "pcg_iterations_ic0",
     "energy_points_per_transport", "adaptive_refinement_depth",
     "rgf_batch_width",
 };

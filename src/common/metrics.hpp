@@ -31,7 +31,6 @@ enum class Counter {
   kPoissonNewtonIterations,   ///< poisson: damped-Newton iterations
   kPcgIterations,             ///< linalg: PCG iterations
   kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
-  kMgVcycles,                 ///< poisson: multigrid V-cycles (apply + standalone)
   kTableCacheHits,            ///< device: bias tables served from disk cache
   kTableCacheMisses,          ///< device: bias tables generated cold
   kTableServiceHits,          ///< service: queries answered from the in-memory memo
@@ -57,9 +56,7 @@ enum class Histogram {
   kNewtonIterationsPerSolve,     ///< poisson: Newton iterations per nonlinear solve
   kPcgIterationsPerSolve,        ///< linalg: PCG iterations per solve (all preconditioners)
   kPcgIterationsJacobi,          ///< linalg: PCG iterations per Jacobi-preconditioned solve
-  kPcgIterationsSsor,            ///< linalg: PCG iterations per SSOR-preconditioned solve
   kPcgIterationsIc0,             ///< linalg: PCG iterations per IC(0)-preconditioned solve
-  kPcgIterationsMg,              ///< linalg: PCG iterations per multigrid-preconditioned solve
   kEnergyPointsPerTransport,     ///< negf: energy grid size per transport solve
   kAdaptiveRefinementDepth,      ///< negf: panel depth at retirement in adaptive integration
   kRgfBatchWidth,                ///< negf: energies per batched RGF kernel call

@@ -233,9 +233,11 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   std::vector<DeviceSolution> heads(nvd);
   std::vector<negf::TransportContext> head_ctx(chain_ctx ? nvd : 0);
   negf::TransportContext row_ctx;
+  std::atomic<bool> all_converged{true};
   for (size_t id = 0; id < nvd; ++id) {
     heads[id] = solver.solve({table.vg[0], table.vd[id]}, id > 0 ? &heads[id - 1] : nullptr,
                              chain_ctx ? &row_ctx : nullptr);
+    if (!heads[id].converged) all_converged.store(false, std::memory_order_relaxed);
     if (chain_ctx) head_ctx[id] = row_ctx;
     table.current_A[id] = heads[id].current_A;
     table.charge_C[id] = -constants::kElementaryCharge * heads[id].net_electrons;
@@ -247,6 +249,7 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
     for (size_t ig = 1; ig < nvg; ++ig) {
       DeviceSolution sol =
           solver.solve({table.vg[ig], table.vd[id]}, &prev, chain_ctx ? &col_ctx : nullptr);
+      if (!sol.converged) all_converged.store(false, std::memory_order_relaxed);
       const size_t idx = ig * nvd + id;
       table.current_A[idx] = sol.current_A;
       table.charge_C[idx] = -constants::kElementaryCharge * sol.net_electrons;
@@ -255,7 +258,12 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   });
 
   validate_table(table, "generate_device_table");
-  if (opts.use_cache) save_table(table, path, payload);
+  // An unconverged bias point (counted as gummel_unconverged) is returned
+  // to this caller but never cached: a later run must retry it rather than
+  // load the stale iterate forever.
+  if (opts.use_cache && all_converged.load(std::memory_order_relaxed)) {
+    save_table(table, path, payload);
+  }
   return table;
 }
 

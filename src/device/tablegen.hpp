@@ -47,7 +47,8 @@ struct TableGenOptions {
 std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& opts);
 
 /// Generate (or load from cache) the device table. Generation walks the
-/// bias grid warm-starting each point from its neighbour.
+/// bias grid warm-starting each point from its neighbour. A generated table
+/// with any unconverged bias point is returned but not written to the cache.
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts = {});
 
 /// Serialization helpers (exposed for tests).

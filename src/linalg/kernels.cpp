@@ -24,9 +24,7 @@ double dot_pairwise(const double* a, const double* b, size_t n) {
 
 }  // namespace
 
-double dot(const double* a, const double* b, size_t n, SumOrder order) {
-  return order == SumOrder::kSequential ? dot_sequential(a, b, n) : dot_pairwise(a, b, n);
-}
+double dot(const double* a, const double* b, size_t n) { return dot_pairwise(a, b, n); }
 
 void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
   for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];

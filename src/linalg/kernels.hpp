@@ -9,30 +9,18 @@
 /// and thread-count-to-thread-count (each solve runs on a single thread;
 /// parallelism is across solves).
 ///
-/// Two summation orders are provided:
-///
-///  - kSequential: strict left-to-right accumulation. This is the order
-///    the original pcg_solve used; it is kept selectable because the
-///    GNRFET_POISSON_PC=jacobi baseline path is pinned bit-for-bit to the
-///    pre-preconditioner solver.
-///  - kPairwise: blocked pairwise (tree) summation — the vector is cut
-///    into fixed 32-element blocks accumulated left-to-right, and block
-///    sums are combined by recursive halving. Rounding error grows
-///    O(log n) instead of O(n), which matters for the 1e-9 relative
-///    tolerances of the inner Newton solves on grids with ~1e5 nodes.
-///    This is the default for the ic0/ssor production paths.
+/// Dot products use blocked pairwise (tree) summation: the vector is cut
+/// into fixed 32-element blocks accumulated left-to-right, and block sums
+/// are combined by recursive halving. Rounding error grows O(log n)
+/// instead of O(n), which matters for the 1e-9 relative tolerances of the
+/// inner Newton solves on grids with ~1e5 nodes.
 namespace gnrfet::linalg::kernels {
 
-enum class SumOrder {
-  kSequential,  ///< left-to-right; bit-compatible with the pre-PR solver
-  kPairwise,    ///< blocked pairwise; default accuracy-oriented order
-};
+/// Inner product a . b over n entries, blocked pairwise.
+double dot(const double* a, const double* b, size_t n);
 
-/// Inner product a . b over n entries in the given summation order.
-double dot(const double* a, const double* b, size_t n, SumOrder order);
-
-inline double dot(const std::vector<double>& a, const std::vector<double>& b, SumOrder order) {
-  return dot(a.data(), b.data(), a.size(), order);
+inline double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  return dot(a.data(), b.data(), a.size());
 }
 
 /// y += alpha * x (element-wise; no reduction, bit-identical in any order).

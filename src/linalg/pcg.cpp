@@ -7,6 +7,7 @@
 #include "common/contracts.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "linalg/kernels.hpp"
 
 namespace gnrfet::linalg {
 
@@ -14,7 +15,7 @@ namespace {
 
 /// Records the final iteration count once, on every exit path — both into
 /// the global PCG histogram and into the per-preconditioner one, so the
-/// trace report can show the Jacobi-vs-SSOR-vs-IC(0) iteration split.
+/// trace report can show the Jacobi-vs-IC(0) iteration split.
 struct IterationRecorder {
   const PcgResult& result;
   metrics::Histogram per_pc;
@@ -27,12 +28,9 @@ struct IterationRecorder {
 };
 
 metrics::Histogram histogram_for(const Preconditioner* pc) {
-  if (pc == nullptr || std::strcmp(pc->name(), "jacobi") == 0) {
-    return metrics::Histogram::kPcgIterationsJacobi;
-  }
-  if (std::strcmp(pc->name(), "ssor") == 0) return metrics::Histogram::kPcgIterationsSsor;
-  if (std::strcmp(pc->name(), "mg") == 0) return metrics::Histogram::kPcgIterationsMg;
-  return metrics::Histogram::kPcgIterationsIc0;
+  return pc == nullptr || std::strcmp(pc->name(), "jacobi") == 0
+             ? metrics::Histogram::kPcgIterationsJacobi
+             : metrics::Histogram::kPcgIterationsIc0;
 }
 
 }  // namespace
@@ -43,10 +41,8 @@ PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
   const size_t n = a.dim();
   if (b.size() != n) throw std::invalid_argument("pcg_solve: rhs size mismatch");
   if (x.size() != n) x.assign(n, 0.0);
-  const kernels::SumOrder order = opts.sum_order;
 
-  // Callers without an explicit preconditioner get the historical per-call
-  // Jacobi; its factor() reproduces the old inv_diag formula exactly.
+  // Callers without an explicit preconditioner get a per-call Jacobi.
   JacobiPreconditioner fallback;
   const Preconditioner* precond = opts.preconditioner;
   if (precond == nullptr) {
@@ -62,16 +58,16 @@ PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
 
   a.multiply(x, ws.ap);
   for (size_t i = 0; i < n; ++i) ws.r[i] = b[i] - ws.ap[i];
-  const double b_norm = std::sqrt(std::max(kernels::dot(b, b, order), 1e-300));
+  const double b_norm = std::sqrt(std::max(kernels::dot(b, b), 1e-300));
 
   precond->apply(ws.r, ws.z);
   ws.p = ws.z;
-  double rz = kernels::dot(ws.r, ws.z, order);
+  double rz = kernels::dot(ws.r, ws.z);
 
   PcgResult result;
   const IterationRecorder recorder{result, histogram_for(opts.preconditioner)};
   for (size_t it = 0; it < opts.max_iterations; ++it) {
-    const double r_norm = std::sqrt(kernels::dot(ws.r, ws.r, order));
+    const double r_norm = std::sqrt(kernels::dot(ws.r, ws.r));
     result.residual_norm = r_norm;
     result.iterations = it;
     if (r_norm <= opts.rel_tolerance * b_norm || r_norm <= opts.abs_tolerance) {
@@ -81,18 +77,18 @@ PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
       return result;
     }
     a.multiply(ws.p, ws.ap);
-    const double pap = kernels::dot(ws.p, ws.ap, order);
+    const double pap = kernels::dot(ws.p, ws.ap);
     if (pap <= 0.0) break;  // not SPD or breakdown
     const double alpha = rz / pap;
     kernels::axpy(alpha, ws.p, x);
     kernels::axpy(-alpha, ws.ap, ws.r);
     precond->apply(ws.r, ws.z);
-    const double rz_new = kernels::dot(ws.r, ws.z, order);
+    const double rz_new = kernels::dot(ws.r, ws.z);
     const double beta = rz_new / rz;
     rz = rz_new;
     kernels::xpby(ws.z, beta, ws.p);
   }
-  result.residual_norm = std::sqrt(kernels::dot(ws.r, ws.r, order));
+  result.residual_norm = std::sqrt(kernels::dot(ws.r, ws.r));
   return result;
 }
 

@@ -1,14 +1,14 @@
 #pragma once
 
-#include "linalg/kernels.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/sparse.hpp"
 
 /// Preconditioned conjugate gradient for the (symmetric positive definite)
-/// Poisson systems. The preconditioner is injectable (Jacobi baseline,
-/// SSOR, IC(0) — see linalg/preconditioner.hpp); callers on a hot loop
-/// pass a PcgWorkspace so the four iteration vectors are allocated once
-/// and reused across solves.
+/// Poisson systems. The preconditioner is injectable (IC(0) in production,
+/// Jacobi as the null-preconditioner fallback — see
+/// linalg/preconditioner.hpp); dot products are blocked-pairwise sums
+/// (linalg/kernels.hpp). Callers on a hot loop pass a PcgWorkspace so the
+/// four iteration vectors are allocated once and reused across solves.
 namespace gnrfet::linalg {
 
 /// Reusable iteration vectors. Contents are scratch: every solve fully
@@ -23,13 +23,8 @@ struct PcgOptions {
   double abs_tolerance = 1e-14;
   size_t max_iterations = 20000;
   /// Preconditioner to apply (must be factored for the system matrix).
-  /// Null selects an internal per-call Jacobi, the pre-preconditioner
-  /// behavior.
+  /// Null selects an internal per-call Jacobi.
   const Preconditioner* preconditioner = nullptr;
-  /// Reduction order for the dot products (see linalg/kernels.hpp).
-  /// kSequential reproduces the pre-preconditioner solver bit-for-bit;
-  /// kPairwise is the accuracy-oriented default.
-  kernels::SumOrder sum_order = kernels::SumOrder::kPairwise;
   /// Optional reusable vectors; null falls back to per-call allocation.
   PcgWorkspace* workspace = nullptr;
 };

@@ -23,8 +23,6 @@ void record_setup() { metrics::add(metrics::Counter::kPcgPrecondSetups); }
 
 void JacobiPreconditioner::factor(const SparseMatrix& a) {
   inv_diag_ = a.diagonal();
-  // Same guard and formula as the pre-preconditioner pcg_solve: the
-  // GNRFET_POISSON_PC=jacobi path must stay bit-identical to it.
   for (auto& d : inv_diag_) d = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
   record_setup();
 }
@@ -35,80 +33,6 @@ void JacobiPreconditioner::apply(const std::vector<double>& r, std::vector<doubl
   }
   z.resize(r.size());
   for (size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
-}
-
-// ------------------------------------------------------------------ SSOR
-
-SsorPreconditioner::SsorPreconditioner(double omega) : omega_(omega) {
-  if (!(omega > 0.0 && omega < 2.0)) {
-    throw std::invalid_argument("SsorPreconditioner: omega must be in (0, 2)");
-  }
-}
-
-void SsorPreconditioner::factor(const SparseMatrix& a) {
-  const size_t n = a.dim();
-  a_ = &a;
-  diag_idx_.assign(n, 0);
-  omega_inv_diag_.assign(n, 0.0);
-  const auto& row_ptr = a.row_ptr();
-  const auto& col = a.col_idx();
-  for (size_t i = 0; i < n; ++i) {
-    size_t pos = row_ptr[i + 1];
-    for (size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      if (col[k] == i) pos = k;
-    }
-    if (pos == row_ptr[i + 1]) {
-      throw std::invalid_argument("SsorPreconditioner: row without diagonal entry");
-    }
-    diag_idx_[i] = pos;
-    const double d = a.values()[pos];
-    if (!(d > 0.0)) {
-      throw std::invalid_argument("SsorPreconditioner: non-positive diagonal");
-    }
-    omega_inv_diag_[i] = omega_ / d;
-  }
-  t_.assign(n, 0.0);
-  record_setup();
-}
-
-void SsorPreconditioner::refactor(const SparseMatrix& a) {
-  if (a_ != &a || diag_idx_.size() != a.dim()) {
-    factor(a);
-    return;
-  }
-  // Pattern unchanged: only the diagonal scale needs refreshing.
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const double d = a.values()[diag_idx_[i]];
-    if (!(d > 0.0)) {
-      throw std::invalid_argument("SsorPreconditioner: non-positive diagonal");
-    }
-    omega_inv_diag_[i] = omega_ / d;
-  }
-  record_setup();
-}
-
-void SsorPreconditioner::apply(const std::vector<double>& r, std::vector<double>& z) const {
-  if (a_ == nullptr || r.size() != diag_idx_.size()) {
-    throw std::invalid_argument("SsorPreconditioner::apply: not factored / size mismatch");
-  }
-  const size_t n = r.size();
-  const auto& row_ptr = a_->row_ptr();
-  const auto& col = a_->col_idx();
-  const double* val = a_->values().data();
-  const size_t* cols = col.data();
-  z.resize(n);
-  // Forward sweep: (D/w + L) t = r. Columns are sorted, so the strict
-  // lower part of row i is exactly [row_ptr[i], diag_idx_[i]).
-  for (size_t i = 0; i < n; ++i) {
-    const double s = kernels::gather_dot(val, cols, row_ptr[i], diag_idx_[i], t_.data());
-    t_[i] = (r[i] - s) * omega_inv_diag_[i];
-  }
-  // Scale by D/w, then backward sweep: (D/w + U) z = (D/w) t.
-  for (size_t i = n; i-- > 0;) {
-    const double s =
-        kernels::gather_dot(val, cols, diag_idx_[i] + 1, row_ptr[i + 1], z.data());
-    z[i] = (t_[i] / omega_inv_diag_[i] - s) * omega_inv_diag_[i];
-  }
 }
 
 // ----------------------------------------------------------------- IC(0)
@@ -277,42 +201,18 @@ void IncompleteCholesky::apply(const std::vector<double>& r, std::vector<double>
 // --------------------------------------------------------------- factory
 
 PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
-  if (s == "jacobi") return PreconditionerKind::kJacobi;
-  if (s == "ssor") return PreconditionerKind::kSsor;
   if (s == "ic0") return PreconditionerKind::kIc0;
-  if (s == "mg") return PreconditionerKind::kMg;
-  throw std::invalid_argument("unknown preconditioner '" + s +
-                              "' (expected jacobi, ssor, ic0, or mg)");
+  if (s == "jacobi") return PreconditionerKind::kJacobi;
+  throw std::invalid_argument("unknown preconditioner '" + s + "' (expected ic0 or jacobi)");
 }
 
 const char* to_string(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kJacobi:
-      return "jacobi";
-    case PreconditionerKind::kSsor:
-      return "ssor";
-    case PreconditionerKind::kIc0:
-      return "ic0";
-    case PreconditionerKind::kMg:
-      return "mg";
-  }
-  return "unknown";
+  return kind == PreconditionerKind::kIc0 ? "ic0" : "jacobi";
 }
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kJacobi:
-      return std::make_unique<JacobiPreconditioner>();
-    case PreconditionerKind::kSsor:
-      return std::make_unique<SsorPreconditioner>();
-    case PreconditionerKind::kIc0:
-      return std::make_unique<IncompleteCholesky>();
-    case PreconditionerKind::kMg:
-      throw std::invalid_argument(
-          "make_preconditioner: mg needs grid geometry; construct "
-          "poisson::MultigridPreconditioner from the Assembly instead");
-  }
-  throw std::invalid_argument("make_preconditioner: unknown kind");
+  if (kind == PreconditionerKind::kIc0) return std::make_unique<IncompleteCholesky>();
+  return std::make_unique<JacobiPreconditioner>();
 }
 
 }  // namespace gnrfet::linalg

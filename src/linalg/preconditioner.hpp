@@ -8,13 +8,15 @@
 
 /// Preconditioners for the PCG Poisson solves.
 ///
-/// The Poisson operator is a structured-grid SPD Laplacian; Jacobi is the
-/// weakest useful preconditioner for it, and the Newton/Gummel loops solve
-/// with the same sparsity pattern thousands of times per bias table. The
-/// implementations here exploit that: `factor()` does the one-off symbolic
-/// setup (sparsity analysis, allocation), `refactor()` refreshes only the
-/// numeric content and is what the Newton loop calls when nothing but the
-/// matrix diagonal moved.
+/// The Poisson operator is a structured-grid SPD Laplacian, and the
+/// Newton/Gummel loops solve with the same sparsity pattern thousands of
+/// times per bias table. IC(0) is the production preconditioner, chosen by
+/// wall clock on a cold N=12 device table (EXPERIMENTS.md). Jacobi, the
+/// weakest useful preconditioner here, stays as pcg_solve's
+/// null-preconditioner fallback and as a test reference. `factor()` does the one-off symbolic setup (sparsity
+/// analysis, allocation), `refactor()` refreshes only the numeric content
+/// and is what the Newton loop calls when nothing but the matrix diagonal
+/// moved.
 ///
 /// Every sweep runs on one thread in a fixed order (see
 /// linalg/kernels.hpp), so solves stay bit-deterministic; parallelism in
@@ -36,13 +38,12 @@ class Preconditioner {
   /// z = M^{-1} r. Requires a prior factor()/refactor().
   virtual void apply(const std::vector<double>& r, std::vector<double>& z) const = 0;
 
-  /// Stable identifier: "jacobi", "ssor", or "ic0".
+  /// Stable identifier: "jacobi" or "ic0".
   virtual const char* name() const = 0;
 };
 
-/// Diagonal scaling, kept as the selectable baseline. The inverse-diagonal
-/// formula matches the pre-preconditioner pcg_solve bit-for-bit, which the
-/// GNRFET_POISSON_PC=jacobi regression path relies on.
+/// Diagonal scaling: pcg_solve's fallback when no preconditioner is
+/// passed, and the reference the IC(0) tests compare against.
 class JacobiPreconditioner final : public Preconditioner {
  public:
   void factor(const SparseMatrix& a) override;
@@ -52,28 +53,6 @@ class JacobiPreconditioner final : public Preconditioner {
 
  private:
   std::vector<double> inv_diag_;
-};
-
-/// Symmetric SOR: M = (D/w + L) (D/w)^{-1} (D/w + U), applied as a forward
-/// sweep, diagonal scale, and backward sweep over the matrix rows. PCG is
-/// invariant under constant scaling of M, so the conventional 1/(w(2-w))
-/// factor is dropped. The matrix passed to factor()/refactor() must
-/// outlive the preconditioner's last apply(): the sweeps read the
-/// off-diagonal values in place rather than copying them.
-class SsorPreconditioner final : public Preconditioner {
- public:
-  explicit SsorPreconditioner(double omega = 1.0);
-  void factor(const SparseMatrix& a) override;
-  void refactor(const SparseMatrix& a) override;
-  void apply(const std::vector<double>& r, std::vector<double>& z) const override;
-  const char* name() const override { return "ssor"; }
-
- private:
-  double omega_;
-  const SparseMatrix* a_ = nullptr;
-  std::vector<size_t> diag_idx_;       ///< CSR position of each row's diagonal
-  std::vector<double> omega_inv_diag_; ///< w / d_i
-  mutable std::vector<double> t_;      ///< forward-sweep scratch
 };
 
 /// Zero-fill incomplete Cholesky: A ~= L L^T with L restricted to the
@@ -124,17 +103,13 @@ class IncompleteCholesky final : public Preconditioner {
   double shift_ = 0.0;
 };
 
-enum class PreconditionerKind { kJacobi, kSsor, kIc0, kMg };
+enum class PreconditionerKind { kJacobi, kIc0 };
 
-/// Parses "jacobi" | "ssor" | "ic0" | "mg"; throws std::invalid_argument
-/// otherwise.
+/// Parses "jacobi" | "ic0"; throws std::invalid_argument otherwise.
 PreconditionerKind preconditioner_kind_from_string(const std::string& s);
 
 const char* to_string(PreconditionerKind kind);
 
-/// Builds a matrix-only preconditioner. kMg throws: the geometric
-/// multigrid hierarchy needs the grid geometry, so it is constructed in
-/// the poisson layer (poisson::MultigridPreconditioner) instead.
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind);
 
 }  // namespace gnrfet::linalg

@@ -41,10 +41,6 @@ class Assembly {
   /// Grid node of a free-node index.
   size_t free_node(size_t f) const { return free_nodes_[f]; }
 
-  /// The domain this operator was assembled over (grid geometry for the
-  /// multigrid hierarchy).
-  const Domain& domain() const { return domain_; }
-
  private:
   const Domain& domain_;
   std::vector<size_t> free_nodes_;           ///< free -> grid node

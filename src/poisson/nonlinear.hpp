@@ -11,9 +11,10 @@
 ///   q(phi) = -n0 exp((phi - phi_ref)/Vt) + p0 exp(-(phi - phi_ref)/Vt)
 ///            + rho_fixed,
 /// which regularizes the fixed-point iteration (Trellakis/Gummel). Newton
-/// with an SPD Jacobian (A + diag((n + p)/Vt)) and PCG inner solves,
-/// preconditioned per GNRFET_POISSON_PC (jacobi | ssor | ic0; default
-/// ic0 — see poisson/solver.hpp for the reusable-solver entry point).
+/// with an SPD Jacobian (A + diag((n + p)/Vt)) and IC(0)-preconditioned,
+/// warm-started PCG inner solves (GNRFET_POISSON_PC=jacobi swaps in the
+/// Jacobi reference; see poisson/solver.hpp for the reusable-solver entry
+/// point).
 namespace gnrfet::poisson {
 
 struct NonlinearOptions {

@@ -36,27 +36,6 @@ struct SingleOwnerGuard {
   std::atomic<bool>& in_use_;
 };
 
-/// Builds the selected preconditioner: the matrix-only kinds through the
-/// linalg factory, multigrid from the assembly geometry (persistent
-/// hierarchy, alive for the solver's lifetime).
-std::unique_ptr<linalg::Preconditioner> make_poisson_preconditioner(
-    const Assembly& assembly, linalg::PreconditionerKind kind) {
-  if (kind == linalg::PreconditionerKind::kMg) {
-    return std::make_unique<MultigridPreconditioner>(assembly);
-  }
-  return linalg::make_preconditioner(kind);
-}
-
-/// GNRFET_POISSON_MG_MODE: "pcg" (default) wraps V-cycles in PCG;
-/// "standalone" iterates V-cycles directly. Only consulted for mg.
-bool mg_standalone_from_env() {
-  const std::string mode = common::env_or("GNRFET_POISSON_MG_MODE", "pcg");
-  if (mode == "pcg") return false;
-  if (mode == "standalone") return true;
-  throw std::invalid_argument("GNRFET_POISSON_MG_MODE must be pcg or standalone, got '" +
-                              mode + "'");
-}
-
 }  // namespace
 
 linalg::PreconditionerKind preconditioner_kind_from_env() {
@@ -69,13 +48,9 @@ PoissonSolver::PoissonSolver(const Assembly& assembly)
 PoissonSolver::PoissonSolver(const Assembly& assembly, linalg::PreconditionerKind kind)
     : assembly_(assembly),
       kind_(kind),
-      precond_(make_poisson_preconditioner(assembly, kind)),
+      precond_(linalg::make_preconditioner(kind)),
       jac_(assembly.matrix()),
       base_diag_(assembly.matrix().diagonal()) {
-  if (kind_ == linalg::PreconditionerKind::kMg) {
-    mg_ = static_cast<MultigridPreconditioner*>(precond_.get());
-    mg_standalone_ = mg_standalone_from_env();
-  }
   const size_t nf = assembly_.num_free();
   delta_.assign(nf, 0.0);
   residual_.resize(nf);
@@ -104,15 +79,7 @@ std::vector<double> PoissonSolver::solve_linear(const std::vector<double>& elect
   linalg::PcgOptions opts;
   opts.preconditioner = precond_.get();
   opts.workspace = &pcg_ws_;
-  // The jacobi baseline is pinned bit-for-bit to the pre-preconditioner
-  // solver, which accumulated dots strictly left-to-right.
-  opts.sum_order = kind_ == linalg::PreconditionerKind::kJacobi
-                       ? linalg::kernels::SumOrder::kSequential
-                       : linalg::kernels::SumOrder::kPairwise;
-  const bool converged = mg_standalone_
-                             ? mg_->solve(b, x, opts.rel_tolerance, opts.abs_tolerance).converged
-                             : linalg::pcg_solve(jac_, b, x, opts).converged;
-  if (!converged) {
+  if (!linalg::pcg_solve(jac_, b, x, opts).converged) {
     throw std::runtime_error("solve_linear_poisson: linear solve did not converge");
   }
   return assembly_.expand(x, electrode_voltages);
@@ -141,7 +108,6 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
                      contracts::all_finite(electrode_voltages),
                  "reference/initial potential or electrode voltages contain NaN/inf");
   const double vt = opts.thermal_voltage_V;
-  const bool baseline = kind_ == linalg::PreconditionerKind::kJacobi;
 
   // Work on free nodes only.
   std::vector<double> phi = assembly_.restrict_to_free(phi_init_full);
@@ -159,15 +125,13 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
 
   // Warm-starting the inner PCG from the previous Newton update pays off
   // because consecutive Newton systems differ only by a shrinking
-  // diagonal term; the baseline path keeps the historical zero start.
+  // diagonal term.
   std::fill(delta_.begin(), delta_.end(), 0.0);
 
   linalg::PcgOptions pcg_opts;
   pcg_opts.rel_tolerance = 1e-9;
   pcg_opts.preconditioner = precond_.get();
   pcg_opts.workspace = &pcg_ws_;
-  pcg_opts.sum_order = baseline ? linalg::kernels::SumOrder::kSequential
-                                : linalg::kernels::SumOrder::kPairwise;
 
   // Trust-region-like damping: the clamp protects the exponential charge
   // linearization, but grows when Newton keeps pushing monotonically in
@@ -212,14 +176,12 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
     // Jacobian copy is retargeted diagonal-only (the off-diagonals never
     // change), and the preconditioner refreshes numerically in place.
     for (size_t f = 0; f < nf; ++f) jac_.set_diagonal(f, base_diag_[f] - dq_dphi_[f]);
-    precond_->refactor(jac_);
+    {
+      trace::Span refresh("linalg", "precond_refactor");
+      precond_->refactor(jac_);
+    }
     for (size_t f = 0; f < nf; ++f) rhs_[f] = -residual_[f];
-    if (baseline) std::fill(delta_.begin(), delta_.end(), 0.0);
-    const bool inner_converged =
-        mg_standalone_
-            ? mg_->solve(rhs_, delta_, pcg_opts.rel_tolerance, pcg_opts.abs_tolerance).converged
-            : linalg::pcg_solve(jac_, rhs_, delta_, pcg_opts).converged;
-    if (!inner_converged) {
+    if (!linalg::pcg_solve(jac_, rhs_, delta_, pcg_opts).converged) {
       throw std::runtime_error("solve_nonlinear_poisson: inner linear solve did not converge");
     }
     double max_update = 0.0;

@@ -6,7 +6,6 @@
 #include "linalg/pcg.hpp"
 #include "linalg/preconditioner.hpp"
 #include "poisson/assembly.hpp"
-#include "poisson/multigrid.hpp"
 #include "poisson/nonlinear.hpp"
 
 /// Reusable linear/nonlinear Poisson solver around one Assembly.
@@ -23,15 +22,12 @@
 ///  - the PCG workspace vectors and every Newton-loop scratch vector,
 ///  - the previous Newton update, which warm-starts the next inner PCG.
 ///
-/// The preconditioner is chosen by GNRFET_POISSON_PC (jacobi | ssor |
-/// ic0 | mg; default ic0). `jacobi` is the pinned pre-preconditioner
-/// baseline: it zero-starts every inner PCG and uses the legacy
-/// sequential summation order, so its outputs are bit-identical to the
-/// historical solver. `mg` builds a persistent geometric multigrid
-/// hierarchy from the assembly (rebuilt only when the grid — i.e. the
-/// Assembly — changes) and applies one V-cycle per PCG iteration; set
-/// GNRFET_POISSON_MG_MODE=standalone to iterate V-cycles directly
-/// instead of wrapping them in PCG. One PoissonSolver is used by one
+/// There is one solve path: IC(0)-preconditioned, warm-started PCG with
+/// blocked-pairwise dot products inside one damped Newton loop, the
+/// Newton–Raphson Poisson + PCG scheme of ViDES (arXiv:0704.1875).
+/// GNRFET_POISSON_PC (ic0 | jacobi; default ic0) swaps only the
+/// preconditioner object; jacobi is a reference for tests and benches,
+/// run through the same loop. One PoissonSolver is used by one
 /// thread at a time; create one per concurrent solve (the thread-pool
 /// parallelism is across solves). The persistent workspaces are
 /// deliberately unlocked — the class is thread-compatible, not
@@ -40,7 +36,8 @@
 /// (poisson/solver-single-owner) that fires on concurrent entry.
 namespace gnrfet::poisson {
 
-/// GNRFET_POISSON_PC, defaulting to ic0; throws on unknown values.
+/// GNRFET_POISSON_PC, defaulting to ic0; throws std::invalid_argument on
+/// anything but ic0 or jacobi.
 linalg::PreconditionerKind preconditioner_kind_from_env();
 
 class PoissonSolver {
@@ -72,9 +69,6 @@ class PoissonSolver {
   const Assembly& assembly_;
   linalg::PreconditionerKind kind_;
   std::unique_ptr<linalg::Preconditioner> precond_;
-  /// Non-owning view of precond_ when kind_ == kMg (standalone cycling).
-  MultigridPreconditioner* mg_ = nullptr;
-  bool mg_standalone_ = false;
   linalg::SparseMatrix jac_;        ///< persistent copy; only its diagonal moves
   std::vector<double> base_diag_;   ///< diag(A) of the pristine operator
   linalg::PcgWorkspace pcg_ws_;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 
+#include "common/cache.hpp"
 #include "common/contracts.hpp"
 #include "common/env.hpp"
 #include "common/metrics.hpp"
@@ -375,6 +376,40 @@ TEST(TableGen, CacheHitMatchesMissBitExact) {
   EXPECT_EQ(bits_hash(warm.current_A), bits_hash(cold.current_A));
   EXPECT_EQ(bits_hash(warm.charge_C), bits_hash(cold.charge_C));
   EXPECT_EQ(bits_hash({warm.band_gap_eV}), bits_hash({cold.band_gap_eV}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TableGen, UnconvergedTableIsReturnedButNotCached) {
+  // A bias point that runs out of Gummel iterations must not be cached:
+  // the cache would serve the stale iterate forever. The in-memory table is
+  // still returned; with the default iteration budget the file is written.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_cache_unconverged";
+  std::filesystem::remove_all(dir);
+  EnvGuard guard("GNRFET_CACHE_DIR", dir.c_str());
+  TableGenOptions opts;
+  opts.vg_points = 2;
+  opts.vd_points = 2;
+  opts.vg_max = 0.5;
+  opts.vd_max = 0.5;
+  opts.solve = fast_opts();
+  opts.solve.max_gummel_iterations = 1;
+  const DeviceSpec spec = tiny_spec();
+  const auto unconverged = [] {
+    return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kGummelUnconverged)];
+  };
+  const uint64_t before = unconverged();
+  const DeviceTable table = generate_device_table(spec, opts);
+  EXPECT_GT(unconverged(), before);
+  EXPECT_EQ(table.current_A.size(), 4u);
+  EXPECT_FALSE(std::filesystem::exists(
+      cache::path_for("device-table", table_cache_payload(spec, opts))));
+
+  opts.solve.max_gummel_iterations = SolveOptions{}.max_gummel_iterations;
+  const uint64_t converged_before = unconverged();
+  generate_device_table(spec, opts);
+  EXPECT_EQ(unconverged(), converged_before);
+  EXPECT_TRUE(std::filesystem::exists(
+      cache::path_for("device-table", table_cache_payload(spec, opts))));
   std::filesystem::remove_all(dir);
 }
 

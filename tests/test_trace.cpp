@@ -20,6 +20,9 @@
 #include "common/trace.hpp"
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
+#include "poisson/assembly.hpp"
+#include "poisson/grid.hpp"
+#include "poisson/nonlinear.hpp"
 
 namespace {
 
@@ -120,6 +123,40 @@ TEST(Trace, SpansNestOnOneThread) {
   // Containment: inner's [ts, ts+dur] lies within outer's.
   EXPECT_GE(inner.ts_us, outer.ts_us);
   EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us + 1e-6);
+
+  // The Poisson Newton loop traces each preconditioner refresh as its own
+  // linalg span, nested in the nonlinear solve and beside (not inside) the
+  // pcg_solve spans, so the rollup can split refresh time from PCG time.
+  trace::clear();
+  poisson::GridSpec g;
+  g.nx = g.ny = g.nz = 5;
+  g.dx = g.dy = g.dz = 0.3;
+  poisson::Domain domain(g);
+  domain.add_electrode({-1, 10, -1, 10, -0.001, 0.001});
+  const poisson::Assembly assembly(domain);
+  const std::vector<double> zero(g.num_nodes(), 0.0);
+  std::vector<double> n0 = zero;
+  n0[g.index(2, 2, 2)] = 1.0;
+  const auto res = poisson::solve_nonlinear_poisson(assembly, {0.2}, n0, zero, zero, zero, zero);
+  ASSERT_TRUE(res.converged);
+  const auto solve_events = trace::snapshot_events();
+  std::vector<trace::EventRecord> refreshes, pcgs, solves;
+  for (const auto& e : solve_events) {
+    if (e.name == "precond_refactor") refreshes.push_back(e);
+    if (e.name == "pcg_solve") pcgs.push_back(e);
+    if (e.name == "solve_nonlinear_poisson") solves.push_back(e);
+  }
+  ASSERT_EQ(solves.size(), 1u);
+  ASSERT_EQ(refreshes.size(), static_cast<size_t>(res.iterations));
+  EXPECT_EQ(pcgs.size(), refreshes.size());
+  for (const auto& r : refreshes) {
+    EXPECT_EQ(r.category, "linalg");
+    EXPECT_GE(r.ts_us, solves[0].ts_us);
+    EXPECT_LE(r.ts_us + r.dur_us, solves[0].ts_us + solves[0].dur_us + 1e-6);
+    for (const auto& p : pcgs) {
+      EXPECT_TRUE(r.ts_us + r.dur_us <= p.ts_us + 1e-6 || p.ts_us + p.dur_us <= r.ts_us + 1e-6);
+    }
+  }
 }
 
 TEST(TraceParallel, EventsMergeAcrossPoolThreads) {
