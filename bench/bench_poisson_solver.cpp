@@ -1,13 +1,23 @@
-/// Poisson linear-solver microbenchmark: one fixed assembly (a MOS-like
-/// gate stack around a channel plane) and one fixed set of charge/bias
-/// right-hand sides, solved with the production IC(0) preconditioner and
-/// the Jacobi reference at the base grid and a 2x-refined grid. Emits
-/// bench_out/BENCH_poisson.json with one {preconditioner, grid_scale,
-/// iterations, seconds} record per line, plus two device rows (ic0 vs
-/// jacobi current on a small self-consistent device) and a CSV mirror.
+/// Poisson solver benchmark, two sections.
+///
+/// Full-grid PCG: one fixed assembly (a MOS-like gate stack around a
+/// channel plane) and one fixed set of charge/bias right-hand sides, solved
+/// with the production IC(0) preconditioner and the Jacobi reference at the
+/// base grid and a 2x-refined grid: one {preconditioner, grid_scale,
+/// iterations, seconds} record per line.
+///
+/// Real device: the capacitance-matrix build of the N = 12 paper device
+/// (one {capacitance_build_s, charge_nodes, threads} record) and four real
+/// Newton systems solved by the reduced path and the full-grid oracle (one
+/// {device_system, max_dphi_V, reduced_newton, oracle_newton,
+/// reduced_ms_per_newton, oracle_ms_per_newton} record each).
+///
+/// Writes bench_out/BENCH_poisson.json plus a CSV mirror of the PCG rows.
 /// tools/ci_checks.sh perf-smoke asserts IC(0) needs fewer PCG iterations
-/// than Jacobi at both grid scales, and that switching the device stack to
-/// jacobi leaves the terminal current and Gummel count unchanged.
+/// than Jacobi at both grid scales, and that the reduced solve matches the
+/// oracle on S to 1e-8 V with the same Newton count.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,9 +26,12 @@
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "common/metrics.hpp"
+#include "common/parallel.hpp"
+#include "common/trace.hpp"
 #include "device/geometry.hpp"
 #include "device/selfconsistent.hpp"
 #include "poisson/assembly.hpp"
+#include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
 #include "poisson/solver.hpp"
 
@@ -129,33 +142,73 @@ int main() {
     }
   }
 
-  // fig2 proxy: one on-state bias point of a small self-consistent device
-  // under ic0 vs jacobi. The preconditioner must not move the physics — CI
-  // asserts the currents agree to 1e-10 relative with identical Gummel
-  // counts. The uniform energy grid keeps the transport integral a smooth
-  // function of the potential, so the comparison measures only the Poisson
-  // solve (adaptive panel thresholds could flip on 1e-12 perturbations).
+  // Real device: the Newton systems of the first two Gummel iterations from
+  // the charge-free start of the N = 12 paper device at an on-state and a
+  // mid-plane bias point, solved by the production capacitance-matrix path
+  // (CapacitanceSolver, on the charge nodes S) and by the full-grid oracle
+  // (PoissonSolver::solve_nonlinear). CI asserts max |dphi_S| <= 1e-8 V and
+  // equal Newton counts on every system.
   ::setenv("GNRFET_NEGF_GRID", "uniform", 1);
-  device::DeviceSpec spec;
-  spec.channel_length_nm = 6.0;
-  spec.grid_step_nm = 0.35;
-  spec.lateral_margin_nm = 2.0;
-  spec.num_modes = 2;
-  device::SolveOptions sopts;
-  sopts.energy_step_eV = 5e-3;
-  for (const char* pc : {"ic0", "jacobi"}) {
-    ::setenv("GNRFET_POISSON_PC", pc, 1);
-    bench::PhaseTimer timer("poisson_solver_device", pc);
-    const device::DeviceGeometry geometry(spec);
-    const device::SelfConsistentSolver solver(geometry, sopts);
-    const auto sol = solver.solve({0.4, 0.3});
-    const double seconds = timer.stop();
-    std::printf("device %-4s: I = %.12g A, %d Gummel iterations, %.3f s\n", pc, sol.current_A,
-                sol.iterations, seconds);
-    json << "{\"device_pc\":\"" << pc << "\",\"current_A\":" << sol.current_A
-         << ",\"gummel_iterations\":" << sol.iterations << ",\"seconds\":" << seconds << "}\n";
+  const device::DeviceGeometry geometry{device::DeviceSpec{}};
+  bench::PhaseTimer build_timer("poisson_solver", "capacitance_build");
+  const device::SelfConsistentSolver solver(geometry);
+  const double build_s = build_timer.stop();
+  const poisson::CapacitanceSolver& cap = solver.capacitance();
+  std::printf("capacitance build: %zu charge nodes, %.3f s\n", cap.size(), build_s);
+  json << "{\"capacitance_build_s\":" << build_s << ",\"charge_nodes\":" << cap.size()
+       << ",\"threads\":" << par::thread_count() << "}\n";
+  const size_t nodes = geometry.domain().spec().num_nodes();
+  const auto on_s = [&](const std::vector<double>& full) {
+    std::vector<double> out(cap.size());
+    for (size_t k = 0; k < cap.size(); ++k) out[k] = full[cap.nodes()[k]];
+    return out;
+  };
+  const auto on_grid = [&](const std::vector<double>& values) {
+    std::vector<double> full(nodes, 0.0);
+    for (size_t k = 0; k < cap.size(); ++k) full[cap.nodes()[k]] = values[k];
+    return full;
+  };
+  poisson::NonlinearOptions popt;
+  popt.thermal_voltage_V = solver.options().kT_eV;
+  poisson::PoissonSolver oracle(geometry.assembly(), linalg::PreconditionerKind::kIc0);
+  for (const device::BiasPoint bias : {device::BiasPoint{0.75, 0.5}, device::BiasPoint{0.4, 0.25}}) {
+    const std::vector<double> volts = geometry.electrode_voltages(0.0, bias.vd, bias.vg);
+    std::vector<double> phi_full = oracle.solve_linear(volts, geometry.impurity_charge());
+    for (int gummel = 0; gummel < 2; ++gummel) {
+      const std::vector<double> phi_s = on_s(phi_full);
+      const device::ChargePopulations pop = solver.charge_populations(bias, phi_s);
+      double t0 = trace::now_us();
+      const poisson::ReducedResult reduced =
+          cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_s, phi_s, popt);
+      const double reduced_ms = (trace::now_us() - t0) / 1e3;
+      t0 = trace::now_us();
+      poisson::NonlinearResult full =
+          oracle.solve_nonlinear(volts, on_grid(pop.electrons), on_grid(pop.holes),
+                                 geometry.impurity_charge(), phi_full, phi_full, popt);
+      const double oracle_ms = (trace::now_us() - t0) / 1e3;
+      if (!reduced.converged || !full.converged) {
+        std::fprintf(stderr, "poisson bench: device system did not converge\n");
+        return 1;
+      }
+      double max_dphi = 0.0;
+      for (size_t k = 0; k < cap.size(); ++k) {
+        max_dphi = std::max(max_dphi, std::abs(reduced.phi[k] - full.phi_full[cap.nodes()[k]]));
+      }
+      const double reduced_per_newton = reduced_ms / reduced.iterations;
+      const double oracle_per_newton = oracle_ms / full.iterations;
+      std::printf("device VG %.2f VD %.2f Gummel %d: max |dphi_S| = %.3g V, Newton %d (reduced) "
+                  "vs %d (full grid), %.2f vs %.2f ms per Newton\n",
+                  bias.vg, bias.vd, gummel, max_dphi, reduced.iterations, full.iterations,
+                  reduced_per_newton, oracle_per_newton);
+      char label[64];
+      std::snprintf(label, sizeof label, "vg%.2f_vd%.2f_gummel%d", bias.vg, bias.vd, gummel);
+      json << "{\"device_system\":\"" << label << "\",\"max_dphi_V\":" << max_dphi << ",\"reduced_newton\":" << reduced.iterations
+           << ",\"oracle_newton\":" << full.iterations
+           << ",\"reduced_ms_per_newton\":" << reduced_per_newton
+           << ",\"oracle_ms_per_newton\":" << oracle_per_newton << "}\n";
+      phi_full = std::move(full.phi_full);
+    }
   }
-  ::unsetenv("GNRFET_POISSON_PC");
   ::unsetenv("GNRFET_NEGF_GRID");
 
   json.close();

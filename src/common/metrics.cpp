@@ -74,6 +74,7 @@ const char* kCounterNames[kNumCounters] = {
     "mna_factorizations",
     "transient_steps",
     "gummel_unconverged", "poisson_newton_unconverged",
+    "capacitance_builds", "reduced_cg_iterations",
 };
 
 const char* kHistogramNames[kNumHistograms] = {

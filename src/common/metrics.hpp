@@ -29,7 +29,7 @@ enum class Counter {
   kRgfBatchSolves,            ///< negf: batched RGF kernel invocations (SoA energy batches)
   kNegfEnergyPointsUniformEquiv,  ///< negf: uniform-grid solves the adaptive path stands in for
   kPoissonNewtonIterations,   ///< poisson: damped-Newton iterations
-  kPcgIterations,             ///< linalg: PCG iterations
+  kPcgIterations,             ///< linalg: full-grid PCG iterations
   kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
   kTableCacheHits,            ///< device: bias tables served from disk cache
   kTableCacheMisses,          ///< device: bias tables generated cold
@@ -40,6 +40,8 @@ enum class Counter {
   kTransientSteps,            ///< circuit: accepted transient time steps
   kGummelUnconverged,         ///< device: bias points that hit max_gummel_iterations
   kPoissonNewtonUnconverged,  ///< poisson: nonlinear solves that hit max_newton_iterations
+  kCapacitanceBuilds,         ///< poisson: capacitance matrices G built (one per geometry)
+  kReducedCgIterations,       ///< linalg: CG iterations of the reduced Newton systems on S
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);

@@ -1,18 +1,138 @@
 #include "device/selfconsistent.hpp"
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "common/contracts.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
-#include "poisson/solver.hpp"
 
 namespace gnrfet::device {
 
+namespace {
+
+/// Trilinear stencil of every ribbon sample point, [c * nlines + j]. The
+/// GNR plane sits at z = 0.
+std::vector<poisson::Domain::CicStencil> ribbon_stencils(const DeviceGeometry& geo) {
+  const size_t ncol = geo.lattice().column_x_nm().size();
+  const size_t nlines = static_cast<size_t>(geo.lattice().n_index());
+  std::vector<poisson::Domain::CicStencil> stencils(ncol * nlines);
+  for (size_t c = 0; c < ncol; ++c) {
+    for (size_t j = 0; j < nlines; ++j) {
+      stencils[c * nlines + j] =
+          geo.domain().stencil(geo.column_x(c), geo.line_y(static_cast<int>(j)), 0.0);
+    }
+  }
+  return stencils;
+}
+
+}  // namespace
+
 SelfConsistentSolver::SelfConsistentSolver(const DeviceGeometry& geometry,
                                            const SolveOptions& opts)
-    : geo_(geometry), opts_(opts) {}
+    : SelfConsistentSolver(geometry, opts, ribbon_stencils(geometry)) {}
+
+SelfConsistentSolver::SelfConsistentSolver(
+    const DeviceGeometry& geometry, const SolveOptions& opts,
+    const std::vector<poisson::Domain::CicStencil>& stencils)
+    : geo_(geometry),
+      opts_(opts),
+      ncol_(geometry.lattice().column_x_nm().size()),
+      nlines_(static_cast<size_t>(geometry.lattice().n_index())),
+      capacitance_(geometry.assembly(), stencils, geometry.impurity_charge()),
+      ribbon_(stencils.size()) {
+  // Re-address each stencil into the local field [phi_S, electrode
+  // voltages] that the Gummel loop works on.
+  const size_t ns = capacitance_.size();
+  const poisson::Domain& dom = geo_.domain();
+  for (size_t i = 0; i < stencils.size(); ++i) {
+    for (size_t p = 0; p < 8; ++p) {
+      const size_t node = stencils[i].node[p];
+      const size_t s = capacitance_.index_of(node);
+      const int electrode = dom.electrode_at(node);
+      RibbonStencil& st = ribbon_[i];
+      st.weight[p] = stencils[i].weight[p];
+      if (s != std::numeric_limits<size_t>::max()) {
+        st.slot[p] = s;
+      } else if (electrode >= 0) {
+        st.slot[p] = ns + static_cast<size_t>(electrode);
+      } else {
+        st.slot[p] = 0;  // a free node outside S carries zero weight
+        st.weight[p] = 0.0;
+      }
+    }
+  }
+}
+
+negf::TransportOptions SelfConsistentSolver::transport_options(const BiasPoint& bias) const {
+  negf::TransportOptions topt;
+  topt.gamma_contact_eV = geo_.spec().contact_gamma_eV;
+  topt.mu_source_eV = 0.0;
+  topt.mu_drain_eV = -bias.vd;
+  topt.kT_eV = opts_.kT_eV;
+  topt.eta_eV = opts_.eta_eV;
+  topt.energy_step_eV = opts_.energy_step_eV;
+  return topt;
+}
+
+double SelfConsistentSolver::ribbon_potential(const std::vector<double>& phi_s,
+                                              const std::vector<double>& volts,
+                                              const RibbonStencil& st) const {
+  const size_t ns = phi_s.size();
+  double v = 0.0;
+  // Ascending p: the accumulation order of Domain::interpolate().
+  for (size_t p = 0; p < 8; ++p) {
+    const size_t s = st.slot[p];
+    v += st.weight[p] * (s < ns ? phi_s[s] : volts[s - ns]);
+  }
+  return v;
+}
+
+void SelfConsistentSolver::ribbon_energy(const std::vector<double>& phi_s,
+                                         const std::vector<double>& volts,
+                                         std::vector<std::vector<double>>& u) const {
+  for (size_t c = 0; c < ncol_; ++c) {
+    for (size_t j = 0; j < nlines_; ++j) {
+      u[c][j] = -ribbon_potential(phi_s, volts, ribbon_[c * nlines_ + j]);
+    }
+  }
+}
+
+void SelfConsistentSolver::deposit(const negf::TransportSolution& transport,
+                                   ChargePopulations& out) const {
+  // Charge that lands on an electrode node is absorbed by the Dirichlet
+  // boundary, as in the full-grid assembly.
+  const size_t ns = capacitance_.size();
+  out.electrons.assign(ns, 0.0);
+  out.holes.assign(ns, 0.0);
+  const auto add = [ns](const RibbonStencil& st, double charge, std::vector<double>& rho) {
+    for (size_t p = 0; p < 8; ++p) {
+      if (st.slot[p] < ns) rho[st.slot[p]] += st.weight[p] * charge;
+    }
+  };
+  for (size_t c = 0; c < ncol_; ++c) {
+    for (size_t j = 0; j < nlines_; ++j) {
+      const RibbonStencil& st = ribbon_[c * nlines_ + j];
+      if (transport.electrons[c][j] > 0.0) add(st, transport.electrons[c][j], out.electrons);
+      if (transport.holes[c][j] > 0.0) add(st, transport.holes[c][j], out.holes);
+    }
+  }
+}
+
+ChargePopulations SelfConsistentSolver::charge_populations(
+    const BiasPoint& bias, const std::vector<double>& phi_s) const {
+  if (phi_s.size() != capacitance_.size()) {
+    throw std::invalid_argument("charge_populations: phi_s is not sized to the charge nodes");
+  }
+  std::vector<std::vector<double>> u(ncol_, std::vector<double>(nlines_, 0.0));
+  ribbon_energy(phi_s, geo_.electrode_voltages(0.0, bias.vd, bias.vg), u);
+  negf::TransportContext ctx;
+  ChargePopulations out;
+  deposit(negf::solve_mode_space(geo_.modes(), u, transport_options(bias), ctx), out);
+  return out;
+}
 
 DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
                                            const DeviceSolution* warm_start,
@@ -21,58 +141,29 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
   GNRFET_REQUIRE("device", "finite-bias", std::isfinite(bias.vg) && std::isfinite(bias.vd),
                  strings::format("bias point (vg = %g, vd = %g) contains NaN/inf", bias.vg,
                                  bias.vd));
-  const auto& dom = geo_.domain();
-  const auto& grid = dom.spec();
-  const auto& lat = geo_.lattice();
-  const size_t ncol = lat.column_x_nm().size();
-  const size_t nlines = static_cast<size_t>(lat.n_index());
-
   const std::vector<double> volts = geo_.electrode_voltages(0.0, bias.vd, bias.vg);
+  const size_t ns = capacitance_.size();
 
-  // One reusable Poisson solver for the whole bias point: the Jacobian
-  // copy, preconditioner factorization, and PCG workspace persist across
-  // every Newton iteration of every Gummel iteration below. Local to this
-  // call because solve() runs concurrently on pool threads.
-  poisson::PoissonSolver psolver(geo_.assembly());
-
-  // Initial potential: warm start or the charge-free (Laplace + impurity)
-  // solution. A warm start whose potential was solved on a different grid
-  // is a caller bug (e.g. mixing solutions across geometries) — reject it
+  // Initial potential on S: warm start or the charge-free (Laplace +
+  // impurity) solution. A warm start solved on different charge nodes is a
+  // caller bug (e.g. mixing solutions across geometries) — reject it
   // instead of silently discarding it and paying the cold-start cost.
   std::vector<double> phi;
   if (warm_start) {
-    GNRFET_REQUIRE("device", "warm-start-grid-match",
-                   warm_start->phi_full.size() == grid.num_nodes(),
-                   strings::format("warm_start->phi_full has %zu nodes, grid has %zu",
-                                   warm_start->phi_full.size(), grid.num_nodes()));
-    phi = warm_start->phi_full;
+    GNRFET_REQUIRE("device", "warm-start-grid-match", warm_start->phi_charge_nodes.size() == ns,
+                   strings::format("warm_start->phi_charge_nodes has %zu nodes, the "
+                                   "geometry has %zu charge nodes",
+                                   warm_start->phi_charge_nodes.size(), ns));
+    phi = warm_start->phi_charge_nodes;
   } else {
-    phi = psolver.solve_linear(volts, geo_.impurity_charge());
+    phi = capacitance_.base_potential(volts);
   }
 
-  negf::TransportOptions topt;
-  topt.gamma_contact_eV = geo_.spec().contact_gamma_eV;
-  topt.mu_source_eV = 0.0;
-  topt.mu_drain_eV = -bias.vd;
-  topt.kT_eV = opts_.kT_eV;
-  topt.eta_eV = opts_.eta_eV;
-  topt.energy_step_eV = opts_.energy_step_eV;
-
+  const negf::TransportOptions topt = transport_options(bias);
   DeviceSolution sol;
-  std::vector<std::vector<double>> u(ncol, std::vector<double>(nlines, 0.0));
-  std::vector<double> n_nodes(grid.num_nodes(), 0.0), p_nodes(grid.num_nodes(), 0.0);
+  std::vector<std::vector<double>> u(ncol_, std::vector<double>(nlines_, 0.0));
+  ChargePopulations charge;
   negf::TransportSolution transport;
-
-  // The ribbon sample points are fixed for the whole bias point, so the
-  // trilinear stencils behind every gather (potential), deposit (charge),
-  // and convergence probe below are hoisted out of the Gummel loop.
-  std::vector<poisson::Domain::CicStencil> ribbon(ncol * nlines);
-  for (size_t c = 0; c < ncol; ++c) {
-    for (size_t j = 0; j < nlines; ++j) {
-      ribbon[c * nlines + j] =
-          dom.stencil(geo_.column_x(c), geo_.line_y(static_cast<int>(j)), 0.0);
-    }
-  }
 
   // Adaptive-grid warm start shared by the Gummel iterations of this bias
   // point: each transport solve reuses the previous converged panel edges.
@@ -85,42 +176,20 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
   popt.thermal_voltage_V = opts_.kT_eV;
 
   for (int it = 0; it < opts_.max_gummel_iterations; ++it) {
-    // Gather the electron potential energy on the ribbon: U = -phi [eV].
-    for (size_t c = 0; c < ncol; ++c) {
-      for (size_t j = 0; j < nlines; ++j) {
-        u[c][j] = -dom.gather(phi, ribbon[c * nlines + j]);
-      }
-    }
+    ribbon_energy(phi, volts, u);
     transport = negf::solve_mode_space(geo_.modes(), u, topt, tctx);
+    deposit(transport, charge);
 
-    // Deposit electron/hole populations onto the grid.
-    std::fill(n_nodes.begin(), n_nodes.end(), 0.0);
-    std::fill(p_nodes.begin(), p_nodes.end(), 0.0);
-    for (size_t c = 0; c < ncol; ++c) {
-      for (size_t j = 0; j < nlines; ++j) {
-        const poisson::Domain::CicStencil& st = ribbon[c * nlines + j];
-        if (transport.electrons[c][j] > 0.0) {
-          dom.deposit(st, transport.electrons[c][j], n_nodes);
-        }
-        if (transport.holes[c][j] > 0.0) {
-          dom.deposit(st, transport.holes[c][j], p_nodes);
-        }
-      }
-    }
-
-    const auto pres =
-        psolver.solve_nonlinear(volts, n_nodes, p_nodes, geo_.impurity_charge(), phi, phi, popt);
+    const poisson::ReducedResult pres =
+        capacitance_.solve_nonlinear(volts, charge.electrons, charge.holes, phi, phi, popt);
     // Convergence metric: potential change on the ribbon plane.
     double max_change = 0.0;
-    for (size_t c = 0; c < ncol; ++c) {
-      for (size_t j = 0; j < nlines; ++j) {
-        const poisson::Domain::CicStencil& st = ribbon[c * nlines + j];
-        const double before = dom.gather(phi, st);
-        const double after = dom.gather(pres.phi_full, st);
-        max_change = std::max(max_change, std::abs(after - before));
-      }
+    for (const RibbonStencil& st : ribbon_) {
+      const double before = ribbon_potential(phi, volts, st);
+      const double after = ribbon_potential(pres.phi, volts, st);
+      max_change = std::max(max_change, std::abs(after - before));
     }
-    phi = pres.phi_full;
+    phi = pres.phi;
     sol.iterations = it + 1;
     if (max_change < opts_.gummel_tolerance_V) {
       sol.converged = true;
@@ -133,11 +202,7 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
                    static_cast<double>(sol.iterations));
 
   // Final transport pass on the converged potential.
-  for (size_t c = 0; c < ncol; ++c) {
-    for (size_t j = 0; j < nlines; ++j) {
-      u[c][j] = -dom.gather(phi, ribbon[c * nlines + j]);
-    }
-  }
+  ribbon_energy(phi, volts, u);
   transport = negf::solve_mode_space(geo_.modes(), u, topt, tctx);
 
   // Ballistic source/drain current continuity: the drain-side Landauer
@@ -155,14 +220,14 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
                                 bias.vd));
   sol.current_A = transport.current_A;
   sol.net_electrons = transport.total_net_electrons;
-  sol.phi_full = std::move(phi);
-  sol.midgap_profile_eV.resize(ncol);
-  sol.column_x_nm.resize(ncol);
-  for (size_t c = 0; c < ncol; ++c) {
+  sol.phi_charge_nodes = std::move(phi);
+  sol.midgap_profile_eV.resize(ncol_);
+  sol.column_x_nm.resize(ncol_);
+  for (size_t c = 0; c < ncol_; ++c) {
     double s = 0.0;
-    for (size_t j = 0; j < nlines; ++j) s += u[c][j];
-    sol.midgap_profile_eV[c] = s / static_cast<double>(nlines);
-    sol.column_x_nm[c] = lat.column_x_nm()[c];
+    for (size_t j = 0; j < nlines_; ++j) s += u[c][j];
+    sol.midgap_profile_eV[c] = s / static_cast<double>(nlines_);
+    sol.column_x_nm[c] = geo_.lattice().column_x_nm()[c];
   }
   return sol;
 }

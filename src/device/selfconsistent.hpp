@@ -2,6 +2,7 @@
 
 #include "device/geometry.hpp"
 #include "negf/transport.hpp"
+#include "poisson/capacitance.hpp"
 
 /// Self-consistent NEGF-Poisson solution of one bias point (the Gummel
 /// outer loop of Sec. 2 of the paper).
@@ -27,14 +28,27 @@ struct DeviceSolution {
   /// Total net mobile electrons in the channel; channel charge is
   /// Q = -e * net. |Q| feeds the circuit-level capacitance extraction.
   double net_electrons = 0.0;
-  /// Full-grid electrostatic potential [V].
-  std::vector<double> phi_full;
+  /// Electrostatic potential [V] on the charge nodes S, in
+  /// SelfConsistentSolver::capacitance().nodes() order: all a warm start
+  /// needs (the rest of the grid follows from S and the electrodes).
+  std::vector<double> phi_charge_nodes;
   /// Local mid-gap energy per column, averaged over the ribbon width [eV]
   /// (the conduction band edge is this + Eg/2): the Fig. 5(a) profile.
   std::vector<double> midgap_profile_eV;
   std::vector<double> column_x_nm;
 };
 
+/// NEGF electron and hole populations deposited on the charge nodes S
+/// (units of e, capacitance().nodes() order).
+struct ChargePopulations {
+  std::vector<double> electrons;
+  std::vector<double> holes;
+};
+
+/// The Poisson half of each Gummel iteration runs on the capacitance
+/// matrix of the ribbon's charge nodes (poisson/capacitance.hpp), built
+/// once per solver: the constructor pays one IC(0)-PCG solve per charge
+/// node, electrode and fixed charge (501 for the N = 12 device).
 class SelfConsistentSolver {
  public:
   explicit SelfConsistentSolver(const DeviceGeometry& geometry, const SolveOptions& opts = {});
@@ -58,9 +72,43 @@ class SelfConsistentSolver {
 
   const SolveOptions& options() const { return opts_; }
 
+  /// The reduced Poisson solver of this geometry.
+  const poisson::CapacitanceSolver& capacitance() const { return capacitance_; }
+
+  /// The charge one Gummel iteration hands to Poisson when the potential
+  /// on S is `phi_s`: a transport solve at `bias` on that potential,
+  /// deposited on S. Exposed so tests and benches can pose the real Newton
+  /// systems to both the reduced solver and the full-grid oracle.
+  ChargePopulations charge_populations(const BiasPoint& bias,
+                                       const std::vector<double>& phi_s) const;
+
  private:
+  /// Cloud-in-cell stencil of one ribbon sample point over the local field
+  /// [phi on S (ns entries), electrode voltages]: slot < ns is a charge
+  /// node, slot >= ns electrode slot - ns. Zero-weight free nodes outside
+  /// S point at slot 0 with weight 0.
+  struct RibbonStencil {
+    size_t slot[8];
+    double weight[8];
+  };
+
+  SelfConsistentSolver(const DeviceGeometry& geometry, const SolveOptions& opts,
+                       const std::vector<poisson::Domain::CicStencil>& stencils);
+
+  negf::TransportOptions transport_options(const BiasPoint& bias) const;
+  /// u[c][j] = -phi at ribbon sample (c, j): the electron potential energy [eV].
+  void ribbon_energy(const std::vector<double>& phi_s, const std::vector<double>& volts,
+                     std::vector<std::vector<double>>& u) const;
+  double ribbon_potential(const std::vector<double>& phi_s, const std::vector<double>& volts,
+                          const RibbonStencil& st) const;
+  void deposit(const negf::TransportSolution& transport, ChargePopulations& out) const;
+
   const DeviceGeometry& geo_;
   SolveOptions opts_;
+  size_t ncol_;
+  size_t nlines_;
+  poisson::CapacitanceSolver capacitance_;
+  std::vector<RibbonStencil> ribbon_;  ///< [c * nlines + j]
 };
 
 }  // namespace gnrfet::device

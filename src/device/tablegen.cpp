@@ -38,9 +38,7 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
   // The energy-integration strategy changes table values (within the
   // adaptive tolerance), so tables made under the opt-in
   // GNRFET_NEGF_GRID=adaptive get their own cache entries. The default
-  // uniform grid is bit-identical to the pre-adaptive solver, and its
-  // payload stays byte-identical to the pre-adaptive one: old cached
-  // tables remain valid under the default.
+  // uniform grid carries no grid suffix.
   if (negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive) {
     os << ";grid=adaptive";
     // Cross-bias context chaining reseeds the adaptive panels, which moves
@@ -48,6 +46,11 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
     // payloads never carry the flag: the context is ignored there.
     if (opts.warm_bias_context) os << ";ctx=bias";
   }
+  // Poisson solver version: the capacitance-matrix solve moves table bits
+  // (~1e-10 relative) against the full-grid Newton that wrote the older,
+  // token-less entries, so those are regenerated instead of served, and a
+  // cache hit stays bit-equal to a miss.
+  os << ";poisson=cap";
   return os.str();
 }
 

@@ -36,4 +36,11 @@ void xpby(const std::vector<double>& z, double beta, std::vector<double>& p);
 double gather_dot(const double* values, const size_t* col, size_t begin, size_t end,
                   const double* x);
 
+/// y = A x for a dense row-major n x n matrix A. Each row is one dot
+/// product over four interleaved accumulators (column j feeds accumulator
+/// j % 4; the tail past the last multiple of four is added sequentially),
+/// combined as (a0 + a1) + (a2 + a3) before the tail: a fixed order that
+/// streams A once per call and keeps the row dot off one serial add chain.
+void dense_matvec(const double* a, size_t n, const double* x, double* y);
+
 }  // namespace gnrfet::linalg::kernels

@@ -20,6 +20,8 @@ class Assembly {
   /// SPD system matrix over free nodes (units: e/V).
   const linalg::SparseMatrix& matrix() const { return matrix_; }
   size_t num_free() const { return free_nodes_.size(); }
+  size_t num_nodes() const { return free_index_.size(); }
+  size_t num_electrodes() const { return static_cast<size_t>(domain_.num_electrodes()); }
 
   /// Right-hand side for given electrode voltages [V] and nodal charge
   /// [e]: b = rho_free + (Dirichlet coupling terms).

@@ -79,24 +79,13 @@ Domain::CicStencil Domain::stencil(double x, double y, double z) const {
   return st;
 }
 
-double Domain::gather(const std::vector<double>& field, const CicStencil& st) const {
-  double v = 0.0;
-  // Ascending p matches the (di, dj, dk) loop order of the coordinate
-  // form, so the accumulation is bit-identical to interpolate().
-  for (size_t p = 0; p < 8; ++p) v += st.weight[p] * field[st.node[p]];
-  return v;
-}
-
-void Domain::deposit(const CicStencil& st, double charge_e, std::vector<double>& rho) const {
-  for (size_t p = 0; p < 8; ++p) rho[st.node[p]] += st.weight[p] * charge_e;
-}
-
 void Domain::deposit_charge(double x, double y, double z, double charge_e,
                             std::vector<double>& rho) const {
   if (rho.size() != spec_.num_nodes()) {
     throw std::invalid_argument("deposit_charge: rho size mismatch");
   }
-  deposit(stencil(x, y, z), charge_e, rho);
+  const CicStencil st = stencil(x, y, z);
+  for (size_t p = 0; p < 8; ++p) rho[st.node[p]] += st.weight[p] * charge_e;
 }
 
 double Domain::interpolate(const std::vector<double>& field, double x, double y,
@@ -104,7 +93,10 @@ double Domain::interpolate(const std::vector<double>& field, double x, double y,
   if (field.size() != spec_.num_nodes()) {
     throw std::invalid_argument("interpolate: field size mismatch");
   }
-  return gather(field, stencil(x, y, z));
+  const CicStencil st = stencil(x, y, z);
+  double v = 0.0;
+  for (size_t p = 0; p < 8; ++p) v += st.weight[p] * field[st.node[p]];
+  return v;
 }
 
 }  // namespace gnrfet::poisson

@@ -64,19 +64,17 @@ class Domain {
   /// Trilinear interpolation of a node field at an arbitrary point.
   double interpolate(const std::vector<double>& field, double x, double y, double z) const;
 
-  /// Precomputed trilinear cloud-in-cell stencil: the eight surrounding
-  /// node indices and weights of one sample point. For fixed point sets
-  /// (the ribbon sampling points inside a Gummel loop) build the stencils
-  /// once and gather/deposit through them — same arithmetic as
-  /// interpolate()/deposit_charge(), minus the per-call coordinate math.
+  /// Trilinear cloud-in-cell stencil of one sample point: the eight
+  /// surrounding node indices and weights, in (di, dj, dk) order — the
+  /// arithmetic behind interpolate() and deposit_charge(). Fixed point sets
+  /// (the ribbon samples of the Gummel loop) build theirs once; their nodes
+  /// define the charge nodes of the capacitance-matrix solve.
   struct CicStencil {
     size_t node[8];
     double weight[8];
   };
 
   CicStencil stencil(double x, double y, double z) const;
-  double gather(const std::vector<double>& field, const CicStencil& st) const;
-  void deposit(const CicStencil& st, double charge_e, std::vector<double>& rho) const;
 
  private:
   GridSpec spec_;

@@ -2,7 +2,7 @@
 
 #include "poisson/assembly.hpp"
 
-/// Nonlinear Poisson solve used inside the Gummel loop.
+/// Nonlinear Poisson problem of the Gummel loop, and its full-grid solve.
 ///
 /// The NEGF charge at the reference potential phi_ref is split into
 /// electron (n0 >= 0) and hole (p0 >= 0) node populations. Within one
@@ -10,11 +10,13 @@
 /// standard exponential linearization
 ///   q(phi) = -n0 exp((phi - phi_ref)/Vt) + p0 exp(-(phi - phi_ref)/Vt)
 ///            + rho_fixed,
-/// which regularizes the fixed-point iteration (Trellakis/Gummel). Newton
+/// which regularizes the fixed-point iteration (Trellakis/Gummel). The
+/// device loop solves it on the ribbon's charge nodes
+/// (poisson/capacitance.hpp). The full-grid entry points below, Newton
 /// with an SPD Jacobian (A + diag((n + p)/Vt)) and IC(0)-preconditioned,
 /// warm-started PCG inner solves (GNRFET_POISSON_PC=jacobi swaps in the
 /// Jacobi reference; see poisson/solver.hpp for the reusable-solver entry
-/// point).
+/// point), are its oracle.
 namespace gnrfet::poisson {
 
 struct NonlinearOptions {

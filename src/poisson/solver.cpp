@@ -6,15 +6,12 @@
 
 #include "common/contracts.hpp"
 #include "common/env.hpp"
-#include "common/metrics.hpp"
-#include "common/strings.hpp"
 #include "common/trace.hpp"
+#include "poisson/newton.hpp"
 
 namespace gnrfet::poisson {
 
 namespace {
-
-double clamped_exp(double x) { return std::exp(std::clamp(x, -30.0, 30.0)); }
 
 /// Enforces the solver-single-owner contract for a scope: the persistent
 /// Jacobian/preconditioner/PCG workspaces are thread-compatible, not
@@ -57,7 +54,7 @@ PoissonSolver::PoissonSolver(const Assembly& assembly, linalg::PreconditionerKin
   ax_.resize(nf);
   rhs_.resize(nf);
   q_.resize(nf);
-  dq_dphi_.resize(nf);
+  screening_.resize(nf);
 }
 
 void PoissonSolver::reset_jacobian() {
@@ -133,49 +130,22 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
   pcg_opts.preconditioner = precond_.get();
   pcg_opts.workspace = &pcg_ws_;
 
-  // Trust-region-like damping: the clamp protects the exponential charge
-  // linearization, but grows when Newton keeps pushing monotonically in
-  // the same direction (e.g. unscreened far-field potentials), so large
-  // linear excursions still converge.
-  double clamp = opts.max_step_V;
-  int saturated_steps = 0;
-#if GNRFET_CHECKS_ENABLED
-  double f_min = 0.0;  // smallest residual norm seen so far
-#endif
-
+  newton::StepClamp step_clamp(opts.max_step_V);
+  newton::ResidualGuard guard;
   for (int it = 0; it < opts.max_newton_iterations; ++it) {
     // Residual F = A phi - b(V, q(phi)); b folds Dirichlet links + charge.
-    for (size_t f = 0; f < nf; ++f) {
-      const double en = clamped_exp((phi[f] - phi_ref[f]) / vt);
-      const double ep = clamped_exp(-(phi[f] - phi_ref[f]) / vt);
-      q_[f] = -n0[f] * en + p0[f] * ep;
-      dq_dphi_[f] = -(n0[f] * en + p0[f] * ep) / vt;  // <= 0
-    }
+    newton::linearised_charge(n0, p0, phi, phi_ref, vt, q_, screening_);
     assembly_.matrix().multiply(phi, ax_);
     double f_norm = 0.0;
     for (size_t f = 0; f < nf; ++f) {
       residual_[f] = ax_[f] - b_fixed[f] - q_[f];
       f_norm = std::max(f_norm, std::abs(residual_[f]));
     }
-    // The damped Newton residual must stay finite and must not run away
-    // from the best residual seen so far: growth beyond the slack factor
-    // means the linearization is diverging, and every later Gummel
-    // iteration would silently inherit the junk potential.
-    GNRFET_CHECK_FINITE("poisson", "finite-residual", f_norm);
-#if GNRFET_CHECKS_ENABLED
-    if (it == 0) {
-      f_min = f_norm;
-    } else {
-      GNRFET_REQUIRE("poisson", "residual-bounded", f_norm <= 1e4 * f_min + 1e-12,
-                     strings::format("Newton iteration %d: residual %g vs best %g", it, f_norm,
-                                     f_min));
-      f_min = std::min(f_min, f_norm);
-    }
-#endif
-    // Newton system: (A - diag(dq/dphi)) delta = -F. The persistent
+    guard.check(it, f_norm);
+    // Newton system: (A + diag(-dq/dphi)) delta = -F. The persistent
     // Jacobian copy is retargeted diagonal-only (the off-diagonals never
     // change), and the preconditioner refreshes numerically in place.
-    for (size_t f = 0; f < nf; ++f) jac_.set_diagonal(f, base_diag_[f] - dq_dphi_[f]);
+    for (size_t f = 0; f < nf; ++f) jac_.set_diagonal(f, base_diag_[f] + screening_[f]);
     {
       trace::Span refresh("linalg", "precond_refactor");
       precond_->refactor(jac_);
@@ -184,23 +154,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
     if (!linalg::pcg_solve(jac_, rhs_, delta_, pcg_opts).converged) {
       throw std::runtime_error("solve_nonlinear_poisson: inner linear solve did not converge");
     }
-    double max_update = 0.0;
-    double max_raw = 0.0;
-    for (size_t f = 0; f < nf; ++f) {
-      const double d = std::clamp(delta_[f], -clamp, clamp);
-      phi[f] += d;
-      max_update = std::max(max_update, std::abs(d));
-      max_raw = std::max(max_raw, std::abs(delta_[f]));
-    }
-    if (max_raw > clamp) {
-      if (++saturated_steps >= 2 && clamp < 4.0) {
-        clamp *= 2.0;
-        saturated_steps = 0;
-      }
-    } else {
-      saturated_steps = 0;
-      clamp = opts.max_step_V;
-    }
+    const double max_update = step_clamp.apply(delta_, phi);
     result.iterations = it + 1;
     result.last_update_V = max_update;
     if (max_update < opts.tolerance_V) {
@@ -208,11 +162,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
       break;
     }
   }
-  metrics::add(metrics::Counter::kPoissonNewtonIterations,
-               static_cast<uint64_t>(result.iterations));
-  if (!result.converged) metrics::add(metrics::Counter::kPoissonNewtonUnconverged);
-  metrics::observe(metrics::Histogram::kNewtonIterationsPerSolve,
-                   static_cast<double>(result.iterations));
+  newton::record_solve(result.iterations, result.converged);
   result.phi_full = assembly_.expand(phi, electrode_voltages);
   return result;
 }

@@ -8,11 +8,14 @@
 #include "poisson/assembly.hpp"
 #include "poisson/nonlinear.hpp"
 
-/// Reusable linear/nonlinear Poisson solver around one Assembly.
+/// Reusable full-grid linear/nonlinear Poisson solver around one Assembly.
 ///
-/// The self-consistent loop solves the same sparsity pattern at every
-/// Newton iteration of every Gummel iteration of every bias point; this
-/// object keeps everything that survives between those solves:
+/// The device loop runs its Newton on the capacitance matrix of the
+/// ribbon's charge nodes (poisson/capacitance.hpp); solve_nonlinear() here
+/// is that solve's test and bench oracle on all free nodes, and
+/// solve_linear() the plain full-grid solve. Repeated solves share one
+/// sparsity pattern, so this object keeps everything that survives between
+/// them:
 ///
 ///  - a persistent Jacobian copy of the Laplacian whose diagonal is
 ///    retargeted in place each Newton iteration (diag(A) + charge term) —
@@ -26,8 +29,8 @@
 /// blocked-pairwise dot products inside one damped Newton loop, the
 /// Newton–Raphson Poisson + PCG scheme of ViDES (arXiv:0704.1875).
 /// GNRFET_POISSON_PC (ic0 | jacobi; default ic0) swaps only the
-/// preconditioner object; jacobi is a reference for tests and benches,
-/// run through the same loop. One PoissonSolver is used by one
+/// preconditioner object of this solver; jacobi is a reference for tests
+/// and benches, run through the same loop. Device tables never read it. One PoissonSolver is used by one
 /// thread at a time; create one per concurrent solve (the thread-pool
 /// parallelism is across solves). The persistent workspaces are
 /// deliberately unlocked — the class is thread-compatible, not
@@ -73,7 +76,7 @@ class PoissonSolver {
   std::vector<double> base_diag_;   ///< diag(A) of the pristine operator
   linalg::PcgWorkspace pcg_ws_;
   // Newton-loop scratch, allocated once.
-  std::vector<double> delta_, residual_, ax_, rhs_, q_, dq_dphi_;
+  std::vector<double> delta_, residual_, ax_, rhs_, q_, screening_;
   /// Single-owner probe backing the solver-single-owner contract: set for
   /// the duration of each solve; a second concurrent entrant trips the
   /// contract instead of silently corrupting the shared workspaces.

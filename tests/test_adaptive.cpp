@@ -21,95 +21,18 @@
 #include "negf/scalar_rgf.hpp"
 #include "negf/transport.hpp"
 #include "env_guard.hpp"
+#include "golden.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using tests::EnvGuard;
-
-uint64_t fnv1a(const std::vector<double>& v) {
-  uint64_t h = 1469598103934665603ull;
-  for (const double d : v) {
-    unsigned char b[sizeof(double)];
-    std::memcpy(b, &d, sizeof(double));
-    for (const unsigned char c : b) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-std::vector<double> flatten(const std::vector<std::vector<double>>& m) {
-  std::vector<double> f;
-  for (const auto& row : m) f.insert(f.end(), row.begin(), row.end());
-  return f;
-}
-
-/// The fixed mode-space problem behind the uniform golden pin: a 12-line
-/// ribbon with a source-drain ramp plus a line-direction ripple.
-struct GoldenProblem {
-  gnr::ModeSet modes = gnr::build_mode_set(12, {2.7, 0.12}, 3);
-  std::vector<std::vector<double>> u;
-  negf::TransportOptions opts;
-
-  GoldenProblem() {
-    const size_t ncol = 32;
-    u.assign(ncol, std::vector<double>(12, 0.0));
-    for (size_t c = 0; c < ncol; ++c) {
-      const double x = static_cast<double>(c) / static_cast<double>(ncol - 1);
-      for (size_t j = 0; j < 12; ++j) {
-        u[c][j] = -0.3 - 0.4 * x + 0.02 * std::cos(0.7 * static_cast<double>(j));
-      }
-    }
-    opts.mu_drain_eV = -0.4;
-    opts.energy_step_eV = 2e-3;
-  }
-};
+using tests::flatten;
+using tests::fnv1a;
+using tests::GoldenProblem;
 
 uint64_t rgf_solves() {
   return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kRgfSolves)];
-}
-
-TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
-  // Regression pin: with GNRFET_NEGF_GRID=uniform the refactored solver
-  // (hoisted skip window, workspace RGF kernels) must reproduce the
-  // pre-adaptive transport output bit-for-bit. Hashes and hexfloats below
-  // were captured from the pre-PR solver.
-  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
-  GoldenProblem p;
-  const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
-  EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
-  EXPECT_EQ(sol.current_drain_A, 0x1.12e6388bc3c3bp-17);
-  EXPECT_EQ(sol.total_net_electrons, 0x1.44d1522dd0c06p+1);
-  EXPECT_EQ(sol.energies_eV.size(), 613u);
-  EXPECT_EQ(fnv1a(sol.energies_eV), 0x6b11046d548574f5ull);
-  EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull);
-  EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull);
-  EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
-}
-
-TEST(AdaptiveGolden, UniformDeviceTableBitIdenticalToPreAdaptiveSolver) {
-  // End-to-end pin through the self-consistent device stack (Gummel loop,
-  // stencil-hoisted gather/deposit, tablegen): uniform-grid tables must
-  // match the pre-PR solver bit-for-bit.
-  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
-  device::DeviceSpec spec;
-  spec.channel_length_nm = 8.0;
-  device::TableGenOptions opts;
-  opts.vg_min = 0.0;
-  opts.vg_max = 0.4;
-  opts.vg_points = 3;
-  opts.vd_min = 0.05;
-  opts.vd_max = 0.35;
-  opts.vd_points = 2;
-  opts.use_cache = false;
-  const auto t = device::generate_device_table(spec, opts);
-  EXPECT_EQ(fnv1a(t.current_A), 0x5e466317ca8aae43ull);
-  EXPECT_EQ(fnv1a(t.charge_C), 0xadcc7b5ce2e3c7bbull);
-  ASSERT_EQ(t.current_A.size(), 6u);
-  EXPECT_EQ(t.current_A[0], 0x1.596231e6a8431p-23);
-  EXPECT_EQ(t.current_A[5], 0x1.25844c0ef1327p-21);
 }
 
 TEST(AdaptiveAccuracy, MatchesFineUniformReferenceWithFewerSolves) {

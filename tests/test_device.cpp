@@ -19,6 +19,7 @@
 #include "device/sweeps.hpp"
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
+#include "golden.hpp"
 #include "poisson/nonlinear.hpp"
 
 namespace {
@@ -26,6 +27,7 @@ namespace {
 using namespace gnrfet;
 using namespace gnrfet::device;
 using tests::EnvGuard;
+using tests::fnv1a;
 
 /// Small, coarse device for fast tests (short channel, coarse mesh and
 /// energy grid) — still a real self-consistent NEGF-Poisson solve.
@@ -143,6 +145,26 @@ TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
   EXPECT_FALSE(pres.converged);
   EXPECT_EQ(pres.iterations, 1);
   EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), newton_before + 1);
+  // The capacitance-matrix solve the Gummel loop runs counts the same way:
+  // its Newton iteration, the unconverged solve, one histogram sample.
+  const SelfConsistentSolver solver(geo, fast_opts());
+  const std::vector<double> zeros_s(solver.capacitance().size(), 0.0);
+  const uint64_t reduced_before = counter(metrics::Counter::kPoissonNewtonUnconverged);
+  const uint64_t iterations_before = counter(metrics::Counter::kPoissonNewtonIterations);
+  const auto histogram_count = [] {
+    return metrics::snapshot()
+        .histograms[static_cast<size_t>(metrics::Histogram::kNewtonIterationsPerSolve)]
+        .count;
+  };
+  const uint64_t samples_before = histogram_count();
+  const poisson::ReducedResult rres = solver.capacitance().solve_nonlinear(
+      geo.electrode_voltages(0.0, 0.5, 0.5), zeros_s, zeros_s, zeros_s, zeros_s, popt);
+  EXPECT_FALSE(rres.converged);
+  EXPECT_EQ(rres.iterations, 1);
+  EXPECT_EQ(rres.last_update_V, popt.max_step_V);
+  EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), reduced_before + 1);
+  EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonIterations), iterations_before + 1);
+  EXPECT_EQ(histogram_count(), samples_before + 1);
   // A converged solve leaves both counters alone.
   const uint64_t gummel_mid = counter(metrics::Counter::kGummelUnconverged);
   const uint64_t newton_mid = counter(metrics::Counter::kPoissonNewtonUnconverged);
@@ -160,7 +182,7 @@ TEST(SelfConsistent, WarmStartGridMismatchIsContractViolation) {
   const SelfConsistentSolver solver(geo, fast_opts());
   DeviceSolution wrong;
   wrong.converged = true;
-  wrong.phi_full.assign(17, 0.0);  // not this geometry's node count
+  wrong.phi_charge_nodes.assign(17, 0.0);  // not this geometry's charge-node count
   try {
     solver.solve({0.4, 0.4}, &wrong);
     FAIL() << "expected a ContractViolation for mismatched warm-start grid";
@@ -498,6 +520,20 @@ TEST(TableGen, PayloadDistinguishesNearbyBiasValues) {
   EXPECT_EQ(table_cache_payload(spec, a), table_cache_payload(spec, TableGenOptions{}));
 }
 
+TEST(TableGen, PayloadCarriesPoissonSolverToken) {
+  // Tables cached by the full-grid Newton Poisson path keyed without the
+  // token; the capacitance-matrix path moves their bits, so its keys must
+  // differ and those entries regenerate instead of being served.
+  const DeviceSpec spec = tiny_spec();
+  for (const char* grid : {"uniform", "adaptive"}) {
+    EnvGuard guard("GNRFET_NEGF_GRID", grid);
+    const std::string payload = table_cache_payload(spec, TableGenOptions{});
+    const std::string token = ";poisson=cap";
+    ASSERT_GE(payload.size(), token.size()) << payload;
+    EXPECT_EQ(payload.substr(payload.size() - token.size()), token) << grid << ": " << payload;
+  }
+}
+
 TEST(TableGen, SaveFailureLeavesNoTempLitter) {
   // Inject a mid-stream write failure with a file-size rlimit (running as
   // root, permission tricks do not fail writes): the save must remove its
@@ -555,6 +591,59 @@ TEST(TableGen, TinyEndToEndGeneration) {
   EXPECT_GT(t.at_current(1, 1), 0.0);
   // On state holds electrons: negative channel charge at high VG.
   EXPECT_LT(t.at_charge(1, 1), 0.0);
+}
+
+/// The pinned end-to-end table through the self-consistent device stack
+/// (Gummel loop, capacitance-matrix Poisson, tablegen): the N = 12 device
+/// on an 8 nm channel, VG {0, 0.2, 0.4} x VD {0.05, 0.35} V, uniform
+/// energy grid, no cache.
+DeviceTable golden_device_table() {
+  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
+  DeviceSpec spec;
+  spec.channel_length_nm = 8.0;
+  TableGenOptions opts;
+  opts.vg_min = 0.0;
+  opts.vg_max = 0.4;
+  opts.vg_points = 3;
+  opts.vd_min = 0.05;
+  opts.vd_max = 0.35;
+  opts.vd_points = 2;
+  opts.use_cache = false;
+  return generate_device_table(spec, opts);
+}
+
+TEST(DeviceGolden, TableWithin1e8OfFullGridPoissonPins) {
+  // The same table as solved by the full-grid Newton Poisson path, which
+  // was bit-identical to the pre-adaptive solver: these constants are its
+  // hexfloats, and their FNV hashes are that path's old bit pins. The
+  // capacitance-matrix solve is exact up to the 1e-10 PCG tolerance G is
+  // built with, so every entry must agree to 1e-8 relative.
+  const std::vector<double> full_grid_current = {
+      0x1.596231e6a8431p-23, 0x1.da8255360c9c1p-22, 0x1.783f355e9c6d4p-23,
+      0x1.400a1da03ac3p-22,  0x1.11f0ef24187c8p-22, 0x1.25844c0ef1327p-21};
+  const std::vector<double> full_grid_charge = {
+      0x1.fa643b346dab6p-67,  0x1.5ea08e3d07993p-64,  -0x1.601d6f58b2a6cp-64,
+      -0x1.9ebc8e01a596fp-67, -0x1.70924171f6ccap-63, -0x1.d11b9a0505d01p-64};
+  ASSERT_EQ(fnv1a(full_grid_current), 0x5e466317ca8aae43ull);
+  ASSERT_EQ(fnv1a(full_grid_charge), 0xadcc7b5ce2e3c7bbull);
+  const DeviceTable t = golden_device_table();
+  ASSERT_EQ(t.current_A.size(), full_grid_current.size());
+  for (size_t i = 0; i < t.current_A.size(); ++i) {
+    EXPECT_NEAR(t.current_A[i], full_grid_current[i], 1e-8 * std::abs(full_grid_current[i]))
+        << "entry " << i;
+    EXPECT_NEAR(t.charge_C[i], full_grid_charge[i], 1e-8 * std::abs(full_grid_charge[i]))
+        << "entry " << i;
+  }
+}
+
+TEST(DeviceGolden, TableBitPinned) {
+  // Bit-exact pin of the capacitance-matrix path.
+  const DeviceTable t = golden_device_table();
+  EXPECT_EQ(fnv1a(t.current_A), 0x0d269d6939ea5b85ull);
+  EXPECT_EQ(fnv1a(t.charge_C), 0x177b3e0b2b80131full);
+  ASSERT_EQ(t.current_A.size(), 6u);
+  EXPECT_EQ(t.current_A[0], 0x1.596231e6aabc5p-23);
+  EXPECT_EQ(t.current_A[5], 0x1.25844c102f333p-21);
 }
 
 }  // namespace

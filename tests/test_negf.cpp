@@ -12,10 +12,15 @@
 #include "negf/scalar_rgf.hpp"
 #include "negf/selfenergy.hpp"
 #include "negf/transport.hpp"
+#include "env_guard.hpp"
+#include "golden.hpp"
 
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
+using tests::flatten;
+using tests::fnv1a;
 using gnr::Lattice;
 using gnr::TightBindingParams;
 
@@ -262,6 +267,24 @@ TEST(Transport, IdealRibbonTransmissionStaircase) {
     const auto r = negf::rgf_solve(hsup, e, 1e-7, sig_l, sig_r);
     EXPECT_NEAR(r.transmission, expected, 0.02) << "E=" << e;
   }
+}
+
+TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
+  // Regression pin: with GNRFET_NEGF_GRID=uniform the refactored solver
+  // (hoisted skip window, workspace RGF kernels) must reproduce the
+  // pre-adaptive transport output bit-for-bit. Hashes and hexfloats below
+  // were captured from the pre-adaptive solver.
+  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
+  tests::GoldenProblem p;
+  const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
+  EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
+  EXPECT_EQ(sol.current_drain_A, 0x1.12e6388bc3c3bp-17);
+  EXPECT_EQ(sol.total_net_electrons, 0x1.44d1522dd0c06p+1);
+  EXPECT_EQ(sol.energies_eV.size(), 613u);
+  EXPECT_EQ(fnv1a(sol.energies_eV), 0x6b11046d548574f5ull);
+  EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull);
+  EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull);
+  EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
 #include "poisson/assembly.hpp"
+#include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
 #include "poisson/nonlinear.hpp"
 
@@ -156,6 +157,43 @@ TEST(Trace, SpansNestOnOneThread) {
     for (const auto& p : pcgs) {
       EXPECT_TRUE(r.ts_us + r.dur_us <= p.ts_us + 1e-6 || p.ts_us + p.dur_us <= r.ts_us + 1e-6);
     }
+  }
+
+  // The capacitance-matrix path: one poisson/build_capacitance span holding
+  // one pcg_solve per column (charge node, electrode, fixed charge), then a
+  // nonlinear solve holding one linalg/reduced_cg span per Newton step and
+  // no full-grid PCG at all.
+  trace::clear();
+  ThreadCountGuard one_thread(1);
+  const poisson::CapacitanceSolver cap(assembly, {domain.stencil(0.6, 0.6, 0.6)}, zero);
+  const size_t columns = cap.size() + 1 + 1;  // one electrode, the fixed charge
+  const std::vector<double> n0_s(cap.size(), 0.25);
+  const std::vector<double> zero_s(cap.size(), 0.0);
+  const auto reduced = cap.solve_nonlinear({0.2}, n0_s, zero_s, zero_s, zero_s);
+  ASSERT_TRUE(reduced.converged);
+  const auto cap_events = trace::snapshot_events();
+  std::vector<trace::EventRecord> builds, build_pcgs, reduced_cgs, reduced_solves;
+  for (const auto& e : cap_events) {
+    if (e.name == "build_capacitance") builds.push_back(e);
+    if (e.name == "pcg_solve") build_pcgs.push_back(e);
+    if (e.name == "reduced_cg") reduced_cgs.push_back(e);
+    if (e.name == "solve_nonlinear_poisson") reduced_solves.push_back(e);
+  }
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(builds[0].category, "poisson");
+  ASSERT_EQ(build_pcgs.size(), columns);
+  for (const auto& p : build_pcgs) {
+    EXPECT_EQ(p.tid, builds[0].tid);
+    EXPECT_GE(p.ts_us, builds[0].ts_us);
+    EXPECT_LE(p.ts_us + p.dur_us, builds[0].ts_us + builds[0].dur_us + 1e-6);
+  }
+  ASSERT_EQ(reduced_solves.size(), 1u);
+  ASSERT_EQ(reduced_cgs.size(), static_cast<size_t>(reduced.iterations));
+  for (const auto& r : reduced_cgs) {
+    EXPECT_EQ(r.category, "linalg");
+    EXPECT_EQ(r.tid, reduced_solves[0].tid);
+    EXPECT_GE(r.ts_us, reduced_solves[0].ts_us);
+    EXPECT_LE(r.ts_us + r.dur_us, reduced_solves[0].ts_us + reduced_solves[0].dur_us + 1e-6);
   }
 }
 

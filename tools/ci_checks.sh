@@ -12,9 +12,10 @@
 #   perf-smoke  Poisson PCG microbench on a reduced grid (and its 2x
 #               refinement) with the production IC(0) preconditioner and
 #               the Jacobi reference; asserts IC(0) needs fewer total
-#               iterations than Jacobi at both scales, and that the jacobi
-#               device stack reproduces the ic0 terminal current to 1e-10
-#               with the same Gummel count. Then the
+#               iterations than Jacobi at both scales, and that on four
+#               real N = 12 Newton systems the capacitance-matrix solve
+#               matches the full-grid oracle on its charge nodes to 1e-8 V
+#               with the same Newton count. Then the
 #               NEGF grid bench: on the synthetic ramp family the opt-in
 #               adaptive energy grid must do at most half the uniform RGF
 #               solves at <= 1e-4 relative current error; on a cold
@@ -111,11 +112,12 @@ for stage in "${STAGES[@]}"; do
       "$ROOT/build-ci-trace/tools/gnrfet_trace_report" "$TRACE_JSON"
       ;;
     perf-smoke)
-      banner "Poisson preconditioner perf smoke (ic0 beats jacobi)"
+      banner "Poisson perf smoke (ic0 beats jacobi; reduced Newton matches the full-grid oracle)"
       # Reduced grid so the preconditioner sweeps stay in CI budget; the
       # full-scale numbers live in EXPERIMENTS.md. The TSan coverage of
-      # the concurrent PoissonSolver path rides in the tsan stage above
-      # (its -R 'Parallel' filter picks up PoissonSolverParallel.*,
+      # the concurrent PoissonSolver path and the parallel capacitance
+      # build rides in the tsan stage above (its -R 'Parallel' filter picks
+      # up PoissonSolverParallel.*, CapacitanceParallel.*,
       # TablegenWarmBiasParallel.*, and TableServiceParallel.*).
       DIR="$ROOT/build-ci-perf"
       mkdir -p "$DIR"
@@ -128,7 +130,8 @@ for stage in "${STAGES[@]}"; do
       PERF_JSON="$DIR/bench_out/BENCH_poisson.json"
       test -s "$PERF_JSON" || { echo "perf-smoke: no BENCH_poisson.json written" >&2; exit 1; }
       # One {"preconditioner":...,"grid_scale":...,"iterations":...} per
-      # line, plus two {"device_pc":...} rows.
+      # line, then the real-device {"capacitance_build_s":...} and
+      # {"device_system":...} rows.
       iters() {
         sed -n "s/.*\"preconditioner\":\"$1\",\"grid_scale\":$2,\"iterations\":\([0-9]*\).*/\1/p" \
           "$PERF_JSON"
@@ -142,27 +145,26 @@ for stage in "${STAGES[@]}"; do
           { echo "perf-smoke: ic0 ($IC0) not below jacobi ($JAC) at scale $scale" >&2; exit 1; }
       done
 
-      # fig2 proxy: switching the self-consistent device stack from ic0 to
-      # the jacobi reference must not move the physics — same Gummel count,
-      # terminal current equal to 1e-10 relative.
-      dev_current() {
-        sed -n "s/.*\"device_pc\":\"$1\",\"current_A\":\([0-9.e+-]*\),.*/\1/p" "$PERF_JSON"
-      }
-      dev_gummel() {
-        sed -n "s/.*\"device_pc\":\"$1\".*\"gummel_iterations\":\([0-9]*\).*/\1/p" "$PERF_JSON"
-      }
-      I_IC0="$(dev_current ic0)"; I_JAC="$(dev_current jacobi)"
-      G_IC0="$(dev_gummel ic0)"; G_JAC="$(dev_gummel jacobi)"
-      [ -n "$I_IC0" ] && [ -n "$I_JAC" ] && [ -n "$G_IC0" ] && [ -n "$G_JAC" ] ||
-        { echo "perf-smoke: missing device_pc records in $PERF_JSON" >&2; exit 1; }
-      echo "perf-smoke: device current ic0=$I_IC0 A ($G_IC0 Gummel)," \
-           "jacobi=$I_JAC A ($G_JAC Gummel)"
-      [ "$G_IC0" = "$G_JAC" ] ||
-        { echo "perf-smoke: Gummel count changed under jacobi ($G_IC0 vs $G_JAC)" >&2; exit 1; }
-      awk -v a="$I_IC0" -v b="$I_JAC" 'BEGIN {
-        d = a - b; if (d < 0) d = -d; m = a; if (m < 0) m = -m;
-        exit (d <= 1e-10 * m) ? 0 : 1 }' ||
-        { echo "perf-smoke: device current moved under jacobi ($I_IC0 vs $I_JAC)" >&2; exit 1; }
+      # Real device: the capacitance-matrix Newton (the only device Poisson
+      # path) against the full-grid oracle on four real N = 12 Newton
+      # systems — max |dphi_S| <= 1e-8 V and the same Newton count on each.
+      # One {"device_system":...} record per system.
+      SYSTEMS="$(grep -c '"device_system"' "$PERF_JSON" || true)"
+      [ "$SYSTEMS" -ge 4 ] ||
+        { echo "perf-smoke: expected 4 device_system records in $PERF_JSON, got $SYSTEMS" >&2; exit 1; }
+      while IFS= read -r rec; do
+        NAME="$(sed -n 's/.*"device_system":"\([^"]*\)".*/\1/p' <<<"$rec")"
+        DPHI="$(sed -n 's/.*"max_dphi_V":\([0-9.e+-]*\),.*/\1/p' <<<"$rec")"
+        N_RED="$(sed -n 's/.*"reduced_newton":\([0-9]*\),.*/\1/p' <<<"$rec")"
+        N_ORA="$(sed -n 's/.*"oracle_newton":\([0-9]*\),.*/\1/p' <<<"$rec")"
+        [ -n "$DPHI" ] && [ -n "$N_RED" ] && [ -n "$N_ORA" ] ||
+          { echo "perf-smoke: malformed device_system record: $rec" >&2; exit 1; }
+        echo "perf-smoke: $NAME max |dphi_S| = $DPHI V, Newton $N_RED (reduced) vs $N_ORA (oracle)"
+        [ "$N_RED" = "$N_ORA" ] ||
+          { echo "perf-smoke: $NAME Newton count $N_RED differs from the oracle's $N_ORA" >&2; exit 1; }
+        awk -v d="$DPHI" 'BEGIN { exit (d <= 1e-8) ? 0 : 1 }' ||
+          { echo "perf-smoke: $NAME reduced solve off the oracle by $DPHI V (> 1e-8)" >&2; exit 1; }
+      done < <(grep '"device_system"' "$PERF_JSON")
 
       # NEGF energy-grid smoke. Synthetic ramp family: the opt-in adaptive
       # grid must halve the uniform RGF solve count while holding <= 1e-4
