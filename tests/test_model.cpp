@@ -57,6 +57,34 @@ TEST(Table2D, LinearExtrapolationOutsideDomain) {
   EXPECT_NEAR(t.value(-0.5, 0.5), -1.0, 1e-9);
 }
 
+TEST(Table2D, GhostPointSamplesAreBitPinned) {
+  // Bit pin of the linearly extended ghost rows: every sample below needs
+  // ghost points on both axes, the corner ones a ghost of a ghost.
+  std::vector<double> xs, ys, v;
+  for (int i = 0; i < 6; ++i) xs.push_back(-0.2 + 0.15 * i);
+  for (int j = 0; j < 5; ++j) ys.push_back(0.1 * j);
+  for (double x : xs) {
+    for (double y : ys) v.push_back(std::exp(1.3 * x) * std::cos(2.1 * y) + 0.4 * x * y * y);
+  }
+  const Table2D t(xs, ys, v);
+  struct Pin {
+    double x, y, value, d_dx, d_dy;
+  };
+  const Pin pins[] = {
+      {-0.31, -0.07, 0x1.52cd80e7a7fep-1, 0x1.1b5571954f23ap+0, -0x1.6b4d02cb11d5p-3},
+      {0.73, 0.52, 0x1.5ff85a363ee31p+0, 0x1.aceebe6c12165p+0, -0x1.5c157280e8f3ep+1},
+      {0.73, -0.07, 0x1.411c38c47fc99p+1, 0x1.350ad90d50e22p+1, -0x1.b556d95ce09p-2},
+      {-0.31, 0.52, 0x1.1b694d05aa22p-2, 0x1.9aff5cd20017p-1, -0x1.23cba6951f8f9p+0},
+      {-0.17, 0.38, 0x1.1961946023d15p-1, 0x1.9c6d20385c567p-1, -0x1.3819e1c8a206ap+0},
+  };
+  for (const Pin& p : pins) {
+    const auto s = t.sample(p.x, p.y);
+    EXPECT_EQ(s.value, p.value) << p.x << ", " << p.y;
+    EXPECT_EQ(s.d_dx, p.d_dx) << p.x << ", " << p.y;
+    EXPECT_EQ(s.d_dy, p.d_dy) << p.x << ", " << p.y;
+  }
+}
+
 TEST(Table2D, RejectsNonUniformAxis) {
   EXPECT_THROW(Table2D({0.0, 0.1, 0.5}, {0.0, 1.0}, std::vector<double>(6, 0.0)),
                std::invalid_argument);
