@@ -1,85 +1,35 @@
 #include "circuit/dc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "linalg/lu.hpp"
 
 namespace gnrfet::circuit {
 
-namespace {
-
-/// One Newton solve at fixed source scale. Returns converged flag; x is
-/// updated in place.
-bool newton(const Circuit& ckt, std::vector<double>& x, double source_scale,
-            const DcOptions& opts, int* iterations) {
-  const size_t n = ckt.num_unknowns();
-  TransientContext ctx;
-  ctx.dt = 0.0;
-  ctx.source_scale = source_scale;
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    linalg::DMatrix jac(n, n);
-    std::vector<double> res(n, 0.0);
-    Stamper st(ckt, x, jac, res);
-    for (const auto& e : ckt.elements()) e->stamp(st, ctx);
-    check_mna_stamp(ckt, jac, res);
-    double res_norm = 0.0;
-    for (const double r : res) res_norm = std::max(res_norm, std::abs(r));
-    if (iterations) *iterations = it;
-    // Tiny diagonal regularization (gmin) keeps floating internal nodes
-    // solvable without visibly perturbing operating points.
-    for (size_t i = 0; i + ckt.num_branches() < n; ++i) jac(i, i) += 1e-12;
-    std::vector<double> rhs(n);
-    for (size_t i = 0; i < n; ++i) rhs[i] = -res[i];
-    std::vector<double> dx;
-    try {
-      metrics::add(metrics::Counter::kMnaFactorizations);
-      dx = linalg::LUReal(jac).solve(rhs);
-    } catch (const std::exception&) {
-      return false;
-    }
-    double max_dx = 0.0;
-    for (size_t i = 0; i + ckt.num_branches() < n; ++i) {
-      dx[i] = std::clamp(dx[i], -opts.max_step_V, opts.max_step_V);
-      max_dx = std::max(max_dx, std::abs(dx[i]));
-    }
-    for (size_t i = 0; i < n; ++i) x[i] += dx[i];
-    if (res_norm < opts.residual_tolerance_A && max_dx < opts.update_tolerance_V) return true;
-    if (max_dx < opts.update_tolerance_V && res_norm < 1e-9) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial,
-                  const DcOptions& opts) {
+DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial) {
   trace::Span span("circuit", "solve_dc");
+  const size_t n = ckt.num_unknowns();
   DcResult result;
-  result.x.assign(ckt.num_unknowns(), 0.0);
-  if (initial.size() == result.x.size()) result.x = initial;
+  result.x.assign(n, 0.0);
+  if (initial.size() == n) result.x = initial;
 
-  int iters = 0;
-  if (newton(ckt, result.x, 1.0, opts, &iters)) {
+  MnaWorkspace ws(n);
+  TransientContext ctx;  // dt = 0: charge branches are open
+  if (newton_solve(ckt, ctx, kDcNewton, result.x, ws)) {
     result.converged = true;
-    result.iterations = iters;
     return result;
   }
   // Source stepping from zero.
-  std::vector<double> x(ckt.num_unknowns(), 0.0);
+  std::vector<double> x(n, 0.0);
   const int steps = 20;
   for (int s = 1; s <= steps; ++s) {
-    const double scale = static_cast<double>(s) / steps;
-    if (!newton(ckt, x, scale, opts, &iters)) {
-      result.converged = false;
+    ctx.source_scale = static_cast<double>(s) / steps;
+    if (!newton_solve(ckt, ctx, kDcNewton, x, ws)) {
+      metrics::add(metrics::Counter::kDcUnconverged);
       return result;
     }
   }
-  result.x = x;
+  result.x = std::move(x);
   result.converged = true;
-  result.iterations = iters;
   return result;
 }
 

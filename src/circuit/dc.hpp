@@ -5,23 +5,15 @@
 /// Newton DC operating-point solver with source-stepping homotopy.
 namespace gnrfet::circuit {
 
-struct DcOptions {
-  int max_iterations = 200;
-  double residual_tolerance_A = 1e-12;
-  double update_tolerance_V = 1e-10;
-  double max_step_V = 0.3;  ///< Newton damping clamp
-};
-
 struct DcResult {
   bool converged = false;
-  int iterations = 0;
   std::vector<double> x;  ///< node voltages + branch currents
 };
 
-/// Solve at full sources. `initial` (may be empty) seeds Newton; if direct
-/// Newton fails, sources are ramped from 0 in steps (each step warm-started
-/// from the last).
-DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial = {},
-                  const DcOptions& opts = {});
+/// Solve at full sources under kDcNewton. `initial` (may be empty) seeds
+/// Newton; if direct Newton fails, sources are ramped from 0 in 20 steps
+/// (each step warm-started from the last). A result with
+/// `converged == false` is counted as `dc_unconverged` in metrics.
+DcResult solve_dc(const Circuit& ckt, const std::vector<double>& initial = {});
 
 }  // namespace gnrfet::circuit

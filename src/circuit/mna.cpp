@@ -1,8 +1,11 @@
 #include "circuit/mna.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/contracts.hpp"
+#include "common/metrics.hpp"
 #include "common/strings.hpp"
 
 namespace gnrfet::circuit {
@@ -52,5 +55,50 @@ size_t Circuit::add(std::unique_ptr<Element> element) {
 }
 
 size_t Circuit::num_unknowns() const { return num_nodes() - 1 + num_branches_; }
+
+void MnaWorkspace::stamp(const Circuit& ckt, const std::vector<double>& x,
+                         const TransientContext& ctx) {
+  const size_t n = ckt.num_unknowns();
+  jac.resize_zero(n, n);
+  res.assign(n, 0.0);
+  if (ctx.state_next) std::fill(ctx.state_next->begin(), ctx.state_next->end(), 0.0);
+  Stamper st(ckt, x, jac, res);
+  for (const auto& e : ckt.elements()) e->stamp(st, ctx);
+}
+
+bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,
+                  std::vector<double>& x, MnaWorkspace& ws) {
+  const size_t n = ckt.num_unknowns();
+  const size_t nodes = n - ckt.num_branches();
+  double clamp_V = policy.clamp_V;
+  for (int it = 0; it < policy.max_iterations; ++it) {
+    if (policy.clamp_halving_period > 0 && it > 0 && it % policy.clamp_halving_period == 0) {
+      clamp_V *= 0.5;
+    }
+    ws.stamp(ckt, x, ctx);
+    check_mna_stamp(ckt, ws.jac, ws.res);
+    double res_norm = 0.0;
+    for (const double r : ws.res) res_norm = std::max(res_norm, std::abs(r));
+    // Tiny diagonal regularization (gmin) keeps floating internal nodes
+    // solvable without visibly perturbing operating points.
+    for (size_t i = 0; i < nodes; ++i) ws.jac(i, i) += 1e-12;
+    for (size_t i = 0; i < n; ++i) ws.rhs[i] = -ws.res[i];
+    metrics::add(metrics::Counter::kMnaFactorizations);
+    try {
+      ws.lu.factor(ws.jac);
+    } catch (const std::runtime_error&) {
+      return false;  // singular Jacobian
+    }
+    ws.lu.solve_into(ws.rhs, ws.dx);
+    double max_dx = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = i < nodes ? std::clamp(ws.dx[i], -clamp_V, clamp_V) : ws.dx[i];
+      x[i] += d;
+      if (i < nodes) max_dx = std::max(max_dx, std::abs(d));
+    }
+    if (max_dx < policy.update_tol_V && res_norm < policy.residual_tol_A) return true;
+  }
+  return false;
+}
 
 }  // namespace gnrfet::circuit

@@ -5,11 +5,13 @@
 #include <vector>
 
 #include "linalg/dense.hpp"
+#include "linalg/lu.hpp"
 
 /// Modified nodal analysis core for the lookup-table circuit simulator of
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
-/// (tens of nodes), so the Jacobian is dense.
+/// (tens of nodes), so the Jacobian is dense. Both analyses (dc.hpp,
+/// transient.hpp) drive the one damped Newton loop declared at the end.
 namespace gnrfet::circuit {
 
 /// Node handle; 0 is ground.
@@ -148,5 +150,51 @@ class Element {
   size_t branch_offset_ = 0;
   size_t state_offset_ = 0;
 };
+
+/// Dense MNA system of one circuit: Jacobian, residual, right-hand side,
+/// update and LU factors. Allocated once per solve_dc / run_transient call
+/// and reused by every Newton iteration.
+struct MnaWorkspace {
+  explicit MnaWorkspace(size_t n) : jac(n, n), res(n), rhs(n), dx(n) {}
+
+  /// Zero the system and, in a transient, `ctx.state_next`; then stamp
+  /// every element of `ckt` at iterate `x`.
+  void stamp(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx);
+
+  linalg::DMatrix jac;
+  std::vector<double> res, rhs, dx;
+  linalg::LU<double> lu;
+};
+
+/// Iteration budget, node-update clamp and acceptance test of one Newton
+/// solve. The two policies below are the only ones.
+struct NewtonPolicy {
+  int max_iterations;
+  double clamp_V;            ///< largest node-voltage update per iteration
+  int clamp_halving_period;  ///< halve the clamp every this many iterations (0: never)
+  double update_tol_V;       ///< accept when max node |dx| is below this
+  double residual_tol_A;     ///< ... and max |residual| (before the update) too
+};
+
+/// DC operating point: the direct solve and each source-stepping rung.
+inline constexpr NewtonPolicy kDcNewton{.max_iterations = 200,
+                                        .clamp_V = 0.3,
+                                        .clamp_halving_period = 0,
+                                        .update_tol_V = 1e-10,
+                                        .residual_tol_A = 1e-9};
+/// One transient time step; the clamp anneals in case Newton cycles.
+inline constexpr NewtonPolicy kTransientNewton{.max_iterations = 60,
+                                               .clamp_V = 0.3,
+                                               .clamp_halving_period = 12,
+                                               .update_tol_V = 1e-7,
+                                               .residual_tol_A = 1e-10};
+
+/// Damped Newton on the MNA system of `ckt` under `ctx`, updating `x` in
+/// place. Each iteration stamps, runs check_mna_stamp, adds a 1e-12 S gmin
+/// on the node rows, LU-solves and applies the node-clamped update. Returns
+/// true when `policy` accepts an update; false when its iterations run out
+/// or the Jacobian is singular. A ContractViolation propagates.
+bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,
+                  std::vector<double>& x, MnaWorkspace& ws);
 
 }  // namespace gnrfet::circuit

@@ -1,6 +1,5 @@
 #include "circuit/transient.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,7 +7,6 @@
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
-#include "linalg/lu.hpp"
 
 namespace gnrfet::circuit {
 
@@ -58,6 +56,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) 
   result.waves.time.push_back(0.0);
   result.waves.samples.push_back(x);
 
+  MnaWorkspace ws(n);
   std::vector<double> state_next(state.size(), 0.0);
   for (size_t step = 1; step <= steps; ++step) {
     const double t = static_cast<double>(step) * opts.dt;
@@ -66,45 +65,12 @@ TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) 
     ctx.dt = opts.dt;
     ctx.state_prev = &state;
     ctx.state_next = &state_next;
-
-    bool converged = false;
-    double clamp_v = 0.3;  // annealed if Newton cycles
-    for (int it = 0; it < opts.max_newton_iterations; ++it) {
-      if (it > 0 && it % 12 == 0) clamp_v *= 0.5;
-      linalg::DMatrix jac(n, n);
-      std::vector<double> res(n, 0.0);
-      std::fill(state_next.begin(), state_next.end(), 0.0);
-      Stamper st(ckt, x, jac, res);
-      for (const auto& e : ckt.elements()) e->stamp(st, ctx);
-      check_mna_stamp(ckt, jac, res);
-      double res_norm = 0.0;
-      for (const double r : res) res_norm = std::max(res_norm, std::abs(r));
-      for (size_t i = 0; i + ckt.num_branches() < n; ++i) jac(i, i) += 1e-12;
-      std::vector<double> rhs(n);
-      for (size_t i = 0; i < n; ++i) rhs[i] = -res[i];
-      metrics::add(metrics::Counter::kMnaFactorizations);
-      const std::vector<double> dx = linalg::LUReal(jac).solve(rhs);
-      double max_dx = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        const double d =
-            (i + ckt.num_branches() < n) ? std::clamp(dx[i], -clamp_v, clamp_v) : dx[i];
-        x[i] += d;
-        if (i + ckt.num_branches() < n) max_dx = std::max(max_dx, std::abs(d));
-      }
-      if (max_dx < opts.update_tolerance_V && res_norm < opts.residual_tolerance_A) {
-        converged = true;
-        break;
-      }
+    if (!newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
+      metrics::add(metrics::Counter::kTransientStepFailures);
+      return result;
     }
-    if (!converged) return result;
     // One final stamp to refresh state_next consistently with accepted x.
-    {
-      linalg::DMatrix jac(n, n);
-      std::vector<double> res(n, 0.0);
-      std::fill(state_next.begin(), state_next.end(), 0.0);
-      Stamper st(ckt, x, jac, res);
-      for (const auto& e : ckt.elements()) e->stamp(st, ctx);
-    }
+    ws.stamp(ckt, x, ctx);
     state.swap(state_next);
     metrics::add(metrics::Counter::kTransientSteps);
     result.waves.time.push_back(t);

@@ -8,9 +8,6 @@ namespace gnrfet::circuit {
 struct TransientOptions {
   double t_stop = 1e-9;
   double dt = 0.25e-12;
-  int max_newton_iterations = 60;
-  double residual_tolerance_A = 1e-10;
-  double update_tolerance_V = 1e-7;
   /// Optional initial node voltages (size = num_unknowns). When set, the
   /// run starts from this state instead of the DC operating point — used
   /// to kick ring oscillators.
@@ -31,6 +28,10 @@ struct TransientResult {
   Waveforms waves;
 };
 
+/// Fixed-step run: each step is one newton_solve under kTransientNewton.
+/// Gives up with `ok == false` on the first step Newton does not converge
+/// (counted as `transient_step_failures` in metrics), including a singular
+/// Jacobian, or when the starting DC point does not converge.
 TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts);
 
 }  // namespace gnrfet::circuit

@@ -75,6 +75,7 @@ const char* kCounterNames[kNumCounters] = {
     "transient_steps",
     "gummel_unconverged", "poisson_newton_unconverged",
     "capacitance_builds", "reduced_cg_iterations",
+    "dc_unconverged", "transient_step_failures",
 };
 
 const char* kHistogramNames[kNumHistograms] = {

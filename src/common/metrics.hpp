@@ -42,6 +42,8 @@ enum class Counter {
   kPoissonNewtonUnconverged,  ///< poisson: nonlinear solves that hit max_newton_iterations
   kCapacitanceBuilds,         ///< poisson: capacitance matrices G built (one per geometry)
   kReducedCgIterations,       ///< linalg: CG iterations of the reduced Newton systems on S
+  kDcUnconverged,             ///< circuit: solve_dc calls that returned converged = false
+  kTransientStepFailures,     ///< circuit: run_transient calls that gave up on a step
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);

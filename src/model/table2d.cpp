@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -59,15 +58,11 @@ double Table2D::at(ptrdiff_t ix, ptrdiff_t iy) const {
   const ptrdiff_t nx = static_cast<ptrdiff_t>(xs_.size());
   const ptrdiff_t ny = static_cast<ptrdiff_t>(ys_.size());
   // v(-1) = 2 v(0) - v(1) and v(n) = 2 v(n-1) - v(n-2), per axis.
-  const std::function<double(ptrdiff_t, ptrdiff_t)> sample = [&](ptrdiff_t i,
-                                                                 ptrdiff_t j) -> double {
-    if (i < 0) return 2.0 * sample(0, j) - sample(-i, j);
-    if (i >= nx) return 2.0 * sample(nx - 1, j) - sample(2 * (nx - 1) - i, j);
-    if (j < 0) return 2.0 * sample(i, 0) - sample(i, -j);
-    if (j >= ny) return 2.0 * sample(i, ny - 1) - sample(i, 2 * (ny - 1) - j);
-    return v_[static_cast<size_t>(i) * ys_.size() + static_cast<size_t>(j)];
-  };
-  return sample(ix, iy);
+  if (ix < 0) return 2.0 * at(0, iy) - at(-ix, iy);
+  if (ix >= nx) return 2.0 * at(nx - 1, iy) - at(2 * (nx - 1) - ix, iy);
+  if (iy < 0) return 2.0 * at(ix, 0) - at(ix, -iy);
+  if (iy >= ny) return 2.0 * at(ix, ny - 1) - at(ix, 2 * (ny - 1) - iy);
+  return v_[static_cast<size_t>(ix) * ys_.size() + static_cast<size_t>(iy)];
 }
 
 TableSample Table2D::sample(double x, double y) const {

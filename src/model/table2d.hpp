@@ -32,7 +32,7 @@ class Table2D {
  private:
   std::vector<double> xs_, ys_, v_;
   double dx_ = 0.0, dy_ = 0.0;
-  double at(ptrdiff_t ix, ptrdiff_t iy) const;  // clamped access
+  double at(ptrdiff_t ix, ptrdiff_t iy) const;  // with linearly extended ghost points
 };
 
 }  // namespace gnrfet::model

@@ -36,7 +36,7 @@ struct RgfWorkspace {
   linalg::CMatrix v_dn;                ///< adjoint coupling scratch
   linalg::CMatrix t1, t2;              ///< multiply-chain scratch
   linalg::CMatrix gamma_l, gamma_r;    ///< contact broadenings
-  linalg::LU lu;                       ///< refactored per block
+  linalg::LU<linalg::cplx> lu;         ///< refactored per block
 };
 
 /// Solve at complex energy E + i*eta. `sigma_left` acts on block 0,

@@ -152,7 +152,9 @@ TEST(BatchRgf, ReverseTransmissionContract) {
   negf::ScalarRgfBatchWorkspace ws;
   negf::ScalarRgfBatchResult out;
   negf::scalar_rgf_solve_batch(chain, e.data(), e.size(), 1e-4, ws, out);
+#if GNRFET_CHECKS_ENABLED
   size_t bitwise_diffs = 0;
+#endif
   for (size_t k = 0; k < e.size(); ++k) {
     const auto ref = negf::scalar_rgf_solve(chain, e[k], 1e-4);
     EXPECT_BITS_EQ(out.transmission_reverse[k], ref.transmission_reverse);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <random>
 #include <string>
@@ -102,10 +104,37 @@ TEST(LU, RealSolve) {
   a(1, 1) = 3;
   a(2, 2) = 2;
   const std::vector<double> b = {1.0, 2.0, 4.0};
-  const auto x = gnrfet::linalg::LUReal(a).solve(b);
+  const auto x = gnrfet::linalg::LU(a).solve(b);
   EXPECT_NEAR(4 * x[0] + x[1], 1.0, 1e-12);
   EXPECT_NEAR(x[0] + 3 * x[1], 2.0, 1e-12);
   EXPECT_NEAR(2 * x[2], 4.0, 1e-12);
+}
+
+TEST(LU, RealRefactorMatchesFreshFactorizationBitForBit) {
+  // One LU refactored across two matrices of the same shape (the circuit
+  // Newton loop's reuse pattern) must give the bits of a fresh LU of each.
+  const auto make = [](double shift) {
+    DMatrix a(5, 5);
+    for (size_t i = 0; i < 5; ++i) {
+      for (size_t j = 0; j < 5; ++j) {
+        a(i, j) = std::cos(0.37 * static_cast<double>((i + 1) * (j + 2) * (i + j + 1)) + shift);
+      }
+    }
+    return a;
+  };
+  const DMatrix a1 = make(0.0), a2 = make(0.4);
+  const std::vector<double> b = {0.3, -1.1, 2.0, 0.7, -0.5};
+  gnrfet::linalg::LU<double> reused;
+  std::vector<double> x;
+  for (const DMatrix* a : {&a1, &a2}) {
+    reused.factor(*a);
+    reused.solve_into(b, x);
+    const std::vector<double> fresh = gnrfet::linalg::LU(*a).solve(b);
+    ASSERT_EQ(x.size(), fresh.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(x[i]), std::bit_cast<uint64_t>(fresh[i])) << i;
+    }
+  }
 }
 
 TEST(Eigh, DiagonalizesHermitian) {
