@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "device/selfconsistent.hpp"
 #include "poisson/capacitance.hpp"
 #include "poisson/solver.hpp"
+#include "golden.hpp"
 
 namespace {
 
@@ -255,6 +257,40 @@ TEST(CapacitanceParallel, BuildBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(std::memcmp(g1.data(), g4.data(), g1.size() * sizeof(double)), 0);
   ASSERT_EQ(phi1.size(), phi4.size());
   EXPECT_EQ(std::memcmp(phi1.data(), phi4.data(), phi1.size() * sizeof(double)), 0);
+}
+
+TEST(CapacitanceGolden, GreenAndResponsesBitPinned) {
+  // Bit-exact pins of G and of phi0_S(V) (electrode plus fixed-charge
+  // responses) for the paper devices: N = 12 without and with a -1 e oxide
+  // impurity, and N = 9, whose 310 charge nodes give the column blocks a
+  // different tail. Any change to the build's per-column arithmetic moves
+  // these hashes.
+  struct Pin {
+    int n_index;
+    double impurity_q;
+    size_t ns;
+    uint64_t green_hash;
+    uint64_t base_hash;
+  };
+  const Pin pins[] = {
+      {12, 0.0, 496, 0xe883388d9999ebfdull, 0x0488af16377d5a9eull},
+      {12, -1.0, 496, 0xe883388d9999ebfdull, 0xd62b66d5d69bf254ull},
+      {9, 0.0, 310, 0x8e739471032c822eull, 0x4707efdf30415182ull},
+  };
+  for (const Pin& pin : pins) {
+    device::DeviceSpec spec;
+    spec.n_index = pin.n_index;
+    if (pin.impurity_q != 0.0) spec.impurities.push_back({pin.impurity_q, 1.0, 0.0, 0.4});
+    const device::DeviceGeometry geo(spec);
+    const device::SelfConsistentSolver solver(geo);
+    const poisson::CapacitanceSolver& cap = solver.capacitance();
+    ASSERT_EQ(cap.size(), pin.ns) << "N " << pin.n_index;
+    const std::vector<double> phi0 = cap.base_potential(geo.electrode_voltages(0.0, 0.3, 0.5));
+    EXPECT_EQ(tests::fnv1a(cap.green()), pin.green_hash)
+        << "N " << pin.n_index << " q " << pin.impurity_q;
+    EXPECT_EQ(tests::fnv1a(phi0), pin.base_hash)
+        << "N " << pin.n_index << " q " << pin.impurity_q;
+  }
 }
 
 }  // namespace
