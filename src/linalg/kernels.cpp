@@ -6,40 +6,60 @@ namespace {
 
 constexpr size_t kBlock = 32;
 
-double dot_sequential(const double* a, const double* b, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
+template <size_t K>
+void dot_sequential(const double* a, const double* b, size_t n, double* out) {
+  double s[K] = {};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < K; ++j) s[j] += a[i * K + j] * b[i * K + j];
+  }
+  for (size_t j = 0; j < K; ++j) out[j] = s[j];
 }
 
-/// Pairwise over [0, n): sequential below one block, recursive halving
-/// above. The split point is the largest multiple of kBlock at or above
-/// n/2, so the recursion shape depends only on n — never on the data.
-double dot_pairwise(const double* a, const double* b, size_t n) {
-  if (n <= kBlock) return dot_sequential(a, b, n);
+/// Pairwise over rows [0, n): sequential below one block, recursive
+/// halving above. The split point is the largest multiple of kBlock at or
+/// above n/2, so the recursion shape depends only on n — never on the data
+/// or the lane count.
+template <size_t K>
+void dot_pairwise(const double* a, const double* b, size_t n, double* out) {
+  if (n <= kBlock) {
+    dot_sequential<K>(a, b, n, out);
+    return;
+  }
   size_t half = (n / 2 + kBlock - 1) / kBlock * kBlock;
   if (half >= n) half = n - kBlock;
-  return dot_pairwise(a, b, half) + dot_pairwise(a + half, b + half, n - half);
+  double left[K], right[K];
+  dot_pairwise<K>(a, b, half, left);
+  dot_pairwise<K>(a + half * K, b + half * K, n - half, right);
+  for (size_t j = 0; j < K; ++j) out[j] = left[j] + right[j];
 }
 
 }  // namespace
 
-double dot(const double* a, const double* b, size_t n) { return dot_pairwise(a, b, n); }
-
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
+template <size_t K>
+void dot(const double* a, const double* b, size_t n, double* out) {
+  dot_pairwise<K>(a, b, n, out);
 }
 
-void xpby(const std::vector<double>& z, double beta, std::vector<double>& p) {
-  for (size_t i = 0; i < z.size(); ++i) p[i] = z[i] + beta * p[i];
+template <size_t K>
+void axpy(const double* alpha, const double* x, double* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < K; ++j) y[i * K + j] += alpha[j] * x[i * K + j];
+  }
 }
 
-double gather_dot(const double* values, const size_t* col, size_t begin, size_t end,
-                  const double* x) {
-  double s = 0.0;
-  for (size_t k = begin; k < end; ++k) s += values[k] * x[col[k]];
-  return s;
+template <size_t K>
+void xpby(const double* z, const double* beta, double* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < K; ++j) p[i * K + j] = z[i * K + j] + beta[j] * p[i * K + j];
+  }
 }
+
+template void dot<1>(const double*, const double*, size_t, double*);
+template void dot<kLanes>(const double*, const double*, size_t, double*);
+template void axpy<1>(const double*, const double*, double*, size_t);
+template void axpy<kLanes>(const double*, const double*, double*, size_t);
+template void xpby<1>(const double*, const double*, double*, size_t);
+template void xpby<kLanes>(const double*, const double*, double*, size_t);
 
 void dense_matvec(const double* a, size_t n, const double* x, double* y) {
   for (size_t i = 0; i < n; ++i) {

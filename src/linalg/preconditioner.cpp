@@ -1,6 +1,7 @@
 #include "linalg/preconditioner.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/metrics.hpp"
@@ -19,6 +20,15 @@ void record_setup() { metrics::add(metrics::Counter::kPcgPrecondSetups); }
 
 }  // namespace
 
+void Preconditioner::apply(const std::vector<double>& r, std::vector<double>& z,
+                           size_t lanes) const {
+  if ((lanes != 1 && lanes != kernels::kLanes) || r.size() % lanes != 0) {
+    throw std::invalid_argument("Preconditioner::apply: unsupported lane count");
+  }
+  z.resize(r.size());
+  apply_lanes(r.data(), z.data(), r.size() / lanes, lanes);
+}
+
 // ---------------------------------------------------------------- Jacobi
 
 void JacobiPreconditioner::factor(const SparseMatrix& a) {
@@ -27,12 +37,14 @@ void JacobiPreconditioner::factor(const SparseMatrix& a) {
   record_setup();
 }
 
-void JacobiPreconditioner::apply(const std::vector<double>& r, std::vector<double>& z) const {
-  if (r.size() != inv_diag_.size()) {
+void JacobiPreconditioner::apply_lanes(const double* r, double* z, size_t rows,
+                                       size_t lanes) const {
+  if (rows != inv_diag_.size()) {
     throw std::invalid_argument("JacobiPreconditioner::apply: size mismatch");
   }
-  z.resize(r.size());
-  for (size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < lanes; ++j) z[i * lanes + j] = inv_diag_[i] * r[i * lanes + j];
+  }
 }
 
 // ----------------------------------------------------------------- IC(0)
@@ -69,7 +81,6 @@ void IncompleteCholesky::factor(const SparseMatrix& a) {
   lrow_ptr_[n] = lcol_.size();
   lval_.assign(lcol_.size(), 0.0);
   inv_ldiag_.assign(n, 0.0);
-  y_.assign(n, 0.0);
 
   // Strict upper part of L^T for the backward sweep: entry (i, j) of L
   // with j < i lands in row j, column i. Filling in ascending i keeps the
@@ -86,7 +97,7 @@ void IncompleteCholesky::factor(const SparseMatrix& a) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t k = lrow_ptr_[i]; k + 1 < lrow_ptr_[i + 1]; ++k) {
       const size_t slot = next[lcol_[k]]++;
-      ucol_[slot] = i;
+      ucol_[slot] = static_cast<uint32_t>(i);
       umap_[slot] = k;
     }
   }
@@ -178,23 +189,43 @@ void IncompleteCholesky::refactor_numeric(const SparseMatrix& a) {
   record_setup();
 }
 
-void IncompleteCholesky::apply(const std::vector<double>& r, std::vector<double>& z) const {
-  if (r.size() != n_ || lrow_ptr_.empty()) {
+void IncompleteCholesky::apply_lanes(const double* r, double* z, size_t rows,
+                                     size_t lanes) const {
+  if (rows != n_ || lrow_ptr_.empty()) {
     throw std::invalid_argument("IncompleteCholesky::apply: not factored / size mismatch");
   }
-  z.resize(n_);
-  // Forward: L y = r (diagonal is the last entry of each L row).
-  for (size_t i = 0; i < n_; ++i) {
-    const size_t diag_k = lrow_ptr_[i + 1] - 1;
-    const double s = kernels::gather_dot(lval_.data(), lcol_.data(), lrow_ptr_[i], diag_k,
-                                         y_.data());
-    y_[i] = (r[i] - s) * inv_ldiag_[i];
+  if (lanes == 1) {
+    sweep<1>(r, z);
+  } else {
+    sweep<kernels::kLanes>(r, z);
   }
-  // Backward: L^T z = y, strict upper part stored row-wise in ucol_/uval_.
-  for (size_t i = n_; i-- > 0;) {
-    const double s = kernels::gather_dot(uval_.data(), ucol_.data(), urow_ptr_[i],
-                                         urow_ptr_[i + 1], z.data());
-    z[i] = (y_[i] - s) * inv_ldiag_[i];
+}
+
+template <size_t K>
+void IncompleteCholesky::sweep(const double* r, double* z) const {
+  // Locals, so the stores into z cannot force the members to be reloaded.
+  const size_t n = n_;
+  const size_t* lrow_ptr = lrow_ptr_.data();
+  const uint32_t* lcol = lcol_.data();
+  const double* lval = lval_.data();
+  const size_t* urow_ptr = urow_ptr_.data();
+  const uint32_t* ucol = ucol_.data();
+  const double* uval = uval_.data();
+  const double* inv_ldiag = inv_ldiag_.data();
+  double s[K], out[K];
+  // Forward: L y = r into z (diagonal is the last entry of each L row).
+  for (size_t i = 0; i < n; ++i) {
+    kernels::gather_dot<K>(lval, lcol, lrow_ptr[i], lrow_ptr[i + 1] - 1, z, s);
+    for (size_t j = 0; j < K; ++j) out[j] = (r[i * K + j] - s[j]) * inv_ldiag[i];
+    std::memcpy(z + i * K, out, sizeof out);
+  }
+  // Backward: L^T z = y over z itself, strict upper part stored row-wise in
+  // ucol_/uval_. Row i reads only higher rows, already final, and its own
+  // y value before overwriting it.
+  for (size_t i = n; i-- > 0;) {
+    kernels::gather_dot<K>(uval, ucol, urow_ptr[i], urow_ptr[i + 1], z, s);
+    for (size_t j = 0; j < K; ++j) out[j] = (z[i * K + j] - s[j]) * inv_ldiag[i];
+    std::memcpy(z + i * K, out, sizeof out);
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,11 +36,19 @@ class Preconditioner {
   /// factor() when no prior setup exists or the dimension changed.
   virtual void refactor(const SparseMatrix& a) = 0;
 
-  /// z = M^{-1} r. Requires a prior factor()/refactor().
-  virtual void apply(const std::vector<double>& r, std::vector<double>& z) const = 0;
+  /// z = M^{-1} r on `lanes` interleaved vectors (row i of lane j at
+  /// i*lanes + j; see linalg/kernels.hpp). `lanes` is 1 or
+  /// kernels::kLanes, and each lane is bit-identical to a one-lane apply.
+  /// Requires a prior factor()/refactor(). Keeps no scratch, so one
+  /// factored preconditioner serves concurrent applies.
+  void apply(const std::vector<double>& r, std::vector<double>& z, size_t lanes = 1) const;
 
   /// Stable identifier: "jacobi" or "ic0".
   virtual const char* name() const = 0;
+
+ private:
+  /// apply() on `rows` rows of `lanes` lanes each; z is sized.
+  virtual void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const = 0;
 };
 
 /// Diagonal scaling: pcg_solve's fallback when no preconditioner is
@@ -48,10 +57,11 @@ class JacobiPreconditioner final : public Preconditioner {
  public:
   void factor(const SparseMatrix& a) override;
   void refactor(const SparseMatrix& a) override { factor(a); }
-  void apply(const std::vector<double>& r, std::vector<double>& z) const override;
   const char* name() const override { return "jacobi"; }
 
  private:
+  void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const override;
+
   std::vector<double> inv_diag_;
 };
 
@@ -73,12 +83,14 @@ class JacobiPreconditioner final : public Preconditioner {
 /// array; refactor() re-runs only the numeric loop on the stored pattern —
 /// valid whenever the pattern is unchanged, in particular for the Newton
 /// diagonal updates.
+///
+/// apply() sweeps in place: forward L y = r into z, then backward
+/// L^T z = y over z itself.
 class IncompleteCholesky final : public Preconditioner {
  public:
   explicit IncompleteCholesky(double drop_compensation = 0.95);
   void factor(const SparseMatrix& a) override;
   void refactor(const SparseMatrix& a) override;
-  void apply(const std::vector<double>& r, std::vector<double>& z) const override;
   const char* name() const override { return "ic0"; }
 
   /// Diagonal shift (relative to diag(A)) the last factorization needed;
@@ -87,19 +99,23 @@ class IncompleteCholesky final : public Preconditioner {
 
  private:
   void refactor_numeric(const SparseMatrix& a);
+  void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const override;
+  template <size_t K>
+  void sweep(const double* r, double* z) const;
 
   double theta_;  ///< drop-compensation weight (0 = IC, 1 = MIC)
   size_t n_ = 0;
   // L in CSR, rows sorted, diagonal last in each row.
-  std::vector<size_t> lrow_ptr_, lcol_;
+  std::vector<size_t> lrow_ptr_;
+  std::vector<uint32_t> lcol_;
   std::vector<double> lval_;
   std::vector<size_t> amap_;  ///< L entry -> index into a.values()
   // Strict upper part of L^T in CSR (for the backward sweep), plus the map
   // from each L^T entry back to its L entry so one numeric pass fills both.
-  std::vector<size_t> urow_ptr_, ucol_, umap_;
+  std::vector<size_t> urow_ptr_, umap_;
+  std::vector<uint32_t> ucol_;
   std::vector<double> uval_;
   std::vector<double> inv_ldiag_;
-  mutable std::vector<double> y_;  ///< forward-sweep scratch
   double shift_ = 0.0;
 };
 

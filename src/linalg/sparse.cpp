@@ -1,7 +1,10 @@
 #include "linalg/sparse.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "linalg/kernels.hpp"
 
 namespace gnrfet::linalg {
 
@@ -10,8 +13,24 @@ void SparseBuilder::add(size_t row, size_t col, double value) {
   trips_.push_back({row, col, value});
 }
 
+namespace {
+
+template <size_t K>
+void multiply_lanes(const std::vector<size_t>& row_ptr, const std::vector<uint32_t>& col,
+                    const std::vector<double>& values, const double* x, double* y) {
+  for (size_t row = 0; row + 1 < row_ptr.size(); ++row) {
+    kernels::gather_dot<K>(values.data(), col.data(), row_ptr[row], row_ptr[row + 1], x,
+                           y + row * K);
+  }
+}
+
+}  // namespace
+
 SparseMatrix::SparseMatrix(const SparseBuilder& b) {
   const size_t n = b.dim();
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("SparseMatrix: dimension exceeds 32-bit column indices");
+  }
   auto trips = b.triplets();
   std::sort(trips.begin(), trips.end(), [](const auto& x, const auto& y) {
     return x.row != y.row ? x.row < y.row : x.col < y.col;
@@ -29,7 +48,7 @@ SparseMatrix::SparseMatrix(const SparseBuilder& b) {
         v += trips[i].value;
         ++i;
       }
-      col_idx_.push_back(col);
+      col_idx_.push_back(static_cast<uint32_t>(col));
       values_.push_back(v);
     }
   }
@@ -42,16 +61,18 @@ SparseMatrix::SparseMatrix(const SparseBuilder& b) {
   }
 }
 
-void SparseMatrix::multiply(const std::vector<double>& x, std::vector<double>& y) const {
-  const size_t n = dim();
-  if (x.size() != n) throw std::invalid_argument("SparseMatrix::multiply: size mismatch");
-  y.resize(n);  // every entry is overwritten below; no need to zero-fill
-  for (size_t row = 0; row < n; ++row) {
-    double s = 0.0;
-    for (size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-      s += values_[k] * x[col_idx_[k]];
-    }
-    y[row] = s;
+void SparseMatrix::multiply(const std::vector<double>& x, std::vector<double>& y,
+                            size_t lanes) const {
+  if (x.size() != dim() * lanes) {
+    throw std::invalid_argument("SparseMatrix::multiply: size mismatch");
+  }
+  y.resize(x.size());  // every entry is overwritten below; no need to zero-fill
+  if (lanes == 1) {
+    multiply_lanes<1>(row_ptr_, col_idx_, values_, x.data(), y.data());
+  } else if (lanes == kernels::kLanes) {
+    multiply_lanes<kernels::kLanes>(row_ptr_, col_idx_, values_, x.data(), y.data());
+  } else {
+    throw std::invalid_argument("SparseMatrix::multiply: unsupported lane count");
   }
 }
 

@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-/// Compressed-sparse-row matrix for the 3D Poisson operator.
+/// Compressed-sparse-row matrix for the 3D Poisson operator. Column
+/// indices are 32-bit (the constructor rejects n >= 2^32): the index
+/// stream is a third of the bytes a multiply reads.
 namespace gnrfet::linalg {
 
 /// Triplet accumulator -> CSR. Duplicate (row, col) entries are summed,
@@ -32,8 +35,10 @@ class SparseMatrix {
 
   size_t dim() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
 
-  /// y = A x.
-  void multiply(const std::vector<double>& x, std::vector<double>& y) const;
+  /// y = A x on `lanes` interleaved vectors (row i of lane j at
+  /// i*lanes + j; see linalg/kernels.hpp). `lanes` is 1 or kernels::kLanes;
+  /// each lane is bit-identical to a one-lane multiply.
+  void multiply(const std::vector<double>& x, std::vector<double>& y, size_t lanes = 1) const;
 
   /// Diagonal entries (zero where absent), for Jacobi preconditioning.
   std::vector<double> diagonal() const;
@@ -62,12 +67,12 @@ class SparseMatrix {
   void restore_values(const std::vector<double>& values);
 
   const std::vector<size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<size_t>& col_idx() const { return col_idx_; }
+  const std::vector<uint32_t>& col_idx() const { return col_idx_; }
   const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<size_t> row_ptr_;
-  std::vector<size_t> col_idx_;
+  std::vector<uint32_t> col_idx_;
   std::vector<double> values_;
   std::vector<ptrdiff_t> diag_pos_;
 };

@@ -20,8 +20,8 @@ namespace gnrfet::poisson {
 
 namespace {
 
-/// Columns per parallel chunk of the G build; each chunk factors IC(0) once.
-constexpr size_t kColumnGrain = 16;
+/// Column blocks per parallel chunk of the G build.
+constexpr size_t kBlockGrain = 1;
 
 /// Free nodes with a nonzero weight in some stencil, ascending.
 std::vector<size_t> charge_nodes(const Assembly& assembly,
@@ -108,38 +108,53 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
 
   // Column c < ns: unit charge on S node c; then one column per electrode
   // (unit voltage, no charge); last, the fixed charge at zero voltages.
+  // Block k solves columns [kK, kK + K) as the lanes of one PCG on the one
+  // shared IC(0) factor, tracking x on S only.
+  constexpr size_t K = linalg::kernels::kLanes;
   const size_t ncols = ns + num_electrodes_ + 1;
-  par::parallel_for_chunks(ncols, kColumnGrain, [&](size_t, size_t begin, size_t end) {
-    linalg::IncompleteCholesky ic0;
-    ic0.factor(assembly.matrix());
+  linalg::IncompleteCholesky ic0;
+  ic0.factor(assembly.matrix());
+  std::vector<size_t> rows(ns);
+  for (size_t s = 0; s < ns; ++s) rows[s] = assembly.free_index(nodes_[s]);
+  const std::vector<double> no_charge(assembly.num_nodes(), 0.0);
+  const auto column_out = [&](size_t c) {
+    if (c < ns) return &green_[c * ns];
+    if (c < ns + num_electrodes_) return &electrode_response_[(c - ns) * ns];
+    return fixed_response_.data();
+  };
+  par::parallel_for_chunks((ncols + K - 1) / K, kBlockGrain, [&](size_t, size_t begin,
+                                                                 size_t end) {
     linalg::PcgWorkspace ws;
     linalg::PcgOptions opts;
     opts.rel_tolerance = 1e-10;
     opts.preconditioner = &ic0;
     opts.workspace = &ws;
-    const std::vector<double> no_charge(assembly.num_nodes(), 0.0);
-    std::vector<double> b(nf), x(nf);
-    for (size_t c = begin; c < end; ++c) {
-      double* out = nullptr;
-      if (c < ns) {
-        std::fill(b.begin(), b.end(), 0.0);
-        b[assembly.free_index(nodes_[c])] = 1.0;
-        out = &green_[c * ns];
-      } else if (c < ns + num_electrodes_) {
+    std::vector<double> b(nf * K), x;
+    for (size_t block = begin; block < end; ++block) {
+      const size_t first = block * K;
+      const size_t lanes = std::min(K, ncols - first);
+      std::fill(b.begin(), b.end(), 0.0);
+      for (size_t j = 0; j < lanes; ++j) {
+        const size_t c = first + j;
+        if (c < ns) {
+          b[assembly.free_index(nodes_[c]) * K + j] = 1.0;
+          continue;
+        }
         std::vector<double> volts(num_electrodes_, 0.0);
-        volts[c - ns] = 1.0;
-        b = assembly.rhs(volts, no_charge);
-        out = &electrode_response_[(c - ns) * ns];
-      } else {
-        b = assembly.rhs(std::vector<double>(num_electrodes_, 0.0), rho_fixed_e);
-        out = fixed_response_.data();
+        if (c < ns + num_electrodes_) volts[c - ns] = 1.0;
+        const std::vector<double> rhs =
+            assembly.rhs(volts, c < ns + num_electrodes_ ? no_charge : rho_fixed_e);
+        for (size_t i = 0; i < nf; ++i) b[i * K + j] = rhs[i];
       }
-      std::fill(x.begin(), x.end(), 0.0);
-      if (!linalg::pcg_solve(assembly.matrix(), b, x, opts).converged) {
-        throw std::runtime_error(
-            strings::format("CapacitanceSolver: column %zu of %zu did not converge", c, ncols));
+      const auto results = linalg::pcg_solve_lanes(assembly.matrix(), b, lanes, rows, x, opts);
+      for (size_t j = 0; j < lanes; ++j) {
+        if (!results[j].converged) {
+          throw std::runtime_error(strings::format(
+              "CapacitanceSolver: column %zu of %zu did not converge", first + j, ncols));
+        }
+        double* out = column_out(first + j);
+        for (size_t s = 0; s < ns; ++s) out[s] = x[s * K + j];
       }
-      for (size_t s = 0; s < ns; ++s) out[s] = x[assembly.free_index(nodes_[s])];
     }
   });
 

@@ -22,10 +22,12 @@
 /// unit voltage on each electrode and to the fixed (impurity) charge.
 ///
 /// The constructor builds G and the responses with one IC(0)-PCG solve per
-/// column (relative tolerance 1e-10), fanned out over par::parallel_for_chunks
-/// with one IC(0) factorization per chunk; every column must converge. G is
-/// symmetrised afterwards, so it is exactly symmetric. Each column starts
-/// from zero, so G is bit-identical for any thread count.
+/// column (relative tolerance 1e-10); every column must converge. Columns
+/// run in fixed blocks of linalg::kernels::kLanes, each block one
+/// linalg::pcg_solve_lanes call on one shared IC(0) factor, fanned out over
+/// par::parallel_for_chunks. Each lane repeats a one-column pcg_solve bit
+/// for bit. G is symmetrised afterwards, so it is exactly symmetric. Each
+/// column starts from zero, so G is bit-identical for any thread count.
 ///
 /// solve_nonlinear() runs the damped Newton loop of
 /// PoissonSolver::solve_nonlinear — the same exponential charge

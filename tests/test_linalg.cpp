@@ -7,6 +7,7 @@
 #include <random>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/kernels.hpp"
@@ -464,6 +465,147 @@ TEST(Pcg, WorkspaceReuseIsBitIdenticalToFreshVectors) {
     const auto r2 = gnrfet::linalg::pcg_solve(a, rhs, x_fresh, fresh_opts);
     EXPECT_EQ(r1.iterations, r2.iterations);
     for (size_t i = 0; i < a.dim(); ++i) EXPECT_EQ(x_reuse[i], x_fresh[i]);
+  }
+}
+
+// --- Lane kernels -------------------------------------------------------------
+
+constexpr size_t kLanes = gnrfet::linalg::kernels::kLanes;
+
+/// Interleaves kLanes vectors of one length: row i of lane j at i*kLanes + j.
+std::vector<double> interleave(const std::vector<std::vector<double>>& lanes) {
+  std::vector<double> out(lanes[0].size() * kLanes);
+  for (size_t j = 0; j < kLanes; ++j) {
+    for (size_t i = 0; i < lanes[j].size(); ++i) out[i * kLanes + j] = lanes[j][i];
+  }
+  return out;
+}
+
+std::vector<std::vector<double>> random_lanes(size_t n, unsigned seed) {
+  std::vector<std::vector<double>> lanes;
+  for (size_t j = 0; j < kLanes; ++j) lanes.push_back(random_vector(n, seed + static_cast<unsigned>(j)));
+  return lanes;
+}
+
+TEST(Lanes, DotMatchesOneLaneBitForBit) {
+  // Lengths off the 32-element block grid, so the pairwise recursion's
+  // uneven split runs in every lane.
+  for (const size_t n : {7u, 33u, 77u, 100u, 1001u}) {
+    const auto a = random_lanes(n, 101);
+    const auto b = random_lanes(n, 201);
+    const auto ai = interleave(a);
+    const auto bi = interleave(b);
+    double out[kLanes];
+    kernels::dot<kLanes>(ai.data(), bi.data(), n, out);
+    for (size_t j = 0; j < kLanes; ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(out[j]), std::bit_cast<uint64_t>(kernels::dot(a[j], b[j])))
+          << "n=" << n << " lane " << j;
+    }
+  }
+}
+
+TEST(Lanes, MultiplyAndIcZeroApplyMatchOneLaneBitForBit) {
+  const gnrfet::linalg::SparseMatrix a = laplacian2d(7, 11);  // 77 rows
+  gnrfet::linalg::IncompleteCholesky ic;
+  ic.factor(a);
+  const auto x = random_lanes(a.dim(), 301);
+  std::vector<double> y_lanes, z_lanes;
+  a.multiply(interleave(x), y_lanes, kLanes);
+  ic.apply(interleave(x), z_lanes, kLanes);
+  for (size_t j = 0; j < kLanes; ++j) {
+    std::vector<double> y, z;
+    a.multiply(x[j], y);
+    ic.apply(x[j], z);
+    for (size_t i = 0; i < a.dim(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(y_lanes[i * kLanes + j]), std::bit_cast<uint64_t>(y[i]))
+          << "multiply row " << i << " lane " << j;
+      EXPECT_EQ(std::bit_cast<uint64_t>(z_lanes[i * kLanes + j]), std::bit_cast<uint64_t>(z[i]))
+          << "apply row " << i << " lane " << j;
+    }
+  }
+  std::vector<double> out;
+  EXPECT_THROW(a.multiply(interleave(x), out, 3), std::invalid_argument);
+  EXPECT_THROW(ic.apply(interleave(x), out, 3), std::invalid_argument);
+}
+
+TEST(Lanes, PcgLanesMatchSeparateSolvesBitForBit) {
+  // Lanes that converge at different iterations — a random right-hand
+  // side, a zero one (converges at iteration 0), a smooth field and a
+  // point source — against separate zero-start pcg_solve calls. Then a
+  // tail block of fewer real lanes whose padding lane holds data that
+  // must be ignored.
+  const gnrfet::linalg::SparseMatrix a = laplacian2d(13, 9);  // 117 rows
+  const size_t n = a.dim();
+  gnrfet::linalg::IncompleteCholesky ic;
+  ic.factor(a);
+  std::vector<std::vector<double>> b(kLanes, std::vector<double>(n, 0.0));
+  b[0] = random_vector(n, 401);
+  for (size_t i = 0; i < n; ++i) b[2][i] = std::cos(0.05 * static_cast<double>(i));
+  b[3][40] = 1.0;
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < n; i += 5) rows.push_back(i);
+  for (const size_t lanes : {kLanes, kLanes - 1}) {
+    std::vector<std::vector<double>> rhs = b;
+    if (lanes < kLanes) rhs[kLanes - 1] = random_vector(n, 402);  // padding
+    gnrfet::linalg::PcgOptions opts;
+    opts.preconditioner = &ic;
+    gnrfet::linalg::PcgWorkspace ws;
+    opts.workspace = &ws;
+    std::vector<double> x_rows;
+    const auto res =
+        gnrfet::linalg::pcg_solve_lanes(a, interleave(rhs), lanes, rows, x_rows, opts);
+    ASSERT_EQ(x_rows.size(), rows.size() * kLanes);
+    std::vector<size_t> counts;
+    for (size_t j = 0; j < lanes; ++j) {
+      std::vector<double> x(n, 0.0);
+      const auto ref = gnrfet::linalg::pcg_solve(a, rhs[j], x, opts);
+      ASSERT_TRUE(ref.converged) << "lane " << j;
+      EXPECT_TRUE(res[j].converged) << "lane " << j;
+      EXPECT_EQ(res[j].iterations, ref.iterations) << "lane " << j;
+      EXPECT_EQ(res[j].residual_norm, ref.residual_norm) << "lane " << j;
+      for (size_t s = 0; s < rows.size(); ++s) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(x_rows[s * kLanes + j]),
+                  std::bit_cast<uint64_t>(x[rows[s]]))
+            << "row " << rows[s] << " lane " << j;
+      }
+      counts.push_back(ref.iterations);
+    }
+    EXPECT_EQ(counts[1], 0u);  // the zero right-hand side
+    EXPECT_NE(counts[0], counts[2]);
+    for (size_t j = lanes; j < kLanes; ++j) {
+      EXPECT_FALSE(res[j].converged);
+      EXPECT_EQ(res[j].iterations, 0u);
+    }
+  }
+}
+
+TEST(Ic0Parallel, SharedFactorApplyIsRaceFreeAndBitIdentical) {
+  // One factored IC(0) applied concurrently from 4 pool threads, one- and
+  // kLanes-lane, must give the bits of a serial apply: apply() is const
+  // and keeps no scratch in the preconditioner.
+  const gnrfet::linalg::SparseMatrix a = laplacian2d(40, 40);
+  gnrfet::linalg::IncompleteCholesky ic;
+  ic.factor(a);
+  constexpr size_t kVectors = 16;
+  std::vector<std::vector<double>> r, serial(kVectors), parallel(kVectors);
+  for (size_t v = 0; v < kVectors; ++v) {
+    r.push_back(v % 2 == 0 ? random_vector(a.dim(), 500 + static_cast<unsigned>(v))
+                           : interleave(random_lanes(a.dim(), 600 + static_cast<unsigned>(v))));
+  }
+  const auto lanes_of = [&](size_t v) { return v % 2 == 0 ? size_t{1} : kLanes; };
+  for (size_t v = 0; v < kVectors; ++v) ic.apply(r[v], serial[v], lanes_of(v));
+  const int old_threads = gnrfet::par::thread_count();
+  gnrfet::par::set_thread_count(4);
+  gnrfet::par::parallel_for_chunks(kVectors, 1, [&](size_t, size_t begin, size_t end) {
+    for (size_t v = begin; v < end; ++v) ic.apply(r[v], parallel[v], lanes_of(v));
+  });
+  gnrfet::par::set_thread_count(old_threads);
+  for (size_t v = 0; v < kVectors; ++v) {
+    ASSERT_EQ(parallel[v].size(), serial[v].size());
+    for (size_t i = 0; i < serial[v].size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(parallel[v][i]), std::bit_cast<uint64_t>(serial[v][i]))
+          << "vector " << v << " entry " << i;
+    }
   }
 }
 

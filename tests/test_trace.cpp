@@ -20,6 +20,7 @@
 #include "common/trace.hpp"
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
+#include "linalg/kernels.hpp"
 #include "poisson/assembly.hpp"
 #include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
@@ -160,13 +161,15 @@ TEST(Trace, SpansNestOnOneThread) {
   }
 
   // The capacitance-matrix path: one poisson/build_capacitance span holding
-  // one pcg_solve per column (charge node, electrode, fixed charge), then a
+  // one pcg_solve per block of kLanes columns (charge nodes, electrode,
+  // fixed charge), then a
   // nonlinear solve holding one linalg/reduced_cg span per Newton step and
   // no full-grid PCG at all.
   trace::clear();
   ThreadCountGuard one_thread(1);
   const poisson::CapacitanceSolver cap(assembly, {domain.stencil(0.6, 0.6, 0.6)}, zero);
   const size_t columns = cap.size() + 1 + 1;  // one electrode, the fixed charge
+  const size_t blocks = (columns + linalg::kernels::kLanes - 1) / linalg::kernels::kLanes;
   const std::vector<double> n0_s(cap.size(), 0.25);
   const std::vector<double> zero_s(cap.size(), 0.0);
   const auto reduced = cap.solve_nonlinear({0.2}, n0_s, zero_s, zero_s, zero_s);
@@ -181,7 +184,7 @@ TEST(Trace, SpansNestOnOneThread) {
   }
   ASSERT_EQ(builds.size(), 1u);
   EXPECT_EQ(builds[0].category, "poisson");
-  ASSERT_EQ(build_pcgs.size(), columns);
+  ASSERT_EQ(build_pcgs.size(), blocks);
   for (const auto& p : build_pcgs) {
     EXPECT_EQ(p.tid, builds[0].tid);
     EXPECT_GE(p.ts_us, builds[0].ts_us);
