@@ -40,17 +40,23 @@ void dot(const double* a, const double* b, size_t n, double* out) {
   dot_pairwise<K>(a, b, n, out);
 }
 
+// The coefficients are copied into locals so that stores into y / p cannot
+// force them to be reloaded, which would also block vectorization.
 template <size_t K>
 void axpy(const double* alpha, const double* x, double* y, size_t n) {
+  double a[K];
+  for (size_t j = 0; j < K; ++j) a[j] = alpha[j];
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < K; ++j) y[i * K + j] += alpha[j] * x[i * K + j];
+    for (size_t j = 0; j < K; ++j) y[i * K + j] += a[j] * x[i * K + j];
   }
 }
 
 template <size_t K>
 void xpby(const double* z, const double* beta, double* p, size_t n) {
+  double b[K];
+  for (size_t j = 0; j < K; ++j) b[j] = beta[j];
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < K; ++j) p[i * K + j] = z[i * K + j] + beta[j] * p[i * K + j];
+    for (size_t j = 0; j < K; ++j) p[i * K + j] = z[i * K + j] + b[j] * p[i * K + j];
   }
 }
 
