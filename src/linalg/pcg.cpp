@@ -13,6 +13,10 @@ namespace gnrfet::linalg {
 
 namespace {
 
+/// Absolute residual floor and iteration cap of every solve.
+constexpr double kAbsTolerance = 1e-14;
+constexpr size_t kMaxIterations = 20000;
+
 /// Records each real lane's final iteration count once, on every exit
 /// path — both into the global PCG histogram and into the
 /// per-preconditioner one, so the trace report can show the
@@ -89,7 +93,7 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
     return true;
   };
   const IterationRecorder recorder{results, lanes, histogram_for(opts.preconditioner)};
-  for (size_t it = 0; it < opts.max_iterations; ++it) {
+  for (size_t it = 0; it < kMaxIterations; ++it) {
     double rr[K];
     kernels::dot<K>(ws.r.data(), ws.r.data(), n, rr);
     bool any_live = false;
@@ -98,7 +102,7 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
       const double r_norm = std::sqrt(rr[j]);
       results[j].residual_norm = r_norm;
       results[j].iterations = it;
-      if (r_norm <= opts.rel_tolerance * b_norm[j] || r_norm <= opts.abs_tolerance) {
+      if (r_norm <= opts.rel_tolerance * b_norm[j] || r_norm <= kAbsTolerance) {
         results[j].converged = true;
         live[j] = false;
         GNRFET_ENSURE("linalg", "finite-solution", lane_finite(j),

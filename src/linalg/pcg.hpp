@@ -29,8 +29,6 @@ struct PcgWorkspace {
 
 struct PcgOptions {
   double rel_tolerance = 1e-10;
-  double abs_tolerance = 1e-14;
-  size_t max_iterations = 20000;
   /// Preconditioner to apply (must be factored for the system matrix).
   /// Null selects an internal per-call Jacobi.
   const Preconditioner* preconditioner = nullptr;

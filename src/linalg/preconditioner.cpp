@@ -16,6 +16,10 @@ namespace {
 constexpr double kFirstShift = 1e-3;
 constexpr double kMaxShift = 1e3;
 
+/// Weight of the dropped fill folded onto the diagonals (0 = IC(0),
+/// 1 = full MIC(0)); see IncompleteCholesky.
+constexpr double kDropCompensation = 0.95;
+
 void record_setup() { metrics::add(metrics::Counter::kPcgPrecondSetups); }
 
 }  // namespace
@@ -48,12 +52,6 @@ void JacobiPreconditioner::apply_lanes(const double* r, double* z, size_t rows,
 }
 
 // ----------------------------------------------------------------- IC(0)
-
-IncompleteCholesky::IncompleteCholesky(double drop_compensation) : theta_(drop_compensation) {
-  if (!(theta_ >= 0.0 && theta_ <= 1.0)) {
-    throw std::invalid_argument("IncompleteCholesky: drop_compensation must be in [0, 1]");
-  }
-}
 
 void IncompleteCholesky::factor(const SparseMatrix& a) {
   const size_t n = a.dim();
@@ -116,7 +114,7 @@ void IncompleteCholesky::refactor(const SparseMatrix& a) {
 
 /// Numeric (M)IC(0) on the stored pattern: right-looking column
 /// elimination with dropped fill compensated onto the diagonal (weight
-/// theta_), plus the diagonal-shift retry loop. Keeps any previously
+/// kDropCompensation), plus the diagonal-shift retry loop. Keeps any previously
 /// needed shift (retrying from zero every Newton iteration would thrash);
 /// escalates further on new breakdowns. Update order is column-major,
 /// left-to-right — fixed, so the factorization is bit-deterministic.
@@ -153,7 +151,7 @@ void IncompleteCholesky::refactor_numeric(const SparseMatrix& a) {
       // Schur update: S(i2, i1) -= L(i1, j) L(i2, j) for i2 >= i1 > j.
       // In-pattern targets are updated in place; dropped fill is folded
       // onto the two diagonals it would have coupled (MIC row-sum
-      // preservation), weighted by theta_.
+      // preservation), weighted by kDropCompensation.
       for (size_t u1 = cb; u1 < ce; ++u1) {
         const size_t i1 = ucol_[u1];
         const double v1 = lval_[umap_[u1]];
@@ -171,9 +169,9 @@ void IncompleteCholesky::refactor_numeric(const SparseMatrix& a) {
           }
           if (pos != lrow_ptr_[i2 + 1]) {
             lval_[pos] -= upd;
-          } else if (theta_ != 0.0) {
-            lval_[lrow_ptr_[i1 + 1] - 1] -= theta_ * upd;
-            lval_[lrow_ptr_[i2 + 1] - 1] -= theta_ * upd;
+          } else {
+            lval_[lrow_ptr_[i1 + 1] - 1] -= kDropCompensation * upd;
+            lval_[lrow_ptr_[i2 + 1] - 1] -= kDropCompensation * upd;
           }
         }
       }

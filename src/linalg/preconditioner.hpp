@@ -71,13 +71,13 @@ class JacobiPreconditioner final : public Preconditioner {
 /// an escalating diagonal shift A + alpha*diag(A) until every pivot is
 /// positive (Manteuffel's shifted IC).
 ///
-/// `drop_compensation` in [0, 1] blends in modified-IC behavior: fill the
-/// pattern drops is moved onto the two affected diagonals instead of
-/// being discarded, which preserves row sums (the MIC property) and cuts
-/// the condition number of the preconditioned Laplacian from O(h^-2) to
-/// O(h^-1). 0 = classic IC(0), 1 = full MIC(0); the relaxed default 0.95
-/// is the usual robustness compromise (full MIC can drive the last pivots
-/// toward zero on near-singular rows — the shift fallback then engages).
+/// Relaxed modified IC: a fraction kDropCompensation = 0.95 of the fill
+/// the pattern drops is moved onto the two affected diagonals instead of
+/// being discarded, which nearly preserves row sums (the MIC property) and
+/// cuts the condition number of the preconditioned Laplacian from O(h^-2)
+/// toward O(h^-1). 0.95 rather than full MIC(0) is the usual robustness
+/// compromise (full MIC can drive the last pivots toward zero on
+/// near-singular rows — the shift fallback then engages).
 ///
 /// factor() builds the L and L^T patterns plus an index map into A's value
 /// array; refactor() re-runs only the numeric loop on the stored pattern —
@@ -88,7 +88,6 @@ class JacobiPreconditioner final : public Preconditioner {
 /// L^T z = y over z itself.
 class IncompleteCholesky final : public Preconditioner {
  public:
-  explicit IncompleteCholesky(double drop_compensation = 0.95);
   void factor(const SparseMatrix& a) override;
   void refactor(const SparseMatrix& a) override;
   const char* name() const override { return "ic0"; }
@@ -103,7 +102,6 @@ class IncompleteCholesky final : public Preconditioner {
   template <size_t K>
   void sweep(const double* r, double* z) const;
 
-  double theta_;  ///< drop-compensation weight (0 = IC, 1 = MIC)
   size_t n_ = 0;
   // L in CSR, rows sorted, diagonal last in each row.
   std::vector<size_t> lrow_ptr_;

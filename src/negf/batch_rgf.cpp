@@ -209,7 +209,6 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
   for (size_t l = 0; l < w; ++l) {
     const double t = gg * (gcr[l] * gcr[l] + gci[l] * gci[l]);
     out.transmission[lane0 + l] = t;
-    out.transmission_reverse[lane0 + l] = t;
     GNRFET_ENSURE("negf", "transmission-positive",
                   std::isfinite(t) && t >= -1e-9 && t <= 1.0 + 1e-6,
                   strings::format("scalar T(E=%g) = %g outside [0, 1]", e[l], t));
@@ -233,7 +232,6 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
     }
   }
 
-#if GNRFET_CHECKS_ENABLED
   // Independent drain-side solve, batched the same way: right-connected
   // sweep, then the mirrored column G_{n-1,0} lane by lane.
   {
@@ -286,7 +284,6 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
                                     e[l]));
     }
   }
-#endif
 }
 
 }  // namespace
@@ -322,10 +319,8 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
   ws.gd_im.resize(n * kW);
   ws.gcol_re.resize(n * kW);
   ws.gcol_im.resize(n * kW);
-#if GNRFET_CHECKS_ENABLED
   ws.gr_re.resize(n * kW);
   ws.gr_im.resize(n * kW);
-#endif
   out.transmission.assign(count, 0.0);
   out.transmission_reverse.assign(count, 0.0);
   out.spectral_left.resize(n * count);

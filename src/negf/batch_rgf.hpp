@@ -33,7 +33,8 @@ inline constexpr size_t kRgfBatchLanes = 8;
 
 /// True unless GNRFET_RGF_BATCH=off. `off` pins the legacy per-energy
 /// scalar path (bit-for-bit the PR-5 behavior); `on` (default) routes the
-/// transport hot loops through the batch kernels. Throws
+/// mode-space transport hot loops through the batch kernel. The real-space
+/// path has one per-energy kernel and ignores the knob. Throws
 /// std::invalid_argument on any other value.
 bool rgf_batch_enabled();
 
@@ -50,9 +51,7 @@ bool rgf_batch_uses_fast_reciprocal();
 /// a contiguous stripe.
 struct ScalarRgfBatchResult {
   std::vector<double> transmission;          ///< [lane]
-  std::vector<double> transmission_reverse;  ///< [lane]; aliases transmission
-                                             ///< bit-for-bit when contract
-                                             ///< checks are compiled out
+  std::vector<double> transmission_reverse;  ///< [lane]; drain-side sweep
   std::vector<double> spectral_left;         ///< [site * lanes + lane]
   std::vector<double> spectral_right;        ///< [site * lanes + lane]
 
@@ -73,7 +72,7 @@ struct ScalarRgfBatchWorkspace {
   std::vector<double> gl_re, gl_im;      ///< left-connected g planes
   std::vector<double> gd_re, gd_im;      ///< full-G diagonal planes
   std::vector<double> gcol_re, gcol_im;  ///< last-column G planes
-  std::vector<double> gr_re, gr_im;      ///< right-connected planes (checks)
+  std::vector<double> gr_re, gr_im;      ///< right-connected planes
 };
 
 /// Solve `chain` at `energies_eV[0..count)` + i*eta in one call. Each
@@ -87,7 +86,7 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
 /// Fermi factors for a batch of energies: out[k] = fermi(e[k] - mu, kT),
 /// the exact per-energy calls of the transport accumulation loops hoisted
 /// into one precomputed array (bit-identical by construction). Shared by
-/// the uniform, adaptive, and real-space paths.
+/// the uniform and adaptive mode-space paths.
 void fermi_factors(const double* energies_eV, size_t count, double mu_eV, double kT_eV,
                    double* out);
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
-#include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "linalg/lu.hpp"
 #include "negf/selfenergy.hpp"
@@ -177,128 +176,6 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
                                     i, k, a_tot, a_r, energy_eV));
       out.spectral_right.push_back(a_r);
       out.spectral_left.push_back(std::max(0.0, a_tot - a_r));
-    }
-  }
-}
-
-void rgf_solve_batch(const gnr::BlockTridiagonal& h, const double* energies_eV, size_t count,
-                     double eta_eV, const CMatrix& sigma_left, const CMatrix& sigma_right,
-                     RgfBatchWorkspace& ws, std::vector<RgfResult>& out) {
-  check_contact_shapes(h, sigma_left, sigma_right);
-  if (count == 0) throw std::invalid_argument("rgf_batch: need >= 1 energy");
-  GNRFET_REQUIRE("negf", "positive-broadening", eta_eV > 0.0 && std::isfinite(eta_eV),
-                 strings::format("eta_eV = %g must be finite and > 0", eta_eV));
-  for (size_t k = 0; k < count; ++k) {
-    GNRFET_CHECK_FINITE("negf", "finite-energy", energies_eV[k]);
-  }
-#if GNRFET_CHECKS_ENABLED
-  // The Hamiltonian is shared by every lane: one Hermiticity scan per
-  // batch instead of one per energy.
-  {
-    const double herm = gnr::hermiticity_error(h);
-    GNRFET_REQUIRE("negf", "hermitian-hamiltonian", herm <= kHermitianTol_eV,
-                   strings::format("max |H - H^dagger| = %g eV exceeds %g", herm,
-                                   kHermitianTol_eV));
-  }
-#endif
-  const size_t nb = h.num_blocks();
-  ws.lane.resize(count);
-  out.resize(count);
-  metrics::add(metrics::Counter::kRgfBatchSolves);
-  metrics::observe(metrics::Histogram::kRgfBatchWidth, static_cast<double>(count));
-
-  // Forward sweep, blocks outer / lanes inner: the coupling adjoint and
-  // identity RHS of a block are energy-independent and computed once.
-  identity_into(ws.eye, h.diag[0].rows());
-  for (size_t k = 0; k < count; ++k) {
-    RgfWorkspace& w = ws.lane[k];
-    w.gl.resize(nb);
-    block_a_into(w.a, h.diag[0], cplx(energies_eV[k], eta_eV));
-    w.a -= sigma_left;
-    w.lu.factor(w.a);
-    w.lu.solve_into(ws.eye, w.gl[0]);
-  }
-  for (size_t i = 1; i < nb; ++i) {
-    const CMatrix& v_up = h.upper[i - 1];
-    linalg::adjoint_into(ws.v_dn, v_up);
-    identity_into(ws.eye, h.diag[i].rows());
-    for (size_t k = 0; k < count; ++k) {
-      RgfWorkspace& w = ws.lane[k];
-      block_a_into(w.a, h.diag[i], cplx(energies_eV[k], eta_eV));
-      if (i == nb - 1) w.a -= sigma_right;
-      linalg::multiply_into(w.t1, w.gl[i - 1], v_up);
-      linalg::multiply_into(w.t2, ws.v_dn, w.t1);
-      w.a -= w.t2;
-      w.lu.factor(w.a);
-      w.lu.solve_into(ws.eye, w.gl[i]);
-    }
-  }
-
-  // Backward sweep, same hoisting.
-  for (size_t k = 0; k < count; ++k) {
-    RgfWorkspace& w = ws.lane[k];
-    w.gdiag.resize(nb);
-    w.gcol.resize(nb);
-    w.gdiag[nb - 1] = w.gl[nb - 1];
-    w.gcol[nb - 1] = w.gl[nb - 1];
-  }
-  for (size_t ii = nb - 1; ii-- > 0;) {
-    const CMatrix& v_up = h.upper[ii];
-    linalg::adjoint_into(ws.v_dn, v_up);
-    for (size_t k = 0; k < count; ++k) {
-      RgfWorkspace& w = ws.lane[k];
-      linalg::multiply_into(w.t1, ws.v_dn, w.gl[ii]);
-      linalg::multiply_into(w.t2, w.gdiag[ii + 1], w.t1);
-      linalg::multiply_into(w.t1, v_up, w.t2);
-      linalg::multiply_into(w.t2, w.gl[ii], w.t1);
-      w.gdiag[ii] = w.gl[ii];
-      w.gdiag[ii] += w.t2;
-      linalg::multiply_into(w.t1, v_up, w.gcol[ii + 1]);
-      linalg::multiply_into(w.gcol[ii], w.gl[ii], w.t1);
-    }
-  }
-
-  // Contact broadenings are energy-independent: once per batch, not per
-  // lane (same entry-wise arithmetic as rgf_solve's per-energy calls).
-  broadening_into(ws.gamma_l, ws.adj_scratch, sigma_left);
-  broadening_into(ws.gamma_r, ws.adj_scratch, sigma_right);
-
-  for (size_t k = 0; k < count; ++k) {
-    RgfWorkspace& w = ws.lane[k];
-    RgfResult& r = out[k];
-    const double energy_eV = energies_eV[k];
-    {
-      const CMatrix& g_0n = w.gcol[0];
-      linalg::adjoint_into(w.t1, g_0n);
-      linalg::multiply_into(w.t2, ws.gamma_r, w.t1);
-      linalg::multiply_into(w.t1, g_0n, w.t2);
-      linalg::multiply_into(w.t2, ws.gamma_l, w.t1);
-      r.transmission = w.t2.trace().real();
-    }
-    GNRFET_ENSURE("negf", "transmission-positive",
-                  std::isfinite(r.transmission) && r.transmission >= -1e-9,
-                  strings::format("T(E=%g) = %g", energy_eV, r.transmission));
-    r.spectral_left.clear();
-    r.spectral_right.clear();
-    r.spectral_left.reserve(h.total_dim());
-    r.spectral_right.reserve(h.total_dim());
-    for (size_t i = 0; i < nb; ++i) {
-      linalg::adjoint_into(w.t1, w.gcol[i]);
-      linalg::multiply_into(w.t2, ws.gamma_r, w.t1);
-      linalg::multiply_into(w.t1, w.gcol[i], w.t2);
-      const CMatrix& ar = w.t1;
-      const size_t n = w.gdiag[i].rows();
-      for (size_t kk = 0; kk < n; ++kk) {
-        const double a_tot = -2.0 * w.gdiag[i](kk, kk).imag();
-        const double a_r = ar(kk, kk).real();
-        GNRFET_ENSURE("negf", "spectral-sum-rule",
-                      std::isfinite(a_tot) && a_r >= -1e-9 &&
-                          a_tot - a_r >= -1e-9 * (1.0 + std::abs(a_tot) + std::abs(a_r)),
-                      strings::format("block %zu orbital %zu: A_tot = %g, A_R = %g at E = %g",
-                                      i, kk, a_tot, a_r, energy_eV));
-        r.spectral_right.push_back(a_r);
-        r.spectral_left.push_back(std::max(0.0, a_tot - a_r));
-      }
     }
   }
 }

@@ -51,28 +51,6 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
                const linalg::CMatrix& sigma_left, const linalg::CMatrix& sigma_right,
                RgfWorkspace& ws, RgfResult& out);
 
-/// Caller-owned scratch for rgf_solve_batch: one RgfWorkspace per energy
-/// lane plus the buffers the batch shares across lanes (identity RHS,
-/// coupling adjoints, contact broadenings — all energy-independent).
-struct RgfBatchWorkspace {
-  std::vector<RgfWorkspace> lane;    ///< per-lane sweep state and LU
-  linalg::CMatrix eye;               ///< shared identity RHS per block
-  linalg::CMatrix v_dn;              ///< shared coupling adjoint per block
-  linalg::CMatrix gamma_l, gamma_r;  ///< contact broadenings (per batch)
-  linalg::CMatrix adj_scratch;       ///< adjoint scratch for broadening
-};
-
-/// Small-B energy batch over the per-block LU solves: solve `h` at
-/// `energies_eV[0..count)` in one call, blocks outer and lanes inner, with
-/// the energy-independent work — Hermiticity check, per-block coupling
-/// adjoint and identity RHS, contact broadenings — hoisted out of the lane
-/// loop. Each lane's outputs are bit-identical to rgf_solve at that
-/// energy; `out` is resized to `count`.
-void rgf_solve_batch(const gnr::BlockTridiagonal& h, const double* energies_eV, size_t count,
-                     double eta_eV, const linalg::CMatrix& sigma_left,
-                     const linalg::CMatrix& sigma_right, RgfBatchWorkspace& ws,
-                     std::vector<RgfResult>& out);
-
 /// Reference implementation via one dense inversion of the full matrix;
 /// O(dim^3) per energy, used only by tests to validate rgf_solve.
 RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,

@@ -60,7 +60,6 @@ void scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV,
   }
 
   out.transmission = chain.gamma_left * chain.gamma_right * std::norm(gcol[0]);
-  out.transmission_reverse = out.transmission;
   // One transverse subband carries at most one conductance quantum:
   // 0 <= T(E) <= 1 for any chain with these wide-band contacts.
   GNRFET_ENSURE("negf", "transmission-positive",
@@ -82,7 +81,6 @@ void scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV,
     out.spectral_right[c] = a_r;
     out.spectral_left[c] = std::max(0.0, a_tot - a_r);
   }
-#if GNRFET_CHECKS_ENABLED
   // Independent drain-side solve: right-connected sweep, then the mirrored
   // column G_{n-1,0}. In exact arithmetic G_{0,n-1} = G_{n-1,0} (the chain
   // Hamiltonian is complex-symmetric), so the two transmissions agree; the
@@ -107,7 +105,6 @@ void scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV,
                   strings::format("T_forward = %.12g vs T_reverse = %.12g at E = %g",
                                   out.transmission, out.transmission_reverse, energy_eV));
   }
-#endif
 }
 
 }  // namespace gnrfet::negf

@@ -22,11 +22,10 @@ struct ScalarChain {
 struct ScalarRgfResult {
   double transmission = 0.0;
   /// Transmission computed independently from the drain side (right-
-  /// connected sweep). Equal to `transmission` up to roundoff in the
-  /// ballistic limit; the contract layer uses the mismatch as the
-  /// source/drain current-continuity check. When contract checks are
-  /// compiled out (GNRFET_CHECKS=OFF) the extra sweep is skipped and this
-  /// aliases `transmission`.
+  /// connected sweep), in every build. Equal to `transmission` up to
+  /// roundoff in the ballistic limit; the contract layer checks the
+  /// mismatch (source/drain current continuity) when checks are compiled
+  /// in, and the transport layer integrates it into current_drain_A.
   double transmission_reverse = 0.0;
   std::vector<double> spectral_left;   ///< A_L,cc per site
   std::vector<double> spectral_right;  ///< A_R,cc per site
@@ -41,7 +40,7 @@ struct ScalarRgfWorkspace {
   std::vector<std::complex<double>> gl;    ///< left-connected g
   std::vector<std::complex<double>> gd;    ///< full-G diagonal
   std::vector<std::complex<double>> gcol;  ///< last-column G elements
-  std::vector<std::complex<double>> gr;    ///< right-connected sweep (checks)
+  std::vector<std::complex<double>> gr;    ///< right-connected sweep
 };
 
 /// Solve the chain at E + i*eta.

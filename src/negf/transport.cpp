@@ -551,7 +551,6 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
 
   const linalg::CMatrix sig_l = wide_band_self_energy(h.diag.front().rows(), opts.gamma_contact_eV);
   const linalg::CMatrix sig_r = wide_band_self_energy(h.diag.back().rows(), opts.gamma_contact_eV);
-  const bool batch = rgf_batch_enabled();
 
   TransportSolution sol;
   sol.energies_eV = grid.points;
@@ -578,55 +577,28 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
         RealPartial part;
         part.n_atom.assign(natoms, 0.0);
         part.p_atom.assign(natoms, 0.0);
-        const size_t nsolve = end - begin;
-        if (nsolve > 0) {
-          // Fermi factors hoisted per chunk, shared by both branches (see
-          // solve_mode_space).
-          thread_local std::vector<double> f1v, f2v;
-          f1v.resize(nsolve);
-          f2v.resize(nsolve);
-          fermi_factors(grid.points.data() + begin, nsolve, opts.mu_source_eV, opts.kT_eV,
-                        f1v.data());
-          fermi_factors(grid.points.data() + begin, nsolve, opts.mu_drain_eV, opts.kT_eV,
-                        f2v.data());
-          // One accumulation pass over per-energy results, fed either by
-          // the batched kernel (one call per chunk, energy-independent
-          // block work hoisted) or by the legacy per-energy solves.
-          thread_local RgfBatchWorkspace bws;
-          thread_local std::vector<RgfResult> rs;
-          thread_local RgfWorkspace ws;
-          if (batch) {
-            rgf_solve_batch(h, grid.points.data() + begin, nsolve, opts.eta_eV, sig_l, sig_r,
-                            bws, rs);
-          } else {
-            rs.resize(nsolve);
-            for (size_t k = 0; k < nsolve; ++k) {
-              rgf_solve(h, grid.points[begin + k], opts.eta_eV, sig_l, sig_r, ws, rs[k]);
-            }
-          }
-          for (size_t k = 0; k < nsolve; ++k) {
-            const size_t ie = begin + k;
-            const double e = grid.points[ie];
-            const double w = grid.weights[ie];
-            const RgfResult& r = rs[k];
-            sol.transmission[ie] = r.transmission;
-            const double f1 = f1v[k];
-            const double f2 = f2v[k];
-            part.current += w * r.transmission * (f1 - f2);
-            size_t orb = 0;
-            for (size_t b = 0; b < nb; ++b) {
-              for (const size_t atom : slices[b]) {
-                const BipolarDensity d = bipolar_density(r.spectral_left[orb],
-                                                         r.spectral_right[orb], e,
-                                                         onsite_eV[atom], f1, f2);
-                part.n_atom[atom] += w * d.electrons;
-                part.p_atom[atom] += w * d.holes;
-                ++orb;
-              }
+        thread_local RgfWorkspace ws;
+        thread_local RgfResult r;
+        for (size_t ie = begin; ie < end; ++ie) {
+          const double e = grid.points[ie];
+          const double w = grid.weights[ie];
+          rgf_solve(h, e, opts.eta_eV, sig_l, sig_r, ws, r);
+          sol.transmission[ie] = r.transmission;
+          const double f1 = constants::fermi(e - opts.mu_source_eV, opts.kT_eV);
+          const double f2 = constants::fermi(e - opts.mu_drain_eV, opts.kT_eV);
+          part.current += w * r.transmission * (f1 - f2);
+          size_t orb = 0;
+          for (size_t b = 0; b < nb; ++b) {
+            for (const size_t atom : slices[b]) {
+              const BipolarDensity d = bipolar_density(r.spectral_left[orb], r.spectral_right[orb],
+                                                       e, onsite_eV[atom], f1, f2);
+              part.n_atom[atom] += w * d.electrons;
+              part.p_atom[atom] += w * d.holes;
+              ++orb;
             }
           }
         }
-        metrics::add(metrics::Counter::kRgfSolves, static_cast<uint64_t>(nsolve));
+        metrics::add(metrics::Counter::kRgfSolves, static_cast<uint64_t>(end - begin));
         return part;
       },
       [](RealPartial& acc, RealPartial&& part) {

@@ -79,11 +79,11 @@ struct TransportContext {
 struct TransportSolution {
   double current_A = 0.0;
   /// Source/drain continuity witness: the same Landauer integral assembled
-  /// from the independently computed drain-side transmissions (mode-space
-  /// path only; aliases current_A in the real-space path and when contract
-  /// checks are compiled out). The device layer contracts
-  /// |current_A - current_drain_A| to be below tolerance in the ballistic
-  /// limit.
+  /// from the independently computed drain-side transmissions. Mode-space
+  /// path: a plain result with the same bits in every build, checks on or
+  /// off. Real-space path: aliases current_A (the block RGF has no
+  /// drain-side sweep). The device layer contracts |current_A -
+  /// current_drain_A| to be below tolerance in the ballistic limit.
   double current_drain_A = 0.0;
   /// Electron and hole populations (both >= 0), spin included, resolved on
   /// (column, dimer line); net charge is -e*(electrons - holes).

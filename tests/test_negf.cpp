@@ -230,6 +230,30 @@ TEST(Transport, ModeSpaceMatchesRealSpaceIV) {
               0.15 * std::abs(real.total_net_electrons) + 0.05);
 }
 
+TEST(RealSpaceGolden, AblationLatticeBitIdentical) {
+  // Regression pin of the block-RGF reference path on the ablation bench's
+  // lattice (N = 12, 24 slices, linear source-drain drop, 2.5 meV grid).
+  // Hashes and hexfloats were captured from the solver that still carried
+  // a second, energy-batched block-RGF kernel, with that kernel both on
+  // and off: the per-energy solve must keep every bit.
+  const TightBindingParams p{2.7, 0.12};
+  const Lattice lat = Lattice::armchair(12, 24, p.edge_delta);
+  std::vector<double> onsite(lat.atoms().size());
+  for (size_t i = 0; i < onsite.size(); ++i) {
+    onsite[i] = -0.45 - 0.4 * lat.atoms()[i].x_nm / lat.length_nm();
+  }
+  negf::TransportOptions opt;
+  opt.mu_drain_eV = -0.4;
+  opt.energy_step_eV = 2.5e-3;
+  const auto sol = negf::solve_real_space(lat, p, onsite, opt);
+  EXPECT_EQ(sol.current_A, 0x1.c6ffb7a171fe5p-18);
+  EXPECT_EQ(sol.total_net_electrons, 0x1.9ed02df158cedp+2);
+  EXPECT_EQ(sol.transmission.size(), 526u);
+  EXPECT_EQ(fnv1a(sol.transmission), 0xb130af6fa9e0fbe7ull);
+  EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0x19f5624c113357cbull);
+  EXPECT_EQ(fnv1a(flatten(sol.holes)), 0x6bc064580305491cull);
+}
+
 TEST(Transport, IdealRibbonTransmissionStaircase) {
   // With semi-infinite ideal-ribbon leads (Sancho-Rubio), T(E) equals the
   // number of subbands at E. Check plateau values at a few energies for
