@@ -41,6 +41,13 @@ class IntrinsicFet {
   Polarity polarity() const { return polarity_; }
   double offset_V() const { return offset_; }
 
+  /// True when `o` is the same model: the same two tables, polarity and
+  /// offset, so its samples are bit-identical to this channel's.
+  bool same_model(const IntrinsicFet& o) const {
+    return current_ == o.current_ && charge_ == o.charge_ && polarity_ == o.polarity_ &&
+           offset_ == o.offset_;
+  }
+
  private:
   FetSample eval(const Table2D& t, double vgs, double vds, bool antisymmetric_value) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -66,6 +67,12 @@ double Table2D::at(ptrdiff_t ix, ptrdiff_t iy) const {
 }
 
 TableSample Table2D::sample(double x, double y) const {
+  // A non-finite coordinate has no cell: casting it to an index is
+  // undefined. The NaN sample lets the caller's finite checks catch it.
+  if (!std::isfinite(x) || !std::isfinite(y)) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {nan, nan, nan};
+  }
   // Clamp to the domain; outside it the value continues linearly with the
   // boundary gradient (computed by sampling at the clamped point).
   const double xc = std::clamp(x, xs_.front(), xs_.back());

@@ -22,6 +22,8 @@ class Table2D {
   Table2D(std::vector<double> xs, std::vector<double> ys, std::vector<double> values);
 
   double value(double x, double y) const { return sample(x, y).value; }
+  /// Value and gradient at (x, y). Returns all-NaN when x or y is not
+  /// finite.
   TableSample sample(double x, double y) const;
 
   double x_min() const { return xs_.front(); }

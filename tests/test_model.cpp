@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "model/array_fet.hpp"
 #include "model/extrinsic_fet.hpp"
@@ -85,6 +87,23 @@ TEST(Table2D, GhostPointSamplesAreBitPinned) {
   }
 }
 
+TEST(Table2D, NonFiniteCoordinateGivesNanSample) {
+  // Regression: a NaN coordinate was cast to an undefined cell index,
+  // which sent the ghost-point lookup into unbounded recursion (SIGSEGV).
+  const Table2D t({0.0, 0.1, 0.2, 0.3}, {0.0, 0.05, 0.1},
+                  {0.0, 1.0, 2.0, 1.0, 2.0, 3.0, 2.0, 3.0, 4.0, 3.0, 4.0, 5.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> points[] = {{nan, 0.05}, {0.1, nan}, {inf, 0.05}, {0.1, -inf}};
+  for (const auto& [x, y] : points) {
+    const auto s = t.sample(x, y);
+    EXPECT_TRUE(std::isnan(s.value)) << x << ", " << y;
+    EXPECT_TRUE(std::isnan(s.d_dx)) << x << ", " << y;
+    EXPECT_TRUE(std::isnan(s.d_dy)) << x << ", " << y;
+  }
+  EXPECT_TRUE(std::isnan(synthetic::synthetic_fet(Polarity::kN).current(nan, 0.2).value));
+}
+
 TEST(Table2D, RejectsNonUniformAxis) {
   EXPECT_THROW(Table2D({0.0, 0.1, 0.5}, {0.0, 1.0}, std::vector<double>(6, 0.0)),
                std::invalid_argument);
@@ -158,6 +177,44 @@ TEST(ArrayFet, VariantMixing) {
   const double expected = 3.0 * nom.current(0.4, 0.4).value + var.current(0.4, 0.4).value;
   EXPECT_NEAR(mixed.current(0.4, 0.4).value, expected, 1e-18);
   EXPECT_THROW(model::ArrayFet::with_variants(nom, var, 4, 5), std::invalid_argument);
+}
+
+TEST(ArrayFet, SharedChannelSamplesMatchChannelLoopBitForBit) {
+  // The array samples a run of identical channels once; its sums must keep
+  // the bits of sampling every channel in array order.
+  for (const Polarity pol : {Polarity::kN, Polarity::kP}) {
+    const auto nom = synthetic::synthetic_fet(pol, 0.05);
+    const auto var = synthetic::synthetic_fet(pol, 0.2);
+    const std::pair<model::ArrayFet, std::vector<model::IntrinsicFet>> cases[] = {
+        {model::ArrayFet::uniform(nom, 4), {nom, nom, nom, nom}},
+        {model::ArrayFet::with_variants(nom, var, 4, 1), {nom, nom, nom, var}},
+    };
+    for (const auto& [array, channels] : cases) {
+      for (double vgs : {-0.3, 0.0, 0.15, 0.4}) {
+        for (double vds : {-0.25, 0.0, 0.3}) {
+          model::FetSample i, q;
+          for (const auto& c : channels) {
+            const auto ci = c.current(vgs, vds);
+            const auto cq = c.charge(vgs, vds);
+            i.value += ci.value;
+            i.d_dvgs += ci.d_dvgs;
+            i.d_dvds += ci.d_dvds;
+            q.value += cq.value;
+            q.d_dvgs += cq.d_dvgs;
+            q.d_dvds += cq.d_dvds;
+          }
+          const auto ai = array.current(vgs, vds);
+          const auto aq = array.charge(vgs, vds);
+          EXPECT_EQ(ai.value, i.value);
+          EXPECT_EQ(ai.d_dvgs, i.d_dvgs);
+          EXPECT_EQ(ai.d_dvds, i.d_dvds);
+          EXPECT_EQ(aq.value, q.value);
+          EXPECT_EQ(aq.d_dvgs, q.d_dvgs);
+          EXPECT_EQ(aq.d_dvds, q.d_dvds);
+        }
+      }
+    }
+  }
 }
 
 TEST(ArrayFet, RejectsMixedPolarity) {
