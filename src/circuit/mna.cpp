@@ -77,6 +77,10 @@ bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     }
     ws.stamp(ckt, x, ctx);
     check_mna_stamp(ckt, ws.jac, ws.res);
+    if (!ws.ordered) {
+      ws.lu.set_order(linalg::minimum_degree_order(ws.jac));
+      ws.ordered = true;
+    }
     double res_norm = 0.0;
     for (const double r : ws.res) res_norm = std::max(res_norm, std::abs(r));
     // Tiny diagonal regularization (gmin) keeps floating internal nodes
@@ -89,6 +93,7 @@ bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     } catch (const std::runtime_error&) {
       return false;  // singular Jacobian
     }
+    metrics::add(metrics::Counter::kMnaEliminationUpdates, ws.lu.elimination_updates());
     ws.lu.solve_into(ws.rhs, ws.dx);
     double max_dx = 0.0;
     for (size_t i = 0; i < n; ++i) {

@@ -10,8 +10,11 @@
 /// Modified nodal analysis core for the lookup-table circuit simulator of
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
-/// (tens of nodes), so the Jacobian is dense. Both analyses (dc.hpp,
-/// transient.hpp) drive the one damped Newton loop declared at the end.
+/// (tens of nodes), so the Jacobian is stored dense; it is mostly zeros,
+/// and each solve eliminates it in a minimum-degree order of its first
+/// stamp (linalg::minimum_degree_order), which keeps the LU fill small.
+/// Both analyses (dc.hpp, transient.hpp) drive the one damped Newton loop
+/// declared at the end.
 namespace gnrfet::circuit {
 
 /// Node handle; 0 is ground.
@@ -153,7 +156,10 @@ class Element {
 
 /// Dense MNA system of one circuit: Jacobian, residual, right-hand side,
 /// update and LU factors. Allocated once per solve_dc / run_transient call
-/// and reused by every Newton iteration.
+/// and reused by every Newton iteration. The first newton_solve on it sets
+/// the LU's elimination order from the first stamped Jacobian; an entry
+/// that is zero there and nonzero later only costs fill (pivoting is
+/// unchanged).
 struct MnaWorkspace {
   explicit MnaWorkspace(size_t n) : jac(n, n), res(n), rhs(n), dx(n) {}
 
@@ -164,6 +170,7 @@ struct MnaWorkspace {
   linalg::DMatrix jac;
   std::vector<double> res, rhs, dx;
   linalg::LU<double> lu;
+  bool ordered = false;  ///< lu's elimination order is set
 };
 
 /// Iteration budget, node-update clamp and acceptance test of one Newton
@@ -191,7 +198,8 @@ inline constexpr NewtonPolicy kTransientNewton{.max_iterations = 60,
 
 /// Damped Newton on the MNA system of `ckt` under `ctx`, updating `x` in
 /// place. Each iteration stamps, runs check_mna_stamp, adds a 1e-12 S gmin
-/// on the node rows, LU-solves and applies the node-clamped update. Returns
+/// on the node rows, LU-solves in the workspace's elimination order and
+/// applies the node-clamped update. Returns
 /// true when `policy` accepts an update; false when its iterations run out
 /// or the Jacobian is singular. A ContractViolation propagates.
 bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,

@@ -36,7 +36,8 @@ enum class Counter {
   kTableServiceHits,          ///< service: queries answered from the in-memory memo
   kTableServiceMisses,        ///< service: queries that went cold (disk load or generation)
   kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
-  kMnaFactorizations,         ///< circuit: dense LU factorizations of the MNA Jacobian
+  kMnaFactorizations,         ///< circuit: LU factorizations of the MNA Jacobian
+  kMnaEliminationUpdates,     ///< circuit: row-entry updates of those factorizations (fill)
   kTransientSteps,            ///< circuit: accepted transient time steps
   kGummelUnconverged,         ///< device: bias points that hit max_gummel_iterations
   kPoissonNewtonUnconverged,  ///< poisson: nonlinear solves that hit max_newton_iterations

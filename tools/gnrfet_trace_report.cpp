@@ -450,6 +450,14 @@ int main(int argc, char** argv) {
     for (const auto& [name, v] : counters->object) {
       std::cout << "  " << std::left << std::setw(name_w + 2) << name << std::right
                 << std::setw(14) << static_cast<uint64_t>(v.number) << "\n";
+      // The MNA fill per factorization: a netlist or node-numbering change
+      // that fills the Jacobian again shows up as a jump here.
+      const Value* factorizations = counters->find("mna_factorizations");
+      if (name == "mna_elimination_updates" && factorizations && factorizations->number > 0) {
+        std::cout << "  " << std::left << std::setw(name_w + 2) << "  per factorization"
+                  << std::right << std::setw(14) << std::fixed << std::setprecision(1)
+                  << v.number / factorizations->number << "\n";
+      }
     }
   }
 
