@@ -3,7 +3,10 @@
 #include <cmath>
 #include <memory>
 
+#include "circuit/netlists.hpp"
 #include "device/tablegen.hpp"
+#include "model/array_fet.hpp"
+#include "model/extrinsic_fet.hpp"
 #include "model/intrinsic_fet.hpp"
 
 /// Synthetic, analytically smooth ambipolar device table used by the model
@@ -48,6 +51,17 @@ inline device::DeviceTable synthetic_table() {
 inline model::IntrinsicFet synthetic_fet(model::Polarity pol, double offset = 0.0) {
   static const model::FetTables tables = model::make_fet_tables(synthetic_table());
   return model::IntrinsicFet(tables.current_A, tables.charge_C, pol, offset);
+}
+
+/// Inverter of two 4-GNR synthetic arrays with 40 nm-wide contacts.
+inline circuit::InverterModels synthetic_inverter(double offset = 0.12) {
+  const auto par = model::Parasitics::from_per_width(0.05, 40.0);
+  circuit::InverterModels m;
+  m.nfet = model::make_extrinsic(
+      model::ArrayFet::uniform(synthetic_fet(model::Polarity::kN, offset), 4), par);
+  m.pfet = model::make_extrinsic(
+      model::ArrayFet::uniform(synthetic_fet(model::Polarity::kP, offset), 4), par);
+  return m;
 }
 
 }  // namespace gnrfet::synthetic
