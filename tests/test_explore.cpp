@@ -4,6 +4,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "device/tablegen.hpp"
 #include "explore/contours.hpp"
 #include "explore/montecarlo.hpp"
 #include "explore/tech_explore.hpp"
@@ -103,6 +104,25 @@ TEST(StandardTableOptions, MatchesCacheContract) {
   EXPECT_EQ(opts.vd_points, 16u);
   EXPECT_DOUBLE_EQ(opts.vg_max, 1.0);
   EXPECT_DOUBLE_EQ(opts.vd_max, 0.75);
+}
+
+TEST(StandardTableOptions, DefaultCacheKeysArePinned) {
+  // Literal cache payloads of two standard variants. Every cached and
+  // checked-in default table is stored under these keys, so any change to
+  // them turns the whole table cache cold.
+  const auto opts = explore::standard_table_options();
+  device::DeviceSpec nominal;
+  device::DeviceSpec charged;
+  charged.impurities.push_back({-1.0, 1.0, 0.0, 0.4});
+  EXPECT_EQ(device::table_cache_payload(nominal, opts),
+            "N=12;L=15;tox=1.5;eps=3.9;t=2.7;delta=0.12;gamma=1;modes=3;cm=0.3;lm=3;h=0.25"
+            "|vg[0,1,21]vd[0,0.75,16]de=0.0025000000000000001;eta=0.001;"
+            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap");
+  EXPECT_EQ(device::table_cache_payload(charged, opts),
+            "N=12;L=15;tox=1.5;eps=3.9;t=2.7;delta=0.12;gamma=1;modes=3;cm=0.3;lm=3;h=0.25;"
+            "imp(-1,1,0,0.4)"
+            "|vg[0,1,21]vd[0,0.75,16]de=0.0025000000000000001;eta=0.001;"
+            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap");
 }
 
 }  // namespace
