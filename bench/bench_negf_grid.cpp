@@ -1,19 +1,18 @@
-/// NEGF energy-integration benchmark, in two sections.
+/// NEGF energy-grid benchmark, in two sections.
 ///
-/// Synthetic: the same mode-space I-V sweep (a fig2-style source-drain
-/// ramp family) solved on the uniform grid and on the adaptive grid, both
-/// checked against a 4x-finer uniform reference. One {grid, rgf_solves,
-/// energy_points, seconds, max_rel_current_err, current_hash} record per
-/// grid; tools/ci_checks.sh perf-smoke asserts the adaptive grid does at
-/// most half the uniform RGF solves at <= 1e-4 relative current error.
+/// Synthetic: a mode-space I-V sweep (a fig2-style source-drain ramp
+/// family) on the uniform grid, checked against a 4x-finer uniform
+/// reference. One {grid, rgf_solves, energy_points, seconds,
+/// max_rel_current_err, current_hash} record; tools/ci_checks.sh
+/// perf-smoke asserts its current hash is the same at GNRFET_THREADS=1
+/// and 4.
 ///
 /// Real device: a cold N=12 sub-table of the standard bias plane (VG
 /// 0.2-1.0 V x VD 0-0.75 V, 9 x 4 points by default) generated through
-/// the full self-consistent stack on the uniform 2.5 meV grid, on the
-/// adaptive grid, and on a uniform grid at a 4x finer step (the
-/// reference). One {device_grid, step_meV, rgf_solves, gummel_iterations,
-/// seconds, max_rel_current_err, mean_rel_current_err,
-/// max_charge_err_of_qmax} record per grid; current errors count the
+/// the full self-consistent stack on the uniform 2.5 meV grid and on a
+/// uniform grid at a 4x finer step (the reference). One {device_grid,
+/// step_meV, rgf_solves, gummel_iterations, seconds, max_rel_current_err,
+/// mean_rel_current_err, max_charge_err_of_qmax} record per grid; current errors count the
 /// points with |I| > 1e-3 * Imax, charge errors are relative to the
 /// reference table's largest |Q|. perf-smoke asserts the uniform default
 /// stays within 0.5% of the reference on both.
@@ -23,7 +22,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -74,10 +72,9 @@ uint64_t counter_delta(const metrics::Snapshot& before, const metrics::Snapshot&
   return after.counters[static_cast<size_t>(c)] - before.counters[static_cast<size_t>(c)];
 }
 
-/// One real-device grid run: which grid, at what energy step.
+/// One real-device grid run: its record label and energy step.
 struct DeviceGrid {
-  const char* name;  ///< record label
-  const char* env;   ///< GNRFET_NEGF_GRID value
+  const char* name;
   double step_eV;
 };
 
@@ -109,8 +106,8 @@ TableErrors score(const device::DeviceTable& t, const device::DeviceTable& ref) 
   return e;
 }
 
-/// Real-device section: cold sub-tables of the N=12 device on each grid,
-/// scored against the 4x-finer uniform one.
+/// Real-device section: cold sub-tables of the N=12 device on the default
+/// grid and the 4x-finer uniform one, scored against the latter.
 void device_section(std::ofstream& json) {
   const int nvg = common::env::get_positive_int("GNRFET_BENCH_NEGF_DEVICE_NVG", 9);
   const int nvd = common::env::get_positive_int("GNRFET_BENCH_NEGF_DEVICE_NVD", 4);
@@ -127,14 +124,11 @@ void device_section(std::ofstream& json) {
   std::printf("VG %.2f-%.2f V x VD %.2f-%.2f V, %d x %d points, default step %.3g meV\n",
               opts.vg_min, opts.vg_max, opts.vd_min, opts.vd_max, nvg, nvd, step * 1e3);
 
-  const DeviceGrid grids[] = {{"uniform", "uniform", step},
-                               {"adaptive", "adaptive", step},
-                               {"reference", "uniform", step / 4.0}};
+  const DeviceGrid grids[] = {{"uniform", step}, {"reference", step / 4.0}};
   std::vector<device::DeviceTable> tables;
   std::vector<uint64_t> solves, gummel;
   std::vector<double> seconds;
   for (const DeviceGrid& g : grids) {
-    setenv("GNRFET_NEGF_GRID", g.env, 1);
     device::TableGenOptions run = opts;
     run.solve.energy_step_eV = g.step_eV;
     const auto before = metrics::snapshot();
@@ -148,7 +142,7 @@ void device_section(std::ofstream& json) {
 
   csv::Table table({"grid_id", "step_meV", "rgf_solves", "gummel_iterations", "seconds",
                     "max_rel_current_err", "mean_rel_current_err", "max_charge_err_of_qmax"});
-  table.set_meta("grid_id", "0 = uniform, 1 = adaptive, 2 = 4x-finer uniform reference");
+  table.set_meta("grid_id", "0 = uniform, 1 = 4x-finer uniform reference");
   for (size_t i = 0; i < std::size(grids); ++i) {
     const TableErrors e = score(tables[i], tables.back());
     const double step_meV = grids[i].step_eV * 1e3;
@@ -180,7 +174,7 @@ int main() {
   const auto modes = gnr::build_mode_set(n_gnr, {2.7, 0.12}, 3);
   const size_t nlines = static_cast<size_t>(modes.n_index);
 
-  bench::banner("NEGF energy integration (uniform vs adaptive grid)");
+  bench::banner("NEGF energy integration (uniform grid vs 4x-finer reference)");
   std::printf("N=%d ribbon, %zu columns, %d bias points\n", n_gnr, ncol, nvd);
 
   std::vector<negf::TransportOptions> biases;
@@ -195,7 +189,6 @@ int main() {
   }
 
   // 4x-finer uniform reference currents.
-  setenv("GNRFET_NEGF_GRID", "uniform", 1);
   std::vector<double> ref(biases.size());
   for (size_t i = 0; i < biases.size(); ++i) {
     negf::TransportOptions fine = biases[i];
@@ -205,39 +198,31 @@ int main() {
 
   bench::output_path("negf_grid");  // ensures bench_out/ exists
   std::ofstream json("bench_out/BENCH_negf.json");
-  csv::Table table({"grid_id", "rgf_solves", "energy_points", "seconds", "max_rel_current_err"});
-  table.set_meta("grid_id", "0 = uniform, 1 = adaptive");
-
-  for (const char* grid : {"uniform", "adaptive"}) {
-    setenv("GNRFET_NEGF_GRID", grid, 1);
-    const auto before = metrics::snapshot();
-    bench::PhaseTimer timer("negf_grid", grid);
-    double max_rel = 0.0;
-    std::vector<double> currents;
-    currents.reserve(biases.size());
-    for (size_t i = 0; i < biases.size(); ++i) {
-      const auto sol = negf::solve_mode_space(modes, potentials[i], biases[i]);
-      currents.push_back(sol.current_A);
-      max_rel = std::max(max_rel, std::abs(sol.current_A - ref[i]) / std::abs(ref[i]));
-    }
-    const double seconds = timer.stop();
-    const auto after = metrics::snapshot();
-    const auto solves = counter_delta(before, after, metrics::Counter::kRgfSolves);
-    const auto points = counter_delta(before, after, metrics::Counter::kNegfEnergyPoints);
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(fnv1a(currents)));
-    std::printf(
-        "%-8s: %8llu RGF solves, %8llu energy points, %.3f s, max |dI/I| = %.2e, I hash %s\n",
-        grid, static_cast<unsigned long long>(solves),
-        static_cast<unsigned long long>(points), seconds, max_rel, hash);
-    json << "{\"grid\":\"" << grid << "\",\"rgf_solves\":" << solves
-         << ",\"energy_points\":" << points << ",\"seconds\":" << seconds
-         << ",\"max_rel_current_err\":" << max_rel << ",\"current_hash\":\"" << hash
-         << "\"}\n";
-    table.add_row({grid[0] == 'u' ? 0.0 : 1.0, double(solves), double(points), seconds,
-                   max_rel});
+  const auto before = metrics::snapshot();
+  bench::PhaseTimer timer("negf_grid", "uniform");
+  double max_rel = 0.0;
+  std::vector<double> currents;
+  currents.reserve(biases.size());
+  for (size_t i = 0; i < biases.size(); ++i) {
+    const auto sol = negf::solve_mode_space(modes, potentials[i], biases[i]);
+    currents.push_back(sol.current_A);
+    max_rel = std::max(max_rel, std::abs(sol.current_A - ref[i]) / std::abs(ref[i]));
   }
+  const double seconds = timer.stop();
+  const auto after = metrics::snapshot();
+  const auto solves = counter_delta(before, after, metrics::Counter::kRgfSolves);
+  const auto points = counter_delta(before, after, metrics::Counter::kNegfEnergyPoints);
+  char hash[32];
+  std::snprintf(hash, sizeof hash, "%016llx", static_cast<unsigned long long>(fnv1a(currents)));
+  std::printf("uniform : %8llu RGF solves, %8llu energy points, %.3f s, max |dI/I| = %.2e, "
+              "I hash %s\n",
+              static_cast<unsigned long long>(solves), static_cast<unsigned long long>(points),
+              seconds, max_rel, hash);
+  json << "{\"grid\":\"uniform\",\"rgf_solves\":" << solves << ",\"energy_points\":" << points
+       << ",\"seconds\":" << seconds << ",\"max_rel_current_err\":" << max_rel
+       << ",\"current_hash\":\"" << hash << "\"}\n";
+  csv::Table table({"rgf_solves", "energy_points", "seconds", "max_rel_current_err"});
+  table.add_row({double(solves), double(points), seconds, max_rel});
   bench::save_csv(table, "negf_grid");
 
   device_section(json);

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <vector>
 
@@ -107,8 +106,8 @@ int main() {
     std::printf("grid %zux%zux%zu (scale %zu), %zu free nodes, %zu charge cases x %d repeats\n",
                 g.nx, g.ny, g.nz, scale, assembly.num_free(), w.fixed_sets.size(), repeats);
 
-    for (const char* pc : {"jacobi", "ic0"}) {
-      const auto kind = linalg::preconditioner_kind_from_string(pc);
+    for (const auto kind : {linalg::PreconditionerKind::kJacobi, linalg::PreconditionerKind::kIc0}) {
+      const char* pc = linalg::to_string(kind);
       const auto before = metrics::snapshot();
       bench::PhaseTimer timer("poisson_solver", pc);
       for (int rep = 0; rep < repeats; ++rep) {
@@ -148,7 +147,6 @@ int main() {
   // (CapacitanceSolver, on the charge nodes S) and by the full-grid oracle
   // (PoissonSolver::solve_nonlinear). CI asserts max |dphi_S| <= 1e-8 V and
   // equal Newton counts on every system.
-  ::setenv("GNRFET_NEGF_GRID", "uniform", 1);
   const device::DeviceGeometry geometry{device::DeviceSpec{}};
   bench::PhaseTimer build_timer("poisson_solver", "capacitance_build");
   const device::SelfConsistentSolver solver(geometry);
@@ -209,7 +207,6 @@ int main() {
       phi_full = std::move(full.phi_full);
     }
   }
-  ::unsetenv("GNRFET_NEGF_GRID");
 
   json.close();
   std::printf("[json] bench_out/BENCH_poisson.json\n");

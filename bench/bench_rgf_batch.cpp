@@ -1,21 +1,20 @@
 /// Batched-RGF benchmark: the SoA energy-batch kernel (negf/batch_rgf)
-/// against the per-energy scalar path it replaces, on the fig2-style
-/// source-drain ramp family. Two phases:
+/// against the per-energy scalar kernel that stays as its oracle, on the
+/// fig2-style source-drain ramp family. Two phases:
 ///
 ///   kernel    — raw scalar_rgf_solve vs scalar_rgf_solve_batch solve
 ///               rates over the subband chains of the ramp family, with
 ///               an FNV-1a hash of every transmission value as the
 ///               bit-identity witness.
-///   transport — full solve_mode_space sweeps with GNRFET_RGF_BATCH=off
-///               and =on; the CI perf-smoke stage asserts the current
-///               hashes match (and match across GNRFET_THREADS values).
+///   transport — one full solve_mode_space sweep; the CI perf-smoke stage
+///               asserts its current hash matches across GNRFET_THREADS
+///               values.
 ///
 /// Emits bench_out/BENCH_rgf.json, one record per line; perf-smoke
 /// asserts kernel speedup >= 1.5x.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -180,14 +179,11 @@ int main() {
        << ",\"seconds\":" << sec_batch << ",\"speedup\":" << speedup
        << ",\"transmission_hash\":\"" << hex16(hash_batch) << "\"}\n";
 
-  // --- transport phase: full mode-space sweeps, knob off vs on ------------
+  // --- transport phase: full mode-space sweep -----------------------------
   const auto modes = gnr::build_mode_set(12, {2.7, 0.12}, 3);
   const size_t nlines = static_cast<size_t>(modes.n_index);
-  setenv("GNRFET_NEGF_GRID", "uniform", 1);
-  double sec_off = 0.0;
-  for (const char* knob : {"off", "on"}) {
-    setenv("GNRFET_RGF_BATCH", knob, 1);
-    bench::PhaseTimer timer("rgf_batch", std::string("transport_") + knob);
+  {
+    bench::PhaseTimer timer("rgf_batch", "transport");
     std::vector<double> currents;
     for (int i = 0; i < nvd; ++i) {
       const double vd = 0.05 + 0.45 * static_cast<double>(i) / static_cast<double>(nvd - 1);
@@ -199,15 +195,9 @@ int main() {
     }
     const double sec = timer.stop();
     const uint64_t h = fnv1a(currents);
-    std::printf("transport %-3s: %.3f s, I hash %s\n", knob, sec, hex16(h).c_str());
-    json << "{\"kind\":\"transport\",\"knob\":\"" << knob << "\",\"seconds\":" << sec
-         << ",\"current_hash\":\"" << hex16(h) << "\"";
-    if (knob[1] == 'n') {
-      json << ",\"speedup\":" << (sec_off / sec);
-    } else {
-      sec_off = sec;
-    }
-    json << "}\n";
+    std::printf("transport: %.3f s, I hash %s\n", sec, hex16(h).c_str());
+    json << "{\"kind\":\"transport\",\"seconds\":" << sec << ",\"current_hash\":\""
+         << hex16(h) << "\"}\n";
   }
 
   json << "{\"kind\":\"env\",\"simd_width\":" << effective_simd_width()

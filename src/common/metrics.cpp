@@ -67,7 +67,6 @@ size_t bucket_of(double value) {
 const char* kCounterNames[kNumCounters] = {
     "gummel_iterations", "negf_energy_points",  "rgf_solves",
     "rgf_batch_solves",
-    "negf_energy_points_uniform_equiv",
     "poisson_newton_iterations", "pcg_iterations", "pcg_precond_setups",
     "table_cache_hits",  "table_cache_misses",
     "table_service_hits", "table_service_misses", "table_service_coalesced",
@@ -82,7 +81,7 @@ const char* kHistogramNames[kNumHistograms] = {
     "gummel_iterations_per_bias",  "newton_iterations_per_solve",
     "pcg_iterations_per_solve",    "pcg_iterations_jacobi",
     "pcg_iterations_ic0",
-    "energy_points_per_transport", "adaptive_refinement_depth",
+    "energy_points_per_transport",
     "rgf_batch_width",
 };
 

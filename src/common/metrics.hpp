@@ -27,7 +27,6 @@ enum class Counter {
   kNegfEnergyPoints,          ///< negf: energy grid points laid out
   kRgfSolves,                 ///< negf: individual RGF solves (per energy, per mode)
   kRgfBatchSolves,            ///< negf: batched RGF kernel invocations (SoA energy batches)
-  kNegfEnergyPointsUniformEquiv,  ///< negf: uniform-grid solves the adaptive path stands in for
   kPoissonNewtonIterations,   ///< poisson: damped-Newton iterations
   kPcgIterations,             ///< linalg: full-grid PCG iterations
   kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
@@ -63,7 +62,6 @@ enum class Histogram {
   kPcgIterationsJacobi,          ///< linalg: PCG iterations per Jacobi-preconditioned solve
   kPcgIterationsIc0,             ///< linalg: PCG iterations per IC(0)-preconditioned solve
   kEnergyPointsPerTransport,     ///< negf: energy grid size per transport solve
-  kAdaptiveRefinementDepth,      ///< negf: panel depth at retirement in adaptive integration
   kRgfBatchWidth,                ///< negf: energies per batched RGF kernel call
   kCount
 };

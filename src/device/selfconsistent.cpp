@@ -128,15 +128,13 @@ ChargePopulations SelfConsistentSolver::charge_populations(
   }
   std::vector<std::vector<double>> u(ncol_, std::vector<double>(nlines_, 0.0));
   ribbon_energy(phi_s, geo_.electrode_voltages(0.0, bias.vd, bias.vg), u);
-  negf::TransportContext ctx;
   ChargePopulations out;
-  deposit(negf::solve_mode_space(geo_.modes(), u, transport_options(bias), ctx), out);
+  deposit(negf::solve_mode_space(geo_.modes(), u, transport_options(bias)), out);
   return out;
 }
 
 DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
-                                           const DeviceSolution* warm_start,
-                                           negf::TransportContext* transport_ctx) const {
+                                           const DeviceSolution* warm_start) const {
   trace::Span span("device", "solve_bias_point");
   GNRFET_REQUIRE("device", "finite-bias", std::isfinite(bias.vg) && std::isfinite(bias.vd),
                  strings::format("bias point (vg = %g, vd = %g) contains NaN/inf", bias.vg,
@@ -165,19 +163,12 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
   ChargePopulations charge;
   negf::TransportSolution transport;
 
-  // Adaptive-grid warm start shared by the Gummel iterations of this bias
-  // point: each transport solve reuses the previous converged panel edges.
-  // A caller-owned context extends the reuse across bias points on the
-  // same warm-start chain (table columns).
-  negf::TransportContext local_ctx;
-  negf::TransportContext& tctx = transport_ctx != nullptr ? *transport_ctx : local_ctx;
-
   poisson::NonlinearOptions popt;
   popt.thermal_voltage_V = opts_.kT_eV;
 
   for (int it = 0; it < opts_.max_gummel_iterations; ++it) {
     ribbon_energy(phi, volts, u);
-    transport = negf::solve_mode_space(geo_.modes(), u, topt, tctx);
+    transport = negf::solve_mode_space(geo_.modes(), u, topt);
     deposit(transport, charge);
 
     const poisson::ReducedResult pres =
@@ -203,7 +194,7 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
 
   // Final transport pass on the converged potential.
   ribbon_energy(phi, volts, u);
-  transport = negf::solve_mode_space(geo_.modes(), u, topt, tctx);
+  transport = negf::solve_mode_space(geo_.modes(), u, topt);
 
   // Ballistic source/drain current continuity: the drain-side Landauer
   // integral (independent right-connected RGF sweeps) must agree with the

@@ -55,20 +55,12 @@ class SelfConsistentSolver {
 
   /// Solve one bias point. `warm_start` (may be nullptr) provides the
   /// initial potential, typically the solution of a neighbouring bias.
-  /// `transport_ctx` (may be nullptr) is caller-owned energy-grid state
-  /// used only under the opt-in GNRFET_NEGF_GRID=adaptive; the default
-  /// uniform grid ignores it entirely. It is threaded through every
-  /// transport solve of this bias point: on entry it seeds the adaptive
-  /// panel edges (e.g. from the previous bias on the same warm-start
-  /// chain), on exit it holds the converged edges for the next point.
-  /// Seeding changes results only within the adaptive tolerance.
   ///
   /// A solve that reaches max_gummel_iterations returns its last iterate
   /// with `converged == false` and counts one `gummel_unconverged`; each
   /// nonlinear Poisson solve inside that runs out of Newton iterations
   /// counts one `poisson_newton_unconverged` (common/metrics.hpp).
-  DeviceSolution solve(const BiasPoint& bias, const DeviceSolution* warm_start = nullptr,
-                       negf::TransportContext* transport_ctx = nullptr) const;
+  DeviceSolution solve(const BiasPoint& bias, const DeviceSolution* warm_start = nullptr) const;
 
   const SolveOptions& options() const { return opts_; }
 

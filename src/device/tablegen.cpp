@@ -18,7 +18,6 @@
 #include "common/trace.hpp"
 #include "device/sweeps.hpp"
 #include "gnr/bandstructure.hpp"
-#include "negf/transport.hpp"
 
 namespace gnrfet::device {
 
@@ -35,17 +34,6 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
      << "]de=" << opts.solve.energy_step_eV << ";eta=" << opts.solve.eta_eV
      << ";kT=" << opts.solve.kT_eV << ";gtol=" << opts.solve.gummel_tolerance_V
      << ";gmax=" << opts.solve.max_gummel_iterations;
-  // The energy-integration strategy changes table values (within the
-  // adaptive tolerance), so tables made under the opt-in
-  // GNRFET_NEGF_GRID=adaptive get their own cache entries. The default
-  // uniform grid carries no grid suffix.
-  if (negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive) {
-    os << ";grid=adaptive";
-    // Cross-bias context chaining reseeds the adaptive panels, which moves
-    // table values within tolerance — distinct cache entries. Uniform-mode
-    // payloads never carry the flag: the context is ignored there.
-    if (opts.warm_bias_context) os << ";ctx=bias";
-  }
   // Poisson solver version: the capacitance-matrix solve moves table bits
   // (~1e-10 relative) against the full-grid Newton that wrote the older,
   // token-less entries, so those are regenerated instead of served, and a
@@ -225,33 +213,20 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   // is then independent, so phase 2 fans the intra-column VG chains out
   // across threads. The warm-start graph is identical to the serial walk,
   // so the table is bit-identical for any thread count.
-  //
-  // With warm_bias_context under the opt-in adaptive grid, the
-  // TransportContext walks the same chain: it is snapshotted after each
-  // column head, so every VG chain advances its own copy.
-  const bool chain_ctx =
-      opts.warm_bias_context && negf::negf_grid_from_env() == negf::NegfGridKind::kAdaptive;
   const size_t nvg = table.vg.size();
   const size_t nvd = table.vd.size();
   std::vector<DeviceSolution> heads(nvd);
-  std::vector<negf::TransportContext> head_ctx(chain_ctx ? nvd : 0);
-  negf::TransportContext row_ctx;
   std::atomic<bool> all_converged{true};
   for (size_t id = 0; id < nvd; ++id) {
-    heads[id] = solver.solve({table.vg[0], table.vd[id]}, id > 0 ? &heads[id - 1] : nullptr,
-                             chain_ctx ? &row_ctx : nullptr);
+    heads[id] = solver.solve({table.vg[0], table.vd[id]}, id > 0 ? &heads[id - 1] : nullptr);
     if (!heads[id].converged) all_converged.store(false, std::memory_order_relaxed);
-    if (chain_ctx) head_ctx[id] = row_ctx;
     table.current_A[id] = heads[id].current_A;
     table.charge_C[id] = -constants::kElementaryCharge * heads[id].net_electrons;
   }
   par::parallel_for(nvd, [&](size_t id) {
-    negf::TransportContext col_ctx;
-    if (chain_ctx) col_ctx = std::move(head_ctx[id]);
     DeviceSolution prev = heads[id];
     for (size_t ig = 1; ig < nvg; ++ig) {
-      DeviceSolution sol =
-          solver.solve({table.vg[ig], table.vd[id]}, &prev, chain_ctx ? &col_ctx : nullptr);
+      DeviceSolution sol = solver.solve({table.vg[ig], table.vd[id]}, &prev);
       if (!sol.converged) all_converged.store(false, std::memory_order_relaxed);
       const size_t idx = ig * nvd + id;
       table.current_A[idx] = sol.current_A;

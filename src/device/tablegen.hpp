@@ -5,7 +5,6 @@
 
 #include "device/geometry.hpp"
 #include "device/selfconsistent.hpp"
-#include "negf/transport.hpp"
 
 /// Generation (with on-disk caching) of the intrinsic-device lookup tables
 /// I_D(V_G, V_D) and Q(V_G, V_D) that feed the circuit simulator (Sec. 3).
@@ -32,15 +31,8 @@ struct TableGenOptions {
   size_t vd_points = 16;
   SolveOptions solve;
   bool use_cache = true;
-  /// Matters only under the opt-in GNRFET_NEGF_GRID=adaptive; the default
-  /// uniform grid ignores it (same table, same cache key). Chains the
-  /// adaptive energy-grid TransportContext across bias points along each
-  /// warm-start chain (column heads serially, then up each VG column):
-  /// every solve seeds its panel edges from the previous bias instead of
-  /// the coarse grid. Values move within the adaptive tolerance (cache
-  /// entries get their own key). Tables stay bit-identical for any
-  /// GNRFET_THREADS.
-  bool warm_bias_context = true;
+  /// Read only by perfbench's record line; delete with the `[benchmark]` refresh.
+  static constexpr bool warm_bias_context = false;
 };
 
 /// Serializable identity of (spec, options); the cache key.

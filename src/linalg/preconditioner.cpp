@@ -229,12 +229,6 @@ void IncompleteCholesky::sweep(const double* r, double* z) const {
 
 // --------------------------------------------------------------- factory
 
-PreconditionerKind preconditioner_kind_from_string(const std::string& s) {
-  if (s == "ic0") return PreconditionerKind::kIc0;
-  if (s == "jacobi") return PreconditionerKind::kJacobi;
-  throw std::invalid_argument("unknown preconditioner '" + s + "' (expected ic0 or jacobi)");
-}
-
 const char* to_string(PreconditionerKind kind) {
   return kind == PreconditionerKind::kIc0 ? "ic0" : "jacobi";
 }

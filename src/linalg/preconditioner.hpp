@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "linalg/sparse.hpp"
@@ -118,9 +117,6 @@ class IncompleteCholesky final : public Preconditioner {
 };
 
 enum class PreconditionerKind { kJacobi, kIc0 };
-
-/// Parses "jacobi" | "ic0"; throws std::invalid_argument otherwise.
-PreconditionerKind preconditioner_kind_from_string(const std::string& s);
 
 const char* to_string(PreconditionerKind kind);
 

@@ -6,11 +6,9 @@
 #include <complex>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 #include "common/constants.hpp"
 #include "common/contracts.hpp"
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
 
@@ -287,13 +285,6 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
 }
 
 }  // namespace
-
-bool rgf_batch_enabled() {
-  const std::string s = common::env_or("GNRFET_RGF_BATCH", "on");
-  if (s == "on") return true;
-  if (s == "off") return false;
-  throw std::invalid_argument("GNRFET_RGF_BATCH must be 'on' or 'off', got '" + s + "'");
-}
 
 bool rgf_batch_uses_fast_reciprocal() { return fast_reciprocal_ok(); }
 

@@ -31,12 +31,8 @@ namespace gnrfet::negf {
 /// never read back, and never contract-checked).
 inline constexpr size_t kRgfBatchLanes = 8;
 
-/// True unless GNRFET_RGF_BATCH=off. `off` pins the legacy per-energy
-/// scalar path (bit-for-bit the PR-5 behavior); `on` (default) routes the
-/// mode-space transport hot loops through the batch kernel. The real-space
-/// path has one per-energy kernel and ignores the knob. Throws
-/// std::invalid_argument on any other value.
-bool rgf_batch_enabled();
+/// Read only by perfbench's record line; delete with the `[benchmark]` refresh.
+inline bool rgf_batch_enabled() { return true; }
 
 /// True when the branchless Smith reciprocal passed the one-time
 /// self-check against std::complex division and the batch kernel runs
@@ -85,8 +81,7 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
 
 /// Fermi factors for a batch of energies: out[k] = fermi(e[k] - mu, kT),
 /// the exact per-energy calls of the transport accumulation loops hoisted
-/// into one precomputed array (bit-identical by construction). Shared by
-/// the uniform and adaptive mode-space paths.
+/// into one precomputed array (bit-identical by construction).
 void fermi_factors(const double* energies_eV, size_t count, double mu_eV, double kT_eV,
                    double* out);
 

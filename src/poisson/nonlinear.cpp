@@ -4,8 +4,8 @@
 
 namespace gnrfet::poisson {
 
-// Thin wrappers: both entry points construct a transient PoissonSolver
-// (preconditioner from GNRFET_POISSON_PC). Hot loops that solve the same
+// Thin wrappers: both entry points construct a transient IC(0)
+// PoissonSolver. Hot loops that solve the same
 // assembly repeatedly should hold a PoissonSolver instead — it keeps the
 // Jacobian, preconditioner factorization, and PCG workspace alive across
 // solves (see poisson/solver.hpp).

@@ -14,9 +14,8 @@
 /// device loop solves it on the ribbon's charge nodes
 /// (poisson/capacitance.hpp). The full-grid entry points below, Newton
 /// with an SPD Jacobian (A + diag((n + p)/Vt)) and IC(0)-preconditioned,
-/// warm-started PCG inner solves (GNRFET_POISSON_PC=jacobi swaps in the
-/// Jacobi reference; see poisson/solver.hpp for the reusable-solver entry
-/// point), are its oracle.
+/// warm-started PCG inner solves (see poisson/solver.hpp for the
+/// reusable-solver entry point), are its oracle.
 namespace gnrfet::poisson {
 
 struct NonlinearOptions {

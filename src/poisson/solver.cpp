@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
-#include "common/env.hpp"
 #include "common/trace.hpp"
 #include "poisson/newton.hpp"
 
@@ -35,12 +34,8 @@ struct SingleOwnerGuard {
 
 }  // namespace
 
-linalg::PreconditionerKind preconditioner_kind_from_env() {
-  return linalg::preconditioner_kind_from_string(common::env_or("GNRFET_POISSON_PC", "ic0"));
-}
-
 PoissonSolver::PoissonSolver(const Assembly& assembly)
-    : PoissonSolver(assembly, preconditioner_kind_from_env()) {}
+    : PoissonSolver(assembly, linalg::PreconditionerKind::kIc0) {}
 
 PoissonSolver::PoissonSolver(const Assembly& assembly, linalg::PreconditionerKind kind)
     : assembly_(assembly),

@@ -28,10 +28,10 @@
 /// There is one solve path: IC(0)-preconditioned, warm-started PCG with
 /// blocked-pairwise dot products inside one damped Newton loop, the
 /// Newton–Raphson Poisson + PCG scheme of ViDES (arXiv:0704.1875).
-/// GNRFET_POISSON_PC (ic0 | jacobi; default ic0) swaps only the
-/// preconditioner object of this solver; jacobi is a reference for tests
-/// and benches, run through the same loop. Device tables never read it. One PoissonSolver is used by one
-/// thread at a time; create one per concurrent solve (the thread-pool
+/// PoissonSolver(assembly) always uses IC(0); the two-argument constructor
+/// swaps only the preconditioner object, so tests and benches can run the
+/// Jacobi reference through the same loop. One PoissonSolver is used by
+/// one thread at a time; create one per concurrent solve (the thread-pool
 /// parallelism is across solves). The persistent workspaces are
 /// deliberately unlocked — the class is thread-compatible, not
 /// thread-safe — so instead of a capability annotation the solve entry
@@ -39,9 +39,10 @@
 /// (poisson/solver-single-owner) that fires on concurrent entry.
 namespace gnrfet::poisson {
 
-/// GNRFET_POISSON_PC, defaulting to ic0; throws std::invalid_argument on
-/// anything but ic0 or jacobi.
-linalg::PreconditionerKind preconditioner_kind_from_env();
+/// Read only by perfbench's record line; delete with the `[benchmark]` refresh.
+inline linalg::PreconditionerKind preconditioner_kind_from_env() {
+  return linalg::PreconditionerKind::kIc0;
+}
 
 class PoissonSolver {
  public:

@@ -3,46 +3,24 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/constants.hpp"
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "gnr/modespace.hpp"
 #include "linalg/dense.hpp"
 #include "negf/batch_rgf.hpp"
 #include "negf/scalar_rgf.hpp"
 #include "negf/transport.hpp"
-#include "env_guard.hpp"
+#include "golden.hpp"
 
 namespace {
 
 using namespace gnrfet;
-using tests::EnvGuard;
-
-uint64_t fnv1a(const std::vector<double>& v) {
-  uint64_t h = 1469598103934665603ull;
-  for (const double d : v) {
-    unsigned char b[sizeof(double)];
-    std::memcpy(b, &d, sizeof(double));
-    for (const unsigned char c : b) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-std::vector<double> flatten(const std::vector<std::vector<double>>& m) {
-  std::vector<double> f;
-  for (const auto& row : m) f.insert(f.end(), row.begin(), row.end());
-  return f;
-}
+using tests::flatten;
+using tests::fnv1a;
+using tests::GoldenProblem;
 
 /// Bitwise double equality: EXPECT_EQ on doubles treats +0.0 == -0.0, but
 /// the batch determinism contract is bit-for-bit, signs of zero included.
@@ -88,27 +66,6 @@ std::vector<double> make_energies(size_t count, unsigned seed) {
   }
   return e;
 }
-
-/// The fixed mode-space problem behind the PR-5 uniform golden pin
-/// (mirrors test_adaptive.cpp's GoldenProblem).
-struct GoldenProblem {
-  gnr::ModeSet modes = gnr::build_mode_set(12, {2.7, 0.12}, 3);
-  std::vector<std::vector<double>> u;
-  negf::TransportOptions opts;
-
-  GoldenProblem() {
-    const size_t ncol = 32;
-    u.assign(ncol, std::vector<double>(12, 0.0));
-    for (size_t c = 0; c < ncol; ++c) {
-      const double x = static_cast<double>(c) / static_cast<double>(ncol - 1);
-      for (size_t j = 0; j < 12; ++j) {
-        u[c][j] = -0.3 - 0.4 * x + 0.02 * std::cos(0.7 * static_cast<double>(j));
-      }
-    }
-    opts.mu_drain_eV = -0.4;
-    opts.energy_step_eV = 2e-3;
-  }
-};
 
 TEST(BatchRgf, BitExactVsScalarAcrossChainAndBatchSizes) {
   // The core determinism contract: every lane of the batched kernel is
@@ -159,25 +116,6 @@ TEST(BatchRgf, ReverseTransmissionContract) {
   // Independently computed, not copied: at least one energy in the sweep
   // must land on different bits.
   EXPECT_GT(bitwise_diffs, 0u);
-}
-
-TEST(BatchRgf, EnvKnobDefaultsOnAndValidates) {
-  {
-    EnvGuard guard("GNRFET_RGF_BATCH", nullptr);
-    EXPECT_TRUE(negf::rgf_batch_enabled());
-  }
-  {
-    EnvGuard guard("GNRFET_RGF_BATCH", "on");
-    EXPECT_TRUE(negf::rgf_batch_enabled());
-  }
-  {
-    EnvGuard guard("GNRFET_RGF_BATCH", "off");
-    EXPECT_FALSE(negf::rgf_batch_enabled());
-  }
-  {
-    EnvGuard guard("GNRFET_RGF_BATCH", "vectorize-harder");
-    EXPECT_THROW(negf::rgf_batch_enabled(), std::invalid_argument);
-  }
 }
 
 TEST(BatchRgf, RejectsDegenerateInputs) {
@@ -249,76 +187,25 @@ TEST(BatchRgfRealSpace, BlockedMultiplyBitIdenticalToTemplate) {
 }
 
 TEST(BatchGolden, UniformGoldenPinsHoldWithBatchOnAndOff) {
-  // The PR-5 uniform golden pins must hold on both sides of the knob:
-  // GNRFET_RGF_BATCH=off is the legacy path by construction, and the
-  // batched default must match it bit-for-bit.
-  for (const char* knob : {"off", "on"}) {
-    EnvGuard batch("GNRFET_RGF_BATCH", knob);
-    EnvGuard grid("GNRFET_NEGF_GRID", "uniform");
-    GoldenProblem p;
-    const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
-    EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17) << "knob=" << knob;
-    EXPECT_EQ(sol.current_drain_A, 0x1.12e6388bc3c3bp-17) << "knob=" << knob;
-    EXPECT_EQ(sol.total_net_electrons, 0x1.44d1522dd0c06p+1) << "knob=" << knob;
-    EXPECT_EQ(sol.energies_eV.size(), 613u) << "knob=" << knob;
-    EXPECT_EQ(fnv1a(sol.energies_eV), 0x6b11046d548574f5ull) << "knob=" << knob;
-    EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull) << "knob=" << knob;
-    EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull) << "knob=" << knob;
-    EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull) << "knob=" << knob;
-  }
-}
-
-TEST(BatchGolden, AdaptiveSolutionInvariantUnderBatchKnob) {
-  // The adaptive integrator batches the Simpson stencil evaluations per
-  // refinement round; the knob must not move a single bit of the result.
+  // The uniform golden pins, captured from the per-energy kernel, must
+  // hold bit-for-bit on the batched kernel that now serves every
+  // mode-space solve.
   GoldenProblem p;
-  EnvGuard grid("GNRFET_NEGF_GRID", "adaptive");
-  std::vector<uint64_t> hashes;
-  std::vector<double> currents;
-  for (const char* knob : {"off", "on"}) {
-    EnvGuard batch("GNRFET_RGF_BATCH", knob);
-    const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
-    hashes.push_back(fnv1a(sol.transmission));
-    hashes.push_back(fnv1a(sol.energies_eV));
-    hashes.push_back(fnv1a(flatten(sol.electrons)));
-    currents.push_back(sol.current_A);
-    currents.push_back(sol.current_drain_A);
-  }
-  EXPECT_EQ(hashes[0], hashes[3]);
-  EXPECT_EQ(hashes[1], hashes[4]);
-  EXPECT_EQ(hashes[2], hashes[5]);
-  EXPECT_BITS_EQ(currents[0], currents[2]);
-  EXPECT_BITS_EQ(currents[1], currents[3]);
-}
-
-TEST(BatchRgfParallel, AdaptiveBatchedBitIdenticalAcrossThreadCounts) {
-  // Thread-determinism contract for the batched adaptive path (also the
-  // TSan coverage of the batched hot loop via the CI -R 'Parallel' run):
-  // GNRFET_THREADS=1/4/16 must produce identical bits.
-  GoldenProblem p;
-  EnvGuard batch("GNRFET_RGF_BATCH", "on");
-  EnvGuard grid("GNRFET_NEGF_GRID", "adaptive");
-  std::vector<double> currents;
-  std::vector<uint64_t> hashes;
-  for (const int threads : {1, 4, 16}) {
-    ThreadCountGuard tg(threads);
-    const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
-    currents.push_back(sol.current_A);
-    hashes.push_back(fnv1a(sol.transmission));
-    hashes.push_back(fnv1a(flatten(sol.electrons)));
-  }
-  EXPECT_BITS_EQ(currents[0], currents[1]);
-  EXPECT_BITS_EQ(currents[0], currents[2]);
-  EXPECT_EQ(hashes[0], hashes[2]);
-  EXPECT_EQ(hashes[0], hashes[4]);
-  EXPECT_EQ(hashes[1], hashes[3]);
-  EXPECT_EQ(hashes[1], hashes[5]);
+  const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
+  EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
+  EXPECT_EQ(sol.current_drain_A, 0x1.12e6388bc3c3bp-17);
+  EXPECT_EQ(sol.total_net_electrons, 0x1.44d1522dd0c06p+1);
+  EXPECT_EQ(sol.energies_eV.size(), 613u);
+  EXPECT_EQ(fnv1a(sol.energies_eV), 0x6b11046d548574f5ull);
+  EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull);
+  EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull);
+  EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
 }
 
 TEST(BatchRgfParallel, UniformBatchedBitIdenticalAcrossThreadCounts) {
+  // Thread-determinism contract of the batched mode-space path (also the
+  // TSan coverage of the batched hot loop via the CI -R 'Parallel' run).
   GoldenProblem p;
-  EnvGuard batch("GNRFET_RGF_BATCH", "on");
-  EnvGuard grid("GNRFET_NEGF_GRID", "uniform");
   std::vector<double> currents;
   std::vector<uint64_t> hashes;
   for (const int threads : {1, 4}) {

@@ -525,13 +525,10 @@ TEST(TableGen, PayloadCarriesPoissonSolverToken) {
   // token; the capacitance-matrix path moves their bits, so its keys must
   // differ and those entries regenerate instead of being served.
   const DeviceSpec spec = tiny_spec();
-  for (const char* grid : {"uniform", "adaptive"}) {
-    EnvGuard guard("GNRFET_NEGF_GRID", grid);
-    const std::string payload = table_cache_payload(spec, TableGenOptions{});
-    const std::string token = ";poisson=cap";
-    ASSERT_GE(payload.size(), token.size()) << payload;
-    EXPECT_EQ(payload.substr(payload.size() - token.size()), token) << grid << ": " << payload;
-  }
+  const std::string payload = table_cache_payload(spec, TableGenOptions{});
+  const std::string token = ";poisson=cap";
+  ASSERT_GE(payload.size(), token.size()) << payload;
+  EXPECT_EQ(payload.substr(payload.size() - token.size()), token) << payload;
 }
 
 TEST(TableGen, SaveFailureLeavesNoTempLitter) {
@@ -598,7 +595,6 @@ TEST(TableGen, TinyEndToEndGeneration) {
 /// on an 8 nm channel, VG {0, 0.2, 0.4} x VD {0.05, 0.35} V, uniform
 /// energy grid, no cache.
 DeviceTable golden_device_table() {
-  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
   DeviceSpec spec;
   spec.channel_length_nm = 8.0;
   TableGenOptions opts;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/constants.hpp"
+#include "common/metrics.hpp"
 #include "gnr/bandstructure.hpp"
 #include "gnr/hamiltonian.hpp"
 #include "gnr/lattice.hpp"
@@ -12,13 +13,11 @@
 #include "negf/scalar_rgf.hpp"
 #include "negf/selfenergy.hpp"
 #include "negf/transport.hpp"
-#include "env_guard.hpp"
 #include "golden.hpp"
 
 namespace {
 
 using namespace gnrfet;
-using tests::EnvGuard;
 using tests::flatten;
 using tests::fnv1a;
 using gnr::Lattice;
@@ -294,11 +293,10 @@ TEST(Transport, IdealRibbonTransmissionStaircase) {
 }
 
 TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
-  // Regression pin: with GNRFET_NEGF_GRID=uniform the refactored solver
-  // (hoisted skip window, workspace RGF kernels) must reproduce the
-  // pre-adaptive transport output bit-for-bit. Hashes and hexfloats below
-  // were captured from the pre-adaptive solver.
-  EnvGuard guard("GNRFET_NEGF_GRID", "uniform");
+  // Regression pin: the uniform-grid solver (hoisted skip window, batched
+  // RGF kernel) must reproduce the transport output of the solver that
+  // predates the adaptive grid bit-for-bit. Hashes and hexfloats below were
+  // captured from that solver.
   tests::GoldenProblem p;
   const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
   EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
@@ -309,6 +307,53 @@ TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
   EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull);
   EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull);
   EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
+}
+
+TEST(TransportWindow, ModeOutsideWindowContributesNothingAndSolvesNothing) {
+  // Window override far above every mode's support: the skip range must
+  // produce a zero solution without a single RGF solve.
+  tests::GoldenProblem p;
+  negf::TransportOptions opts = p.opts;
+  opts.window_lo_eV = 30.0;
+  opts.window_hi_eV = 31.0;
+  metrics::reset();
+  const auto sol = negf::solve_mode_space(p.modes, p.u, opts);
+  EXPECT_EQ(metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kRgfSolves)], 0u);
+  EXPECT_EQ(sol.current_A, 0.0);
+  EXPECT_EQ(sol.total_net_electrons, 0.0);
+  for (const auto& col : sol.electrons) {
+    for (const double v : col) EXPECT_EQ(v, 0.0);
+  }
+}
+
+TEST(ScalarRgfWorkspace, ReuseAcrossSolvesMatchesFreshWorkspace) {
+  // A warm workspace carried across chains and energies must be stateless:
+  // every solve equals a fresh-workspace solve bit-for-bit.
+  negf::ScalarChain chain;
+  const size_t n = 24;
+  chain.onsite.resize(n);
+  chain.hopping.assign(n - 1, -2.7);
+  chain.gamma_left = 1.0;
+  chain.gamma_right = 1.0;
+  negf::ScalarRgfWorkspace warm;
+  negf::ScalarRgfResult r_warm, r_fresh;
+  for (int trial = 0; trial < 3; ++trial) {
+    for (size_t c = 0; c < n; ++c) {
+      chain.onsite[c] = -0.2 * trial + 0.05 * std::sin(0.3 * static_cast<double>(c));
+    }
+    for (const double e : {-0.4, 0.1, 0.35}) {
+      negf::scalar_rgf_solve(chain, e, 1e-3, warm, r_warm);
+      negf::ScalarRgfWorkspace fresh;
+      negf::scalar_rgf_solve(chain, e, 1e-3, fresh, r_fresh);
+      EXPECT_EQ(r_warm.transmission, r_fresh.transmission);
+      EXPECT_EQ(r_warm.transmission_reverse, r_fresh.transmission_reverse);
+      ASSERT_EQ(r_warm.spectral_left.size(), r_fresh.spectral_left.size());
+      for (size_t c = 0; c < r_warm.spectral_left.size(); ++c) {
+        EXPECT_EQ(r_warm.spectral_left[c], r_fresh.spectral_left[c]);
+        EXPECT_EQ(r_warm.spectral_right[c], r_fresh.spectral_right[c]);
+      }
+    }
+  }
 }
 
 }  // namespace

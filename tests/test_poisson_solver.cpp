@@ -1,24 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "poisson/assembly.hpp"
 #include "poisson/grid.hpp"
 #include "poisson/nonlinear.hpp"
 #include "poisson/solver.hpp"
-#include "env_guard.hpp"
 
 namespace {
 
 using namespace gnrfet;
-using tests::EnvGuard;
 using linalg::PreconditionerKind;
 
 /// FNV-1a over the raw double bytes: any single-bit difference anywhere in
@@ -67,13 +62,13 @@ struct GoldenProblem {
 };
 
 TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
-  // Regression pin of the production path (GNRFET_POISSON_PC unset: IC(0),
+  // Regression pin of the production path (PoissonSolver(assembly): IC(0),
   // warm-started, pairwise-summed PCG inside the damped Newton loop). The
   // hashes, Newton and PCG iteration counts and hexfloat samples were
   // captured before the alternative preconditioners and the Jacobi-baseline
   // fork were deleted; deleting them must not move a bit.
-  EnvGuard guard("GNRFET_POISSON_PC", nullptr);
   GoldenProblem p;
+  EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kIc0);
   const auto pcg_iterations = [] {
     return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kPcgIterations)];
   };
@@ -102,35 +97,6 @@ TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
   EXPECT_EQ(r2.phi_full[171], 0x1.2664ae1096db5p-5);
   EXPECT_EQ(r2.phi_full[342], 0x1.71efa03f34f15p-3);
   EXPECT_EQ(r2.last_update_V, 0x1.23b54485a1bdbp-26);
-}
-
-TEST(PoissonSolver, EnvKnobSelectsPreconditioner) {
-  GoldenProblem p;
-  {
-    EnvGuard guard("GNRFET_POISSON_PC", nullptr);  // unset -> default
-    EXPECT_EQ(poisson::preconditioner_kind_from_env(), PreconditionerKind::kIc0);
-  }
-  {
-    EnvGuard guard("GNRFET_POISSON_PC", "jacobi");
-    EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kJacobi);
-  }
-  {
-    EnvGuard guard("GNRFET_POISSON_PC", "ic0");
-    EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kIc0);
-  }
-  // Names of the deleted preconditioners throw like any unknown value,
-  // naming the two that remain; none falls back to a default.
-  for (const char* bad : {"mg", "ssor", "lucky-guess"}) {
-    EnvGuard guard("GNRFET_POISSON_PC", bad);
-    try {
-      poisson::PoissonSolver solver(p.assembly);
-      ADD_FAILURE() << "GNRFET_POISSON_PC=" << bad << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("ic0"), std::string::npos) << what;
-      EXPECT_NE(what.find("jacobi"), std::string::npos) << what;
-    }
-  }
 }
 
 TEST(PoissonSolver, PreconditionersAgreeOnNonlinearFixedPoint) {
@@ -163,12 +129,9 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
   const auto b1 = b.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
   ASSERT_TRUE(a1.converged);
   EXPECT_EQ(fnv1a(a1.phi_full), fnv1a(b1.phi_full));
-  {
-    EnvGuard guard("GNRFET_POISSON_PC", "ic0");
-    const auto free1 =
-        poisson::solve_nonlinear_poisson(p.assembly, {0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
-    EXPECT_EQ(fnv1a(free1.phi_full), fnv1a(a1.phi_full));
-  }
+  const auto free1 =
+      poisson::solve_nonlinear_poisson(p.assembly, {0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
+  EXPECT_EQ(fnv1a(free1.phi_full), fnv1a(a1.phi_full));
 
   const auto a2 =
       a.solve_nonlinear({0.3}, p.n0, p.p0, p.fixed, a1.phi_full, a1.phi_full);

@@ -14,6 +14,8 @@
 //                                the CI `thread-safety` stage, not replicated here
 //   Pass 4  contract_coverage    GNRFET_REQUIRE/ENSURE/CHECK_FINITE density per
 //                                subsystem vs tools/analysis_baseline.json
+//   Pass 5  check_library_env_knobs  "GNRFET_..." string literals under src/
+//                                name only the library's env knobs
 
 #include <algorithm>
 #include <map>
@@ -945,6 +947,44 @@ inline std::vector<Finding> check_against_baseline(
                           "subsystem '" + module +
                               "' is not in the baseline; run gnrfet_analyze "
                               "--write-baseline and commit the result"});
+    }
+  }
+  return findings;
+}
+
+// ---------------------------------------------------------------------------
+// Pass 5: library env knobs
+// ---------------------------------------------------------------------------
+
+/// The only environment variables the library reads. Bench sizes and the
+/// Monte Carlo sample count are read by bench/ and examples/, not src/.
+inline const std::set<std::string>& library_env_knobs() {
+  static const std::set<std::string> knobs = {"GNRFET_CACHE_DIR", "GNRFET_THREADS",
+                                              "GNRFET_TRACE"};
+  return knobs;
+}
+
+/// Every "GNRFET_..." string literal under src/ must name a library env
+/// knob, so a new knob cannot slip in unreviewed. Scans the raw lines: the
+/// shared scanner blanks string literals.
+inline std::vector<Finding> check_library_env_knobs(const std::vector<SourceFile>& files) {
+  std::vector<Finding> findings;
+  const std::string prefix = "\"GNRFET_";
+  for (const auto& file : files) {
+    if (module_of(file.path).empty()) continue;
+    const std::vector<std::string> lines = split_lines(file.content);
+    for (size_t i = 0; i < lines.size(); ++i) {
+      const std::string& line = lines[i];
+      for (size_t pos = line.find(prefix); pos != std::string::npos;
+           pos = line.find(prefix, pos + 1)) {
+        size_t end = pos + 1;
+        while (end < line.size() && scan::ident_char(line[end])) ++end;
+        const std::string name = line.substr(pos + 1, end - pos - 1);
+        if (library_env_knobs().count(name) != 0) continue;
+        findings.push_back({file.path, i + 1, "library-env-knob",
+                            "'" + name + "' is not a library env knob; src/ may read only "
+                            "GNRFET_CACHE_DIR, GNRFET_THREADS and GNRFET_TRACE"});
+      }
     }
   }
   return findings;

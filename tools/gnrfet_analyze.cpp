@@ -12,6 +12,9 @@
 //                 exceptions: tools/analysis_allowlist.txt)
 //   contracts     GNRFET_REQUIRE/ENSURE/CHECK_FINITE density per subsystem
 //                 must not regress vs tools/analysis_baseline.json
+//   env-knobs     every "GNRFET_..." string literal in library code names
+//                 one of the three library env knobs (GNRFET_CACHE_DIR,
+//                 GNRFET_THREADS, GNRFET_TRACE)
 //
 // (The thread-safety pass is the clang -Wthread-safety build over
 // src/common/annotations.hpp; CI's `thread-safety` stage runs it.)
@@ -19,7 +22,8 @@
 // Usage:
 //   gnrfet_analyze [repo_root]
 //       [--layers file] [--allowlist file] [--baseline file]
-//       [--pass layering|determinism|contracts]   (repeatable; default all)
+//       [--pass layering|determinism|contracts|env-knobs]
+//                                (repeatable; default all)
 //       [--report file]          write the full coverage JSON, with the
 //                                per-subsystem uncovered-function lists
 //       [--write-baseline]       regenerate the baseline instead of
@@ -76,7 +80,7 @@ std::vector<SourceFile> load_sources(const fs::path& root) {
 int usage() {
   std::cerr << "usage: gnrfet_analyze [repo_root] [--layers f] [--allowlist f] "
                "[--baseline f] [--report f] [--write-baseline] "
-               "[--pass layering|determinism|contracts]\n";
+               "[--pass layering|determinism|contracts|env-knobs]\n";
   return 2;
 }
 
@@ -103,7 +107,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--pass") {
       const char* v = value();
       if (!v || (std::string(v) != "layering" && std::string(v) != "determinism" &&
-                 std::string(v) != "contracts")) {
+                 std::string(v) != "contracts" && std::string(v) != "env-knobs")) {
         return usage();
       }
       passes.insert(v);
@@ -113,7 +117,7 @@ int main(int argc, char** argv) {
       root = arg;
     }
   }
-  if (passes.empty()) passes = {"layering", "determinism", "contracts"};
+  if (passes.empty()) passes = {"layering", "determinism", "contracts", "env-knobs"};
   if (layers_path.empty()) layers_path = root / "tools" / "analysis_layers.txt";
   if (allowlist_path.empty()) allowlist_path = root / "tools" / "analysis_allowlist.txt";
   if (baseline_path.empty()) baseline_path = root / "tools" / "analysis_baseline.json";
@@ -201,6 +205,13 @@ int main(int argc, char** argv) {
           std::to_string(report.total.functions) + " functions in " +
           std::to_string(report.subsystems.size()) + " subsystems");
     }
+  }
+
+  if (passes.count("env-knobs") != 0) {
+    const std::vector<Finding> f = check_library_env_knobs(files);
+    findings.insert(findings.end(), f.begin(), f.end());
+    summaries.push_back("env-knobs:   " + std::to_string(f.size()) + " finding(s), " +
+                        std::to_string(library_env_knobs().size()) + " library knobs");
   }
 
   for (const auto& f : findings) {
