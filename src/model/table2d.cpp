@@ -18,7 +18,10 @@ struct Cubic {
   double deriv;
 };
 
-Cubic catmull_rom(double p0, double p1, double p2, double p3, double t) {
+/// Forced inline: GCC -O2 otherwise leaves the six calls per sample as
+/// calls, about 10% of a ring transient. The arithmetic is unchanged.
+[[gnu::always_inline]] inline Cubic catmull_rom(double p0, double p1, double p2, double p3,
+                                                double t) {
   const double a = -0.5 * p0 + 1.5 * p1 - 1.5 * p2 + 0.5 * p3;
   const double b = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3;
   const double c = -0.5 * p0 + 0.5 * p2;
@@ -40,30 +43,55 @@ void check_axis(const std::vector<double>& axis, const char* name) {
 }  // namespace
 
 Table2D::Table2D(std::vector<double> xs, std::vector<double> ys, std::vector<double> values)
-    : xs_(std::move(xs)), ys_(std::move(ys)), v_(std::move(values)) {
+    : xs_(std::move(xs)), ys_(std::move(ys)) {
   check_axis(xs_, "x");
   check_axis(ys_, "y");
-  if (v_.size() != xs_.size() * ys_.size()) {
+  if (values.size() != xs_.size() * ys_.size()) {
     throw std::invalid_argument("Table2D: value count mismatch");
   }
-  GNRFET_REQUIRE("model", "finite-table", contracts::all_finite(v_),
+  GNRFET_REQUIRE("model", "finite-table", contracts::all_finite(values),
                  "interpolation table contains NaN/inf values");
   dx_ = xs_[1] - xs_[0];
   dy_ = ys_[1] - ys_[0];
-}
-
-double Table2D::at(ptrdiff_t ix, ptrdiff_t iy) const {
   // Linearly extended ghost points preserve the boundary slope of the
   // Catmull-Rom patches (clamped ghosts would halve the edge gradient,
-  // distorting the FET-table extrapolation region).
+  // distorting the FET-table extrapolation region). The y ghosts of each
+  // table row come first; the x ghost rows then extend the padded rows,
+  // corners included, which is the x-before-y order of extended_oracle().
+  const size_t nx = xs_.size(), ny = ys_.size();
+  stride_ = ny + 2;
+  padded_.assign((nx + 2) * stride_, 0.0);
+  for (size_t ix = 0; ix < nx; ++ix) {
+    double* row = &padded_[(ix + 1) * stride_];
+    std::copy_n(&values[ix * ny], ny, row + 1);
+    row[0] = 2.0 * row[1] - row[2];
+    row[ny + 1] = 2.0 * row[ny] - row[ny - 1];
+  }
+  double* first = &padded_[0];
+  double* last = &padded_[(nx + 1) * stride_];
+  for (size_t j = 0; j < stride_; ++j) {
+    first[j] = 2.0 * first[stride_ + j] - first[2 * stride_ + j];
+    last[j] = 2.0 * last[j - stride_] - last[j - 2 * stride_];
+  }
+}
+
+double Table2D::grid(ptrdiff_t ix, ptrdiff_t iy) const {
   const ptrdiff_t nx = static_cast<ptrdiff_t>(xs_.size());
   const ptrdiff_t ny = static_cast<ptrdiff_t>(ys_.size());
-  // v(-1) = 2 v(0) - v(1) and v(n) = 2 v(n-1) - v(n-2), per axis.
-  if (ix < 0) return 2.0 * at(0, iy) - at(-ix, iy);
-  if (ix >= nx) return 2.0 * at(nx - 1, iy) - at(2 * (nx - 1) - ix, iy);
-  if (iy < 0) return 2.0 * at(ix, 0) - at(ix, -iy);
-  if (iy >= ny) return 2.0 * at(ix, ny - 1) - at(ix, 2 * (ny - 1) - iy);
-  return v_[static_cast<size_t>(ix) * ys_.size() + static_cast<size_t>(iy)];
+  if (ix < -1 || ix > nx || iy < -1 || iy > ny) {
+    throw std::out_of_range("Table2D::grid: index outside the ghost ring");
+  }
+  return padded_[static_cast<size_t>(ix + 1) * stride_ + static_cast<size_t>(iy + 1)];
+}
+
+double Table2D::extended_oracle(ptrdiff_t ix, ptrdiff_t iy) const {
+  const ptrdiff_t nx = static_cast<ptrdiff_t>(xs_.size());
+  const ptrdiff_t ny = static_cast<ptrdiff_t>(ys_.size());
+  if (ix < 0) return 2.0 * extended_oracle(0, iy) - extended_oracle(-ix, iy);
+  if (ix >= nx) return 2.0 * extended_oracle(nx - 1, iy) - extended_oracle(2 * (nx - 1) - ix, iy);
+  if (iy < 0) return 2.0 * extended_oracle(ix, 0) - extended_oracle(ix, -iy);
+  if (iy >= ny) return 2.0 * extended_oracle(ix, ny - 1) - extended_oracle(ix, 2 * (ny - 1) - iy);
+  return grid(ix, iy);
 }
 
 TableSample Table2D::sample(double x, double y) const {
@@ -87,11 +115,13 @@ TableSample Table2D::sample(double x, double y) const {
   const double tx = gx - static_cast<double>(ix);
   const double ty = gy - static_cast<double>(iy);
 
-  // Interpolate along y for the 4 x-rows, tracking d/dy.
+  // Interpolate along y for the 4 x-rows, tracking d/dy. The stencil's
+  // corner (ix - 1, iy - 1) sits at padded (ix, iy).
+  const double* stencil = &padded_[static_cast<size_t>(ix) * stride_ + static_cast<size_t>(iy)];
   double row_v[4], row_dy[4];
   for (int r = 0; r < 4; ++r) {
-    const ptrdiff_t rx = ix - 1 + r;
-    const Cubic c = catmull_rom(at(rx, iy - 1), at(rx, iy), at(rx, iy + 1), at(rx, iy + 2), ty);
+    const double* p = stencil + static_cast<size_t>(r) * stride_;
+    const Cubic c = catmull_rom(p[0], p[1], p[2], p[3], ty);
     row_v[r] = c.value;
     row_dy[r] = c.deriv / dy_;
   }

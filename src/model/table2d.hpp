@@ -7,6 +7,10 @@
 /// device models. Smooth first derivatives are required by the circuit
 /// simulator's Newton iterations and by the capacitance extraction
 /// C = |dQ/dV| of Sec. 3.
+///
+/// The values are stored with a one-point ghost ring on every side,
+/// filled once at construction by linear extension, so sample() reads its
+/// 4x4 stencil straight from the padded array.
 namespace gnrfet::model {
 
 struct TableSample {
@@ -31,10 +35,19 @@ class Table2D {
   double y_min() const { return ys_.front(); }
   double y_max() const { return ys_.back(); }
 
+  /// Stored grid value at ix in [-1, nx], iy in [-1, ny]: a table value
+  /// inside, a ghost point on the ring.
+  double grid(ptrdiff_t ix, ptrdiff_t iy) const;
+  /// The same point by the recursive linear extension, v(-1) = 2 v(0) -
+  /// v(1) and v(n) = 2 v(n-1) - v(n-2), x before y. Test oracle of the
+  /// padded ring.
+  double extended_oracle(ptrdiff_t ix, ptrdiff_t iy) const;
+
  private:
-  std::vector<double> xs_, ys_, v_;
+  std::vector<double> xs_, ys_;
+  std::vector<double> padded_;  ///< (nx + 2) x (ny + 2), row-major, ghost ring included
+  size_t stride_ = 0;           ///< ny + 2
   double dx_ = 0.0, dy_ = 0.0;
-  double at(ptrdiff_t ix, ptrdiff_t iy) const;  // with linearly extended ghost points
 };
 
 }  // namespace gnrfet::model

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "model/array_fet.hpp"
@@ -84,6 +87,31 @@ TEST(Table2D, GhostPointSamplesAreBitPinned) {
     EXPECT_EQ(s.value, p.value) << p.x << ", " << p.y;
     EXPECT_EQ(s.d_dx, p.d_dx) << p.x << ", " << p.y;
     EXPECT_EQ(s.d_dy, p.d_dy) << p.x << ", " << p.y;
+  }
+}
+
+TEST(Table2D, PaddedGhostRingMatchesRecursiveExtension) {
+  // Every stored point, ring and corners included, bit-equal to the
+  // recursive linear extension, on the smallest and on uneven shapes.
+  for (const auto& [nx, ny] : {std::pair<int, int>{2, 2}, {2, 5}, {6, 3}, {7, 5}}) {
+    std::vector<double> xs, ys, v;
+    for (int i = 0; i < nx; ++i) xs.push_back(0.1 * i - 0.3);
+    for (int j = 0; j < ny; ++j) ys.push_back(0.05 * j);
+    for (int i = 0; i < nx; ++i) {
+      for (int j = 0; j < ny; ++j) {
+        v.push_back(std::sin(1.7 * i + 0.3) * std::exp(0.4 * j) + 0.1 * i * j);
+      }
+    }
+    const Table2D t(xs, ys, v);
+    for (ptrdiff_t ix = -1; ix <= nx; ++ix) {
+      for (ptrdiff_t iy = -1; iy <= ny; ++iy) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(t.grid(ix, iy)),
+                  std::bit_cast<uint64_t>(t.extended_oracle(ix, iy)))
+            << nx << "x" << ny << " at (" << ix << ", " << iy << ")";
+      }
+    }
+    EXPECT_THROW(t.grid(-2, 0), std::out_of_range);
+    EXPECT_THROW(t.grid(0, ny + 1), std::out_of_range);
   }
 }
 
