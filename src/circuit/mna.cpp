@@ -10,22 +10,28 @@
 
 namespace gnrfet::circuit {
 
-void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
-                     const std::vector<double>& res) {
+void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws) {
 #if GNRFET_CHECKS_ENABLED
+  // Row by row in the order of a dense scan, so the first bad entry named
+  // is the one a full n x n check would name.
   const size_t n = ckt.num_unknowns();
+  const double* jac = ws.jac.data();
+  auto p = ws.pattern.begin();
   for (size_t i = 0; i < n; ++i) {
-    GNRFET_CHECK_FINITE("circuit", "finite-stamp", res[i]);
-    for (size_t j = 0; j < n; ++j) {
-      GNRFET_REQUIRE("circuit", "finite-stamp", std::isfinite(jac(i, j)),
+    GNRFET_CHECK_FINITE("circuit", "finite-stamp", ws.res[i]);
+    for (; p != ws.pattern.end() && *p < (i + 1) * n; ++p) {
+      GNRFET_REQUIRE("circuit", "finite-stamp", std::isfinite(jac[*p]),
                      strings::format("Jacobian(%zu, %zu) = %g (degenerate element stamp?)", i,
-                                     j, jac(i, j)));
+                                     *p - i * n, jac[*p]));
     }
   }
   for (size_t b = 0; b < ckt.num_branches(); ++b) {
     const size_t row = ckt.unknown_of_branch(b);
     bool structural = false;
-    for (size_t j = 0; j < n && !structural; ++j) structural = jac(row, j) != 0.0;
+    for (auto q = std::lower_bound(ws.pattern.begin(), ws.pattern.end(), row * n);
+         q != ws.pattern.end() && *q < (row + 1) * n && !structural; ++q) {
+      structural = jac[*q] != 0.0;
+    }
     GNRFET_REQUIRE("circuit", "structural-rank", structural,
                    strings::format("branch row %zu is all-zero: voltage source shorted to "
                                    "itself or stamped between identical nodes",
@@ -33,8 +39,7 @@ void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
   }
 #else
   (void)ckt;
-  (void)jac;
-  (void)res;
+  (void)ws;
 #endif
 }
 
@@ -56,13 +61,22 @@ size_t Circuit::add(std::unique_ptr<Element> element) {
 
 size_t Circuit::num_unknowns() const { return num_nodes() - 1 + num_branches_; }
 
+void MnaWorkspace::record(size_t k) {
+  in_pattern[k] = 1;
+  pattern.insert(std::lower_bound(pattern.begin(), pattern.end(), k), k);
+  pattern_grew = true;
+}
+
 void MnaWorkspace::stamp(const Circuit& ckt, const std::vector<double>& x,
                          const TransientContext& ctx) {
-  const size_t n = ckt.num_unknowns();
-  jac.resize_zero(n, n);
-  res.assign(n, 0.0);
+  if (ckt.num_unknowns() != res.size()) {
+    throw std::invalid_argument("MnaWorkspace::stamp: circuit size does not match the workspace");
+  }
+  double* a = jac.data();
+  for (const size_t k : pattern) a[k] = 0.0;
+  std::fill(res.begin(), res.end(), 0.0);
   if (ctx.state_next) std::fill(ctx.state_next->begin(), ctx.state_next->end(), 0.0);
-  Stamper st(ckt, x, jac, res);
+  Stamper st(ckt, x, *this);
   for (const auto& e : ckt.elements()) e->stamp(st, ctx);
 }
 
@@ -76,7 +90,7 @@ bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonP
       clamp_V *= 0.5;
     }
     ws.stamp(ckt, x, ctx);
-    check_mna_stamp(ckt, ws.jac, ws.res);
+    check_mna_stamp(ckt, ws);
     if (!ws.ordered) {
       ws.lu.set_order(linalg::minimum_degree_order(ws.jac));
       ws.ordered = true;
@@ -85,11 +99,15 @@ bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     for (const double r : ws.res) res_norm = std::max(res_norm, std::abs(r));
     // Tiny diagonal regularization (gmin) keeps floating internal nodes
     // solvable without visibly perturbing operating points.
-    for (size_t i = 0; i < nodes; ++i) ws.jac(i, i) += 1e-12;
+    for (size_t i = 0; i < nodes; ++i) ws.add_jacobian(i, i, 1e-12);
     for (size_t i = 0; i < n; ++i) ws.rhs[i] = -ws.res[i];
     metrics::add(metrics::Counter::kMnaFactorizations);
     try {
-      ws.lu.factor(ws.jac);
+      if (ws.pattern_grew || !ws.lu.refactor(ws.jac)) {
+        metrics::add(metrics::Counter::kMnaSymbolicAnalyses);
+        ws.pattern_grew = false;
+        ws.lu.analyse(ws.jac, ws.pattern);
+      }
     } catch (const std::runtime_error&) {
       return false;  // singular Jacobian
     }

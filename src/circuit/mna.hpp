@@ -10,9 +10,11 @@
 /// Modified nodal analysis core for the lookup-table circuit simulator of
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
-/// (tens of nodes), so the Jacobian is stored dense; it is mostly zeros,
-/// and each solve eliminates it in a minimum-degree order of its first
-/// stamp (linalg::minimum_degree_order), which keeps the LU fill small.
+/// (tens of nodes) and their Jacobians mostly zeros: each workspace records
+/// the structural pattern of its stamps, eliminates in a minimum-degree
+/// order of its first stamp (linalg::minimum_degree_order), and replays
+/// the first ordered factorization on that pattern (linalg::ReplayLU), so
+/// one Newton iteration costs O(nonzeros + fill + table samples).
 /// Both analyses (dc.hpp, transient.hpp) drive the one damped Newton loop
 /// declared at the end.
 namespace gnrfet::circuit {
@@ -22,6 +24,7 @@ using NodeId = int;
 inline constexpr NodeId kGround = 0;
 
 class Element;
+struct TransientContext;
 
 class Circuit {
  public:
@@ -54,13 +57,50 @@ class Circuit {
   size_t state_size_ = 0;
 };
 
+/// MNA system of one circuit: Jacobian, residual, right-hand side, update
+/// and LU factors. Allocated once per solve_dc / run_transient call and
+/// reused by every Newton iteration.
+///
+/// The Jacobian is held in a dense n x n array, but only its structural
+/// pattern is ever touched: every position an element has stamped in this
+/// workspace, whatever the value, plus the node-row diagonals that take
+/// gmin. stamp() zeroes just those entries, so the rest of `jac` stays
+/// zero. The first newton_solve sets the LU's elimination order from the
+/// first stamped Jacobian; every factorization after the first replays
+/// the analysis on the pattern. A stamp outside the pattern joins it and
+/// makes the next factorization analyse again.
+struct MnaWorkspace {
+  explicit MnaWorkspace(size_t n)
+      : jac(n, n), res(n), rhs(n), dx(n), in_pattern(n * n, 0) {}
+
+  /// Zero the pattern entries, the residual and, in a transient,
+  /// `ctx.state_next`; then stamp every element of `ckt` at iterate `x`.
+  void stamp(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx);
+
+  /// jac(r, c) += g, recording (r, c) in the pattern.
+  void add_jacobian(size_t r, size_t c, double g) {
+    const size_t k = r * jac.cols() + c;
+    jac.data()[k] += g;
+    if (!in_pattern[k]) record(k);
+  }
+  /// Add flat position k = r * n + c to the pattern.
+  void record(size_t k);
+
+  linalg::DMatrix jac;
+  std::vector<double> res, rhs, dx;
+  std::vector<size_t> pattern;  ///< structural entries r * n + c, ascending
+  std::vector<char> in_pattern;  ///< n * n membership mask of `pattern`
+  bool pattern_grew = false;     ///< an entry joined `pattern` since the last analysis
+  linalg::ReplayLU lu;
+  bool ordered = false;  ///< lu's elimination order is set
+};
+
 /// Assembly facade passed to elements. Residuals follow the convention
 /// res[node] = sum of currents LEAVING the node (KCL: res = 0).
 class Stamper {
  public:
-  Stamper(const Circuit& ckt, const std::vector<double>& x, linalg::DMatrix& jac,
-          std::vector<double>& res)
-      : ckt_(ckt), x_(x), jac_(jac), res_(res) {}
+  Stamper(const Circuit& ckt, const std::vector<double>& x, MnaWorkspace& ws)
+      : ckt_(ckt), x_(x), ws_(ws) {}
 
   double v(NodeId n) const {
     const ptrdiff_t u = ckt_.unknown_of_node(n);
@@ -70,46 +110,45 @@ class Stamper {
 
   void add_residual(NodeId n, double current_out) {
     const ptrdiff_t u = ckt_.unknown_of_node(n);
-    if (u >= 0) res_[static_cast<size_t>(u)] += current_out;
+    if (u >= 0) ws_.res[static_cast<size_t>(u)] += current_out;
   }
   void add_branch_residual(size_t branch, double value) {
-    res_[ckt_.unknown_of_branch(branch)] += value;
+    ws_.res[ckt_.unknown_of_branch(branch)] += value;
   }
   /// d(res[n]) / d(v[m]).
   void add_jacobian(NodeId n, NodeId m, double g) {
     const ptrdiff_t r = ckt_.unknown_of_node(n);
     const ptrdiff_t c = ckt_.unknown_of_node(m);
-    if (r >= 0 && c >= 0) jac_(static_cast<size_t>(r), static_cast<size_t>(c)) += g;
+    if (r >= 0 && c >= 0) ws_.add_jacobian(static_cast<size_t>(r), static_cast<size_t>(c), g);
   }
   void add_jacobian_node_branch(NodeId n, size_t branch, double g) {
     const ptrdiff_t r = ckt_.unknown_of_node(n);
-    if (r >= 0) jac_(static_cast<size_t>(r), ckt_.unknown_of_branch(branch)) += g;
+    if (r >= 0) ws_.add_jacobian(static_cast<size_t>(r), ckt_.unknown_of_branch(branch), g);
   }
   void add_jacobian_branch_node(size_t branch, NodeId m, double g) {
     const ptrdiff_t c = ckt_.unknown_of_node(m);
-    if (c >= 0) jac_(ckt_.unknown_of_branch(branch), static_cast<size_t>(c)) += g;
+    if (c >= 0) ws_.add_jacobian(ckt_.unknown_of_branch(branch), static_cast<size_t>(c), g);
   }
   void add_jacobian_branch_branch(size_t branch_r, size_t branch_c, double g) {
-    jac_(ckt_.unknown_of_branch(branch_r), ckt_.unknown_of_branch(branch_c)) += g;
+    ws_.add_jacobian(ckt_.unknown_of_branch(branch_r), ckt_.unknown_of_branch(branch_c), g);
   }
 
  private:
   const Circuit& ckt_;
   const std::vector<double>& x_;
-  linalg::DMatrix& jac_;
-  std::vector<double>& res_;
+  MnaWorkspace& ws_;
 };
 
-/// Contract check of one assembled MNA system (subsystem "circuit"):
-/// every Jacobian and residual entry must be finite ("finite-stamp" — an
-/// inf/NaN stamp means a degenerate element, e.g. a zero-ohm resistor),
-/// and every voltage-source branch row must have at least one structural
-/// entry ("structural-rank" — an all-zero branch row is a source shorted
-/// to itself, which makes the matrix singular no matter the gmin). Node
-/// rows may float: the solvers regularize them with gmin by design.
+/// Contract check of one assembled MNA system (subsystem "circuit"),
+/// evaluated over the workspace's pattern (the Jacobian is zero outside
+/// it): every Jacobian and residual entry must be finite ("finite-stamp"
+/// — an inf/NaN stamp means a degenerate element, e.g. a zero-ohm
+/// resistor), and every voltage-source branch row must have at least one
+/// nonzero entry ("structural-rank" — an all-zero branch row is a source
+/// shorted to itself, which makes the matrix singular no matter the gmin).
+/// Node rows may float: the solvers regularize them with gmin by design.
 /// Compiled out under GNRFET_CHECKS=OFF.
-void check_mna_stamp(const Circuit& ckt, const linalg::DMatrix& jac,
-                     const std::vector<double>& res);
+void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws);
 
 /// Per-step context for charge-storage elements. dt <= 0 means DC (charge
 /// branches are open). `state_prev` holds each element's committed state
@@ -154,25 +193,6 @@ class Element {
   size_t state_offset_ = 0;
 };
 
-/// Dense MNA system of one circuit: Jacobian, residual, right-hand side,
-/// update and LU factors. Allocated once per solve_dc / run_transient call
-/// and reused by every Newton iteration. The first newton_solve on it sets
-/// the LU's elimination order from the first stamped Jacobian; an entry
-/// that is zero there and nonzero later only costs fill (pivoting is
-/// unchanged).
-struct MnaWorkspace {
-  explicit MnaWorkspace(size_t n) : jac(n, n), res(n), rhs(n), dx(n) {}
-
-  /// Zero the system and, in a transient, `ctx.state_next`; then stamp
-  /// every element of `ckt` at iterate `x`.
-  void stamp(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx);
-
-  linalg::DMatrix jac;
-  std::vector<double> res, rhs, dx;
-  linalg::LU<double> lu;
-  bool ordered = false;  ///< lu's elimination order is set
-};
-
 /// Iteration budget, node-update clamp and acceptance test of one Newton
 /// solve. The two policies below are the only ones.
 struct NewtonPolicy {
@@ -198,8 +218,9 @@ inline constexpr NewtonPolicy kTransientNewton{.max_iterations = 60,
 
 /// Damped Newton on the MNA system of `ckt` under `ctx`, updating `x` in
 /// place. Each iteration stamps, runs check_mna_stamp, adds a 1e-12 S gmin
-/// on the node rows, LU-solves in the workspace's elimination order and
-/// applies the node-clamped update. Returns
+/// on the node rows, LU-solves in the workspace's elimination order
+/// (replaying the analysis, or analysing again after a pattern change or a
+/// pivot change) and applies the node-clamped update. Returns
 /// true when `policy` accepts an update; false when its iterations run out
 /// or the Jacobian is singular. A ContractViolation propagates.
 bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,

@@ -36,6 +36,7 @@ enum class Counter {
   kTableServiceMisses,        ///< service: queries that went cold (disk load or generation)
   kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
   kMnaFactorizations,         ///< circuit: LU factorizations of the MNA Jacobian
+  kMnaSymbolicAnalyses,       ///< circuit: of those, dense analyses (first + re-analyses)
   kMnaEliminationUpdates,     ///< circuit: row-entry updates of those factorizations (fill)
   kTransientSteps,            ///< circuit: accepted transient time steps
   kGummelUnconverged,         ///< device: bias points that hit max_gummel_iterations

@@ -189,6 +189,226 @@ Matrix<T> LU<T>::solve(const Matrix<T>& b) const {
 template class LU<double>;
 template class LU<cplx>;
 
+void ReplayLU::set_order(const std::vector<size_t>& order) {
+  dense_.set_order(order);
+  analysed_ = false;
+}
+
+void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
+  analysed_ = false;
+  dense_.factor(a);
+  const size_t n = a.rows();
+  n_ = n;
+  elimination_updates_ = dense_.elimination_updates();
+  a_row_ = dense_.perm_;
+  a_col_.resize(n);
+  for (size_t j = 0; j < n; ++j) a_col_[j] = dense_.order_.empty() ? j : dense_.order_[j];
+  // Ordered index of each row/column of A, and the factor row each ordered
+  // row ends in.
+  std::vector<size_t> ordered(n), final_row(n);
+  for (size_t j = 0; j < n; ++j) ordered[a_col_[j]] = j;
+  for (size_t i = 0; i < n; ++i) final_row[ordered[a_row_[i]]] = i;
+
+  // Symbolic elimination of the pattern in the dense loop's row positions,
+  // with its row swaps: at step k the row that ends as factor row k moves
+  // to position k.
+  std::vector<char> s(n * n, 0);
+  for (const size_t idx : pattern) {
+    if (idx >= n * n) throw std::invalid_argument("ReplayLU::analyse: pattern entry out of range");
+    s[ordered[idx / n] * n + ordered[idx % n]] = 1;
+  }
+  std::vector<size_t> row_at(n), pos_of(n), cand_rows;
+  for (size_t p = 0; p < n; ++p) row_at[p] = pos_of[p] = p;
+  cand_ptr_.assign(n + 1, 0);
+  cand_at_k_.assign(n, 0);
+  for (size_t k = 0; k < n; ++k) {
+    cand_ptr_[k] = cand_rows.size();
+    cand_at_k_[k] = s[k * n + k];
+    for (size_t p = k; p < n; ++p) {
+      if (s[p * n + k]) cand_rows.push_back(row_at[p]);
+    }
+    const size_t p = pos_of[ordered[a_row_[k]]];
+    if (p != k) {
+      std::swap_ranges(&s[p * n], &s[p * n] + n, &s[k * n]);
+      std::swap(row_at[p], row_at[k]);
+      pos_of[row_at[p]] = p;
+      pos_of[row_at[k]] = k;
+    }
+    for (size_t q = k + 1; q < n; ++q) {
+      if (!s[q * n + k]) continue;
+      for (size_t j = k + 1; j < n; ++j) s[q * n + j] |= s[k * n + j];
+    }
+  }
+  cand_ptr_[n] = cand_rows.size();
+
+  // Factor pattern by rows. The dense factor can only leave it on a NaN
+  // pivot (NaN multipliers in every row); that factor is solved densely
+  // and never replayed.
+  replayable_ = true;
+  slot_of_.assign(n * n, -1);
+  row_ptr_.assign(n + 1, 0);
+  diag_.assign(n, 0);
+  col_.clear();
+  val_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    row_ptr_[i] = col_.size();
+    for (size_t j = 0; j < n; ++j) {
+      if (!s[i * n + j]) {
+        replayable_ = replayable_ && dense_.lu_(i, j) == 0.0;
+        continue;
+      }
+      if (j == i) diag_[i] = col_.size();
+      slot_of_[i * n + j] = static_cast<int32_t>(col_.size());
+      col_.push_back(j);
+      val_.push_back(dense_.lu_(i, j));
+    }
+    replayable_ = replayable_ && slot_of_[i * n + i] >= 0;
+  }
+  row_ptr_[n] = col_.size();
+  analysed_ = true;
+  if (!replayable_) return;
+
+  cand_slot_.resize(cand_rows.size());
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t c = cand_ptr_[k]; c < cand_ptr_[k + 1]; ++c) {
+      cand_slot_[c] = static_cast<size_t>(slot_of_[final_row[cand_rows[c]] * n + k]);
+    }
+  }
+  lcol_ptr_.assign(n + 1, 0);
+  lcol_slot_.clear();
+  tgt_ptr_.clear();
+  tgt_.clear();
+  for (size_t k = 0; k < n; ++k) {
+    lcol_ptr_[k] = lcol_slot_.size();
+    for (size_t i = k + 1; i < n; ++i) {
+      const int32_t l = slot_of_[i * n + k];
+      if (l < 0) continue;
+      lcol_slot_.push_back(static_cast<size_t>(l));
+      tgt_ptr_.push_back(tgt_.size());
+      for (size_t u = diag_[k] + 1; u < row_ptr_[k + 1]; ++u) {
+        tgt_.push_back(static_cast<size_t>(slot_of_[i * n + col_[u]]));
+      }
+    }
+  }
+  lcol_ptr_[n] = lcol_slot_.size();
+  gather_src_ = pattern;
+  gather_dst_.resize(pattern.size());
+  for (size_t e = 0; e < pattern.size(); ++e) {
+    const size_t i = final_row[ordered[pattern[e] / n]], j = ordered[pattern[e] % n];
+    gather_dst_[e] = static_cast<size_t>(slot_of_[i * n + j]);
+  }
+}
+
+bool ReplayLU::refactor(const DMatrix& a) {
+  if (!analysed_ || !replayable_ || a.rows() != n_ || a.cols() != n_) {
+    analysed_ = false;
+    return false;
+  }
+  std::fill(val_.begin(), val_.end(), 0.0);
+  const double* src = a.data();
+  for (size_t e = 0; e < gather_src_.size(); ++e) val_[gather_dst_[e]] = src[gather_src_[e]];
+  size_t updates = 0;
+  for (size_t k = 0; k < n_; ++k) {
+    // Partial pivoting as the dense loop does it: the row at position k
+    // first, then a strictly larger magnitude further down. Rows outside
+    // the pattern hold zeros and never win.
+    size_t c = cand_ptr_[k];
+    const size_t c_end = cand_ptr_[k + 1];
+    double best = 0.0;
+    size_t chosen = val_.size();
+    if (cand_at_k_[k]) {
+      chosen = cand_slot_[c];
+      best = std::abs(val_[chosen]);
+      ++c;
+    }
+    for (; c < c_end; ++c) {
+      const double v = std::abs(val_[cand_slot_[c]]);
+      if (v > best) {
+        best = v;
+        chosen = cand_slot_[c];
+      }
+    }
+    if (best < kPivotFloor) throw std::runtime_error("LU: singular matrix");
+    if (chosen != diag_[k] || std::isnan(best)) {
+      analysed_ = false;
+      return false;
+    }
+    const double inv_piv = 1.0 / val_[diag_[k]];
+    const size_t u0 = diag_[k] + 1;
+    cols_.clear();
+    for (size_t u = u0; u < row_ptr_[k + 1]; ++u) {
+      if (val_[u] != 0.0) cols_.push_back(u - u0);
+    }
+    for (size_t e = lcol_ptr_[k]; e < lcol_ptr_[k + 1]; ++e) {
+      double& l = val_[lcol_slot_[e]];
+      const double m = l * inv_piv;
+      l = m;
+      if (m == 0.0) continue;
+      const size_t* tgt = tgt_.data() + tgt_ptr_[e];
+      for (const size_t c2 : cols_) val_[tgt[c2]] -= m * val_[u0 + c2];
+      updates += cols_.size();
+    }
+  }
+  elimination_updates_ = updates;
+  return true;
+}
+
+double ReplayLU::dense_lower_row(size_t i, const std::vector<double>& y) const {
+  // The dense factor holds m = 0 * (1 / pivot) outside the L pattern: a
+  // zero with the sign of its column's pivot.
+  double s = y[i];
+  for (size_t j = 0; j < i; ++j) {
+    const int32_t q = slot_of_[i * n_ + j];
+    const double l = q >= 0 ? val_[static_cast<size_t>(q)] : std::copysign(0.0, val_[diag_[j]]);
+    s -= l * y[j];
+  }
+  return s;
+}
+
+double ReplayLU::dense_upper_row(size_t i, const std::vector<double>& y) const {
+  double s = y[i];
+  for (size_t j = i + 1; j < n_; ++j) {
+    const int32_t q = slot_of_[i * n_ + j];
+    s -= (q >= 0 ? val_[static_cast<size_t>(q)] : 0.0) * y[j];
+  }
+  return s;
+}
+
+void ReplayLU::solve_into(const std::vector<double>& b, std::vector<double>& x) const {
+  if (!analysed_) throw std::logic_error("ReplayLU::solve_into: no factor");
+  if (!replayable_) {
+    dense_.solve_into(b, x);
+    return;
+  }
+  const size_t n = n_;
+  if (b.size() != n) throw std::invalid_argument("ReplayLU::solve_into: size mismatch");
+  std::vector<double>& y = y_;
+  y.resize(n);
+  for (size_t i = 0; i < n; ++i) y[i] = b[a_row_[i]];
+  // Terms outside the pattern are signed zeros while every earlier unknown
+  // is finite: they leave a nonzero sum as it is and can only flip the
+  // sign of an exact zero. Such rows, and every row after a non-finite
+  // unknown, take the dense loop.
+  bool dense_rows = n > 0 && !std::isfinite(y[0]);
+  for (size_t i = 1; i < n; ++i) {
+    double s = y[i];
+    for (size_t q = row_ptr_[i]; q < diag_[i]; ++q) s -= val_[q] * y[col_[q]];
+    if (s == 0.0 || dense_rows) s = dense_lower_row(i, y);
+    y[i] = s;
+    dense_rows = dense_rows || !std::isfinite(s);
+  }
+  dense_rows = false;
+  for (size_t i = n; i-- > 0;) {
+    double s = y[i];
+    for (size_t q = diag_[i] + 1; q < row_ptr_[i + 1]; ++q) s -= val_[q] * y[col_[q]];
+    if (s == 0.0 || dense_rows) s = dense_upper_row(i, y);
+    y[i] = s / val_[diag_[i]];
+    dense_rows = dense_rows || !std::isfinite(y[i]);
+  }
+  x.resize(n);
+  for (size_t i = 0; i < n; ++i) x[a_col_[i]] = y[i];
+}
+
 CMatrix inverse(const CMatrix& a) {
   const LU lu(a);
   return lu.solve(CMatrix::identity(a.rows()));

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "circuit/measure.hpp"
 #include "circuit/snm.hpp"
 #include "common/metrics.hpp"
 #include "golden.hpp"
+#include "linalg/lu.hpp"
 #include "synthetic_device.hpp"
 
 namespace {
@@ -301,6 +306,161 @@ TEST(CircuitGolden, SourceSteppingDcIsBitPinned) {
   // source-stepping fallback ran.
   EXPECT_EQ(factorizations() - before, 267u);
   EXPECT_EQ(tests::fnv1a(dc.x), 1035355205725986633ull);
+}
+
+/// A conductance between two nodes that stamps only for t1 < time <= t2:
+/// its off-diagonal Jacobian entries join the MNA pattern mid-transient
+/// and stop being stamped later.
+class WindowedConductance final : public Element {
+ public:
+  WindowedConductance(NodeId a, NodeId b, double siemens, double t1, double t2)
+      : a_(a), b_(b), g_(siemens), t1_(t1), t2_(t2) {}
+  void stamp(Stamper& st, const TransientContext& ctx) const override {
+    if (ctx.time <= t1_ || ctx.time > t2_) return;
+    const double i = g_ * (st.v(a_) - st.v(b_));
+    st.add_residual(a_, i);
+    st.add_residual(b_, -i);
+    st.add_jacobian(a_, a_, g_);
+    st.add_jacobian(a_, b_, -g_);
+    st.add_jacobian(b_, a_, -g_);
+    st.add_jacobian(b_, b_, g_);
+  }
+
+ private:
+  NodeId a_, b_;
+  double g_, t1_, t2_;
+};
+
+/// newton_solve's iteration on a fully zeroed Jacobian each time, factored
+/// by a dense LU<double> in the minimum-degree order of the first stamp:
+/// the oracle of the replayed Newton loop.
+bool dense_newton(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,
+                  std::vector<double>& x, linalg::LU<double>& lu, bool& ordered) {
+  const size_t n = ckt.num_unknowns();
+  const size_t nodes = n - ckt.num_branches();
+  double clamp_V = policy.clamp_V;
+  for (int it = 0; it < policy.max_iterations; ++it) {
+    if (policy.clamp_halving_period > 0 && it > 0 && it % policy.clamp_halving_period == 0) {
+      clamp_V *= 0.5;
+    }
+    MnaWorkspace fresh(n);
+    fresh.stamp(ckt, x, ctx);
+    if (!ordered) {
+      lu.set_order(linalg::minimum_degree_order(fresh.jac));
+      ordered = true;
+    }
+    double res_norm = 0.0;
+    for (const double r : fresh.res) res_norm = std::max(res_norm, std::abs(r));
+    for (size_t i = 0; i < nodes; ++i) fresh.jac(i, i) += 1e-12;
+    for (size_t i = 0; i < n; ++i) fresh.rhs[i] = -fresh.res[i];
+    try {
+      lu.factor(fresh.jac);
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+    lu.solve_into(fresh.rhs, fresh.dx);
+    double max_dx = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = i < nodes ? std::clamp(fresh.dx[i], -clamp_V, clamp_V) : fresh.dx[i];
+      x[i] += d;
+      if (i < nodes) max_dx = std::max(max_dx, std::abs(d));
+    }
+    if (max_dx < policy.update_tol_V && res_norm < policy.residual_tol_A) return true;
+  }
+  return false;
+}
+
+TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
+  // in -R- mid -C- gnd and far -R- gnd, C to gnd: mid and far couple only
+  // while the windowed conductance stamps (t1 = 10 ps, t2 = 20 ps).
+  Circuit ckt;
+  const NodeId in = ckt.new_node("in");
+  const NodeId mid = ckt.new_node("mid");
+  const NodeId far = ckt.new_node("far");
+  ckt.add(std::make_unique<VoltageSource>(in, kGround, pulse_waveform(0.0, 1.0, 2e-12, 1e-12)));
+  ckt.add(std::make_unique<Resistor>(in, mid, 10e3));
+  ckt.add(std::make_unique<Capacitor>(mid, kGround, 1e-15));
+  ckt.add(std::make_unique<Resistor>(far, kGround, 20e3));
+  ckt.add(std::make_unique<Capacitor>(far, kGround, 2e-15));
+  ckt.add(std::make_unique<WindowedConductance>(mid, far, 1e-4, 10e-12, 20e-12));
+  TransientOptions opts;
+  opts.t_stop = 30e-12;
+  opts.dt = 0.25e-12;
+  opts.initial_x.assign(ckt.num_unknowns(), 0.0);
+
+  const uint64_t before = counter(metrics::Counter::kMnaSymbolicAnalyses);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  // The first analysis, and one more when the conductance starts stamping.
+  EXPECT_EQ(counter(metrics::Counter::kMnaSymbolicAnalyses) - before, 2u);
+
+  // The same transient on the dense oracle, step by step.
+  std::vector<double> x = opts.initial_x;
+  std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  linalg::LU<double> lu;
+  bool ordered = false;
+  ASSERT_EQ(tr.waves.samples.size(), 121u);
+  for (size_t step = 1; step < tr.waves.samples.size(); ++step) {
+    TransientContext ctx;
+    ctx.time = static_cast<double>(step) * opts.dt;
+    ctx.dt = opts.dt;
+    ctx.state_prev = &state;
+    ctx.state_next = &state_next;
+    ASSERT_TRUE(dense_newton(ckt, ctx, kTransientNewton, x, lu, ordered)) << step;
+    MnaWorkspace(ckt.num_unknowns()).stamp(ckt, x, ctx);
+    state.swap(state_next);
+    EXPECT_EQ(tests::fnv1a(tr.waves.samples[step]), tests::fnv1a(x)) << step;
+  }
+  // The coupling moved far: the window mattered.
+  const size_t u_far = static_cast<size_t>(ckt.unknown_of_node(far));
+  EXPECT_GT(std::abs(tr.waves.samples.back()[u_far]), 1e-3);
+}
+
+TEST(MnaReplay, EntryLeavingTheStampLeavesNoStaleValue) {
+  // One workspace stamped before, inside and after the conductance's
+  // window: its Jacobian must equal a freshly zeroed one's every time.
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  const NodeId b = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, 1.0));
+  ckt.add(std::make_unique<Resistor>(b, kGround, 1e3));
+  ckt.add(std::make_unique<WindowedConductance>(a, b, 1e-3, 1e-12, 2e-12));
+  const size_t n = ckt.num_unknowns();
+  const std::vector<double> x = {1.0, 0.25, -1e-3};
+  MnaWorkspace ws(n);
+  const size_t ab = static_cast<size_t>(ckt.unknown_of_node(a)) * n +
+                    static_cast<size_t>(ckt.unknown_of_node(b));
+  for (const double t : {0.5e-12, 1.5e-12, 2.5e-12}) {
+    TransientContext ctx;
+    ctx.time = t;
+    ws.stamp(ckt, x, ctx);
+    MnaWorkspace fresh(n);
+    fresh.stamp(ckt, x, ctx);
+    for (size_t k = 0; k < n * n; ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(ws.jac.data()[k]),
+                std::bit_cast<uint64_t>(fresh.jac.data()[k]))
+          << "t = " << t << ", entry " << k;
+    }
+    EXPECT_EQ(ws.in_pattern[ab] != 0, t > 1e-12) << t;  // joined, and stays
+  }
+}
+
+TEST(MnaReplay, GoldenRingTransientAnalysesOnce) {
+  // The ring transient of CircuitGolden.RingOscillatorIsBitPinned: one
+  // analysis on its first factorization, then only replays.
+  const InverterModels inv = synthetic_inverter();
+  const RingOscillator ro = build_ring_oscillator(std::vector<InverterModels>(15, inv), inv, 0.4);
+  TransientOptions topt;
+  topt.t_stop = 1.0e-9;
+  topt.dt = 0.5e-12;
+  topt.initial_x = ro.kick_state();  // a DC solve, whose pivots move as it converges
+  // From here on the counters cover the transient alone; the perf-smoke
+  // stage of tools/ci_checks.sh reads them from this test's trace.
+  metrics::reset();
+  ASSERT_TRUE(run_transient(ro.ckt, topt).ok);
+  EXPECT_EQ(counter(metrics::Counter::kMnaSymbolicAnalyses), 1u);
+  EXPECT_GT(counter(metrics::Counter::kMnaFactorizations), 2000u);
 }
 
 TEST(Elements, GateLoadCapacitanceIsPositive) {

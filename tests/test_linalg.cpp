@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -250,6 +251,183 @@ TEST(MinimumDegreeOrder, IsADeterministicPermutationWithLowestIndexTies) {
   gnrfet::linalg::LU<double> lu;
   EXPECT_THROW(lu.set_order({0, 2, 2}), std::invalid_argument);
   EXPECT_THROW(lu.set_order({0, 3, 1}), std::invalid_argument);
+}
+
+/// The transient Newton system of the 15-stage FO4 ring at its kick state
+/// as the Newton loop factors it: the Jacobian with gmin on the node rows,
+/// its structural pattern, and the right-hand side -res.
+struct RingSystem {
+  DMatrix jac;
+  std::vector<size_t> pattern;
+  std::vector<double> rhs;
+};
+
+RingSystem ring_system() {
+  using namespace gnrfet;
+  const circuit::InverterModels inv = synthetic::synthetic_inverter();
+  const circuit::RingOscillator ro =
+      circuit::build_ring_oscillator(std::vector<circuit::InverterModels>(15, inv), inv, 0.4);
+  const circuit::Circuit& ckt = ro.ckt;
+  const std::vector<double> x = ro.kick_state();
+  std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  circuit::TransientContext ctx;
+  ctx.time = 0.5e-12;
+  ctx.dt = 0.5e-12;
+  ctx.state_prev = &state;
+  ctx.state_next = &state_next;
+  circuit::MnaWorkspace ws(ckt.num_unknowns());
+  ws.stamp(ckt, x, ctx);
+  for (size_t i = 0; i + ckt.num_branches() < ckt.num_unknowns(); ++i) ws.add_jacobian(i, i, 1e-12);
+  RingSystem sys{ws.jac, ws.pattern, std::vector<double>(ws.res.size())};
+  for (size_t i = 0; i < ws.res.size(); ++i) sys.rhs[i] = -ws.res[i];
+  return sys;
+}
+
+/// The replayed factor's solve and update count against a fresh dense LU
+/// of `a` in `order`, bit for bit.
+void expect_replay_matches_dense(const gnrfet::linalg::ReplayLU& replay, const DMatrix& a,
+                                 const std::vector<size_t>& order,
+                                 const std::vector<double>& b) {
+  gnrfet::linalg::LU<double> dense;
+  dense.set_order(order);
+  dense.factor(a);
+  std::vector<double> x, xd;
+  replay.solve_into(b, x);
+  dense.solve_into(b, xd);
+  ASSERT_EQ(x.size(), xd.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(x[i]), std::bit_cast<uint64_t>(xd[i])) << i;
+  }
+  EXPECT_EQ(replay.elimination_updates(), dense.elimination_updates());
+}
+
+TEST(ReplayLU, RingJacobianSequenceMatchesDenseBitForBit) {
+  // One analysis, then a sequence of ring Jacobians with perturbed values
+  // (the voltage-source +-1 entries stay exact): every replay must give the
+  // dense ordered factor's bits, signed zeros of the solution included.
+  const RingSystem sys = ring_system();
+  const std::vector<size_t> order = gnrfet::linalg::minimum_degree_order(sys.jac);
+  gnrfet::linalg::ReplayLU replay;
+  replay.set_order(order);
+  EXPECT_FALSE(replay.refactor(sys.jac));  // nothing to replay yet
+  replay.analyse(sys.jac, sys.pattern);
+  expect_replay_matches_dense(replay, sys.jac, order, sys.rhs);
+
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> d(-1.0, 1.0);
+  for (int rep = 0; rep < 20; ++rep) {
+    DMatrix a = sys.jac;
+    for (const size_t k : sys.pattern) {
+      if (std::abs(a.data()[k]) != 1.0) a.data()[k] *= 1.0 + 1e-3 * d(rng);
+    }
+    std::vector<double> b = sys.rhs;
+    for (double& v : b) v *= 1.0 + 1e-3 * d(rng);
+    ASSERT_TRUE(replay.refactor(a)) << rep;
+    expect_replay_matches_dense(replay, a, order, b);
+    // Right-hand sides whose solution holds exact zeros: the signs of those
+    // zeros come from terms outside the factor pattern.
+    std::vector<double> sparse_b(b.size(), -0.0);
+    sparse_b[static_cast<size_t>(rep) % b.size()] = 1e-3;
+    sparse_b[(static_cast<size_t>(rep) * 7 + 3) % b.size()] = 0.0;
+    expect_replay_matches_dense(replay, a, order, sparse_b);
+    expect_replay_matches_dense(replay, a, order, std::vector<double>(b.size(), -0.0));
+  }
+}
+
+TEST(ReplayLU, PivotChangeForcesReanalysis) {
+  // Natural order. Step 0 pivots on row 2 (|2| > |0.5|); raising a(0, 0)
+  // to 5 moves the pivot to row 0, so the replay declines and the next
+  // analysis gives the dense result.
+  DMatrix a(4, 4);
+  a(0, 0) = 0.5, a(0, 1) = -1.0, a(0, 3) = 0.3;
+  a(1, 1) = 1.0, a(1, 2) = 0.2;
+  a(2, 0) = 2.0, a(2, 2) = 0.1, a(2, 3) = 0.4;
+  a(3, 1) = 0.1, a(3, 2) = 0.5, a(3, 3) = 1.5;
+  std::vector<size_t> pattern;
+  for (size_t k = 0; k < 16; ++k) {
+    if (a.data()[k] != 0.0) pattern.push_back(k);
+  }
+  const std::vector<double> b = {0.3, -1.1, 2.0, 0.7};
+  gnrfet::linalg::ReplayLU replay;
+  replay.analyse(a, pattern);
+  expect_replay_matches_dense(replay, a, {}, b);
+  a(3, 3) = 1.25;  // no pivot moves
+  ASSERT_TRUE(replay.refactor(a));
+  expect_replay_matches_dense(replay, a, {}, b);
+  a(0, 0) = 5.0;
+  EXPECT_FALSE(replay.refactor(a));
+  replay.analyse(a, pattern);
+  expect_replay_matches_dense(replay, a, {}, b);
+  ASSERT_TRUE(replay.refactor(a));
+  expect_replay_matches_dense(replay, a, {}, b);
+}
+
+TEST(ReplayLU, VoltageSourcePivotTieResolvesLikeTheDenseLoop) {
+  // Column 1 is a voltage-source branch column: +1 in row 1, -1 in row 2.
+  // The dense loop takes the first of tied magnitudes in its current row
+  // order. Analysed with |-2| in row 2, step 1 pivots on row 2, which ends
+  // as factor row 1; at the +-1 tie the dense loop takes row 1 instead, so
+  // the replay must decline, although the analysis' pivot row ends first
+  // in the factor's row order.
+  DMatrix a(3, 3);
+  a(0, 0) = 1.0, a(0, 1) = 1.0;
+  a(1, 1) = 1.0, a(1, 2) = 1.0;
+  a(2, 1) = -2.0, a(2, 2) = 1.0;
+  std::vector<size_t> pattern;
+  for (size_t k = 0; k < 9; ++k) {
+    if (a.data()[k] != 0.0) pattern.push_back(k);
+  }
+  const std::vector<double> b = {1.0, 0.5, -0.25};
+  gnrfet::linalg::ReplayLU replay;
+  replay.analyse(a, pattern);
+  expect_replay_matches_dense(replay, a, {}, b);
+  a(2, 1) = -1.0;  // the tie
+  EXPECT_FALSE(replay.refactor(a));
+  replay.analyse(a, pattern);
+  expect_replay_matches_dense(replay, a, {}, b);
+  // The tie held, other values moved: replayed, and still row 1 first.
+  a(1, 2) = 0.75;
+  a(2, 2) = 3.0;
+  ASSERT_TRUE(replay.refactor(a));
+  expect_replay_matches_dense(replay, a, {}, b);
+}
+
+TEST(ReplayLU, ZeroAndNonFiniteSolutionEntriesCarryTheDenseBits) {
+  // Diagonal pattern: the dense substitutions still subtract the zero
+  // products of every other unknown, and +0 * -1 = -0 turns a -0 sum
+  // into +0. Below the diagonal the dense zeros carry the sign of their
+  // column's pivot (0 * (1 / -2) = -0). After an infinite unknown those
+  // zero products are NaN. The replay must land on the same bits.
+  const double inf = std::numeric_limits<double>::infinity();
+  DMatrix a(3, 3);
+  a(0, 0) = 1.0, a(1, 1) = -2.0, a(2, 2) = 0.5;
+  gnrfet::linalg::ReplayLU replay;
+  replay.analyse(a, {0, 4, 8});
+  for (const std::vector<double>& b : {std::vector<double>{-0.0, 0.0, -1.0},
+                                       std::vector<double>{-1.0, -0.0, 0.0},
+                                       std::vector<double>{1.0, 1.0, -0.0},
+                                       std::vector<double>{inf, 1.0, 2.0},
+                                       std::vector<double>{1.0, 2.0, -inf},
+                                       std::vector<double>{-0.0, -0.0, -0.0}}) {
+    ASSERT_TRUE(replay.refactor(a));
+    expect_replay_matches_dense(replay, a, {}, b);
+  }
+}
+
+TEST(ReplayLU, NanPivotFallsBackToTheDenseFactor) {
+  // A NaN pivot gives every row below it a NaN multiplier, outside any
+  // pattern: that factor is solved densely and never replayed.
+  DMatrix a(3, 3);
+  a(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  a(0, 1) = 1.0;
+  a(1, 0) = 1.0, a(1, 1) = 1.0;
+  a(2, 2) = 1.0;
+  const std::vector<size_t> pattern = {0, 1, 3, 4, 8};
+  gnrfet::linalg::ReplayLU replay;
+  replay.analyse(a, pattern);
+  expect_replay_matches_dense(replay, a, {}, {1.0, 2.0, 3.0});
+  EXPECT_FALSE(replay.refactor(a));
 }
 
 TEST(Eigh, DiagonalizesHermitian) {

@@ -23,7 +23,10 @@
 #               GNRFET_THREADS=1 and 4. Finally the batched-RGF bench: the
 #               SoA kernel holds >= 1.5x the scalar solve rate with
 #               bit-identical transmission, and the transport currents
-#               are bit-identical across GNRFET_THREADS=1 and 4.
+#               are bit-identical across GNRFET_THREADS=1 and 4. Last, a
+#               counter gate with no timing: the traced CircuitGolden ring
+#               transient does one MNA symbolic analysis in its one
+#               workspace and replays every later factorization.
 #   analyze   gnrfet_lint repo rules + the gnrfet_analyze passes: layering
 #             DAG, determinism rules, contract-coverage baseline
 #   thread-safety  clang -Wthread-safety -Werror=thread-safety build over the
@@ -248,6 +251,37 @@ for stage in "${STAGES[@]}"; do
                "($TH1 vs $TH4)" >&2; exit 1; }
       awk -v s="$RGF_SPEED" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' ||
         { echo "perf-smoke: batched RGF speedup $RGF_SPEED below 1.5x" >&2; exit 1; }
+
+      # MNA replay smoke, counters only: the CircuitGolden ring transient,
+      # traced, must do exactly one symbolic analysis in its one workspace
+      # and replay every later factorization. Pivot churn that sends the
+      # replay back to the dense analysis fails here. The test resets the
+      # counters after the DC solve of the ring's kick state, so they
+      # cover the transient alone.
+      cmake --build "$DIR" -j "$JOBS" --target gnrfet_tests gnrfet_trace_report
+      MNA_TRACE="$DIR/mna_replay_trace.json"
+      rm -f "$MNA_TRACE"
+      GNRFET_TRACE="$MNA_TRACE" "$DIR/tests/gnrfet_tests" \
+        --gtest_filter='MnaReplay.GoldenRingTransientAnalysesOnce' >/dev/null
+      MNA_JSON="$("$DIR/tools/gnrfet_trace_report" --json "$MNA_TRACE")"
+      mna_counter() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" <<<"$MNA_JSON"; }
+      mna_spans() {
+        sed -n "s/.*\"subsystem\":\"circuit\",\"span\":\"$1\",\"count\":\([0-9]*\).*/\1/p" \
+          <<<"$MNA_JSON"
+      }
+      WORKSPACES="$(mna_spans run_transient)"
+      ANALYSES="$(mna_counter mna_symbolic_analyses)"; FACTS="$(mna_counter mna_factorizations)"
+      [ -n "$WORKSPACES" ] && [ -n "$ANALYSES" ] && [ -n "$FACTS" ] ||
+        { echo "perf-smoke: missing MNA counters or run_transient spans in the trace" >&2; exit 1; }
+      echo "perf-smoke: ring transient: $ANALYSES MNA analyses, $FACTS factorizations," \
+           "$WORKSPACES workspace(s)"
+      [ "$WORKSPACES" = 1 ] ||
+        { echo "perf-smoke: expected one run_transient span, got $WORKSPACES" >&2; exit 1; }
+      [ "$ANALYSES" = "$WORKSPACES" ] ||
+        { echo "perf-smoke: $ANALYSES MNA analyses in $WORKSPACES workspace(s):" \
+               "the replay fell back to the dense analysis" >&2; exit 1; }
+      [ "$FACTS" -gt "$ANALYSES" ] ||
+        { echo "perf-smoke: no replayed factorization ($FACTS factorizations)" >&2; exit 1; }
       ;;
     analyze)
       banner "static analysis: repo lint + layering/determinism/contract/env-knob passes"

@@ -451,7 +451,9 @@ int main(int argc, char** argv) {
       std::cout << "  " << std::left << std::setw(name_w + 2) << name << std::right
                 << std::setw(14) << static_cast<uint64_t>(v.number) << "\n";
       // The MNA fill per factorization: a netlist or node-numbering change
-      // that fills the Jacobian again shows up as a jump here.
+      // that fills the Jacobian again shows up as a jump here. The row above
+      // it, mna_symbolic_analyses, counts the factorizations that ran the
+      // dense analysis; every other one replayed it (circuit/mna.hpp).
       const Value* factorizations = counters->find("mna_factorizations");
       if (name == "mna_elimination_updates" && factorizations && factorizations->number > 0) {
         std::cout << "  " << std::left << std::setw(name_w + 2) << "  per factorization"
