@@ -75,9 +75,11 @@ Table Table::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("csv: cannot open for read: " + path);
   std::string line;
+  size_t line_no = 0;
   std::map<std::string, std::string> meta;
   std::vector<std::string> header;
   while (std::getline(in, line)) {
+    ++line_no;
     line = strings::trim(line);
     if (line.empty()) continue;
     if (line[0] == '#') {
@@ -94,11 +96,24 @@ Table Table::load(const std::string& path) {
   Table t(header);
   for (const auto& [k, v] : meta) t.set_meta(k, v);
   while (std::getline(in, line)) {
+    ++line_no;
     line = strings::trim(line);
     if (line.empty() || line[0] == '#') continue;
-    std::vector<double> row;
-    for (const auto& cell : strings::split(line, ',')) {
-      row.push_back(std::stod(cell));
+    const std::string where = "csv: " + path + ":" + std::to_string(line_no) + ": ";
+    const std::vector<std::string> cells = strings::split(line, ',');
+    if (cells.size() != header.size()) {
+      throw std::runtime_error(where + std::to_string(cells.size()) + " fields, header has " +
+                               std::to_string(header.size()));
+    }
+    // The whole trimmed cell must be a number, so a corrupt file fails here,
+    // naming its line and column, instead of loading a truncated value.
+    std::vector<double> row(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const std::string cell = strings::trim(cells[i]);
+      if (!strings::parse_double(cell, row[i])) {
+        throw std::runtime_error(where + "field '" + header[i] + "': malformed number '" +
+                                 cell + "'");
+      }
     }
     t.add_row(row);
   }

@@ -33,8 +33,10 @@ class Table {
   std::string meta(const std::string& key, const std::string& fallback = "") const;
 
   /// Serialize / parse. `save` creates parent directories as needed and
-  /// throws std::runtime_error on I/O failure; `load` throws if the file is
-  /// missing or malformed.
+  /// throws std::runtime_error on I/O failure; `load` throws
+  /// std::runtime_error if the file is missing or malformed, naming the
+  /// path, line and field of a cell that is not wholly a number or of a
+  /// row whose field count differs from the header's.
   void save(const std::string& path) const;
   static Table load(const std::string& path);
 

@@ -69,7 +69,7 @@ const char* kCounterNames[kNumCounters] = {
     "rgf_batch_solves",
     "poisson_newton_iterations", "pcg_iterations", "pcg_precond_setups",
     "table_cache_hits",  "table_cache_misses",
-    "table_service_hits", "table_service_misses", "table_service_coalesced",
+    "table_service_coalesced",
     "mna_factorizations", "mna_symbolic_analyses", "mna_elimination_updates",
     "transient_steps",
     "gummel_unconverged", "poisson_newton_unconverged",

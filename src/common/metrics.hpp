@@ -32,9 +32,9 @@ enum class Counter {
   kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
   kTableCacheHits,            ///< device: bias tables served from disk cache
   kTableCacheMisses,          ///< device: bias tables generated cold
-  kTableServiceHits,          ///< service: queries answered from the in-memory memo
-  kTableServiceMisses,        ///< service: queries that went cold (disk load or generation)
-  kTableServiceCoalesced,     ///< service: cold queries that joined another caller's generation
+  /// Never incremented. Read only by perfbench's timed-call gate; delete
+  /// with the `[benchmark]` refresh.
+  kTableServiceCoalesced,
   kMnaFactorizations,         ///< circuit: LU factorizations of the MNA Jacobian
   kMnaSymbolicAnalyses,       ///< circuit: of those, dense analyses (first + re-analyses)
   kMnaEliminationUpdates,     ///< circuit: row-entry updates of those factorizations (fill)

@@ -1,8 +1,12 @@
 #include "common/strings.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 namespace gnrfet::strings {
 
@@ -42,6 +46,17 @@ std::string trim(const std::string& s) {
   if (first == std::string::npos) return "";
   const auto last = s.find_last_not_of(" \t\r\n");
   return s.substr(first, last - first + 1);
+}
+
+bool parse_double(const std::string& s, double& out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) return false;
+  if (errno == ERANGE && std::isinf(value)) return false;
+  out = value;
+  return true;
 }
 
 bool starts_with(const std::string& s, const std::string& prefix) {

@@ -15,6 +15,12 @@ std::vector<std::string> split(const std::string& s, char delim);
 /// Strip leading/trailing whitespace.
 std::string trim(const std::string& s);
 
+/// Parse all of `s` as a double in strtod's grammar (decimal, hex, inf,
+/// nan). Returns false on empty input, leading whitespace, trailing
+/// characters or overflow; an underflowing value keeps strtod's subnormal
+/// (or zero) result, so every double printed at max_digits10 parses back.
+bool parse_double(const std::string& s, double& out);
+
 /// True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
 

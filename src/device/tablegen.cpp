@@ -15,6 +15,7 @@
 #include "common/csv.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/strings.hpp"
 #include "common/trace.hpp"
 #include "device/sweeps.hpp"
 #include "gnr/bandstructure.hpp"
@@ -132,13 +133,28 @@ size_t require_size_meta(const csv::Table& t, const std::string& key, const std:
   return static_cast<size_t>(value);
 }
 
+/// Parse a required double metadata field of a cached table, with the
+/// same file-and-field errors as require_size_meta.
+double require_double_meta(const csv::Table& t, const std::string& key, const std::string& path) {
+  const std::string raw = t.meta(key);
+  if (raw.empty()) {
+    throw std::runtime_error("load_table: " + path + ": missing '" + key +
+                             "' metadata (corrupt or truncated cache file)");
+  }
+  double value = 0.0;
+  if (!strings::parse_double(raw, value)) {
+    throw std::runtime_error("load_table: " + path + ": malformed '" + key + "' metadata '" +
+                             raw + "' (corrupt cache file)");
+  }
+  return value;
+}
+
 }  // namespace
 
 DeviceTable load_table(const std::string& path) {
   trace::Span span("device", "load_table");
   const csv::Table t = csv::Table::load(path);
   DeviceTable table;
-  table.band_gap_eV = std::stod(t.meta("band_gap_eV", "0"));
   const size_t nvg = require_size_meta(t, "nvg", path);
   const size_t nvd = require_size_meta(t, "nvd", path);
   // Bound the product before computing it: corrupt sizes whose product
@@ -182,6 +198,7 @@ DeviceTable load_table(const std::string& path) {
       table.charge_C[row] = t.at(row, "charge_C");
     }
   }
+  table.band_gap_eV = require_double_meta(t, "band_gap_eV", path);
   validate_table(table, "load_table(" + path + ")");
   return table;
 }

@@ -20,7 +20,7 @@ double latch_static_power(const circuit::InverterModels& m, double vdd) {
 
 std::vector<LatchCase> run_latch_study(DesignKit& kit, const LatchStudyOptions& opts) {
   std::vector<LatchCase> cases;
-  // One deduplicating batch for every table the three cases touch: the
+  // Warm every table the three cases touch before measuring: the
   // nominal device plus the worst-case n-variant and the p-variant's
   // particle-hole mirror (inverter_with_variants negates the p impurity).
   kit.warm({{12, 0.0},

@@ -34,8 +34,8 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
   // charge draws: q = z in {-1, 0, +1}. Warm every table the draws can
   // reach before fanning out (mirrors explore_plane's vt0() warm-up): a
   // cold-cache miss inside a sample would otherwise stall that sample on
-  // a full NEGF table generation. One batch query deduplicates against
-  // the service pool and resolves the cold ones in deterministic order.
+  // a full NEGF table generation. warm() resolves the cold ones in the
+  // listed order.
   std::vector<VariantSpec> reachable;
   for (int n : {9, 12, 15}) {
     for (int q : {-1, 0, 1}) reachable.push_back({n, static_cast<double>(q)});

@@ -12,14 +12,13 @@ namespace gnrfet::explore {
 
 namespace {
 
-/// Variant identity -> service request (the kit's one spec convention:
-/// a nonzero oxide charge becomes a single impurity at mid-channel).
-service::TableRequest request_for(const VariantSpec& v) {
-  service::TableRequest req;
-  req.spec.n_index = v.n_index;
-  if (v.impurity_q != 0.0) req.spec.impurities.push_back({v.impurity_q, 1.0, 0.0, 0.4});
-  req.opts = standard_table_options();
-  return req;
+/// Variant identity -> device spec (the kit's one spec convention: a
+/// nonzero oxide charge becomes a single impurity at mid-channel).
+device::DeviceSpec spec_for(const VariantSpec& v) {
+  device::DeviceSpec spec;
+  spec.n_index = v.n_index;
+  if (v.impurity_q != 0.0) spec.impurities.push_back({v.impurity_q, 1.0, 0.0, 0.4});
+  return spec;
 }
 
 }  // namespace
@@ -38,49 +37,30 @@ device::TableGenOptions standard_table_options() {
 DesignKit::DesignKit(model::Parasitics parasitics) : parasitics_(parasitics) {}
 
 const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
-  {
-    common::MutexLock lk(mu_);
-    const auto it = tables_.find(v);
-    if (it != tables_.end()) return *it->second;
-  }
-  // Resolve outside the kit lock: distinct variants generate concurrently,
-  // identical ones coalesce onto one generation inside the service.
-  trace::Span span("explore", "design_kit_table");
-  auto table = service::TableService::shared().query(request_for(v));
   common::MutexLock lk(mu_);
-  return adopt_locked(v, std::move(table));
-}
-
-const device::DeviceTable& DesignKit::adopt_locked(
-    const VariantSpec& v, std::shared_ptr<const device::DeviceTable> table) {
-  return *tables_.emplace(v, std::move(table)).first->second;
+  auto it = tables_.find(v);
+  if (it == tables_.end()) {
+    // Resolve under the kit lock: one disk load or generation per variant
+    // per kit. It cannot deadlock: generation never calls back into the
+    // kit, and its parallel_for runs on the pool from a top-level caller
+    // and inline from inside a region.
+    trace::Span span("explore", "design_kit_table");
+    it = tables_.emplace(v, device::generate_device_table(spec_for(v), standard_table_options()))
+             .first;
+  }
+  return it->second;
 }
 
 void DesignKit::warm(const std::vector<VariantSpec>& variants) {
   trace::Span span("explore", "design_kit_warm");
-  // Variants already resident in the kit — including tables injected with
-  // set_table, which the service never sees — need no resolution.
-  std::vector<VariantSpec> missing;
-  {
-    common::MutexLock lk(mu_);
-    for (const auto& v : variants) {
-      if (tables_.find(v) == tables_.end()) missing.push_back(v);
-    }
-  }
-  for (const auto& v : missing) {
-    auto table = service::TableService::shared().query(request_for(v));
-    common::MutexLock lk(mu_);
-    adopt_locked(v, std::move(table));
-  }
+  for (const auto& v : variants) table(v);
 }
 
 void DesignKit::set_table(const VariantSpec& v, device::DeviceTable table) {
   common::MutexLock lk(mu_);
   // Refuse to replace an existing entry: table() hands out references whose
-  // validity rests on map entries never being reassigned. Injection stays
-  // kit-local on purpose — it must not pollute the shared service memo.
-  auto shared = std::make_shared<const device::DeviceTable>(std::move(table));
-  if (!tables_.emplace(v, std::move(shared)).second) {
+  // validity rests on map entries never being reassigned.
+  if (!tables_.emplace(v, std::move(table)).second) {
     throw std::logic_error(
         "DesignKit::set_table: variant already has a table; inject tables "
         "before the variant's first use");
@@ -92,9 +72,8 @@ double DesignKit::vt0() {
     common::MutexLock lk(mu_);
     if (vt0_ >= 0.0) return vt0_;
   }
-  // May generate: resolve the nominal table without holding mu_. A racing
-  // extraction computes the identical value (same table bits), so last
-  // write wins harmlessly.
+  // May generate: table() takes mu_ itself. A racing extraction computes
+  // the identical value (same table bits), so last write wins harmlessly.
   const device::DeviceTable& t = table({12, 0.0});
   // Extract at the lowest nonzero drain bias on the grid (0.05 V), per the
   // max-gm method of Fig. 2(b).

@@ -1,14 +1,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "circuit/measure.hpp"
 #include "common/annotations.hpp"
 #include "device/tablegen.hpp"
 #include "model/intrinsic_fet.hpp"
-#include "service/tableservice.hpp"
 
 /// Technology exploration of Sec. 3.1: build GNRFET inverter models at any
 /// (VT, VDD) design point from the cached intrinsic-device tables, sweep
@@ -30,14 +28,14 @@ device::TableGenOptions standard_table_options();
 
 /// Loads (generating on miss) device tables and builds circuit models.
 ///
-/// Table resolution goes through service::TableService::shared(): the kit
-/// only keeps shared handles per variant, while the service owns the
-/// in-memory memo and single-flight coalescing with other kits/processes.
+/// The kit is the one in-memory table store: table() resolves each variant
+/// once through device::generate_device_table, which owns the on-disk
+/// cache (load on hit, generate and save on miss).
 ///
 /// Thread safety: all public methods may be called concurrently (the
 /// parallel Monte Carlo and plane sweeps do); the per-kit maps are guarded
-/// by a mutex, generation never runs under that lock (distinct variants
-/// generate concurrently; identical ones coalesce in the service).
+/// by a mutex. Table resolution runs under that lock, so concurrent first
+/// uses of a variant resolve it exactly once.
 class DesignKit {
  public:
   explicit DesignKit(model::Parasitics parasitics = model::Parasitics::from_per_width(0.1, 40.0));
@@ -75,19 +73,13 @@ class DesignKit {
 
  private:
   model::IntrinsicFet channel(const VariantSpec& v, model::Polarity pol, double offset);
-  /// Adopt a service-resolved table into the per-kit map; on a race the
-  /// first insertion wins (the service hands every racer the same entry).
-  const device::DeviceTable& adopt_locked(const VariantSpec& v,
-                                          std::shared_ptr<const device::DeviceTable> table)
-      GNRFET_REQUIRES(mu_);
 
   model::Parasitics parasitics_;
-  /// Guards every cache below. The table handles are shared with the
-  /// service memo, so references table() hands out stay valid even after
-  /// a TableService::clear(); map entries are stable under insertion.
+  /// Guards every cache below. Map entries are stable under insertion and
+  /// never reassigned, so references table() hands out stay valid for the
+  /// kit's lifetime.
   common::Mutex mu_;
-  std::map<VariantSpec, std::shared_ptr<const device::DeviceTable>> tables_
-      GNRFET_GUARDED_BY(mu_);
+  std::map<VariantSpec, device::DeviceTable> tables_ GNRFET_GUARDED_BY(mu_);
   std::map<VariantSpec, model::FetTables> fet_tables_ GNRFET_GUARDED_BY(mu_);
   double vt0_ GNRFET_GUARDED_BY(mu_) = -1.0;
 };

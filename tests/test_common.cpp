@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/cache.hpp"
 #include "common/constants.hpp"
@@ -75,6 +80,93 @@ TEST(Csv, RejectsBadRows) {
   csv::Table t({"a", "b"});
   EXPECT_THROW(t.add_row({1.0}), std::invalid_argument);
   EXPECT_THROW(t.at(0, "nope"), std::out_of_range);
+}
+
+TEST(Csv, LoadRejectsMalformedCellsNamingPathLineAndField) {
+  // std::stod read "1.5abc" as 1.5 without a word and threw a bare "stod"
+  // on a non-number; every cell must now parse whole, and the error names
+  // the file, the line and the column.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gnrfet_csv_bad_cell.csv").string();
+  for (const char* bad : {"1.5abc", "abc", "", "1.5 2", "1e999", "0x", "--1"}) {
+    {
+      std::ofstream out(path);
+      out << "# key = k\n";
+      out << "a,b\n";
+      out << "1,2\n";
+      out << "3," << bad << "\n";
+    }
+    try {
+      csv::Table::load(path);
+      FAIL() << "accepted malformed cell '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ":4:"), std::string::npos) << what;
+      EXPECT_NE(what.find("'b'"), std::string::npos) << what;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Csv, LoadRejectsRowWithWrongFieldCountNamingLine) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gnrfet_csv_short_row.csv").string();
+  {
+    std::ofstream out(path);
+    out << "a,b\n";
+    out << "1,2\n";
+    out << "3\n";
+  }
+  try {
+    csv::Table::load(path);
+    FAIL() << "accepted a one-field row under a two-column header";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":3:"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Csv, EverySavedDoubleLoadsBackBitExact) {
+  // save() prints at max_digits10, including nan/inf and subnormals;
+  // std::stod refused the subnormals (ERANGE on underflow), so a table
+  // holding one could be written but never read back.
+  const std::vector<double> values = {0.0,
+                                      -0.0,
+                                      1.0 / 3.0,
+                                      -1e-19,
+                                      std::numeric_limits<double>::denorm_min(),
+                                      -4e-310,
+                                      std::numeric_limits<double>::min(),
+                                      std::numeric_limits<double>::max(),
+                                      std::numeric_limits<double>::lowest(),
+                                      std::numeric_limits<double>::infinity(),
+                                      -std::numeric_limits<double>::infinity()};
+  csv::Table t({"x", "nan"});
+  for (const double v : values) t.add_row({v, std::numeric_limits<double>::quiet_NaN()});
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gnrfet_csv_every_double.csv").string();
+  t.save(path);
+  const csv::Table r = csv::Table::load(path);
+  ASSERT_EQ(r.num_rows(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const double got = r.at(i, "x");
+    EXPECT_EQ(std::memcmp(&got, &values[i], sizeof(double)), 0) << "row " << i;
+    EXPECT_TRUE(std::isnan(r.at(i, "nan"))) << "row " << i;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Strings, ParseDoubleTakesWholeStringsOnly) {
+  double v = 0.0;
+  EXPECT_TRUE(strings::parse_double("-2.5e-3", v));
+  EXPECT_EQ(v, -2.5e-3);
+  EXPECT_TRUE(strings::parse_double("inf", v));
+  EXPECT_TRUE(std::isinf(v));
+  EXPECT_TRUE(strings::parse_double("nan", v));
+  EXPECT_TRUE(std::isnan(v));
+  for (const char* bad : {"", " 1", "1 ", "1.5abc", "abc", "1e999", "-1e999"}) {
+    EXPECT_FALSE(strings::parse_double(bad, v)) << "accepted '" << bad << "'";
+  }
 }
 
 TEST(Cache, PathIsDeterministic) {

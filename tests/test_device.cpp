@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "common/cache.hpp"
 #include "common/contracts.hpp"
@@ -567,6 +569,100 @@ TEST(TableGen, SaveFailureLeavesNoTempLitter) {
     ADD_FAILURE() << "unexpected file left behind: " << e.path();
   }
   EXPECT_EQ(entries, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TableGen, LoadRejectsMissingOrMalformedBandGap) {
+  // A missing band gap used to load as 0 eV without a word; it is now an
+  // error naming the file and field, like a bad nvg/nvd.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gnrfet_table_bad_gap.csv").string();
+  for (const char* gap_line : {"", "# band_gap_eV = 0.6eV\n", "# band_gap_eV = gap\n"}) {
+    {
+      std::ofstream out(path);
+      out << gap_line << "# nvg = 1\n# nvd = 2\n";
+      out << "vg,vd,current_A,charge_C\n";
+      out << "0,0,0,-1e-19\n";
+      out << "0,0.5,2e-6,-2e-19\n";
+    }
+    try {
+      load_table(path);
+      FAIL() << "accepted band gap line '" << gap_line << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("band_gap_eV"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(*gap_line ? "malformed" : "missing"), std::string::npos) << what;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(TableGen, CheckedInBenchmarkInputsLoad) {
+  // The strict loader must still read every table the repository ships.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::current_path();
+  while (!fs::exists(dir / "perfbench" / "inputs") && dir.has_parent_path() &&
+         dir.parent_path() != dir) {
+    dir = dir.parent_path();
+  }
+  const fs::path inputs = dir / "perfbench" / "inputs";
+  if (!fs::exists(inputs)) GTEST_SKIP() << "not run from inside the source tree";
+  size_t loaded = 0;
+  for (const auto& e : fs::directory_iterator(inputs)) {
+    if (e.path().extension() != ".csv") continue;
+    const DeviceTable t = load_table(e.path().string());
+    EXPECT_GT(t.band_gap_eV, 0.0) << e.path();
+    ++loaded;
+  }
+  EXPECT_EQ(loaded, 9u);
+}
+
+TEST(TableGen, ConcurrentSavesOfOnePathLeaveOneWholeFile) {
+  // Eight writers race on one cache path, each with its own table: the
+  // atomic rename must leave exactly one of them, whole and bit-exact —
+  // never a mix of two writers' rows — and no temp file.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_save_one_path";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "table.csv").string();
+  std::vector<DeviceTable> tables(8);
+  for (size_t w = 0; w < tables.size(); ++w) {
+    DeviceTable& t = tables[w];
+    t.vg = {0.0, 0.05, 0.1, 0.15};
+    t.vd = {0.0, 0.25, 0.5};
+    t.band_gap_eV = 0.6 + 0.01 * static_cast<double>(w);
+    for (size_t i = 0; i < 12; ++i) {
+      t.current_A.push_back(static_cast<double>(w + 1) / (3.0 * static_cast<double>(i + 1)));
+      t.charge_C.push_back(-1e-19 * std::sqrt(static_cast<double>(w + i + 2)));
+    }
+  }
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < tables.size(); ++w) {
+    writers.emplace_back([&, w] {
+      for (int rep = 0; rep < 8; ++rep) save_table(tables[w], path, "race-key");
+    });
+  }
+  for (auto& t : writers) t.join();
+
+  const DeviceTable r = load_table(path);
+  size_t matches = 0;
+  for (const DeviceTable& t : tables) {
+    if (bits_hash(r.current_A) == bits_hash(t.current_A)) {
+      ++matches;
+      EXPECT_EQ(bits_hash(r.charge_C), bits_hash(t.charge_C));
+      EXPECT_EQ(bits_hash({r.band_gap_eV}), bits_hash({t.band_gap_eV}));
+      EXPECT_EQ(bits_hash(r.vg), bits_hash(t.vg));
+      EXPECT_EQ(bits_hash(r.vd), bits_hash(t.vd));
+    }
+  }
+  EXPECT_EQ(matches, 1u) << "the final file is not one writer's whole table";
+  size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    ++files;
+    EXPECT_EQ(e.path().filename().string(), "table.csv") << "leftover file: " << e.path();
+  }
+  EXPECT_EQ(files, 1u);
   std::filesystem::remove_all(dir);
 }
 

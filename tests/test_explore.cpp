@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/cache.hpp"
+#include "common/metrics.hpp"
+#include "common/parallel.hpp"
 #include "device/tablegen.hpp"
+#include "env_guard.hpp"
 #include "explore/contours.hpp"
 #include "explore/montecarlo.hpp"
 #include "explore/tech_explore.hpp"
@@ -13,6 +22,33 @@
 namespace {
 
 using namespace gnrfet;
+using tests::EnvGuard;
+
+/// Scoped thread-count override restoring the previous value on exit.
+struct ThreadCountGuard {
+  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
+  ~ThreadCountGuard() { par::set_thread_count(old_); }
+  int old_;
+};
+
+uint64_t counter_total(metrics::Counter c) {
+  return metrics::snapshot().counters[static_cast<size_t>(c)];
+}
+
+/// Cache path and key under which the kit resolves a variant: the standard
+/// bias grid and the kit's spec convention (a nonzero charge is one
+/// impurity at mid-channel).
+struct StandardEntry {
+  std::string path;
+  std::string key;
+};
+StandardEntry standard_entry(const explore::VariantSpec& v) {
+  device::DeviceSpec spec;
+  spec.n_index = v.n_index;
+  if (v.impurity_q != 0.0) spec.impurities.push_back({v.impurity_q, 1.0, 0.0, 0.4});
+  const std::string key = device::table_cache_payload(spec, explore::standard_table_options());
+  return {cache::path_for("device-table", key), key};
+}
 
 TEST(DesignKit, SetTableRejectsOverwrite) {
   // table() hands out references backed by map entries; replacing an entry
@@ -21,6 +57,68 @@ TEST(DesignKit, SetTableRejectsOverwrite) {
   explore::DesignKit kit;
   kit.set_table({12, 0.0}, synthetic::synthetic_table());
   EXPECT_THROW(kit.set_table({12, 0.0}, synthetic::synthetic_table()), std::logic_error);
+}
+
+TEST(DesignKit, FailedResolutionLeavesNoEntryAndRetries) {
+  // Concurrent first uses of a variant whose cache file is corrupt all get
+  // the load error, and the kit keeps no entry: once the file is mended,
+  // the same kit resolves the table.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_kit_failed_resolution";
+  std::filesystem::remove_all(dir);
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+  const StandardEntry nominal = standard_entry({12, 0.0});
+  {
+    std::ofstream out(nominal.path);
+    out << "vg,vd,current_A,charge_C\n0,0,0,0\n";  // no nvg/nvd metadata
+  }
+  // A missing file would start a real N = 12 generation instead.
+  ASSERT_TRUE(std::filesystem::exists(nominal.path));
+  explore::DesignKit kit;
+  {
+    ThreadCountGuard threads(8);
+    std::atomic<int> errors{0};
+    par::parallel_for(8, [&](size_t) {
+      try {
+        kit.table({12, 0.0});
+      } catch (const std::runtime_error&) {
+        errors.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(errors.load(), 8);
+  }
+  const device::DeviceTable synthetic = synthetic::synthetic_table();
+  device::save_table(synthetic, nominal.path, nominal.key);
+  EXPECT_EQ(kit.table({12, 0.0}).current_A, synthetic.current_A);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DesignKitParallel, ConcurrentFirstUseResolvesEachVariantOnce) {
+  // 64 concurrent first uses of two cached variants on a fresh kit: each
+  // variant is loaded from disk exactly once, and every caller of one
+  // variant gets the same table.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_kit_first_use";
+  std::filesystem::remove_all(dir);
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+  const explore::VariantSpec variants[2] = {{12, 0.0}, {12, -1.0}};
+  const device::DeviceTable synthetic = synthetic::synthetic_table();
+  for (const auto& v : variants) {
+    const StandardEntry e = standard_entry(v);
+    device::save_table(synthetic, e.path, e.key);
+  }
+  const uint64_t hits_before = counter_total(metrics::Counter::kTableCacheHits);
+  const uint64_t misses_before = counter_total(metrics::Counter::kTableCacheMisses);
+  explore::DesignKit kit;
+  std::vector<const device::DeviceTable*> got(64);
+  {
+    ThreadCountGuard threads(8);
+    par::parallel_for(got.size(), [&](size_t i) { got[i] = &kit.table(variants[i % 2]); });
+  }
+  EXPECT_NE(got[0], got[1]);
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], got[i % 2]) << "call " << i;
+  EXPECT_EQ(counter_total(metrics::Counter::kTableCacheHits) - hits_before, 2u);
+  EXPECT_EQ(counter_total(metrics::Counter::kTableCacheMisses) - misses_before, 0u);
+  EXPECT_EQ(got[1]->current_A, synthetic.current_A);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Contours, CircleLevelSet) {

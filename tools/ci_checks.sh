@@ -120,7 +120,7 @@ for stage in "${STAGES[@]}"; do
       # the concurrent PoissonSolver path and the parallel capacitance
       # build rides in the tsan stage above (its -R 'Parallel' filter picks
       # up PoissonSolverParallel.*, CapacitanceParallel.*, and
-      # TableServiceParallel.*).
+      # DesignKitParallel.*).
       DIR="$ROOT/build-ci-perf"
       mkdir -p "$DIR"
       cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >"$DIR/configure.log" 2>&1 ||
