@@ -38,6 +38,14 @@ int main() {
               mc.mean_static_power_W * 1e6,
               100.0 * (mc.mean_static_power_W / mc.nominal.static_power_W - 1.0));
   std::printf("(paper: mean f -10%%, mean Pstat +23%%, mean Pdyn unchanged)\n");
+  size_t valid = 0, zero_start = 0;
+  for (const auto& s : mc.samples) {
+    valid += s.ok ? 1 : 0;
+    zero_start += s.dc_start_converged ? 0 : 1;
+  }
+  std::printf("valid samples: %zu of %zu; rings started from the zero state (DC start "
+              "unconverged): %zu of %zu\n",
+              valid, mc.samples.size(), zero_start, mc.samples.size());
 
   csv::Table samples({"frequency_GHz", "pdyn_uW", "pstat_uW"});
   std::vector<double> fs, pd, ps;

@@ -2,16 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+
+#include "common/strings.hpp"
 
 namespace gnrfet::circuit {
 
 namespace {
 
-/// Trapezoidal companion stamp of a charge branch between nodes a and b
-/// with (possibly bias-dependent) capacitance evaluated at the voltage
-/// midpoint. State triplet at `s0`: [q_prev, i_prev, v_prev].
+/// Trapezoidal companion stamp of `copies` identical charge branches in
+/// parallel between nodes a and b, with (possibly bias-dependent)
+/// capacitance evaluated at the voltage midpoint. State triplet of one
+/// branch at `s0`: [q_prev, i_prev, v_prev].
+///
+/// The copies add their current and conductance one after another, as
+/// `copies` separate elements stamped in a row would: `copies * i` added
+/// once rounds differently, and would move every pinned ring waveform.
 void stamp_charge_branch(Stamper& st, const TransientContext& ctx, NodeId a, NodeId b,
-                         double c_mid, size_t s0) {
+                         double c_mid, size_t s0, int copies = 1) {
   if (ctx.dt <= 0.0) return;  // open in DC
   const auto& prev = *ctx.state_prev;
   auto& next = *ctx.state_next;
@@ -21,13 +29,15 @@ void stamp_charge_branch(Stamper& st, const TransientContext& ctx, NodeId a, Nod
   const double v_prev = prev[s0 + 2];
   const double q_new = q_prev + c_mid * (v - v_prev);
   const double i = 2.0 / ctx.dt * (q_new - q_prev) - i_prev;
-  st.add_residual(a, i);
-  st.add_residual(b, -i);
   const double g = 2.0 * c_mid / ctx.dt;
-  st.add_jacobian(a, a, g);
-  st.add_jacobian(a, b, -g);
-  st.add_jacobian(b, a, -g);
-  st.add_jacobian(b, b, g);
+  for (int k = 0; k < copies; ++k) {
+    st.add_residual(a, i);
+    st.add_residual(b, -i);
+    st.add_jacobian(a, a, g);
+    st.add_jacobian(a, b, -g);
+    st.add_jacobian(b, a, -g);
+    st.add_jacobian(b, b, g);
+  }
   next[s0] = q_new;
   next[s0 + 1] = i;
   next[s0 + 2] = v;
@@ -167,8 +177,13 @@ void Fet::init_state(const Circuit& ckt, const std::vector<double>& x,
 }
 
 InverterGateLoad::InverterGateLoad(model::ExtrinsicFet nfet, model::ExtrinsicFet pfet,
-                                   NodeId node, double vdd)
-    : n_(std::move(nfet)), p_(std::move(pfet)), node_(node), vdd_(vdd) {}
+                                   NodeId node, double vdd, int fanout)
+    : n_(std::move(nfet)), p_(std::move(pfet)), node_(node), vdd_(vdd), fanout_(fanout) {
+  if (fanout < 1) {
+    throw std::invalid_argument(
+        strings::format("InverterGateLoad: fanout = %d must be >= 1", fanout));
+  }
+}
 
 double InverterGateLoad::capacitance(double v) const {
   const model::FetSample qn = n_.intrinsic->charge(v, vdd_ - v);
@@ -183,7 +198,7 @@ void InverterGateLoad::stamp(Stamper& st, const TransientContext& ctx) const {
   if (ctx.dt <= 0.0) return;
   const double v_prev = (*ctx.state_prev)[state_offset_ + 2];
   const double c = capacitance(0.5 * (st.v(node_) + v_prev));
-  stamp_charge_branch(st, ctx, node_, kGround, c, state_offset_);
+  stamp_charge_branch(st, ctx, node_, kGround, c, state_offset_, fanout_);
 }
 
 void InverterGateLoad::init_state(const Circuit& ckt, const std::vector<double>& x,

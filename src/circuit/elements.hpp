@@ -75,28 +75,35 @@ class Fet final : public Element {
   NodeId d_, g_, s_, di_, si_;
 };
 
-/// Gate-input loading of one inverter (its n- and p-FET gates), used to
-/// build fanout-of-4 loads without simulating dangling inverters. The
-/// element is a nonlinear grounded capacitor at the driven node:
+/// Gate-input loading of `fanout` identical inverters (their n- and p-FET
+/// gates) at one node, used to build fanout-of-4 loads without simulating
+/// dangling inverters. Each gate is a nonlinear grounded capacitor at the
+/// driven node:
 ///   C(v) = Cg_n(v, VDD - v) + Cg_p(v - VDD, -v) + 2 (CGS,e + CGD,e),
 /// i.e. the intrinsic gate capacitances |dQ/dVGS| of both devices with the
 /// load-inverter output at its quasi-static (inverted) value, plus the
-/// extrinsic junction capacitances. State: [q, i, v].
+/// extrinsic junction capacitances. The gates of a group share one node,
+/// one model pair and one VDD, so their charge states are equal: the group
+/// keeps one state [q, i, v] and samples the charge tables once per stamp.
 class InverterGateLoad final : public Element {
  public:
-  InverterGateLoad(model::ExtrinsicFet nfet, model::ExtrinsicFet pfet, NodeId node, double vdd);
+  /// Throws std::invalid_argument if fanout < 1.
+  InverterGateLoad(model::ExtrinsicFet nfet, model::ExtrinsicFet pfet, NodeId node, double vdd,
+                   int fanout = 1);
   size_t state_size() const override { return 3; }
   void stamp(Stamper& st, const TransientContext& ctx) const override;
   void init_state(const Circuit& ckt, const std::vector<double>& x,
                   std::vector<double>& state) const override;
 
-  /// Input capacitance at gate voltage v (exposed for calibration checks).
+  /// Input capacitance of one gate of the group at gate voltage v
+  /// (exposed for calibration checks).
   double capacitance(double v) const;
 
  private:
   model::ExtrinsicFet n_, p_;
   NodeId node_;
   double vdd_;
+  int fanout_;
 };
 
 }  // namespace gnrfet::circuit

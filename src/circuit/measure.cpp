@@ -133,7 +133,7 @@ RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
   TransientOptions topt;
   topt.t_stop = opts.t_stop_s;
   topt.dt = opts.dt_s;
-  topt.initial_x = ro.kick_state();
+  topt.initial_x = ro.kick_state(&m.dc_start_converged);
   const TransientResult tr = run_transient(ro.ckt, topt);
   if (!tr.ok) return m;
 

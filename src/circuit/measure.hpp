@@ -50,6 +50,9 @@ struct RingMetrics {
   double dynamic_power_W = 0.0;  ///< total - static
   double energy_per_cycle_J = 0.0;
   double edp_Js = 0.0;  ///< energy per cycle x period
+  /// The ring's DC start converged; when false the transient was kicked
+  /// from all zeros (RingOscillator::kick_state).
+  bool dc_start_converged = false;
   bool ok = false;
 };
 

@@ -16,9 +16,8 @@ void add_inverter(Circuit& ckt, const InverterModels& models, NodeId in, NodeId 
 
 void add_gate_loads(Circuit& ckt, const InverterModels& load_models, NodeId node, double vdd,
                     int count) {
-  for (int i = 0; i < count; ++i) {
-    ckt.add(std::make_unique<InverterGateLoad>(load_models.nfet, load_models.pfet, node, vdd));
-  }
+  ckt.add(
+      std::make_unique<InverterGateLoad>(load_models.nfet, load_models.pfet, node, vdd, count));
 }
 
 Fo4Testbench build_fo4_inverter(const InverterModels& driver, const InverterModels& load,
@@ -58,13 +57,14 @@ RingOscillator build_ring_oscillator(const std::vector<InverterModels>& stages,
   return ro;
 }
 
-std::vector<double> RingOscillator::kick_state() const {
+std::vector<double> RingOscillator::kick_state(bool* dc_converged) const {
   // Start from the ring's DC point (all stages near the metastable
   // switching threshold) and alternate a small perturbation around it;
   // the loop gain amplifies it into steady oscillation within a couple of
   // periods. A rail-to-rail initial guess would be too inconsistent for
   // the charge elements' quasi-Newton scheme.
   const DcResult dc = solve_dc(ckt);
+  if (dc_converged) *dc_converged = dc.converged;
   std::vector<double> x = dc.converged ? dc.x : std::vector<double>(ckt.num_unknowns(), 0.0);
   const auto bump_node = [&](NodeId n, double dv) {
     const ptrdiff_t u = ckt.unknown_of_node(n);

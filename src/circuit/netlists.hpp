@@ -19,7 +19,8 @@ struct InverterModels {
 void add_inverter(Circuit& ckt, const InverterModels& models, NodeId in, NodeId out,
                   NodeId vdd);
 
-/// Add `count` inverter gate-input loads at a node (fanout loading).
+/// Add the gate-input loads of `count` inverters at a node (fanout
+/// loading), as one InverterGateLoad group element.
 void add_gate_loads(Circuit& ckt, const InverterModels& load_models, NodeId node, double vdd,
                     int count);
 
@@ -43,8 +44,10 @@ struct RingOscillator {
   size_t vdd_branch = 0;
   double vdd = 0.0;
 
-  /// Alternating-rail initial state that kicks the oscillation.
-  std::vector<double> kick_state() const;
+  /// Alternating-rail initial state that kicks the oscillation, bumped
+  /// around the ring's DC point; around all zeros when that DC solve does
+  /// not converge. `dc_converged`, if given, receives whether it did.
+  std::vector<double> kick_state(bool* dc_converged = nullptr) const;
 };
 
 RingOscillator build_ring_oscillator(const std::vector<InverterModels>& stages,

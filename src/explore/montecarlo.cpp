@@ -67,6 +67,7 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
                                   m.frequency_Hz, m.static_power_W, m.dynamic_power_W));
     MonteCarloSample sample;
     sample.ok = m.ok;
+    sample.dc_start_converged = m.dc_start_converged;
     sample.frequency_Hz = m.frequency_Hz;
     sample.static_power_W = m.static_power_W;
     sample.dynamic_power_W = m.dynamic_power_W;

@@ -36,6 +36,7 @@ struct MonteCarloSample {
   double frequency_Hz = 0.0;
   double static_power_W = 0.0;
   double dynamic_power_W = 0.0;
+  bool dc_start_converged = false;  ///< RingMetrics::dc_start_converged
   bool ok = false;
 };
 

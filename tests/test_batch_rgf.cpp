@@ -14,6 +14,7 @@
 #include "negf/scalar_rgf.hpp"
 #include "negf/transport.hpp"
 #include "golden.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -21,6 +22,7 @@ using namespace gnrfet;
 using tests::flatten;
 using tests::fnv1a;
 using tests::GoldenProblem;
+using tests::ThreadCountGuard;
 
 /// Bitwise double equality: EXPECT_EQ on doubles treats +0.0 == -0.0, but
 /// the batch determinism contract is bit-for-bit, signs of zero included.
@@ -33,12 +35,6 @@ using tests::GoldenProblem;
          << b_expr << " = " << b << " (0x" << std::bit_cast<uint64_t>(b) << ")";
 }
 #define EXPECT_BITS_EQ(a, b) EXPECT_PRED_FORMAT2(bits_eq, a, b)
-
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
-  ~ThreadCountGuard() { par::set_thread_count(old_); }
-  int old_;
-};
 
 /// Deterministic chain family: alternating SSH-like hoppings with an
 /// incommensurate onsite modulation, asymmetric contacts.

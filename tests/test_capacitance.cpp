@@ -14,17 +14,13 @@
 #include "poisson/capacitance.hpp"
 #include "poisson/solver.hpp"
 #include "golden.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace gnrfet;
-
-/// Scoped thread-count override restoring the previous value on exit.
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
-  ~ThreadCountGuard() { par::set_thread_count(old_); }
-  int old_;
-};
+using tests::ThreadCountGuard;
+using tests::counter;
 
 /// The small, coarse device of the device tests.
 device::DeviceSpec tiny_spec() {
@@ -221,9 +217,6 @@ TEST(Capacitance, ReducedNewtonMatchesOracleOnRealN12Systems) {
 }
 
 TEST(Capacitance, BuildIsCountedOncePerSolver) {
-  const auto counter = [](metrics::Counter c) {
-    return metrics::snapshot().counters[static_cast<size_t>(c)];
-  };
   const device::DeviceGeometry geo(tiny_spec());
   const uint64_t builds = counter(metrics::Counter::kCapacitanceBuilds);
   const uint64_t cg = counter(metrics::Counter::kReducedCgIterations);

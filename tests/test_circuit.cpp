@@ -12,18 +12,16 @@
 #include "golden.hpp"
 #include "linalg/lu.hpp"
 #include "synthetic_device.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using namespace gnrfet::circuit;
 using model::Polarity;
+using tests::counter;
 
 using synthetic::synthetic_inverter;
-
-uint64_t counter(metrics::Counter c) {
-  return metrics::snapshot().counters[static_cast<size_t>(c)];
-}
 
 TEST(Dc, ResistorDivider) {
   Circuit ckt;
@@ -461,6 +459,196 @@ TEST(MnaReplay, GoldenRingTransientAnalysesOnce) {
   ASSERT_TRUE(run_transient(ro.ckt, topt).ok);
   EXPECT_EQ(counter(metrics::Counter::kMnaSymbolicAnalyses), 1u);
   EXPECT_GT(counter(metrics::Counter::kMnaFactorizations), 2000u);
+}
+
+/// Bit-for-bit equality of two double vectors, naming the first mismatch.
+::testing::AssertionResult same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (std::bit_cast<uint64_t>(a[k]) != std::bit_cast<uint64_t>(b[k])) {
+      return ::testing::AssertionFailure() << "entry " << k << ": " << a[k] << " vs " << b[k];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// run_transient's step loop by hand, from `x`, so the element state after
+/// the last accepted step can be read: every accepted iterate, then the
+/// final state vector.
+struct SteppedTransient {
+  std::vector<std::vector<double>> samples;
+  std::vector<double> state;
+};
+
+SteppedTransient step_transient(const Circuit& ckt, std::vector<double> x, double dt,
+                                size_t steps) {
+  SteppedTransient out;
+  out.state.assign(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->init_state(ckt, x, out.state);
+  std::vector<double> next(out.state.size(), 0.0);
+  MnaWorkspace ws(ckt.num_unknowns());
+  out.samples.push_back(x);
+  for (size_t step = 1; step <= steps; ++step) {
+    TransientContext ctx;
+    ctx.time = static_cast<double>(step) * dt;
+    ctx.dt = dt;
+    ctx.state_prev = &out.state;
+    ctx.state_next = &next;
+    if (!newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
+      ADD_FAILURE() << "step " << step << " failed";
+      break;
+    }
+    ws.stamp(ckt, x, ctx);
+    out.state.swap(next);
+    out.samples.push_back(x);
+  }
+  return out;
+}
+
+/// Bit-compare the element state of `grouped`, whose gate loads are
+/// fanout groups, with that of `single`, the same circuit built with
+/// `fanout` single-gate loads in each group's place: every other element's
+/// state as is, and each group's [q, i, v] against each of its loads'.
+void expect_same_state(const Circuit& grouped, const std::vector<double>& grouped_state,
+                       const std::vector<double>& single_state, int fanout) {
+  size_t g = 0, s = 0;
+  for (const auto& e : grouped.elements()) {
+    const size_t n = e->state_size();
+    const bool group = dynamic_cast<const InverterGateLoad*>(e.get()) != nullptr;
+    for (int copy = 0; copy < (group ? fanout : 1); ++copy) {
+      ASSERT_LE(s + n, single_state.size());
+      const std::vector<double> a(grouped_state.begin() + static_cast<ptrdiff_t>(g),
+                                  grouped_state.begin() + static_cast<ptrdiff_t>(g + n));
+      const std::vector<double> b(single_state.begin() + static_cast<ptrdiff_t>(s),
+                                  single_state.begin() + static_cast<ptrdiff_t>(s + n));
+      EXPECT_TRUE(same_bits(a, b)) << "state at " << g << " vs " << s;
+      s += n;
+    }
+    g += n;
+  }
+  EXPECT_EQ(g, grouped_state.size());
+  EXPECT_EQ(s, single_state.size());
+}
+
+TEST(Elements, FanoutGroupMatchesSeparateLoadsBitForBit) {
+  const InverterModels inv = synthetic_inverter();
+  const double vdd = 0.4;
+
+  // The ring of CircuitGolden.RingOscillatorIsBitPinned, and the same ring
+  // hand-built with three single-gate loads per stage node.
+  const std::vector<InverterModels> stages(15, inv);
+  const RingOscillator grouped = build_ring_oscillator(stages, inv, vdd);
+  RingOscillator single;
+  single.vdd = vdd;
+  single.vdd_node = single.ckt.new_node("vdd");
+  single.ckt.add(std::make_unique<VoltageSource>(single.vdd_node, kGround, vdd));
+  for (size_t i = 0; i < stages.size(); ++i) {
+    single.stage_out.push_back(single.ckt.new_node("s" + std::to_string(i)));
+  }
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const NodeId out = single.stage_out[i];
+    add_inverter(single.ckt, stages[i], single.stage_out[(i + stages.size() - 1) % stages.size()],
+                 out, single.vdd_node);
+    for (int k = 0; k < 3; ++k) {
+      single.ckt.add(std::make_unique<InverterGateLoad>(inv.nfet, inv.pfet, out, vdd));
+    }
+  }
+  EXPECT_EQ(grouped.ckt.elements().size(), 46u);
+  EXPECT_EQ(single.ckt.elements().size(), 76u);
+  ASSERT_EQ(grouped.ckt.num_unknowns(), single.ckt.num_unknowns());
+
+  TransientOptions topt;
+  topt.t_stop = 1.0e-9;
+  topt.dt = 0.5e-12;
+  topt.initial_x = grouped.kick_state();
+  ASSERT_TRUE(same_bits(single.kick_state(), topt.initial_x));
+  const TransientResult tg = run_transient(grouped.ckt, topt);
+  const TransientResult ts = run_transient(single.ckt, topt);
+  ASSERT_TRUE(tg.ok);
+  ASSERT_TRUE(ts.ok);
+  ASSERT_EQ(tg.waves.samples.size(), 2002u);
+  ASSERT_EQ(ts.waves.samples.size(), 2002u);
+  for (size_t k = 0; k < tg.waves.samples.size(); ++k) {
+    ASSERT_TRUE(same_bits(tg.waves.samples[k], ts.waves.samples[k])) << "sample " << k;
+  }
+  const SteppedTransient sg = step_transient(grouped.ckt, topt.initial_x, topt.dt, 2001);
+  const SteppedTransient ss = step_transient(single.ckt, topt.initial_x, topt.dt, 2001);
+  ASSERT_TRUE(same_bits(sg.samples.back(), tg.waves.samples.back()));
+  ASSERT_TRUE(same_bits(ss.samples.back(), ts.waves.samples.back()));
+  expect_same_state(grouped.ckt, sg.state, ss.state, 3);
+
+  // The FO4 testbench: one group of 4 against four single-gate loads, from
+  // the DC point, through one input rise and fall.
+  const auto input = [vdd](double t) {
+    if (t < 25e-12 || t >= 77e-12) return 0.0;
+    if (t < 27e-12) return vdd * (t - 25e-12) / 2e-12;
+    if (t < 75e-12) return vdd;
+    return vdd * (1.0 - (t - 75e-12) / 2e-12);
+  };
+  const Fo4Testbench fo4 = build_fo4_inverter(inv, inv, vdd, input);
+  Fo4Testbench fo4_single;
+  fo4_single.vdd_node = fo4_single.ckt.new_node("vdd");
+  fo4_single.in = fo4_single.ckt.new_node("in");
+  fo4_single.out = fo4_single.ckt.new_node("out");
+  fo4_single.ckt.add(std::make_unique<VoltageSource>(fo4_single.vdd_node, kGround, vdd));
+  fo4_single.ckt.add(std::make_unique<VoltageSource>(fo4_single.in, kGround, input));
+  add_inverter(fo4_single.ckt, inv, fo4_single.in, fo4_single.out, fo4_single.vdd_node);
+  for (int k = 0; k < 4; ++k) {
+    fo4_single.ckt.add(std::make_unique<InverterGateLoad>(inv.nfet, inv.pfet, fo4_single.out, vdd));
+  }
+  EXPECT_EQ(fo4.ckt.elements().size(), 5u);
+  EXPECT_EQ(fo4_single.ckt.elements().size(), 8u);
+
+  TransientOptions fopt;
+  fopt.t_stop = 100e-12;
+  fopt.dt = 0.1e-12;
+  const TransientResult fg = run_transient(fo4.ckt, fopt);
+  const TransientResult fs = run_transient(fo4_single.ckt, fopt);
+  ASSERT_TRUE(fg.ok);
+  ASSERT_TRUE(fs.ok);
+  ASSERT_EQ(fg.waves.samples.size(), fs.waves.samples.size());
+  for (size_t k = 0; k < fg.waves.samples.size(); ++k) {
+    ASSERT_TRUE(same_bits(fg.waves.samples[k], fs.waves.samples[k])) << "sample " << k;
+  }
+  // The output switched both ways, so the loads were charged and drained.
+  const std::vector<double> vout = fg.waves.node(fo4.ckt, fo4.out);
+  EXPECT_LT(*std::min_element(vout.begin(), vout.end()), 0.1 * vdd);
+  EXPECT_GT(vout.back(), 0.9 * vdd);
+  const size_t fsteps = fg.waves.samples.size() - 1;
+  const SteppedTransient fsg = step_transient(fo4.ckt, fg.waves.samples.front(), fopt.dt, fsteps);
+  const SteppedTransient fss =
+      step_transient(fo4_single.ckt, fs.waves.samples.front(), fopt.dt, fsteps);
+  ASSERT_TRUE(same_bits(fsg.samples.back(), fg.waves.samples.back()));
+  ASSERT_TRUE(same_bits(fss.samples.back(), fs.waves.samples.back()));
+  expect_same_state(fo4.ckt, fsg.state, fss.state, 4);
+}
+
+TEST(Elements, FanoutGroupRejectsFanoutBelowOne) {
+  const InverterModels inv = synthetic_inverter();
+  Circuit ckt;
+  const NodeId n = ckt.new_node();
+  EXPECT_THROW(InverterGateLoad(inv.nfet, inv.pfet, n, 0.4, 0), std::invalid_argument);
+  EXPECT_THROW(InverterGateLoad(inv.nfet, inv.pfet, n, 0.4, -1), std::invalid_argument);
+  EXPECT_NO_THROW(InverterGateLoad(inv.nfet, inv.pfet, n, 0.4, 1));
+}
+
+TEST(RingDcStart, GoldenRingStartsFromItsDcPoint) {
+  // The ring of CircuitGolden.RingOscillatorIsBitPinned converges its DC
+  // start, and RingMetrics carries that through.
+  const InverterModels inv = synthetic_inverter();
+  const std::vector<InverterModels> stages(15, inv);
+  bool converged = false;
+  (void)build_ring_oscillator(stages, inv, 0.4).kick_state(&converged);
+  EXPECT_TRUE(converged);
+  RingMeasureOptions opts;
+  opts.vdd = 0.4;
+  opts.t_stop_s = 1.0e-9;
+  opts.dt_s = 0.5e-12;
+  const RingMetrics m = measure_ring_oscillator(stages, inv, opts);
+  EXPECT_TRUE(m.ok);
+  EXPECT_TRUE(m.dc_start_converged);
 }
 
 TEST(Elements, GateLoadCapacitanceIsPositive) {

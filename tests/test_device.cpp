@@ -23,6 +23,7 @@
 #include "env_guard.hpp"
 #include "golden.hpp"
 #include "poisson/nonlinear.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -30,6 +31,7 @@ using namespace gnrfet;
 using namespace gnrfet::device;
 using tests::EnvGuard;
 using tests::fnv1a;
+using tests::counter;
 
 /// Small, coarse device for fast tests (short channel, coarse mesh and
 /// energy grid) — still a real self-consistent NEGF-Poisson solve.
@@ -122,9 +124,6 @@ TEST(SelfConsistent, WarmStartReducesIterations) {
 TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
   // A solve that runs out of iterations keeps its result (no behaviour
   // change) but must show up in the failure counters.
-  const auto counter = [](metrics::Counter c) {
-    return metrics::snapshot().counters[static_cast<size_t>(c)];
-  };
   const DeviceGeometry geo(tiny_spec());
   SolveOptions opts = fast_opts();
   opts.max_gummel_iterations = 1;
@@ -600,16 +599,10 @@ TEST(TableGen, LoadRejectsMissingOrMalformedBandGap) {
 
 TEST(TableGen, CheckedInBenchmarkInputsLoad) {
   // The strict loader must still read every table the repository ships.
-  namespace fs = std::filesystem;
-  fs::path dir = fs::current_path();
-  while (!fs::exists(dir / "perfbench" / "inputs") && dir.has_parent_path() &&
-         dir.parent_path() != dir) {
-    dir = dir.parent_path();
-  }
-  const fs::path inputs = dir / "perfbench" / "inputs";
-  if (!fs::exists(inputs)) GTEST_SKIP() << "not run from inside the source tree";
+  const std::filesystem::path inputs = tests::benchmark_inputs_dir();
+  if (inputs.empty()) GTEST_SKIP() << "not run from inside the source tree";
   size_t loaded = 0;
-  for (const auto& e : fs::directory_iterator(inputs)) {
+  for (const auto& e : std::filesystem::directory_iterator(inputs)) {
     if (e.path().extension() != ".csv") continue;
     const DeviceTable t = load_table(e.path().string());
     EXPECT_GT(t.band_gap_eV, 0.0) << e.path();

@@ -18,22 +18,14 @@
 #include "explore/montecarlo.hpp"
 #include "explore/tech_explore.hpp"
 #include "synthetic_device.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using tests::EnvGuard;
-
-/// Scoped thread-count override restoring the previous value on exit.
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
-  ~ThreadCountGuard() { par::set_thread_count(old_); }
-  int old_;
-};
-
-uint64_t counter_total(metrics::Counter c) {
-  return metrics::snapshot().counters[static_cast<size_t>(c)];
-}
+using tests::ThreadCountGuard;
+using tests::counter;
 
 /// Cache path and key under which the kit resolves a variant: the standard
 /// bias grid and the kit's spec convention (a nonzero charge is one
@@ -105,8 +97,8 @@ TEST(DesignKitParallel, ConcurrentFirstUseResolvesEachVariantOnce) {
     const StandardEntry e = standard_entry(v);
     device::save_table(synthetic, e.path, e.key);
   }
-  const uint64_t hits_before = counter_total(metrics::Counter::kTableCacheHits);
-  const uint64_t misses_before = counter_total(metrics::Counter::kTableCacheMisses);
+  const uint64_t hits_before = counter(metrics::Counter::kTableCacheHits);
+  const uint64_t misses_before = counter(metrics::Counter::kTableCacheMisses);
   explore::DesignKit kit;
   std::vector<const device::DeviceTable*> got(64);
   {
@@ -115,10 +107,35 @@ TEST(DesignKitParallel, ConcurrentFirstUseResolvesEachVariantOnce) {
   }
   EXPECT_NE(got[0], got[1]);
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], got[i % 2]) << "call " << i;
-  EXPECT_EQ(counter_total(metrics::Counter::kTableCacheHits) - hits_before, 2u);
-  EXPECT_EQ(counter_total(metrics::Counter::kTableCacheMisses) - misses_before, 0u);
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheHits) - hits_before, 2u);
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheMisses) - misses_before, 0u);
   EXPECT_EQ(got[1]->current_A, synthetic.current_A);
   std::filesystem::remove_all(dir);
+}
+
+TEST(RingDcStart, UnconvergedStartIsReported) {
+  // Fig. 6 on the nine checked-in variant tables: the nominal ring's DC
+  // start converges, but the first Monte Carlo ring's DC Newton 2-cycles
+  // at the full clamp, so that ring is kicked from all zeros and its
+  // sample must say so.
+  const std::filesystem::path inputs = tests::benchmark_inputs_dir();
+  if (inputs.empty()) GTEST_SKIP() << "not run from inside the source tree";
+  explore::DesignKit kit;
+  for (const int n : {9, 12, 15}) {
+    for (const int q : {-1, 0, 1}) {
+      const std::string name = "table-n" + std::to_string(n) + "-q" +
+                               (q < 0 ? "m1" : q > 0 ? "p1" : "0") + ".csv";
+      kit.set_table({n, static_cast<double>(q)}, device::load_table((inputs / name).string()));
+    }
+  }
+  explore::MonteCarloOptions opts;
+  opts.samples = 1;
+  opts.ring.t_stop_s = 20e-12;
+  opts.ring.dt_s = 0.5e-12;
+  const explore::MonteCarloResult mc = explore::run_ring_monte_carlo(kit, opts);
+  EXPECT_TRUE(mc.nominal.dc_start_converged);
+  ASSERT_EQ(mc.samples.size(), 1u);
+  EXPECT_FALSE(mc.samples[0].dc_start_converged);
 }
 
 TEST(Contours, CircleLevelSet) {

@@ -15,17 +15,12 @@
 #include "gnr/bandstructure.hpp"
 #include "negf/transport.hpp"
 #include "synthetic_device.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace gnrfet;
-
-/// Scoped thread-count override restoring the previous value on exit.
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
-  ~ThreadCountGuard() { par::set_thread_count(old_); }
-  int old_;
-};
+using tests::ThreadCountGuard;
 
 TEST(Parallel, CoversEveryIndexExactlyOnceUnderOversubscription) {
   // Far more threads than this host has cores: scheduling is maximally

@@ -25,18 +25,13 @@
 #include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
 #include "poisson/nonlinear.hpp"
+#include "test_support.hpp"
 
 namespace {
 
 using namespace gnrfet;
 using tests::EnvGuard;
-
-/// Scoped thread-count override restoring the previous value on exit.
-struct ThreadCountGuard {
-  explicit ThreadCountGuard(int n) : old_(par::thread_count()) { par::set_thread_count(n); }
-  ~ThreadCountGuard() { par::set_thread_count(old_); }
-  int old_;
-};
+using tests::ThreadCountGuard;
 
 /// Scoped trace configuration: clears recorded events, points the trace at
 /// `path` (default: enabled with a sink path that is never flushed), and

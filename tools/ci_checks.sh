@@ -26,7 +26,8 @@
 #               are bit-identical across GNRFET_THREADS=1 and 4. Last, a
 #               counter gate with no timing: the traced CircuitGolden ring
 #               transient does one MNA symbolic analysis in its one
-#               workspace and replays every later factorization.
+#               workspace, replays every later factorization, and takes
+#               exactly 2001 steps and 6003 factorizations.
 #   analyze   gnrfet_lint repo rules + the gnrfet_analyze passes: layering
 #             DAG, determinism rules, contract-coverage baseline
 #   thread-safety  clang -Wthread-safety -Werror=thread-safety build over the
@@ -255,9 +256,11 @@ for stage in "${STAGES[@]}"; do
       # MNA replay smoke, counters only: the CircuitGolden ring transient,
       # traced, must do exactly one symbolic analysis in its one workspace
       # and replay every later factorization. Pivot churn that sends the
-      # replay back to the dense analysis fails here. The test resets the
-      # counters after the DC solve of the ring's kick state, so they
-      # cover the transient alone.
+      # replay back to the dense analysis fails here. Its step and
+      # factorization counts are pinned exactly (2001 steps: ceil of
+      # 1 ns / 0.5 ps in doubles), so a change in Newton work fails in
+      # either direction. The test resets the counters after the DC solve
+      # of the ring's kick state, so they cover the transient alone.
       cmake --build "$DIR" -j "$JOBS" --target gnrfet_tests gnrfet_trace_report
       MNA_TRACE="$DIR/mna_replay_trace.json"
       rm -f "$MNA_TRACE"
@@ -271,10 +274,11 @@ for stage in "${STAGES[@]}"; do
       }
       WORKSPACES="$(mna_spans run_transient)"
       ANALYSES="$(mna_counter mna_symbolic_analyses)"; FACTS="$(mna_counter mna_factorizations)"
-      [ -n "$WORKSPACES" ] && [ -n "$ANALYSES" ] && [ -n "$FACTS" ] ||
+      STEPS="$(mna_counter transient_steps)"
+      [ -n "$WORKSPACES" ] && [ -n "$ANALYSES" ] && [ -n "$FACTS" ] && [ -n "$STEPS" ] ||
         { echo "perf-smoke: missing MNA counters or run_transient spans in the trace" >&2; exit 1; }
-      echo "perf-smoke: ring transient: $ANALYSES MNA analyses, $FACTS factorizations," \
-           "$WORKSPACES workspace(s)"
+      echo "perf-smoke: ring transient: $STEPS steps, $ANALYSES MNA analyses," \
+           "$FACTS factorizations, $WORKSPACES workspace(s)"
       [ "$WORKSPACES" = 1 ] ||
         { echo "perf-smoke: expected one run_transient span, got $WORKSPACES" >&2; exit 1; }
       [ "$ANALYSES" = "$WORKSPACES" ] ||
@@ -282,6 +286,11 @@ for stage in "${STAGES[@]}"; do
                "the replay fell back to the dense analysis" >&2; exit 1; }
       [ "$FACTS" -gt "$ANALYSES" ] ||
         { echo "perf-smoke: no replayed factorization ($FACTS factorizations)" >&2; exit 1; }
+      [ "$STEPS" = 2001 ] ||
+        { echo "perf-smoke: ring transient took $STEPS steps, expected 2001" >&2; exit 1; }
+      [ "$FACTS" = 6003 ] ||
+        { echo "perf-smoke: ring transient did $FACTS MNA factorizations, expected 6003:" \
+               "the Newton work changed" >&2; exit 1; }
       ;;
     analyze)
       banner "static analysis: repo lint + layering/determinism/contract/env-knob passes"
