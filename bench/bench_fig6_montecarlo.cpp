@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "common/env.hpp"
+#include "common/metrics.hpp"
 #include "explore/montecarlo.hpp"
 
 using namespace gnrfet;
@@ -46,6 +47,14 @@ int main() {
   std::printf("valid samples: %zu of %zu; rings started from the zero state (DC start "
               "unconverged): %zu of %zu\n",
               valid, mc.samples.size(), zero_start, mc.samples.size());
+  const metrics::Snapshot work = metrics::snapshot();
+  const auto count = [&work](metrics::Counter c) {
+    return static_cast<unsigned long long>(work.counters[static_cast<size_t>(c)]);
+  };
+  std::printf("transient steps rejected and retried as two half steps: %llu; transients "
+              "given up on a step: %llu\n",
+              count(metrics::Counter::kTransientStepRejections),
+              count(metrics::Counter::kTransientStepFailures));
 
   csv::Table samples({"frequency_GHz", "pdyn_uW", "pstat_uW"});
   std::vector<double> fs, pd, ps;

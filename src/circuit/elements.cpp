@@ -10,6 +10,26 @@ namespace gnrfet::circuit {
 
 namespace {
 
+/// Stamp of a branch from a to b carrying current `i` (leaving a) with
+/// conductance `g`: the residual and Jacobian adds of a resistor. Forced
+/// inline, like the helper below: the charge branches and contact
+/// resistors of every FET run it on every stamp, and GCC -O2 leaves it a
+/// call.
+[[gnu::always_inline]] inline void stamp_branch(Stamper& st, NodeId a, NodeId b, double i,
+                                                double g) {
+  st.add_residual(a, i);
+  st.add_residual(b, -i);
+  st.add_jacobian(a, a, g);
+  st.add_jacobian(a, b, -g);
+  st.add_jacobian(b, a, -g);
+  st.add_jacobian(b, b, g);
+}
+
+/// Conductance `g` between nodes a and b.
+[[gnu::always_inline]] inline void stamp_conductance(Stamper& st, NodeId a, NodeId b, double g) {
+  stamp_branch(st, a, b, g * (st.v(a) - st.v(b)), g);
+}
+
 /// Trapezoidal companion stamp of `copies` identical charge branches in
 /// parallel between nodes a and b, with (possibly bias-dependent)
 /// capacitance evaluated at the voltage midpoint. State triplet of one
@@ -30,14 +50,7 @@ void stamp_charge_branch(Stamper& st, const TransientContext& ctx, NodeId a, Nod
   const double q_new = q_prev + c_mid * (v - v_prev);
   const double i = 2.0 / ctx.dt * (q_new - q_prev) - i_prev;
   const double g = 2.0 * c_mid / ctx.dt;
-  for (int k = 0; k < copies; ++k) {
-    st.add_residual(a, i);
-    st.add_residual(b, -i);
-    st.add_jacobian(a, a, g);
-    st.add_jacobian(a, b, -g);
-    st.add_jacobian(b, a, -g);
-    st.add_jacobian(b, b, g);
-  }
+  for (int k = 0; k < copies; ++k) stamp_branch(st, a, b, i, g);
   next[s0] = q_new;
   next[s0 + 1] = i;
   next[s0 + 2] = v;
@@ -59,13 +72,7 @@ double node_voltage(const Circuit& ckt, const std::vector<double>& x, NodeId n) 
 Resistor::Resistor(NodeId a, NodeId b, double ohms) : a_(a), b_(b), g_(1.0 / ohms) {}
 
 void Resistor::stamp(Stamper& st, const TransientContext&) const {
-  const double i = g_ * (st.v(a_) - st.v(b_));
-  st.add_residual(a_, i);
-  st.add_residual(b_, -i);
-  st.add_jacobian(a_, a_, g_);
-  st.add_jacobian(a_, b_, -g_);
-  st.add_jacobian(b_, a_, -g_);
-  st.add_jacobian(b_, b_, g_);
+  stamp_conductance(st, a_, b_, g_);
 }
 
 Capacitor::Capacitor(NodeId a, NodeId b, double farads) : a_(a), b_(b), c_(farads) {}
@@ -111,24 +118,8 @@ Fet::Fet(model::ExtrinsicFet fet, NodeId d, NodeId g, NodeId s, NodeId d_int, No
 void Fet::stamp(Stamper& st, const TransientContext& ctx) const {
   const auto& par = fet_.parasitics;
   // Contact resistances.
-  {
-    const double grd = 1.0 / par.rd_ohm;
-    const double i = grd * (st.v(d_) - st.v(di_));
-    st.add_residual(d_, i);
-    st.add_residual(di_, -i);
-    st.add_jacobian(d_, d_, grd);
-    st.add_jacobian(d_, di_, -grd);
-    st.add_jacobian(di_, d_, -grd);
-    st.add_jacobian(di_, di_, grd);
-    const double grs = 1.0 / par.rs_ohm;
-    const double is = grs * (st.v(s_) - st.v(si_));
-    st.add_residual(s_, is);
-    st.add_residual(si_, -is);
-    st.add_jacobian(s_, s_, grs);
-    st.add_jacobian(s_, si_, -grs);
-    st.add_jacobian(si_, s_, -grs);
-    st.add_jacobian(si_, si_, grs);
-  }
+  stamp_conductance(st, d_, di_, 1.0 / par.rd_ohm);
+  stamp_conductance(st, s_, si_, 1.0 / par.rs_ohm);
 
   const double vgs = st.v(g_) - st.v(si_);
   const double vds = st.v(di_) - st.v(si_);

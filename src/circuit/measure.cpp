@@ -48,6 +48,12 @@ double oscillation_frequency(const std::vector<double>& time, const std::vector<
 
 namespace {
 
+/// Input ramp time of the FO4 testbench's rise and fall.
+constexpr double kInputRiseTime_s = 2e-12;
+/// The ring is measured over this trailing fraction of its rising
+/// crossings (the settled oscillation).
+constexpr double kRingMeasureFraction = 0.5;
+
 /// Energy delivered by the supply over [t_a, t_b]; i_branch is the VDD
 /// source branch current (P = -vdd * i).
 double supply_energy(const std::vector<double>& time, const std::vector<double>& i_branch,
@@ -80,10 +86,10 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   const double t_fall_in = 0.75 * period;
   const auto waveform = [=](double t) {
     if (t < t_rise_in) return 0.0;
-    if (t < t_rise_in + opts.rise_time_s) return opts.vdd * (t - t_rise_in) / opts.rise_time_s;
+    if (t < t_rise_in + kInputRiseTime_s) return opts.vdd * (t - t_rise_in) / kInputRiseTime_s;
     if (t < t_fall_in) return opts.vdd;
-    if (t < t_fall_in + opts.rise_time_s) {
-      return opts.vdd * (1.0 - (t - t_fall_in) / opts.rise_time_s);
+    if (t < t_fall_in + kInputRiseTime_s) {
+      return opts.vdd * (1.0 - (t - t_fall_in) / kInputRiseTime_s);
     }
     return 0.0;
   };
@@ -145,7 +151,7 @@ RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
   // least two full periods.
   const size_t first = std::min(cross.size() - 3, static_cast<size_t>(
                                     static_cast<double>(cross.size()) *
-                                    (1.0 - opts.measure_fraction)));
+                                    (1.0 - kRingMeasureFraction)));
   const std::vector<double> tail(cross.begin() + static_cast<ptrdiff_t>(first), cross.end());
   const size_t cycles = tail.size() - 1;
   m.frequency_Hz = static_cast<double>(cycles) / (tail.back() - tail.front());

@@ -33,7 +33,6 @@ struct InverterMetrics {
 struct InverterMeasureOptions {
   double vdd = 0.4;
   double probe_period_s = 200e-12;  ///< full switching cycle for P_dyn
-  double rise_time_s = 2e-12;
   double dt_s = 0.1e-12;
 };
 
@@ -60,7 +59,6 @@ struct RingMeasureOptions {
   double vdd = 0.4;
   double t_stop_s = 3.0e-9;
   double dt_s = 0.25e-12;
-  double measure_fraction = 0.5;  ///< analyze the trailing fraction
 };
 
 RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,

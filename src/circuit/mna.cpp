@@ -11,7 +11,6 @@
 namespace gnrfet::circuit {
 
 void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws) {
-#if GNRFET_CHECKS_ENABLED
   // Row by row in the order of a dense scan, so the first bad entry named
   // is the one a full n x n check would name.
   const size_t n = ckt.num_unknowns();
@@ -37,10 +36,6 @@ void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws) {
                                    "itself or stamped between identical nodes",
                                    b));
   }
-#else
-  (void)ckt;
-  (void)ws;
-#endif
 }
 
 Circuit::Circuit() { node_names_.push_back("gnd"); }

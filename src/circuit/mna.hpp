@@ -11,10 +11,11 @@
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
 /// (tens of nodes) and their Jacobians mostly zeros: each workspace records
-/// the structural pattern of its stamps, eliminates in a minimum-degree
-/// order of its first stamp (linalg::minimum_degree_order), and replays
-/// the first ordered factorization on that pattern (linalg::ReplayLU), so
-/// one Newton iteration costs O(nonzeros + fill + table samples).
+/// the structural pattern of its stamps, and its linalg::ReplayLU permutes
+/// the Jacobian into the minimum-degree order of the first stamp
+/// (linalg::minimum_degree_order), factors it once densely, and replays
+/// that factorization on the pattern, so one Newton iteration costs
+/// O(nonzeros + fill + table samples).
 /// Both analyses (dc.hpp, transient.hpp) drive the one damped Newton loop
 /// declared at the end.
 namespace gnrfet::circuit {
@@ -65,8 +66,8 @@ class Circuit {
 /// pattern is ever touched: every position an element has stamped in this
 /// workspace, whatever the value, plus the node-row diagonals that take
 /// gmin. stamp() zeroes just those entries, so the rest of `jac` stays
-/// zero. The first newton_solve sets the LU's elimination order from the
-/// first stamped Jacobian; every factorization after the first replays
+/// zero. The first newton_solve sets the ReplayLU's elimination order from
+/// the first stamped Jacobian; every factorization after the first replays
 /// the analysis on the pattern. A stamp outside the pattern joins it and
 /// makes the next factorization analyse again.
 struct MnaWorkspace {
@@ -129,9 +130,6 @@ class Stamper {
     const ptrdiff_t c = ckt_.unknown_of_node(m);
     if (c >= 0) ws_.add_jacobian(ckt_.unknown_of_branch(branch), static_cast<size_t>(c), g);
   }
-  void add_jacobian_branch_branch(size_t branch_r, size_t branch_c, double g) {
-    ws_.add_jacobian(ckt_.unknown_of_branch(branch_r), ckt_.unknown_of_branch(branch_c), g);
-  }
 
  private:
   const Circuit& ckt_;
@@ -147,7 +145,6 @@ class Stamper {
 /// nonzero entry ("structural-rank" — an all-zero branch row is a source
 /// shorted to itself, which makes the matrix singular no matter the gmin).
 /// Node rows may float: the solvers regularize them with gmin by design.
-/// Compiled out under GNRFET_CHECKS=OFF.
 void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws);
 
 /// Per-step context for charge-storage elements. dt <= 0 means DC (charge

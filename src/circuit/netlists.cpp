@@ -14,12 +14,6 @@ void add_inverter(Circuit& ckt, const InverterModels& models, NodeId in, NodeId 
   ckt.add(std::make_unique<Fet>(models.pfet, out, in, vdd, pd, ps));
 }
 
-void add_gate_loads(Circuit& ckt, const InverterModels& load_models, NodeId node, double vdd,
-                    int count) {
-  ckt.add(
-      std::make_unique<InverterGateLoad>(load_models.nfet, load_models.pfet, node, vdd, count));
-}
-
 Fo4Testbench build_fo4_inverter(const InverterModels& driver, const InverterModels& load,
                                 double vdd, VoltageSource::Waveform input) {
   Fo4Testbench tb;
@@ -32,7 +26,7 @@ Fo4Testbench build_fo4_inverter(const InverterModels& driver, const InverterMode
   tb.ckt.add(std::move(vdd_src));
   tb.ckt.add(std::make_unique<VoltageSource>(tb.in, kGround, std::move(input)));
   add_inverter(tb.ckt, driver, tb.in, tb.out, tb.vdd_node);
-  add_gate_loads(tb.ckt, load, tb.out, vdd, 4);
+  tb.ckt.add(std::make_unique<InverterGateLoad>(load.nfet, load.pfet, tb.out, vdd, 4));
   return tb;
 }
 
@@ -52,7 +46,7 @@ RingOscillator build_ring_oscillator(const std::vector<InverterModels>& stages,
   for (size_t i = 0; i < n; ++i) {
     const NodeId in = ro.stage_out[(i + n - 1) % n];
     add_inverter(ro.ckt, stages[i], in, ro.stage_out[i], ro.vdd_node);
-    add_gate_loads(ro.ckt, load, ro.stage_out[i], vdd, 3);
+    ro.ckt.add(std::make_unique<InverterGateLoad>(load.nfet, load.pfet, ro.stage_out[i], vdd, 3));
   }
   return ro;
 }

@@ -19,11 +19,6 @@ struct InverterModels {
 void add_inverter(Circuit& ckt, const InverterModels& models, NodeId in, NodeId out,
                   NodeId vdd);
 
-/// Add the gate-input loads of `count` inverters at a node (fanout
-/// loading), as one InverterGateLoad group element.
-void add_gate_loads(Circuit& ckt, const InverterModels& load_models, NodeId node, double vdd,
-                    int count);
-
 /// Inverter driving a fanout-of-4 load, with a pulse input.
 struct Fo4Testbench {
   Circuit ckt;

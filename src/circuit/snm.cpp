@@ -48,29 +48,19 @@ double interp(const std::vector<double>& xs, const std::vector<double>& ys, doub
   return ys[i - 1] + t * (ys[i] - ys[i - 1]);
 }
 
-/// Inverse of a monotone-decreasing VTC: given output level y, the input x
-/// with f(x) = y.
-std::pair<std::vector<double>, std::vector<double>> inverted(const Vtc& v) {
-  std::vector<double> ys(v.vout.rbegin(), v.vout.rend());
-  std::vector<double> xs(v.vin.rbegin(), v.vin.rend());
-  // Enforce strict monotonicity for interpolation robustness.
-  for (size_t i = 1; i < ys.size(); ++i) ys[i] = std::max(ys[i], ys[i - 1] + 1e-12);
-  return {ys, xs};
-}
-
 }  // namespace
 
 double butterfly_lobe(const Vtc& a, const Vtc& b) {
   // Upper-left lobe in the (V1, V2) plane: upper boundary yA(x) = fA(x),
   // lower boundary yB(x) = fB^{-1}(x). A square of side s with lower-left
   // corner at x fits iff yA(x + s) - yB(x) >= s (both curves decreasing).
-  const auto [binv_x, binv_y] = inverted(b);
+  const Vtc binv = invert_vtc(b);
   const double v_max = a.vin.back();
   const int nx = 241;
   double best = 0.0;
   for (int i = 0; i < nx; ++i) {
     const double x = v_max * static_cast<double>(i) / (nx - 1);
-    const double yb = interp(binv_x, binv_y, x);
+    const double yb = interp(binv.vin, binv.vout, x);
     // Binary search the largest feasible side at this x.
     double lo = 0.0, hi = v_max - x;
     for (int it = 0; it < 40 && hi - lo > 1e-7; ++it) {

@@ -25,6 +25,63 @@ std::vector<double> Waveforms::branch(const Circuit& ckt, size_t branch_index) c
   return out;
 }
 
+namespace {
+
+/// A failed step is halved at most this many times (down to dt / 64).
+constexpr int kMaxStepHalvings = 6;
+
+/// The accepted transient so far and the workspace that advances it.
+struct Stepper {
+  const Circuit& ckt;
+  std::vector<double>& x;
+  std::vector<double>& state;
+  std::vector<double> state_next;
+  MnaWorkspace ws;
+  Waveforms& waves;
+
+  /// Advances the accepted point, at time t - h, to time t. A step Newton
+  /// does not converge is rejected: x returns to the last accepted sample
+  /// (state_prev is never written) and the interval is retried as two half
+  /// steps, at most kMaxStepHalvings - halvings more times.
+  bool advance(double t, double h, int halvings) {
+    TransientContext ctx;
+    ctx.time = t;
+    ctx.dt = h;
+    ctx.state_prev = &state;
+    ctx.state_next = &state_next;
+    if (newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
+      // One final stamp to refresh state_next consistently with accepted x.
+      ws.stamp(ckt, x, ctx);
+      state.swap(state_next);
+      metrics::add(metrics::Counter::kTransientSteps);
+      waves.time.push_back(t);
+      waves.samples.push_back(x);
+      return true;
+    }
+    x = waves.samples.back();
+    if (halvings == kMaxStepHalvings) {
+      metrics::add(metrics::Counter::kTransientStepFailures);
+      return false;
+    }
+    metrics::add(metrics::Counter::kTransientStepRejections);
+    const double half = 0.5 * h;
+    return advance(waves.time.back() + half, half, halvings + 1) &&
+           advance(t, half, halvings + 1);
+  }
+};
+
+/// Steps of a `t_stop` horizon at `dt`: a ratio within 1e-9 relative of a
+/// whole number is that number (1 ns / 0.5 ps is 2000.0000000000002 in
+/// doubles, and takes 2000 steps), any other its ceiling.
+size_t step_count(double t_stop, double dt) {
+  const double ratio = t_stop / dt;
+  const double nearest = std::round(ratio);
+  return static_cast<size_t>(std::abs(ratio - nearest) <= 1e-9 * nearest ? nearest
+                                                                         : std::ceil(ratio));
+}
+
+}  // namespace
+
 TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) {
   trace::Span span("circuit", "run_transient");
   GNRFET_REQUIRE("circuit", "positive-timestep", opts.dt > 0.0 && std::isfinite(opts.dt),
@@ -50,31 +107,16 @@ TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) 
   std::vector<double> state(ckt.state_size(), 0.0);
   for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
 
-  const size_t steps = static_cast<size_t>(std::ceil(opts.t_stop / opts.dt));
+  const size_t steps = step_count(opts.t_stop, opts.dt);
   result.waves.time.reserve(steps + 1);
   result.waves.samples.reserve(steps + 1);
   result.waves.time.push_back(0.0);
   result.waves.samples.push_back(x);
 
-  MnaWorkspace ws(n);
-  std::vector<double> state_next(state.size(), 0.0);
+  Stepper stepper{ckt, x, state, std::vector<double>(state.size(), 0.0), MnaWorkspace(n),
+                  result.waves};
   for (size_t step = 1; step <= steps; ++step) {
-    const double t = static_cast<double>(step) * opts.dt;
-    TransientContext ctx;
-    ctx.time = t;
-    ctx.dt = opts.dt;
-    ctx.state_prev = &state;
-    ctx.state_next = &state_next;
-    if (!newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
-      metrics::add(metrics::Counter::kTransientStepFailures);
-      return result;
-    }
-    // One final stamp to refresh state_next consistently with accepted x.
-    ws.stamp(ckt, x, ctx);
-    state.swap(state_next);
-    metrics::add(metrics::Counter::kTransientSteps);
-    result.waves.time.push_back(t);
-    result.waves.samples.push_back(x);
+    if (!stepper.advance(static_cast<double>(step) * opts.dt, opts.dt, 0)) return result;
   }
   result.ok = true;
   return result;

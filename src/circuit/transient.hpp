@@ -29,9 +29,15 @@ struct TransientResult {
 };
 
 /// Fixed-step run: each step is one newton_solve under kTransientNewton.
-/// Gives up with `ok == false` on the first step Newton does not converge
-/// (counted as `transient_step_failures` in metrics), including a singular
-/// Jacobian, or when the starting DC point does not converge.
+/// A horizon within 1e-9 relative of a whole number of steps takes exactly
+/// that many; any other takes the ceiling, ending past `t_stop`. A step
+/// Newton does not converge (a singular Jacobian included) is rejected
+/// (counted as `transient_step_rejections`): x returns to the last
+/// accepted point and the interval is retried as two half steps, each
+/// recorded in the waveforms when accepted, recursively down to dt / 64.
+/// Gives up with `ok == false` when a dt / 64 step fails (counted as
+/// `transient_step_failures`), or when the starting DC point does not
+/// converge.
 TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts);
 
 }  // namespace gnrfet::circuit

@@ -18,11 +18,8 @@
 /// corrupted input is rejected at the layer where it originates instead of
 /// surfacing three layers up as a wrong contour plot.
 ///
-/// Checks compile in by default. Configuring with -DGNRFET_CHECKS=OFF
-/// defines GNRFET_DISABLE_CHECKS and every macro becomes a dead branch
-/// that still type-checks its operands but never evaluates them, so
-/// Release builds pay nothing. Blocks of supporting computation that only
-/// feed a contract should be guarded with `#if GNRFET_CHECKS_ENABLED`.
+/// Checks are always compiled in: every build, Release included, runs
+/// them.
 namespace gnrfet::contracts {
 
 /// Typed contract failure: which subsystem ("gnr", "negf", "poisson",
@@ -57,30 +54,12 @@ bool strictly_ascending(const std::vector<double>& axis);
 
 }  // namespace gnrfet::contracts
 
-#if defined(GNRFET_DISABLE_CHECKS)
-
-#define GNRFET_CHECKS_ENABLED 0
-// Disabled: operands stay visible to the compiler (so a checks-off build
-// cannot rot) but are never evaluated — zero runtime cost.
-#define GNRFET_REQUIRE(subsystem, invariant, cond, detail) \
-  do {                                                     \
-    if (false) {                                           \
-      (void)(cond);                                        \
-      (void)(detail);                                      \
-    }                                                      \
-  } while (0)
-
-#else
-
-#define GNRFET_CHECKS_ENABLED 1
 #define GNRFET_REQUIRE(subsystem, invariant, cond, detail)                               \
   do {                                                                                   \
     if (!(cond)) {                                                                       \
       ::gnrfet::contracts::fail((subsystem), (invariant), (detail), __FILE__, __LINE__); \
     }                                                                                    \
   } while (0)
-
-#endif
 
 /// Postcondition flavour of GNRFET_REQUIRE: the solver promising something
 /// about its own output rather than rejecting a caller's input.

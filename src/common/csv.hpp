@@ -18,7 +18,6 @@ class Table {
   void add_row(const std::vector<double>& row);
 
   size_t num_rows() const { return rows_.size(); }
-  size_t num_cols() const { return columns_.size(); }
   const std::vector<std::string>& columns() const { return columns_; }
   const std::vector<double>& row(size_t i) const { return rows_.at(i); }
 

@@ -45,6 +45,7 @@ enum class Counter {
   kReducedCgIterations,       ///< linalg: CG iterations of the reduced Newton systems on S
   kDcUnconverged,             ///< circuit: solve_dc calls that returned converged = false
   kTransientStepFailures,     ///< circuit: run_transient calls that gave up on a step
+  kTransientStepRejections,   ///< circuit: failed transient steps retried as two half steps
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);

@@ -69,63 +69,9 @@ LU<T>::LU(Matrix<T> a) : lu_(std::move(a)) {
 }
 
 template <typename T>
-void LU<T>::set_order(const std::vector<size_t>& order) {
-  const size_t n = order.size();
-  std::vector<char> seen(n, 0);
-  bool identity = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (order[i] >= n || seen[order[i]]) {
-      throw std::invalid_argument("LU::set_order: not a permutation");
-    }
-    seen[order[i]] = 1;
-    identity = identity && order[i] == i;
-  }
-  order_.clear();
-  cycle_starts_.clear();
-  if (identity) return;
-  order_ = order;
-  // The first index of each cycle longer than one, for the in-place scatter.
-  std::fill(seen.begin(), seen.end(), 0);
-  for (size_t s = 0; s < n; ++s) {
-    if (seen[s] || order_[s] == s) continue;
-    cycle_starts_.push_back(s);
-    for (size_t i = s; !seen[i]; i = order_[i]) seen[i] = 1;
-  }
-}
-
-template <typename T>
 void LU<T>::factor(const Matrix<T>& a) {
-  const size_t n = a.rows();
-  if (order_.empty()) {
-    lu_ = a;
-  } else {
-    if (a.cols() != n || order_.size() != n) {
-      throw std::invalid_argument("LU::factor: matrix does not match the elimination order");
-    }
-    if (lu_.rows() != n || lu_.cols() != n) lu_.resize_zero(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      const T* row = &a(order_[i], 0);
-      for (size_t j = 0; j < n; ++j) lu_(i, j) = row[order_[j]];
-    }
-  }
+  lu_ = a;
   elimination_updates_ = factor_in_place(lu_, perm_, pivot_row_cols_);
-  // Row i of the factor is row order_[perm_[i]] of A.
-  if (!order_.empty()) {
-    for (size_t& p : perm_) p = order_[p];
-  }
-}
-
-template <typename T>
-template <typename At>
-void LU<T>::scatter_through_order(At&& at) const {
-  for (const size_t s : cycle_starts_) {
-    T carry = at(s);
-    size_t i = s;
-    do {
-      i = order_[i];
-      std::swap(carry, at(i));
-    } while (i != s);
-  }
 }
 
 template <typename T>
@@ -146,7 +92,6 @@ void LU<T>::solve_into(const std::vector<T>& b, std::vector<T>& x) const {
     for (size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
     x[ii] = s / lu_(ii, ii);
   }
-  scatter_through_order([&x](size_t i) -> T& { return x[i]; });
 }
 
 template <typename T>
@@ -175,7 +120,6 @@ void LU<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
       for (size_t k = ii + 1; k < n; ++k) s -= lu_(ii, k) * x(k, j);
       x(ii, j) = s / lu_(ii, ii);
     }
-    scatter_through_order([&x, j](size_t i) -> T& { return x(i, j); });
   }
 }
 
@@ -190,19 +134,39 @@ template class LU<double>;
 template class LU<cplx>;
 
 void ReplayLU::set_order(const std::vector<size_t>& order) {
-  dense_.set_order(order);
+  const size_t n = order.size();
+  std::vector<char> seen(n, 0);
+  for (const size_t o : order) {
+    if (o >= n || seen[o]) throw std::invalid_argument("ReplayLU::set_order: not a permutation");
+    seen[o] = 1;
+  }
+  order_ = order;
   analysed_ = false;
 }
 
 void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
   analysed_ = false;
-  dense_.factor(a);
   const size_t n = a.rows();
+  if (a.cols() != n) throw std::invalid_argument("LU: matrix must be square");
+  if (!order_.empty() && order_.size() != n) {
+    throw std::invalid_argument("ReplayLU::analyse: matrix does not match the elimination order");
+  }
+  a_col_.resize(n);
+  for (size_t j = 0; j < n; ++j) a_col_[j] = order_.empty() ? j : order_[j];
+  // The dense factor of P^T A P, (P^T A P)(i, j) = A(a_col_[i], a_col_[j]),
+  // copied straight into the factor's storage (allocation reused when
+  // shapes repeat) and factored there.
+  DMatrix& pa = dense_.lu_;
+  if (pa.rows() != n || pa.cols() != n) pa.resize_zero(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = &a(a_col_[i], 0);
+    for (size_t j = 0; j < n; ++j) pa(i, j) = row[a_col_[j]];
+  }
+  dense_.elimination_updates_ = factor_in_place(pa, dense_.perm_, dense_.pivot_row_cols_);
   n_ = n;
   elimination_updates_ = dense_.elimination_updates();
-  a_row_ = dense_.perm_;
-  a_col_.resize(n);
-  for (size_t j = 0; j < n; ++j) a_col_[j] = dense_.order_.empty() ? j : dense_.order_[j];
+  a_row_.resize(n);
+  for (size_t i = 0; i < n; ++i) a_row_[i] = a_col_[dense_.perm_[i]];
   // Ordered index of each row/column of A, and the factor row each ordered
   // row ends in.
   std::vector<size_t> ordered(n), final_row(n);
@@ -376,14 +340,19 @@ double ReplayLU::dense_upper_row(size_t i, const std::vector<double>& y) const {
 
 void ReplayLU::solve_into(const std::vector<double>& b, std::vector<double>& x) const {
   if (!analysed_) throw std::logic_error("ReplayLU::solve_into: no factor");
-  if (!replayable_) {
-    dense_.solve_into(b, x);
-    return;
-  }
   const size_t n = n_;
   if (b.size() != n) throw std::invalid_argument("ReplayLU::solve_into: size mismatch");
   std::vector<double>& y = y_;
   y.resize(n);
+  if (!replayable_) {
+    // The dense solve of P^T A P on P^T b, scattered back by the order.
+    for (size_t i = 0; i < n; ++i) y[i] = b[a_col_[i]];
+    dense_.solve_into(y, x);
+    y.swap(x);
+    x.resize(n);
+    for (size_t i = 0; i < n; ++i) x[a_col_[i]] = y[i];
+    return;
+  }
   for (size_t i = 0; i < n; ++i) y[i] = b[a_row_[i]];
   // Terms outside the pattern are signed zeros while every earlier unknown
   // is finite: they leave a nonzero sum as it is and can only flip the

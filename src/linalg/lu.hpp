@@ -9,13 +9,14 @@
 /// sweeps (matrix inverse and linear solves on blocks of dimension up to
 /// ~2N) and the real MNA Jacobian of the circuit simulator's Newton loop.
 ///
-/// The MNA Jacobian is mostly zeros. Its factor takes a fill-reducing
-/// symmetric elimination order (minimum_degree_order, set once per circuit
-/// solve) and updates only the nonzero entries of each pivot row, which
-/// cuts the ring oscillator's factorization work ~200x. ReplayLU then runs
-/// that ordered dense factor once per Jacobian pattern, as the analysis,
-/// and replays it on every later Jacobian of the pattern in O(nnz + fill
-/// updates), bit-identical to the dense factor and solve.
+/// The MNA Jacobian is mostly zeros. The real factor updates only the
+/// nonzero entries of each pivot row. ReplayLU permutes the Jacobian into
+/// a fill-reducing symmetric elimination order (minimum_degree_order, set
+/// once per circuit solve), which cuts the ring oscillator's factorization
+/// work ~200x, runs the dense factor of the permuted matrix once per
+/// Jacobian pattern, as the analysis, and replays it on every later
+/// Jacobian of the pattern in O(nnz + fill updates), bit-identical to the
+/// dense factor and solve.
 namespace gnrfet::linalg {
 
 class ReplayLU;
@@ -34,16 +35,8 @@ class LU {
 
   /// Refactor in place: copies `a` into the internal storage (allocation
   /// reused when shapes repeat) and runs the same elimination as the
-  /// constructor — in the natural order, results are bit-identical to a
-  /// fresh LU(a).
+  /// constructor; results are bit-identical to a fresh LU(a).
   void factor(const Matrix<T>& a);
-
-  /// Symmetric elimination order of later factor() calls: they factor
-  /// P^T A P, (P^T A P)(i, j) = A(order[i], order[j]), with the same
-  /// partial pivoting, and the solves map b and x through the order. An
-  /// identity or empty `order` is the natural order. Throws
-  /// std::invalid_argument unless `order` is a permutation of 0..n-1.
-  void set_order(const std::vector<size_t>& order);
 
   /// Row-entry updates a(i, j) -= m * a(k, j) of the last factorization
   /// (its fill-dependent cost). The real factor skips the zero entries of
@@ -64,49 +57,50 @@ class LU {
   void solve_into(const Matrix<T>& b, Matrix<T>& x) const;
 
  private:
-  friend class ReplayLU;  // reads the analysis factor
-
-  /// v[order_[i]] = v[i] for every i, in place along the cycles of order_
-  /// (`at(i)` is the i-th entry of v).
-  template <typename At>
-  void scatter_through_order(At&& at) const;
+  friend class ReplayLU;  // factors its permuted copy in lu_ and reads it
 
   Matrix<T> lu_;
   std::vector<size_t> perm_;  ///< row i of the factor is row perm_[i] of A
-  std::vector<size_t> order_, cycle_starts_, pivot_row_cols_;
+  std::vector<size_t> pivot_row_cols_;
   size_t elimination_updates_ = 0;
 };
 
 extern template class LU<double>;
 extern template class LU<cplx>;
 
-/// Replay of one ordered LU<double> factorization on a fixed structural
-/// pattern (KLU-style refactorization: Davis & Palamadai Natarajan, ACM
-/// TOMS 37(3), 2010), for the circuit Newton loop, which factors thousands
-/// of Jacobians with one pattern.
+/// Replay of one LU<double> factorization, in a symmetric elimination
+/// order, on a fixed structural pattern (KLU-style refactorization: Davis
+/// & Palamadai Natarajan, ACM TOMS 37(3), 2010), for the circuit Newton
+/// loop, which factors thousands of Jacobians with one pattern.
 ///
-/// analyse() runs the dense ordered factor on a matrix and records, from
-/// the structural pattern it is given and the pivot rows partial pivoting
-/// chose, the L and U pattern (fill included) and the update list of each
-/// elimination step. refactor() factors a later matrix of the pattern in
-/// O(nnz + updates): it gathers only the pattern entries, checks each
-/// pivot against the one partial pivoting picks in the dense loop's own
-/// row order (ties included), and eliminates along the recorded lists.
+/// analyse() runs the dense factor of the permuted matrix P^T A P and
+/// records, from the structural pattern it is given and the pivot rows
+/// partial pivoting chose, the L and U pattern (fill included) and the
+/// update list of each elimination step. refactor() factors a later
+/// matrix of the pattern in O(nnz + updates): it gathers only the pattern
+/// entries, checks each pivot against the one partial pivoting picks in
+/// the dense loop's own row order (ties included), and eliminates along
+/// the recorded lists.
 /// solve_into() substitutes over the L and U rows. Factor and solve are
-/// bit-identical to LU<double>::factor and solve_into in the same order;
-/// a pivot that would change makes refactor() decline, and the caller
-/// analyses again.
+/// bit-identical to LU<double> of P^T A P solving P^T b, with the result
+/// scattered back by the order; a pivot that would change makes
+/// refactor() decline, and the caller analyses again.
 class ReplayLU {
  public:
-  /// Symmetric elimination order of every later analysis (see
-  /// LU::set_order). Drops the current analysis.
+  /// Symmetric elimination order of every later analysis: it factors
+  /// P^T A P, (P^T A P)(i, j) = A(order[i], order[j]), with LU's partial
+  /// pivoting, and the solves map b and x through the order. An empty
+  /// `order` is the natural order. Throws std::invalid_argument unless
+  /// `order` is a permutation of 0..n-1. Drops the current analysis.
   void set_order(const std::vector<size_t>& order);
 
-  /// Factor `a` with the dense ordered LU and record its replay.
+  /// Factor P^T `a` P with the dense LU and record its replay.
   /// `pattern` lists the structural entries of `a` as row-major indices
   /// r * n + c: every entry that may be nonzero in a later refactor().
   /// Entries of `a` outside it must be zero. Throws std::runtime_error on
-  /// a singular matrix, as LU does, and then holds no analysis.
+  /// a singular matrix, as LU does, and then holds no analysis; throws
+  /// std::invalid_argument when `a` is not square or does not match the
+  /// order's size.
   void analyse(const DMatrix& a, const std::vector<size_t>& pattern);
 
   /// Factor `a` (same pattern, zero elsewhere) by replaying the analysis.
@@ -129,9 +123,10 @@ class ReplayLU {
   double dense_lower_row(size_t i, const std::vector<double>& y) const;
   double dense_upper_row(size_t i, const std::vector<double>& y) const;
 
-  LU<double> dense_;          ///< the analysis factor
-  bool analysed_ = false;     ///< the factor below is usable
-  bool replayable_ = false;   ///< dense_'s nonzeros fit the recorded pattern
+  std::vector<size_t> order_;  ///< elimination order (empty: natural)
+  LU<double> dense_;           ///< the analysis factor, of P^T A P
+  bool analysed_ = false;      ///< the factor below is usable
+  bool replayable_ = false;    ///< dense_'s nonzeros fit the recorded pattern
   size_t n_ = 0;
   size_t elimination_updates_ = 0;
   // Factor row i is row a_row_[i] of A; factor column j is column a_col_[j].

@@ -17,12 +17,6 @@ IntrinsicFet::IntrinsicFet(std::shared_ptr<const Table2D> current_A,
       polarity_(polarity),
       offset_(offset_V) {}
 
-IntrinsicFet IntrinsicFet::from_device_table(const device::DeviceTable& table,
-                                             Polarity polarity, double offset_V) {
-  const FetTables t = make_fet_tables(table);
-  return IntrinsicFet(t.current_A, t.charge_C, polarity, offset_V);
-}
-
 FetSample IntrinsicFet::eval(const Table2D& t, double vgs, double vds,
                              bool antisymmetric_value) const {
   // Fold p-type through the particle-hole mirror of the ambipolar device.

@@ -26,10 +26,6 @@ class IntrinsicFet {
   IntrinsicFet(std::shared_ptr<const Table2D> current_A,
                std::shared_ptr<const Table2D> charge_C, Polarity polarity, double offset_V);
 
-  /// Convenience: build the two tables from a generated device table.
-  static IntrinsicFet from_device_table(const device::DeviceTable& table, Polarity polarity,
-                                        double offset_V);
-
   /// Drain current [A] with partial derivatives (drain -> source positive).
   FetSample current(double vgs, double vds) const;
 

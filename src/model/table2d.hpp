@@ -30,11 +30,6 @@ class Table2D {
   /// finite.
   TableSample sample(double x, double y) const;
 
-  double x_min() const { return xs_.front(); }
-  double x_max() const { return xs_.back(); }
-  double y_min() const { return ys_.front(); }
-  double y_max() const { return ys_.back(); }
-
   /// Stored grid value at ix in [-1, nx], iy in [-1, ny]: a table value
   /// inside, a ghost point on the ring.
   double grid(ptrdiff_t ix, ptrdiff_t iy) const;

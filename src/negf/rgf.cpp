@@ -73,14 +73,12 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
   GNRFET_REQUIRE("negf", "positive-broadening", eta_eV > 0.0 && std::isfinite(eta_eV),
                  strings::format("eta_eV = %g must be finite and > 0", eta_eV));
   GNRFET_CHECK_FINITE("negf", "finite-energy", energy_eV);
-#if GNRFET_CHECKS_ENABLED
   {
     const double herm = gnr::hermiticity_error(h);
     GNRFET_REQUIRE("negf", "hermitian-hamiltonian", herm <= kHermitianTol_eV,
                    strings::format("max |H - H^dagger| = %g eV exceeds %g", herm,
                                    kHermitianTol_eV));
   }
-#endif
   const size_t nb = h.num_blocks();
   const cplx e(energy_eV, eta_eV);
 
@@ -216,7 +214,6 @@ RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV
 
   RgfResult r;
   r.transmission = t.trace().real();
-#if GNRFET_CHECKS_ENABLED
   // Full spectral identity A = G (Gamma_L + Gamma_R) G^dagger + 2 eta G
   // G^dagger, checked entry-wise on the diagonal. Only affordable here (one
   // dense solve per energy already); the RGF path checks the diagonal sum
@@ -233,7 +230,6 @@ RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV
                                     k, a_tot, rhs));
     }
   }
-#endif
   r.spectral_left.resize(n);
   r.spectral_right.resize(n);
   // Same convention as rgf_solve: A_R exact from Gamma_R, A_L as the

@@ -50,19 +50,6 @@ BipolarDensity bipolar_density(double a_l, double a_r, double energy, double u, 
   return d;
 }
 
-/// Integration window: explicit override when the caller set one, else
-/// the automatic bipolar charge window.
-EnergyWindow resolve_window(const TransportOptions& opts, double u_min, double u_max,
-                            double band_top) {
-  if (std::isfinite(opts.window_lo_eV) && std::isfinite(opts.window_hi_eV)) {
-    EnergyWindow w;
-    w.lo = opts.window_lo_eV;
-    w.hi = opts.window_hi_eV;
-    return w;
-  }
-  return charge_window(u_min, u_max, opts.mu_source_eV, opts.mu_drain_eV, opts.kT_eV, band_top);
-}
-
 /// Indices of `points` (ascending) inside [lo_cut, hi_cut]: the same set
 /// the per-energy predicate `e < lo_cut || e > hi_cut` would keep, hoisted
 /// to one binary search per mode.
@@ -112,7 +99,8 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
     }
   }
 
-  const EnergyWindow win = resolve_window(opts, u_min, u_max, band_top);
+  const EnergyWindow win =
+      charge_window(u_min, u_max, opts.mu_source_eV, opts.mu_drain_eV, opts.kT_eV, band_top);
   const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
 
   TransportSolution sol;
@@ -255,7 +243,8 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
   const double band_top = 3.0 * params.hopping_eV * (1.0 + params.edge_delta);
   // The real-space path is the validation/reference solver, on the same
   // uniform grid as the mode-space path.
-  const EnergyWindow win = resolve_window(opts, u_min, u_max, band_top);
+  const EnergyWindow win =
+      charge_window(u_min, u_max, opts.mu_source_eV, opts.mu_drain_eV, opts.kT_eV, band_top);
   const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
   metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());
   metrics::observe(metrics::Histogram::kEnergyPointsPerTransport,

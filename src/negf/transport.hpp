@@ -1,6 +1,5 @@
 #pragma once
 
-#include <limits>
 #include <vector>
 
 #include "gnr/lattice.hpp"
@@ -32,13 +31,6 @@ struct TransportOptions {
   double kT_eV = 0.02585;
   double eta_eV = 1e-3;          ///< Green's-function broadening
   double energy_step_eV = 2e-3;  ///< charge/current grid spacing
-  /// Explicit integration window override: when both are finite they
-  /// replace the automatic charge_window(). Energies outside the override
-  /// are simply not solved — used by tests to exercise the window-skip
-  /// path, and by callers that already know the support of their
-  /// integrand.
-  double window_lo_eV = std::numeric_limits<double>::quiet_NaN();
-  double window_hi_eV = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Solution of one bias point.

@@ -40,9 +40,6 @@ class Assembly {
   /// electrode node.
   size_t free_index(size_t node) const { return free_index_[node]; }
 
-  /// Grid node of a free-node index.
-  size_t free_node(size_t f) const { return free_nodes_[f]; }
-
  private:
   const Domain& domain_;
   std::vector<size_t> free_nodes_;           ///< free -> grid node

@@ -48,7 +48,6 @@ double StepClamp::apply(const std::vector<double>& delta, std::vector<double>& p
 
 void ResidualGuard::check(int iteration, double f_norm) {
   GNRFET_CHECK_FINITE("poisson", "finite-residual", f_norm);
-#if GNRFET_CHECKS_ENABLED
   if (iteration == 0) {
     f_min_ = f_norm;
   } else {
@@ -57,10 +56,6 @@ void ResidualGuard::check(int iteration, double f_norm) {
                                    f_norm, f_min_));
     f_min_ = std::min(f_min_, f_norm);
   }
-#else
-  (void)iteration;
-  (void)f_min_;
-#endif
 }
 
 void record_solve(int iterations, bool converged) {

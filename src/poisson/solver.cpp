@@ -15,8 +15,7 @@ namespace {
 /// Enforces the solver-single-owner contract for a scope: the persistent
 /// Jacobian/preconditioner/PCG workspaces are thread-compatible, not
 /// thread-safe, so concurrent entry is a caller bug we trap at the door
-/// instead of letting it decay into corrupted warm starts. With
-/// GNRFET_CHECKS=OFF the probe is never set and the guard is free.
+/// instead of letting it decay into corrupted warm starts.
 struct SingleOwnerGuard {
   explicit SingleOwnerGuard(std::atomic<bool>& in_use) : in_use_(in_use) {
     GNRFET_REQUIRE("poisson", "solver-single-owner",

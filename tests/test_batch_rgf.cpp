@@ -91,8 +91,8 @@ TEST(BatchRgf, BitExactVsScalarAcrossChainAndBatchSizes) {
 }
 
 TEST(BatchRgf, ReverseTransmissionContract) {
-  // transmission_reverse comes from an independent right-connected sweep
-  // in every build, checks on or off: reciprocity holds to roundoff, both
+  // transmission_reverse comes from an independent right-connected sweep:
+  // reciprocity holds to roundoff, both
   // kernels agree bit-for-bit, and the bits generically differ from the
   // forward value somewhere in a sweep.
   const auto chain = make_chain(21, 3);

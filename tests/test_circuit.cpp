@@ -77,6 +77,60 @@ TEST(Transient, SingularJacobianFailsTheRunWithoutThrowing) {
   EXPECT_EQ(counter(metrics::Counter::kTransientStepFailures), before + 1);
 }
 
+TEST(Transient, WholeNumberHorizonTakesExactlyThatManySteps) {
+  // 1 ns / 0.5 ps is 2000.0000000000002 in doubles: exactly 2000 steps,
+  // the last one ending at 1 ns.
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, 1.0));
+  ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
+  TransientOptions opts;
+  opts.t_stop = 1.0e-9;
+  opts.dt = 0.5e-12;
+  const uint64_t before = counter(metrics::Counter::kTransientSteps);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_EQ(counter(metrics::Counter::kTransientSteps) - before, 2000u);
+  ASSERT_EQ(tr.waves.time.size(), 2001u);
+  EXPECT_EQ(tr.waves.time.back(), 1.0e-9);
+  // A horizon that is not a whole number of steps takes the ceiling and
+  // ends at or past t_stop.
+  opts.t_stop = 1.0e-9 + 0.3e-12;
+  const TransientResult past = run_transient(ckt, opts);
+  ASSERT_TRUE(past.ok);
+  ASSERT_EQ(past.waves.time.size(), 2002u);
+  EXPECT_GE(past.waves.time.back(), opts.t_stop);
+}
+
+TEST(Transient, FailedStepIsRetriedAsTwoHalfSteps) {
+  // A source ramping 8 V per 1 ps step. The 0.3 V Newton clamp, halved
+  // every 12 iterations, walks a node at most ~7 V in one step's 60
+  // iterations: every full step fails, every 4 V half step converges.
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, [](double t) { return 8.0 * t / 1e-12; }));
+  ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
+  TransientOptions opts;
+  opts.t_stop = 3e-12;
+  opts.dt = 1e-12;
+  opts.initial_x.assign(ckt.num_unknowns(), 0.0);
+  const uint64_t rejections = counter(metrics::Counter::kTransientStepRejections);
+  const uint64_t failures = counter(metrics::Counter::kTransientStepFailures);
+  const uint64_t steps = counter(metrics::Counter::kTransientSteps);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_EQ(counter(metrics::Counter::kTransientStepRejections) - rejections, 3u);
+  EXPECT_EQ(counter(metrics::Counter::kTransientStepFailures), failures);
+  EXPECT_EQ(counter(metrics::Counter::kTransientSteps) - steps, 6u);
+  // Each accepted half step is a sample.
+  ASSERT_EQ(tr.waves.time.size(), 7u);
+  const std::vector<double> v = tr.waves.node(ckt, a);
+  for (size_t k = 0; k < 7; ++k) {
+    EXPECT_DOUBLE_EQ(tr.waves.time[k], 0.5e-12 * static_cast<double>(k)) << k;
+    EXPECT_NEAR(v[k], 4.0 * static_cast<double>(k), 1e-6) << k;
+  }
+}
+
 TEST(Transient, RcStepResponseMatchesAnalytic) {
   Circuit ckt;
   const NodeId in = ckt.new_node();
@@ -229,8 +283,9 @@ TEST(Latch, IsBistable) {
 
 // Bit pins of the circuit layer's Newton paths: the ring of
 // Measure.RingOscillatorOscillates (figures of merit and every waveform
-// sample), one VTC sweep (warm-started DC), and one DC solve that falls
-// back to source stepping. The source-stepping pin dates from before the
+// sample) over 2001 steps of 0.5 ps, the horizon its pins were captured
+// on, one VTC sweep (warm-started DC), and one DC solve that falls back to
+// source stepping. The source-stepping pin dates from before the
 // DC and transient loops were merged into one; the ring and VTC pins were
 // re-captured when the MNA LU took its minimum-degree elimination order,
 // which moved them by round-off only (RingWithinRoundoffOfNaturalOrderPins).
@@ -238,8 +293,8 @@ TEST(CircuitGolden, RingOscillatorIsBitPinned) {
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
   opts.vdd = 0.4;
-  opts.t_stop_s = 1.0e-9;
   opts.dt_s = 0.5e-12;
+  opts.t_stop_s = 2001 * opts.dt_s;
   const std::vector<InverterModels> stages(15, inv);
   const RingMetrics m = measure_ring_oscillator(stages, inv, opts);
   ASSERT_TRUE(m.ok);
@@ -266,8 +321,8 @@ TEST(CircuitGolden, RingWithinRoundoffOfNaturalOrderPins) {
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
   opts.vdd = 0.4;
-  opts.t_stop_s = 1.0e-9;
   opts.dt_s = 0.5e-12;
+  opts.t_stop_s = 2001 * opts.dt_s;
   const RingMetrics m =
       measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, opts);
   ASSERT_TRUE(m.ok);
@@ -330,10 +385,10 @@ class WindowedConductance final : public Element {
 };
 
 /// newton_solve's iteration on a fully zeroed Jacobian each time, factored
-/// by a dense LU<double> in the minimum-degree order of the first stamp:
-/// the oracle of the replayed Newton loop.
+/// by a dense LU<double> in the minimum-degree order of the first stamp
+/// (`order`, set on the first call): the oracle of the replayed Newton loop.
 bool dense_newton(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,
-                  std::vector<double>& x, linalg::LU<double>& lu, bool& ordered) {
+                  std::vector<double>& x, std::vector<size_t>& order) {
   const size_t n = ckt.num_unknowns();
   const size_t nodes = n - ckt.num_branches();
   double clamp_V = policy.clamp_V;
@@ -343,20 +398,21 @@ bool dense_newton(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     }
     MnaWorkspace fresh(n);
     fresh.stamp(ckt, x, ctx);
-    if (!ordered) {
-      lu.set_order(linalg::minimum_degree_order(fresh.jac));
-      ordered = true;
-    }
+    if (order.empty()) order = linalg::minimum_degree_order(fresh.jac);
     double res_norm = 0.0;
     for (const double r : fresh.res) res_norm = std::max(res_norm, std::abs(r));
     for (size_t i = 0; i < nodes; ++i) fresh.jac(i, i) += 1e-12;
     for (size_t i = 0; i < n; ++i) fresh.rhs[i] = -fresh.res[i];
+    linalg::LU<double> lu;
     try {
-      lu.factor(fresh.jac);
+      lu = linalg::LU<double>(tests::permuted(fresh.jac, order));
     } catch (const std::runtime_error&) {
       return false;
     }
-    lu.solve_into(fresh.rhs, fresh.dx);
+    std::vector<double> pb(n), xp;
+    for (size_t i = 0; i < n; ++i) pb[i] = fresh.rhs[order[i]];
+    lu.solve_into(pb, xp);
+    for (size_t i = 0; i < n; ++i) fresh.dx[order[i]] = xp[i];
     double max_dx = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double d = i < nodes ? std::clamp(fresh.dx[i], -clamp_V, clamp_V) : fresh.dx[i];
@@ -396,8 +452,7 @@ TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
   std::vector<double> x = opts.initial_x;
   std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
   for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
-  linalg::LU<double> lu;
-  bool ordered = false;
+  std::vector<size_t> order;
   ASSERT_EQ(tr.waves.samples.size(), 121u);
   for (size_t step = 1; step < tr.waves.samples.size(); ++step) {
     TransientContext ctx;
@@ -405,7 +460,7 @@ TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
     ctx.dt = opts.dt;
     ctx.state_prev = &state;
     ctx.state_next = &state_next;
-    ASSERT_TRUE(dense_newton(ckt, ctx, kTransientNewton, x, lu, ordered)) << step;
+    ASSERT_TRUE(dense_newton(ckt, ctx, kTransientNewton, x, order)) << step;
     MnaWorkspace(ckt.num_unknowns()).stamp(ckt, x, ctx);
     state.swap(state_next);
     EXPECT_EQ(tests::fnv1a(tr.waves.samples[step]), tests::fnv1a(x)) << step;
@@ -450,8 +505,8 @@ TEST(MnaReplay, GoldenRingTransientAnalysesOnce) {
   const InverterModels inv = synthetic_inverter();
   const RingOscillator ro = build_ring_oscillator(std::vector<InverterModels>(15, inv), inv, 0.4);
   TransientOptions topt;
-  topt.t_stop = 1.0e-9;
   topt.dt = 0.5e-12;
+  topt.t_stop = 2001 * topt.dt;
   topt.initial_x = ro.kick_state();  // a DC solve, whose pivots move as it converges
   // From here on the counters cover the transient alone; the perf-smoke
   // stage of tools/ci_checks.sh reads them from this test's trace.
@@ -560,8 +615,8 @@ TEST(Elements, FanoutGroupMatchesSeparateLoadsBitForBit) {
   ASSERT_EQ(grouped.ckt.num_unknowns(), single.ckt.num_unknowns());
 
   TransientOptions topt;
-  topt.t_stop = 1.0e-9;
   topt.dt = 0.5e-12;
+  topt.t_stop = 2001 * topt.dt;
   topt.initial_x = grouped.kick_state();
   ASSERT_TRUE(same_bits(single.kick_state(), topt.initial_x));
   const TransientResult tg = run_transient(grouped.ckt, topt);

@@ -2,8 +2,7 @@
 // an input that violates one documented invariant and asserts that the
 // resulting ContractViolation names the right subsystem and invariant —
 // i.e. that a corrupted simulation dies loudly at the layer that knows why,
-// not with a NaN result three layers up. All firing tests are guarded by
-// GNRFET_CHECKS_ENABLED so the suite also passes under GNRFET_CHECKS=OFF.
+// not with a NaN result three layers up.
 
 #include <gtest/gtest.h>
 
@@ -53,8 +52,7 @@ ContractViolation capture_violation(Fn&& fn) {
 }
 
 TEST(Contracts, ViolationCarriesSubsystemInvariantAndLocation) {
-  // contracts::fail is what the macros expand to; calling it directly keeps
-  // this test meaningful under GNRFET_CHECKS=OFF too.
+  // contracts::fail is what the macros expand to.
   const ContractViolation v = capture_violation([] {
     contracts::fail("negf", "example-invariant", "arithmetic still works",
                     "tests/test_contracts.cpp", 42);
@@ -75,8 +73,6 @@ TEST(Contracts, FiniteHelperAndAscendingHelper) {
   EXPECT_FALSE(contracts::strictly_ascending(std::vector<double>{0.0, 0.0, 0.5}));
   EXPECT_FALSE(contracts::strictly_ascending(std::vector<double>{0.0, kNan, 1.0}));
 }
-
-#if GNRFET_CHECKS_ENABLED
 
 TEST(Contracts, ChecksAreCompiledInByDefault) {
   EXPECT_THROW(GNRFET_REQUIRE("common", "always-false", false, "fires"), ContractViolation);
@@ -278,19 +274,5 @@ TEST(Contracts, NanInterpolationTableNamesModel) {
   EXPECT_EQ(v.subsystem(), "model");
   EXPECT_EQ(v.invariant(), "finite-table");
 }
-
-#else  // !GNRFET_CHECKS_ENABLED
-
-TEST(Contracts, DisabledChecksNeverEvaluateTheirOperands) {
-  bool evaluated = false;
-  auto touch = [&] {
-    evaluated = true;
-    return false;
-  };
-  GNRFET_REQUIRE("common", "disabled", touch(), "must not run");
-  EXPECT_FALSE(evaluated);
-}
-
-#endif  // GNRFET_CHECKS_ENABLED
 
 }  // namespace

@@ -174,7 +174,6 @@ TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
   EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), newton_mid);
 }
 
-#if GNRFET_CHECKS_ENABLED
 TEST(SelfConsistent, WarmStartGridMismatchIsContractViolation) {
   // A warm start from a solution on a different grid used to be copied in
   // silently and crash (or worse, converge to garbage) deep inside the
@@ -193,7 +192,6 @@ TEST(SelfConsistent, WarmStartGridMismatchIsContractViolation) {
     EXPECT_NE(what.find("17"), std::string::npos) << what;
   }
 }
-#endif
 
 TEST(SelfConsistent, BandProfilePinnedAtContacts) {
   const DeviceGeometry geo(tiny_spec());

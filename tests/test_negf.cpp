@@ -309,23 +309,6 @@ TEST(AdaptiveGolden, UniformModeSpaceBitIdenticalToPreAdaptiveSolver) {
   EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
 }
 
-TEST(TransportWindow, ModeOutsideWindowContributesNothingAndSolvesNothing) {
-  // Window override far above every mode's support: the skip range must
-  // produce a zero solution without a single RGF solve.
-  tests::GoldenProblem p;
-  negf::TransportOptions opts = p.opts;
-  opts.window_lo_eV = 30.0;
-  opts.window_hi_eV = 31.0;
-  metrics::reset();
-  const auto sol = negf::solve_mode_space(p.modes, p.u, opts);
-  EXPECT_EQ(metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kRgfSolves)], 0u);
-  EXPECT_EQ(sol.current_A, 0.0);
-  EXPECT_EQ(sol.total_net_electrons, 0.0);
-  for (const auto& col : sol.electrons) {
-    for (const double v : col) EXPECT_EQ(v, 0.0);
-  }
-}
-
 TEST(ScalarRgfWorkspace, ReuseAcrossSolvesMatchesFreshWorkspace) {
   // A warm workspace carried across chains and energies must be stateless:
   // every solve equals a fresh-workspace solve bit-for-bit.

@@ -2,13 +2,15 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "linalg/dense.hpp"
 
 /// Helpers shared by the test files: a scoped thread-count override, a
-/// read of one process-wide work counter and the checked-in benchmark
-/// tables.
+/// read of one process-wide work counter, the checked-in benchmark tables
+/// and the permuted system of the dense LU oracle.
 namespace gnrfet::tests {
 
 /// Scoped thread-count override restoring the previous value on exit.
@@ -37,6 +39,19 @@ inline std::filesystem::path benchmark_inputs_dir() {
     if (fs::exists(dir / "perfbench" / "inputs")) return dir / "perfbench" / "inputs";
     if (!dir.has_parent_path() || dir.parent_path() == dir) return {};
   }
+}
+
+/// P^T A P in the symmetric elimination order `order`:
+/// (P^T A P)(i, j) = a(order[i], order[j]); with it, P^T b is
+/// b[order[i]] and x[order[i]] is the i-th entry of the permuted solution.
+/// A dense LU<double> of it is the oracle of linalg::ReplayLU in `order`.
+inline linalg::DMatrix permuted(const linalg::DMatrix& a, const std::vector<size_t>& order) {
+  const size_t n = order.size();
+  linalg::DMatrix p(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) p(i, j) = a(order[i], order[j]);
+  }
+  return p;
 }
 
 }  // namespace gnrfet::tests

@@ -4,8 +4,6 @@
 #   werror    -Wall -Wextra -Werror build + full test suite + lint label
 #   asan-ubsan  AddressSanitizer + UndefinedBehaviorSanitizer test run
 #   tsan      ThreadSanitizer run of the parallel determinism suites
-#   checks-off  Release build with GNRFET_CHECKS=OFF (contracts compiled out):
-#               the tier-1 suite must still pass without the contract layer
 #   trace     fast suite under GNRFET_TRACE: the emitted Chrome trace JSON
 #             must parse and summarize through gnrfet_trace_report, and the
 #             --json rollup must report spans from every core subsystem
@@ -50,7 +48,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(werror asan-ubsan tsan checks-off trace perf-smoke analyze thread-safety tidy)
+  STAGES=(werror asan-ubsan tsan trace perf-smoke analyze thread-safety tidy)
 fi
 
 banner() { printf '\n=== ci_checks: %s ===\n' "$1"; }
@@ -84,12 +82,6 @@ for stage in "${STAGES[@]}"; do
       banner "thread sanitizer on the parallel suites"
       configure_and_build "$ROOT/build-ci-tsan" -DGNRFET_SANITIZE=thread
       ctest --test-dir "$ROOT/build-ci-tsan" -R 'Parallel' -j "$JOBS" --output-on-failure
-      ;;
-    checks-off)
-      banner "Release with GNRFET_CHECKS=OFF (contracts compiled out)"
-      configure_and_build "$ROOT/build-ci-nochecks" \
-        -DGNRFET_CHECKS=OFF -DCMAKE_BUILD_TYPE=Release -DGNRFET_WERROR=ON
-      ctest --test-dir "$ROOT/build-ci-nochecks" -j "$JOBS" --output-on-failure
       ;;
     trace)
       banner "tracing enabled end-to-end: emit, parse, report"
@@ -257,9 +249,8 @@ for stage in "${STAGES[@]}"; do
       # traced, must do exactly one symbolic analysis in its one workspace
       # and replay every later factorization. Pivot churn that sends the
       # replay back to the dense analysis fails here. Its step and
-      # factorization counts are pinned exactly (2001 steps: ceil of
-      # 1 ns / 0.5 ps in doubles), so a change in Newton work fails in
-      # either direction. The test resets the counters after the DC solve
+      # factorization counts are pinned exactly (its horizon is 2001 steps
+      # of 0.5 ps), so a change in Newton work fails in either direction. The test resets the counters after the DC solve
       # of the ring's kick state, so they cover the transient alone.
       cmake --build "$DIR" -j "$JOBS" --target gnrfet_tests gnrfet_trace_report
       MNA_TRACE="$DIR/mna_replay_trace.json"
@@ -321,7 +312,7 @@ for stage in "${STAGES[@]}"; do
       ;;
     *)
       echo "ci_checks: unknown stage '$stage'" >&2
-      echo "known stages: werror asan-ubsan tsan checks-off trace perf-smoke" \
+      echo "known stages: werror asan-ubsan tsan trace perf-smoke" \
            "analyze thread-safety tidy" >&2
       exit 2
       ;;

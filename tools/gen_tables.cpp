@@ -4,29 +4,17 @@
 /// The set covers the paper's variability study: ideal devices with
 /// N = 9/12/15/18 (Table 2, Fig. 4), N = 12 with oxide charge impurities
 /// -2q..+2q (Table 3, Fig. 5), and N = 9/18 with -q/+q (Table 4, Figs. 6-7).
+/// Each variant resolves through explore::DesignKit::table, so its spec,
+/// bias grid and cache key are the ones every bench uses.
 ///
 /// Generation runs in-process on GNRFET_THREADS threads; takes no arguments.
 #include <chrono>
 #include <cstdio>
-#include <utility>
 #include <vector>
 
-#include "device/tablegen.hpp"
+#include "explore/tech_explore.hpp"
 
 using namespace gnrfet;
-
-namespace {
-
-device::DeviceSpec make_spec(int n_index, double impurity_q) {
-  device::DeviceSpec spec;
-  spec.n_index = n_index;
-  if (impurity_q != 0.0) {
-    spec.impurities.push_back({impurity_q, 1.0, 0.0, 0.4});
-  }
-  return spec;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1) {
@@ -34,20 +22,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<std::pair<int, double>> configs = {
+  const std::vector<explore::VariantSpec> variants = {
       {12, 0.0}, {9, 0.0},  {15, 0.0}, {18, 0.0},  {12, -1.0}, {12, 1.0}, {12, -2.0},
       {12, 2.0}, {9, -1.0}, {9, 1.0},  {18, -1.0}, {18, 1.0},
   };
-  device::TableGenOptions opts;
-  opts.vg_max = 1.0;
-  opts.vg_points = 21;  // 0.05 V steps over [0, 1.0]
-  for (const auto& [n, q] : configs) {
-    const auto spec = make_spec(n, q);
+  explore::DesignKit kit;
+  for (const auto& v : variants) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto table = device::generate_device_table(spec, opts);
+    const device::DeviceTable& table = kit.table(v);
     const double dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    std::printf("table N=%d q=%+.0f: %zux%zu points, Eg=%.3f eV (%.1f s)\n", n, q,
-                table.vg.size(), table.vd.size(), table.band_gap_eV, dt);
+    std::printf("table N=%d q=%+.0f: %zux%zu points, Eg=%.3f eV (%.1f s)\n", v.n_index,
+                v.impurity_q, table.vg.size(), table.vd.size(), table.band_gap_eV, dt);
     std::fflush(stdout);
   }
   std::printf("all tables ready\n");
