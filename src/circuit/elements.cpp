@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/strings.hpp"
 
@@ -30,6 +31,14 @@ namespace {
   stamp_branch(st, a, b, g * (st.v(a) - st.v(b)), g);
 }
 
+/// Trapezoidal step of a charge branch with capacitance `c_mid` from its
+/// committed triplet `s` = [q_prev, i_prev, v_prev] to voltage `v`: the new
+/// charge and the branch current. The stamp and the commit share it.
+std::pair<double, double> trapezoid_step(const double* s, double c_mid, double v, double dt) {
+  const double q_new = s[0] + c_mid * (v - s[2]);
+  return {q_new, 2.0 / dt * (q_new - s[0]) - s[1]};
+}
+
 /// Trapezoidal companion stamp of `copies` identical charge branches in
 /// parallel between nodes a and b, with (possibly bias-dependent)
 /// capacitance evaluated at the voltage midpoint. State triplet of one
@@ -41,30 +50,30 @@ namespace {
 void stamp_charge_branch(Stamper& st, const TransientContext& ctx, NodeId a, NodeId b,
                          double c_mid, size_t s0, int copies = 1) {
   if (ctx.dt <= 0.0) return;  // open in DC
-  const auto& prev = *ctx.state_prev;
-  auto& next = *ctx.state_next;
-  const double v = st.v(a) - st.v(b);
-  const double q_prev = prev[s0];
-  const double i_prev = prev[s0 + 1];
-  const double v_prev = prev[s0 + 2];
-  const double q_new = q_prev + c_mid * (v - v_prev);
-  const double i = 2.0 / ctx.dt * (q_new - q_prev) - i_prev;
+  const auto [q_new, i] = trapezoid_step(&(*ctx.state)[s0], c_mid, st.v(a) - st.v(b), ctx.dt);
   const double g = 2.0 * c_mid / ctx.dt;
   for (int k = 0; k < copies; ++k) stamp_branch(st, a, b, i, g);
-  next[s0] = q_new;
-  next[s0 + 1] = i;
-  next[s0 + 2] = v;
 }
 
-void init_charge_state(double v_now, size_t s0, std::vector<double>& state) {
-  state[s0] = 0.0;      // charge is tracked incrementally
-  state[s0 + 1] = 0.0;  // steady state: no displacement current
-  state[s0 + 2] = v_now;
+/// Commit of the charge branch at `s0` to branch voltage `v`: the
+/// trapezoidal step when dt > 0, else [0, 0, v].
+void commit_charge_branch(std::vector<double>& state, size_t s0, double v, double c_mid,
+                          double dt) {
+  const auto [q, i] = dt > 0.0 ? trapezoid_step(&state[s0], c_mid, v, dt) : std::pair{0.0, 0.0};
+  state[s0] = q;
+  state[s0 + 1] = i;
+  state[s0 + 2] = v;
 }
 
-double node_voltage(const Circuit& ckt, const std::vector<double>& x, NodeId n) {
-  const ptrdiff_t u = ckt.unknown_of_node(n);
-  return u < 0 ? 0.0 : x[static_cast<size_t>(u)];
+/// Intrinsic {CGS, CGD} of `fet` from its Q table at the voltage midpoint
+/// of the step from the committed FET state `s` to (vgs, vds) (Sec. 3:
+/// CGD_i = |dQ/dVDS|, CGS_i = |dQ/dVGS| - CGD_i).
+std::pair<double, double> midpoint_gate_caps(const model::ExtrinsicFet& fet, const double* s,
+                                             double vgs, double vds) {
+  const double vds_prev = s[2] - s[5];  // vgs' - vgd'
+  const model::FetSample q = fet.intrinsic->charge(0.5 * (vgs + s[2]), 0.5 * (vds + vds_prev));
+  const double cgd = std::abs(q.d_dvds);
+  return {std::max(0.0, std::abs(q.d_dvgs) - cgd), cgd};
 }
 
 }  // namespace
@@ -81,9 +90,9 @@ void Capacitor::stamp(Stamper& st, const TransientContext& ctx) const {
   stamp_charge_branch(st, ctx, a_, b_, c_, state_offset_);
 }
 
-void Capacitor::init_state(const Circuit& ckt, const std::vector<double>& x,
-                           std::vector<double>& state) const {
-  init_charge_state(node_voltage(ckt, x, a_) - node_voltage(ckt, x, b_), state_offset_, state);
+void Capacitor::commit(const Circuit& ckt, const std::vector<double>& x,
+                       const TransientContext& ctx, std::vector<double>& state) const {
+  commit_charge_branch(state, state_offset_, ckt.voltage(x, a_) - ckt.voltage(x, b_), c_, ctx.dt);
 }
 
 VoltageSource::VoltageSource(NodeId plus, NodeId minus, double dc_volts)
@@ -138,33 +147,31 @@ void Fet::stamp(Stamper& st, const TransientContext& ctx) const {
   }
 
   // Intrinsic gate capacitances from the Q tables at the voltage midpoint
-  // of the step (Sec. 3: CGD_i = |dQ/dVDS|, CGS_i = |dQ/dVGS| - CGD_i).
+  // of the step.
   if (ctx.dt > 0.0) {
-    const auto& prev = *ctx.state_prev;
-    const double vgs_prev = prev[state_offset_ + 2];
-    const double vgd_prev = prev[state_offset_ + 5];
-    const double vgs_mid = 0.5 * (vgs + vgs_prev);
-    const double vds_now = vds;
-    const double vds_prev = vgs_prev - vgd_prev;
-    const double vds_mid = 0.5 * (vds_now + vds_prev);
-    const model::FetSample q = fet_.intrinsic->charge(vgs_mid, vds_mid);
-    const double cgd_i = std::abs(q.d_dvds);
-    const double cgs_i = std::max(0.0, std::abs(q.d_dvgs) - cgd_i);
-    stamp_charge_branch(st, ctx, g_, si_, cgs_i, state_offset_);
-    stamp_charge_branch(st, ctx, g_, di_, cgd_i, state_offset_ + 3);
+    const auto [cgs, cgd] = midpoint_gate_caps(fet_, &(*ctx.state)[state_offset_], vgs, vds);
+    stamp_charge_branch(st, ctx, g_, si_, cgs, state_offset_);
+    stamp_charge_branch(st, ctx, g_, di_, cgd, state_offset_ + 3);
   }
   // Extrinsic junction capacitances at the external terminals.
   stamp_charge_branch(st, ctx, g_, s_, par.cgs_e_F, state_offset_ + 6);
   stamp_charge_branch(st, ctx, g_, d_, par.cgd_e_F, state_offset_ + 9);
 }
 
-void Fet::init_state(const Circuit& ckt, const std::vector<double>& x,
-                     std::vector<double>& state) const {
-  const double vg = node_voltage(ckt, x, g_);
-  init_charge_state(vg - node_voltage(ckt, x, si_), state_offset_, state);
-  init_charge_state(vg - node_voltage(ckt, x, di_), state_offset_ + 3, state);
-  init_charge_state(vg - node_voltage(ckt, x, s_), state_offset_ + 6, state);
-  init_charge_state(vg - node_voltage(ckt, x, d_), state_offset_ + 9, state);
+void Fet::commit(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx,
+                 std::vector<double>& state) const {
+  const auto v = [&](NodeId n) { return ckt.voltage(x, n); };
+  const double vgs = v(g_) - v(si_);
+  const double vds = v(di_) - v(si_);
+  // Sampled before any slot is overwritten: the midpoint reads vgs', vgd'.
+  const auto [cgs, cgd] = ctx.dt > 0.0 ? midpoint_gate_caps(fet_, &state[state_offset_], vgs, vds)
+                                       : std::pair{0.0, 0.0};
+  // The four charge branches of stamp(), in state order, each from the gate.
+  const double c[4] = {cgs, cgd, fet_.parasitics.cgs_e_F, fet_.parasitics.cgd_e_F};
+  const NodeId to[4] = {si_, di_, s_, d_};
+  for (size_t k = 0; k < 4; ++k) {
+    commit_charge_branch(state, state_offset_ + 3 * k, v(g_) - v(to[k]), c[k], ctx.dt);
+  }
 }
 
 InverterGateLoad::InverterGateLoad(model::ExtrinsicFet nfet, model::ExtrinsicFet pfet,
@@ -187,14 +194,16 @@ double InverterGateLoad::capacitance(double v) const {
 
 void InverterGateLoad::stamp(Stamper& st, const TransientContext& ctx) const {
   if (ctx.dt <= 0.0) return;
-  const double v_prev = (*ctx.state_prev)[state_offset_ + 2];
+  const double v_prev = (*ctx.state)[state_offset_ + 2];
   const double c = capacitance(0.5 * (st.v(node_) + v_prev));
   stamp_charge_branch(st, ctx, node_, kGround, c, state_offset_, fanout_);
 }
 
-void InverterGateLoad::init_state(const Circuit& ckt, const std::vector<double>& x,
-                                  std::vector<double>& state) const {
-  init_charge_state(node_voltage(ckt, x, node_), state_offset_, state);
+void InverterGateLoad::commit(const Circuit& ckt, const std::vector<double>& x,
+                              const TransientContext& ctx, std::vector<double>& state) const {
+  const double v = ckt.voltage(x, node_);
+  const double c = ctx.dt > 0.0 ? capacitance(0.5 * (v + state[state_offset_ + 2])) : 0.0;
+  commit_charge_branch(state, state_offset_, v, c, ctx.dt);
 }
 
 }  // namespace gnrfet::circuit

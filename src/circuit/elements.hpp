@@ -25,8 +25,8 @@ class Capacitor final : public Element {
   Capacitor(NodeId a, NodeId b, double farads);
   size_t state_size() const override { return 3; }
   void stamp(Stamper& st, const TransientContext& ctx) const override;
-  void init_state(const Circuit& ckt, const std::vector<double>& x,
-                  std::vector<double>& state) const override;
+  void commit(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx,
+              std::vector<double>& state) const override;
 
  private:
   NodeId a_, b_;
@@ -67,8 +67,8 @@ class Fet final : public Element {
   Fet(model::ExtrinsicFet fet, NodeId d, NodeId g, NodeId s, NodeId d_int, NodeId s_int);
   size_t state_size() const override { return 12; }
   void stamp(Stamper& st, const TransientContext& ctx) const override;
-  void init_state(const Circuit& ckt, const std::vector<double>& x,
-                  std::vector<double>& state) const override;
+  void commit(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx,
+              std::vector<double>& state) const override;
 
  private:
   model::ExtrinsicFet fet_;
@@ -84,7 +84,7 @@ class Fet final : public Element {
 /// load-inverter output at its quasi-static (inverted) value, plus the
 /// extrinsic junction capacitances. The gates of a group share one node,
 /// one model pair and one VDD, so their charge states are equal: the group
-/// keeps one state [q, i, v] and samples the charge tables once per stamp.
+/// keeps one state [q, i, v] and samples the charge tables once per call.
 class InverterGateLoad final : public Element {
  public:
   /// Throws std::invalid_argument if fanout < 1.
@@ -92,8 +92,8 @@ class InverterGateLoad final : public Element {
                    int fanout = 1);
   size_t state_size() const override { return 3; }
   void stamp(Stamper& st, const TransientContext& ctx) const override;
-  void init_state(const Circuit& ckt, const std::vector<double>& x,
-                  std::vector<double>& state) const override;
+  void commit(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx,
+              std::vector<double>& state) const override;
 
   /// Input capacitance of one gate of the group at gate voltage v
   /// (exposed for calibration checks).

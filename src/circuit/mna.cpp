@@ -70,7 +70,6 @@ void MnaWorkspace::stamp(const Circuit& ckt, const std::vector<double>& x,
   double* a = jac.data();
   for (const size_t k : pattern) a[k] = 0.0;
   std::fill(res.begin(), res.end(), 0.0);
-  if (ctx.state_next) std::fill(ctx.state_next->begin(), ctx.state_next->end(), 0.0);
   Stamper st(ckt, x, *this);
   for (const auto& e : ckt.elements()) e->stamp(st, ctx);
 }

@@ -16,8 +16,9 @@
 /// (linalg::minimum_degree_order), factors it once densely, and replays
 /// that factorization on the pattern, so one Newton iteration costs
 /// O(nonzeros + fill + table samples).
-/// Both analyses (dc.hpp, transient.hpp) drive the one damped Newton loop
-/// declared at the end.
+/// Elements stamp at each Newton iterate and commit their state at each
+/// accepted point; both analyses (dc.hpp, transient.hpp) drive the one
+/// damped Newton loop declared at the end.
 namespace gnrfet::circuit {
 
 /// Node handle; 0 is ground.
@@ -40,7 +41,6 @@ class Circuit {
   size_t add(std::unique_ptr<Element> element);
 
   const std::vector<std::unique_ptr<Element>>& elements() const { return elements_; }
-  Element& element(size_t idx) { return *elements_.at(idx); }
 
   /// Unknown vector layout: [v_1 .. v_{N-1}, i_branch_0 ..].
   size_t num_unknowns() const;
@@ -49,6 +49,10 @@ class Circuit {
 
   /// Index of node voltage in the unknown vector (-1 for ground).
   ptrdiff_t unknown_of_node(NodeId n) const { return n == kGround ? -1 : n - 1; }
+  /// Voltage of node n in the unknown vector x (0 at ground).
+  double voltage(const std::vector<double>& x, NodeId n) const {
+    return n == kGround ? 0.0 : x[static_cast<size_t>(unknown_of_node(n))];
+  }
   size_t unknown_of_branch(size_t branch) const { return num_nodes() - 1 + branch; }
 
  private:
@@ -74,8 +78,8 @@ struct MnaWorkspace {
   explicit MnaWorkspace(size_t n)
       : jac(n, n), res(n), rhs(n), dx(n), in_pattern(n * n, 0) {}
 
-  /// Zero the pattern entries, the residual and, in a transient,
-  /// `ctx.state_next`; then stamp every element of `ckt` at iterate `x`.
+  /// Zero the pattern entries and the residual, then stamp every element
+  /// of `ckt` at iterate `x`.
   void stamp(const Circuit& ckt, const std::vector<double>& x, const TransientContext& ctx);
 
   /// jac(r, c) += g, recording (r, c) in the pattern.
@@ -103,10 +107,7 @@ class Stamper {
   Stamper(const Circuit& ckt, const std::vector<double>& x, MnaWorkspace& ws)
       : ckt_(ckt), x_(x), ws_(ws) {}
 
-  double v(NodeId n) const {
-    const ptrdiff_t u = ckt_.unknown_of_node(n);
-    return u < 0 ? 0.0 : x_[static_cast<size_t>(u)];
-  }
+  double v(NodeId n) const { return ckt_.voltage(x_, n); }
   double branch_current(size_t branch) const { return x_[ckt_.unknown_of_branch(branch)]; }
 
   void add_residual(NodeId n, double current_out) {
@@ -148,15 +149,13 @@ class Stamper {
 void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws);
 
 /// Per-step context for charge-storage elements. dt <= 0 means DC (charge
-/// branches are open). `state_prev` holds each element's committed state
-/// from the previous accepted step; `state_next` is written during
-/// stamping and committed when the step is accepted.
+/// branches are open). `state` holds each element's state as committed at
+/// the last accepted point; stamps only read it.
 struct TransientContext {
   double time = 0.0;
   double dt = 0.0;
   double source_scale = 1.0;  ///< source stepping homotopy in DC
-  const std::vector<double>* state_prev = nullptr;
-  std::vector<double>* state_next = nullptr;
+  const std::vector<double>* state = nullptr;
 };
 
 class Element {
@@ -174,16 +173,16 @@ class Element {
     state_offset_ = state_offset;
   }
 
-  /// Stamp residual + Jacobian at iterate x (through `st`).
+  /// Stamp residual + Jacobian at iterate x (through `st`). Writes no
+  /// state: the committed state is read through `ctx.state`.
   virtual void stamp(Stamper& st, const TransientContext& ctx) const = 0;
 
-  /// Initialize state from a converged DC solution (start of transient).
-  virtual void init_state(const Circuit& ckt, const std::vector<double>& x,
-                          std::vector<double>& state) const {
-    (void)ckt;
-    (void)x;
-    (void)state;
-  }
+  /// Update this element's own slots of `state` in place at the accepted
+  /// point `x`. With ctx.dt > 0 a charge branch takes the trapezoidal step
+  /// [q, i, v] its stamp at `x` solved for; with ctx.dt <= 0 it starts from
+  /// [0, 0, v] (charge is tracked incrementally; no displacement current).
+  virtual void commit(const Circuit& /*ckt*/, const std::vector<double>& /*x*/,
+                      const TransientContext& /*ctx*/, std::vector<double>& /*state*/) const {}
 
  protected:
   size_t branch_offset_ = 0;

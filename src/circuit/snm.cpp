@@ -30,7 +30,7 @@ Vtc compute_vtc(const InverterModels& models, double vdd, int points) {
     if (!dc.converged) throw std::runtime_error("compute_vtc: DC did not converge");
     x = dc.x;
     vtc.vin.push_back(v);
-    vtc.vout.push_back(x[static_cast<size_t>(ckt.unknown_of_node(out))]);
+    vtc.vout.push_back(ckt.voltage(x, out));
     vtc.supply_current_A.push_back(x[ckt.unknown_of_branch(vdd_branch)]);
   }
   return vtc;

@@ -11,10 +11,9 @@
 namespace gnrfet::circuit {
 
 std::vector<double> Waveforms::node(const Circuit& ckt, NodeId n) const {
-  const ptrdiff_t u = ckt.unknown_of_node(n);
   std::vector<double> out;
   out.reserve(samples.size());
-  for (const auto& s : samples) out.push_back(u < 0 ? 0.0 : s[static_cast<size_t>(u)]);
+  for (const auto& s : samples) out.push_back(ckt.voltage(s, n));
   return out;
 }
 
@@ -35,24 +34,20 @@ struct Stepper {
   const Circuit& ckt;
   std::vector<double>& x;
   std::vector<double>& state;
-  std::vector<double> state_next;
   MnaWorkspace ws;
   Waveforms& waves;
 
-  /// Advances the accepted point, at time t - h, to time t. A step Newton
-  /// does not converge is rejected: x returns to the last accepted sample
-  /// (state_prev is never written) and the interval is retried as two half
-  /// steps, at most kMaxStepHalvings - halvings more times.
+  /// Advances and commits the accepted point, at time t - h, to time t. A
+  /// step Newton does not converge is rejected: x returns to the last
+  /// accepted sample, nothing commits, and the interval is retried as two
+  /// half steps, at most kMaxStepHalvings - halvings more times.
   bool advance(double t, double h, int halvings) {
     TransientContext ctx;
     ctx.time = t;
     ctx.dt = h;
-    ctx.state_prev = &state;
-    ctx.state_next = &state_next;
+    ctx.state = &state;
     if (newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
-      // One final stamp to refresh state_next consistently with accepted x.
-      ws.stamp(ckt, x, ctx);
-      state.swap(state_next);
+      for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, state);
       metrics::add(metrics::Counter::kTransientSteps);
       waves.time.push_back(t);
       waves.samples.push_back(x);
@@ -105,7 +100,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) 
   }
 
   std::vector<double> state(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x, TransientContext{}, state);
 
   const size_t steps = step_count(opts.t_stop, opts.dt);
   result.waves.time.reserve(steps + 1);
@@ -113,8 +108,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientOptions& opts) 
   result.waves.time.push_back(0.0);
   result.waves.samples.push_back(x);
 
-  Stepper stepper{ckt, x, state, std::vector<double>(state.size(), 0.0), MnaWorkspace(n),
-                  result.waves};
+  Stepper stepper{ckt, x, state, MnaWorkspace(n), result.waves};
   for (size_t step = 1; step <= steps; ++step) {
     if (!stepper.advance(static_cast<double>(step) * opts.dt, opts.dt, 0)) return result;
   }

@@ -28,13 +28,15 @@ struct TransientResult {
   Waveforms waves;
 };
 
-/// Fixed-step run: each step is one newton_solve under kTransientNewton.
-/// A horizon within 1e-9 relative of a whole number of steps takes exactly
-/// that many; any other takes the ceiling, ending past `t_stop`. A step
-/// Newton does not converge (a singular Jacobian included) is rejected
-/// (counted as `transient_step_rejections`): x returns to the last
-/// accepted point and the interval is retried as two half steps, each
-/// recorded in the waveforms when accepted, recursively down to dt / 64.
+/// Fixed-step run: the start point commits at dt = 0, then each step is
+/// one newton_solve under kTransientNewton and one Element::commit per
+/// element. A horizon within 1e-9 relative of a whole number of steps
+/// takes exactly that many; any other takes the ceiling, ending past
+/// `t_stop`. A step Newton does not converge (a singular Jacobian
+/// included) is rejected (counted as `transient_step_rejections`): x
+/// returns to the last accepted point, nothing commits, and the interval
+/// is retried as two half steps, each committed and recorded in the
+/// waveforms when accepted, recursively down to dt / 64.
 /// Gives up with `ok == false` when a dt / 64 step fails (counted as
 /// `transient_step_failures`), or when the starting DC point does not
 /// converge.

@@ -18,6 +18,11 @@ int DiscretizedNormal::draw(std::mt19937& rng) const {
   return 0;
 }
 
+std::vector<VariantSpec> monte_carlo_variants() {
+  return {{9, -1.0},  {9, 0.0},  {9, 1.0},  {12, -1.0}, {12, 0.0},
+          {12, 1.0},  {15, -1.0}, {15, 0.0}, {15, 1.0}};
+}
+
 MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& opts) {
   trace::Span span("explore", "run_ring_monte_carlo");
   MonteCarloResult result;
@@ -36,11 +41,7 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
   // cold-cache miss inside a sample would otherwise stall that sample on
   // a full NEGF table generation. warm() resolves the cold ones in the
   // listed order.
-  std::vector<VariantSpec> reachable;
-  for (int n : {9, 12, 15}) {
-    for (int q : {-1, 0, 1}) reachable.push_back({n, static_cast<double>(q)});
-  }
-  kit.warm(reachable);
+  kit.warm(monte_carlo_variants());
 
   // Samples run in parallel; each draws from its own generator seeded by
   // seed_seq-mixing (seed, sample index), so every sample's variant stream

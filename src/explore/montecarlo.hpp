@@ -48,6 +48,9 @@ struct MonteCarloResult {
   double mean_dynamic_power_W = 0.0;
 };
 
+/// Every variant a draw can reach: N in {9, 12, 15} x q in {-1, 0, +1}.
+std::vector<VariantSpec> monte_carlo_variants();
+
 MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& opts);
 
 /// Histogram helper for the bench output.

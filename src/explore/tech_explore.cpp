@@ -1,5 +1,6 @@
 #include "explore/tech_explore.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -75,9 +76,10 @@ double DesignKit::vt0() {
   // May generate: table() takes mu_ itself. A racing extraction computes
   // the identical value (same table bits), so last write wins harmlessly.
   const device::DeviceTable& t = table({12, 0.0});
-  // Extract at the lowest nonzero drain bias on the grid (0.05 V), per the
-  // max-gm method of Fig. 2(b).
-  const size_t ivd = 1;
+  // Extract at VD = 0.05 V, per the max-gm method of Fig. 2(b).
+  const auto col = std::ranges::find_if(t.vd, [](double v) { return std::abs(v - 0.05) <= 1e-9; });
+  if (col == t.vd.end()) throw std::invalid_argument("DesignKit::vt0: no 0.05 V on the VD axis");
+  const size_t ivd = static_cast<size_t>(col - t.vd.begin());
   std::vector<double> id(t.vg.size());
   for (size_t ig = 0; ig < t.vg.size(); ++ig) id[ig] = t.at_current(ig, ivd);
   const double vt0 = device::extract_threshold_voltage(t.vg, id);

@@ -17,6 +17,7 @@ namespace gnrfet::explore {
 struct VariantSpec {
   int n_index = 12;
   double impurity_q = 0.0;
+  bool operator==(const VariantSpec&) const = default;
   bool operator<(const VariantSpec& o) const {
     return n_index != o.n_index ? n_index < o.n_index : impurity_q < o.impurity_q;
   }
@@ -54,7 +55,8 @@ class DesignKit {
   /// std::logic_error instead.
   void set_table(const VariantSpec& v, device::DeviceTable table);
 
-  /// Threshold voltage of the nominal (N=12, ideal) device at low VD with
+  /// Threshold voltage of the nominal (N=12, ideal) device at VD = 0.05 V
+  /// (a VD column within 1e-9 V of it, else std::invalid_argument) with
   /// zero work-function offset; VT tuning uses offset = vt0 - VT_target.
   double vt0();
 

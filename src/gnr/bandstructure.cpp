@@ -52,6 +52,4 @@ double band_gap(int n_index, const TightBindingParams& params) {
   return compute_bands(n_index, params, 96).band_gap();
 }
 
-bool is_small_gap_family(int n_index) { return n_index % 3 == 2; }
-
 }  // namespace gnrfet::gnr

@@ -27,8 +27,4 @@ BandStructure compute_bands(int n_index, const TightBindingParams& params, int n
 /// Band gap (eV) of the N-index A-GNR under `params`.
 double band_gap(int n_index, const TightBindingParams& params);
 
-/// True if N belongs to the 3q+2 family (semi-metallic in the bare pz
-/// model; small-gap with edge relaxation). The paper excludes this family.
-bool is_small_gap_family(int n_index);
-
 }  // namespace gnrfet::gnr

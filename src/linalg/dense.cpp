@@ -30,12 +30,6 @@ CMatrix hermitian_part(const CMatrix& a) {
   return h;
 }
 
-std::vector<double> real_diagonal(const CMatrix& a) {
-  std::vector<double> d(std::min(a.rows(), a.cols()));
-  for (size_t i = 0; i < d.size(); ++i) d[i] = a(i, i).real();
-  return d;
-}
-
 void multiply_into(CMatrix& c, const CMatrix& a, const CMatrix& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("multiply_into: shape mismatch");
   c.resize_zero(a.rows(), b.cols());

@@ -172,7 +172,4 @@ double frobenius_norm(const DMatrix& m);
 /// Hermitian part (A + A^dagger)/2.
 CMatrix hermitian_part(const CMatrix& a);
 
-/// Real diagonal of a complex matrix.
-std::vector<double> real_diagonal(const CMatrix& a);
-
 }  // namespace gnrfet::linalg

@@ -103,12 +103,4 @@ EigResult eigh(const CMatrix& input) {
   return r;
 }
 
-std::vector<double> eigvals_symmetric(const DMatrix& a) {
-  CMatrix c(a.rows(), a.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) c(i, j) = a(i, j);
-  }
-  return eigh(c).values;
-}
-
 }  // namespace gnrfet::linalg

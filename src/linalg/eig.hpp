@@ -18,7 +18,4 @@ struct EigResult {
 /// anti-Hermitian part is large (> 1e-8 relative), which indicates misuse.
 EigResult eigh(const CMatrix& a);
 
-/// Eigenvalues only, of a real symmetric matrix (convenience wrapper).
-std::vector<double> eigvals_symmetric(const DMatrix& a);
-
 }  // namespace gnrfet::linalg

@@ -131,6 +131,75 @@ TEST(Transient, FailedStepIsRetriedAsTwoHalfSteps) {
   }
 }
 
+/// An element with no electrical effect that records its lifecycle: how
+/// many times it is stamped, and the time and step of every commit.
+class LifecycleProbe final : public Element {
+ public:
+  void stamp(Stamper&, const TransientContext&) const override { ++stamps; }
+  void commit(const Circuit&, const std::vector<double>&, const TransientContext& ctx,
+              std::vector<double>&) const override {
+    commit_times.push_back(ctx.time);
+    commit_dts.push_back(ctx.dt);
+  }
+
+  mutable uint64_t stamps = 0;
+  mutable std::vector<double> commit_times, commit_dts;
+};
+
+TEST(Transient, StampsOncePerNewtonIterationAndCommitsOncePerAcceptedStep) {
+  // An RC step from its DC point: every stamp is a Newton iteration (DC
+  // ones included), with no extra stamp after a step is accepted; the
+  // start point commits once at dt = 0, then each accepted step once.
+  Circuit ckt;
+  const NodeId in = ckt.new_node();
+  const NodeId out = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(in, kGround, pulse_waveform(0.0, 1.0, 5e-12, 1e-12)));
+  ckt.add(std::make_unique<Resistor>(in, out, 10e3));
+  ckt.add(std::make_unique<Capacitor>(out, kGround, 1e-15));
+  auto owned = std::make_unique<LifecycleProbe>();
+  const LifecycleProbe& probe = *owned;
+  ckt.add(std::move(owned));
+  TransientOptions opts;
+  opts.t_stop = 20e-12;
+  opts.dt = 0.5e-12;
+  const uint64_t factorizations = counter(metrics::Counter::kMnaFactorizations);
+  const uint64_t steps = counter(metrics::Counter::kTransientSteps);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_EQ(counter(metrics::Counter::kTransientSteps) - steps, 40u);
+  EXPECT_EQ(probe.stamps, counter(metrics::Counter::kMnaFactorizations) - factorizations);
+  ASSERT_EQ(probe.commit_times.size(), 41u);
+  EXPECT_EQ(probe.commit_times, tr.waves.time);
+  EXPECT_EQ(probe.commit_dts.front(), 0.0);
+  for (size_t k = 1; k < probe.commit_dts.size(); ++k) EXPECT_EQ(probe.commit_dts[k], opts.dt);
+}
+
+TEST(Transient, RejectedStepCommitsNothing) {
+  // The ramp of FailedStepIsRetriedAsTwoHalfSteps: each of the three full
+  // steps is rejected, and only the six accepted half steps commit.
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, [](double t) { return 8.0 * t / 1e-12; }));
+  ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
+  auto owned = std::make_unique<LifecycleProbe>();
+  const LifecycleProbe& probe = *owned;
+  ckt.add(std::move(owned));
+  TransientOptions opts;
+  opts.t_stop = 3e-12;
+  opts.dt = 1e-12;
+  opts.initial_x.assign(ckt.num_unknowns(), 0.0);
+  const uint64_t factorizations = counter(metrics::Counter::kMnaFactorizations);
+  const uint64_t rejections = counter(metrics::Counter::kTransientStepRejections);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_EQ(counter(metrics::Counter::kTransientStepRejections) - rejections, 3u);
+  EXPECT_EQ(probe.stamps, counter(metrics::Counter::kMnaFactorizations) - factorizations);
+  ASSERT_EQ(probe.commit_times.size(), 7u);
+  EXPECT_EQ(probe.commit_times, tr.waves.time);
+  EXPECT_EQ(probe.commit_dts.front(), 0.0);
+  for (size_t k = 1; k < probe.commit_dts.size(); ++k) EXPECT_EQ(probe.commit_dts[k], 0.5e-12);
+}
+
 TEST(Transient, RcStepResponseMatchesAnalytic) {
   Circuit ckt;
   const NodeId in = ckt.new_node();
@@ -450,19 +519,17 @@ TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
 
   // The same transient on the dense oracle, step by step.
   std::vector<double> x = opts.initial_x;
-  std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  std::vector<double> state(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x, TransientContext{}, state);
   std::vector<size_t> order;
   ASSERT_EQ(tr.waves.samples.size(), 121u);
   for (size_t step = 1; step < tr.waves.samples.size(); ++step) {
     TransientContext ctx;
     ctx.time = static_cast<double>(step) * opts.dt;
     ctx.dt = opts.dt;
-    ctx.state_prev = &state;
-    ctx.state_next = &state_next;
+    ctx.state = &state;
     ASSERT_TRUE(dense_newton(ckt, ctx, kTransientNewton, x, order)) << step;
-    MnaWorkspace(ckt.num_unknowns()).stamp(ckt, x, ctx);
-    state.swap(state_next);
+    for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, state);
     EXPECT_EQ(tests::fnv1a(tr.waves.samples[step]), tests::fnv1a(x)) << step;
   }
   // The coupling moved far: the window mattered.
@@ -541,22 +608,19 @@ SteppedTransient step_transient(const Circuit& ckt, std::vector<double> x, doubl
                                 size_t steps) {
   SteppedTransient out;
   out.state.assign(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->init_state(ckt, x, out.state);
-  std::vector<double> next(out.state.size(), 0.0);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x, TransientContext{}, out.state);
   MnaWorkspace ws(ckt.num_unknowns());
   out.samples.push_back(x);
   for (size_t step = 1; step <= steps; ++step) {
     TransientContext ctx;
     ctx.time = static_cast<double>(step) * dt;
     ctx.dt = dt;
-    ctx.state_prev = &out.state;
-    ctx.state_next = &next;
+    ctx.state = &out.state;
     if (!newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
       ADD_FAILURE() << "step " << step << " failed";
       break;
     }
-    ws.stamp(ckt, x, ctx);
-    out.state.swap(next);
+    for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, out.state);
     out.samples.push_back(x);
   }
   return out;

@@ -12,6 +12,7 @@
 #include "common/cache.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "device/sweeps.hpp"
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
 #include "explore/contours.hpp"
@@ -49,6 +50,50 @@ TEST(DesignKit, SetTableRejectsOverwrite) {
   explore::DesignKit kit;
   kit.set_table({12, 0.0}, synthetic::synthetic_table());
   EXPECT_THROW(kit.set_table({12, 0.0}, synthetic::synthetic_table()), std::logic_error);
+}
+
+/// A nominal table on the standard VG axis (0..1 V, 0.05 V steps) whose VD
+/// axis runs from 0 to 0.75 V in `vd_step` steps, sampled from one
+/// analytic I(VG, VD): a smooth turn-on whose threshold rises 4 V per V of
+/// VD, so the VD column VT0 is read at shows in its value.
+device::DeviceTable shifted_threshold_table(double vd_step) {
+  device::DeviceTable t;
+  for (int i = 0; i <= 20; ++i) t.vg.push_back(0.05 * i);
+  for (int i = 0; i * vd_step <= 0.75 + 1e-12; ++i) t.vd.push_back(vd_step * i);
+  t.band_gap_eV = 0.6;
+  for (const double vg : t.vg) {
+    for (const double vd : t.vd) {
+      t.current_A.push_back(1e-6 * (1.0 + std::tanh((vg - 4.0 * vd - 0.4) / 0.1)));
+      t.charge_C.push_back(0.0);
+    }
+  }
+  return t;
+}
+
+TEST(DesignKit, Vt0IsReadAtVd50mVWhateverTheVdStep) {
+  explore::DesignKit coarse, fine;
+  coarse.set_table({12, 0.0}, shifted_threshold_table(0.05));
+  const device::DeviceTable fine_table = shifted_threshold_table(0.025);
+  fine.set_table({12, 0.0}, fine_table);
+  EXPECT_NEAR(coarse.vt0(), fine.vt0(), 0.05);
+  // The fine table's first nonzero column (25 mV) puts VT0 more than one
+  // VG step away: reading it there would fail the check above.
+  std::vector<double> id_25mV;
+  for (size_t ig = 0; ig < fine_table.vg.size(); ++ig) {
+    id_25mV.push_back(fine_table.at_current(ig, 1));
+  }
+  EXPECT_GT(std::abs(device::extract_threshold_voltage(fine_table.vg, id_25mV) - fine.vt0()),
+            0.05);
+
+  // No column at 0.05 V: an error naming the axis, not a VT0 read elsewhere.
+  explore::DesignKit off_grid;
+  off_grid.set_table({12, 0.0}, shifted_threshold_table(0.03));
+  try {
+    off_grid.vt0();
+    ADD_FAILURE() << "vt0() read a table with no 0.05 V column";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("VD axis"), std::string::npos) << e.what();
+  }
 }
 
 TEST(DesignKit, FailedResolutionLeavesNoEntryAndRetries) {

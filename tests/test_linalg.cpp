@@ -192,13 +192,12 @@ TEST(LU, OrderedSolveMatchesNaturalOrderOnRingJacobian) {
       circuit::build_ring_oscillator(std::vector<circuit::InverterModels>(15, inv), inv, 0.4);
   const circuit::Circuit& ckt = ro.ckt;
   const std::vector<double> x = ro.kick_state();
-  std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  std::vector<double> state(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x, circuit::TransientContext{}, state);
   circuit::TransientContext ctx;
   ctx.time = 0.5e-12;
   ctx.dt = 0.5e-12;
-  ctx.state_prev = &state;
-  ctx.state_next = &state_next;
+  ctx.state = &state;
   circuit::MnaWorkspace ws(ckt.num_unknowns());
   ws.stamp(ckt, x, ctx);
   for (size_t i = 0; i + ckt.num_branches() < ckt.num_unknowns(); ++i) ws.jac(i, i) += 1e-12;
@@ -260,13 +259,12 @@ RingSystem ring_system() {
       circuit::build_ring_oscillator(std::vector<circuit::InverterModels>(15, inv), inv, 0.4);
   const circuit::Circuit& ckt = ro.ckt;
   const std::vector<double> x = ro.kick_state();
-  std::vector<double> state(ckt.state_size(), 0.0), state_next(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->init_state(ckt, x, state);
+  std::vector<double> state(ckt.state_size(), 0.0);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x, circuit::TransientContext{}, state);
   circuit::TransientContext ctx;
   ctx.time = 0.5e-12;
   ctx.dt = 0.5e-12;
-  ctx.state_prev = &state;
-  ctx.state_next = &state_next;
+  ctx.state = &state;
   circuit::MnaWorkspace ws(ckt.num_unknowns());
   ws.stamp(ckt, x, ctx);
   for (size_t i = 0; i + ckt.num_branches() < ckt.num_unknowns(); ++i) ws.add_jacobian(i, i, 1e-12);

@@ -3,15 +3,19 @@
 ///
 /// The set covers the paper's variability study: ideal devices with
 /// N = 9/12/15/18 (Table 2, Fig. 4), N = 12 with oxide charge impurities
-/// -2q..+2q (Table 3, Fig. 5), and N = 9/18 with -q/+q (Table 4, Figs. 6-7).
-/// Each variant resolves through explore::DesignKit::table, so its spec,
+/// -2q..+2q (Table 3, Fig. 5), N = 9/18 with -q/+q (Table 4, Fig. 7), and
+/// then every Monte Carlo variant of Fig. 6 not yet listed
+/// (explore::monte_carlo_variants: N = 9/12/15 x -q/0/+q, which adds
+/// N = 15 with -q/+q). Each variant resolves through explore::DesignKit::table, so its spec,
 /// bias grid and cache key are the ones every bench uses.
 ///
 /// Generation runs in-process on GNRFET_THREADS threads; takes no arguments.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
 
+#include "explore/montecarlo.hpp"
 #include "explore/tech_explore.hpp"
 
 using namespace gnrfet;
@@ -22,10 +26,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<explore::VariantSpec> variants = {
+  std::vector<explore::VariantSpec> variants = {
       {12, 0.0}, {9, 0.0},  {15, 0.0}, {18, 0.0},  {12, -1.0}, {12, 1.0}, {12, -2.0},
       {12, 2.0}, {9, -1.0}, {9, 1.0},  {18, -1.0}, {18, 1.0},
   };
+  for (const auto& v : explore::monte_carlo_variants()) {
+    if (std::find(variants.begin(), variants.end(), v) == variants.end()) variants.push_back(v);
+  }
   explore::DesignKit kit;
   for (const auto& v : variants) {
     const auto t0 = std::chrono::steady_clock::now();
