@@ -38,14 +38,6 @@ void check_mna_stamp(const Circuit& ckt, const MnaWorkspace& ws) {
   }
 }
 
-Circuit::Circuit() { node_names_.push_back("gnd"); }
-
-NodeId Circuit::new_node(const std::string& name) {
-  const NodeId id = static_cast<NodeId>(node_names_.size());
-  node_names_.push_back(name.empty() ? "n" + std::to_string(id) : name);
-  return id;
-}
-
 size_t Circuit::add(std::unique_ptr<Element> element) {
   element->assign_slots(num_branches_, state_size_);
   num_branches_ += element->num_branches();

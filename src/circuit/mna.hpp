@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -30,11 +29,8 @@ struct TransientContext;
 
 class Circuit {
  public:
-  Circuit();
-
-  NodeId new_node(const std::string& name = "");
-  size_t num_nodes() const { return node_names_.size(); }  ///< includes ground
-  const std::string& node_name(NodeId n) const { return node_names_.at(static_cast<size_t>(n)); }
+  NodeId new_node() { return static_cast<NodeId>(num_nodes_++); }
+  size_t num_nodes() const { return num_nodes_; }  ///< includes ground
 
   /// Adds an element; the circuit assigns branch and state offsets.
   /// Returns a stable element index.
@@ -56,7 +52,7 @@ class Circuit {
   size_t unknown_of_branch(size_t branch) const { return num_nodes() - 1 + branch; }
 
  private:
-  std::vector<std::string> node_names_;
+  size_t num_nodes_ = 1;  ///< ground
   std::vector<std::unique_ptr<Element>> elements_;
   size_t num_branches_ = 0;
   size_t state_size_ = 0;

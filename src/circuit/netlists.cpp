@@ -18,9 +18,9 @@ Fo4Testbench build_fo4_inverter(const InverterModels& driver, const InverterMode
                                 double vdd, VoltageSource::Waveform input) {
   Fo4Testbench tb;
   tb.vdd = vdd;
-  tb.vdd_node = tb.ckt.new_node("vdd");
-  tb.in = tb.ckt.new_node("in");
-  tb.out = tb.ckt.new_node("out");
+  tb.vdd_node = tb.ckt.new_node();
+  tb.in = tb.ckt.new_node();
+  tb.out = tb.ckt.new_node();
   auto vdd_src = std::make_unique<VoltageSource>(tb.vdd_node, kGround, vdd);
   tb.vdd_branch = vdd_src->branch();
   tb.ckt.add(std::move(vdd_src));
@@ -34,14 +34,14 @@ RingOscillator build_ring_oscillator(const std::vector<InverterModels>& stages,
                                      const InverterModels& load, double vdd) {
   RingOscillator ro;
   ro.vdd = vdd;
-  ro.vdd_node = ro.ckt.new_node("vdd");
+  ro.vdd_node = ro.ckt.new_node();
   auto vdd_src = std::make_unique<VoltageSource>(ro.vdd_node, kGround, vdd);
   ro.vdd_branch = vdd_src->branch();
   ro.ckt.add(std::move(vdd_src));
   const size_t n = stages.size();
   ro.stage_out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    ro.stage_out.push_back(ro.ckt.new_node("s" + std::to_string(i)));
+    ro.stage_out.push_back(ro.ckt.new_node());
   }
   for (size_t i = 0; i < n; ++i) {
     const NodeId in = ro.stage_out[(i + n - 1) % n];
@@ -73,12 +73,12 @@ std::vector<double> RingOscillator::kick_state(bool* dc_converged) const {
 Latch build_latch(const InverterModels& fwd, const InverterModels& bwd, double vdd) {
   Latch l;
   l.vdd = vdd;
-  l.vdd_node = l.ckt.new_node("vdd");
+  l.vdd_node = l.ckt.new_node();
   auto vdd_src = std::make_unique<VoltageSource>(l.vdd_node, kGround, vdd);
   l.vdd_branch = vdd_src->branch();
   l.ckt.add(std::move(vdd_src));
-  l.q = l.ckt.new_node("q");
-  l.qb = l.ckt.new_node("qb");
+  l.q = l.ckt.new_node();
+  l.qb = l.ckt.new_node();
   add_inverter(l.ckt, fwd, l.q, l.qb, l.vdd_node);
   add_inverter(l.ckt, bwd, l.qb, l.q, l.vdd_node);
   return l;

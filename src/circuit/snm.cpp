@@ -10,9 +10,9 @@ namespace gnrfet::circuit {
 
 Vtc compute_vtc(const InverterModels& models, double vdd, int points) {
   Circuit ckt;
-  const NodeId vdd_node = ckt.new_node("vdd");
-  const NodeId in = ckt.new_node("in");
-  const NodeId out = ckt.new_node("out");
+  const NodeId vdd_node = ckt.new_node();
+  const NodeId in = ckt.new_node();
+  const NodeId out = ckt.new_node();
   auto vdd_src = std::make_unique<VoltageSource>(vdd_node, kGround, vdd);
   const size_t vdd_branch = vdd_src->branch();
   ckt.add(std::move(vdd_src));

@@ -35,8 +35,8 @@ class EnvError : public std::runtime_error {
 
 /// Strictly parsed positive integer: unset or empty yields `fallback`;
 /// anything else must be all decimal digits, fit in int, and be >= 1, or
-/// an EnvError is thrown. The one integer parser: GNRFET_THREADS and every
-/// bench knob (GNRFET_MC_SAMPLES, GNRFET_BENCH_*) reject garbage alike.
+/// an EnvError is thrown. The one integer parser: GNRFET_THREADS and the
+/// one bench knob, GNRFET_MC_SAMPLES, reject garbage alike.
 int get_positive_int(const char* name, int fallback);
 
 }  // namespace env

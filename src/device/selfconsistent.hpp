@@ -69,8 +69,8 @@ class SelfConsistentSolver {
 
   /// The charge one Gummel iteration hands to Poisson when the potential
   /// on S is `phi_s`: a transport solve at `bias` on that potential,
-  /// deposited on S. Exposed so tests and benches can pose the real Newton
-  /// systems to both the reduced solver and the full-grid oracle.
+  /// deposited on S. Exposed so the capacitance tests can pose the real
+  /// Newton systems to both the reduced solver and the full-grid oracle.
   ChargePopulations charge_populations(const BiasPoint& bias,
                                        const std::vector<double>& phi_s) const;
 

@@ -5,7 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "common/constants.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 
@@ -69,13 +68,6 @@ ModeSet build_mode_set(int n_index, const TightBindingParams& params, int num_mo
                 std::isfinite(set.band_gap_eV()) && set.band_gap_eV() >= 0.0,
                 strings::format("band gap = %g eV", set.band_gap_eV()));
   return set;
-}
-
-double mode_dispersion(const Mode& m, double k_per_nm) {
-  const double period = 1.5 * constants::kCarbonBond_nm;
-  const double c = std::cos(k_per_nm * period);
-  return std::sqrt(std::max(
-      0.0, m.t_dimer * m.t_dimer + m.t_stair * m.t_stair + 2.0 * m.t_dimer * m.t_stair * c));
 }
 
 }  // namespace gnrfet::gnr

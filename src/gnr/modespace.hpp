@@ -50,12 +50,4 @@ struct ModeSet {
 /// Build the `num_modes` lowest subbands of the N-index ribbon.
 ModeSet build_mode_set(int n_index, const TightBindingParams& params, int num_modes);
 
-/// Dispersion of one mode at wavevector k. The mode chain's period is
-/// 1.5*aCC (two column sites per period):
-/// E = +- sqrt(t_p^2 + b_p^2 + 2 t_p b_p cos(k*1.5*aCC)). Returns the
-/// positive branch. Evaluated over the ribbon Brillouin zone
-/// [0, pi/(3 aCC)], the set {E_p(k), p=1..N} reproduces the positive
-/// real-space bands exactly for delta = 0.
-double mode_dispersion(const Mode& m, double k_per_nm);
-
 }  // namespace gnrfet::gnr

@@ -37,8 +37,8 @@ inline bool rgf_batch_enabled() { return true; }
 /// True when the branchless Smith reciprocal passed the one-time
 /// self-check against std::complex division and the batch kernel runs
 /// fully vectorized; false means it fell back to per-lane std::complex
-/// division (bit-correct on any toolchain, slower). Exposed for the
-/// bench/CI perf gates.
+/// division (bit-correct on any toolchain, slower). Asserted by the
+/// batched-kernel solve-rate gate, PerfGate.* in tests/test_batch_rgf.cpp.
 bool rgf_batch_uses_fast_reciprocal();
 
 /// Results of one batched solve. Per-lane scalars are indexed [lane];

@@ -12,7 +12,7 @@
 ///
 /// The device loop runs its Newton on the capacitance matrix of the
 /// ribbon's charge nodes (poisson/capacitance.hpp); solve_nonlinear() here
-/// is that solve's test and bench oracle on all free nodes, and
+/// is that solve's test oracle on all free nodes, and
 /// solve_linear() the plain full-grid solve. Repeated solves share one
 /// sparsity pattern, so this object keeps everything that survives between
 /// them:
@@ -29,7 +29,7 @@
 /// blocked-pairwise dot products inside one damped Newton loop, the
 /// Newton–Raphson Poisson + PCG scheme of ViDES (arXiv:0704.1875).
 /// PoissonSolver(assembly) always uses IC(0); the two-argument constructor
-/// swaps only the preconditioner object, so tests and benches can run the
+/// swaps only the preconditioner object, so the tests can run the
 /// Jacobi reference through the same loop. One PoissonSolver is used by
 /// one thread at a time; create one per concurrent solve (the thread-pool
 /// parallelism is across solves). The persistent workspaces are

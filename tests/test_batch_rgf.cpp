@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -212,6 +215,67 @@ TEST(BatchRgfParallel, UniformBatchedBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_BITS_EQ(currents[0], currents[1]);
   EXPECT_EQ(hashes[0], hashes[1]);
+}
+
+/// Timed, unlike every other test: kept out of ctest by the PerfGate.*
+/// filter in tests/CMakeLists.txt and run from a Release build by the
+/// perf-smoke stage of tools/ci_checks.sh.
+TEST(PerfGate, BatchedRgfHoldsOneAndAHalfTimesTheScalarSolveRate) {
+  EXPECT_TRUE(negf::rgf_batch_uses_fast_reciprocal());
+  // The subband chains of a fig2-style source-drain ramp family: 3 drain
+  // biases x 3 subbands of 32 columns, each solved at 304 energies.
+  constexpr size_t kColumns = 32;
+  std::vector<negf::ScalarChain> chains;
+  for (int i = 0; i < 3; ++i) {
+    const double vd = 0.05 + 0.225 * static_cast<double>(i);
+    for (int j = 0; j < 3; ++j) {
+      negf::ScalarChain c;
+      c.onsite.resize(kColumns);
+      c.hopping.resize(kColumns - 1);
+      for (size_t col = 0; col < kColumns; ++col) {
+        const double x = static_cast<double>(col) / static_cast<double>(kColumns - 1);
+        c.onsite[col] = -0.3 - vd * x + 0.02 * std::cos(0.7 * static_cast<double>(j));
+      }
+      for (size_t col = 0; col + 1 < kColumns; ++col) c.hopping[col] = col % 2 == 0 ? -2.7 : -2.43;
+      c.gamma_left = 0.05;
+      c.gamma_right = 0.05;
+      chains.push_back(std::move(c));
+    }
+  }
+  std::vector<double> energies(304);
+  for (size_t k = 0; k < energies.size(); ++k) {
+    energies[k] = -0.9 + 1.2 * static_cast<double>(k) / static_cast<double>(energies.size() - 1);
+  }
+  constexpr double kEta = 1e-4;
+
+  negf::ScalarRgfWorkspace scalar_ws;
+  negf::ScalarRgfResult scalar_out;
+  negf::ScalarRgfBatchWorkspace batch_ws;
+  negf::ScalarRgfBatchResult batch_out;
+  const auto seconds = [](const auto& pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pass();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  // Best of several repeats of each path: the least disturbed pass.
+  double scalar_s = std::numeric_limits<double>::infinity();
+  double batch_s = scalar_s;
+  for (int rep = 0; rep < 5; ++rep) {
+    scalar_s = std::min(scalar_s, seconds([&] {
+      for (const auto& chain : chains) {
+        for (const double e : energies) negf::scalar_rgf_solve(chain, e, kEta, scalar_ws, scalar_out);
+      }
+    }));
+    batch_s = std::min(batch_s, seconds([&] {
+      for (const auto& chain : chains) {
+        for (size_t k0 = 0; k0 < energies.size(); k0 += negf::kRgfBatchLanes) {
+          const size_t nb = std::min(negf::kRgfBatchLanes, energies.size() - k0);
+          negf::scalar_rgf_solve_batch(chain, energies.data() + k0, nb, kEta, batch_ws, batch_out);
+        }
+      }
+    }));
+  }
+  EXPECT_GE(scalar_s / batch_s, 1.5) << "scalar " << scalar_s << " s, batched " << batch_s << " s";
 }
 
 }  // namespace

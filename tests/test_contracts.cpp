@@ -173,7 +173,7 @@ TEST(Contracts, NanPopulationNamesPoissonInNonlinearSolve) {
 
 TEST(Contracts, ZeroTimestepNamesCircuit) {
   circuit::Circuit ckt;
-  const circuit::NodeId a = ckt.new_node("a");
+  const circuit::NodeId a = ckt.new_node();
   ckt.add(std::make_unique<circuit::VoltageSource>(a, circuit::kGround, 1.0));
   circuit::TransientOptions opts;
   opts.dt = 0.0;
@@ -187,7 +187,7 @@ TEST(Contracts, DegenerateVoltageSourceNamesCircuitStructuralRank) {
   // Both terminals on ground: the source's branch row stamps nothing, so
   // the MNA system is structurally singular in that row.
   circuit::Circuit ckt;
-  const circuit::NodeId a = ckt.new_node("a");
+  const circuit::NodeId a = ckt.new_node();
   ckt.add(std::make_unique<circuit::Resistor>(a, circuit::kGround, 1e3));
   ckt.add(std::make_unique<circuit::VoltageSource>(circuit::kGround, circuit::kGround, 1.0));
 
@@ -198,9 +198,9 @@ TEST(Contracts, DegenerateVoltageSourceNamesCircuitStructuralRank) {
 
 TEST(Contracts, ZeroOhmResistorNamesCircuitFiniteStamp) {
   circuit::Circuit ckt;
-  const circuit::NodeId a = ckt.new_node("a");
+  const circuit::NodeId a = ckt.new_node();
   ckt.add(std::make_unique<circuit::VoltageSource>(a, circuit::kGround, 1.0));
-  const circuit::NodeId b = ckt.new_node("b");
+  const circuit::NodeId b = ckt.new_node();
   ckt.add(std::make_unique<circuit::Resistor>(a, b, 0.0));  // 1/R = inf
   ckt.add(std::make_unique<circuit::Resistor>(b, circuit::kGround, 1e3));
 

@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -675,6 +676,36 @@ TEST(TableGen, TinyEndToEndGeneration) {
   EXPECT_GT(t.at_current(1, 1), 0.0);
   // On state holds electrons: negative channel charge at high VG.
   EXPECT_LT(t.at_charge(1, 1), 0.0);
+}
+
+TEST(TableGen, DefaultEnergyStepWithinHalfPercentOfFinerReference) {
+  // A cold N = 12 sub-table of the standard bias plane, VG 0.2/0.6/1.0 V x
+  // VD 0/0.75 V, on the default uniform energy grid against the same table
+  // at a 4x finer step. Currents are compared where |I| > 1e-3 Imax;
+  // charges relative to the reference's largest |Q|.
+  TableGenOptions opts;
+  opts.vg_min = 0.2;
+  opts.vg_max = 1.0;
+  opts.vg_points = 3;
+  opts.vd_min = 0.0;
+  opts.vd_max = 0.75;
+  opts.vd_points = 2;
+  opts.use_cache = false;
+  const DeviceTable table = generate_device_table(DeviceSpec{}, opts);
+  opts.solve.energy_step_eV /= 4.0;
+  const DeviceTable ref = generate_device_table(DeviceSpec{}, opts);
+
+  double i_max = 0.0, q_max = 0.0;
+  for (size_t k = 0; k < ref.current_A.size(); ++k) {
+    i_max = std::max(i_max, std::abs(ref.current_A[k]));
+    q_max = std::max(q_max, std::abs(ref.charge_C[k]));
+  }
+  for (size_t k = 0; k < ref.current_A.size(); ++k) {
+    EXPECT_LE(std::abs(table.charge_C[k] - ref.charge_C[k]), 5e-3 * q_max) << "point " << k;
+    if (std::abs(ref.current_A[k]) <= 1e-3 * i_max) continue;
+    EXPECT_LE(std::abs(table.current_A[k] - ref.current_A[k]), 5e-3 * std::abs(ref.current_A[k]))
+        << "point " << k;
+  }
 }
 
 /// The pinned end-to-end table through the self-consistent device stack

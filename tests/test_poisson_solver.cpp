@@ -154,6 +154,53 @@ TEST(PoissonSolver, SolveRecordsPreconditionerMetrics) {
             before.histograms[static_cast<size_t>(metrics::Histogram::kPcgIterationsIc0)].count);
 }
 
+/// Total full-grid PCG iterations of `kind` over three charge cases on a
+/// MOS-like gate stack: a 24 x 16 x 16 grid at scale 1, the same 6 x 4 x 4 nm
+/// box refined `scale` times. Each case deposits one impurity and a sheet
+/// of channel electrons at one density, the charge the Gummel loop feeds
+/// Poisson, and runs a linear solve and a nonlinear solve from it.
+uint64_t gate_stack_pcg_iterations(PreconditionerKind kind, size_t scale) {
+  poisson::GridSpec g;
+  g.nx = 24 * scale;
+  g.ny = 16 * scale;
+  g.nz = 16 * scale;
+  g.dx = g.dy = g.dz = 0.25 / double(scale);
+  poisson::Domain domain(g);
+  domain.paint_permittivity({-1.0, 1e9, -1.0, 1e9, -1.0, 1e9}, 3.9);
+  domain.add_electrode({-1.0, 1e9, -1.0, 1e9, -0.001, 0.001});
+  domain.add_electrode({-1.0, 1e9, -1.0, 1e9, g.z_max() - 0.001, g.z_max() + 0.001});
+  const poisson::Assembly assembly(domain);
+  const std::vector<double> p0(g.num_nodes(), 0.0);
+
+  const auto pcg_iterations = [] {
+    return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kPcgIterations)];
+  };
+  const uint64_t before = pcg_iterations();
+  poisson::PoissonSolver solver(assembly, kind);
+  for (const double amp : {0.2, 0.6, 1.2}) {
+    std::vector<double> fixed(g.num_nodes(), 0.0);
+    std::vector<double> n0(g.num_nodes(), 0.0);
+    domain.deposit_charge(g.x(g.nx / 3), g.y(g.ny / 2), g.z(g.nz / 2), 1.0, fixed);
+    for (size_t i = 2; i + 2 < g.nx; ++i) {
+      domain.deposit_charge(g.x(i), g.y(g.ny / 2), g.z(g.nz / 2), amp / double(g.nx), n0);
+    }
+    const auto phi_lin = solver.solve_linear({0.0, 0.4}, fixed);
+    const auto res = solver.solve_nonlinear({0.0, 0.4}, n0, p0, fixed, phi_lin, phi_lin);
+    EXPECT_TRUE(res.converged) << linalg::to_string(kind) << " scale " << scale << " amp " << amp;
+  }
+  return pcg_iterations() - before;
+}
+
+TEST(PoissonSolver, Ic0NeedsFewerPcgIterationsThanJacobiAtTwoScales) {
+  // The production preconditioner must beat the Jacobi reference on the
+  // same Newton loop, and keep beating it under mesh refinement.
+  for (const size_t scale : {size_t{1}, size_t{2}}) {
+    const uint64_t jacobi = gate_stack_pcg_iterations(PreconditionerKind::kJacobi, scale);
+    const uint64_t ic0 = gate_stack_pcg_iterations(PreconditionerKind::kIc0, scale);
+    EXPECT_LT(ic0, jacobi) << "scale " << scale;
+  }
+}
+
 TEST(PoissonSolverParallel, ConcurrentSolversMatchSerialBitForBit) {
   // The thread-pool parallelism is across solves: each worker owns its own
   // PoissonSolver. Concurrent solves over distinct bias points must be
