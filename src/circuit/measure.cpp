@@ -23,29 +23,6 @@ std::vector<double> crossing_times(const std::vector<double>& time,
   return out;
 }
 
-double average_after(const std::vector<double>& time, const std::vector<double>& wave,
-                     double t_start) {
-  double sum = 0.0, span = 0.0;
-  for (size_t i = 1; i < wave.size(); ++i) {
-    if (time[i - 1] < t_start) continue;
-    const double dt = time[i] - time[i - 1];
-    sum += 0.5 * (wave[i] + wave[i - 1]) * dt;
-    span += dt;
-  }
-  return span > 0.0 ? sum / span : 0.0;
-}
-
-double oscillation_frequency(const std::vector<double>& time, const std::vector<double>& wave,
-                             double level) {
-  const auto cross = crossing_times(time, wave, level, true);
-  if (cross.size() < 3) return 0.0;
-  // Mean period over the trailing half of the crossings.
-  const size_t start = cross.size() / 2;
-  const size_t cycles = cross.size() - 1 - start;
-  if (cycles == 0) return 0.0;
-  return static_cast<double>(cycles) / (cross.back() - cross[start]);
-}
-
 namespace {
 
 /// Input ramp time of the FO4 testbench's rise and fall.

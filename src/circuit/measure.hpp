@@ -12,15 +12,6 @@ namespace gnrfet::circuit {
 std::vector<double> crossing_times(const std::vector<double>& time,
                                    const std::vector<double>& wave, double level, bool rising);
 
-/// Average of a waveform over [t_start, end].
-double average_after(const std::vector<double>& time, const std::vector<double>& wave,
-                     double t_start);
-
-/// Oscillation frequency from the mean period of the last rising
-/// crossings; returns 0 if fewer than 3 crossings.
-double oscillation_frequency(const std::vector<double>& time, const std::vector<double>& wave,
-                             double level);
-
 /// Figures of merit of one inverter design (fixed driver/load models).
 struct InverterMetrics {
   double delay_s = 0.0;          ///< FO4 propagation delay (rise/fall average)

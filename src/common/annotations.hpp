@@ -28,10 +28,7 @@
 /// run/registration mutexes (common/parallel.cpp), the DesignKit table
 /// cache (explore/tech_explore.hpp), the trace and metrics registries
 /// (common/trace.cpp, common/metrics.cpp), and the cache-directory
-/// once-init (common/cache.cpp). PoissonSolver's persistent workspaces
-/// are intentionally *not* mutex-guarded — the class is thread-compatible
-/// (one solver per concurrent solve) and enforces single ownership with a
-/// runtime contract instead (poisson/solver.cpp).
+/// once-init (common/cache.cpp).
 #if defined(__clang__)
 #define GNRFET_THREAD_ANNOTATION(x) __attribute__((x))
 #else

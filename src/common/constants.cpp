@@ -11,11 +11,4 @@ double fermi(double e_minus_mu_eV, double kT_eV) {
   return 1.0 / (1.0 + std::exp(x));
 }
 
-double fermi_derivative(double e_minus_mu_eV, double kT_eV) {
-  const double x = e_minus_mu_eV / kT_eV;
-  if (std::abs(x) > 40.0) return 0.0;
-  const double c = std::cosh(0.5 * x);
-  return -1.0 / (4.0 * kT_eV * c * c);
-}
-
 }  // namespace gnrfet::constants

@@ -56,7 +56,4 @@ inline constexpr double kEpsSiO2 = 3.9;
 /// both in eV, at thermal energy kT (eV).
 double fermi(double e_minus_mu_eV, double kT_eV = kThermalVoltage300K);
 
-/// d f / d E (negative), used by linearized charge models.
-double fermi_derivative(double e_minus_mu_eV, double kT_eV = kThermalVoltage300K);
-
 }  // namespace gnrfet::constants

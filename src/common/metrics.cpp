@@ -80,9 +80,7 @@ const char* kCounterNames[kNumCounters] = {
 
 const char* kHistogramNames[kNumHistograms] = {
     "gummel_iterations_per_bias",  "newton_iterations_per_solve",
-    "pcg_iterations_per_solve",    "pcg_iterations_jacobi",
-    "pcg_iterations_ic0",
-    "energy_points_per_transport",
+    "pcg_iterations_per_solve",    "energy_points_per_transport",
     "rgf_batch_width",
 };
 

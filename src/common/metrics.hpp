@@ -29,7 +29,7 @@ enum class Counter {
   kRgfBatchSolves,            ///< negf: batched RGF kernel invocations (SoA energy batches)
   kPoissonNewtonIterations,   ///< poisson: damped-Newton iterations
   kPcgIterations,             ///< linalg: full-grid PCG iterations
-  kPcgPrecondSetups,          ///< linalg: preconditioner factor/refactor passes
+  kPcgPrecondSetups,          ///< linalg: preconditioner factorizations
   kTableCacheHits,            ///< device: bias tables served from disk cache
   kTableCacheMisses,          ///< device: bias tables generated cold
   /// Never incremented. Read only by perfbench's timed-call gate; delete
@@ -60,9 +60,7 @@ void add(Counter c, uint64_t delta = 1);
 enum class Histogram {
   kGummelIterationsPerBias = 0,  ///< device: outer iterations per solve()
   kNewtonIterationsPerSolve,     ///< poisson: Newton iterations per nonlinear solve
-  kPcgIterationsPerSolve,        ///< linalg: PCG iterations per solve (all preconditioners)
-  kPcgIterationsJacobi,          ///< linalg: PCG iterations per Jacobi-preconditioned solve
-  kPcgIterationsIc0,             ///< linalg: PCG iterations per IC(0)-preconditioned solve
+  kPcgIterationsPerSolve,        ///< linalg: PCG iterations per solve
   kEnergyPointsPerTransport,     ///< negf: energy grid size per transport solve
   kRgfBatchWidth,                ///< negf: energies per batched RGF kernel call
   kCount

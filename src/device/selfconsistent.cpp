@@ -82,7 +82,7 @@ double SelfConsistentSolver::ribbon_potential(const std::vector<double>& phi_s,
                                               const RibbonStencil& st) const {
   const size_t ns = phi_s.size();
   double v = 0.0;
-  // Ascending p: the accumulation order of Domain::interpolate().
+  // Trilinear interpolation over the stencil, in ascending p.
   for (size_t p = 0; p < 8; ++p) {
     const size_t s = st.slot[p];
     v += st.weight[p] * (s < ns ? phi_s[s] : volts[s - ns]);

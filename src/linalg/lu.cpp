@@ -378,11 +378,6 @@ void ReplayLU::solve_into(const std::vector<double>& b, std::vector<double>& x) 
   for (size_t i = 0; i < n; ++i) x[a_col_[i]] = y[i];
 }
 
-CMatrix inverse(const CMatrix& a) {
-  const LU lu(a);
-  return lu.solve(CMatrix::identity(a.rows()));
-}
-
 std::vector<size_t> minimum_degree_order(const DMatrix& a) {
   const size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("minimum_degree_order: matrix must be square");

@@ -147,9 +147,6 @@ class ReplayLU {
   mutable std::vector<double> y_;  ///< reused work vector of solve_into
 };
 
-/// Convenience: matrix inverse via LU. Throws on singular input.
-CMatrix inverse(const CMatrix& a);
-
 /// Minimum-degree elimination order of the symmetrised nonzero pattern of
 /// `a` (i and j coupled when a(i, j) or a(j, i) is nonzero): each step
 /// eliminates the remaining unknown with the fewest remaining neighbours,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -18,28 +17,18 @@ constexpr double kAbsTolerance = 1e-14;
 constexpr size_t kMaxIterations = 20000;
 
 /// Records each real lane's final iteration count once, on every exit
-/// path — both into the global PCG histogram and into the
-/// per-preconditioner one, so the trace report can show the
-/// Jacobi-vs-IC(0) iteration split.
+/// path.
 struct IterationRecorder {
   const PcgResult* results;
   size_t lanes;
-  metrics::Histogram per_pc;
   ~IterationRecorder() {
     for (size_t j = 0; j < lanes; ++j) {
-      const auto iterations = static_cast<double>(results[j].iterations);
       metrics::add(metrics::Counter::kPcgIterations, static_cast<uint64_t>(results[j].iterations));
-      metrics::observe(metrics::Histogram::kPcgIterationsPerSolve, iterations);
-      metrics::observe(per_pc, iterations);
+      metrics::observe(metrics::Histogram::kPcgIterationsPerSolve,
+                       static_cast<double>(results[j].iterations));
     }
   }
 };
-
-metrics::Histogram histogram_for(const Preconditioner* pc) {
-  return pc == nullptr || std::strcmp(pc->name(), "jacobi") == 0
-             ? metrics::Histogram::kPcgIterationsJacobi
-             : metrics::Histogram::kPcgIterationsIc0;
-}
 
 /// The one PCG iteration body. The K right-hand sides interleaved in `b`
 /// advance in lockstep and every lane runs exactly the operation sequence
@@ -56,15 +45,9 @@ metrics::Histogram histogram_for(const Preconditioner* pc) {
 template <size_t K>
 void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes,
                const size_t* rows, size_t nrows, std::vector<double>& x,
-               std::vector<double>& x_out, const PcgOptions& opts, PcgResult* results) {
+               std::vector<double>& x_out, const Preconditioner& precond, const PcgOptions& opts,
+               PcgResult* results) {
   const size_t n = a.dim();
-  // Callers without an explicit preconditioner get a per-call Jacobi.
-  JacobiPreconditioner fallback;
-  const Preconditioner* precond = opts.preconditioner;
-  if (precond == nullptr) {
-    fallback.factor(a);
-    precond = &fallback;
-  }
   PcgWorkspace local;
   PcgWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
   ws.r.resize(n * K);
@@ -80,7 +63,7 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
   kernels::dot<K>(b.data(), b.data(), n, b_norm);
   for (size_t j = 0; j < K; ++j) b_norm[j] = std::sqrt(std::max(b_norm[j], 1e-300));
 
-  precond->apply(ws.r, ws.z, K);
+  precond.apply(ws.r, ws.z, K);
   ws.p = ws.z;
   kernels::dot<K>(ws.r.data(), ws.z.data(), n, rz);
 
@@ -92,7 +75,7 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
     }
     return true;
   };
-  const IterationRecorder recorder{results, lanes, histogram_for(opts.preconditioner)};
+  const IterationRecorder recorder{results, lanes};
   for (size_t it = 0; it < kMaxIterations; ++it) {
     double rr[K];
     kernels::dot<K>(ws.r.data(), ws.r.data(), n, rr);
@@ -132,7 +115,7 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
       }
     }
     kernels::axpy<K>(neg_alpha, ws.ap.data(), ws.r.data(), n);
-    precond->apply(ws.r, ws.z, K);
+    precond.apply(ws.r, ws.z, K);
     double rz_new[K], beta[K];
     kernels::dot<K>(ws.r.data(), ws.z.data(), n, rz_new);
     for (size_t j = 0; j < K; ++j) {
@@ -152,13 +135,14 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
 }  // namespace
 
 PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
-                    std::vector<double>& x, const PcgOptions& opts) {
+                    std::vector<double>& x, const Preconditioner& precond,
+                    const PcgOptions& opts) {
   trace::Span span("linalg", "pcg_solve");
   const size_t n = a.dim();
   if (b.size() != n) throw std::invalid_argument("pcg_solve: rhs size mismatch");
   if (x.size() != n) x.assign(n, 0.0);
   PcgResult result;
-  pcg_lanes<1>(a, b, 1, nullptr, n, x, x, opts, &result);
+  pcg_lanes<1>(a, b, 1, nullptr, n, x, x, precond, opts, &result);
   return result;
 }
 
@@ -167,6 +151,7 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
                                                        size_t lanes,
                                                        const std::vector<size_t>& rows,
                                                        std::vector<double>& x_rows,
+                                                       const Preconditioner& precond,
                                                        const PcgOptions& opts) {
   trace::Span span("linalg", "pcg_solve");
   constexpr size_t K = kernels::kLanes;
@@ -181,7 +166,8 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
   x.assign(rows.size() * K, 0.0);
   x_rows.resize(rows.size() * K);
   std::array<PcgResult, K> results;
-  pcg_lanes<K>(a, b, lanes, rows.data(), rows.size(), x, x_rows, opts, results.data());
+  pcg_lanes<K>(a, b, lanes, rows.data(), rows.size(), x, x_rows, precond, opts,
+               results.data());
   return results;
 }
 

@@ -7,11 +7,11 @@
 #include "linalg/sparse.hpp"
 
 /// Preconditioned conjugate gradient for the (symmetric positive definite)
-/// Poisson systems. The preconditioner is injectable (IC(0) in production,
-/// Jacobi as the null-preconditioner fallback — see
-/// linalg/preconditioner.hpp); dot products are blocked-pairwise sums
-/// (linalg/kernels.hpp). Callers on a hot loop pass a PcgWorkspace so the
-/// iteration vectors are allocated once and reused across solves.
+/// Poisson systems. The caller passes a factored preconditioner (IC(0) in
+/// production, see linalg/preconditioner.hpp); dot products are
+/// blocked-pairwise sums (linalg/kernels.hpp). Callers on a hot loop pass
+/// a PcgWorkspace so the iteration vectors are allocated once and reused
+/// across solves.
 ///
 /// One iteration body serves both entry points: pcg_solve is its
 /// one-lane instance, and pcg_solve_lanes advances kernels::kLanes
@@ -29,9 +29,6 @@ struct PcgWorkspace {
 
 struct PcgOptions {
   double rel_tolerance = 1e-10;
-  /// Preconditioner to apply (must be factored for the system matrix).
-  /// Null selects an internal per-call Jacobi.
-  const Preconditioner* preconditioner = nullptr;
   /// Optional reusable vectors; null falls back to per-call allocation.
   PcgWorkspace* workspace = nullptr;
 };
@@ -42,9 +39,11 @@ struct PcgResult {
   double residual_norm = 0.0;
 };
 
-/// Solves A x = b in place; `x` provides the initial guess.
+/// Solves A x = b in place; `x` provides the initial guess. `precond`
+/// must be factored for `a`.
 PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
-                    std::vector<double>& x, const PcgOptions& opts = {});
+                    std::vector<double>& x, const Preconditioner& precond,
+                    const PcgOptions& opts = {});
 
 /// Solves A x_j = b_j from x_j = 0 for the first `lanes` (1..kLanes) of
 /// kernels::kLanes right-hand sides stored interleaved in `b` (row i of
@@ -60,6 +59,7 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
                                                        size_t lanes,
                                                        const std::vector<size_t>& rows,
                                                        std::vector<double>& x_rows,
+                                                       const Preconditioner& precond,
                                                        const PcgOptions& opts);
 
 }  // namespace gnrfet::linalg

@@ -20,8 +20,6 @@ constexpr double kMaxShift = 1e3;
 /// 1 = full MIC(0)); see IncompleteCholesky.
 constexpr double kDropCompensation = 0.95;
 
-void record_setup() { metrics::add(metrics::Counter::kPcgPrecondSetups); }
-
 }  // namespace
 
 void Preconditioner::apply(const std::vector<double>& r, std::vector<double>& z,
@@ -31,24 +29,6 @@ void Preconditioner::apply(const std::vector<double>& r, std::vector<double>& z,
   }
   z.resize(r.size());
   apply_lanes(r.data(), z.data(), r.size() / lanes, lanes);
-}
-
-// ---------------------------------------------------------------- Jacobi
-
-void JacobiPreconditioner::factor(const SparseMatrix& a) {
-  inv_diag_ = a.diagonal();
-  for (auto& d : inv_diag_) d = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
-  record_setup();
-}
-
-void JacobiPreconditioner::apply_lanes(const double* r, double* z, size_t rows,
-                                       size_t lanes) const {
-  if (rows != inv_diag_.size()) {
-    throw std::invalid_argument("JacobiPreconditioner::apply: size mismatch");
-  }
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < lanes; ++j) z[i * lanes + j] = inv_diag_[i] * r[i * lanes + j];
-  }
 }
 
 // ----------------------------------------------------------------- IC(0)
@@ -101,24 +81,15 @@ void IncompleteCholesky::factor(const SparseMatrix& a) {
   }
 
   shift_ = 0.0;
-  refactor_numeric(a);
-}
-
-void IncompleteCholesky::refactor(const SparseMatrix& a) {
-  if (n_ != a.dim() || lrow_ptr_.empty()) {
-    factor(a);
-    return;
-  }
-  refactor_numeric(a);
+  factor_numeric(a);
 }
 
 /// Numeric (M)IC(0) on the stored pattern: right-looking column
 /// elimination with dropped fill compensated onto the diagonal (weight
-/// kDropCompensation), plus the diagonal-shift retry loop. Keeps any previously
-/// needed shift (retrying from zero every Newton iteration would thrash);
-/// escalates further on new breakdowns. Update order is column-major,
+/// kDropCompensation), plus the diagonal-shift retry loop, which escalates
+/// the shift on each breakdown. Update order is column-major,
 /// left-to-right — fixed, so the factorization is bit-deterministic.
-void IncompleteCholesky::refactor_numeric(const SparseMatrix& a) {
+void IncompleteCholesky::factor_numeric(const SparseMatrix& a) {
   const double* aval = a.values().data();
   for (;;) {
     // (Re)load the lower-triangular values of A, shift applied to the
@@ -184,7 +155,7 @@ void IncompleteCholesky::refactor_numeric(const SparseMatrix& a) {
     }
   }
   for (size_t u = 0; u < umap_.size(); ++u) uval_[u] = lval_[umap_[u]];
-  record_setup();
+  metrics::add(metrics::Counter::kPcgPrecondSetups);
 }
 
 void IncompleteCholesky::apply_lanes(const double* r, double* z, size_t rows,
@@ -227,15 +198,10 @@ void IncompleteCholesky::sweep(const double* r, double* z) const {
   }
 }
 
-// --------------------------------------------------------------- factory
+// ------------------------------------------------------------------ kind
 
 const char* to_string(PreconditionerKind kind) {
   return kind == PreconditionerKind::kIc0 ? "ic0" : "jacobi";
-}
-
-std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind) {
-  if (kind == PreconditionerKind::kIc0) return std::make_unique<IncompleteCholesky>();
-  return std::make_unique<JacobiPreconditioner>();
 }
 
 }  // namespace gnrfet::linalg

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "linalg/sparse.hpp"
@@ -9,14 +8,10 @@
 /// Preconditioners for the PCG Poisson solves.
 ///
 /// The Poisson operator is a structured-grid SPD Laplacian, and the
-/// Newton/Gummel loops solve with the same sparsity pattern thousands of
-/// times per bias table. IC(0) is the production preconditioner, chosen by
-/// wall clock on a cold N=12 device table (EXPERIMENTS.md). Jacobi, the
-/// weakest useful preconditioner here, stays as pcg_solve's
-/// null-preconditioner fallback and as a test reference. `factor()` does the one-off symbolic setup (sparsity
-/// analysis, allocation), `refactor()` refreshes only the numeric content
-/// and is what the Newton loop calls when nothing but the matrix diagonal
-/// moved.
+/// capacitance-matrix build solves it for every charge node of the
+/// ribbon. IC(0) is the production preconditioner, chosen by wall clock on
+/// a cold N=12 device table (EXPERIMENTS.md); the Jacobi reference the
+/// tests compare it against lives in tests/support.
 ///
 /// Every sweep runs on one thread in a fixed order (see
 /// linalg/kernels.hpp), so solves stay bit-deterministic; parallelism in
@@ -30,38 +25,16 @@ class Preconditioner {
   /// Full (symbolic + numeric) setup. Invalidates nothing on throw.
   virtual void factor(const SparseMatrix& a) = 0;
 
-  /// Numeric-only refresh after value edits that preserved the sparsity
-  /// pattern (the Newton loop only retargets the diagonal). Falls back to
-  /// factor() when no prior setup exists or the dimension changed.
-  virtual void refactor(const SparseMatrix& a) = 0;
-
   /// z = M^{-1} r on `lanes` interleaved vectors (row i of lane j at
   /// i*lanes + j; see linalg/kernels.hpp). `lanes` is 1 or
   /// kernels::kLanes, and each lane is bit-identical to a one-lane apply.
-  /// Requires a prior factor()/refactor(). Keeps no scratch, so one
-  /// factored preconditioner serves concurrent applies.
+  /// Requires a prior factor(). Keeps no scratch, so one factored
+  /// preconditioner serves concurrent applies.
   void apply(const std::vector<double>& r, std::vector<double>& z, size_t lanes = 1) const;
-
-  /// Stable identifier: "jacobi" or "ic0".
-  virtual const char* name() const = 0;
 
  private:
   /// apply() on `rows` rows of `lanes` lanes each; z is sized.
   virtual void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const = 0;
-};
-
-/// Diagonal scaling: pcg_solve's fallback when no preconditioner is
-/// passed, and the reference the IC(0) tests compare against.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  void factor(const SparseMatrix& a) override;
-  void refactor(const SparseMatrix& a) override { factor(a); }
-  const char* name() const override { return "jacobi"; }
-
- private:
-  void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const override;
-
-  std::vector<double> inv_diag_;
 };
 
 /// Zero-fill incomplete Cholesky: A ~= L L^T with L restricted to the
@@ -79,24 +52,20 @@ class JacobiPreconditioner final : public Preconditioner {
 /// near-singular rows — the shift fallback then engages).
 ///
 /// factor() builds the L and L^T patterns plus an index map into A's value
-/// array; refactor() re-runs only the numeric loop on the stored pattern —
-/// valid whenever the pattern is unchanged, in particular for the Newton
-/// diagonal updates.
+/// array, then runs the numeric loop on them.
 ///
 /// apply() sweeps in place: forward L y = r into z, then backward
 /// L^T z = y over z itself.
 class IncompleteCholesky final : public Preconditioner {
  public:
   void factor(const SparseMatrix& a) override;
-  void refactor(const SparseMatrix& a) override;
-  const char* name() const override { return "ic0"; }
 
   /// Diagonal shift (relative to diag(A)) the last factorization needed;
   /// 0 when IC(0) succeeded unshifted.
   double diagonal_shift() const { return shift_; }
 
  private:
-  void refactor_numeric(const SparseMatrix& a);
+  void factor_numeric(const SparseMatrix& a);
   void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const override;
   template <size_t K>
   void sweep(const double* r, double* z) const;
@@ -116,10 +85,12 @@ class IncompleteCholesky final : public Preconditioner {
   double shift_ = 0.0;
 };
 
+/// Names the preconditioner for perfbench's record line (through
+/// poisson::preconditioner_kind_from_env) and for the test oracles'
+/// make_preconditioner (tests/support/linalg_oracles.hpp); moves to
+/// tests/support with the `[benchmark]` refresh.
 enum class PreconditionerKind { kJacobi, kIc0 };
 
 const char* to_string(PreconditionerKind kind);
-
-std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind);
 
 }  // namespace gnrfet::linalg

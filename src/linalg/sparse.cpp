@@ -84,25 +84,11 @@ std::vector<double> SparseMatrix::diagonal() const {
   return d;
 }
 
-void SparseMatrix::add_to_diagonal(size_t row, double value) {
-  if (row >= dim() || diag_pos_[row] < 0) {
-    throw std::out_of_range("SparseMatrix::add_to_diagonal: no diagonal entry");
-  }
-  values_[static_cast<size_t>(diag_pos_[row])] += value;
-}
-
 void SparseMatrix::set_diagonal(size_t row, double value) {
   if (row >= dim() || diag_pos_[row] < 0) {
     throw std::out_of_range("SparseMatrix::set_diagonal: no diagonal entry");
   }
   values_[static_cast<size_t>(diag_pos_[row])] = value;
-}
-
-void SparseMatrix::restore_values(const std::vector<double>& values) {
-  if (values.size() != values_.size()) {
-    throw std::invalid_argument("SparseMatrix::restore_values: nonzero count mismatch");
-  }
-  values_ = values;
 }
 
 }  // namespace gnrfet::linalg

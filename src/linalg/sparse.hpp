@@ -43,28 +43,11 @@ class SparseMatrix {
   /// Diagonal entries (zero where absent), for Jacobi preconditioning.
   std::vector<double> diagonal() const;
 
-  /// Add `value` to the diagonal entry of `row`. The entry must exist
-  /// (Poisson assembly always creates diagonals); throws otherwise.
-  /// Used by the nonlinear Poisson Newton loop to update the Jacobian
-  /// without re-assembling the Laplacian.
-  void add_to_diagonal(size_t row, double value);
-
-  /// Overwrite the diagonal entry of `row` (same existence rule as
-  /// add_to_diagonal). Lets a persistent Jacobian copy be retargeted each
-  /// Newton iteration — diag(A) + charge term — without rebuilding or
-  /// restoring the full value array.
+  /// Overwrite the diagonal entry of `row`. The entry must exist (Poisson
+  /// assembly always creates diagonals); throws otherwise. Lets a
+  /// persistent Jacobian copy be retargeted each Newton iteration —
+  /// diag(A) + charge term — without rebuilding the full value array.
   void set_diagonal(size_t row, double value);
-
-  /// Diagonal entry of `row`, or 0 when absent.
-  double diagonal_at(size_t row) const {
-    return diag_pos_[row] >= 0 ? values_[static_cast<size_t>(diag_pos_[row])] : 0.0;
-  }
-
-  /// Overwrite every stored value while keeping the sparsity pattern.
-  /// `values` must match the current nonzero count; throws otherwise.
-  /// Pairs with values(): snapshot a pristine operator once, then restore
-  /// it after diagonal edits instead of copying the whole matrix.
-  void restore_values(const std::vector<double>& values);
 
   const std::vector<size_t>& row_ptr() const { return row_ptr_; }
   const std::vector<uint32_t>& col_idx() const { return col_idx_; }

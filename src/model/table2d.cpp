@@ -57,7 +57,7 @@ Table2D::Table2D(std::vector<double> xs, std::vector<double> ys, std::vector<dou
   // Catmull-Rom patches (clamped ghosts would halve the edge gradient,
   // distorting the FET-table extrapolation region). The y ghosts of each
   // table row come first; the x ghost rows then extend the padded rows,
-  // corners included, which is the x-before-y order of extended_oracle().
+  // corners included: the recursive linear extension taken x before y.
   const size_t nx = xs_.size(), ny = ys_.size();
   stride_ = ny + 2;
   padded_.assign((nx + 2) * stride_, 0.0);
@@ -82,16 +82,6 @@ double Table2D::grid(ptrdiff_t ix, ptrdiff_t iy) const {
     throw std::out_of_range("Table2D::grid: index outside the ghost ring");
   }
   return padded_[static_cast<size_t>(ix + 1) * stride_ + static_cast<size_t>(iy + 1)];
-}
-
-double Table2D::extended_oracle(ptrdiff_t ix, ptrdiff_t iy) const {
-  const ptrdiff_t nx = static_cast<ptrdiff_t>(xs_.size());
-  const ptrdiff_t ny = static_cast<ptrdiff_t>(ys_.size());
-  if (ix < 0) return 2.0 * extended_oracle(0, iy) - extended_oracle(-ix, iy);
-  if (ix >= nx) return 2.0 * extended_oracle(nx - 1, iy) - extended_oracle(2 * (nx - 1) - ix, iy);
-  if (iy < 0) return 2.0 * extended_oracle(ix, 0) - extended_oracle(ix, -iy);
-  if (iy >= ny) return 2.0 * extended_oracle(ix, ny - 1) - extended_oracle(ix, 2 * (ny - 1) - iy);
-  return grid(ix, iy);
 }
 
 TableSample Table2D::sample(double x, double y) const {

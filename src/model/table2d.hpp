@@ -33,10 +33,6 @@ class Table2D {
   /// Stored grid value at ix in [-1, nx], iy in [-1, ny]: a table value
   /// inside, a ghost point on the ring.
   double grid(ptrdiff_t ix, ptrdiff_t iy) const;
-  /// The same point by the recursive linear extension, v(-1) = 2 v(0) -
-  /// v(1) and v(n) = 2 v(n-1) - v(n-2), x before y. Test oracle of the
-  /// padded ring.
-  double extended_oracle(ptrdiff_t ix, ptrdiff_t iy) const;
 
  private:
   std::vector<double> xs_, ys_;

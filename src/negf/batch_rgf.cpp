@@ -127,9 +127,10 @@ inline void reciprocal_lanes(bool fast, const double* cr, const double* ci, doub
 
 /// Solve one padded group of kW lanes; lanes [0, w) are live and scatter
 /// into `out` at [lane0, lane0 + w) with spectral stride `stride`. Every
-/// statement mirrors one statement of scalar_rgf_solve with std::complex
-/// operations expanded to the component arithmetic the compiler emits for
-/// them, in the same order — see that kernel for the physics commentary.
+/// statement mirrors one statement of the scalar oracle
+/// (tests/support/negf_oracles.cpp) with std::complex operations expanded
+/// to the component arithmetic the compiler emits for them, in the same
+/// order — see that kernel for the physics commentary.
 void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lane0,
                  size_t stride, double eta_eV, bool fast, ScalarRgfBatchWorkspace& ws,
                  ScalarRgfBatchResult& out) {

@@ -3,19 +3,23 @@
 #include <cstddef>
 #include <vector>
 
-#include "negf/scalar_rgf.hpp"
-
-/// SIMD-batched scalar RGF: solve one ScalarChain at B energies in a single
-/// kernel call. All sweep state is laid out structure-of-arrays over an
-/// energy "lane" dimension — `gl/gd/gcol` become [site][lane] planes of
+/// Scalar recursive Green's function for 1D chains, batched over energies:
+/// the kernel of the uncoupled mode-space solver. Each transverse subband
+/// of the A-GNR is an SSH-like chain (alternating real hoppings) with one
+/// orbital per atomic column, so all RGF blocks are 1x1.
+///
+/// SIMD batching: solve one ScalarChain at B energies in a single kernel
+/// call. All sweep state is laid out structure-of-arrays over an energy
+/// "lane" dimension — `gl/gd/gcol` become [site][lane] planes of
 /// split real/imaginary arrays — so the site recurrence, which is
 /// sequential over sites but embarrassingly independent across energies,
 /// auto-vectorizes across lanes.
 ///
-/// Determinism contract: every lane performs arithmetic identical to
-/// scalar_rgf_solve at that energy — the same operations in the same order,
-/// with complex multiplies expanded to the naive (ac - bd, ad + bc) form
-/// the compiler emits for finite std::complex products, and complex
+/// Determinism contract: every lane performs arithmetic identical to the
+/// one-energy scalar_rgf_solve oracle (tests/support/negf_oracles.hpp) at
+/// that energy — the same operations in the same order, with complex
+/// multiplies expanded to the naive (ac - bd, ad + bc) form the compiler
+/// emits for finite std::complex products, and complex
 /// reciprocals through a branchless Smith kernel that reproduces libgcc's
 /// __divdc3 bit-for-bit for in-range operands (verified once per process
 /// against std::complex division over a probe grid spanning both Smith
@@ -24,6 +28,16 @@
 /// Results are therefore bit-equal to the per-energy scalar path for any
 /// batch width, including ragged remainders — locked by tests.
 namespace gnrfet::negf {
+
+struct ScalarChain {
+  /// Onsite energies per site (eV); size L.
+  std::vector<double> onsite;
+  /// Hoppings between site c and c+1 (eV); size L-1.
+  std::vector<double> hopping;
+  /// Contact broadenings (eV) on the first and last site (wide-band).
+  double gamma_left = 0.0;
+  double gamma_right = 0.0;
+};
 
 /// SoA lane width of one kernel group. Batches wider than this are
 /// processed in groups of kRgfBatchLanes; ragged groups are padded by
@@ -61,9 +75,9 @@ struct ScalarRgfBatchResult {
   }
 };
 
-/// Caller-owned scratch (à la ScalarRgfWorkspace): the SoA sweep planes of
-/// one kernel group. Contents carry no state between solves; reuse across
-/// the energy loop makes batched solves allocation-free once warm.
+/// Caller-owned scratch: the SoA sweep planes of one kernel group.
+/// Contents carry no state between solves; reuse across the energy loop
+/// makes batched solves allocation-free once warm.
 struct ScalarRgfBatchWorkspace {
   std::vector<double> gl_re, gl_im;      ///< left-connected g planes
   std::vector<double> gd_re, gd_im;      ///< full-G diagonal planes
@@ -72,7 +86,7 @@ struct ScalarRgfBatchWorkspace {
 };
 
 /// Solve `chain` at `energies_eV[0..count)` + i*eta in one call. Each
-/// lane's outputs are bit-identical to scalar_rgf_solve at that energy;
+/// lane's outputs are bit-identical to the scalar oracle at that energy;
 /// `out` is resized and overwritten. `count` may be any size >= 1
 /// (processed in groups of kRgfBatchLanes).
 void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV, size_t count,

@@ -5,7 +5,6 @@
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "linalg/lu.hpp"
-#include "negf/selfenergy.hpp"
 
 namespace gnrfet::negf {
 
@@ -30,8 +29,7 @@ void identity_into(CMatrix& eye, size_t n) {
   for (size_t i = 0; i < n; ++i) eye(i, i) = cplx{1.0};
 }
 
-/// Gamma = i (Sigma - Sigma^dagger) into caller storage, the same
-/// entry-wise arithmetic as selfenergy.cpp's broadening().
+/// Gamma = i (Sigma - Sigma^dagger) into caller storage.
 void broadening_into(CMatrix& gamma, CMatrix& adj_scratch, const CMatrix& sigma) {
   linalg::adjoint_into(adj_scratch, sigma);
   gamma.resize_zero(sigma.rows(), sigma.cols());
@@ -176,71 +174,6 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
       out.spectral_left.push_back(std::max(0.0, a_tot - a_r));
     }
   }
-}
-
-RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
-                                const CMatrix& sigma_left, const CMatrix& sigma_right) {
-  check_contact_shapes(h, sigma_left, sigma_right);
-  const size_t n = h.total_dim();
-  CMatrix a(n, n);
-  const CMatrix hd = h.to_dense();
-  const cplx e(energy_eV, eta_eV);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) a(i, j) = -hd(i, j);
-    a(i, i) += e;
-  }
-  const size_t n0 = h.diag.front().rows();
-  const size_t nl = h.diag.back().rows();
-  for (size_t i = 0; i < n0; ++i) {
-    for (size_t j = 0; j < n0; ++j) a(i, j) -= sigma_left(i, j);
-  }
-  for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nl; ++j) a(n - nl + i, n - nl + j) -= sigma_right(i, j);
-  }
-  const CMatrix g = linalg::LU(a).solve(CMatrix::identity(n));
-
-  // Embed the contact broadenings in full-dimension frames.
-  CMatrix gamma_l(n, n), gamma_r(n, n);
-  const CMatrix gl_small = broadening(sigma_left);
-  const CMatrix gr_small = broadening(sigma_right);
-  for (size_t i = 0; i < n0; ++i) {
-    for (size_t j = 0; j < n0; ++j) gamma_l(i, j) = gl_small(i, j);
-  }
-  for (size_t i = 0; i < nl; ++i) {
-    for (size_t j = 0; j < nl; ++j) gamma_r(n - nl + i, n - nl + j) = gr_small(i, j);
-  }
-  const CMatrix ar = g * (gamma_r * g.adjoint());
-  const CMatrix t = gamma_r * (g * (gamma_l * g.adjoint()));
-
-  RgfResult r;
-  r.transmission = t.trace().real();
-  // Full spectral identity A = G (Gamma_L + Gamma_R) G^dagger + 2 eta G
-  // G^dagger, checked entry-wise on the diagonal. Only affordable here (one
-  // dense solve per energy already); the RGF path checks the diagonal sum
-  // rule instead.
-  {
-    const CMatrix al = g * (gamma_l * g.adjoint());
-    const CMatrix gg = g * g.adjoint();
-    for (size_t k = 0; k < n; ++k) {
-      const double a_tot = -2.0 * g(k, k).imag();
-      const double rhs = al(k, k).real() + ar(k, k).real() + 2.0 * eta_eV * gg(k, k).real();
-      const double scale = std::abs(a_tot) + std::abs(rhs) + 1.0;
-      GNRFET_ENSURE("negf", "spectral-identity", std::abs(a_tot - rhs) <= 1e-8 * scale,
-                    strings::format("orbital %zu: i(G - G^dagger) = %g vs G Gamma G^dagger = %g",
-                                    k, a_tot, rhs));
-    }
-  }
-  r.spectral_left.resize(n);
-  r.spectral_right.resize(n);
-  // Same convention as rgf_solve: A_R exact from Gamma_R, A_L as the
-  // remainder of the total spectral function (which also absorbs the small
-  // eta-broadening background).
-  for (size_t k = 0; k < n; ++k) {
-    const double a_tot = -2.0 * g(k, k).imag();
-    r.spectral_right[k] = ar(k, k).real();
-    r.spectral_left[k] = std::max(0.0, a_tot - ar(k, k).real());
-  }
-  return r;
 }
 
 }  // namespace gnrfet::negf

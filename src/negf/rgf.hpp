@@ -51,10 +51,4 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
                const linalg::CMatrix& sigma_left, const linalg::CMatrix& sigma_right,
                RgfWorkspace& ws, RgfResult& out);
 
-/// Reference implementation via one dense inversion of the full matrix;
-/// O(dim^3) per energy, used only by tests to validate rgf_solve.
-RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
-                                const linalg::CMatrix& sigma_left,
-                                const linalg::CMatrix& sigma_right);
-
 }  // namespace gnrfet::negf

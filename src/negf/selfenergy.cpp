@@ -1,9 +1,5 @@
 #include "negf/selfenergy.hpp"
 
-#include <stdexcept>
-
-#include "linalg/lu.hpp"
-
 namespace gnrfet::negf {
 
 using linalg::CMatrix;
@@ -14,51 +10,6 @@ CMatrix wide_band_self_energy(size_t dim, double gamma_eV) {
   const cplx v(0.0, -0.5 * gamma_eV);
   for (size_t i = 0; i < dim; ++i) s(i, i) = v;
   return s;
-}
-
-CMatrix sancho_rubio_surface_gf(cplx energy, const CMatrix& h00, const CMatrix& h01,
-                                double tol, int max_iter) {
-  const size_t n = h00.rows();
-  if (h00.cols() != n || h01.rows() != n || h01.cols() != n) {
-    throw std::invalid_argument("sancho_rubio: blocks must be square and same size");
-  }
-  // The decimation stagnates at band centers for vanishing broadening;
-  // enforce a floor on Im(E) (well below any physical energy scale here).
-  if (energy.imag() < 1e-6) energy = cplx(energy.real(), 1e-6);
-  CMatrix eye = CMatrix::identity(n);
-  // eps_s: surface block; eps: bulk block; alpha/beta: renormalized couplings.
-  CMatrix eps_s = h00;
-  CMatrix eps = h00;
-  CMatrix alpha = h01;
-  CMatrix beta = h01.adjoint();
-  for (int it = 0; it < max_iter; ++it) {
-    CMatrix e_minus = eye * energy - eps;
-    const linalg::LU lu(e_minus);
-    const CMatrix g = lu.solve(eye);
-    const CMatrix ga = g * alpha;
-    const CMatrix gb = g * beta;
-    const CMatrix a_gb = alpha * gb;
-    const CMatrix b_ga = beta * ga;
-    eps_s += alpha * gb;
-    eps += a_gb + b_ga;
-    alpha = alpha * ga;
-    beta = beta * gb;
-    if (alpha.max_abs() < tol && beta.max_abs() < tol) break;
-  }
-  CMatrix e_minus_s = eye * energy - eps_s;
-  const linalg::LU lu(e_minus_s);
-  return lu.solve(eye);
-}
-
-CMatrix broadening(const CMatrix& sigma) {
-  CMatrix g = sigma;
-  const CMatrix sd = sigma.adjoint();
-  for (size_t i = 0; i < g.rows(); ++i) {
-    for (size_t j = 0; j < g.cols(); ++j) {
-      g(i, j) = cplx(0.0, 1.0) * (sigma(i, j) - sd(i, j));
-    }
-  }
-  return g;
 }
 
 }  // namespace gnrfet::negf

@@ -9,25 +9,13 @@
 /// Fermi level at the contact plane (Phi_Bn = Phi_Bp = Eg/2), and (ii)
 /// quantum-mechanically through a broadening self-energy on the first/last
 /// device slice. We use the wide-band limit for the metal (energy-
-/// independent Gamma); the Sancho-Rubio surface Green's function of the
-/// semi-infinite ideal ribbon is provided for validation of the transport
-/// kernels (transmission staircase of the perfect ribbon).
+/// independent Gamma). The Sancho-Rubio surface Green's function of the
+/// semi-infinite ideal ribbon, which validates the transport kernels
+/// (transmission staircase of the perfect ribbon), is a test oracle in
+/// tests/support/negf_oracles.hpp.
 namespace gnrfet::negf {
 
 /// Wide-band-limit metal self-energy: Sigma = -i * gamma/2 * I (dim x dim).
 linalg::CMatrix wide_band_self_energy(size_t dim, double gamma_eV);
-
-/// Sancho-Rubio decimation for the surface Green's function of a
-/// semi-infinite periodic lead with onsite block h00 and inter-cell
-/// coupling h01 (cell i -> cell i+1 toward the device).
-/// For a right lead (interior toward +x) pass h01 and use
-/// Sigma_R = h01 * g_s * h01^dagger; for a left lead (interior toward -x)
-/// pass h01^dagger and use Sigma_L = h01^dagger * g_s * h01.
-linalg::CMatrix sancho_rubio_surface_gf(linalg::cplx energy, const linalg::CMatrix& h00,
-                                        const linalg::CMatrix& h01, double tol = 1e-12,
-                                        int max_iter = 200);
-
-/// Broadening matrix Gamma = i (Sigma - Sigma^dagger).
-linalg::CMatrix broadening(const linalg::CMatrix& sigma);
 
 }  // namespace gnrfet::negf

@@ -39,7 +39,7 @@
 /// Each step solves the symmetric form (I + D^1/2 G D^1/2) z = -D^1/2 F by
 /// plain CG and sets delta = -F - G D^1/2 z. Up to the build tolerance this
 /// is the full-grid Newton restricted to S; PoissonSolver::solve_nonlinear
-/// survives as its test oracle.
+/// (tests/support/poisson_oracles.hpp) survives as its test oracle.
 ///
 /// The object is immutable after construction and solve_nonlinear() keeps
 /// its scratch in per-call locals, so one solver serves concurrent bias

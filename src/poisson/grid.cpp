@@ -88,15 +88,4 @@ void Domain::deposit_charge(double x, double y, double z, double charge_e,
   for (size_t p = 0; p < 8; ++p) rho[st.node[p]] += st.weight[p] * charge_e;
 }
 
-double Domain::interpolate(const std::vector<double>& field, double x, double y,
-                           double z) const {
-  if (field.size() != spec_.num_nodes()) {
-    throw std::invalid_argument("interpolate: field size mismatch");
-  }
-  const CicStencil st = stencil(x, y, z);
-  double v = 0.0;
-  for (size_t p = 0; p < 8; ++p) v += st.weight[p] * field[st.node[p]];
-  return v;
-}
-
 }  // namespace gnrfet::poisson

@@ -61,12 +61,9 @@ class Domain {
   void deposit_charge(double x, double y, double z, double charge_e,
                       std::vector<double>& rho) const;
 
-  /// Trilinear interpolation of a node field at an arbitrary point.
-  double interpolate(const std::vector<double>& field, double x, double y, double z) const;
-
   /// Trilinear cloud-in-cell stencil of one sample point: the eight
   /// surrounding node indices and weights, in (di, dj, dk) order — the
-  /// arithmetic behind interpolate() and deposit_charge(). Fixed point sets
+  /// arithmetic behind deposit_charge(). Fixed point sets
   /// (the ribbon samples of the Gummel loop) build theirs once; their nodes
   /// define the charge nodes of the capacitance-matrix solve.
   struct CicStencil {

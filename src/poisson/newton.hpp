@@ -4,11 +4,12 @@
 
 #include "poisson/nonlinear.hpp"
 
-/// The pieces of the damped Newton loop that the full-grid oracle
-/// (PoissonSolver::solve_nonlinear) and the production capacitance-matrix
-/// solve (CapacitanceSolver::solve_nonlinear) share, so the two run the
-/// same iteration and differ only in the linear algebra of each step.
-/// Internal to the poisson layer.
+/// The pieces of the damped Newton loop that the production
+/// capacitance-matrix solve (CapacitanceSolver::solve_nonlinear) and its
+/// full-grid test oracle (PoissonSolver::solve_nonlinear,
+/// tests/support/poisson_oracles.hpp) share, so the two run the same
+/// iteration and differ only in the linear algebra of each step. Internal
+/// to the poisson layer and its oracle.
 namespace gnrfet::poisson::newton {
 
 /// Exponentially linearised mobile charge at `phi` (see nonlinear.hpp):

@@ -1,0 +1,28 @@
+#pragma once
+
+#include <memory>
+#include <vector>
+
+#include "linalg/preconditioner.hpp"
+#include "linalg/sparse.hpp"
+
+/// Test oracles of the linalg layer: Jacobi, the weakest useful
+/// preconditioner for the Poisson operator, against which the tests hold
+/// the production IC(0) (linalg/preconditioner.hpp), and the factory that
+/// picks one of the two by kind.
+namespace gnrfet::linalg {
+
+/// Diagonal scaling.
+class JacobiPreconditioner final : public Preconditioner {
+ public:
+  void factor(const SparseMatrix& a) override;
+
+ private:
+  void apply_lanes(const double* r, double* z, size_t rows, size_t lanes) const override;
+
+  std::vector<double> inv_diag_;
+};
+
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind);
+
+}  // namespace gnrfet::linalg

@@ -14,9 +14,9 @@
 #include "common/parallel.hpp"
 #include "linalg/dense.hpp"
 #include "negf/batch_rgf.hpp"
-#include "negf/scalar_rgf.hpp"
 #include "negf/transport.hpp"
 #include "golden.hpp"
+#include "support/negf_oracles.hpp"
 #include "test_support.hpp"
 
 namespace {

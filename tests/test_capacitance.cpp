@@ -12,8 +12,8 @@
 #include "device/geometry.hpp"
 #include "device/selfconsistent.hpp"
 #include "poisson/capacitance.hpp"
-#include "poisson/solver.hpp"
 #include "golden.hpp"
+#include "support/poisson_oracles.hpp"
 #include "test_support.hpp"
 
 namespace {

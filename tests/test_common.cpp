@@ -32,12 +32,6 @@ TEST(Constants, FermiLimits) {
   }
 }
 
-TEST(Constants, FermiDerivativeIsNegativeAndPeaked) {
-  EXPECT_LT(constants::fermi_derivative(0.0), 0.0);
-  EXPECT_GT(std::abs(constants::fermi_derivative(0.0)),
-            std::abs(constants::fermi_derivative(0.1)));
-}
-
 TEST(Constants, CurrentPrefactorIsConductanceQuantum) {
   // 2e^2/h = 77.48 uS.
   EXPECT_NEAR(constants::kCurrentPrefactor, 77.48e-6, 0.05e-6);

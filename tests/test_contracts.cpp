@@ -24,11 +24,11 @@
 #include "gnr/lattice.hpp"
 #include "linalg/dense.hpp"
 #include "model/table2d.hpp"
+#include "negf/batch_rgf.hpp"
 #include "negf/rgf.hpp"
-#include "negf/scalar_rgf.hpp"
 #include "poisson/assembly.hpp"
+#include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
-#include "poisson/nonlinear.hpp"
 #include "synthetic_device.hpp"
 
 namespace {
@@ -102,9 +102,12 @@ TEST(Contracts, NanChainNamesNegf) {
   chain.onsite = {0.0, kNan, 0.0};
   chain.hopping = {-2.7, -2.7};
   chain.gamma_left = chain.gamma_right = 0.05;
+  negf::ScalarRgfBatchWorkspace ws;
+  negf::ScalarRgfBatchResult out;
+  const double energy = 0.0;
 
-  const ContractViolation v =
-      capture_violation([&] { negf::scalar_rgf_solve(chain, 0.0, 1e-6); });
+  const ContractViolation v = capture_violation(
+      [&] { negf::scalar_rgf_solve_batch(chain, &energy, 1, 1e-6, ws, out); });
   EXPECT_EQ(v.subsystem(), "negf");
   EXPECT_EQ(v.invariant(), "finite-chain");
 }
@@ -114,9 +117,12 @@ TEST(Contracts, NonPositiveBroadeningNamesNegf) {
   chain.onsite = {0.0, 0.0};
   chain.hopping = {-2.7};
   chain.gamma_left = chain.gamma_right = 0.05;
+  negf::ScalarRgfBatchWorkspace ws;
+  negf::ScalarRgfBatchResult out;
+  const double energy = 0.0;
 
-  const ContractViolation v =
-      capture_violation([&] { negf::scalar_rgf_solve(chain, 0.0, 0.0); });
+  const ContractViolation v = capture_violation(
+      [&] { negf::scalar_rgf_solve_batch(chain, &energy, 1, 0.0, ws, out); });
   EXPECT_EQ(v.subsystem(), "negf");
   EXPECT_EQ(v.invariant(), "positive-broadening");
 }
@@ -146,8 +152,9 @@ TEST(Contracts, NanChargeNamesPoisson) {
   std::vector<double> rho(g.num_nodes(), 0.0);
   rho[7] = kNan;
 
-  const ContractViolation v =
-      capture_violation([&] { poisson::solve_linear_poisson(assembly, {0.0}, rho); });
+  const ContractViolation v = capture_violation([&] {
+    poisson::CapacitanceSolver(assembly, {d.stencil(0.75, 0.75, 0.75)}, rho);
+  });
   EXPECT_EQ(v.subsystem(), "poisson");
   EXPECT_EQ(v.invariant(), "finite-charge");
 }
@@ -159,12 +166,14 @@ TEST(Contracts, NanPopulationNamesPoissonInNonlinearSolve) {
   poisson::Domain d(g);
   d.add_electrode({0.0, 1.5, 0.0, 1.5, 0.0, 0.0});  // z = 0 face
   const poisson::Assembly assembly(d);
-  const size_t n = g.num_nodes();
-  std::vector<double> n0(n, 0.0), p0(n, 0.0), fixed(n, 0.0), ref(n, 0.0), init(n, 0.0);
+  const poisson::CapacitanceSolver cap(assembly, {d.stencil(0.75, 0.75, 0.75)},
+                                       std::vector<double>(g.num_nodes(), 0.0));
+  const size_t n = cap.size();
+  std::vector<double> n0(n, 0.0), p0(n, 0.0), ref(n, 0.0), init(n, 0.0);
   n0[3] = kNan;
 
-  const ContractViolation v = capture_violation(
-      [&] { poisson::solve_nonlinear_poisson(assembly, {0.0}, n0, p0, fixed, ref, init); });
+  const ContractViolation v =
+      capture_violation([&] { cap.solve_nonlinear({0.0}, n0, p0, ref, init); });
   EXPECT_EQ(v.subsystem(), "poisson");
   EXPECT_EQ(v.invariant(), "finite-charge");
 }

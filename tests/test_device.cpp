@@ -23,7 +23,7 @@
 #include "device/tablegen.hpp"
 #include "env_guard.hpp"
 #include "golden.hpp"
-#include "poisson/nonlinear.hpp"
+#include "support/poisson_oracles.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -141,9 +141,9 @@ TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
   const size_t nodes = geo.domain().spec().num_nodes();
   const std::vector<double> zeros(nodes, 0.0);
   const uint64_t newton_before = counter(metrics::Counter::kPoissonNewtonUnconverged);
-  const poisson::NonlinearResult pres = poisson::solve_nonlinear_poisson(
-      geo.assembly(), geo.electrode_voltages(0.0, 0.5, 0.5), zeros, zeros,
-      geo.impurity_charge(), zeros, zeros, popt);
+  const poisson::NonlinearResult pres = poisson::PoissonSolver(geo.assembly()).solve_nonlinear(
+      geo.electrode_voltages(0.0, 0.5, 0.5), zeros, zeros, geo.impurity_charge(), zeros, zeros,
+      popt);
   EXPECT_FALSE(pres.converged);
   EXPECT_EQ(pres.iterations, 1);
   EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), newton_before + 1);

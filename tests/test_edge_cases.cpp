@@ -78,14 +78,6 @@ TEST(MeasureEdge, CrossingTimesEmptyForFlatWave) {
   const std::vector<double> t = {0.0, 1.0, 2.0};
   const std::vector<double> v = {0.2, 0.2, 0.2};
   EXPECT_TRUE(circuit::crossing_times(t, v, 0.5, true).empty());
-  EXPECT_EQ(circuit::oscillation_frequency(t, v, 0.5), 0.0);
-}
-
-TEST(MeasureEdge, AverageAfterRespectsWindow) {
-  const std::vector<double> t = {0.0, 1.0, 2.0, 3.0};
-  const std::vector<double> v = {0.0, 0.0, 4.0, 4.0};
-  // From t=2 the waveform is flat at 4.
-  EXPECT_NEAR(circuit::average_after(t, v, 2.0), 4.0, 1e-12);
 }
 
 TEST(CacheEdge, EnvironmentOverrideWins) {

@@ -10,10 +10,10 @@
 #include "gnr/modespace.hpp"
 #include "negf/energygrid.hpp"
 #include "negf/rgf.hpp"
-#include "negf/scalar_rgf.hpp"
 #include "negf/selfenergy.hpp"
 #include "negf/transport.hpp"
 #include "golden.hpp"
+#include "support/negf_oracles.hpp"
 
 namespace {
 

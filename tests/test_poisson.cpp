@@ -5,7 +5,7 @@
 #include "common/constants.hpp"
 #include "poisson/assembly.hpp"
 #include "poisson/grid.hpp"
-#include "poisson/nonlinear.hpp"
+#include "support/poisson_oracles.hpp"
 
 namespace {
 
@@ -40,21 +40,6 @@ TEST(PoissonGrid, DepositConservesCharge) {
   EXPECT_NEAR(total, -2.5, 1e-12);
 }
 
-TEST(PoissonGrid, InterpolateRecoversLinearField) {
-  const GridSpec g = small_grid(5, 5, 5, 0.4);
-  Domain d(g);
-  std::vector<double> f(g.num_nodes());
-  for (size_t i = 0; i < g.nx; ++i) {
-    for (size_t j = 0; j < g.ny; ++j) {
-      for (size_t k = 0; k < g.nz; ++k) {
-        f[g.index(i, j, k)] = 2.0 * g.x(i) - g.y(j) + 0.5 * g.z(k);
-      }
-    }
-  }
-  EXPECT_NEAR(d.interpolate(f, 0.63, 0.91, 1.17),
-              2.0 * 0.63 - 0.91 + 0.5 * 1.17, 1e-12);
-}
-
 TEST(Poisson, ParallelPlateCapacitor) {
   // Two Dirichlet planes at z extremes, uniform dielectric: linear ramp.
   const GridSpec g = small_grid(5, 5, 9, 0.25);
@@ -66,7 +51,7 @@ TEST(Poisson, ParallelPlateCapacitor) {
   ASSERT_EQ(top, 1);
   const poisson::Assembly assembly(d);
   std::vector<double> rho(g.num_nodes(), 0.0);
-  const auto phi = poisson::solve_linear_poisson(assembly, {0.0, 1.0}, rho);
+  const auto phi = poisson::PoissonSolver(assembly).solve_linear({0.0, 1.0}, rho);
   for (size_t k = 0; k < g.nz; ++k) {
     const double expected = g.z(k) / g.z_max();
     EXPECT_NEAR(phi[g.index(2, 2, k)], expected, 1e-8) << "k=" << k;
@@ -85,7 +70,7 @@ TEST(Poisson, PointChargePotentialIsPositiveAndDecays) {
   std::vector<double> rho(g.num_nodes(), 0.0);
   const double cx = g.x(8), cy = g.y(8), cz = g.z(8);
   d.deposit_charge(cx, cy, cz, 1.0, rho);
-  const auto phi = poisson::solve_linear_poisson(assembly, {0.0, 0.0}, rho);
+  const auto phi = poisson::PoissonSolver(assembly).solve_linear({0.0, 0.0}, rho);
   const double p_center = phi[g.index(8, 8, 8)];
   const double p_far = phi[g.index(12, 8, 8)];
   EXPECT_GT(p_center, p_far);
@@ -106,7 +91,7 @@ TEST(Poisson, DielectricInterfaceFluxContinuity) {
   d.add_electrode({-1, 10, -1, 10, g.z_max() - 0.001, g.z_max() + 0.001});
   const poisson::Assembly assembly(d);
   std::vector<double> rho(g.num_nodes(), 0.0);
-  const auto phi = poisson::solve_linear_poisson(assembly, {0.0, 1.0}, rho);
+  const auto phi = poisson::PoissonSolver(assembly).solve_linear({0.0, 1.0}, rho);
   // Discrete series divider with harmonic face permittivities: four faces
   // at eps 2, the interface face at 2*2*8/10 = 3.2, three faces at eps 8:
   // V(node 4) = (4/2) / (4/2 + 1/3.2 + 3/8) = 0.7442.
@@ -124,14 +109,14 @@ TEST(PoissonNonlinear, ScreensChargeAgainstLinearSolve) {
   std::vector<double> fixed(g.num_nodes(), 0.0);
   d.deposit_charge(g.x(3), g.y(3), g.z(3), 2.0, fixed);
 
-  const auto phi_lin = poisson::solve_linear_poisson(assembly, {0.0}, fixed);
+  const auto phi_lin = poisson::PoissonSolver(assembly).solve_linear({0.0}, fixed);
 
   std::vector<double> n0(g.num_nodes(), 0.0);
   n0[g.index(3, 3, 3)] = 1.0;  // electrons that multiply with exp(phi/Vt)
   // Newton starts from zero: starting on the high side of the exponential
   // is the classic divergence mode the Gummel loop never produces.
-  const auto res = poisson::solve_nonlinear_poisson(assembly, {0.0}, n0, zero, fixed,
-                                                    zero /*phi_ref*/, zero);
+  const auto res = poisson::PoissonSolver(assembly).solve_nonlinear({0.0}, n0, zero, fixed,
+                                                                   zero /*phi_ref*/, zero);
   ASSERT_TRUE(res.converged);
   EXPECT_LT(res.phi_full[g.index(3, 3, 3)], phi_lin[g.index(3, 3, 3)]);
 }
@@ -144,9 +129,9 @@ TEST(PoissonNonlinear, ReducesToLinearWithoutMobileCharge) {
   std::vector<double> zero(g.num_nodes(), 0.0);
   std::vector<double> fixed(g.num_nodes(), 0.0);
   d.deposit_charge(g.x(2), g.y(2), g.z(3), -1.0, fixed);
-  const auto lin = poisson::solve_linear_poisson(assembly, {0.3}, fixed);
+  const auto lin = poisson::PoissonSolver(assembly).solve_linear({0.3}, fixed);
   const auto nl =
-      poisson::solve_nonlinear_poisson(assembly, {0.3}, zero, zero, fixed, zero, zero);
+      poisson::PoissonSolver(assembly).solve_nonlinear({0.3}, zero, zero, fixed, zero, zero);
   ASSERT_TRUE(nl.converged);
   for (size_t i = 0; i < lin.size(); ++i) EXPECT_NEAR(nl.phi_full[i], lin[i], 1e-6);
 }

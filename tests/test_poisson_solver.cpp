@@ -8,8 +8,7 @@
 #include "common/parallel.hpp"
 #include "poisson/assembly.hpp"
 #include "poisson/grid.hpp"
-#include "poisson/nonlinear.hpp"
-#include "poisson/solver.hpp"
+#include "support/poisson_oracles.hpp"
 
 namespace {
 
@@ -74,8 +73,8 @@ TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
   };
 
   const uint64_t c0 = pcg_iterations();
-  const auto r1 =
-      poisson::solve_nonlinear_poisson(p.assembly, {0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
+  const auto r1 = poisson::PoissonSolver(p.assembly).solve_nonlinear({0.0}, p.n0, p.p0, p.fixed,
+                                                                     p.zero, p.zero);
   const uint64_t c1 = pcg_iterations();
   ASSERT_TRUE(r1.converged);
   EXPECT_EQ(r1.iterations, 8);
@@ -86,8 +85,8 @@ TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
   EXPECT_EQ(r1.phi_full[342], 0x1.16d44cb7bf8d9p-9);
   EXPECT_EQ(r1.last_update_V, 0x1.3b1f38fdad8f3p-23);
 
-  const auto r2 = poisson::solve_nonlinear_poisson(p.assembly, {0.3}, p.n0, p.p0, p.fixed,
-                                                   r1.phi_full, r1.phi_full);
+  const auto r2 = poisson::PoissonSolver(p.assembly).solve_nonlinear(
+      {0.3}, p.n0, p.p0, p.fixed, r1.phi_full, r1.phi_full);
   const uint64_t c2 = pcg_iterations();
   ASSERT_TRUE(r2.converged);
   EXPECT_EQ(r2.iterations, 9);
@@ -120,7 +119,7 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
   // One PoissonSolver carries state between solves (warm-started delta,
   // refactored preconditioner, reused workspace); two instances fed the
   // same solve sequence must stay bit-identical at every step, and the
-  // first solve must match the transient free-function path.
+  // first solve must match a fresh solver's.
   GoldenProblem p;
   poisson::PoissonSolver a(p.assembly, PreconditionerKind::kIc0);
   poisson::PoissonSolver b(p.assembly, PreconditionerKind::kIc0);
@@ -129,8 +128,8 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
   const auto b1 = b.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
   ASSERT_TRUE(a1.converged);
   EXPECT_EQ(fnv1a(a1.phi_full), fnv1a(b1.phi_full));
-  const auto free1 =
-      poisson::solve_nonlinear_poisson(p.assembly, {0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
+  const auto free1 = poisson::PoissonSolver(p.assembly).solve_nonlinear({0.0}, p.n0, p.p0,
+                                                                        p.fixed, p.zero, p.zero);
   EXPECT_EQ(fnv1a(free1.phi_full), fnv1a(a1.phi_full));
 
   const auto a2 =
@@ -150,8 +149,9 @@ TEST(PoissonSolver, SolveRecordsPreconditionerMetrics) {
   const auto after = metrics::snapshot();
   EXPECT_GT(after.counters[static_cast<size_t>(metrics::Counter::kPcgPrecondSetups)],
             before.counters[static_cast<size_t>(metrics::Counter::kPcgPrecondSetups)]);
-  EXPECT_GT(after.histograms[static_cast<size_t>(metrics::Histogram::kPcgIterationsIc0)].count,
-            before.histograms[static_cast<size_t>(metrics::Histogram::kPcgIterationsIc0)].count);
+  EXPECT_GT(
+      after.histograms[static_cast<size_t>(metrics::Histogram::kPcgIterationsPerSolve)].count,
+      before.histograms[static_cast<size_t>(metrics::Histogram::kPcgIterationsPerSolve)].count);
 }
 
 /// Total full-grid PCG iterations of `kind` over three charge cases on a

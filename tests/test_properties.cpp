@@ -5,8 +5,8 @@
 #include "gnr/bandstructure.hpp"
 #include "gnr/lattice.hpp"
 #include "gnr/modespace.hpp"
-#include "negf/scalar_rgf.hpp"
 #include "negf/selfenergy.hpp"
+#include "support/negf_oracles.hpp"
 #include "synthetic_device.hpp"
 
 namespace {

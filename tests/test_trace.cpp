@@ -24,7 +24,7 @@
 #include "poisson/assembly.hpp"
 #include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
-#include "poisson/nonlinear.hpp"
+#include "support/poisson_oracles.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -134,7 +134,8 @@ TEST(Trace, SpansNestOnOneThread) {
   const std::vector<double> zero(g.num_nodes(), 0.0);
   std::vector<double> n0 = zero;
   n0[g.index(2, 2, 2)] = 1.0;
-  const auto res = poisson::solve_nonlinear_poisson(assembly, {0.2}, n0, zero, zero, zero, zero);
+  const auto res =
+      poisson::PoissonSolver(assembly).solve_nonlinear({0.2}, n0, zero, zero, zero, zero);
   ASSERT_TRUE(res.converged);
   const auto solve_events = trace::snapshot_events();
   std::vector<trace::EventRecord> refreshes, pcgs, solves;
