@@ -22,11 +22,9 @@ struct Row {
 };
 
 Row measure(const std::string& label, const circuit::InverterModels& inv, double vdd,
-            const circuit::RingMeasureOptions& base) {
-  circuit::RingMeasureOptions opts = base;
-  opts.vdd = vdd;
-  const circuit::RingMetrics m =
-      circuit::measure_ring_oscillator(std::vector<circuit::InverterModels>(15, inv), inv, opts);
+            const circuit::RingMeasureOptions& opts) {
+  const circuit::RingMetrics m = circuit::measure_ring_oscillator(
+      std::vector<circuit::InverterModels>(15, inv), inv, vdd, opts);
   const circuit::Vtc vtc = circuit::compute_vtc(inv, vdd);
   Row r;
   r.label = label;

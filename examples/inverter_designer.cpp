@@ -21,9 +21,8 @@ int main(int argc, char** argv) {
               kit.vt0(), kit.vt0() - vt);
 
   const circuit::InverterModels inv = kit.inverter(vt);
-  circuit::InverterMeasureOptions opts;
-  opts.vdd = vdd;
-  const circuit::InverterMetrics m = circuit::measure_inverter(inv, inv, opts);
+  const circuit::InverterMeasureOptions opts;
+  const circuit::InverterMetrics m = circuit::measure_inverter(inv, inv, vdd, opts);
   if (!m.ok) {
     std::printf("measurement failed (design point may not switch)\n");
     return 1;

@@ -20,11 +20,10 @@ int main(int argc, char** argv) {
               "EDP (fJ-ps)");
   for (double vdd = 0.25; vdd <= 0.651; vdd += 0.1) {
     circuit::RingMeasureOptions opts;
-    opts.vdd = vdd;
     opts.t_stop_s = 2e-9;
     opts.dt_s = 0.4e-12;
     const auto m = circuit::measure_ring_oscillator(
-        std::vector<circuit::InverterModels>(15, inv), inv, opts);
+        std::vector<circuit::InverterModels>(15, inv), inv, vdd, opts);
     if (!m.ok) {
       std::printf("%-8.2f (does not oscillate)\n", vdd);
       continue;

@@ -113,14 +113,6 @@ void VoltageSource::stamp(Stamper& st, const TransientContext& ctx) const {
   st.add_jacobian_branch_node(branch_offset_, m_, -1.0);
 }
 
-VoltageSource::Waveform pulse_waveform(double v0, double v1, double t_start, double t_rise) {
-  return [=](double t) {
-    if (t <= t_start) return v0;
-    if (t >= t_start + t_rise) return v1;
-    return v0 + (v1 - v0) * (t - t_start) / t_rise;
-  };
-}
-
 Fet::Fet(model::ExtrinsicFet fet, NodeId d, NodeId g, NodeId s, NodeId d_int, NodeId s_int)
     : fet_(std::move(fet)), d_(d), g_(g), s_(s), di_(d_int), si_(s_int) {}
 

@@ -52,9 +52,6 @@ class VoltageSource final : public Element {
   Waveform waveform_;
 };
 
-/// Rising/falling step with linear ramp, for delay measurements.
-VoltageSource::Waveform pulse_waveform(double v0, double v1, double t_start, double t_rise);
-
 /// The extrinsic GNRFET of Fig. 3(a). External nodes (d, g, s); internal
 /// nodes d'/s' must be created by the caller (netlist builder) so they can
 /// be probed. Stamps:

@@ -49,11 +49,11 @@ double supply_energy(const std::vector<double>& time, const std::vector<double>&
 }  // namespace
 
 InverterMetrics measure_inverter(const InverterModels& driver, const InverterModels& load,
-                                 const InverterMeasureOptions& opts) {
+                                 double vdd, const InverterMeasureOptions& opts) {
   InverterMetrics m;
-  m.static_power_W = inverter_static_power(driver, opts.vdd);
+  m.static_power_W = inverter_static_power(driver, vdd);
   {
-    const Vtc vtc = compute_vtc(driver, opts.vdd);
+    const Vtc vtc = compute_vtc(driver, vdd);
     m.snm_V = butterfly_snm(vtc, vtc);
   }
 
@@ -63,14 +63,14 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   const double t_fall_in = 0.75 * period;
   const auto waveform = [=](double t) {
     if (t < t_rise_in) return 0.0;
-    if (t < t_rise_in + kInputRiseTime_s) return opts.vdd * (t - t_rise_in) / kInputRiseTime_s;
-    if (t < t_fall_in) return opts.vdd;
+    if (t < t_rise_in + kInputRiseTime_s) return vdd * (t - t_rise_in) / kInputRiseTime_s;
+    if (t < t_fall_in) return vdd;
     if (t < t_fall_in + kInputRiseTime_s) {
-      return opts.vdd * (1.0 - (t - t_fall_in) / kInputRiseTime_s);
+      return vdd * (1.0 - (t - t_fall_in) / kInputRiseTime_s);
     }
     return 0.0;
   };
-  Fo4Testbench tb = build_fo4_inverter(driver, load, opts.vdd, waveform);
+  Fo4Testbench tb = build_fo4_inverter(driver, load, vdd, waveform);
   TransientOptions topt;
   topt.t_stop = 1.25 * period;
   topt.dt = opts.dt_s;
@@ -80,7 +80,7 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   const auto v_in = tr.waves.node(tb.ckt, tb.in);
   const auto v_out = tr.waves.node(tb.ckt, tb.out);
   const auto i_vdd = tr.waves.branch(tb.ckt, tb.vdd_branch);
-  const double mid = 0.5 * opts.vdd;
+  const double mid = 0.5 * vdd;
 
   const auto in_rise = crossing_times(tr.waves.time, v_in, mid, true);
   const auto in_fall = crossing_times(tr.waves.time, v_in, mid, false);
@@ -100,7 +100,7 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   m.delay_s = 0.5 * ((t_hl - in_rise.front()) + (t_lh - in_fall.front()));
 
   // Dynamic power: supply energy of the full cycle minus leakage.
-  const double e_cycle = supply_energy(tr.waves.time, i_vdd, opts.vdd, 0.125 * period,
+  const double e_cycle = supply_energy(tr.waves.time, i_vdd, vdd, 0.125 * period,
                                        1.125 * period);
   m.dynamic_power_W = std::max(0.0, e_cycle / period - m.static_power_W);
   m.ok = true;
@@ -108,11 +108,12 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
 }
 
 RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
-                                    const InverterModels& load, const RingMeasureOptions& opts) {
+                                    const InverterModels& load, double vdd,
+                                    const RingMeasureOptions& opts) {
   RingMetrics m;
-  for (const auto& s : stages) m.static_power_W += inverter_static_power(s, opts.vdd);
+  for (const auto& s : stages) m.static_power_W += inverter_static_power(s, vdd);
 
-  RingOscillator ro = build_ring_oscillator(stages, load, opts.vdd);
+  RingOscillator ro = build_ring_oscillator(stages, load, vdd);
   TransientOptions topt;
   topt.t_stop = opts.t_stop_s;
   topt.dt = opts.dt_s;
@@ -122,7 +123,7 @@ RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
 
   const auto v0 = tr.waves.node(ro.ckt, ro.stage_out.front());
   const auto i_vdd = tr.waves.branch(ro.ckt, ro.vdd_branch);
-  const auto cross = crossing_times(tr.waves.time, v0, 0.5 * opts.vdd, true);
+  const auto cross = crossing_times(tr.waves.time, v0, 0.5 * vdd, true);
   if (cross.size() < 3) return m;  // did not oscillate (or too slow)
   // Measure over the trailing crossings (settled oscillation), keeping at
   // least two full periods.
@@ -132,7 +133,7 @@ RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
   const std::vector<double> tail(cross.begin() + static_cast<ptrdiff_t>(first), cross.end());
   const size_t cycles = tail.size() - 1;
   m.frequency_Hz = static_cast<double>(cycles) / (tail.back() - tail.front());
-  const double energy = supply_energy(tr.waves.time, i_vdd, opts.vdd, tail.front(), tail.back());
+  const double energy = supply_energy(tr.waves.time, i_vdd, vdd, tail.front(), tail.back());
   m.total_power_W = energy / (tail.back() - tail.front());
   m.dynamic_power_W = std::max(0.0, m.total_power_W - m.static_power_W);
   m.energy_per_cycle_J = m.total_power_W / m.frequency_Hz;

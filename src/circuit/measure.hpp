@@ -22,15 +22,15 @@ struct InverterMetrics {
 };
 
 struct InverterMeasureOptions {
-  double vdd = 0.4;
   double probe_period_s = 200e-12;  ///< full switching cycle for P_dyn
   double dt_s = 0.1e-12;
 };
 
-/// Full inverter characterization: DC leakage, FO4 transient delay,
-/// dynamic power over one switching cycle, and butterfly SNM.
+/// Full inverter characterization at supply `vdd`: DC leakage, FO4
+/// transient delay, dynamic power over one switching cycle, and butterfly
+/// SNM.
 InverterMetrics measure_inverter(const InverterModels& driver, const InverterModels& load,
-                                 const InverterMeasureOptions& opts);
+                                 double vdd, const InverterMeasureOptions& opts);
 
 /// Ring-oscillator figures of merit.
 struct RingMetrics {
@@ -47,12 +47,13 @@ struct RingMetrics {
 };
 
 struct RingMeasureOptions {
-  double vdd = 0.4;
   double t_stop_s = 3.0e-9;
   double dt_s = 0.25e-12;
 };
 
+/// The ring of `stages` (each loaded by `load`, FO4) at supply `vdd`.
 RingMetrics measure_ring_oscillator(const std::vector<InverterModels>& stages,
-                                    const InverterModels& load, const RingMeasureOptions& opts);
+                                    const InverterModels& load, double vdd,
+                                    const RingMeasureOptions& opts);
 
 }  // namespace gnrfet::circuit

@@ -70,18 +70,4 @@ std::vector<double> RingOscillator::kick_state(bool* dc_converged) const {
   return x;
 }
 
-Latch build_latch(const InverterModels& fwd, const InverterModels& bwd, double vdd) {
-  Latch l;
-  l.vdd = vdd;
-  l.vdd_node = l.ckt.new_node();
-  auto vdd_src = std::make_unique<VoltageSource>(l.vdd_node, kGround, vdd);
-  l.vdd_branch = vdd_src->branch();
-  l.ckt.add(std::move(vdd_src));
-  l.q = l.ckt.new_node();
-  l.qb = l.ckt.new_node();
-  add_inverter(l.ckt, fwd, l.q, l.qb, l.vdd_node);
-  add_inverter(l.ckt, bwd, l.qb, l.q, l.vdd_node);
-  return l;
-}
-
 }  // namespace gnrfet::circuit

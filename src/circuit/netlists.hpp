@@ -48,15 +48,4 @@ struct RingOscillator {
 RingOscillator build_ring_oscillator(const std::vector<InverterModels>& stages,
                                      const InverterModels& load, double vdd);
 
-/// Cross-coupled inverter latch (for DC/static-power checks; the butterfly
-/// SNM uses the VTCs directly, see snm.hpp).
-struct Latch {
-  Circuit ckt;
-  NodeId q = 0, qb = 0, vdd_node = 0;
-  size_t vdd_branch = 0;
-  double vdd = 0.0;
-};
-
-Latch build_latch(const InverterModels& fwd, const InverterModels& bwd, double vdd);
-
 }  // namespace gnrfet::circuit

@@ -37,7 +37,6 @@ class CmosFet final : public model::ChannelModel {
   model::FetSample current(double vgs, double vds) const override;
   model::FetSample charge(double vgs, double vds) const override;
   model::Polarity polarity() const override { return params_.polarity; }
-  const CmosParams& params() const { return params_; }
 
  private:
   model::FetSample current_fwd(double vgs, double vds) const;  ///< vds >= 0, n-type frame

@@ -42,8 +42,6 @@
 #define GNRFET_SCOPED_CAPABILITY GNRFET_THREAD_ANNOTATION(scoped_lockable)
 /// Data member readable/writable only with the capability held.
 #define GNRFET_GUARDED_BY(x) GNRFET_THREAD_ANNOTATION(guarded_by(x))
-/// Pointer member whose pointee is guarded by the capability.
-#define GNRFET_PT_GUARDED_BY(x) GNRFET_THREAD_ANNOTATION(pt_guarded_by(x))
 /// Function callable only with the capability already held.
 #define GNRFET_REQUIRES(...) GNRFET_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 /// Function that acquires the capability (held on return, not on entry).
@@ -53,12 +51,6 @@
 #define GNRFET_TRY_ACQUIRE(...) GNRFET_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 /// Function that releases the capability (held on entry, not on return).
 #define GNRFET_RELEASE(...) GNRFET_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-/// Function that must NOT be called with the capability held (deadlock
-/// guard for self-locking public entry points).
-#define GNRFET_EXCLUDES(...) GNRFET_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-/// Escape hatch for code the analysis cannot model; use sparingly and say
-/// why at the use site.
-#define GNRFET_NO_THREAD_SAFETY_ANALYSIS GNRFET_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace gnrfet::common {
 
@@ -98,7 +90,6 @@ class GNRFET_SCOPED_CAPABILITY MutexLock {
 class CondVar {
  public:
   void wait(Mutex& mu) GNRFET_REQUIRES(mu) { cv_.wait(mu); }
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

@@ -16,9 +16,6 @@ inline constexpr double kElementaryCharge = 1.602176634e-19;
 /// Planck constant [J s].
 inline constexpr double kPlanck = 6.62607015e-34;
 
-/// Reduced Planck constant [J s].
-inline constexpr double kHbar = 1.054571817e-34;
-
 /// Boltzmann constant [J/K].
 inline constexpr double kBoltzmann = 1.380649e-23;
 
@@ -41,16 +38,6 @@ inline constexpr double kCurrentPrefactor =
 
 /// Carbon-carbon bond length in graphene [nm].
 inline constexpr double kCarbonBond_nm = 0.142;
-
-/// pz-orbital nearest-neighbour hopping energy [eV] (paper value).
-inline constexpr double kHoppingT = 2.7;
-
-/// Edge-bond relaxation factor from Son-Cohen-Louie ab initio fits:
-/// edge dimer bonds are strengthened to t*(1 + kEdgeRelaxation).
-inline constexpr double kEdgeRelaxation = 0.12;
-
-/// Relative permittivity of SiO2 (paper value).
-inline constexpr double kEpsSiO2 = 3.9;
 
 /// Fermi-Dirac occupation for energy e relative to chemical potential mu,
 /// both in eV, at thermal energy kT (eV).

@@ -15,11 +15,10 @@ std::string compose(const std::string& subsystem, const std::string& invariant,
 }  // namespace
 
 ContractViolation::ContractViolation(std::string subsystem, std::string invariant,
-                                     std::string detail, const char* file, int line)
+                                     const std::string& detail, const char* file, int line)
     : std::runtime_error(compose(subsystem, invariant, detail, file, line)),
       subsystem_(std::move(subsystem)),
-      invariant_(std::move(invariant)),
-      detail_(std::move(detail)) {}
+      invariant_(std::move(invariant)) {}
 
 void fail(const char* subsystem, const char* invariant, const std::string& detail,
           const char* file, int line) {

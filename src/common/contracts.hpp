@@ -23,21 +23,22 @@
 namespace gnrfet::contracts {
 
 /// Typed contract failure: which subsystem ("gnr", "negf", "poisson",
-/// "device", "device/tablegen", "circuit", "model", ...), which named
-/// invariant, and a detail string quoting the offending values.
+/// "device", "device/tablegen", "circuit", "model", ...) and which named
+/// invariant; what() adds the site and a detail string quoting the
+/// offending values.
 class ContractViolation : public std::runtime_error {
  public:
-  ContractViolation(std::string subsystem, std::string invariant, std::string detail,
+  ContractViolation(std::string subsystem, std::string invariant, const std::string& detail,
                     const char* file, int line);
 
+  // Test seam: tests assert which contract fired; callers only report what().
   const std::string& subsystem() const { return subsystem_; }
+  // Test seam: tests assert which contract fired; callers only report what().
   const std::string& invariant() const { return invariant_; }
-  const std::string& detail() const { return detail_; }
 
  private:
   std::string subsystem_;
   std::string invariant_;
-  std::string detail_;
 };
 
 /// Throws ContractViolation; out-of-line so call sites stay compact.

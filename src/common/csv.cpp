@@ -29,17 +29,6 @@ double Table::at(size_t row, const std::string& column) const {
   return rows_.at(row).at(it->second);
 }
 
-std::vector<double> Table::column(const std::string& name) const {
-  const auto it = index_.find(name);
-  if (it == index_.end()) {
-    throw std::out_of_range("csv::Table: no column named " + name);
-  }
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (const auto& r : rows_) out.push_back(r[it->second]);
-  return out;
-}
-
 void Table::set_meta(const std::string& key, const std::string& value) {
   meta_[key] = value;
 }

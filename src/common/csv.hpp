@@ -18,14 +18,9 @@ class Table {
   void add_row(const std::vector<double>& row);
 
   size_t num_rows() const { return rows_.size(); }
-  const std::vector<std::string>& columns() const { return columns_; }
-  const std::vector<double>& row(size_t i) const { return rows_.at(i); }
 
   /// Value at (row, named column). Throws if the column does not exist.
   double at(size_t row, const std::string& column) const;
-
-  /// Extract a whole named column.
-  std::vector<double> column(const std::string& name) const;
 
   /// Free-form key/value metadata, serialized as "# key = value" comments.
   void set_meta(const std::string& key, const std::string& value);

@@ -10,11 +10,6 @@ std::string env_or(const char* name, const std::string& fallback) {
   return (v && *v) ? std::string(v) : fallback;
 }
 
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v;
-}
-
 namespace env {
 
 EnvError::EnvError(std::string name, std::string value, const std::string& reason)

@@ -13,9 +13,6 @@ namespace gnrfet::common {
 /// Value of `name`, or `fallback` when unset or empty.
 std::string env_or(const char* name, const std::string& fallback);
 
-/// True when `name` is set to a non-empty value.
-bool env_set(const char* name);
-
 namespace env {
 
 /// A set-but-unusable environment variable. Thrown instead of silently
@@ -25,7 +22,9 @@ class EnvError : public std::runtime_error {
  public:
   EnvError(std::string name, std::string value, const std::string& reason);
 
+  // Test seam: tests assert the rejected variable; callers only report what().
   const std::string& name() const { return name_; }
+  // Test seam: tests assert the rejected value; callers only report what().
   const std::string& value() const { return value_; }
 
  private:

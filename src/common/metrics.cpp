@@ -75,7 +75,7 @@ const char* kCounterNames[kNumCounters] = {
     "gummel_unconverged", "poisson_newton_unconverged",
     "capacitance_builds", "reduced_cg_iterations",
     "dc_unconverged", "transient_step_failures",
-    "transient_step_rejections",
+    "transient_step_rejections", "table_cache_corrupt_replaced",
 };
 
 const char* kHistogramNames[kNumHistograms] = {

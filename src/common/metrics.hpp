@@ -46,6 +46,7 @@ enum class Counter {
   kDcUnconverged,             ///< circuit: solve_dc calls that returned converged = false
   kTransientStepFailures,     ///< circuit: run_transient calls that gave up on a step
   kTransientStepRejections,   ///< circuit: failed transient steps retried as two half steps
+  kTableCacheCorruptReplaced, ///< device: of the misses, unreadable entries replaced
   kCount
 };
 constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount);
@@ -101,6 +102,7 @@ Snapshot snapshot();
 
 /// Zero every registered block (tests). Call only while no recording
 /// region is concurrently active.
+// Test seam: counters are process-wide; tests zero them to count one run.
 void reset();
 
 }  // namespace gnrfet::metrics

@@ -230,8 +230,6 @@ int thread_count() { return ThreadPool::instance().threads(); }
 
 void set_thread_count(int n) { ThreadPool::instance().set_threads(n); }
 
-bool in_parallel_region() { return t_in_worker; }
-
 size_t num_chunks(size_t n, size_t grain) {
   if (grain == 0) grain = 1;
   return n == 0 ? 0 : (n + grain - 1) / grain;

@@ -30,11 +30,8 @@ int thread_count();
 
 /// Override the thread count at runtime (tests; growing the pool spawns
 /// workers on demand). Must not be called from inside a parallel region.
+// Test seam: determinism tests compare thread counts in one process.
 void set_thread_count(int n);
-
-/// True while the calling thread is executing chunks of a region — as a
-/// pool worker or as the top-level caller helping its own region.
-bool in_parallel_region();
 
 /// Number of fixed chunks covering [0, n) at the given grain. The layout
 /// is a pure function of (n, grain): chunk c covers

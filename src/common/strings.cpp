@@ -59,10 +59,6 @@ bool parse_double(const std::string& s, double& out) {
   return true;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string hash_hex(const std::string& payload) {
   uint64_t h = 1469598103934665603ull;
   for (const char c : payload) {

@@ -21,9 +21,6 @@ std::string trim(const std::string& s);
 /// (or zero) result, so every double printed at max_digits10 parses back.
 bool parse_double(const std::string& s, double& out);
 
-/// True if `s` starts with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
 /// FNV-1a 64-bit hash, used to key cached device tables by configuration.
 std::string hash_hex(const std::string& payload);
 

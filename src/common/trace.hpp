@@ -30,10 +30,12 @@ namespace gnrfet::trace {
 bool enabled();
 
 /// The configured output path ("" when disabled).
+// Test seam: lets a test restore the path it overrode.
 std::string output_path();
 
 /// Override the output path at runtime; "" disables recording. Intended
 /// for tests and tools — not thread-safe against concurrently open spans.
+// Test seam: tests record without GNRFET_TRACE set.
 void set_output_path(const std::string& path);
 
 /// Microseconds since the process trace epoch (steady clock). All spans,
@@ -75,15 +77,18 @@ struct EventRecord {
 };
 
 /// Number of recorded events across all threads.
+// Test seam: tests read the recorded spans in memory.
 size_t event_count();
 
 /// Merged copy of every recorded event. Call only while no span-recording
 /// region is concurrently active.
+// Test seam: tests read the recorded spans in memory.
 std::vector<EventRecord> snapshot_events();
 
 /// Serialize all recorded events plus the current metrics snapshot as
 /// Chrome trace-event JSON. Does not clear the buffers.
 void write_json(std::ostream& os);
+// Test seam: tests parse the export without a file.
 std::string to_json();
 
 /// Write the trace to output_path() and clear the buffers. No-op when
@@ -92,6 +97,7 @@ std::string to_json();
 void flush();
 
 /// Drop all recorded events (tests).
+// Test seam: each test starts from an empty trace.
 void clear();
 
 }  // namespace gnrfet::trace

@@ -63,7 +63,6 @@ class DeviceGeometry {
   const gnr::ModeSet& modes() const { return modes_; }
   const poisson::Domain& domain() const { return *domain_; }
   const poisson::Assembly& assembly() const { return *assembly_; }
-  const Electrodes& electrodes() const { return electrodes_; }
 
   /// Fixed impurity charge deposited on the grid (units of e).
   const std::vector<double>& impurity_charge() const { return impurity_charge_; }

@@ -62,15 +62,15 @@ class SelfConsistentSolver {
   /// counts one `poisson_newton_unconverged` (common/metrics.hpp).
   DeviceSolution solve(const BiasPoint& bias, const DeviceSolution* warm_start = nullptr) const;
 
-  const SolveOptions& options() const { return opts_; }
-
   /// The reduced Poisson solver of this geometry.
+  // Test seam: the capacitance tests pose the Gummel loop's own Newton systems to it.
   const poisson::CapacitanceSolver& capacitance() const { return capacitance_; }
 
   /// The charge one Gummel iteration hands to Poisson when the potential
   /// on S is `phi_s`: a transport solve at `bias` on that potential,
   /// deposited on S. Exposed so the capacitance tests can pose the real
   /// Newton systems to both the reduced solver and the full-grid oracle.
+  // Test seam: the charge one Gummel iteration computes, for the oracle comparison.
   ChargePopulations charge_populations(const BiasPoint& bias,
                                        const std::vector<double>& phi_s) const;
 

@@ -207,9 +207,18 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   trace::Span span("device", "generate_device_table");
   const std::string payload = table_cache_payload(spec, opts);
   const std::string path = cache::path_for("device-table", payload);
+  // An entry that does not load (truncated, hand-edited, written by a
+  // broken build) is never served: the table is generated again and, once
+  // converged, replaces it through save_table's atomic rename.
+  bool corrupt = false;
   if (opts.use_cache && cache::exists(path)) {
-    metrics::add(metrics::Counter::kTableCacheHits);
-    return load_table(path);
+    try {
+      DeviceTable cached = load_table(path);
+      metrics::add(metrics::Counter::kTableCacheHits);
+      return cached;
+    } catch (const std::exception&) {
+      corrupt = true;
+    }
   }
   if (opts.use_cache) metrics::add(metrics::Counter::kTableCacheMisses);
 
@@ -258,6 +267,7 @@ DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions&
   // load the stale iterate forever.
   if (opts.use_cache && all_converged.load(std::memory_order_relaxed)) {
     save_table(table, path, payload);
+    if (corrupt) metrics::add(metrics::Counter::kTableCacheCorruptReplaced);
   }
   return table;
 }

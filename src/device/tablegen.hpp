@@ -41,6 +41,8 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
 /// Generate (or load from cache) the device table. Generation walks the
 /// bias grid warm-starting each point from its neighbour. A generated table
 /// with any unconverged bias point is returned but not written to the cache.
+/// A cache entry that load_table rejects is regenerated and replaced
+/// (counted as table_cache_corrupt_replaced), never served.
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts = {});
 
 /// Serialization helpers (exposed for tests).

@@ -28,12 +28,10 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
   MonteCarloResult result;
   const DiscretizedNormal dist;
 
-  circuit::RingMeasureOptions ropt = opts.ring;
-  ropt.vdd = opts.vdd;
   const circuit::InverterModels nominal = kit.inverter(opts.vt);
   result.nominal =
       circuit::measure_ring_oscillator(std::vector<circuit::InverterModels>(15, nominal),
-                                       nominal, ropt);
+                                       nominal, opts.vdd, opts.ring);
 
   // Width draws: N = 12 + 3 * z with z in {-1, 0, +1} -> {9, 12, 15};
   // charge draws: q = z in {-1, 0, +1}. Warm every table the draws can
@@ -60,7 +58,8 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
       const VariantSpec pv{12 + 3 * dist.draw(rng), static_cast<double>(dist.draw(rng))};
       stages.push_back(kit.inverter_with_variants(nv, pv, 4, opts.vt));
     }
-    const circuit::RingMetrics m = circuit::measure_ring_oscillator(stages, nominal, ropt);
+    const circuit::RingMetrics m =
+        circuit::measure_ring_oscillator(stages, nominal, opts.vdd, opts.ring);
     GNRFET_ENSURE("explore", "finite-sample-metrics",
                   !m.ok || (std::isfinite(m.frequency_Hz) && std::isfinite(m.static_power_W) &&
                             std::isfinite(m.dynamic_power_W)),

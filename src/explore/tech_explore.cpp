@@ -154,10 +154,8 @@ std::vector<ExplorePoint> explore_plane(DesignKit& kit, const std::vector<double
     p.vt = vt;
     p.vdd = vdd;
     const circuit::InverterModels inv = kit.inverter(vt);
-    circuit::RingMeasureOptions ropt = opts.ring;
-    ropt.vdd = vdd;
     const std::vector<circuit::InverterModels> stages(15, inv);
-    const circuit::RingMetrics rm = circuit::measure_ring_oscillator(stages, inv, ropt);
+    const circuit::RingMetrics rm = circuit::measure_ring_oscillator(stages, inv, vdd, opts.ring);
     if (rm.ok && rm.frequency_Hz > 0.0) {
       p.frequency_Hz = rm.frequency_Hz;
       p.edp_Js = rm.edp_Js;

@@ -53,6 +53,7 @@ class DesignKit {
   /// must happen before the variant's first use — overwriting an existing
   /// entry would invalidate references handed out by table(), so it throws
   /// std::logic_error instead.
+  // Test seam: circuit-level tests run the kit on synthetic tables.
   void set_table(const VariantSpec& v, device::DeviceTable table);
 
   /// Threshold voltage of the nominal (N=12, ideal) device at VD = 0.05 V
@@ -70,8 +71,6 @@ class DesignKit {
   circuit::InverterModels inverter_with_variants(const VariantSpec& n_variant,
                                                  const VariantSpec& p_variant, int affected,
                                                  double vt_target);
-
-  const model::Parasitics& parasitics() const { return parasitics_; }
 
  private:
   model::IntrinsicFet channel(const VariantSpec& v, model::Polarity pol, double offset);
@@ -99,7 +98,7 @@ struct ExplorePoint {
 };
 
 struct ExploreOptions {
-  circuit::RingMeasureOptions ring;  ///< vdd is overridden per point
+  circuit::RingMeasureOptions ring;  ///< each point runs at its own vdd
 };
 
 /// Sweep the plane: a 15-stage FO4 ring oscillator + inverter SNM at every

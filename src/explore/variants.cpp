@@ -8,20 +8,17 @@ double pct(double value, double nominal) { return 100.0 * (value / nominal - 1.0
 
 circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit,
                                                   const VariationStudyOptions& opts) {
-  circuit::InverterMeasureOptions mopt = opts.measure;
-  mopt.vdd = opts.vdd;
   const circuit::InverterModels nominal = kit.inverter(opts.vt);
-  return circuit::measure_inverter(nominal, nominal, mopt);
+  return circuit::measure_inverter(nominal, nominal, opts.vdd, opts.measure);
 }
 
 std::vector<VariationEntry> run_variation_study(DesignKit& kit,
                                                 const std::vector<VariantSpec>& n_variants,
                                                 const std::vector<VariantSpec>& p_variants,
                                                 const VariationStudyOptions& opts) {
-  circuit::InverterMeasureOptions mopt = opts.measure;
-  mopt.vdd = opts.vdd;
   const circuit::InverterModels nominal = kit.inverter(opts.vt);
-  const circuit::InverterMetrics base = circuit::measure_inverter(nominal, nominal, mopt);
+  const circuit::InverterMetrics base =
+      circuit::measure_inverter(nominal, nominal, opts.vdd, opts.measure);
 
   std::vector<VariationEntry> out;
   for (const auto& pv : p_variants) {
@@ -34,7 +31,7 @@ std::vector<VariationEntry> run_variation_study(DesignKit& kit,
         const circuit::InverterModels m =
             kit.inverter_with_variants(nv, pv, affected_counts[s], opts.vt);
         // The FO4 load stays nominal; the variation hits the driver.
-        e.metrics[s] = circuit::measure_inverter(m, nominal, mopt);
+        e.metrics[s] = circuit::measure_inverter(m, nominal, opts.vdd, opts.measure);
         if (e.metrics[s].ok && base.ok) {
           e.delay_pct[s] = pct(e.metrics[s].delay_s, base.delay_s);
           e.static_power_pct[s] = pct(e.metrics[s].static_power_W, base.static_power_W);

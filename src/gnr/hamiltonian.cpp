@@ -41,30 +41,6 @@ size_t BlockTridiagonal::total_dim() const {
   return n;
 }
 
-linalg::CMatrix BlockTridiagonal::to_dense() const {
-  const size_t n = total_dim();
-  linalg::CMatrix h(n, n);
-  size_t off = 0;
-  for (size_t b = 0; b < diag.size(); ++b) {
-    const auto& d = diag[b];
-    for (size_t i = 0; i < d.rows(); ++i) {
-      for (size_t j = 0; j < d.cols(); ++j) h(off + i, off + j) = d(i, j);
-    }
-    if (b + 1 < diag.size()) {
-      const auto& u = upper[b];
-      const size_t off2 = off + d.rows();
-      for (size_t i = 0; i < u.rows(); ++i) {
-        for (size_t j = 0; j < u.cols(); ++j) {
-          h(off + i, off2 + j) = u(i, j);
-          h(off2 + j, off + i) = std::conj(u(i, j));
-        }
-      }
-    }
-    off += d.rows();
-  }
-  return h;
-}
-
 BlockTridiagonal build_hamiltonian(const Lattice& lat, const TightBindingParams& params,
                                    const std::vector<double>& onsite_eV) {
   if (onsite_eV.size() != lat.atoms().size()) {

@@ -18,9 +18,6 @@ struct BlockTridiagonal {
 
   size_t num_blocks() const { return diag.size(); }
   size_t total_dim() const;
-
-  /// Assemble into one dense matrix (tests and small reference solves).
-  linalg::CMatrix to_dense() const;
 };
 
 /// Largest |H_ij - conj(H_ji)| over the diagonal blocks (the off-diagonal

@@ -25,7 +25,6 @@ Lattice Lattice::armchair(int n_index, int num_slices, double edge_delta) {
   Lattice lat;
   lat.n_ = n_index;
   lat.num_slices_ = num_slices;
-  lat.edge_delta_ = edge_delta;
   lat.slice_atoms_.resize(static_cast<size_t>(num_slices));
 
   // Slice m holds two atomic columns: A-column at x = 1.5*aCC*m and
@@ -76,7 +75,6 @@ Lattice Lattice::with_vacancy(size_t atom_index) const {
   Lattice out;
   out.n_ = n_;
   out.num_slices_ = num_slices_;
-  out.edge_delta_ = edge_delta_;
   out.column_x_ = column_x_;
   out.slice_atoms_.resize(slice_atoms_.size());
 

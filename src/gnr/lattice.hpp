@@ -59,7 +59,6 @@ class Lattice {
 
   int n_index() const { return n_; }
   int num_slices() const { return num_slices_; }
-  double edge_delta() const { return edge_delta_; }
 
   /// Physical ribbon width W = (N-1)*sqrt(3)/2*aCC [nm].
   double width_nm() const;
@@ -83,7 +82,6 @@ class Lattice {
  private:
   int n_ = 0;
   int num_slices_ = 0;
-  double edge_delta_ = 0.0;
   std::vector<Atom> atoms_;
   std::vector<Bond> bonds_;
   std::vector<std::vector<size_t>> slice_atoms_;

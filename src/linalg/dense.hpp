@@ -103,12 +103,6 @@ class Matrix {
     return t;
   }
 
-  double max_abs() const {
-    double m = 0.0;
-    for (const auto& v : data_) m = std::max(m, std::abs(v));
-    return m;
-  }
-
  private:
   void check_same_shape(const Matrix& o) const {
     if (rows_ != o.rows_ || cols_ != o.cols_) {

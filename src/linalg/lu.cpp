@@ -64,11 +64,6 @@ size_t factor_in_place(Matrix<T>& a, std::vector<size_t>& perm, std::vector<size
 }  // namespace
 
 template <typename T>
-LU<T>::LU(Matrix<T> a) : lu_(std::move(a)) {
-  elimination_updates_ = factor_in_place(lu_, perm_, pivot_row_cols_);
-}
-
-template <typename T>
 void LU<T>::factor(const Matrix<T>& a) {
   lu_ = a;
   elimination_updates_ = factor_in_place(lu_, perm_, pivot_row_cols_);
@@ -95,13 +90,6 @@ void LU<T>::solve_into(const std::vector<T>& b, std::vector<T>& x) const {
 }
 
 template <typename T>
-std::vector<T> LU<T>::solve(const std::vector<T>& b) const {
-  std::vector<T> x;
-  solve_into(b, x);
-  return x;
-}
-
-template <typename T>
 void LU<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
   const size_t n = lu_.rows();
   if (b.rows() != n) throw std::invalid_argument("LU::solve_into: shape mismatch");
@@ -121,13 +109,6 @@ void LU<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
       x(ii, j) = s / lu_(ii, ii);
     }
   }
-}
-
-template <typename T>
-Matrix<T> LU<T>::solve(const Matrix<T>& b) const {
-  Matrix<T> x;
-  solve_into(b, x);
-  return x;
 }
 
 template class LU<double>;

@@ -27,15 +27,13 @@ class ReplayLU;
 template <typename T>
 class LU {
  public:
-  /// Empty factorization; call factor() before solving. Exists so a
-  /// long-lived workspace (negf::RgfWorkspace, the circuit Newton loop)
-  /// can refactor matrix after matrix without reallocating its storage.
+  /// Empty factorization; call factor() before solving. A long-lived
+  /// workspace (negf::RgfWorkspace, linalg::ReplayLU) refactors matrix
+  /// after matrix without reallocating its storage.
   LU() = default;
-  explicit LU(Matrix<T> a);
 
-  /// Refactor in place: copies `a` into the internal storage (allocation
-  /// reused when shapes repeat) and runs the same elimination as the
-  /// constructor; results are bit-identical to a fresh LU(a).
+  /// Factor `a`: copies it into the internal storage (allocation reused
+  /// when shapes repeat) and eliminates in place.
   void factor(const Matrix<T>& a);
 
   /// Row-entry updates a(i, j) -= m * a(k, j) of the last factorization
@@ -43,17 +41,12 @@ class LU {
   /// each pivot row, which leave a(i, j) unchanged.
   size_t elimination_updates() const { return elimination_updates_; }
 
-  /// Solve A x = b for a single right-hand side.
-  std::vector<T> solve(const std::vector<T>& b) const;
-
-  /// solve(b) into caller-owned x (allocation reused). b must not alias x.
+  /// Solve A x = b for a single right-hand side into caller-owned x
+  /// (allocation reused). b must not alias x.
   void solve_into(const std::vector<T>& b, std::vector<T>& x) const;
 
-  /// Solve A X = B column by column.
-  Matrix<T> solve(const Matrix<T>& b) const;
-
-  /// solve(b) into caller-owned X (allocation reused), substituting in
-  /// place on X's columns. B must not alias X.
+  /// Solve A X = B column by column into caller-owned X (allocation
+  /// reused), substituting in place on X's columns. B must not alias X.
   void solve_into(const Matrix<T>& b, Matrix<T>& x) const;
 
  private:

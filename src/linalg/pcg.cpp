@@ -45,11 +45,9 @@ struct IterationRecorder {
 template <size_t K>
 void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes,
                const size_t* rows, size_t nrows, std::vector<double>& x,
-               std::vector<double>& x_out, const Preconditioner& precond, const PcgOptions& opts,
-               PcgResult* results) {
+               std::vector<double>& x_out, const Preconditioner& precond, PcgWorkspace& ws,
+               const PcgOptions& opts, PcgResult* results) {
   const size_t n = a.dim();
-  PcgWorkspace local;
-  PcgWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
   ws.r.resize(n * K);
   ws.ap.resize(n * K);
 
@@ -135,14 +133,14 @@ void pcg_lanes(const SparseMatrix& a, const std::vector<double>& b, size_t lanes
 }  // namespace
 
 PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
-                    std::vector<double>& x, const Preconditioner& precond,
+                    std::vector<double>& x, const Preconditioner& precond, PcgWorkspace& ws,
                     const PcgOptions& opts) {
   trace::Span span("linalg", "pcg_solve");
   const size_t n = a.dim();
   if (b.size() != n) throw std::invalid_argument("pcg_solve: rhs size mismatch");
   if (x.size() != n) x.assign(n, 0.0);
   PcgResult result;
-  pcg_lanes<1>(a, b, 1, nullptr, n, x, x, precond, opts, &result);
+  pcg_lanes<1>(a, b, 1, nullptr, n, x, x, precond, ws, opts, &result);
   return result;
 }
 
@@ -152,6 +150,7 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
                                                        const std::vector<size_t>& rows,
                                                        std::vector<double>& x_rows,
                                                        const Preconditioner& precond,
+                                                       PcgWorkspace& ws,
                                                        const PcgOptions& opts) {
   trace::Span span("linalg", "pcg_solve");
   constexpr size_t K = kernels::kLanes;
@@ -161,12 +160,10 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
   for (const size_t row : rows) {
     if (row >= n) throw std::out_of_range("pcg_solve_lanes: tracked row out of range");
   }
-  PcgWorkspace local;
-  std::vector<double>& x = opts.workspace != nullptr ? opts.workspace->x : local.x;
-  x.assign(rows.size() * K, 0.0);
+  ws.x.assign(rows.size() * K, 0.0);
   x_rows.resize(rows.size() * K);
   std::array<PcgResult, K> results;
-  pcg_lanes<K>(a, b, lanes, rows.data(), rows.size(), x, x_rows, precond, opts,
+  pcg_lanes<K>(a, b, lanes, rows.data(), rows.size(), ws.x, x_rows, precond, ws, opts,
                results.data());
   return results;
 }

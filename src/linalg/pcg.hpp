@@ -9,9 +9,9 @@
 /// Preconditioned conjugate gradient for the (symmetric positive definite)
 /// Poisson systems. The caller passes a factored preconditioner (IC(0) in
 /// production, see linalg/preconditioner.hpp); dot products are
-/// blocked-pairwise sums (linalg/kernels.hpp). Callers on a hot loop pass
-/// a PcgWorkspace so the iteration vectors are allocated once and reused
-/// across solves.
+/// blocked-pairwise sums (linalg/kernels.hpp). Every solve runs in a
+/// caller-owned PcgWorkspace, so a caller that solves repeatedly allocates
+/// the iteration vectors once.
 ///
 /// One iteration body serves both entry points: pcg_solve is its
 /// one-lane instance, and pcg_solve_lanes advances kernels::kLanes
@@ -29,8 +29,6 @@ struct PcgWorkspace {
 
 struct PcgOptions {
   double rel_tolerance = 1e-10;
-  /// Optional reusable vectors; null falls back to per-call allocation.
-  PcgWorkspace* workspace = nullptr;
 };
 
 struct PcgResult {
@@ -41,8 +39,9 @@ struct PcgResult {
 
 /// Solves A x = b in place; `x` provides the initial guess. `precond`
 /// must be factored for `a`.
+// Test seam: the one-lane reference pcg_solve_lanes is pinned to, and the Poisson oracle's solve.
 PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
-                    std::vector<double>& x, const Preconditioner& precond,
+                    std::vector<double>& x, const Preconditioner& precond, PcgWorkspace& ws,
                     const PcgOptions& opts = {});
 
 /// Solves A x_j = b_j from x_j = 0 for the first `lanes` (1..kLanes) of
@@ -60,6 +59,7 @@ std::array<PcgResult, kernels::kLanes> pcg_solve_lanes(const SparseMatrix& a,
                                                        const std::vector<size_t>& rows,
                                                        std::vector<double>& x_rows,
                                                        const Preconditioner& precond,
-                                                       const PcgOptions& opts);
+                                                       PcgWorkspace& ws,
+                                                       const PcgOptions& opts = {});
 
 }  // namespace gnrfet::linalg

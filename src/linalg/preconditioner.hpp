@@ -62,6 +62,7 @@ class IncompleteCholesky final : public Preconditioner {
 
   /// Diagonal shift (relative to diag(A)) the last factorization needed;
   /// 0 when IC(0) succeeded unshifted.
+  // Test seam: shows whether the shifted-IC fallback engaged; shift_ is private.
   double diagonal_shift() const { return shift_; }
 
  private:

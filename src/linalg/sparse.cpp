@@ -76,14 +76,6 @@ void SparseMatrix::multiply(const std::vector<double>& x, std::vector<double>& y
   }
 }
 
-std::vector<double> SparseMatrix::diagonal() const {
-  std::vector<double> d(dim(), 0.0);
-  for (size_t row = 0; row < dim(); ++row) {
-    if (diag_pos_[row] >= 0) d[row] = values_[static_cast<size_t>(diag_pos_[row])];
-  }
-  return d;
-}
-
 void SparseMatrix::set_diagonal(size_t row, double value) {
   if (row >= dim() || diag_pos_[row] < 0) {
     throw std::out_of_range("SparseMatrix::set_diagonal: no diagonal entry");

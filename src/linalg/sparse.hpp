@@ -40,13 +40,11 @@ class SparseMatrix {
   /// each lane is bit-identical to a one-lane multiply.
   void multiply(const std::vector<double>& x, std::vector<double>& y, size_t lanes = 1) const;
 
-  /// Diagonal entries (zero where absent), for Jacobi preconditioning.
-  std::vector<double> diagonal() const;
-
   /// Overwrite the diagonal entry of `row`. The entry must exist (Poisson
   /// assembly always creates diagonals); throws otherwise. Lets a
   /// persistent Jacobian copy be retargeted each Newton iteration —
   /// diag(A) + charge term — without rebuilding the full value array.
+  // Test seam: the full-grid Poisson oracle's Newton Jacobian; values() is read-only.
   void set_diagonal(size_t row, double value);
 
   const std::vector<size_t>& row_ptr() const { return row_ptr_; }

@@ -13,10 +13,6 @@ ArrayFet::ArrayFet(std::vector<IntrinsicFet> channels) : channels_(std::move(cha
   }
 }
 
-ArrayFet ArrayFet::uniform(const IntrinsicFet& channel, int count) {
-  return ArrayFet(std::vector<IntrinsicFet>(static_cast<size_t>(count), channel));
-}
-
 ArrayFet ArrayFet::with_variants(const IntrinsicFet& nominal, const IntrinsicFet& variant,
                                  int count, int affected) {
   if (affected < 0 || affected > count) {

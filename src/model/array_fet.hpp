@@ -15,9 +15,6 @@ class ArrayFet final : public ChannelModel {
   /// All channels must share polarity and offset (one gate metal).
   explicit ArrayFet(std::vector<IntrinsicFet> channels);
 
-  /// Uniform array of `count` identical channels.
-  static ArrayFet uniform(const IntrinsicFet& channel, int count);
-
   /// Array with `count - affected` copies of `nominal` and `affected`
   /// copies of `variant` (the paper's 1-of-4 / 4-of-4 scenarios).
   static ArrayFet with_variants(const IntrinsicFet& nominal, const IntrinsicFet& variant,

@@ -35,7 +35,6 @@ class IntrinsicFet {
   FetSample charge(double vgs, double vds) const;
 
   Polarity polarity() const { return polarity_; }
-  double offset_V() const { return offset_; }
 
   /// True when `o` is the same model: the same two tables, polarity and
   /// offset, so its samples are bit-identical to this channel's.

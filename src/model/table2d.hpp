@@ -25,13 +25,13 @@ class Table2D {
   /// Axes must be strictly ascending and uniformly spaced.
   Table2D(std::vector<double> xs, std::vector<double> ys, std::vector<double> values);
 
-  double value(double x, double y) const { return sample(x, y).value; }
   /// Value and gradient at (x, y). Returns all-NaN when x or y is not
   /// finite.
   TableSample sample(double x, double y) const;
 
   /// Stored grid value at ix in [-1, nx], iy in [-1, ny]: a table value
   /// inside, a ghost point on the ring.
+  // Test seam: pins the padded ring against the extended_oracle; the ring is private.
   double grid(ptrdiff_t ix, ptrdiff_t iy) const;
 
  private:

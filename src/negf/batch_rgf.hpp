@@ -53,6 +53,7 @@ inline bool rgf_batch_enabled() { return true; }
 /// fully vectorized; false means it fell back to per-lane std::complex
 /// division (bit-correct on any toolchain, slower). Asserted by the
 /// batched-kernel solve-rate gate, PerfGate.* in tests/test_batch_rgf.cpp.
+// Test seam: the kernel picks its reciprocal itself; only the timed gate asks which.
 bool rgf_batch_uses_fast_reciprocal();
 
 /// Results of one batched solve. Per-lane scalars are indexed [lane];

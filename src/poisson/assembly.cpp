@@ -73,25 +73,4 @@ std::vector<double> Assembly::rhs(const std::vector<double>& electrode_voltages,
   return b;
 }
 
-std::vector<double> Assembly::expand(const std::vector<double>& phi_free,
-                                     const std::vector<double>& electrode_voltages) const {
-  const GridSpec& s = domain_.spec();
-  std::vector<double> full(s.num_nodes(), 0.0);
-  for (size_t node = 0; node < s.num_nodes(); ++node) {
-    const int el = domain_.electrode_at(node);
-    if (el >= 0) {
-      full[node] = electrode_voltages[static_cast<size_t>(el)];
-    } else {
-      full[node] = phi_free[free_index_[node]];
-    }
-  }
-  return full;
-}
-
-std::vector<double> Assembly::restrict_to_free(const std::vector<double>& full) const {
-  std::vector<double> out(free_nodes_.size());
-  for (size_t f = 0; f < free_nodes_.size(); ++f) out[f] = full[free_nodes_[f]];
-  return out;
-}
-
 }  // namespace gnrfet::poisson

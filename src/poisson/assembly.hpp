@@ -28,14 +28,6 @@ class Assembly {
   std::vector<double> rhs(const std::vector<double>& electrode_voltages,
                           const std::vector<double>& rho_e) const;
 
-  /// Scatter a free-node solution into a full-grid potential (electrode
-  /// nodes take their fixed voltages).
-  std::vector<double> expand(const std::vector<double>& phi_free,
-                             const std::vector<double>& electrode_voltages) const;
-
-  /// Restrict a full-grid field to free nodes.
-  std::vector<double> restrict_to_free(const std::vector<double>& full) const;
-
   /// Free-node index of a grid node, or SIZE_MAX if the node is an
   /// electrode node.
   size_t free_index(size_t node) const { return free_index_[node]; }

@@ -127,7 +127,6 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
     linalg::PcgWorkspace ws;
     linalg::PcgOptions opts;
     opts.rel_tolerance = 1e-10;
-    opts.workspace = &ws;
     std::vector<double> b(nf * K), x;
     for (size_t block = begin; block < end; ++block) {
       const size_t first = block * K;
@@ -146,7 +145,7 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
         for (size_t i = 0; i < nf; ++i) b[i * K + j] = rhs[i];
       }
       const auto results =
-          linalg::pcg_solve_lanes(assembly.matrix(), b, lanes, rows, x, ic0, opts);
+          linalg::pcg_solve_lanes(assembly.matrix(), b, lanes, rows, x, ic0, ws, opts);
       for (size_t j = 0; j < lanes; ++j) {
         if (!results[j].converged) {
           throw std::runtime_error(strings::format(

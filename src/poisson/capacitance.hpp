@@ -66,12 +66,14 @@ class CapacitanceSolver {
   size_t size() const { return nodes_.size(); }
 
   /// Grid node of each S index, ascending.
+  // Test seam: tests map S back to the grid; the solver itself works on S.
   const std::vector<size_t>& nodes() const { return nodes_; }
 
   /// S index of a grid node, or SIZE_MAX when the node is not in S.
   size_t index_of(size_t node) const;
 
   /// G = (A^-1)_SS, row-major ns x ns [V/e].
+  // Test seam: G's bit pins and symmetry checks; solves read green_ directly.
   const std::vector<double>& green() const { return green_; }
 
   /// phi0_S(V): the potential on S with no mobile charge [V].

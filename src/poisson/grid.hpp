@@ -21,9 +21,6 @@ struct GridSpec {
   double x(size_t i) const { return x0 + static_cast<double>(i) * dx; }
   double y(size_t j) const { return y0 + static_cast<double>(j) * dy; }
   double z(size_t k) const { return z0 + static_cast<double>(k) * dz; }
-  double x_max() const { return x(nx - 1); }
-  double y_max() const { return y(ny - 1); }
-  double z_max() const { return z(nz - 1); }
 };
 
 /// Axis-aligned box used to paint materials and electrodes.

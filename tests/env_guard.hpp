@@ -12,8 +12,8 @@ namespace gnrfet::tests {
 /// run sees no cross-test pollution.
 class EnvGuard {
  public:
-  EnvGuard(const char* name, const char* value) : name_(name), was_set_(common::env_set(name)) {
-    if (was_set_) previous_ = common::env_or(name, "");
+  EnvGuard(const char* name, const char* value)
+      : name_(name), previous_(common::env_or(name, "")) {
     if (value) {
       ::setenv(name, value, 1);
     } else {
@@ -21,7 +21,7 @@ class EnvGuard {
     }
   }
   ~EnvGuard() {
-    if (was_set_) {
+    if (!previous_.empty()) {
       ::setenv(name_.c_str(), previous_.c_str(), 1);
     } else {
       ::unsetenv(name_.c_str());
@@ -32,8 +32,7 @@ class EnvGuard {
 
  private:
   std::string name_;
-  bool was_set_;
-  std::string previous_;
+  std::string previous_;  ///< the prior value; empty when unset (or set empty)
 };
 
 }  // namespace gnrfet::tests

@@ -7,8 +7,18 @@
 
 namespace gnrfet::linalg {
 
+std::vector<double> diagonal(const SparseMatrix& a) {
+  std::vector<double> d(a.dim(), 0.0);
+  for (size_t row = 0; row < a.dim(); ++row) {
+    for (size_t k = a.row_ptr()[row]; k < a.row_ptr()[row + 1]; ++k) {
+      if (a.col_idx()[k] == row) d[row] = a.values()[k];
+    }
+  }
+  return d;
+}
+
 void JacobiPreconditioner::factor(const SparseMatrix& a) {
-  inv_diag_ = a.diagonal();
+  inv_diag_ = diagonal(a);
   for (auto& d : inv_diag_) d = (std::abs(d) > 1e-300) ? 1.0 / d : 1.0;
   metrics::add(metrics::Counter::kPcgPrecondSetups);
 }

@@ -8,9 +8,13 @@
 
 /// Test oracles of the linalg layer: Jacobi, the weakest useful
 /// preconditioner for the Poisson operator, against which the tests hold
-/// the production IC(0) (linalg/preconditioner.hpp), and the factory that
-/// picks one of the two by kind.
+/// the production IC(0) (linalg/preconditioner.hpp), the factory that
+/// picks one of the two by kind, and the diagonal both Jacobi and the
+/// full-grid Poisson oracle start from.
 namespace gnrfet::linalg {
+
+/// Diagonal entries of `a` (zero where absent).
+std::vector<double> diagonal(const SparseMatrix& a);
 
 /// Diagonal scaling.
 class JacobiPreconditioner final : public Preconditioner {

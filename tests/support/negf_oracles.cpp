@@ -6,12 +6,44 @@
 
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
-#include "linalg/lu.hpp"
+#include "test_support.hpp"
 
 namespace gnrfet::negf {
 
 using linalg::CMatrix;
 using linalg::cplx;
+
+CMatrix to_dense(const gnr::BlockTridiagonal& h) {
+  const size_t n = h.total_dim();
+  CMatrix dense(n, n);
+  size_t off = 0;
+  for (size_t b = 0; b < h.diag.size(); ++b) {
+    const auto& d = h.diag[b];
+    for (size_t i = 0; i < d.rows(); ++i) {
+      for (size_t j = 0; j < d.cols(); ++j) dense(off + i, off + j) = d(i, j);
+    }
+    if (b + 1 < h.diag.size()) {
+      const auto& u = h.upper[b];
+      const size_t off2 = off + d.rows();
+      for (size_t i = 0; i < u.rows(); ++i) {
+        for (size_t j = 0; j < u.cols(); ++j) {
+          dense(off + i, off2 + j) = u(i, j);
+          dense(off2 + j, off + i) = std::conj(u(i, j));
+        }
+      }
+    }
+    off += d.rows();
+  }
+  return dense;
+}
+
+double max_abs(const CMatrix& m) {
+  double out = 0.0;
+  for (size_t i = 0; i < m.rows(); ++i) {
+    for (size_t j = 0; j < m.cols(); ++j) out = std::max(out, std::abs(m(i, j)));
+  }
+  return out;
+}
 
 ScalarRgfResult scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV) {
   ScalarRgfWorkspace ws;
@@ -120,7 +152,7 @@ RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV
   }
   const size_t n = h.total_dim();
   CMatrix a(n, n);
-  const CMatrix hd = h.to_dense();
+  const CMatrix hd = to_dense(h);
   const cplx e(energy_eV, eta_eV);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) a(i, j) = -hd(i, j);
@@ -134,7 +166,7 @@ RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV
   for (size_t i = 0; i < nl; ++i) {
     for (size_t j = 0; j < nl; ++j) a(n - nl + i, n - nl + j) -= sigma_right(i, j);
   }
-  const CMatrix g = linalg::LU(a).solve(CMatrix::identity(n));
+  const CMatrix g = tests::lu_solve(tests::lu_factor(a), CMatrix::identity(n));
 
   // Embed the contact broadenings in full-dimension frames.
   CMatrix gamma_l(n, n), gamma_r(n, n);
@@ -196,9 +228,7 @@ CMatrix sancho_rubio_surface_gf(cplx energy, const CMatrix& h00, const CMatrix& 
   CMatrix alpha = h01;
   CMatrix beta = h01.adjoint();
   for (int it = 0; it < max_iter; ++it) {
-    CMatrix e_minus = eye * energy - eps;
-    const linalg::LU lu(e_minus);
-    const CMatrix g = lu.solve(eye);
+    const CMatrix g = tests::lu_solve(tests::lu_factor(eye * energy - eps), eye);
     const CMatrix ga = g * alpha;
     const CMatrix gb = g * beta;
     const CMatrix a_gb = alpha * gb;
@@ -207,11 +237,9 @@ CMatrix sancho_rubio_surface_gf(cplx energy, const CMatrix& h00, const CMatrix& 
     eps += a_gb + b_ga;
     alpha = alpha * ga;
     beta = beta * gb;
-    if (alpha.max_abs() < tol && beta.max_abs() < tol) break;
+    if (max_abs(alpha) < tol && max_abs(beta) < tol) break;
   }
-  CMatrix e_minus_s = eye * energy - eps_s;
-  const linalg::LU lu(e_minus_s);
-  return lu.solve(eye);
+  return tests::lu_solve(tests::lu_factor(eye * energy - eps_s), eye);
 }
 
 CMatrix broadening(const CMatrix& sigma) {

@@ -12,8 +12,15 @@
 /// batched kernel (negf/batch_rgf.hpp) must match bit for bit, the dense
 /// full-matrix solve that validates the block RGF (negf/rgf.hpp), and the
 /// Sancho-Rubio surface Green's function of the semi-infinite ideal ribbon
-/// (transmission staircase of the perfect ribbon).
+/// (transmission staircase of the perfect ribbon), with the dense helpers
+/// they share.
 namespace gnrfet::negf {
+
+/// `h` assembled into one dense matrix.
+linalg::CMatrix to_dense(const gnr::BlockTridiagonal& h);
+
+/// Largest |m_ij|.
+double max_abs(const linalg::CMatrix& m);
 
 struct ScalarRgfResult {
   double transmission = 0.0;

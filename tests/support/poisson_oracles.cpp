@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
@@ -34,15 +35,16 @@ struct SingleOwnerGuard {
 
 }  // namespace
 
-PoissonSolver::PoissonSolver(const Assembly& assembly)
-    : PoissonSolver(assembly, linalg::PreconditionerKind::kIc0) {}
+PoissonSolver::PoissonSolver(const Domain& domain)
+    : PoissonSolver(domain, linalg::PreconditionerKind::kIc0) {}
 
-PoissonSolver::PoissonSolver(const Assembly& assembly, linalg::PreconditionerKind kind)
-    : assembly_(assembly),
+PoissonSolver::PoissonSolver(const Domain& domain, linalg::PreconditionerKind kind)
+    : domain_(domain),
+      assembly_(domain),
       kind_(kind),
       precond_(linalg::make_preconditioner(kind)),
-      jac_(assembly.matrix()),
-      base_diag_(assembly.matrix().diagonal()) {
+      jac_(assembly_.matrix()),
+      base_diag_(linalg::diagonal(assembly_.matrix())) {
   const size_t nf = assembly_.num_free();
   delta_.assign(nf, 0.0);
   residual_.resize(nf);
@@ -57,6 +59,26 @@ void PoissonSolver::reset_jacobian() {
   precond_->factor(jac_);
 }
 
+std::vector<double> PoissonSolver::restrict_to_free(const std::vector<double>& full) const {
+  std::vector<double> out(assembly_.num_free());
+  for (size_t node = 0; node < full.size(); ++node) {
+    const size_t f = assembly_.free_index(node);
+    if (f != std::numeric_limits<size_t>::max()) out[f] = full[node];
+  }
+  return out;
+}
+
+std::vector<double> PoissonSolver::expand(const std::vector<double>& phi_free,
+                                          const std::vector<double>& electrode_voltages) const {
+  std::vector<double> full(domain_.spec().num_nodes());
+  for (size_t node = 0; node < full.size(); ++node) {
+    const int el = domain_.electrode_at(node);
+    full[node] = el >= 0 ? electrode_voltages[static_cast<size_t>(el)]
+                         : phi_free[assembly_.free_index(node)];
+  }
+  return full;
+}
+
 std::vector<double> PoissonSolver::solve_linear(const std::vector<double>& electrode_voltages,
                                                 const std::vector<double>& rho_e) {
   trace::Span span("poisson", "solve_linear_poisson");
@@ -68,12 +90,10 @@ std::vector<double> PoissonSolver::solve_linear(const std::vector<double>& elect
   const std::vector<double> b = assembly_.rhs(electrode_voltages, rho_e);
   reset_jacobian();  // jac_ back to the pristine Laplacian
   std::vector<double> x(assembly_.num_free(), 0.0);
-  linalg::PcgOptions opts;
-  opts.workspace = &pcg_ws_;
-  if (!linalg::pcg_solve(jac_, b, x, *precond_, opts).converged) {
+  if (!linalg::pcg_solve(jac_, b, x, *precond_, pcg_ws_).converged) {
     throw std::runtime_error("solve_linear_poisson: linear solve did not converge");
   }
-  return assembly_.expand(x, electrode_voltages);
+  return expand(x, electrode_voltages);
 }
 
 NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electrode_voltages,
@@ -101,10 +121,10 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
   const double vt = opts.thermal_voltage_V;
 
   // Work on free nodes only.
-  std::vector<double> phi = assembly_.restrict_to_free(phi_init_full);
-  const std::vector<double> phi_ref = assembly_.restrict_to_free(phi_ref_full);
-  const std::vector<double> n0 = assembly_.restrict_to_free(n0_e);
-  const std::vector<double> p0 = assembly_.restrict_to_free(p0_e);
+  std::vector<double> phi = restrict_to_free(phi_init_full);
+  const std::vector<double> phi_ref = restrict_to_free(phi_ref_full);
+  const std::vector<double> n0 = restrict_to_free(n0_e);
+  const std::vector<double> p0 = restrict_to_free(p0_e);
   const size_t nf = assembly_.num_free();
 
   NonlinearResult result;
@@ -121,7 +141,6 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
 
   linalg::PcgOptions pcg_opts;
   pcg_opts.rel_tolerance = 1e-9;
-  pcg_opts.workspace = &pcg_ws_;
 
   newton::StepClamp step_clamp(opts.max_step_V);
   newton::ResidualGuard guard;
@@ -144,7 +163,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
       precond_->factor(jac_);
     }
     for (size_t f = 0; f < nf; ++f) rhs_[f] = -residual_[f];
-    if (!linalg::pcg_solve(jac_, rhs_, delta_, *precond_, pcg_opts).converged) {
+    if (!linalg::pcg_solve(jac_, rhs_, delta_, *precond_, pcg_ws_, pcg_opts).converged) {
       throw std::runtime_error("solve_nonlinear_poisson: inner linear solve did not converge");
     }
     const double max_update = step_clamp.apply(delta_, phi);
@@ -156,7 +175,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
     }
   }
   newton::record_solve(result.iterations, result.converged);
-  result.phi_full = assembly_.expand(phi, electrode_voltages);
+  result.phi_full = expand(phi, electrode_voltages);
   return result;
 }
 

@@ -26,7 +26,8 @@
 /// blocked-pairwise dot products inside one damped Newton loop, the
 /// Newton–Raphson Poisson + PCG scheme of ViDES (arXiv:0704.1875), sharing
 /// its clamp, residual contracts and metrics with the production solve
-/// (poisson/newton.hpp). PoissonSolver(assembly) uses IC(0); the
+/// (poisson/newton.hpp). PoissonSolver(domain) assembles the domain's
+/// operator and uses IC(0); the
 /// two-argument constructor swaps only the preconditioner object, so the
 /// tests can run the Jacobi reference through the same loop. One
 /// PoissonSolver is used by one thread at a time; create one per
@@ -46,8 +47,9 @@ struct NonlinearResult {
 
 class PoissonSolver {
  public:
-  explicit PoissonSolver(const Assembly& assembly);
-  PoissonSolver(const Assembly& assembly, linalg::PreconditionerKind kind);
+  /// `domain` must outlive the solver.
+  explicit PoissonSolver(const Domain& domain);
+  PoissonSolver(const Domain& domain, linalg::PreconditionerKind kind);
 
   linalg::PreconditionerKind kind() const { return kind_; }
 
@@ -70,8 +72,15 @@ class PoissonSolver {
   /// Restore the persistent Jacobian to the pristine Laplacian diagonal
   /// and factor the preconditioner for it.
   void reset_jacobian();
+  /// A full-grid field restricted to the free nodes.
+  std::vector<double> restrict_to_free(const std::vector<double>& full) const;
+  /// A free-node solution scattered onto the full grid; electrode nodes
+  /// take their fixed voltages.
+  std::vector<double> expand(const std::vector<double>& phi_free,
+                             const std::vector<double>& electrode_voltages) const;
 
-  const Assembly& assembly_;
+  const Domain& domain_;
+  const Assembly assembly_;
   linalg::PreconditionerKind kind_;
   std::unique_ptr<linalg::Preconditioner> precond_;
   linalg::SparseMatrix jac_;        ///< persistent copy; only its diagonal moves

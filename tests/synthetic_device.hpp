@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
+#include "circuit/elements.hpp"
 #include "circuit/netlists.hpp"
 #include "device/tablegen.hpp"
 #include "model/array_fet.hpp"
@@ -13,7 +15,8 @@
 /// and circuit tests: hermetic (no dependency on the NEGF table cache) and
 /// fast, while reproducing the structural properties the models rely on —
 /// ambipolarity with minimum near VG = VD/2, I = 0 at VD = 0, and the
-/// source/drain swap symmetry of the physical device.
+/// source/drain swap symmetry of the physical device. Also the small test
+/// circuits built on it: a ramped input source and a latch.
 namespace gnrfet::synthetic {
 
 inline double synthetic_current(double vg, double vd) {
@@ -53,15 +56,54 @@ inline model::IntrinsicFet synthetic_fet(model::Polarity pol, double offset = 0.
   return model::IntrinsicFet(tables.current_A, tables.charge_C, pol, offset);
 }
 
+/// Array of `count` identical channels.
+inline model::ArrayFet uniform_array(const model::IntrinsicFet& channel, size_t count) {
+  return model::ArrayFet(std::vector<model::IntrinsicFet>(count, channel));
+}
+
 /// Inverter of two 4-GNR synthetic arrays with 40 nm-wide contacts.
 inline circuit::InverterModels synthetic_inverter(double offset = 0.12) {
   const auto par = model::Parasitics::from_per_width(0.05, 40.0);
   circuit::InverterModels m;
-  m.nfet = model::make_extrinsic(
-      model::ArrayFet::uniform(synthetic_fet(model::Polarity::kN, offset), 4), par);
-  m.pfet = model::make_extrinsic(
-      model::ArrayFet::uniform(synthetic_fet(model::Polarity::kP, offset), 4), par);
+  m.nfet = model::make_extrinsic(uniform_array(synthetic_fet(model::Polarity::kN, offset), 4),
+                                 par);
+  m.pfet = model::make_extrinsic(uniform_array(synthetic_fet(model::Polarity::kP, offset), 4),
+                                 par);
   return m;
+}
+
+/// Rising/falling step with linear ramp, for delay measurements.
+inline circuit::VoltageSource::Waveform pulse_waveform(double v0, double v1, double t_start,
+                                                       double t_rise) {
+  return [=](double t) {
+    if (t <= t_start) return v0;
+    if (t >= t_start + t_rise) return v1;
+    return v0 + (v1 - v0) * (t - t_start) / t_rise;
+  };
+}
+
+/// Cross-coupled inverter latch (for DC/static-power checks; the butterfly
+/// SNM uses the VTCs directly, see circuit/snm.hpp).
+struct Latch {
+  circuit::Circuit ckt;
+  circuit::NodeId q = 0, qb = 0, vdd_node = 0;
+  size_t vdd_branch = 0;
+  double vdd = 0.0;
+};
+
+inline Latch build_latch(const circuit::InverterModels& fwd, const circuit::InverterModels& bwd,
+                         double vdd) {
+  Latch l;
+  l.vdd = vdd;
+  l.vdd_node = l.ckt.new_node();
+  auto vdd_src = std::make_unique<circuit::VoltageSource>(l.vdd_node, circuit::kGround, vdd);
+  l.vdd_branch = vdd_src->branch();
+  l.ckt.add(std::move(vdd_src));
+  l.q = l.ckt.new_node();
+  l.qb = l.ckt.new_node();
+  circuit::add_inverter(l.ckt, fwd, l.q, l.qb, l.vdd_node);
+  circuit::add_inverter(l.ckt, bwd, l.qb, l.q, l.vdd_node);
+  return l;
 }
 
 }  // namespace gnrfet::synthetic

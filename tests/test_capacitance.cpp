@@ -78,11 +78,13 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
   const std::vector<double> phi_init = restrict_to(cap, init_full);
   const device::ChargePopulations pop = solver.charge_populations(bias, phi_ref);
   poisson::NonlinearOptions popt;
-  popt.thermal_voltage_V = solver.options().kT_eV;
+  // Both solver option sets of these tests (default and fast_opts()) keep
+  // the default temperature.
+  popt.thermal_voltage_V = device::SolveOptions{}.kT_eV;
 
   const poisson::ReducedResult reduced =
       cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_init, popt);
-  poisson::PoissonSolver oracle(geo.assembly(), linalg::PreconditionerKind::kIc0);
+  poisson::PoissonSolver oracle(geo.domain(), linalg::PreconditionerKind::kIc0);
   const size_t nodes = geo.domain().spec().num_nodes();
   const poisson::NonlinearResult full =
       oracle.solve_nonlinear(volts, scatter(cap, pop.electrons, nodes),
@@ -111,7 +113,7 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
 
 std::vector<double> charge_free_potential(const device::DeviceGeometry& geo,
                                           const device::BiasPoint& bias) {
-  poisson::PoissonSolver oracle(geo.assembly(), linalg::PreconditionerKind::kIc0);
+  poisson::PoissonSolver oracle(geo.domain(), linalg::PreconditionerKind::kIc0);
   return oracle.solve_linear(geo.electrode_voltages(0.0, bias.vd, bias.vg),
                              geo.impurity_charge());
 }
@@ -185,7 +187,7 @@ TEST(Capacitance, ReducedNewtonMatchesOracleThroughClampSaturation) {
   const device::BiasPoint bias{0.6, 0.2};
   std::vector<double> rho = geo.impurity_charge();
   for (const size_t node : solver.capacitance().nodes()) rho[node] -= 0.03;
-  poisson::PoissonSolver oracle(geo.assembly(), linalg::PreconditionerKind::kIc0);
+  poisson::PoissonSolver oracle(geo.domain(), linalg::PreconditionerKind::kIc0);
   const std::vector<double> init =
       oracle.solve_linear(geo.electrode_voltages(0.0, bias.vd, bias.vg), rho);
   const OracleComparison c =

@@ -21,7 +21,11 @@ using namespace gnrfet::circuit;
 using model::Polarity;
 using tests::counter;
 
+using synthetic::build_latch;
+using synthetic::Latch;
+using synthetic::pulse_waveform;
 using synthetic::synthetic_inverter;
+using synthetic::uniform_array;
 
 TEST(Dc, ResistorDivider) {
   Circuit ckt;
@@ -279,8 +283,8 @@ TEST(Snm, DegradedInverterReducesSnm) {
   // Skewed pair: weak offset mismatches the VTC switching point.
   InverterModels skewed = good;
   const auto par = model::Parasitics::from_per_width(0.05, 40.0);
-  skewed.nfet = model::make_extrinsic(
-      model::ArrayFet::uniform(synthetic::synthetic_fet(Polarity::kN, 0.3), 4), par);
+  skewed.nfet =
+      model::make_extrinsic(uniform_array(synthetic::synthetic_fet(Polarity::kN, 0.3), 4), par);
   const Vtc a = compute_vtc(good, 0.4);
   const Vtc b = compute_vtc(skewed, 0.4);
   EXPECT_LT(butterfly_snm(b, b), butterfly_snm(a, a));
@@ -300,10 +304,9 @@ TEST(Measure, CrossingTimesAndFrequency) {
 TEST(Measure, InverterMetricsAreSane) {
   const InverterModels inv = synthetic_inverter();
   InverterMeasureOptions opts;
-  opts.vdd = 0.4;
   opts.probe_period_s = 120e-12;
   opts.dt_s = 0.1e-12;
-  const InverterMetrics m = measure_inverter(inv, inv, opts);
+  const InverterMetrics m = measure_inverter(inv, inv, 0.4, opts);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.delay_s, 0.1e-12);
   EXPECT_LT(m.delay_s, 40e-12);
@@ -315,11 +318,10 @@ TEST(Measure, InverterMetricsAreSane) {
 TEST(Measure, RingOscillatorOscillates) {
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
-  opts.vdd = 0.4;
   opts.t_stop_s = 1.0e-9;
   opts.dt_s = 0.5e-12;
   const RingMetrics m =
-      measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, opts);
+      measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, 0.4, opts);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.frequency_Hz, 0.5e9);
   EXPECT_LT(m.frequency_Hz, 100e9);
@@ -360,18 +362,17 @@ TEST(Latch, IsBistable) {
 TEST(CircuitGolden, RingOscillatorIsBitPinned) {
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
-  opts.vdd = 0.4;
   opts.dt_s = 0.5e-12;
   opts.t_stop_s = 2001 * opts.dt_s;
   const std::vector<InverterModels> stages(15, inv);
-  const RingMetrics m = measure_ring_oscillator(stages, inv, opts);
+  const RingMetrics m = measure_ring_oscillator(stages, inv, 0.4, opts);
   ASSERT_TRUE(m.ok);
   EXPECT_EQ(m.frequency_Hz, 0x1.6dd39d4acbd39p+31);
   EXPECT_EQ(m.edp_Js, 0x1.cc67203060905p-88);
   EXPECT_EQ(m.total_power_W, 0x1.b8b4fdbb9b323p-20);
 
   // The same transient measure_ring_oscillator runs, sample by sample.
-  const RingOscillator ro = build_ring_oscillator(stages, inv, opts.vdd);
+  const RingOscillator ro = build_ring_oscillator(stages, inv, 0.4);
   TransientOptions topt;
   topt.t_stop = opts.t_stop_s;
   topt.dt = opts.dt_s;
@@ -388,11 +389,10 @@ TEST(CircuitGolden, RingWithinRoundoffOfNaturalOrderPins) {
   // elimination order may move them by round-off, not more.
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
-  opts.vdd = 0.4;
   opts.dt_s = 0.5e-12;
   opts.t_stop_s = 2001 * opts.dt_s;
   const RingMetrics m =
-      measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, opts);
+      measure_ring_oscillator(std::vector<InverterModels>(15, inv), inv, 0.4, opts);
   ASSERT_TRUE(m.ok);
   const auto near = [](double value, double natural) {
     return std::abs(value - natural) <= 1e-12 * std::abs(natural);
@@ -473,7 +473,7 @@ bool dense_newton(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     for (size_t i = 0; i < n; ++i) fresh.rhs[i] = -fresh.res[i];
     linalg::LU<double> lu;
     try {
-      lu = linalg::LU<double>(tests::permuted(fresh.jac, order));
+      lu.factor(tests::permuted(fresh.jac, order));
     } catch (const std::runtime_error&) {
       return false;
     }
@@ -762,10 +762,9 @@ TEST(RingDcStart, GoldenRingStartsFromItsDcPoint) {
   (void)build_ring_oscillator(stages, inv, 0.4).kick_state(&converged);
   EXPECT_TRUE(converged);
   RingMeasureOptions opts;
-  opts.vdd = 0.4;
   opts.t_stop_s = 1.0e-9;
   opts.dt_s = 0.5e-12;
-  const RingMetrics m = measure_ring_oscillator(stages, inv, opts);
+  const RingMetrics m = measure_ring_oscillator(stages, inv, 0.4, opts);
   EXPECT_TRUE(m.ok);
   EXPECT_TRUE(m.dc_start_converged);
 }

@@ -80,7 +80,6 @@ TEST(CmosNodes, InverterVtcAndSnm) {
 
 TEST(CmosNodes, FrequencyOrderingAcrossNodes) {
   circuit::RingMeasureOptions opts;
-  opts.vdd = 0.8;
   opts.t_stop_s = 3e-9;
   opts.dt_s = 1e-12;
   double prev = 1e300;
@@ -88,7 +87,7 @@ TEST(CmosNodes, FrequencyOrderingAcrossNodes) {
     const circuit::InverterModels inv = cmos::make_cmos_inverter(node);
     const circuit::RingMetrics m =
         circuit::measure_ring_oscillator(std::vector<circuit::InverterModels>(15, inv), inv,
-                                         opts);
+                                         0.8, opts);
     ASSERT_TRUE(m.ok) << cmos::node_name(node);
     EXPECT_LT(m.frequency_Hz, prev) << cmos::node_name(node);
     EXPECT_GT(m.frequency_Hz, 0.5e9);

@@ -223,7 +223,7 @@ TEST(Contracts, NanIterateThroughFetTablesNamesCircuitFiniteStamp) {
   // a NaN sample; the stamp check stops the solve (Table2D::sample used to
   // crash on a NaN coordinate).
   const circuit::InverterModels inv = synthetic::synthetic_inverter();
-  circuit::Latch latch = circuit::build_latch(inv, inv, 0.4);
+  synthetic::Latch latch = synthetic::build_latch(inv, inv, 0.4);
   std::vector<double> seed(latch.ckt.num_unknowns(), 0.0);
   seed[static_cast<size_t>(latch.ckt.unknown_of_node(latch.q))] = kNan;
 

@@ -65,7 +65,7 @@ TEST(DeviceGeometry, GridAndLatticeAreConsistent) {
   // Columns must lie strictly inside the Poisson domain.
   for (size_t c = 0; c < geo.lattice().column_x_nm().size(); ++c) {
     EXPECT_GT(geo.column_x(c), 0.0);
-    EXPECT_LT(geo.column_x(c), g.x_max());
+    EXPECT_LT(geo.column_x(c), g.x(g.nx - 1));
   }
   // Four electrodes: source, drain, bottom gate, top gate.
   EXPECT_EQ(geo.domain().num_electrodes(), 4);
@@ -141,7 +141,7 @@ TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
   const size_t nodes = geo.domain().spec().num_nodes();
   const std::vector<double> zeros(nodes, 0.0);
   const uint64_t newton_before = counter(metrics::Counter::kPoissonNewtonUnconverged);
-  const poisson::NonlinearResult pres = poisson::PoissonSolver(geo.assembly()).solve_nonlinear(
+  const poisson::NonlinearResult pres = poisson::PoissonSolver(geo.domain()).solve_nonlinear(
       geo.electrode_voltages(0.0, 0.5, 0.5), zeros, zeros, geo.impurity_charge(), zeros, zeros,
       popt);
   EXPECT_FALSE(pres.converged);
@@ -676,6 +676,49 @@ TEST(TableGen, TinyEndToEndGeneration) {
   EXPECT_GT(t.at_current(1, 1), 0.0);
   // On state holds electrons: negative channel charge at high VG.
   EXPECT_LT(t.at_charge(1, 1), 0.0);
+}
+
+TEST(TableGen, CorruptCacheEntryIsRegeneratedAndReplaced) {
+  // A header-only file at the entry's key is never served: the table is
+  // generated again, bit-identical to an uncached run, and replaces the
+  // file, so the next call is a plain cache hit.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_corrupt_cache_entry";
+  std::filesystem::remove_all(dir);
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+  TableGenOptions opts;
+  opts.vg_points = 2;
+  opts.vd_points = 2;
+  opts.vg_max = 0.5;
+  opts.vd_max = 0.5;
+  opts.solve = fast_opts();
+  const DeviceSpec spec = tiny_spec();
+  const std::string path = cache::path_for("device-table", table_cache_payload(spec, opts));
+  {
+    std::ofstream out(path);
+    out << "vg,vd,current_A,charge_C\n";
+  }
+  ASSERT_THROW(load_table(path), std::runtime_error);
+  const uint64_t replaced_before = counter(metrics::Counter::kTableCacheCorruptReplaced);
+  const uint64_t hits_before = counter(metrics::Counter::kTableCacheHits);
+
+  const DeviceTable regenerated = generate_device_table(spec, opts);
+  TableGenOptions uncached = opts;
+  uncached.use_cache = false;
+  const DeviceTable fresh = generate_device_table(spec, uncached);
+  EXPECT_EQ(bits_hash(regenerated.current_A), bits_hash(fresh.current_A));
+  EXPECT_EQ(bits_hash(regenerated.charge_C), bits_hash(fresh.charge_C));
+  EXPECT_EQ(bits_hash({regenerated.band_gap_eV}), bits_hash({fresh.band_gap_eV}));
+
+  const DeviceTable on_disk = load_table(path);
+  EXPECT_EQ(bits_hash(on_disk.current_A), bits_hash(fresh.current_A));
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheCorruptReplaced) - replaced_before, 1u);
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheHits) - hits_before, 0u);
+
+  const DeviceTable again = generate_device_table(spec, opts);
+  EXPECT_EQ(bits_hash(again.current_A), bits_hash(fresh.current_A));
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheHits) - hits_before, 1u);
+  EXPECT_EQ(counter(metrics::Counter::kTableCacheCorruptReplaced) - replaced_before, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TableGen, DefaultEnergyStepWithinHalfPercentOfFinerReference) {

@@ -98,7 +98,7 @@ TEST(SyntheticModel, ChargeDerivativesGiveSaneCapacitances) {
 }
 
 TEST(PulseWaveform, RampIsPiecewiseLinear) {
-  const auto w = circuit::pulse_waveform(0.0, 1.0, 10e-12, 4e-12);
+  const auto w = synthetic::pulse_waveform(0.0, 1.0, 10e-12, 4e-12);
   EXPECT_DOUBLE_EQ(w(0.0), 0.0);
   EXPECT_DOUBLE_EQ(w(10e-12), 0.0);
   EXPECT_NEAR(w(12e-12), 0.5, 1e-12);

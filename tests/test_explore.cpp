@@ -97,19 +97,20 @@ TEST(DesignKit, Vt0IsReadAtVd50mVWhateverTheVdStep) {
 }
 
 TEST(DesignKit, FailedResolutionLeavesNoEntryAndRetries) {
-  // Concurrent first uses of a variant whose cache file is corrupt all get
-  // the load error, and the kit keeps no entry: once the file is mended,
-  // the same kit resolves the table.
+  // Concurrent first uses of a variant whose cache directory cannot be
+  // created (its path runs through a regular file) all get the error, and
+  // the kit keeps no entry: once the path is mended, the same kit resolves
+  // the table.
   const auto dir = std::filesystem::temp_directory_path() / "gnrfet_kit_failed_resolution";
   std::filesystem::remove_all(dir);
-  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
-  const StandardEntry nominal = standard_entry({12, 0.0});
-  {
-    std::ofstream out(nominal.path);
-    out << "vg,vd,current_A,charge_C\n0,0,0,0\n";  // no nvg/nvd metadata
-  }
-  // A missing file would start a real N = 12 generation instead.
-  ASSERT_TRUE(std::filesystem::exists(nominal.path));
+  std::filesystem::create_directories(dir);
+  const auto blocker = dir / "blocker";
+  std::ofstream(blocker) << "a regular file, not a directory\n";
+  const auto cache_path = blocker / "cache";
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", cache_path.c_str());
+  // The cache path must fail before any table work: a cache directory that
+  // resolved would start a real N = 12 generation instead.
+  ASSERT_THROW(cache::directory(), std::filesystem::filesystem_error);
   explore::DesignKit kit;
   {
     ThreadCountGuard threads(8);
@@ -123,6 +124,8 @@ TEST(DesignKit, FailedResolutionLeavesNoEntryAndRetries) {
     });
     EXPECT_EQ(errors.load(), 8);
   }
+  std::filesystem::remove(blocker);
+  const StandardEntry nominal = standard_entry({12, 0.0});
   const device::DeviceTable synthetic = synthetic::synthetic_table();
   device::save_table(synthetic, nominal.path, nominal.key);
   EXPECT_EQ(kit.table({12, 0.0}).current_A, synthetic.current_A);

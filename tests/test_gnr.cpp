@@ -10,6 +10,7 @@
 #include "gnr/lattice.hpp"
 #include "gnr/modespace.hpp"
 #include "linalg/eig.hpp"
+#include "support/negf_oracles.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ TEST(Lattice, SlicesForLength) {
 TEST(Hamiltonian, IsHermitianAndTracelessWithoutPotential) {
   const Lattice lat = Lattice::armchair(12, 8, 0.12);
   const auto h = gnr::build_hamiltonian(lat, {2.7, 0.12});
-  const auto dense = h.to_dense();
+  const auto dense = negf::to_dense(h);
   const auto herm = linalg::hermitian_part(dense);
   linalg::CMatrix diff = dense;
   diff -= herm;

@@ -46,8 +46,8 @@ TEST(Table2D, DerivativesMatchFiniteDifferences) {
   for (double x : {0.23, 0.55, 0.81}) {
     for (double y : {0.18, 0.64}) {
       const auto s = t.sample(x, y);
-      const double fd_x = (t.value(x + h, y) - t.value(x - h, y)) / (2 * h);
-      const double fd_y = (t.value(x, y + h) - t.value(x, y - h)) / (2 * h);
+      const double fd_x = (t.sample(x + h, y).value - t.sample(x - h, y).value) / (2 * h);
+      const double fd_y = (t.sample(x, y + h).value - t.sample(x, y - h).value) / (2 * h);
       EXPECT_NEAR(s.d_dx, fd_x, 1e-5);
       EXPECT_NEAR(s.d_dy, fd_y, 1e-5);
     }
@@ -59,8 +59,8 @@ TEST(Table2D, LinearExtrapolationOutsideDomain) {
   std::vector<double> ys = {0.0, 1.0};
   std::vector<double> v = {0.0, 0.0, 1.0, 1.0, 2.0, 2.0};  // v = 2x
   const Table2D t(xs, ys, v);
-  EXPECT_NEAR(t.value(1.5, 0.5), 3.0, 1e-9);
-  EXPECT_NEAR(t.value(-0.5, 0.5), -1.0, 1e-9);
+  EXPECT_NEAR(t.sample(1.5, 0.5).value, 3.0, 1e-9);
+  EXPECT_NEAR(t.sample(-0.5, 0.5).value, -1.0, 1e-9);
 }
 
 TEST(Table2D, GhostPointSamplesAreBitPinned) {
@@ -194,7 +194,7 @@ TEST(IntrinsicFet, DerivativesMatchFiniteDifferences) {
 
 TEST(ArrayFet, UniformArrayScalesCurrent) {
   const auto one = synthetic::synthetic_fet(Polarity::kN);
-  const auto four = model::ArrayFet::uniform(one, 4);
+  const auto four = synthetic::uniform_array(one, 4);
   EXPECT_NEAR(four.current(0.4, 0.4).value, 4.0 * one.current(0.4, 0.4).value, 1e-18);
   EXPECT_NEAR(four.charge(0.4, 0.4).value, 4.0 * one.charge(0.4, 0.4).value, 1e-24);
 }
@@ -215,7 +215,7 @@ TEST(ArrayFet, SharedChannelSamplesMatchChannelLoopBitForBit) {
     const auto nom = synthetic::synthetic_fet(pol, 0.05);
     const auto var = synthetic::synthetic_fet(pol, 0.2);
     const std::pair<model::ArrayFet, std::vector<model::IntrinsicFet>> cases[] = {
-        {model::ArrayFet::uniform(nom, 4), {nom, nom, nom, nom}},
+        {synthetic::uniform_array(nom, 4), {nom, nom, nom, nom}},
         {model::ArrayFet::with_variants(nom, var, 4, 1), {nom, nom, nom, var}},
     };
     for (const auto& [array, channels] : cases) {

@@ -6,7 +6,6 @@
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
-#include "poisson/assembly.hpp"
 #include "poisson/grid.hpp"
 #include "support/poisson_oracles.hpp"
 
@@ -37,10 +36,10 @@ uint64_t fnv1a(const std::vector<double>& v) {
 struct GoldenProblem {
   poisson::GridSpec g;
   poisson::Domain domain;
-  poisson::Assembly assembly;
   std::vector<double> zero, fixed, n0, p0;
 
-  GoldenProblem() : g(make_grid()), domain(g), assembly((setup(domain), domain)) {
+  GoldenProblem() : g(make_grid()), domain(g) {
+    domain.add_electrode({-1, 10, -1, 10, -0.001, 0.001});
     zero.assign(g.num_nodes(), 0.0);
     fixed.assign(g.num_nodes(), 0.0);
     domain.deposit_charge(g.x(3), g.y(3), g.z(3), 2.0, fixed);
@@ -57,23 +56,22 @@ struct GoldenProblem {
     g.dx = g.dy = g.dz = 0.3;
     return g;
   }
-  static void setup(poisson::Domain& d) { d.add_electrode({-1, 10, -1, 10, -0.001, 0.001}); }
 };
 
 TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
-  // Regression pin of the production path (PoissonSolver(assembly): IC(0),
+  // Regression pin of the production path (PoissonSolver(domain): IC(0),
   // warm-started, pairwise-summed PCG inside the damped Newton loop). The
   // hashes, Newton and PCG iteration counts and hexfloat samples were
   // captured before the alternative preconditioners and the Jacobi-baseline
   // fork were deleted; deleting them must not move a bit.
   GoldenProblem p;
-  EXPECT_EQ(poisson::PoissonSolver(p.assembly).kind(), PreconditionerKind::kIc0);
+  EXPECT_EQ(poisson::PoissonSolver(p.domain).kind(), PreconditionerKind::kIc0);
   const auto pcg_iterations = [] {
     return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kPcgIterations)];
   };
 
   const uint64_t c0 = pcg_iterations();
-  const auto r1 = poisson::PoissonSolver(p.assembly).solve_nonlinear({0.0}, p.n0, p.p0, p.fixed,
+  const auto r1 = poisson::PoissonSolver(p.domain).solve_nonlinear({0.0}, p.n0, p.p0, p.fixed,
                                                                      p.zero, p.zero);
   const uint64_t c1 = pcg_iterations();
   ASSERT_TRUE(r1.converged);
@@ -85,7 +83,7 @@ TEST(PoissonSolverGolden, Ic0DefaultPathBitIdentical) {
   EXPECT_EQ(r1.phi_full[342], 0x1.16d44cb7bf8d9p-9);
   EXPECT_EQ(r1.last_update_V, 0x1.3b1f38fdad8f3p-23);
 
-  const auto r2 = poisson::PoissonSolver(p.assembly).solve_nonlinear(
+  const auto r2 = poisson::PoissonSolver(p.domain).solve_nonlinear(
       {0.3}, p.n0, p.p0, p.fixed, r1.phi_full, r1.phi_full);
   const uint64_t c2 = pcg_iterations();
   ASSERT_TRUE(r2.converged);
@@ -105,7 +103,7 @@ TEST(PoissonSolver, PreconditionersAgreeOnNonlinearFixedPoint) {
   GoldenProblem p;
   std::vector<std::vector<double>> phis;
   for (const auto kind : {PreconditionerKind::kJacobi, PreconditionerKind::kIc0}) {
-    poisson::PoissonSolver solver(p.assembly, kind);
+    poisson::PoissonSolver solver(p.domain, kind);
     auto res = solver.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
     ASSERT_TRUE(res.converged);
     phis.push_back(std::move(res.phi_full));
@@ -121,14 +119,14 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
   // same solve sequence must stay bit-identical at every step, and the
   // first solve must match a fresh solver's.
   GoldenProblem p;
-  poisson::PoissonSolver a(p.assembly, PreconditionerKind::kIc0);
-  poisson::PoissonSolver b(p.assembly, PreconditionerKind::kIc0);
+  poisson::PoissonSolver a(p.domain, PreconditionerKind::kIc0);
+  poisson::PoissonSolver b(p.domain, PreconditionerKind::kIc0);
 
   const auto a1 = a.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
   const auto b1 = b.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
   ASSERT_TRUE(a1.converged);
   EXPECT_EQ(fnv1a(a1.phi_full), fnv1a(b1.phi_full));
-  const auto free1 = poisson::PoissonSolver(p.assembly).solve_nonlinear({0.0}, p.n0, p.p0,
+  const auto free1 = poisson::PoissonSolver(p.domain).solve_nonlinear({0.0}, p.n0, p.p0,
                                                                         p.fixed, p.zero, p.zero);
   EXPECT_EQ(fnv1a(free1.phi_full), fnv1a(a1.phi_full));
 
@@ -143,7 +141,7 @@ TEST(PoissonSolver, ReusedSolverSequenceIsDeterministic) {
 TEST(PoissonSolver, SolveRecordsPreconditionerMetrics) {
   GoldenProblem p;
   const auto before = metrics::snapshot();
-  poisson::PoissonSolver solver(p.assembly, PreconditionerKind::kIc0);
+  poisson::PoissonSolver solver(p.domain, PreconditionerKind::kIc0);
   const auto res = solver.solve_nonlinear({0.0}, p.n0, p.p0, p.fixed, p.zero, p.zero);
   ASSERT_TRUE(res.converged);
   const auto after = metrics::snapshot();
@@ -168,15 +166,15 @@ uint64_t gate_stack_pcg_iterations(PreconditionerKind kind, size_t scale) {
   poisson::Domain domain(g);
   domain.paint_permittivity({-1.0, 1e9, -1.0, 1e9, -1.0, 1e9}, 3.9);
   domain.add_electrode({-1.0, 1e9, -1.0, 1e9, -0.001, 0.001});
-  domain.add_electrode({-1.0, 1e9, -1.0, 1e9, g.z_max() - 0.001, g.z_max() + 0.001});
-  const poisson::Assembly assembly(domain);
+  const double z_top = g.z(g.nz - 1);
+  domain.add_electrode({-1.0, 1e9, -1.0, 1e9, z_top - 0.001, z_top + 0.001});
   const std::vector<double> p0(g.num_nodes(), 0.0);
 
   const auto pcg_iterations = [] {
     return metrics::snapshot().counters[static_cast<size_t>(metrics::Counter::kPcgIterations)];
   };
   const uint64_t before = pcg_iterations();
-  poisson::PoissonSolver solver(assembly, kind);
+  poisson::PoissonSolver solver(domain, kind);
   for (const double amp : {0.2, 0.6, 1.2}) {
     std::vector<double> fixed(g.num_nodes(), 0.0);
     std::vector<double> n0(g.num_nodes(), 0.0);
@@ -209,7 +207,7 @@ TEST(PoissonSolverParallel, ConcurrentSolversMatchSerialBitForBit) {
   constexpr size_t kCases = 6;
   std::vector<uint64_t> serial(kCases);
   for (size_t i = 0; i < kCases; ++i) {
-    poisson::PoissonSolver solver(p.assembly, PreconditionerKind::kIc0);
+    poisson::PoissonSolver solver(p.domain, PreconditionerKind::kIc0);
     const auto res = solver.solve_nonlinear({0.05 * static_cast<double>(i)}, p.n0, p.p0, p.fixed,
                                             p.zero, p.zero);
     ASSERT_TRUE(res.converged);
@@ -220,7 +218,7 @@ TEST(PoissonSolverParallel, ConcurrentSolversMatchSerialBitForBit) {
   par::set_thread_count(4);
   std::vector<uint64_t> parallel(kCases, 0);
   par::parallel_for(kCases, [&](size_t i) {
-    poisson::PoissonSolver solver(p.assembly, PreconditionerKind::kIc0);
+    poisson::PoissonSolver solver(p.domain, PreconditionerKind::kIc0);
     const auto res = solver.solve_nonlinear({0.05 * static_cast<double>(i)}, p.n0, p.p0, p.fixed,
                                             p.zero, p.zero);
     parallel[i] = res.converged ? fnv1a(res.phi_full) : 0;

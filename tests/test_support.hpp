@@ -7,10 +7,12 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/lu.hpp"
 
 /// Helpers shared by the test files: a scoped thread-count override, a
-/// read of one process-wide work counter, the checked-in benchmark tables
-/// and the permuted system of the dense LU oracle.
+/// read of one process-wide work counter, the checked-in benchmark tables,
+/// value-returning dense LU factor and solve, and the permuted system of
+/// the dense LU oracle.
 namespace gnrfet::tests {
 
 /// Scoped thread-count override restoring the previous value on exit.
@@ -39,6 +41,23 @@ inline std::filesystem::path benchmark_inputs_dir() {
     if (fs::exists(dir / "perfbench" / "inputs")) return dir / "perfbench" / "inputs";
     if (!dir.has_parent_path() || dir.parent_path() == dir) return {};
   }
+}
+
+/// A fresh dense LU factorization of `a`.
+template <typename T>
+linalg::LU<T> lu_factor(const linalg::Matrix<T>& a) {
+  linalg::LU<T> lu;
+  lu.factor(a);
+  return lu;
+}
+
+/// The solution X of A X = B for the factor `lu` of A; `b` is one
+/// right-hand side (a vector) or several (a matrix, column by column).
+template <typename T, typename Rhs>
+Rhs lu_solve(const linalg::LU<T>& lu, const Rhs& b) {
+  Rhs x;
+  lu.solve_into(b, x);
+  return x;
 }
 
 /// P^T A P in the symmetric elimination order `order`:

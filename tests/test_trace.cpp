@@ -135,7 +135,7 @@ TEST(Trace, SpansNestOnOneThread) {
   std::vector<double> n0 = zero;
   n0[g.index(2, 2, 2)] = 1.0;
   const auto res =
-      poisson::PoissonSolver(assembly).solve_nonlinear({0.2}, n0, zero, zero, zero, zero);
+      poisson::PoissonSolver(domain).solve_nonlinear({0.2}, n0, zero, zero, zero, zero);
   ASSERT_TRUE(res.converged);
   const auto solve_events = trace::snapshot_events();
   std::vector<trace::EventRecord> refreshes, pcgs, solves;

@@ -5,6 +5,7 @@
 #include "negf/selfenergy.hpp"
 #include "negf/rgf.hpp"
 #include "negf/transport.hpp"
+#include "support/negf_oracles.hpp"
 
 namespace {
 
@@ -32,7 +33,7 @@ TEST(Vacancy, RemovesOneAtomAndItsBonds) {
 TEST(Vacancy, HamiltonianStaysHermitianBlockTridiagonal) {
   const Lattice def = Lattice::armchair(12, 10, 0.12).with_vacancy(60);
   const auto h = gnr::build_hamiltonian(def, {2.7, 0.12});
-  const auto dense = h.to_dense();
+  const auto dense = negf::to_dense(h);
   linalg::CMatrix diff = dense;
   diff -= linalg::hermitian_part(dense);
   EXPECT_LT(linalg::frobenius_norm(diff), 1e-12);
