@@ -24,6 +24,19 @@ std::vector<double> Waveforms::branch(const Circuit& ckt, size_t branch_index) c
   return out;
 }
 
+void extrapolate_start(const Waveforms& waves, double h, std::vector<double>& x) {
+  const std::vector<double>& x1 = waves.samples.back();
+  if (waves.samples.size() < 2) {
+    x = x1;
+    return;
+  }
+  const std::vector<double>& x0 = waves.samples[waves.samples.size() - 2];
+  const size_t last = waves.time.size() - 1;
+  const double ratio = h / (waves.time[last] - waves.time[last - 1]);
+  x.resize(x1.size());
+  for (size_t i = 0; i < x1.size(); ++i) x[i] = x1[i] + ratio * (x1[i] - x0[i]);
+}
+
 namespace {
 
 /// A failed step is halved at most this many times (down to dt / 64).
@@ -37,15 +50,16 @@ struct Stepper {
   MnaWorkspace ws;
   Waveforms& waves;
 
-  /// Advances and commits the accepted point, at time t - h, to time t. A
-  /// step Newton does not converge is rejected: x returns to the last
-  /// accepted sample, nothing commits, and the interval is retried as two
-  /// half steps, at most kMaxStepHalvings - halvings more times.
+  /// Advances and commits the accepted point, at time t - h, to time t,
+  /// starting Newton from extrapolate_start. A step Newton does not
+  /// converge is rejected: nothing commits, and the interval is retried as
+  /// two half steps, at most kMaxStepHalvings - halvings more times.
   bool advance(double t, double h, int halvings) {
     TransientContext ctx;
     ctx.time = t;
     ctx.dt = h;
     ctx.state = &state;
+    extrapolate_start(waves, h, x);
     if (newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
       for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, state);
       metrics::add(metrics::Counter::kTransientSteps);
@@ -53,7 +67,6 @@ struct Stepper {
       waves.samples.push_back(x);
       return true;
     }
-    x = waves.samples.back();
     if (halvings == kMaxStepHalvings) {
       metrics::add(metrics::Counter::kTransientStepFailures);
       return false;

@@ -205,22 +205,27 @@ DeviceTable load_table(const std::string& path) {
 
 DeviceTable generate_device_table(const DeviceSpec& spec, const TableGenOptions& opts) {
   trace::Span span("device", "generate_device_table");
-  const std::string payload = table_cache_payload(spec, opts);
-  const std::string path = cache::path_for("device-table", payload);
+  // Only a cached generation names its entry: path_for creates the cache
+  // directory, which an uncached one must neither need nor make.
+  std::string payload, path;
   // An entry that does not load (truncated, hand-edited, written by a
   // broken build) is never served: the table is generated again and, once
   // converged, replaces it through save_table's atomic rename.
   bool corrupt = false;
-  if (opts.use_cache && cache::exists(path)) {
-    try {
-      DeviceTable cached = load_table(path);
-      metrics::add(metrics::Counter::kTableCacheHits);
-      return cached;
-    } catch (const std::exception&) {
-      corrupt = true;
+  if (opts.use_cache) {
+    payload = table_cache_payload(spec, opts);
+    path = cache::path_for("device-table", payload);
+    if (cache::exists(path)) {
+      try {
+        DeviceTable cached = load_table(path);
+        metrics::add(metrics::Counter::kTableCacheHits);
+        return cached;
+      } catch (const std::exception&) {
+        corrupt = true;
+      }
     }
+    metrics::add(metrics::Counter::kTableCacheMisses);
   }
-  if (opts.use_cache) metrics::add(metrics::Counter::kTableCacheMisses);
 
   const DeviceGeometry geometry(spec);
   const SelfConsistentSolver solver(geometry, opts.solve);

@@ -106,13 +106,20 @@ TEST(Transient, WholeNumberHorizonTakesExactlyThatManySteps) {
   EXPECT_GE(past.waves.time.back(), opts.t_stop);
 }
 
+/// 8 V (t / 1 ps)^2: a source whose 4 V second difference per 0.5 ps the
+/// linear extrapolation of the Newton start cannot follow.
+double quadratic_source(double t) { return 8.0 * (t / 1e-12) * (t / 1e-12); }
+
 TEST(Transient, FailedStepIsRetriedAsTwoHalfSteps) {
-  // A source ramping 8 V per 1 ps step. The 0.3 V Newton clamp, halved
-  // every 12 iterations, walks a node at most ~7 V in one step's 60
-  // iterations: every full step fails, every 4 V half step converges.
+  // The 0.3 V Newton clamp, halved every 12 iterations, walks a node at
+  // most ~7 V in one step's 60 iterations. On quadratic_source the
+  // extrapolated start of each 1 ps step misses by 8 V (the first, from
+  // the lone start sample) or 12 V (the others), so every full step fails;
+  // the start of each half step misses by at most 4 V, so every half step
+  // converges.
   Circuit ckt;
   const NodeId a = ckt.new_node();
-  ckt.add(std::make_unique<VoltageSource>(a, kGround, [](double t) { return 8.0 * t / 1e-12; }));
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, quadratic_source));
   ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
   TransientOptions opts;
   opts.t_stop = 3e-12;
@@ -131,7 +138,7 @@ TEST(Transient, FailedStepIsRetriedAsTwoHalfSteps) {
   const std::vector<double> v = tr.waves.node(ckt, a);
   for (size_t k = 0; k < 7; ++k) {
     EXPECT_DOUBLE_EQ(tr.waves.time[k], 0.5e-12 * static_cast<double>(k)) << k;
-    EXPECT_NEAR(v[k], 4.0 * static_cast<double>(k), 1e-6) << k;
+    EXPECT_NEAR(v[k], quadratic_source(tr.waves.time[k]), 1e-6) << k;
   }
 }
 
@@ -179,11 +186,11 @@ TEST(Transient, StampsOncePerNewtonIterationAndCommitsOncePerAcceptedStep) {
 }
 
 TEST(Transient, RejectedStepCommitsNothing) {
-  // The ramp of FailedStepIsRetriedAsTwoHalfSteps: each of the three full
-  // steps is rejected, and only the six accepted half steps commit.
+  // The source of FailedStepIsRetriedAsTwoHalfSteps: each of the three
+  // full steps is rejected, and only the six accepted half steps commit.
   Circuit ckt;
   const NodeId a = ckt.new_node();
-  ckt.add(std::make_unique<VoltageSource>(a, kGround, [](double t) { return 8.0 * t / 1e-12; }));
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, quadratic_source));
   ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
   auto owned = std::make_unique<LifecycleProbe>();
   const LifecycleProbe& probe = *owned;
@@ -202,6 +209,28 @@ TEST(Transient, RejectedStepCommitsNothing) {
   EXPECT_EQ(probe.commit_times, tr.waves.time);
   EXPECT_EQ(probe.commit_dts.front(), 0.0);
   for (size_t k = 1; k < probe.commit_dts.size(); ++k) EXPECT_EQ(probe.commit_dts[k], 0.5e-12);
+}
+
+TEST(Transient, ExtrapolatedStartSolvesARampInOneFactorization) {
+  // A 1 mV-per-step ramp across a resistor. The first step starts from the
+  // lone start sample: one factorization lands on the solution, a second
+  // accepts it. Every later step starts on the extrapolated line, where
+  // the first factorization already meets the tolerance.
+  Circuit ckt;
+  const NodeId a = ckt.new_node();
+  ckt.add(std::make_unique<VoltageSource>(a, kGround, [](double t) { return t / 1e-9; }));
+  ckt.add(std::make_unique<Resistor>(a, kGround, 1e3));
+  TransientOptions opts;
+  opts.t_stop = 200e-12;
+  opts.dt = 1e-12;
+  opts.initial_x.assign(ckt.num_unknowns(), 0.0);
+  const uint64_t factorizations = counter(metrics::Counter::kMnaFactorizations);
+  const uint64_t steps = counter(metrics::Counter::kTransientSteps);
+  const TransientResult tr = run_transient(ckt, opts);
+  ASSERT_TRUE(tr.ok);
+  EXPECT_EQ(counter(metrics::Counter::kTransientSteps) - steps, 200u);
+  EXPECT_EQ(counter(metrics::Counter::kMnaFactorizations) - factorizations, 201u);
+  EXPECT_NEAR(tr.waves.node(ckt, a).back(), 0.2, 1e-9);
 }
 
 TEST(Transient, RcStepResponseMatchesAnalytic) {
@@ -358,7 +387,10 @@ TEST(Latch, IsBistable) {
 // source stepping. The source-stepping pin dates from before the
 // DC and transient loops were merged into one; the ring and VTC pins were
 // re-captured when the MNA LU took its minimum-degree elimination order,
-// which moved them by round-off only (RingWithinRoundoffOfNaturalOrderPins).
+// which moved them by round-off only (RingWithinRoundoffOfNaturalOrderPins),
+// and again when each step's Newton started from the extrapolated
+// waveform: a different start converges to a different point within the
+// Newton tolerance, here 65 ulp (1.4e-14 relative) in frequency.
 TEST(CircuitGolden, RingOscillatorIsBitPinned) {
   const InverterModels inv = synthetic_inverter();
   RingMeasureOptions opts;
@@ -367,9 +399,9 @@ TEST(CircuitGolden, RingOscillatorIsBitPinned) {
   const std::vector<InverterModels> stages(15, inv);
   const RingMetrics m = measure_ring_oscillator(stages, inv, 0.4, opts);
   ASSERT_TRUE(m.ok);
-  EXPECT_EQ(m.frequency_Hz, 0x1.6dd39d4acbd39p+31);
-  EXPECT_EQ(m.edp_Js, 0x1.cc67203060905p-88);
-  EXPECT_EQ(m.total_power_W, 0x1.b8b4fdbb9b323p-20);
+  EXPECT_EQ(m.frequency_Hz, 0x1.6dd39d4acbcf8p+31);
+  EXPECT_EQ(m.edp_Js, 0x1.cc67203060998p-88);
+  EXPECT_EQ(m.total_power_W, 0x1.b8b4fdbb9b312p-20);
 
   // The same transient measure_ring_oscillator runs, sample by sample.
   const RingOscillator ro = build_ring_oscillator(stages, inv, 0.4);
@@ -381,7 +413,7 @@ TEST(CircuitGolden, RingOscillatorIsBitPinned) {
   ASSERT_TRUE(tr.ok);
   EXPECT_EQ(tr.waves.samples.size(), 2002u);
   EXPECT_EQ(tests::fnv1a(tr.waves.time), 8131123661160158497ull);
-  EXPECT_EQ(tests::fnv1a(tests::flatten(tr.waves.samples)), 9600623919147157808ull);
+  EXPECT_EQ(tests::fnv1a(tests::flatten(tr.waves.samples)), 15658825890555733341ull);
 }
 
 TEST(CircuitGolden, RingWithinRoundoffOfNaturalOrderPins) {
@@ -516,10 +548,14 @@ TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
   // The first analysis, and one more when the conductance starts stamping.
   EXPECT_EQ(counter(metrics::Counter::kMnaSymbolicAnalyses) - before, 2u);
 
-  // The same transient on the dense oracle, step by step.
-  std::vector<double> x = opts.initial_x;
+  // The same transient on the dense oracle, step by step, each Newton
+  // started from the same extrapolation.
+  Waveforms oracle;
+  oracle.time.push_back(0.0);
+  oracle.samples.push_back(opts.initial_x);
+  std::vector<double> x;
   std::vector<double> state(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->commit(ckt, x, TransientContext{}, state);
+  for (const auto& e : ckt.elements()) e->commit(ckt, opts.initial_x, TransientContext{}, state);
   std::vector<size_t> order;
   ASSERT_EQ(tr.waves.samples.size(), 121u);
   for (size_t step = 1; step < tr.waves.samples.size(); ++step) {
@@ -527,9 +563,12 @@ TEST(MnaReplay, StampOutsideThePatternReanalysesAndMatchesTheDenseOracle) {
     ctx.time = static_cast<double>(step) * opts.dt;
     ctx.dt = opts.dt;
     ctx.state = &state;
+    extrapolate_start(oracle, opts.dt, x);
     ASSERT_TRUE(dense_newton(ckt, ctx, kTransientNewton, x, order)) << step;
     for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, state);
     EXPECT_EQ(tests::fnv1a(tr.waves.samples[step]), tests::fnv1a(x)) << step;
+    oracle.time.push_back(ctx.time);
+    oracle.samples.push_back(x);
   }
   // The coupling moved far: the window mattered.
   const size_t u_far = static_cast<size_t>(ckt.unknown_of_node(far));
@@ -580,7 +619,7 @@ TEST(MnaReplay, GoldenRingTransientAnalysesOnce) {
   ASSERT_TRUE(run_transient(ro.ckt, topt).ok);
   EXPECT_EQ(counter(metrics::Counter::kMnaSymbolicAnalyses), 1u);
   EXPECT_EQ(counter(metrics::Counter::kTransientSteps), 2001u);
-  EXPECT_EQ(counter(metrics::Counter::kMnaFactorizations), 6003u);
+  EXPECT_EQ(counter(metrics::Counter::kMnaFactorizations), 5870u);
 }
 
 /// Bit-for-bit equality of two double vectors, naming the first mismatch.
@@ -596,32 +635,36 @@ TEST(MnaReplay, GoldenRingTransientAnalysesOnce) {
   return ::testing::AssertionSuccess();
 }
 
-/// run_transient's step loop by hand, from `x`, so the element state after
+/// run_transient's step loop by hand, from `x0`, so the element state after
 /// the last accepted step can be read: every accepted iterate, then the
 /// final state vector.
 struct SteppedTransient {
-  std::vector<std::vector<double>> samples;
+  Waveforms waves;
   std::vector<double> state;
 };
 
-SteppedTransient step_transient(const Circuit& ckt, std::vector<double> x, double dt,
+SteppedTransient step_transient(const Circuit& ckt, const std::vector<double>& x0, double dt,
                                 size_t steps) {
   SteppedTransient out;
   out.state.assign(ckt.state_size(), 0.0);
-  for (const auto& e : ckt.elements()) e->commit(ckt, x, TransientContext{}, out.state);
+  for (const auto& e : ckt.elements()) e->commit(ckt, x0, TransientContext{}, out.state);
   MnaWorkspace ws(ckt.num_unknowns());
-  out.samples.push_back(x);
+  out.waves.time.push_back(0.0);
+  out.waves.samples.push_back(x0);
+  std::vector<double> x;
   for (size_t step = 1; step <= steps; ++step) {
     TransientContext ctx;
     ctx.time = static_cast<double>(step) * dt;
     ctx.dt = dt;
     ctx.state = &out.state;
+    extrapolate_start(out.waves, dt, x);
     if (!newton_solve(ckt, ctx, kTransientNewton, x, ws)) {
       ADD_FAILURE() << "step " << step << " failed";
       break;
     }
     for (const auto& e : ckt.elements()) e->commit(ckt, x, ctx, out.state);
-    out.samples.push_back(x);
+    out.waves.time.push_back(ctx.time);
+    out.waves.samples.push_back(x);
   }
   return out;
 }
@@ -694,8 +737,8 @@ TEST(Elements, FanoutGroupMatchesSeparateLoadsBitForBit) {
   }
   const SteppedTransient sg = step_transient(grouped.ckt, topt.initial_x, topt.dt, 2001);
   const SteppedTransient ss = step_transient(single.ckt, topt.initial_x, topt.dt, 2001);
-  ASSERT_TRUE(same_bits(sg.samples.back(), tg.waves.samples.back()));
-  ASSERT_TRUE(same_bits(ss.samples.back(), ts.waves.samples.back()));
+  ASSERT_TRUE(same_bits(sg.waves.samples.back(), tg.waves.samples.back()));
+  ASSERT_TRUE(same_bits(ss.waves.samples.back(), ts.waves.samples.back()));
   expect_same_state(grouped.ckt, sg.state, ss.state, 3);
 
   // The FO4 testbench: one group of 4 against four single-gate loads, from
@@ -739,8 +782,8 @@ TEST(Elements, FanoutGroupMatchesSeparateLoadsBitForBit) {
   const SteppedTransient fsg = step_transient(fo4.ckt, fg.waves.samples.front(), fopt.dt, fsteps);
   const SteppedTransient fss =
       step_transient(fo4_single.ckt, fs.waves.samples.front(), fopt.dt, fsteps);
-  ASSERT_TRUE(same_bits(fsg.samples.back(), fg.waves.samples.back()));
-  ASSERT_TRUE(same_bits(fss.samples.back(), fs.waves.samples.back()));
+  ASSERT_TRUE(same_bits(fsg.waves.samples.back(), fg.waves.samples.back()));
+  ASSERT_TRUE(same_bits(fss.waves.samples.back(), fs.waves.samples.back()));
   expect_same_state(fo4.ckt, fsg.state, fss.state, 4);
 }
 

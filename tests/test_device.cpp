@@ -678,6 +678,35 @@ TEST(TableGen, TinyEndToEndGeneration) {
   EXPECT_LT(t.at_charge(1, 1), 0.0);
 }
 
+TEST(TableGen, UncachedGenerationNeedsNoCacheDirectory) {
+  // GNRFET_CACHE_DIR below a regular file cannot be created. An uncached
+  // generation never names a cache entry, so it neither throws nor creates
+  // anything there.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_uncached_generation";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto file = dir / "not_a_directory";
+  { std::ofstream(file) << "x"; }
+  const auto cache_dir = file / "sub";
+  EnvGuard guard("GNRFET_CACHE_DIR", cache_dir.c_str());
+  ASSERT_THROW(cache::directory(), std::filesystem::filesystem_error);
+  TableGenOptions opts;
+  opts.vg_points = 2;
+  opts.vd_points = 2;
+  opts.vg_max = 0.5;
+  opts.vd_max = 0.5;
+  opts.solve = fast_opts();
+  opts.use_cache = false;
+  DeviceTable t;
+  ASSERT_NO_THROW(t = generate_device_table(tiny_spec(), opts));
+  EXPECT_EQ(t.current_A.size(), 4u);
+  EXPECT_TRUE(std::filesystem::is_regular_file(file));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TableGen, CorruptCacheEntryIsRegeneratedAndReplaced) {
   // A header-only file at the entry's key is never served: the table is
   // generated again, bit-identical to an uncached run, and replaces the

@@ -5,8 +5,10 @@
 #   asan-ubsan  AddressSanitizer + UndefinedBehaviorSanitizer test run
 #   tsan      ThreadSanitizer run of the parallel determinism suites
 #   trace     fast suite under GNRFET_TRACE: the emitted Chrome trace JSON
-#             must parse and summarize through gnrfet_trace_report, and the
-#             --json rollup must report spans from every core subsystem
+#             must parse and summarize through gnrfet_trace_report, the
+#             --json rollup must report spans from every core subsystem,
+#             and the text report must derive the MNA factorizations per
+#             transient step and the elimination updates per factorization
 #   perf-smoke  Release build + the timed PerfGate.* tests, which ctest
 #               leaves out: the batched RGF kernel holds >= 1.5x the
 #               scalar solve rate and uses the fast reciprocal. The
@@ -15,7 +17,8 @@
 #               energy-grid accuracy, the MNA replay counters) are tier-1
 #               tests: the werror and asan-ubsan stages run them.
 #   analyze   gnrfet_lint repo rules + the gnrfet_analyze passes: layering
-#             DAG, determinism rules, contract-coverage baseline
+#             DAG, determinism rules, contract-coverage baseline; plus
+#             perfbench's Python self-tests (rollup, checks, run.py helpers)
 #   thread-safety  clang -Wthread-safety -Werror=thread-safety build over the
 #             capability annotations in src/common/annotations.hpp (skipped
 #             when clang++ is not installed; gcc ignores the annotations)
@@ -92,7 +95,13 @@ for stage in "${STAGES[@]}"; do
         grep -q "\"subsystem\":\"$cat\"" "$REPORT_JSON" ||
           { echo "trace stage: no spans from subsystem '$cat' in --json rollup" >&2; exit 1; }
       done
-      "$ROOT/build-ci-trace/tools/gnrfet_trace_report" "$TRACE_JSON"
+      REPORT_TEXT="$("$ROOT/build-ci-trace/tools/gnrfet_trace_report" "$TRACE_JSON")"
+      echo "$REPORT_TEXT"
+      # The Transient.* tests step transients, so both derived rows print.
+      for row in "per step" "per factorization"; do
+        grep -q "^    $row " <<<"$REPORT_TEXT" ||
+          { echo "trace stage: no '$row' row in the text report" >&2; exit 1; }
+      done
       ;;
     perf-smoke)
       banner "Release build + timed PerfGate tests (batched RGF >= 1.5x scalar)"
@@ -109,12 +118,13 @@ for stage in "${STAGES[@]}"; do
         { echo "perf-smoke: no PerfGate test ran" >&2; exit 1; }
       ;;
     analyze)
-      banner "static analysis: repo lint + layering/determinism/contract/env-knob passes"
+      banner "static analysis: repo lint + layering/determinism/contract/env-knob passes + perfbench self-tests"
       configure_and_build "$ROOT/build-ci-analyze"
       cmake --build "$ROOT/build-ci-analyze" -j "$JOBS" \
         --target gnrfet_lint gnrfet_analyze
       "$ROOT/build-ci-analyze/tools/gnrfet_lint" "$ROOT"
       "$ROOT/build-ci-analyze/tools/gnrfet_analyze" "$ROOT"
+      (cd "$ROOT" && PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests)
       ;;
     thread-safety)
       if ! command -v clang++ >/dev/null 2>&1; then

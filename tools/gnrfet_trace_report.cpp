@@ -450,6 +450,14 @@ int main(int argc, char** argv) {
     for (const auto& [name, v] : counters->object) {
       std::cout << "  " << std::left << std::setw(name_w + 2) << name << std::right
                 << std::setw(14) << static_cast<uint64_t>(v.number) << "\n";
+      // The Newton work per accepted transient step (DC factorizations
+      // included): a worse step start or a slower convergence shows here.
+      const Value* steps = counters->find("transient_steps");
+      if (name == "mna_factorizations" && steps && steps->number > 0) {
+        std::cout << "  " << std::left << std::setw(name_w + 2) << "  per step" << std::right
+                  << std::setw(14) << std::fixed << std::setprecision(2)
+                  << v.number / steps->number << "\n";
+      }
       // The MNA fill per factorization: a netlist or node-numbering change
       // that fills the Jacobian again shows up as a jump here. The row above
       // it, mna_symbolic_analyses, counts the factorizations that ran the
