@@ -1,6 +1,8 @@
 #include "device/geometry.hpp"
 
 #include <cmath>
+#include <limits>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,19 +22,32 @@ std::pair<size_t, double> snap(double span, double target) {
   const size_t cells = std::max<size_t>(2, static_cast<size_t>(std::round(span / target)));
   return {cells + 1, span / static_cast<double>(cells)};
 }
+
+/// Every field but the impurities, at the stream's precision.
+void write_geometry_fields(std::ostream& os, const DeviceSpec& s) {
+  os << "N=" << s.n_index << ";L=" << s.channel_length_nm << ";tox=" << s.oxide_thickness_nm
+     << ";eps=" << s.oxide_eps_r << ";t=" << s.hopping_eV << ";delta=" << s.edge_delta
+     << ";gamma=" << s.contact_gamma_eV << ";modes=" << s.num_modes
+     << ";cm=" << s.contact_margin_nm << ";lm=" << s.lateral_margin_nm
+     << ";h=" << s.grid_step_nm;
+}
 }  // namespace
 
 std::string DeviceSpec::cache_key() const {
   std::ostringstream os;
   os.precision(10);
-  os << "N=" << n_index << ";L=" << channel_length_nm << ";tox=" << oxide_thickness_nm
-     << ";eps=" << oxide_eps_r << ";t=" << hopping_eV << ";delta=" << edge_delta
-     << ";gamma=" << contact_gamma_eV << ";modes=" << num_modes
-     << ";cm=" << contact_margin_nm << ";lm=" << lateral_margin_nm << ";h=" << grid_step_nm;
+  write_geometry_fields(os, *this);
   for (const auto& imp : impurities) {
     os << ";imp(" << imp.charge_e << "," << imp.x_nm << "," << imp.offset_y_nm << ","
        << imp.z_nm << ")";
   }
+  return os.str();
+}
+
+std::string DeviceSpec::geometry_key() const {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  write_geometry_fields(os, *this);
   return os.str();
 }
 
@@ -108,6 +123,18 @@ double DeviceGeometry::column_x(size_t c) const {
 
 double DeviceGeometry::line_y(int j) const {
   return y_offset_ + lattice_.dimer_line_y_nm(j);
+}
+
+std::vector<poisson::Domain::CicStencil> DeviceGeometry::ribbon_stencils() const {
+  const size_t ncol = lattice_.column_x_nm().size();
+  const size_t nlines = static_cast<size_t>(lattice_.n_index());
+  std::vector<poisson::Domain::CicStencil> stencils(ncol * nlines);
+  for (size_t c = 0; c < ncol; ++c) {
+    for (size_t j = 0; j < nlines; ++j) {
+      stencils[c * nlines + j] = domain_->stencil(column_x(c), line_y(static_cast<int>(j)), 0.0);
+    }
+  }
+  return stencils;
 }
 
 std::vector<double> DeviceGeometry::electrode_voltages(double vs, double vd, double vg) const {

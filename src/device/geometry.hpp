@@ -44,6 +44,11 @@ struct DeviceSpec {
   /// Stable serialization of everything that affects generated tables;
   /// used as the cache key payload.
   std::string cache_key() const;
+
+  /// Exact serialization (max_digits10) of every field but the impurities:
+  /// specs with equal keys have the same grid, electrodes and ribbon, so
+  /// they share one capacitance matrix (device/selfconsistent.hpp).
+  std::string geometry_key() const;
 };
 
 /// Electrode ids within the device domain.
@@ -71,6 +76,10 @@ class DeviceGeometry {
   /// sits at z = 0; lattice x is offset by the contact margin).
   double column_x(size_t c) const;
   double line_y(int j) const;
+
+  /// Trilinear stencil of every ribbon sample point, [c * nlines + j]; the
+  /// GNR plane sits at z = 0.
+  std::vector<poisson::Domain::CicStencil> ribbon_stencils() const;
 
   /// Electrode voltage vector ordered by electrode id.
   std::vector<double> electrode_voltages(double vs, double vd, double vg) const;

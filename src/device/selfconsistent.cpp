@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
+#include "common/annotations.hpp"
 #include "common/contracts.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
@@ -13,26 +17,30 @@ namespace gnrfet::device {
 
 namespace {
 
-/// Trilinear stencil of every ribbon sample point, [c * nlines + j]. The
-/// GNR plane sits at z = 0.
-std::vector<poisson::Domain::CicStencil> ribbon_stencils(const DeviceGeometry& geo) {
-  const size_t ncol = geo.lattice().column_x_nm().size();
-  const size_t nlines = static_cast<size_t>(geo.lattice().n_index());
-  std::vector<poisson::Domain::CicStencil> stencils(ncol * nlines);
-  for (size_t c = 0; c < ncol; ++c) {
-    for (size_t j = 0; j < nlines; ++j) {
-      stencils[c * nlines + j] =
-          geo.domain().stencil(geo.column_x(c), geo.line_y(static_cast<int>(j)), 0.0);
-    }
-  }
-  return stencils;
+/// The capacitance matrix of `geometry`'s grid, electrodes and ribbon,
+/// built on the first request for its DeviceSpec::geometry_key() and then
+/// served to every later solver in the process. Builds run under the one
+/// mutex, so concurrent first uses of a geometry build it once; a build
+/// that throws stores nothing.
+std::shared_ptr<const poisson::CapacitanceMatrix> shared_capacitance(
+    const DeviceGeometry& geometry, const std::vector<poisson::Domain::CicStencil>& stencils) {
+  static common::Mutex mu;
+  static std::map<std::string, std::shared_ptr<const poisson::CapacitanceMatrix>> matrices
+      GNRFET_GUARDED_BY(mu);
+  const std::string key = geometry.spec().geometry_key();
+  common::MutexLock lk(mu);
+  const auto it = matrices.find(key);
+  if (it != matrices.end()) return it->second;
+  auto built = std::make_shared<const poisson::CapacitanceMatrix>(geometry.assembly(), stencils);
+  matrices.emplace(key, built);
+  return built;
 }
 
 }  // namespace
 
 SelfConsistentSolver::SelfConsistentSolver(const DeviceGeometry& geometry,
                                            const SolveOptions& opts)
-    : SelfConsistentSolver(geometry, opts, ribbon_stencils(geometry)) {}
+    : SelfConsistentSolver(geometry, opts, geometry.ribbon_stencils()) {}
 
 SelfConsistentSolver::SelfConsistentSolver(
     const DeviceGeometry& geometry, const SolveOptions& opts,
@@ -41,7 +49,8 @@ SelfConsistentSolver::SelfConsistentSolver(
       opts_(opts),
       ncol_(geometry.lattice().column_x_nm().size()),
       nlines_(static_cast<size_t>(geometry.lattice().n_index())),
-      capacitance_(geometry.assembly(), stencils, geometry.impurity_charge()),
+      capacitance_(shared_capacitance(geometry, stencils), geometry.assembly(),
+                   geometry.impurity_charge()),
       ribbon_(stencils.size()) {
   // Re-address each stencil into the local field [phi_S, electrode
   // voltages] that the Gummel loop works on.

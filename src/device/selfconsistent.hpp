@@ -46,9 +46,13 @@ struct ChargePopulations {
 };
 
 /// The Poisson half of each Gummel iteration runs on the capacitance
-/// matrix of the ribbon's charge nodes (poisson/capacitance.hpp), built
-/// once per solver: the constructor pays one IC(0)-PCG solve per charge
-/// node, electrode and fixed charge (501 for the N = 12 device).
+/// matrix of the ribbon's charge nodes (poisson/capacitance.hpp). The
+/// matrix is built once per geometry in the process: the first solver of a
+/// DeviceSpec::geometry_key() pays one IC(0)-PCG solve per charge node and
+/// electrode (500 for the N = 12 device), and every later solver of that
+/// geometry, whatever its impurities, shares it from a process-wide,
+/// thread-safe memo. Each constructor still pays one PCG solve of its own:
+/// the response to its fixed (impurity) charge.
 class SelfConsistentSolver {
  public:
   explicit SelfConsistentSolver(const DeviceGeometry& geometry, const SolveOptions& opts = {});

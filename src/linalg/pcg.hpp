@@ -38,8 +38,8 @@ struct PcgResult {
 };
 
 /// Solves A x = b in place; `x` provides the initial guess. `precond`
-/// must be factored for `a`.
-// Test seam: the one-lane reference pcg_solve_lanes is pinned to, and the Poisson oracle's solve.
+/// must be factored for `a`. The capacitance matrix's fixed-charge column
+/// runs here, and the tests pin each lane of pcg_solve_lanes to it.
 PcgResult pcg_solve(const SparseMatrix& a, const std::vector<double>& b,
                     std::vector<double>& x, const Preconditioner& precond, PcgWorkspace& ws,
                     const PcgOptions& opts = {});

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/metrics.hpp"
@@ -22,6 +23,9 @@ namespace {
 
 /// Column blocks per parallel chunk of the G build.
 constexpr size_t kBlockGrain = 1;
+
+/// Relative PCG tolerance of every column: G, electrode and fixed charge.
+constexpr double kBuildTolerance = 1e-10;
 
 /// Free nodes with a nonzero weight in some stencil, ascending.
 std::vector<size_t> charge_nodes(const Assembly& assembly,
@@ -88,45 +92,69 @@ bool reduced_cg(const std::vector<double>& green, const std::vector<double>& sqr
   return converged;
 }
 
-}  // namespace
-
-CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
-                                     const std::vector<Domain::CicStencil>& stencils,
-                                     const std::vector<double>& rho_fixed_e)
-    : num_electrodes_(assembly.num_electrodes()), nodes_(charge_nodes(assembly, stencils)) {
-  trace::Span span("poisson", "build_capacitance");
+/// The response of the charge nodes of `matrix` to the fixed charge
+/// `rho_fixed_e` at zero electrode voltages: the one column of the build
+/// that depends on the device variant, solved by pcg_solve on a fresh
+/// IC(0) factor, exactly as its lane in pcg_solve_lanes would be.
+std::vector<double> fixed_charge_response(const CapacitanceMatrix& matrix,
+                                          const Assembly& assembly,
+                                          const std::vector<double>& rho_fixed_e) {
+  if (assembly.num_free() != matrix.num_free() ||
+      assembly.num_electrodes() != matrix.num_electrodes()) {
+    throw std::invalid_argument("CapacitanceSolver: assembly of another geometry");
+  }
   if (rho_fixed_e.size() != assembly.num_nodes()) {
     throw std::invalid_argument("CapacitanceSolver: fixed charge size mismatch");
   }
   GNRFET_REQUIRE("poisson", "finite-charge", contracts::all_finite(rho_fixed_e),
                  "fixed charge contains NaN/inf");
+  linalg::IncompleteCholesky ic0;
+  ic0.factor(assembly.matrix());
+  linalg::PcgWorkspace ws;
+  linalg::PcgOptions opts;
+  opts.rel_tolerance = kBuildTolerance;
+  const std::vector<double> b =
+      assembly.rhs(std::vector<double>(matrix.num_electrodes(), 0.0), rho_fixed_e);
+  std::vector<double> x(assembly.num_free(), 0.0);
+  if (!linalg::pcg_solve(assembly.matrix(), b, x, ic0, ws, opts).converged) {
+    throw std::runtime_error("CapacitanceSolver: fixed-charge response did not converge");
+  }
+  std::vector<double> out(matrix.size());
+  for (size_t s = 0; s < out.size(); ++s) out[s] = x[assembly.free_index(matrix.nodes()[s])];
+  return out;
+}
+
+}  // namespace
+
+CapacitanceMatrix::CapacitanceMatrix(const Assembly& assembly,
+                                     const std::vector<Domain::CicStencil>& stencils)
+    : num_free_(assembly.num_free()),
+      num_electrodes_(assembly.num_electrodes()),
+      nodes_(charge_nodes(assembly, stencils)) {
+  trace::Span span("poisson", "build_capacitance");
   const size_t ns = nodes_.size();
-  const size_t nf = assembly.num_free();
+  const size_t nf = num_free_;
   green_.assign(ns * ns, 0.0);
   electrode_response_.assign(num_electrodes_ * ns, 0.0);
-  fixed_response_.assign(ns, 0.0);
 
   // Column c < ns: unit charge on S node c; then one column per electrode
-  // (unit voltage, no charge); last, the fixed charge at zero voltages.
-  // Block k solves columns [kK, kK + K) as the lanes of one PCG on the one
-  // shared IC(0) factor, tracking x on S only.
+  // (unit voltage, no charge). Block k solves columns [kK, kK + K) as the
+  // lanes of one PCG on one shared IC(0) factor, tracking x on S only.
   constexpr size_t K = linalg::kernels::kLanes;
-  const size_t ncols = ns + num_electrodes_ + 1;
+  const size_t ncols = ns + num_electrodes_;
   linalg::IncompleteCholesky ic0;
   ic0.factor(assembly.matrix());
   std::vector<size_t> rows(ns);
   for (size_t s = 0; s < ns; ++s) rows[s] = assembly.free_index(nodes_[s]);
   const std::vector<double> no_charge(assembly.num_nodes(), 0.0);
   const auto column_out = [&](size_t c) {
-    if (c < ns) return &green_[c * ns];
-    if (c < ns + num_electrodes_) return &electrode_response_[(c - ns) * ns];
-    return fixed_response_.data();
+    return c < ns ? &green_[c * ns] : &electrode_response_[(c - ns) * ns];
   };
   par::parallel_for_chunks((ncols + K - 1) / K, kBlockGrain, [&](size_t, size_t begin,
                                                                  size_t end) {
     linalg::PcgWorkspace ws;
     linalg::PcgOptions opts;
-    opts.rel_tolerance = 1e-10;
+    opts.rel_tolerance = kBuildTolerance;
     std::vector<double> b(nf * K), x;
     for (size_t block = begin; block < end; ++block) {
       const size_t first = block * K;
@@ -139,9 +167,8 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
           continue;
         }
         std::vector<double> volts(num_electrodes_, 0.0);
-        if (c < ns + num_electrodes_) volts[c - ns] = 1.0;
-        const std::vector<double> rhs =
-            assembly.rhs(volts, c < ns + num_electrodes_ ? no_charge : rho_fixed_e);
+        volts[c - ns] = 1.0;
+        const std::vector<double> rhs = assembly.rhs(volts, no_charge);
         for (size_t i = 0; i < nf; ++i) b[i * K + j] = rhs[i];
       }
       const auto results =
@@ -149,7 +176,7 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
       for (size_t j = 0; j < lanes; ++j) {
         if (!results[j].converged) {
           throw std::runtime_error(strings::format(
-              "CapacitanceSolver: column %zu of %zu did not converge", first + j, ncols));
+              "CapacitanceMatrix: column %zu of %zu did not converge", first + j, ncols));
         }
         double* out = column_out(first + j);
         for (size_t s = 0; s < ns; ++s) out[s] = x[s * K + j];
@@ -168,21 +195,28 @@ CapacitanceSolver::CapacitanceSolver(const Assembly& assembly,
   metrics::add(metrics::Counter::kCapacitanceBuilds);
 }
 
-size_t CapacitanceSolver::index_of(size_t node) const {
+size_t CapacitanceMatrix::index_of(size_t node) const {
   const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
   return it != nodes_.end() && *it == node ? static_cast<size_t>(it - nodes_.begin())
                                            : std::numeric_limits<size_t>::max();
 }
 
+CapacitanceSolver::CapacitanceSolver(std::shared_ptr<const CapacitanceMatrix> matrix,
+                                     const Assembly& assembly,
+                                     const std::vector<double>& rho_fixed_e)
+    : matrix_(std::move(matrix)),
+      fixed_response_(fixed_charge_response(*matrix_, assembly, rho_fixed_e)) {}
+
 std::vector<double> CapacitanceSolver::base_potential(
     const std::vector<double>& electrode_voltages) const {
-  if (electrode_voltages.size() != num_electrodes_) {
+  const size_t ns = matrix_->size();
+  if (electrode_voltages.size() != matrix_->num_electrodes()) {
     throw std::invalid_argument("CapacitanceSolver: electrode voltage count mismatch");
   }
   std::vector<double> phi0 = fixed_response_;
-  for (size_t e = 0; e < num_electrodes_; ++e) {
-    const double* r = &electrode_response_[e * nodes_.size()];
-    for (size_t s = 0; s < nodes_.size(); ++s) phi0[s] += electrode_voltages[e] * r[s];
+  for (size_t e = 0; e < electrode_voltages.size(); ++e) {
+    const double* r = &matrix_->electrode_response()[e * ns];
+    for (size_t s = 0; s < ns; ++s) phi0[s] += electrode_voltages[e] * r[s];
   }
   return phi0;
 }
@@ -194,7 +228,8 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
                                                  const std::vector<double>& phi_init,
                                                  const NonlinearOptions& opts) const {
   trace::Span span("poisson", "solve_nonlinear_poisson");
-  const size_t ns = nodes_.size();
+  const size_t ns = matrix_->size();
+  const std::vector<double>& green = matrix_->green();
   if (n0_e.size() != ns || p0_e.size() != ns || phi_ref.size() != ns || phi_init.size() != ns) {
     throw std::invalid_argument("CapacitanceSolver::solve_nonlinear: field size mismatch");
   }
@@ -217,7 +252,7 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
   newton::ResidualGuard guard;
   for (int it = 0; it < opts.max_newton_iterations; ++it) {
     newton::linearised_charge(n0_e, p0_e, phi, phi_ref, opts.thermal_voltage_V, q, sqrt_d);
-    linalg::kernels::dense_matvec(green_.data(), ns, q.data(), gv.data());
+    linalg::kernels::dense_matvec(green.data(), ns, q.data(), gv.data());
     double f_norm = 0.0;
     for (size_t s = 0; s < ns; ++s) {
       f[s] = phi[s] - phi0[s] - gv[s];
@@ -228,11 +263,11 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
       sqrt_d[s] = std::sqrt(sqrt_d[s]);
       rhs[s] = -sqrt_d[s] * f[s];
     }
-    if (!reduced_cg(green_, sqrt_d, rhs, z, cg)) {
+    if (!reduced_cg(green, sqrt_d, rhs, z, cg)) {
       throw std::runtime_error("solve_nonlinear_poisson: reduced CG did not converge");
     }
     for (size_t s = 0; s < ns; ++s) z[s] *= sqrt_d[s];
-    linalg::kernels::dense_matvec(green_.data(), ns, z.data(), gv.data());
+    linalg::kernels::dense_matvec(green.data(), ns, z.data(), gv.data());
     for (size_t s = 0; s < ns; ++s) delta[s] = -f[s] - gv[s];
     const double max_update = step_clamp.apply(delta, phi);
     result.iterations = it + 1;

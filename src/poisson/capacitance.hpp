@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "poisson/assembly.hpp"
@@ -21,13 +22,23 @@
 /// where phi0_S(V) = sum_e V_e r_e + r_fixed holds the responses of S to a
 /// unit voltage on each electrode and to the fixed (impurity) charge.
 ///
-/// The constructor builds G and the responses with one IC(0)-PCG solve per
+/// The work splits in two. CapacitanceMatrix, the per-geometry part, holds
+/// S, G and the electrode responses: they depend only on the grid, the
+/// electrodes and the stencils, so every device variant of one geometry
+/// (any oxide impurities) can share one immutable instance. Its
+/// constructor builds G and the responses with one IC(0)-PCG solve per
 /// column (relative tolerance 1e-10); every column must converge. Columns
 /// run in fixed blocks of linalg::kernels::kLanes, each block one
-/// linalg::pcg_solve_lanes call on one shared IC(0) factor, fanned out over
+/// linalg::pcg_solve_lanes call on the one IC(0) factor, fanned out over
 /// par::parallel_for_chunks. Each lane repeats a one-column pcg_solve bit
 /// for bit. G is symmetrised afterwards, so it is exactly symmetric. Each
 /// column starts from zero, so G is bit-identical for any thread count.
+///
+/// CapacitanceSolver, the per-variant part, adds r_fixed: one more
+/// pcg_solve on an IC(0) factor of A, bit-identical to the column the fixed
+/// charge would take in the block build. The factor is made again for it
+/// (a few ms) rather than kept beside G, where it would double the memory
+/// each shared geometry holds for the life of the process.
 ///
 /// solve_nonlinear() runs the damped Newton loop of
 /// PoissonSolver::solve_nonlinear — the same exponential charge
@@ -41,9 +52,9 @@
 /// is the full-grid Newton restricted to S; PoissonSolver::solve_nonlinear
 /// (tests/support/poisson_oracles.hpp) survives as its test oracle.
 ///
-/// The object is immutable after construction and solve_nonlinear() keeps
-/// its scratch in per-call locals, so one solver serves concurrent bias
-/// points.
+/// Both objects are immutable after construction and solve_nonlinear()
+/// keeps its scratch in per-call locals, so one solver serves concurrent
+/// bias points and one CapacitanceMatrix serves concurrent solvers.
 namespace gnrfet::poisson {
 
 struct ReducedResult {
@@ -54,27 +65,64 @@ struct ReducedResult {
   double last_update_V = 0.0;
 };
 
-class CapacitanceSolver {
+/// The per-geometry part: S, G and the electrode responses.
+class CapacitanceMatrix {
  public:
-  /// `stencils` define S; `rho_fixed_e` is the fixed charge on the full
-  /// grid (units of e). Throws std::runtime_error if a column's PCG solve
+  /// `stencils` define S. Throws std::runtime_error if a column's PCG solve
   /// does not converge.
-  CapacitanceSolver(const Assembly& assembly, const std::vector<Domain::CicStencil>& stencils,
-                    const std::vector<double>& rho_fixed_e);
+  CapacitanceMatrix(const Assembly& assembly, const std::vector<Domain::CicStencil>& stencils);
 
   /// ns, the number of charge nodes.
   size_t size() const { return nodes_.size(); }
 
   /// Grid node of each S index, ascending.
-  // Test seam: tests map S back to the grid; the solver itself works on S.
   const std::vector<size_t>& nodes() const { return nodes_; }
 
   /// S index of a grid node, or SIZE_MAX when the node is not in S.
   size_t index_of(size_t node) const;
 
   /// G = (A^-1)_SS, row-major ns x ns [V/e].
-  // Test seam: G's bit pins and symmetry checks; solves read green_ directly.
   const std::vector<double>& green() const { return green_; }
+
+  size_t num_electrodes() const { return num_electrodes_; }
+
+  /// Row e: the response of S to V_e = 1 V with no charge [V].
+  const std::vector<double>& electrode_response() const { return electrode_response_; }
+
+  /// Free nodes of the assembly the matrix was built from.
+  size_t num_free() const { return num_free_; }
+
+ private:
+  size_t num_free_;
+  size_t num_electrodes_;
+  std::vector<size_t> nodes_;
+  std::vector<double> green_;
+  std::vector<double> electrode_response_;
+};
+
+class CapacitanceSolver {
+ public:
+  /// `matrix` is the shared per-geometry part, built from an assembly of
+  /// the same geometry as `assembly` (std::invalid_argument when the sizes
+  /// differ); `rho_fixed_e` is the fixed charge on the full grid (units of
+  /// e). Throws std::runtime_error if the fixed-charge solve does not
+  /// converge.
+  CapacitanceSolver(std::shared_ptr<const CapacitanceMatrix> matrix, const Assembly& assembly,
+                    const std::vector<double>& rho_fixed_e);
+
+  /// ns, the number of charge nodes.
+  size_t size() const { return matrix_->size(); }
+
+  /// Grid node of each S index, ascending.
+  // Test seam: tests map S back to the grid; the solver itself works on S.
+  const std::vector<size_t>& nodes() const { return matrix_->nodes(); }
+
+  /// S index of a grid node, or SIZE_MAX when the node is not in S.
+  size_t index_of(size_t node) const { return matrix_->index_of(node); }
+
+  /// G = (A^-1)_SS, row-major ns x ns [V/e].
+  // Test seam: G's bit pins and symmetry checks; solves read the matrix directly.
+  const std::vector<double>& green() const { return matrix_->green(); }
 
   /// phi0_S(V): the potential on S with no mobile charge [V].
   std::vector<double> base_potential(const std::vector<double>& electrode_voltages) const;
@@ -91,11 +139,8 @@ class CapacitanceSolver {
                                 const NonlinearOptions& opts = {}) const;
 
  private:
-  size_t num_electrodes_;
-  std::vector<size_t> nodes_;
-  std::vector<double> green_;
-  std::vector<double> electrode_response_;  ///< row e: response of S to V_e = 1 V
-  std::vector<double> fixed_response_;      ///< response of S to the fixed charge
+  std::shared_ptr<const CapacitanceMatrix> matrix_;
+  std::vector<double> fixed_response_;  ///< response of S to the fixed charge
 };
 
 }  // namespace gnrfet::poisson

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -29,6 +31,15 @@ device::DeviceSpec tiny_spec() {
   s.grid_step_nm = 0.35;
   s.lateral_margin_nm = 2.0;
   s.num_modes = 2;
+  return s;
+}
+
+/// tiny_spec() at another lateral margin: a geometry no other test
+/// builds, so a test that counts capacitance builds on it reads the same
+/// counts in any test order and in one process with every other test.
+device::DeviceSpec unshared_tiny_spec(double lateral_margin_nm) {
+  device::DeviceSpec s = tiny_spec();
+  s.lateral_margin_nm = lateral_margin_nm;
   return s;
 }
 
@@ -218,8 +229,8 @@ TEST(Capacitance, ReducedNewtonMatchesOracleOnRealN12Systems) {
   }
 }
 
-TEST(Capacitance, BuildIsCountedOncePerSolver) {
-  const device::DeviceGeometry geo(tiny_spec());
+TEST(Capacitance, BuildIsCountedOncePerGeometry) {
+  const device::DeviceGeometry geo(unshared_tiny_spec(2.05));
   const uint64_t builds = counter(metrics::Counter::kCapacitanceBuilds);
   const uint64_t cg = counter(metrics::Counter::kReducedCgIterations);
   const device::SelfConsistentSolver solver(geo, fast_opts());
@@ -227,31 +238,81 @@ TEST(Capacitance, BuildIsCountedOncePerSolver) {
   ASSERT_TRUE(solver.solve({0.5, 0.5}).converged);
   EXPECT_EQ(counter(metrics::Counter::kCapacitanceBuilds), builds + 1);
   EXPECT_GT(counter(metrics::Counter::kReducedCgIterations), cg);
+  // A second solver of the geometry, on its own DeviceGeometry and with
+  // other options, shares the first one's matrix.
+  const device::DeviceGeometry again(unshared_tiny_spec(2.05));
+  const device::SelfConsistentSolver second(again, device::SolveOptions{});
+  EXPECT_EQ(counter(metrics::Counter::kCapacitanceBuilds), builds + 1);
+  EXPECT_EQ(second.capacitance().green().data(), solver.capacitance().green().data());
+}
+
+TEST(Capacitance, ImpurityVariantsShareOneBuild) {
+  // {N, 0} and {N, -2}: one build between them, one G, and each its own
+  // fixed-charge response (phi0_S at zero electrode voltages).
+  device::DeviceSpec charged = unshared_tiny_spec(2.1);
+  charged.impurities.push_back({-2.0, 1.0, 0.0, 0.4});
+  const device::DeviceGeometry ideal_geo(unshared_tiny_spec(2.1));
+  const device::DeviceGeometry charged_geo(charged);
+  const uint64_t builds = counter(metrics::Counter::kCapacitanceBuilds);
+  const device::SelfConsistentSolver ideal(ideal_geo, fast_opts());
+  const device::SelfConsistentSolver impure(charged_geo, fast_opts());
+  EXPECT_EQ(counter(metrics::Counter::kCapacitanceBuilds), builds + 1);
+  EXPECT_EQ(impure.capacitance().green().data(), ideal.capacitance().green().data());
+  const std::vector<double> zero_volts(4, 0.0);
+  const std::vector<double> r_ideal = ideal.capacitance().base_potential(zero_volts);
+  const std::vector<double> r_impure = impure.capacitance().base_potential(zero_volts);
+  ASSERT_EQ(r_ideal.size(), r_impure.size());
+  for (const double r : r_ideal) EXPECT_EQ(r, 0.0);
+  // A negative charge lowers the potential on every charge node.
+  for (size_t s = 0; s < r_impure.size(); ++s) EXPECT_LT(r_impure[s], 0.0) << s;
 }
 
 TEST(CapacitanceParallel, BuildBitIdenticalAcrossThreadCounts) {
   // Every column starts from zero with a freshly factored IC(0), so G and
   // the responses cannot depend on how the columns were chunked over
-  // threads. Also the TSan target for the parallel build.
+  // threads. Also the TSan target for the parallel build. The matrices are
+  // built directly: through SelfConsistentSolver the second would be the
+  // first one again.
   device::DeviceSpec spec = tiny_spec();
   spec.impurities.push_back({1.0, 1.0, 0.0, 0.4});
   const device::DeviceGeometry geo(spec);
-  std::vector<double> g1, phi1;
-  {
-    ThreadCountGuard threads(1);
-    const device::SelfConsistentSolver solver(geo, fast_opts());
-    g1 = solver.capacitance().green();
-    phi1 = solver.capacitance().base_potential(geo.electrode_voltages(0.0, 0.3, 0.5));
-  }
-  ThreadCountGuard threads(4);
-  const device::SelfConsistentSolver solver(geo, fast_opts());
-  const std::vector<double>& g4 = solver.capacitance().green();
+  const auto build = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    return std::make_shared<const poisson::CapacitanceMatrix>(geo.assembly(),
+                                                              geo.ribbon_stencils());
+  };
+  const auto m1 = build(1);
+  const auto m4 = build(4);
+  const auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(m1->green(), m4->green()));
+  EXPECT_TRUE(same_bits(m1->electrode_response(), m4->electrode_response()));
+  const std::vector<double> volts = geo.electrode_voltages(0.0, 0.3, 0.5);
+  const std::vector<double> phi1 =
+      poisson::CapacitanceSolver(m1, geo.assembly(), geo.impurity_charge()).base_potential(volts);
   const std::vector<double> phi4 =
-      solver.capacitance().base_potential(geo.electrode_voltages(0.0, 0.3, 0.5));
-  ASSERT_EQ(g1.size(), g4.size());
-  EXPECT_EQ(std::memcmp(g1.data(), g4.data(), g1.size() * sizeof(double)), 0);
-  ASSERT_EQ(phi1.size(), phi4.size());
-  EXPECT_EQ(std::memcmp(phi1.data(), phi4.data(), phi1.size() * sizeof(double)), 0);
+      poisson::CapacitanceSolver(m4, geo.assembly(), geo.impurity_charge()).base_potential(volts);
+  EXPECT_TRUE(same_bits(phi1, phi4));
+}
+
+TEST(CapacitanceParallel, ConcurrentFirstUseBuildsOnce) {
+  // Four threads construct solvers for one geometry no solver has used yet:
+  // the memo builds its matrix once and hands every solver the same one.
+  ThreadCountGuard threads(4);
+  const device::DeviceSpec spec = unshared_tiny_spec(2.15);
+  const uint64_t builds = counter(metrics::Counter::kCapacitanceBuilds);
+  std::vector<const double*> green(4, nullptr);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < green.size(); ++t) {
+    workers.emplace_back([&, t] {
+      const device::DeviceGeometry geo(spec);
+      green[t] = device::SelfConsistentSolver(geo, fast_opts()).capacitance().green().data();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(counter(metrics::Counter::kCapacitanceBuilds), builds + 1);
+  for (const double* g : green) EXPECT_EQ(g, green[0]);
 }
 
 TEST(CapacitanceGolden, GreenAndResponsesBitPinned) {

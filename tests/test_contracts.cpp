@@ -151,10 +151,11 @@ TEST(Contracts, NanChargeNamesPoisson) {
   const poisson::Assembly assembly(d);
   std::vector<double> rho(g.num_nodes(), 0.0);
   rho[7] = kNan;
+  const auto matrix = std::make_shared<const poisson::CapacitanceMatrix>(
+      assembly, std::vector{d.stencil(0.75, 0.75, 0.75)});
 
-  const ContractViolation v = capture_violation([&] {
-    poisson::CapacitanceSolver(assembly, {d.stencil(0.75, 0.75, 0.75)}, rho);
-  });
+  const ContractViolation v =
+      capture_violation([&] { poisson::CapacitanceSolver(matrix, assembly, rho); });
   EXPECT_EQ(v.subsystem(), "poisson");
   EXPECT_EQ(v.invariant(), "finite-charge");
 }
@@ -166,8 +167,9 @@ TEST(Contracts, NanPopulationNamesPoissonInNonlinearSolve) {
   poisson::Domain d(g);
   d.add_electrode({0.0, 1.5, 0.0, 1.5, 0.0, 0.0});  // z = 0 face
   const poisson::Assembly assembly(d);
-  const poisson::CapacitanceSolver cap(assembly, {d.stencil(0.75, 0.75, 0.75)},
-                                       std::vector<double>(g.num_nodes(), 0.0));
+  const poisson::CapacitanceSolver cap(std::make_shared<const poisson::CapacitanceMatrix>(
+                                           assembly, std::vector{d.stencil(0.75, 0.75, 0.75)}),
+                                       assembly, std::vector<double>(g.num_nodes(), 0.0));
   const size_t n = cap.size();
   std::vector<double> n0(n, 0.0), p0(n, 0.0), ref(n, 0.0), init(n, 0.0);
   n0[3] = kNan;

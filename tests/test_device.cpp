@@ -91,6 +91,20 @@ TEST(DeviceSpec, CacheKeyDistinguishesConfigs) {
   EXPECT_NE(a.cache_key(), c.cache_key());
 }
 
+TEST(DeviceSpec, GeometryKeyIsExactAndIgnoresImpurities) {
+  // The capacitance memo's key: impurities do not enter it, and unlike the
+  // 10-digit cache key it tells apart values that differ in the last bit.
+  DeviceSpec a = tiny_spec();
+  DeviceSpec b = tiny_spec();
+  b.impurities.push_back({-2.0, 1.0, 0.0, 0.4});
+  EXPECT_EQ(a.geometry_key(), b.geometry_key());
+  b.grid_step_nm = std::nextafter(a.grid_step_nm, 1.0);
+  b.impurities.clear();
+  EXPECT_EQ(a.cache_key(), b.cache_key());
+  EXPECT_NE(a.geometry_key(), b.geometry_key());
+  EXPECT_NE(a.geometry_key(), tiny_spec(15).geometry_key());
+}
+
 TEST(SelfConsistent, ConvergesAndIsAmbipolar) {
   const DeviceGeometry geo(tiny_spec());
   const SelfConsistentSolver solver(geo, fast_opts());
