@@ -1,10 +1,15 @@
 #include "linalg/kernels.hpp"
 
+#include <cstring>
+
 namespace gnrfet::linalg::kernels {
 
 namespace {
 
 constexpr size_t kBlock = 32;
+
+/// Rows of one dense_matvec block: 16 accumulator chains in flight.
+constexpr size_t kMatvecRows = 8;
 
 template <size_t K>
 void dot_sequential(const double* a, const double* b, size_t n, double* out) {
@@ -31,6 +36,44 @@ void dot_pairwise(const double* a, const double* b, size_t n, double* out) {
   dot_pairwise<K>(a, b, half, left);
   dot_pairwise<K>(a + half * K, b + half * K, n - half, right);
   for (size_t j = 0; j < K; ++j) out[j] = left[j] + right[j];
+}
+
+/// Two doubles in one SSE register (GCC/Clang vector extension). Element
+/// k of a row's `lo` is its accumulator a_k and element k of `hi` is
+/// a_{2+k}, so one vector multiply-add performs exactly the two scalar
+/// multiply-adds of the documented row order.
+typedef double Pair __attribute__((vector_size(16)));
+
+inline Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);  // unaligned: a row starts at i*n doubles
+  return v;
+}
+
+/// Rows [0, R) of the row-major n-column block `a` times x, each row in
+/// the order of dense_matvec's contract. The R rows share each load of x,
+/// and their 2R accumulators are independent add chains.
+template <size_t R>
+void matvec_rows(const double* a, size_t n, const double* x, double* y) {
+  Pair lo[R], hi[R];
+#pragma GCC unroll 8
+  for (size_t r = 0; r < R; ++r) lo[r] = hi[r] = Pair{0.0, 0.0};
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const Pair x01 = load_pair(x + j);
+    const Pair x23 = load_pair(x + j + 2);
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+      lo[r] += load_pair(a + r * n + j) * x01;
+      hi[r] += load_pair(a + r * n + j + 2) * x23;
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t r = 0; r < R; ++r) {
+    double s = (lo[r][0] + lo[r][1]) + (hi[r][0] + hi[r][1]);
+    for (size_t k = j; k < n; ++k) s += a[r * n + k] * x[k];
+    y[r] = s;
+  }
 }
 
 }  // namespace
@@ -68,20 +111,9 @@ template void xpby<1>(const double*, const double*, double*, size_t);
 template void xpby<kLanes>(const double*, const double*, double*, size_t);
 
 void dense_matvec(const double* a, size_t n, const double* x, double* y) {
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = a + i * n;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      a0 += row[j] * x[j];
-      a1 += row[j + 1] * x[j + 1];
-      a2 += row[j + 2] * x[j + 2];
-      a3 += row[j + 3] * x[j + 3];
-    }
-    double s = (a0 + a1) + (a2 + a3);
-    for (; j < n; ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
+  size_t i = 0;
+  for (; i + kMatvecRows <= n; i += kMatvecRows) matvec_rows<kMatvecRows>(a + i * n, n, x, y + i);
+  for (; i < n; ++i) matvec_rows<1>(a + i * n, n, x, y + i);
 }
 
 }  // namespace gnrfet::linalg::kernels

@@ -94,6 +94,14 @@ inline double gather_dot(const double* values, const Index* col, size_t begin, s
 /// j % 4; the tail past the last multiple of four is added sequentially),
 /// combined as (a0 + a1) + (a2 + a3) before the tail: a fixed order that
 /// streams A once per call and keeps the row dot off one serial add chain.
+///
+/// Rows run in blocks of eight that share each load of x; leftover rows
+/// run one at a time. Blocking changes which rows are in flight together,
+/// never the operations of a row, so every y[i] has the bits of the
+/// one-row loop (the test oracle `dense_matvec_one_row`). One row at a
+/// time keeps only two dependent SSE2 add chains busy and waits on their
+/// latency; a block of eight keeps sixteen in flight, enough to fill the
+/// adders without a wider instruction set.
 void dense_matvec(const double* a, size_t n, const double* x, double* y);
 
 }  // namespace gnrfet::linalg::kernels

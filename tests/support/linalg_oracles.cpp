@@ -38,4 +38,21 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind) {
   return std::make_unique<JacobiPreconditioner>();
 }
 
+void dense_matvec_one_row(const double* a, size_t n, const double* x, double* y) {
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = a + i * n;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      a0 += row[j] * x[j];
+      a1 += row[j + 1] * x[j + 1];
+      a2 += row[j + 2] * x[j + 2];
+      a3 += row[j + 3] * x[j + 3];
+    }
+    double s = (a0 + a1) + (a2 + a3);
+    for (; j < n; ++j) s += row[j] * x[j];
+    y[i] = s;
+  }
+}
+
 }  // namespace gnrfet::linalg

@@ -9,8 +9,9 @@
 /// Test oracles of the linalg layer: Jacobi, the weakest useful
 /// preconditioner for the Poisson operator, against which the tests hold
 /// the production IC(0) (linalg/preconditioner.hpp), the factory that
-/// picks one of the two by kind, and the diagonal both Jacobi and the
-/// full-grid Poisson oracle start from.
+/// picks one of the two by kind, the diagonal both Jacobi and the
+/// full-grid Poisson oracle start from, and the one-row dense matvec that
+/// the row-blocked kernels::dense_matvec must match bit for bit.
 namespace gnrfet::linalg {
 
 /// Diagonal entries of `a` (zero where absent).
@@ -28,5 +29,9 @@ class JacobiPreconditioner final : public Preconditioner {
 };
 
 std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind);
+
+/// y = A x for a dense row-major n x n matrix A, one row at a time, in the
+/// row order documented on kernels::dense_matvec.
+void dense_matvec_one_row(const double* a, size_t n, const double* x, double* y);
 
 }  // namespace gnrfet::linalg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -557,6 +558,33 @@ TEST(Kernels, GatherDotAccumulatesRowSegment) {
   EXPECT_DOUBLE_EQ(kernels::gather_dot(values, col, 1, 1, x), 0.0);
 }
 
+TEST(Kernels, DenseMatvecMatchesOneRowOracleBitForBit) {
+  // n = 1..40 covers every column tail (n mod 4) and every count of rows
+  // left past the last full block of eight; 493..499 do the same around
+  // the N = 12 capacitance matrix (496 charge nodes). Entries mix signs
+  // and span 2^-30..2^30, so any other summation order moves low bits.
+  std::mt19937 rng(32);
+  std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const auto draw = [&] { return std::ldexp(mantissa(rng), exponent(rng)); };
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (size_t n = 493; n <= 499; ++n) sizes.push_back(n);
+  for (const size_t n : sizes) {
+    std::vector<double> a(n * n), x(n);
+    for (double& v : a) v = draw();
+    for (double& v : x) v = draw();
+    std::vector<double> y(n, std::numeric_limits<double>::quiet_NaN()), ref(n);
+    kernels::dense_matvec(a.data(), n, x.data(), y.data());
+    gnrfet::linalg::dense_matvec_one_row(a.data(), n, x.data(), ref.data());
+    size_t differing = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (std::bit_cast<uint64_t>(y[i]) != std::bit_cast<uint64_t>(ref[i])) ++differing;
+    }
+    EXPECT_EQ(differing, 0u) << "n=" << n;
+  }
+}
+
 // --- Sparse diagonal-retarget API ------------------------------------------
 
 TEST(Sparse, SetDiagonalMatchesCopyPlusAddToDiagonal) {
@@ -825,6 +853,34 @@ TEST(Ic0Parallel, SharedFactorApplyIsRaceFreeAndBitIdentical) {
           << "vector " << v << " entry " << i;
     }
   }
+}
+
+/// Timed, unlike every other test: kept out of ctest by the PerfGate.*
+/// filter in tests/CMakeLists.txt and run from a Release build by the
+/// perf-smoke stage of tools/ci_checks.sh.
+TEST(PerfGate, BlockedDenseMatvecHoldsOnePointThreeTimesTheOneRowRate) {
+  // The reduced-Poisson CG product at N = 12: 496 charge nodes.
+  constexpr size_t kN = 496;
+  constexpr int kProducts = 200;
+  const std::vector<double> a = random_vector(kN * kN, 41);
+  const std::vector<double> x = random_vector(kN, 42);
+  std::vector<double> y(kN);
+  const auto seconds = [&](auto matvec) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int k = 0; k < kProducts; ++k) matvec(a.data(), kN, x.data(), y.data());
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  // Best of several alternated repeats of each kernel: the least
+  // disturbed pass.
+  double one_row_s = std::numeric_limits<double>::infinity();
+  double blocked_s = one_row_s;
+  for (int rep = 0; rep < 5; ++rep) {
+    one_row_s = std::min(one_row_s, seconds(gnrfet::linalg::dense_matvec_one_row));
+    blocked_s = std::min(blocked_s, seconds(kernels::dense_matvec));
+  }
+  EXPECT_GE(one_row_s / blocked_s, 1.3)
+      << "one-row " << one_row_s / kProducts * 1e6 << " us, blocked "
+      << blocked_s / kProducts * 1e6 << " us per product";
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 #             must parse and summarize through gnrfet_trace_report, the
 #             --json rollup must report spans from every core subsystem,
 #             and the text report must derive the MNA factorizations per
-#             transient step and the elimination updates per factorization
+#             transient step, the elimination updates per factorization,
+#             and the reduced-CG iterations per Newton step and µs per
+#             iteration
 #   perf-smoke  Release build + the timed PerfGate.* tests, which ctest
 #               leaves out: the batched RGF kernel holds >= 1.5x the
-#               scalar solve rate and uses the fast reciprocal. The
+#               scalar solve rate and uses the fast reciprocal, and the
+#               row-blocked dense matvec holds >= 1.3x the one-row
+#               loop's rate at n = 496. The
 #               deterministic perf gates (IC(0) below Jacobi in PCG
 #               iterations, reduced Newton vs the full-grid oracle, the
 #               energy-grid accuracy, the MNA replay counters) are tier-1
@@ -97,14 +101,15 @@ for stage in "${STAGES[@]}"; do
       done
       REPORT_TEXT="$("$ROOT/build-ci-trace/tools/gnrfet_trace_report" "$TRACE_JSON")"
       echo "$REPORT_TEXT"
-      # The Transient.* tests step transients, so both derived rows print.
-      for row in "per step" "per factorization"; do
+      # The Transient.* tests step transients and the SelfConsistent.*
+      # tests run the reduced-Poisson CG, so every derived row prints.
+      for row in "per step" "per factorization" "per Newton step" "µs per iteration"; do
         grep -q "^    $row " <<<"$REPORT_TEXT" ||
           { echo "trace stage: no '$row' row in the text report" >&2; exit 1; }
       done
       ;;
     perf-smoke)
-      banner "Release build + timed PerfGate tests (batched RGF >= 1.5x scalar)"
+      banner "Release build + timed PerfGate tests (batched RGF >= 1.5x scalar, blocked matvec >= 1.3x one-row)"
       DIR="$ROOT/build-ci-perf"
       mkdir -p "$DIR"
       cmake -B "$DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >"$DIR/configure.log" 2>&1 ||

@@ -446,27 +446,46 @@ int main(int argc, char** argv) {
       (void)v;
       name_w = std::max(name_w, static_cast<int>(name.size()));
     }
+    // A derived row under its counter: the label indented two more
+    // columns, padded by display width (the UTF-8 'µ' is two bytes).
+    const auto derived_row = [&](const std::string& label, double value, int precision) {
+      const int continuation_bytes = static_cast<int>(std::count_if(
+          label.begin(), label.end(), [](char c) { return (c & 0xC0) == 0x80; }));
+      std::cout << "  " << std::left << std::setw(name_w + 2 + continuation_bytes)
+                << "  " + label << std::right << std::setw(14) << std::fixed
+                << std::setprecision(precision) << value << "\n";
+    };
+    const auto positive = [&](const char* counter) -> const Value* {
+      const Value* v = counters->find(counter);
+      return v && v->number > 0 ? v : nullptr;
+    };
     std::cout << "\ncounters:\n";
     for (const auto& [name, v] : counters->object) {
       std::cout << "  " << std::left << std::setw(name_w + 2) << name << std::right
                 << std::setw(14) << static_cast<uint64_t>(v.number) << "\n";
       // The Newton work per accepted transient step (DC factorizations
       // included): a worse step start or a slower convergence shows here.
-      const Value* steps = counters->find("transient_steps");
-      if (name == "mna_factorizations" && steps && steps->number > 0) {
-        std::cout << "  " << std::left << std::setw(name_w + 2) << "  per step" << std::right
-                  << std::setw(14) << std::fixed << std::setprecision(2)
-                  << v.number / steps->number << "\n";
+      if (const Value* steps = positive("transient_steps"); name == "mna_factorizations" && steps) {
+        derived_row("per step", v.number / steps->number, 2);
       }
       // The MNA fill per factorization: a netlist or node-numbering change
       // that fills the Jacobian again shows up as a jump here. The row above
       // it, mna_symbolic_analyses, counts the factorizations that ran the
       // dense analysis; every other one replayed it (circuit/mna.hpp).
-      const Value* factorizations = counters->find("mna_factorizations");
-      if (name == "mna_elimination_updates" && factorizations && factorizations->number > 0) {
-        std::cout << "  " << std::left << std::setw(name_w + 2) << "  per factorization"
-                  << std::right << std::setw(14) << std::fixed << std::setprecision(1)
-                  << v.number / factorizations->number << "\n";
+      if (const Value* factorizations = positive("mna_factorizations");
+          name == "mna_elimination_updates" && factorizations) {
+        derived_row("per factorization", v.number / factorizations->number, 1);
+      }
+      // The reduced-Poisson CG split into its two levers: the iterations
+      // per Newton step, and the cost of one iteration (the
+      // linalg/reduced_cg span time over the iterations it ran).
+      if (name == "reduced_cg_iterations" && v.number > 0) {
+        if (const Value* newton = positive("poisson_newton_iterations")) {
+          derived_row("per Newton step", v.number / newton->number, 1);
+        }
+        if (const auto cg = spans.find({"linalg", "reduced_cg"}); cg != spans.end()) {
+          derived_row("µs per iteration", cg->second.total_us / v.number, 2);
+        }
       }
     }
   }
