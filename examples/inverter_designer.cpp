@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
               kit.vt0(), kit.vt0() - vt);
 
   const circuit::InverterModels inv = kit.inverter(vt);
-  const circuit::InverterMeasureOptions opts;
-  const circuit::InverterMetrics m = circuit::measure_inverter(inv, inv, vdd, opts);
+  const circuit::InverterMetrics m = circuit::measure_inverter(inv, inv, vdd);
   if (!m.ok) {
     std::printf("measurement failed (design point may not switch)\n");
     return 1;
@@ -30,7 +29,7 @@ int main(int argc, char** argv) {
   std::printf("\nFO4 delay        : %.2f ps\n", m.delay_s * 1e12);
   std::printf("static power     : %.4g uW\n", m.static_power_W * 1e6);
   std::printf("dynamic power    : %.4g uW (full cycle at %.0f ps period)\n",
-              m.dynamic_power_W * 1e6, opts.probe_period_s * 1e12);
+              m.dynamic_power_W * 1e6, circuit::kInverterProbePeriod_s * 1e12);
   std::printf("static noise marg: %.3f V\n", m.snm_V);
   std::printf("\n(paper operating point B: 7.54 ps, 0.095 uW, 0.706 uW, 0.15 V)\n");
   return 0;

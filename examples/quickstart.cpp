@@ -8,7 +8,6 @@
 
 #include "device/geometry.hpp"
 #include "device/sweeps.hpp"
-#include "gnr/bandstructure.hpp"
 
 using namespace gnrfet;
 

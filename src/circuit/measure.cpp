@@ -27,6 +27,8 @@ namespace {
 
 /// Input ramp time of the FO4 testbench's rise and fall.
 constexpr double kInputRiseTime_s = 2e-12;
+/// Time step of the inverter probe transient.
+constexpr double kInverterStep_s = 0.1e-12;
 /// The ring is measured over this trailing fraction of its rising
 /// crossings (the settled oscillation).
 constexpr double kRingMeasureFraction = 0.5;
@@ -49,7 +51,7 @@ double supply_energy(const std::vector<double>& time, const std::vector<double>&
 }  // namespace
 
 InverterMetrics measure_inverter(const InverterModels& driver, const InverterModels& load,
-                                 double vdd, const InverterMeasureOptions& opts) {
+                                 double vdd) {
   InverterMetrics m;
   m.static_power_W = inverter_static_power(driver, vdd);
   {
@@ -58,7 +60,7 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   }
 
   // One full input cycle: rise at T/4, fall at 3T/4.
-  const double period = opts.probe_period_s;
+  const double period = kInverterProbePeriod_s;
   const double t_rise_in = 0.25 * period;
   const double t_fall_in = 0.75 * period;
   const auto waveform = [=](double t) {
@@ -73,7 +75,7 @@ InverterMetrics measure_inverter(const InverterModels& driver, const InverterMod
   Fo4Testbench tb = build_fo4_inverter(driver, load, vdd, waveform);
   TransientOptions topt;
   topt.t_stop = 1.25 * period;
-  topt.dt = opts.dt_s;
+  topt.dt = kInverterStep_s;
   const TransientResult tr = run_transient(tb.ckt, topt);
   if (!tr.ok) return m;
 

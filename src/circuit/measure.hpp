@@ -21,16 +21,15 @@ struct InverterMetrics {
   bool ok = false;
 };
 
-struct InverterMeasureOptions {
-  double probe_period_s = 200e-12;  ///< full switching cycle for P_dyn
-  double dt_s = 0.1e-12;
-};
+/// Full switching cycle of the FO4 probe; InverterMetrics::dynamic_power_W
+/// is the switching power at its frequency.
+inline constexpr double kInverterProbePeriod_s = 200e-12;
 
 /// Full inverter characterization at supply `vdd`: DC leakage, FO4
 /// transient delay, dynamic power over one switching cycle, and butterfly
 /// SNM.
 InverterMetrics measure_inverter(const InverterModels& driver, const InverterModels& load,
-                                 double vdd, const InverterMeasureOptions& opts);
+                                 double vdd);
 
 /// Ring-oscillator figures of merit.
 struct RingMetrics {

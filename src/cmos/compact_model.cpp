@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/constants.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 
 namespace gnrfet::cmos {
 
 namespace {
-constexpr double kVt = 0.02585;  // thermal voltage at 300 K
+constexpr double kVt = constants::kRoomTemperatureKT_eV;  // thermal voltage [V]
 
 double softplus(double x) {
   if (x > 30.0) return x;

@@ -27,8 +27,11 @@ inline constexpr double kEpsilon0 = 8.8541878128e-12;
 /// div(eps grad phi) = -rho with rho in e/nm^3 and phi in volts.
 inline constexpr double kEpsilon0_e_per_V_nm = kEpsilon0 * 1e-9 / kElementaryCharge;
 
-/// Thermal energy at 300 K [eV].
-inline constexpr double kThermalVoltage300K = kBoltzmann * 300.0 / kElementaryCharge;
+/// Thermal energy kT at room temperature (300 K) [eV], which is also the
+/// thermal voltage kT/q in volts. The paper's device and circuits run at
+/// this one temperature: NEGF occupations, the Poisson-Newton charge
+/// linearisation and the CMOS compact model all read it.
+inline constexpr double kRoomTemperatureKT_eV = 0.02585;
 
 /// Landauer current prefactor, spin-degenerate, for energies in eV:
 /// I [A] = kCurrentPrefactor * Integral T(E) (f1 - f2) dE[eV].
@@ -41,6 +44,6 @@ inline constexpr double kCarbonBond_nm = 0.142;
 
 /// Fermi-Dirac occupation for energy e relative to chemical potential mu,
 /// both in eV, at thermal energy kT (eV).
-double fermi(double e_minus_mu_eV, double kT_eV = kThermalVoltage300K);
+double fermi(double e_minus_mu_eV, double kT_eV);
 
 }  // namespace gnrfet::constants

@@ -7,13 +7,23 @@
 #include <stdexcept>
 
 #include "common/constants.hpp"
+#include "negf/transport.hpp"
 
 namespace gnrfet::device {
 
 namespace {
+
+/// 1.5 nm of SiO2 above and below the ribbon.
+constexpr double kOxideThickness_nm = 1.5;
+constexpr double kOxideEpsR = 3.9;
+/// Gap between the S/D planes and the end columns.
+constexpr double kContactMargin_nm = 0.30;
+/// t = 2.7 eV with the Son-Cohen-Louie edge relaxation.
+constexpr gnr::TightBindingParams kTightBinding{};
+
 gnr::Lattice make_lattice(const DeviceSpec& s) {
   const int slices = gnr::Lattice::slices_for_length(s.channel_length_nm);
-  return gnr::Lattice::armchair(s.n_index, slices, s.edge_delta);
+  return gnr::Lattice::armchair(s.n_index, slices, kTightBinding.edge_delta);
 }
 
 /// Snap a grid so that `span` is covered by an integer number of steps of
@@ -25,11 +35,11 @@ std::pair<size_t, double> snap(double span, double target) {
 
 /// Every field but the impurities, at the stream's precision.
 void write_geometry_fields(std::ostream& os, const DeviceSpec& s) {
-  os << "N=" << s.n_index << ";L=" << s.channel_length_nm << ";tox=" << s.oxide_thickness_nm
-     << ";eps=" << s.oxide_eps_r << ";t=" << s.hopping_eV << ";delta=" << s.edge_delta
-     << ";gamma=" << s.contact_gamma_eV << ";modes=" << s.num_modes
-     << ";cm=" << s.contact_margin_nm << ";lm=" << s.lateral_margin_nm
-     << ";h=" << s.grid_step_nm;
+  os << "N=" << s.n_index << ";L=" << s.channel_length_nm << ";tox=" << kOxideThickness_nm
+     << ";eps=" << kOxideEpsR << ";t=" << kTightBinding.hopping_eV
+     << ";delta=" << kTightBinding.edge_delta << ";gamma=" << negf::kContactGamma_eV
+     << ";modes=" << s.num_modes << ";cm=" << kContactMargin_nm
+     << ";lm=" << s.lateral_margin_nm << ";h=" << s.grid_step_nm;
 }
 }  // namespace
 
@@ -54,17 +64,16 @@ std::string DeviceSpec::geometry_key() const {
 DeviceGeometry::DeviceGeometry(const DeviceSpec& spec)
     : spec_(spec),
       lattice_(make_lattice(spec)),
-      modes_(gnr::build_mode_set(spec.n_index, {spec.hopping_eV, spec.edge_delta},
-                                 spec.num_modes)) {
+      modes_(gnr::build_mode_set(spec.n_index, kTightBinding, spec.num_modes)) {
   const double lat_len = lattice_.length_nm();
   const double width = lattice_.width_nm();
-  x_offset_ = spec.contact_margin_nm;
+  x_offset_ = kContactMargin_nm;
   y_offset_ = spec.lateral_margin_nm;
 
   poisson::GridSpec g;
-  const double len_x = lat_len + 2.0 * spec.contact_margin_nm;
+  const double len_x = lat_len + 2.0 * kContactMargin_nm;
   const double len_y = width + 2.0 * spec.lateral_margin_nm;
-  const double len_z = 2.0 * spec.oxide_thickness_nm;
+  const double len_z = 2.0 * kOxideThickness_nm;
   const auto [nx, dx] = snap(len_x, spec.grid_step_nm);
   const auto [ny, dy] = snap(len_y, spec.grid_step_nm);
   // Force an even cell count in z so the GNR plane z = 0 is a grid plane.
@@ -78,12 +87,12 @@ DeviceGeometry::DeviceGeometry(const DeviceSpec& spec)
   g.dz = len_z / static_cast<double>(nz_cells);
   g.x0 = 0.0;
   g.y0 = 0.0;
-  g.z0 = -spec.oxide_thickness_nm;
+  g.z0 = -kOxideThickness_nm;
 
   domain_ = std::make_unique<poisson::Domain>(g);
   // Whole stack is gate oxide.
   domain_->paint_permittivity({-1.0, len_x + 1.0, -1.0, len_y + 1.0, -len_z, len_z},
-                              spec.oxide_eps_r);
+                              kOxideEpsR);
   // Double gate: top and bottom planes, one electrode id. Painting a
   // single electrode in two passes requires one id, so use a two-box
   // union via two add_electrode calls would create two ids; instead paint

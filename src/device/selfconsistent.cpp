@@ -77,11 +77,7 @@ SelfConsistentSolver::SelfConsistentSolver(
 
 negf::TransportOptions SelfConsistentSolver::transport_options(const BiasPoint& bias) const {
   negf::TransportOptions topt;
-  topt.gamma_contact_eV = geo_.spec().contact_gamma_eV;
-  topt.mu_source_eV = 0.0;
   topt.mu_drain_eV = -bias.vd;
-  topt.kT_eV = opts_.kT_eV;
-  topt.eta_eV = opts_.eta_eV;
   topt.energy_step_eV = opts_.energy_step_eV;
   return topt;
 }
@@ -172,16 +168,13 @@ DeviceSolution SelfConsistentSolver::solve(const BiasPoint& bias,
   ChargePopulations charge;
   negf::TransportSolution transport;
 
-  poisson::NonlinearOptions popt;
-  popt.thermal_voltage_V = opts_.kT_eV;
-
   for (int it = 0; it < opts_.max_gummel_iterations; ++it) {
     ribbon_energy(phi, volts, u);
     transport = negf::solve_mode_space(geo_.modes(), u, topt);
     deposit(transport, charge);
 
     const poisson::ReducedResult pres =
-        capacitance_.solve_nonlinear(volts, charge.electrons, charge.holes, phi, phi, popt);
+        capacitance_.solve_nonlinear(volts, charge.electrons, charge.holes, phi, phi);
     // Convergence metric: potential change on the ribbon plane.
     double max_change = 0.0;
     for (const RibbonStencil& st : ribbon_) {

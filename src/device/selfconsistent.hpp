@@ -13,11 +13,13 @@ struct BiasPoint {
   double vd = 0.0;  ///< drain voltage [V] (source grounded)
 };
 
+/// Gummel-loop settings. The transport runs at negf::kEta_eV and room
+/// temperature (constants::kRoomTemperatureKT_eV).
 struct SolveOptions {
   double energy_step_eV = 2.5e-3;
-  double eta_eV = 1e-3;
-  double kT_eV = 0.02585;
+  // Test seam: the tests' small devices converge to a looser tolerance.
   double gummel_tolerance_V = 1.5e-3;  ///< max potential change on the GNR
+  // Test seam: the non-convergence tests cap the loop.
   int max_gummel_iterations = 40;
 };
 

@@ -18,7 +18,6 @@
 #include "common/strings.hpp"
 #include "common/trace.hpp"
 #include "device/sweeps.hpp"
-#include "gnr/bandstructure.hpp"
 
 namespace gnrfet::device {
 
@@ -32,8 +31,8 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
   os.precision(std::numeric_limits<double>::max_digits10);
   os << spec.cache_key() << "|vg[" << opts.vg_min << "," << opts.vg_max << ","
      << opts.vg_points << "]vd[" << opts.vd_min << "," << opts.vd_max << "," << opts.vd_points
-     << "]de=" << opts.solve.energy_step_eV << ";eta=" << opts.solve.eta_eV
-     << ";kT=" << opts.solve.kT_eV << ";gtol=" << opts.solve.gummel_tolerance_V
+     << "]de=" << opts.solve.energy_step_eV << ";eta=" << negf::kEta_eV
+     << ";kT=" << constants::kRoomTemperatureKT_eV << ";gtol=" << opts.solve.gummel_tolerance_V
      << ";gmax=" << opts.solve.max_gummel_iterations;
   // Poisson solver version: the capacitance-matrix solve moves table bits
   // (~1e-10 relative) against the full-grid Newton that wrote the older,

@@ -5,6 +5,11 @@
 namespace gnrfet::explore {
 
 namespace {
+
+/// The worst case: N=9 with +q in the n-FET, N=18 with -q in the p-FET.
+constexpr VariantSpec kWorstN{9, 1.0};
+constexpr VariantSpec kWorstP{18, -1.0};
+
 /// Static power of the two-inverter latch: DC power of both inverters in a
 /// stable state (one input high, one low), worst of the two states.
 double latch_static_power(const circuit::InverterModels& m, double vdd) {
@@ -18,14 +23,12 @@ double latch_static_power(const circuit::InverterModels& m, double vdd) {
 }
 }  // namespace
 
-std::vector<LatchCase> run_latch_study(DesignKit& kit, const LatchStudyOptions& opts) {
+std::vector<LatchCase> run_latch_study(DesignKit& kit) {
   std::vector<LatchCase> cases;
   // Warm every table the three cases touch before measuring: the
   // nominal device plus the worst-case n-variant and the p-variant's
   // particle-hole mirror (inverter_with_variants negates the p impurity).
-  kit.warm({{12, 0.0},
-            opts.worst_n,
-            {opts.worst_p.n_index, -opts.worst_p.impurity_q}});
+  kit.warm({{12, 0.0}, kWorstN, {kWorstP.n_index, -kWorstP.impurity_q}});
   const int affected_counts[3] = {0, 1, 4};
   const char* labels[3] = {"nominal", "single GNR affected", "all GNRs affected"};
   for (int i = 0; i < 3; ++i) {
@@ -33,15 +36,14 @@ std::vector<LatchCase> run_latch_study(DesignKit& kit, const LatchStudyOptions& 
     c.label = labels[i];
     const circuit::InverterModels m =
         affected_counts[i] == 0
-            ? kit.inverter(opts.vt)
-            : kit.inverter_with_variants(opts.worst_n, opts.worst_p, affected_counts[i],
-                                         opts.vt);
-    c.vtc = circuit::compute_vtc(m, opts.vdd);
+            ? kit.inverter(kPointB_VT)
+            : kit.inverter_with_variants(kWorstN, kWorstP, affected_counts[i], kPointB_VT);
+    c.vtc = circuit::compute_vtc(m, kPointB_VDD);
     const circuit::Vtc inv = circuit::invert_vtc(c.vtc);
     c.lobe1_V = circuit::butterfly_lobe(c.vtc, c.vtc);
     c.lobe2_V = circuit::butterfly_lobe(inv, inv);
     c.snm_V = std::min(c.lobe1_V, c.lobe2_V);
-    c.static_power_W = latch_static_power(m, opts.vdd);
+    c.static_power_W = latch_static_power(m, kPointB_VDD);
     cases.push_back(std::move(c));
   }
   return cases;

@@ -18,14 +18,8 @@ struct LatchCase {
   double static_power_W = 0.0;  ///< worst stable state of the latch
 };
 
-struct LatchStudyOptions {
-  double vt = 0.13;
-  double vdd = 0.4;
-  VariantSpec worst_n{9, 1.0};    ///< N=9 with +q in the n-FET
-  VariantSpec worst_p{18, -1.0};  ///< N=18 with -q in the p-FET
-};
-
-/// Returns {nominal, 1-of-4 affected, 4-of-4 affected}.
-std::vector<LatchCase> run_latch_study(DesignKit& kit, const LatchStudyOptions& opts = {});
+/// The latch at operating point B (kPointB_VT, kPointB_VDD). Returns
+/// {nominal, 1-of-4 affected, 4-of-4 affected}.
+std::vector<LatchCase> run_latch_study(DesignKit& kit);
 
 }  // namespace gnrfet::explore

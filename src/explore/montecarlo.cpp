@@ -10,11 +10,13 @@
 
 namespace gnrfet::explore {
 
-int DiscretizedNormal::draw(std::mt19937& rng) const {
+int draw_discretized_normal(std::mt19937& rng) {
+  // P(x < -sigma/2) = P(x > +sigma/2).
+  constexpr double kOuter = 0.30854;
   std::uniform_real_distribution<double> u(0.0, 1.0);
   const double x = u(rng);
-  if (x < p_low) return -1;
-  if (x > 1.0 - p_high) return 1;
+  if (x < kOuter) return -1;
+  if (x > 1.0 - kOuter) return 1;
   return 0;
 }
 
@@ -26,7 +28,6 @@ std::vector<VariantSpec> monte_carlo_variants() {
 MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& opts) {
   trace::Span span("explore", "run_ring_monte_carlo");
   MonteCarloResult result;
-  const DiscretizedNormal dist;
 
   const circuit::InverterModels nominal = kit.inverter(opts.vt);
   result.nominal =
@@ -54,8 +55,10 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
     std::vector<circuit::InverterModels> stages;
     stages.reserve(15);
     for (int i = 0; i < 15; ++i) {
-      const VariantSpec nv{12 + 3 * dist.draw(rng), static_cast<double>(dist.draw(rng))};
-      const VariantSpec pv{12 + 3 * dist.draw(rng), static_cast<double>(dist.draw(rng))};
+      const VariantSpec nv{12 + 3 * draw_discretized_normal(rng),
+                           static_cast<double>(draw_discretized_normal(rng))};
+      const VariantSpec pv{12 + 3 * draw_discretized_normal(rng),
+                           static_cast<double>(draw_discretized_normal(rng))};
       stages.push_back(kit.inverter_with_variants(nv, pv, 4, opts.vt));
     }
     const circuit::RingMetrics m =

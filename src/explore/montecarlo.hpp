@@ -10,15 +10,10 @@
 /// off-nominal values at one sigma.
 namespace gnrfet::explore {
 
-/// Three-valued discretization of a normal: nearest of {-1, 0, +1} sigma
+/// One draw of a normal discretized to the nearest of {-1, 0, +1} sigma
 /// with boundaries at +-sigma/2: P(outer) ~ 0.3085, P(center) ~ 0.3829.
-struct DiscretizedNormal {
-  double p_low = 0.30854;
-  double p_high = 0.30854;
-
-  /// Returns -1, 0 or +1.
-  int draw(std::mt19937& rng) const;
-};
+/// Returns -1, 0 or +1.
+int draw_discretized_normal(std::mt19937& rng);
 
 struct MonteCarloOptions {
   int samples = 200;
@@ -27,8 +22,8 @@ struct MonteCarloOptions {
   /// independent of thread count and scheduling, and distinct (seed, s)
   /// pairs get uncorrelated generator states.
   unsigned seed = 20080608;
-  double vt = 0.13;
-  double vdd = 0.4;
+  double vt = kPointB_VT;
+  double vdd = kPointB_VDD;
   circuit::RingMeasureOptions ring;
 };
 

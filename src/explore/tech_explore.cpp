@@ -35,8 +35,6 @@ device::TableGenOptions standard_table_options() {
   return opts;
 }
 
-DesignKit::DesignKit(model::Parasitics parasitics) : parasitics_(parasitics) {}
-
 const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
   common::MutexLock lk(mu_);
   auto it = tables_.find(v);

@@ -23,6 +23,11 @@ struct VariantSpec {
   }
 };
 
+/// Operating point B of Sec. 3.1, where the variability studies (Tables
+/// 2-4, Figs. 6-7) measure.
+inline constexpr double kPointB_VT = 0.13;
+inline constexpr double kPointB_VDD = 0.4;
+
 /// The bias-grid settings shared by the table cache; tools/gen_tables and
 /// all benches must agree on these for cache hits.
 device::TableGenOptions standard_table_options();
@@ -39,8 +44,6 @@ device::TableGenOptions standard_table_options();
 /// uses of a variant resolve it exactly once.
 class DesignKit {
  public:
-  explicit DesignKit(model::Parasitics parasitics = model::Parasitics::from_per_width(0.1, 40.0));
-
   /// Cached table lookup; generates (minutes) on first use of a variant.
   const device::DeviceTable& table(const VariantSpec& v);
 
@@ -75,7 +78,9 @@ class DesignKit {
  private:
   model::IntrinsicFet channel(const VariantSpec& v, model::Polarity pol, double offset);
 
-  model::Parasitics parasitics_;
+  /// Every kit FET's parasitics: RS = RD = 10 kOhm and CGS,e = CGD,e =
+  /// 0.1 aF/nm x 40 nm contact width = 4 aF.
+  const model::Parasitics parasitics_ = model::Parasitics::from_per_width(0.1, 40.0);
   /// Guards every cache below. Map entries are stable under insertion and
   /// never reassigned, so references table() hands out stay valid for the
   /// kit's lifetime.

@@ -6,19 +6,16 @@ namespace {
 double pct(double value, double nominal) { return 100.0 * (value / nominal - 1.0); }
 }  // namespace
 
-circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit,
-                                                  const VariationStudyOptions& opts) {
-  const circuit::InverterModels nominal = kit.inverter(opts.vt);
-  return circuit::measure_inverter(nominal, nominal, opts.vdd, opts.measure);
+circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit) {
+  const circuit::InverterModels nominal = kit.inverter(kPointB_VT);
+  return circuit::measure_inverter(nominal, nominal, kPointB_VDD);
 }
 
 std::vector<VariationEntry> run_variation_study(DesignKit& kit,
                                                 const std::vector<VariantSpec>& n_variants,
-                                                const std::vector<VariantSpec>& p_variants,
-                                                const VariationStudyOptions& opts) {
-  const circuit::InverterModels nominal = kit.inverter(opts.vt);
-  const circuit::InverterMetrics base =
-      circuit::measure_inverter(nominal, nominal, opts.vdd, opts.measure);
+                                                const std::vector<VariantSpec>& p_variants) {
+  const circuit::InverterModels nominal = kit.inverter(kPointB_VT);
+  const circuit::InverterMetrics base = circuit::measure_inverter(nominal, nominal, kPointB_VDD);
 
   std::vector<VariationEntry> out;
   for (const auto& pv : p_variants) {
@@ -29,9 +26,9 @@ std::vector<VariationEntry> run_variation_study(DesignKit& kit,
       const int affected_counts[2] = {1, 4};
       for (int s = 0; s < 2; ++s) {
         const circuit::InverterModels m =
-            kit.inverter_with_variants(nv, pv, affected_counts[s], opts.vt);
+            kit.inverter_with_variants(nv, pv, affected_counts[s], kPointB_VT);
         // The FO4 load stays nominal; the variation hits the driver.
-        e.metrics[s] = circuit::measure_inverter(m, nominal, opts.vdd, opts.measure);
+        e.metrics[s] = circuit::measure_inverter(m, nominal, kPointB_VDD);
         if (e.metrics[s].ok && base.ok) {
           e.delay_pct[s] = pct(e.metrics[s].delay_s, base.delay_s);
           e.static_power_pct[s] = pct(e.metrics[s].static_power_W, base.static_power_W);

@@ -18,20 +18,13 @@ struct VariationEntry {
   double snm_pct[2] = {0.0, 0.0};
 };
 
-struct VariationStudyOptions {
-  double vt = 0.13;   ///< operating point B of Sec. 3.1
-  double vdd = 0.4;
-  circuit::InverterMeasureOptions measure;
-};
+/// Nominal metrics at operating point B (kPointB_VT, kPointB_VDD).
+circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit);
 
-/// Nominal metrics at the study operating point.
-circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit,
-                                                  const VariationStudyOptions& opts);
-
-/// Full cross-product study: one entry per (n_variant, p_variant) pair.
+/// Full cross-product study at operating point B: one entry per
+/// (n_variant, p_variant) pair.
 std::vector<VariationEntry> run_variation_study(DesignKit& kit,
                                                 const std::vector<VariantSpec>& n_variants,
-                                                const std::vector<VariantSpec>& p_variants,
-                                                const VariationStudyOptions& opts);
+                                                const std::vector<VariantSpec>& p_variants);
 
 }  // namespace gnrfet::explore

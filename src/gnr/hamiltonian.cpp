@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/constants.hpp"
 #include "common/contracts.hpp"
 
 namespace gnrfet::gnr {
@@ -93,42 +92,6 @@ BlockTridiagonal build_hamiltonian(const Lattice& lat, const TightBindingParams&
 
 BlockTridiagonal build_hamiltonian(const Lattice& lat, const TightBindingParams& params) {
   return build_hamiltonian(lat, params, std::vector<double>(lat.atoms().size(), 0.0));
-}
-
-UnitCell unit_cell_hamiltonian(int n_index, const TightBindingParams& params) {
-  // Build 4 slices (2 unit cells); extract H00 from slices (0,1) and the
-  // coupling H01 from slice 1 -> slice 2 embedded in a 2N x 2N frame.
-  const Lattice lat = Lattice::armchair(n_index, 4, params.edge_delta);
-  // Re-derive onsite zeros; interior bonds of a 4-slice ribbon reproduce
-  // all bulk couplings for the middle cell boundary.
-  const BlockTridiagonal h = build_hamiltonian(lat, params);
-  const size_t n0 = h.diag[0].rows();
-  const size_t n1 = h.diag[1].rows();
-  const size_t dim = n0 + n1;  // = 2N
-  UnitCell cell;
-  cell.period_nm = 3.0 * constants::kCarbonBond_nm;
-  cell.h00 = linalg::CMatrix(dim, dim);
-  for (size_t i = 0; i < n0; ++i) {
-    for (size_t j = 0; j < n0; ++j) cell.h00(i, j) = h.diag[0](i, j);
-  }
-  for (size_t i = 0; i < n1; ++i) {
-    for (size_t j = 0; j < n1; ++j) cell.h00(n0 + i, n0 + j) = h.diag[1](i, j);
-  }
-  for (size_t i = 0; i < n0; ++i) {
-    for (size_t j = 0; j < n1; ++j) {
-      cell.h00(i, n0 + j) = h.upper[0](i, j);
-      cell.h00(n0 + j, i) = std::conj(h.upper[0](i, j));
-    }
-  }
-  // Coupling to the next cell: slice 1 -> slice 2. Slice 2 has the same
-  // size/ordering as slice 0 (parity repeats with period 2).
-  cell.h01 = linalg::CMatrix(dim, dim);
-  for (size_t i = 0; i < n1; ++i) {
-    for (size_t j = 0; j < h.diag[2].rows(); ++j) {
-      cell.h01(n0 + i, j) = h.upper[1](i, j);
-    }
-  }
-  return cell;
 }
 
 }  // namespace gnrfet::gnr

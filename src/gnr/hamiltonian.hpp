@@ -43,14 +43,4 @@ BlockTridiagonal build_hamiltonian(const Lattice& lat, const TightBindingParams&
 /// Same with zero onsite energies.
 BlockTridiagonal build_hamiltonian(const Lattice& lat, const TightBindingParams& params);
 
-/// Bulk unit-cell Hamiltonian of the infinite ribbon: H00 is the 2N x 2N
-/// Hamiltonian of two adjacent slices, H01 couples a cell to the next one.
-struct UnitCell {
-  linalg::CMatrix h00;
-  linalg::CMatrix h01;
-  double period_nm = 0.0;
-};
-
-UnitCell unit_cell_hamiltonian(int n_index, const TightBindingParams& params);
-
 }  // namespace gnrfet::gnr

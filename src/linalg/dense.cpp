@@ -5,31 +5,6 @@
 
 namespace gnrfet::linalg {
 
-namespace {
-template <typename T>
-double frob(const Matrix<T>& m) {
-  double s = 0.0;
-  for (size_t i = 0; i < m.rows(); ++i) {
-    for (size_t j = 0; j < m.cols(); ++j) s += std::norm(cplx(m(i, j)));
-  }
-  return std::sqrt(s);
-}
-}  // namespace
-
-double frobenius_norm(const CMatrix& m) { return frob(m); }
-double frobenius_norm(const DMatrix& m) { return frob(m); }
-
-CMatrix hermitian_part(const CMatrix& a) {
-  CMatrix h = a;
-  const CMatrix ad = a.adjoint();
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      h(i, j) = 0.5 * (a(i, j) + ad(i, j));
-    }
-  }
-  return h;
-}
-
 void multiply_into(CMatrix& c, const CMatrix& a, const CMatrix& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("multiply_into: shape mismatch");
   c.resize_zero(a.rows(), b.cols());

@@ -159,11 +159,4 @@ using DMatrix = Matrix<double>;
 void multiply_into(CMatrix& c, const CMatrix& a, const CMatrix& b);
 void adjoint_into(CMatrix& dst, const CMatrix& src);
 
-/// Frobenius norm.
-double frobenius_norm(const CMatrix& m);
-double frobenius_norm(const DMatrix& m);
-
-/// Hermitian part (A + A^dagger)/2.
-CMatrix hermitian_part(const CMatrix& a);
-
 }  // namespace gnrfet::linalg

@@ -13,7 +13,7 @@ namespace gnrfet::model {
 struct Parasitics {
   double rs_ohm = 10e3;
   double rd_ohm = 10e3;
-  double cgs_e_F = 1.0e-18;  ///< nominal 0.025 aF/nm * 40 nm
+  double cgs_e_F = 1.0e-18;  ///< 0.025 aF/nm * 40 nm (the design kit uses 0.1 aF/nm)
   double cgd_e_F = 1.0e-18;
 
   /// Paper parametrization: capacitance per unit contact width.

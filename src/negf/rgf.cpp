@@ -56,14 +56,6 @@ void check_contact_shapes(const gnr::BlockTridiagonal& h, const CMatrix& sl, con
 
 }  // namespace
 
-RgfResult rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
-                    const CMatrix& sigma_left, const CMatrix& sigma_right) {
-  RgfWorkspace ws;
-  RgfResult out;
-  rgf_solve(h, energy_eV, eta_eV, sigma_left, sigma_right, ws, out);
-  return out;
-}
-
 void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
                const CMatrix& sigma_left, const CMatrix& sigma_right, RgfWorkspace& ws,
                RgfResult& out) {

@@ -39,14 +39,10 @@ struct RgfWorkspace {
   linalg::LU<linalg::cplx> lu;         ///< refactored per block
 };
 
-/// Solve at complex energy E + i*eta. `sigma_left` acts on block 0,
-/// `sigma_right` on the last block. Throws on shape mismatches.
-RgfResult rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
-                    const linalg::CMatrix& sigma_left, const linalg::CMatrix& sigma_right);
-
-/// Workspace variant: identical arithmetic (bit-for-bit equal results),
-/// zero heap allocation once `ws` and `out` have warmed to the block
-/// layout of `h`.
+/// Solve at complex energy E + i*eta into `out`. `sigma_left` acts on
+/// block 0, `sigma_right` on the last block. Throws on shape mismatches.
+/// Zero heap allocation once `ws` and `out` have warmed to the block layout
+/// of `h`; the workspace carries no state between solves.
 void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
                const linalg::CMatrix& sigma_left, const linalg::CMatrix& sigma_right,
                RgfWorkspace& ws, RgfResult& out);

@@ -31,6 +31,10 @@ constexpr size_t kEnergyGrain = 8;
 /// is treated as zero.
 constexpr double kSupportMargin_eV = 0.05;
 
+/// The source Fermi level: the energy zero of the device.
+constexpr double kMuSource_eV = 0.0;
+constexpr double kT_eV = constants::kRoomTemperatureKT_eV;
+
 /// Bipolar charge for one orbital at one energy: electron density above
 /// the local mid-gap u (weighted by f), hole density below it (weighted by
 /// 1 - f), both spin-degenerate and injected from the two contacts.
@@ -100,7 +104,7 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
   }
 
   const EnergyWindow win =
-      charge_window(u_min, u_max, opts.mu_source_eV, opts.mu_drain_eV, opts.kT_eV, band_top);
+      charge_window(u_min, u_max, kMuSource_eV, opts.mu_drain_eV, kT_eV, band_top);
   const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
 
   TransportSolution sol;
@@ -116,8 +120,8 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
   ScalarChain chain;
   chain.onsite.resize(ncol);
   chain.hopping.resize(ncol - 1);
-  chain.gamma_left = opts.gamma_contact_eV;
-  chain.gamma_right = opts.gamma_contact_eV;
+  chain.gamma_left = kContactGamma_eV;
+  chain.gamma_right = kContactGamma_eV;
 
   double current_integral = 0.0;          // Integral T (f1 - f2) dE
   double current_integral_reverse = 0.0;  // Same, from drain-side transmissions
@@ -157,9 +161,8 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
             thread_local std::vector<double> f1v, f2v;
             f1v.resize(nsolve);
             f2v.resize(nsolve);
-            fermi_factors(grid.points.data() + e_begin, nsolve, opts.mu_source_eV, opts.kT_eV,
-                          f1v.data());
-            fermi_factors(grid.points.data() + e_begin, nsolve, opts.mu_drain_eV, opts.kT_eV,
+            fermi_factors(grid.points.data() + e_begin, nsolve, kMuSource_eV, kT_eV, f1v.data());
+            fermi_factors(grid.points.data() + e_begin, nsolve, opts.mu_drain_eV, kT_eV,
                           f2v.data());
             // One SoA kernel call for the whole chunk; lane k holds the
             // bit-identical result of the per-energy solve at e_begin+k.
@@ -167,8 +170,7 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
             // warm.
             thread_local ScalarRgfBatchWorkspace bws;
             thread_local ScalarRgfBatchResult br;
-            scalar_rgf_solve_batch(chain, grid.points.data() + e_begin, nsolve, opts.eta_eV, bws,
-                                   br);
+            scalar_rgf_solve_batch(chain, grid.points.data() + e_begin, nsolve, kEta_eV, bws, br);
             for (size_t k = 0; k < nsolve; ++k) {
               const size_t ie = e_begin + k;
               const double e = grid.points[ie];
@@ -244,14 +246,14 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
   // The real-space path is the validation/reference solver, on the same
   // uniform grid as the mode-space path.
   const EnergyWindow win =
-      charge_window(u_min, u_max, opts.mu_source_eV, opts.mu_drain_eV, opts.kT_eV, band_top);
+      charge_window(u_min, u_max, kMuSource_eV, opts.mu_drain_eV, kT_eV, band_top);
   const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
   metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());
   metrics::observe(metrics::Histogram::kEnergyPointsPerTransport,
                    static_cast<double>(grid.points.size()));
 
-  const linalg::CMatrix sig_l = wide_band_self_energy(h.diag.front().rows(), opts.gamma_contact_eV);
-  const linalg::CMatrix sig_r = wide_band_self_energy(h.diag.back().rows(), opts.gamma_contact_eV);
+  const linalg::CMatrix sig_l = wide_band_self_energy(h.diag.front().rows(), kContactGamma_eV);
+  const linalg::CMatrix sig_r = wide_band_self_energy(h.diag.back().rows(), kContactGamma_eV);
 
   TransportSolution sol;
   sol.energies_eV = grid.points;
@@ -283,10 +285,10 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
         for (size_t ie = begin; ie < end; ++ie) {
           const double e = grid.points[ie];
           const double w = grid.weights[ie];
-          rgf_solve(h, e, opts.eta_eV, sig_l, sig_r, ws, r);
+          rgf_solve(h, e, kEta_eV, sig_l, sig_r, ws, r);
           sol.transmission[ie] = r.transmission;
-          const double f1 = constants::fermi(e - opts.mu_source_eV, opts.kT_eV);
-          const double f2 = constants::fermi(e - opts.mu_drain_eV, opts.kT_eV);
+          const double f1 = constants::fermi(e - kMuSource_eV, kT_eV);
+          const double f2 = constants::fermi(e - opts.mu_drain_eV, kT_eV);
           part.current += w * r.transmission * (f1 - f2);
           size_t orb = 0;
           for (size_t b = 0; b < nb; ++b) {

@@ -23,13 +23,15 @@ enum class NegfGridKind { kUniform, kAdaptive };
 /// Read only by perfbench's record line; delete with the `[benchmark]` refresh.
 inline NegfGridKind negf_grid_from_env() { return NegfGridKind::kUniform; }
 
-/// Common transport settings.
+/// Wide-band broadening of the metal source and drain contacts [eV].
+inline constexpr double kContactGamma_eV = 1.0;
+/// Green's-function broadening eta [eV].
+inline constexpr double kEta_eV = 1e-3;
+
+/// Common transport settings. The source Fermi level is the energy zero and
+/// the contacts sit at room temperature (constants::kRoomTemperatureKT_eV).
 struct TransportOptions {
-  double gamma_contact_eV = 1.0;  ///< wide-band metal broadening
-  double mu_source_eV = 0.0;
   double mu_drain_eV = 0.0;
-  double kT_eV = 0.02585;
-  double eta_eV = 1e-3;          ///< Green's-function broadening
   double energy_step_eV = 2e-3;  ///< charge/current grid spacing
 };
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/constants.hpp"
 #include "common/contracts.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -248,10 +249,11 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
   // sqrt_d first holds D = -dq/dphi, then its square root.
   std::vector<double> q(ns), sqrt_d(ns), f(ns), rhs(ns), z(ns), gv(ns), delta(ns);
   CgScratch cg;
-  newton::StepClamp step_clamp(opts.max_step_V);
+  newton::StepClamp step_clamp(kMaxNewtonStep_V);
   newton::ResidualGuard guard;
   for (int it = 0; it < opts.max_newton_iterations; ++it) {
-    newton::linearised_charge(n0_e, p0_e, phi, phi_ref, opts.thermal_voltage_V, q, sqrt_d);
+    newton::linearised_charge(n0_e, p0_e, phi, phi_ref, constants::kRoomTemperatureKT_eV, q,
+                              sqrt_d);
     linalg::kernels::dense_matvec(green.data(), ns, q.data(), gv.data());
     double f_norm = 0.0;
     for (size_t s = 0; s < ns; ++s) {
@@ -272,7 +274,7 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
     const double max_update = step_clamp.apply(delta, phi);
     result.iterations = it + 1;
     result.last_update_V = max_update;
-    if (max_update < opts.tolerance_V) {
+    if (max_update < kNewtonTolerance_V) {
       result.converged = true;
       break;
     }

@@ -42,8 +42,8 @@
 ///
 /// solve_nonlinear() runs the damped Newton loop of
 /// PoissonSolver::solve_nonlinear — the same exponential charge
-/// linearisation, max_step_V clamp and growth rule, tolerance and residual
-/// contracts (poisson/newton.hpp) — on the ns unknowns of S:
+/// linearisation, kMaxNewtonStep_V clamp and growth rule, tolerance and
+/// residual contracts (poisson/newton.hpp) — on the ns unknowns of S:
 ///
 ///   F(phi) = phi - phi0 - G q(phi),   (I + G D) delta = -F,   D = -dq/dphi >= 0.
 ///

@@ -15,11 +15,16 @@
 /// inner solves, lives in tests/support/poisson_oracles.hpp.
 namespace gnrfet::poisson {
 
+/// The Newton iteration stops once no node moves by more than this.
+inline constexpr double kNewtonTolerance_V = 1e-5;
+/// Per-iteration potential damping clamp.
+inline constexpr double kMaxNewtonStep_V = 0.1;
+
+/// The charge linearises at the room-temperature thermal voltage
+/// (constants::kRoomTemperatureKT_eV).
 struct NonlinearOptions {
-  double thermal_voltage_V = 0.02585;
-  double tolerance_V = 1e-5;
+  // Test seam: the forced non-convergence tests cap the Newton loop.
   int max_newton_iterations = 60;
-  double max_step_V = 0.1;  ///< per-iteration potential damping clamp
 };
 
 }  // namespace gnrfet::poisson

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/constants.hpp"
 #include "common/contracts.hpp"
 #include "common/trace.hpp"
 #include "poisson/newton.hpp"
@@ -118,7 +119,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
                  contracts::all_finite(phi_ref_full) && contracts::all_finite(phi_init_full) &&
                      contracts::all_finite(electrode_voltages),
                  "reference/initial potential or electrode voltages contain NaN/inf");
-  const double vt = opts.thermal_voltage_V;
+  const double vt = constants::kRoomTemperatureKT_eV;
 
   // Work on free nodes only.
   std::vector<double> phi = restrict_to_free(phi_init_full);
@@ -142,7 +143,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
   linalg::PcgOptions pcg_opts;
   pcg_opts.rel_tolerance = 1e-9;
 
-  newton::StepClamp step_clamp(opts.max_step_V);
+  newton::StepClamp step_clamp(kMaxNewtonStep_V);
   newton::ResidualGuard guard;
   for (int it = 0; it < opts.max_newton_iterations; ++it) {
     // Residual F = A phi - b(V, q(phi)); b folds Dirichlet links + charge.
@@ -169,7 +170,7 @@ NonlinearResult PoissonSolver::solve_nonlinear(const std::vector<double>& electr
     const double max_update = step_clamp.apply(delta_, phi);
     result.iterations = it + 1;
     result.last_update_V = max_update;
-    if (max_update < opts.tolerance_V) {
+    if (max_update < kNewtonTolerance_V) {
       result.converged = true;
       break;
     }

@@ -134,9 +134,9 @@ TEST(BatchRgf, RejectsDegenerateInputs) {
 TEST(BatchRgf, FermiFactorsMatchPerEnergyCalls) {
   const auto e = make_energies(37, 5);
   std::vector<double> f(e.size());
-  negf::fermi_factors(e.data(), e.size(), -0.23, constants::kThermalVoltage300K, f.data());
+  negf::fermi_factors(e.data(), e.size(), -0.23, constants::kRoomTemperatureKT_eV, f.data());
   for (size_t k = 0; k < e.size(); ++k) {
-    EXPECT_BITS_EQ(f[k], constants::fermi(e[k] - (-0.23), constants::kThermalVoltage300K));
+    EXPECT_BITS_EQ(f[k], constants::fermi(e[k] - (-0.23), constants::kRoomTemperatureKT_eV));
   }
 }
 

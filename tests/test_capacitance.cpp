@@ -88,10 +88,7 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
   const std::vector<double> phi_ref = restrict_to(cap, phi_ref_full);
   const std::vector<double> phi_init = restrict_to(cap, init_full);
   const device::ChargePopulations pop = solver.charge_populations(bias, phi_ref);
-  poisson::NonlinearOptions popt;
-  // Both solver option sets of these tests (default and fast_opts()) keep
-  // the default temperature.
-  popt.thermal_voltage_V = device::SolveOptions{}.kT_eV;
+  const poisson::NonlinearOptions popt;
 
   const poisson::ReducedResult reduced =
       cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_init, popt);
@@ -111,13 +108,13 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
   out.reduced_newton = reduced.iterations;
   out.oracle_newton = full.iterations;
   // The first Newton step is clamped when it moves some node by exactly
-  // max_step_V.
+  // kMaxNewtonStep_V.
   poisson::NonlinearOptions one_step = popt;
   one_step.max_newton_iterations = 1;
   const double first_step =
       cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_init, one_step)
           .last_update_V;
-  out.clamp_saturated = first_step == popt.max_step_V;
+  out.clamp_saturated = first_step == poisson::kMaxNewtonStep_V;
   out.oracle_phi_full = full.phi_full;
   return out;
 }

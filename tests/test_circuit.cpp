@@ -332,10 +332,7 @@ TEST(Measure, CrossingTimesAndFrequency) {
 
 TEST(Measure, InverterMetricsAreSane) {
   const InverterModels inv = synthetic_inverter();
-  InverterMeasureOptions opts;
-  opts.probe_period_s = 120e-12;
-  opts.dt_s = 0.1e-12;
-  const InverterMetrics m = measure_inverter(inv, inv, 0.4, opts);
+  const InverterMetrics m = measure_inverter(inv, inv, 0.4);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.delay_s, 0.1e-12);
   EXPECT_LT(m.delay_s, 40e-12);

@@ -23,12 +23,13 @@ using namespace gnrfet;
 using tests::EnvGuard;
 
 TEST(Constants, FermiLimits) {
-  EXPECT_NEAR(constants::fermi(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(constants::fermi(1.0), 0.0, 1e-15);
-  EXPECT_NEAR(constants::fermi(-1.0), 1.0, 1e-15);
+  constexpr double kT = constants::kRoomTemperatureKT_eV;
+  EXPECT_NEAR(constants::fermi(0.0, kT), 0.5, 1e-12);
+  EXPECT_NEAR(constants::fermi(1.0, kT), 0.0, 1e-15);
+  EXPECT_NEAR(constants::fermi(-1.0, kT), 1.0, 1e-15);
   // f(x) + f(-x) = 1.
   for (double x : {0.01, 0.05, 0.2}) {
-    EXPECT_NEAR(constants::fermi(x) + constants::fermi(-x), 1.0, 1e-12);
+    EXPECT_NEAR(constants::fermi(x, kT) + constants::fermi(-x, kT), 1.0, 1e-12);
   }
 }
 

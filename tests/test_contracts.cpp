@@ -30,6 +30,7 @@
 #include "poisson/capacitance.hpp"
 #include "poisson/grid.hpp"
 #include "synthetic_device.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -92,7 +93,7 @@ TEST(Contracts, NonHermitianHamiltonianNamesNegf) {
   const linalg::CMatrix sigma(2, 2);
 
   const ContractViolation v =
-      capture_violation([&] { negf::rgf_solve(h, 0.0, 1e-6, sigma, sigma); });
+      capture_violation([&] { tests::rgf_solve(h, 0.0, 1e-6, sigma, sigma); });
   EXPECT_EQ(v.subsystem(), "negf");
   EXPECT_EQ(v.invariant(), "hermitian-hamiltonian");
 }

@@ -105,6 +105,15 @@ TEST(DeviceSpec, GeometryKeyIsExactAndIgnoresImpurities) {
   EXPECT_NE(a.geometry_key(), tiny_spec(15).geometry_key());
 }
 
+TEST(DeviceSpec, DefaultGeometryKeyIsPinned) {
+  // Every field of the paper device at max_digits10, the fixed gate stack,
+  // tight-binding and contact values included: a last-bit change to any of
+  // them changes this key, and with it every table cache key.
+  EXPECT_EQ(DeviceSpec{}.geometry_key(),
+            "N=12;L=15;tox=1.5;eps=3.8999999999999999;t=2.7000000000000002;delta=0.12;"
+            "gamma=1;modes=3;cm=0.29999999999999999;lm=3;h=0.25");
+}
+
 TEST(SelfConsistent, ConvergesAndIsAmbipolar) {
   const DeviceGeometry geo(tiny_spec());
   const SelfConsistentSolver solver(geo, fast_opts());
@@ -177,7 +186,7 @@ TEST(SelfConsistent, UnconvergedGummelAndPoissonNewtonAreCounted) {
       geo.electrode_voltages(0.0, 0.5, 0.5), zeros_s, zeros_s, zeros_s, zeros_s, popt);
   EXPECT_FALSE(rres.converged);
   EXPECT_EQ(rres.iterations, 1);
-  EXPECT_EQ(rres.last_update_V, popt.max_step_V);
+  EXPECT_EQ(rres.last_update_V, poisson::kMaxNewtonStep_V);
   EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonUnconverged), reduced_before + 1);
   EXPECT_EQ(counter(metrics::Counter::kPoissonNewtonIterations), iterations_before + 1);
   EXPECT_EQ(histogram_count(), samples_before + 1);

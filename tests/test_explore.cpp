@@ -213,11 +213,10 @@ TEST(Contours, NoSegmentsWhenLevelOutsideRange) {
 }
 
 TEST(MonteCarlo, DiscretizedNormalProbabilities) {
-  explore::DiscretizedNormal dist;
   std::mt19937 rng(7);
   int counts[3] = {0, 0, 0};
   const int n = 200000;
-  for (int i = 0; i < n; ++i) counts[dist.draw(rng) + 1]++;
+  for (int i = 0; i < n; ++i) counts[explore::draw_discretized_normal(rng) + 1]++;
   EXPECT_NEAR(counts[0] / double(n), 0.3085, 0.01);
   EXPECT_NEAR(counts[1] / double(n), 0.3829, 0.01);
   EXPECT_NEAR(counts[2] / double(n), 0.3085, 0.01);

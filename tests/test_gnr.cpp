@@ -5,11 +5,11 @@
 #include <numbers>
 
 #include "common/constants.hpp"
-#include "gnr/bandstructure.hpp"
 #include "gnr/hamiltonian.hpp"
 #include "gnr/lattice.hpp"
 #include "gnr/modespace.hpp"
-#include "linalg/eig.hpp"
+#include "support/gnr_oracles.hpp"
+#include "support/linalg_oracles.hpp"
 #include "support/negf_oracles.hpp"
 
 namespace {

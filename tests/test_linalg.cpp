@@ -15,7 +15,6 @@
 #include "circuit/netlists.hpp"
 #include "common/parallel.hpp"
 #include "linalg/dense.hpp"
-#include "linalg/eig.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/pcg.hpp"

@@ -4,7 +4,6 @@
 
 #include "common/constants.hpp"
 #include "common/metrics.hpp"
-#include "gnr/bandstructure.hpp"
 #include "gnr/hamiltonian.hpp"
 #include "gnr/lattice.hpp"
 #include "gnr/modespace.hpp"
@@ -13,7 +12,9 @@
 #include "negf/selfenergy.hpp"
 #include "negf/transport.hpp"
 #include "golden.hpp"
+#include "support/gnr_oracles.hpp"
 #include "support/negf_oracles.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -68,7 +69,7 @@ TEST(Rgf, MatchesDenseReference) {
   const auto sl = negf::wide_band_self_energy(h.diag.front().rows(), 0.9);
   const auto sr = negf::wide_band_self_energy(h.diag.back().rows(), 1.1);
   for (double e : {-0.6, -0.1, 0.4, 1.2}) {
-    const auto fast = negf::rgf_solve(h, e, 1e-4, sl, sr);
+    const auto fast = tests::rgf_solve(h, e, 1e-4, sl, sr);
     const auto ref = negf::dense_reference_solve(h, e, 1e-4, sl, sr);
     EXPECT_NEAR(fast.transmission, ref.transmission, 1e-8 * std::max(1.0, ref.transmission));
     ASSERT_EQ(fast.spectral_left.size(), ref.spectral_left.size());
@@ -84,12 +85,12 @@ TEST(Rgf, TransmissionSymmetricUnderContactSwap) {
   const auto h = gnr::build_hamiltonian(lat, {2.7, 0.12});
   const auto s1 = negf::wide_band_self_energy(h.diag.front().rows(), 1.0);
   const auto s2 = negf::wide_band_self_energy(h.diag.back().rows(), 1.0);
-  const auto r = negf::rgf_solve(h, 0.45, 1e-4, s1, s2);
+  const auto r = tests::rgf_solve(h, 0.45, 1e-4, s1, s2);
   // Reverse the device: same ribbon mirrored; T must be identical.
   gnr::BlockTridiagonal hr;
   for (size_t i = h.diag.size(); i-- > 0;) hr.diag.push_back(h.diag[i]);
   for (size_t i = h.upper.size(); i-- > 0;) hr.upper.push_back(h.upper[i].adjoint());
-  const auto rr = negf::rgf_solve(hr, 0.45, 1e-4, s2, s1);
+  const auto rr = tests::rgf_solve(hr, 0.45, 1e-4, s2, s1);
   EXPECT_NEAR(r.transmission, rr.transmission, 1e-9);
 }
 
@@ -120,7 +121,7 @@ TEST(ScalarRgf, MatchesBlockRgfOnUniformChain) {
   const auto sr = negf::wide_band_self_energy(1, chain.gamma_right);
   for (double e : {-1.0, 0.0, 0.9, 2.2}) {
     const auto a = negf::scalar_rgf_solve(chain, e, 1e-4);
-    const auto b = negf::rgf_solve(h, e, 1e-4, sl, sr);
+    const auto b = tests::rgf_solve(h, e, 1e-4, sl, sr);
     EXPECT_NEAR(a.transmission, b.transmission, 1e-10);
     for (size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(a.spectral_left[i], b.spectral_left[i], 1e-9);
@@ -147,7 +148,6 @@ TEST(Transport, ZeroBiasZeroCurrent) {
   const size_t ncol = 24;
   std::vector<std::vector<double>> u(ncol, std::vector<double>(12, 0.0));
   negf::TransportOptions opt;
-  opt.mu_source_eV = 0.0;
   opt.mu_drain_eV = 0.0;
   opt.energy_step_eV = 5e-3;
   const auto sol = negf::solve_mode_space(modes, u, opt);
@@ -287,7 +287,7 @@ TEST(Transport, IdealRibbonTransmissionStaircase) {
     }
     const linalg::CMatrix sig_r = cell.h01 * (gs_r * cell.h01.adjoint());
     const linalg::CMatrix sig_l = cell.h01.adjoint() * (gs_l * cell.h01);
-    const auto r = negf::rgf_solve(hsup, e, 1e-7, sig_l, sig_r);
+    const auto r = tests::rgf_solve(hsup, e, 1e-7, sig_l, sig_r);
     EXPECT_NEAR(r.transmission, expected, 0.02) << "E=" << e;
   }
 }

@@ -12,7 +12,7 @@
 #include "common/parallel.hpp"
 #include "device/tablegen.hpp"
 #include "explore/montecarlo.hpp"
-#include "gnr/bandstructure.hpp"
+#include "gnr/modespace.hpp"
 #include "negf/transport.hpp"
 #include "synthetic_device.hpp"
 #include "test_support.hpp"

@@ -2,10 +2,10 @@
 
 #include <cmath>
 
-#include "gnr/bandstructure.hpp"
 #include "gnr/lattice.hpp"
 #include "gnr/modespace.hpp"
 #include "negf/selfenergy.hpp"
+#include "support/gnr_oracles.hpp"
 #include "support/negf_oracles.hpp"
 #include "synthetic_device.hpp"
 

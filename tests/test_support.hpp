@@ -8,11 +8,12 @@
 #include "common/parallel.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/lu.hpp"
+#include "negf/rgf.hpp"
 
 /// Helpers shared by the test files: a scoped thread-count override, a
 /// read of one process-wide work counter, the checked-in benchmark tables,
-/// value-returning dense LU factor and solve, and the permuted system of
-/// the dense LU oracle.
+/// value-returning dense LU factor and solve and block RGF solve, and the
+/// permuted system of the dense LU oracle.
 namespace gnrfet::tests {
 
 /// Scoped thread-count override restoring the previous value on exit.
@@ -58,6 +59,16 @@ Rhs lu_solve(const linalg::LU<T>& lu, const Rhs& b) {
   Rhs x;
   lu.solve_into(b, x);
   return x;
+}
+
+/// negf::rgf_solve on a fresh workspace, returning its result.
+inline negf::RgfResult rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV,
+                                 double eta_eV, const linalg::CMatrix& sigma_left,
+                                 const linalg::CMatrix& sigma_right) {
+  negf::RgfWorkspace ws;
+  negf::RgfResult out;
+  negf::rgf_solve(h, energy_eV, eta_eV, sigma_left, sigma_right, ws, out);
+  return out;
 }
 
 /// P^T A P in the symmetric elimination order `order`:

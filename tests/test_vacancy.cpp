@@ -5,6 +5,7 @@
 #include "negf/selfenergy.hpp"
 #include "negf/rgf.hpp"
 #include "negf/transport.hpp"
+#include "support/linalg_oracles.hpp"
 #include "support/negf_oracles.hpp"
 
 namespace {

@@ -3,7 +3,10 @@
 #
 #   werror    -Wall -Wextra -Werror build + full test suite + lint label
 #   asan-ubsan  AddressSanitizer + UndefinedBehaviorSanitizer test run
-#   tsan      ThreadSanitizer run of the parallel determinism suites
+#   tsan      ThreadSanitizer run of every test that runs threads: the
+#             *Parallel* suites plus the two tests that start their own
+#             std::threads (concurrent saves of one table path, concurrent
+#             failing DesignKit resolutions)
 #   trace     fast suite under GNRFET_TRACE: the emitted Chrome trace JSON
 #             must parse and summarize through gnrfet_trace_report, the
 #             --json rollup must report spans from every core subsystem,
@@ -74,9 +77,12 @@ for stage in "${STAGES[@]}"; do
       ctest --test-dir "$ROOT/build-ci-asan" -j "$JOBS" --output-on-failure
       ;;
     tsan)
-      banner "thread sanitizer on the parallel suites"
+      banner "thread sanitizer on the tests that run threads"
       configure_and_build "$ROOT/build-ci-tsan" -DGNRFET_SANITIZE=thread
-      ctest --test-dir "$ROOT/build-ci-tsan" -R 'Parallel' -j "$JOBS" --output-on-failure
+      TSAN_TESTS='Parallel'
+      TSAN_TESTS+='|^TableGen\.ConcurrentSavesOfOnePathLeaveOneWholeFile$'
+      TSAN_TESTS+='|^DesignKit\.FailedResolutionLeavesNoEntryAndRetries$'
+      ctest --test-dir "$ROOT/build-ci-tsan" -R "$TSAN_TESTS" -j "$JOBS" --output-on-failure
       ;;
     trace)
       banner "tracing enabled end-to-end: emit, parse, report"
