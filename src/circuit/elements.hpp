@@ -9,6 +9,7 @@
 /// GNRFET core, and the gate-input load used for fanout-of-4 loading.
 namespace gnrfet::circuit {
 
+// Test seam: builds the analytic RC and divider checks of DC and transient.
 class Resistor final : public Element {
  public:
   Resistor(NodeId a, NodeId b, double ohms);
@@ -20,6 +21,7 @@ class Resistor final : public Element {
 };
 
 /// Linear capacitor, trapezoidal companion. State: [q_prev, i_prev, v_prev].
+// Test seam: builds the analytic RC transient check.
 class Capacitor final : public Element {
  public:
   Capacitor(NodeId a, NodeId b, double farads);

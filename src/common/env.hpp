@@ -6,7 +6,7 @@
 /// Checked environment-variable access. Direct std::getenv returns a raw
 /// pointer that is easy to dereference unchecked and easy to parse
 /// inconsistently; these helpers centralize the null/empty/malformed
-/// handling. The repo lint (tools/gnrfet_lint.cpp) bans std::getenv
+/// handling. The repo-rules pass of gnrfet_analyze bans std::getenv
 /// outside src/common/ for that reason.
 namespace gnrfet::common {
 

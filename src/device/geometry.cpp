@@ -93,14 +93,8 @@ DeviceGeometry::DeviceGeometry(const DeviceSpec& spec)
   // Whole stack is gate oxide.
   domain_->paint_permittivity({-1.0, len_x + 1.0, -1.0, len_y + 1.0, -len_z, len_z},
                               kOxideEpsR);
-  // Double gate: top and bottom planes, one electrode id. Painting a
-  // single electrode in two passes requires one id, so use a two-box
-  // union via two add_electrode calls would create two ids; instead paint
-  // the z extremes with one call each and merge by registering the gate
-  // last and reusing the id through a shared box trick is not available,
-  // so the gate is registered twice and both ids map to the same voltage
-  // via electrode_voltages(). Simpler: source, drain, gate_bottom,
-  // gate_top in that order.
+  // Electrodes are registered as source, drain, bottom gate, top gate;
+  // electrode_voltages() gives both gate planes vg.
   const double eps_len = 1e-6;
   electrodes_.source = domain_->add_electrode(
       {-eps_len, eps_len, -1.0, len_y + 1.0, g.z0 + 0.5 * g.dz, -g.z0 - 0.5 * g.dz});

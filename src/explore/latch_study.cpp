@@ -10,17 +10,6 @@ namespace {
 constexpr VariantSpec kWorstN{9, 1.0};
 constexpr VariantSpec kWorstP{18, -1.0};
 
-/// Static power of the two-inverter latch: DC power of both inverters in a
-/// stable state (one input high, one low), worst of the two states.
-double latch_static_power(const circuit::InverterModels& m, double vdd) {
-  const circuit::Vtc vtc = circuit::compute_vtc(m, vdd, 5);
-  const double p_in_low = -vdd * vtc.supply_current_A.front();
-  const double p_in_high = -vdd * vtc.supply_current_A.back();
-  // Both latch states dissipate (p_in_low + p_in_high) across the two
-  // inverters (one sees each input), so the state powers are equal here;
-  // asymmetric variants still differ through the VTC endpoints.
-  return p_in_low + p_in_high;
-}
 }  // namespace
 
 std::vector<LatchCase> run_latch_study(DesignKit& kit) {
@@ -43,7 +32,9 @@ std::vector<LatchCase> run_latch_study(DesignKit& kit) {
     c.lobe1_V = circuit::butterfly_lobe(c.vtc, c.vtc);
     c.lobe2_V = circuit::butterfly_lobe(inv, inv);
     c.snm_V = std::min(c.lobe1_V, c.lobe2_V);
-    c.static_power_W = latch_static_power(m, kPointB_VDD);
+    // In either stable state one inverter sees a low input and the other a
+    // high one: twice the inverter's mean over its two input states.
+    c.static_power_W = 2.0 * circuit::inverter_static_power(m, kPointB_VDD);
     cases.push_back(std::move(c));
   }
   return cases;

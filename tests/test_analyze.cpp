@@ -1,13 +1,14 @@
-// Tests for the static-analysis tooling shared by gnrfet_lint and
-// gnrfet_analyze: the comment/string stripper edge cases, and a rejecting
-// fixture for every analyzer pass — proving each rule actually fires, since
-// the analyzer running clean on the repo is indistinguishable from the
-// analyzer not looking.
+// Tests for the passes of gnrfet_analyze: the comment/string stripper edge
+// cases, and a rejecting fixture for every rule of every pass (the six repo
+// rules included) — proving each rule actually fires, since the analyzer
+// running clean on the repo is indistinguishable from the analyzer not
+// looking.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/analysis_passes.hpp"
@@ -20,14 +21,15 @@ using gnrfet::analysis::check_against_baseline;
 using gnrfet::analysis::check_determinism;
 using gnrfet::analysis::check_layering;
 using gnrfet::analysis::check_library_env_knobs;
+using gnrfet::analysis::check_repo_rules;
 using gnrfet::analysis::CoverageReport;
 using gnrfet::analysis::extract_functions;
 using gnrfet::analysis::Finding;
 using gnrfet::analysis::LayerConfig;
 using gnrfet::analysis::measure_contract_coverage;
 using gnrfet::analysis::parse_allowlist;
-using gnrfet::analysis::parse_baseline_json;
 using gnrfet::analysis::parse_layer_config;
+using gnrfet::analysis::read_baseline;
 using gnrfet::analysis::SourceFile;
 using gnrfet::analysis::SubsystemCoverage;
 using gnrfet::scan::strip_comments_and_strings;
@@ -318,7 +320,6 @@ TEST(AnalyzeContracts, CoverageCountsContractsPerFunction) {
   const CoverageReport report = measure_contract_coverage({{"src/negf/a.cpp", content}});
   ASSERT_EQ(report.subsystems.count("negf"), 1u);
   const SubsystemCoverage& sub = report.subsystems.at("negf");
-  EXPECT_EQ(sub.files, 1u);
   EXPECT_EQ(sub.contracts, 1u);
   EXPECT_EQ(sub.functions, 2u);
   EXPECT_EQ(sub.functions_with_contracts, 1u);
@@ -333,7 +334,7 @@ TEST(AnalyzeContracts, JsonRoundTrips) {
   const std::string json = gnrfet::analysis::coverage_to_json(report, false);
   std::map<std::string, SubsystemCoverage> parsed;
   std::string error;
-  ASSERT_TRUE(parse_baseline_json(json, parsed, error)) << error;
+  ASSERT_TRUE(read_baseline(json, parsed, error)) << error;
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed.at("negf").contracts, 1u);
   EXPECT_EQ(parsed.at("negf").functions_with_contracts, 1u);
@@ -341,12 +342,20 @@ TEST(AnalyzeContracts, JsonRoundTrips) {
   EXPECT_EQ(parsed.at("linalg").contracts, 0u);
 }
 
+TEST(AnalyzeContracts, BaselineWithoutACountIsRejected) {
+  std::map<std::string, SubsystemCoverage> parsed;
+  std::string error;
+  EXPECT_FALSE(read_baseline("{\"subsystems\": {\"negf\": {\"contracts\": 1}}}", parsed, error));
+  EXPECT_NE(error.find("functions"), std::string::npos) << error;
+  EXPECT_FALSE(read_baseline("{\"subsystems\": {", parsed, error));
+}
+
 TEST(AnalyzeContracts, BaselineRegressionIsRejected) {
   const CoverageReport report = measure_contract_coverage(
       {{"src/negf/a.cpp", "void f() { GNRFET_REQUIRE(\"negf\", \"x\", true, \"m\"); }\n"}});
   // Baseline remembers two contracts and two covered functions: regression.
   std::map<std::string, SubsystemCoverage> baseline;
-  baseline["negf"] = {1, 1, 2, 2, 2};
+  baseline["negf"] = {2, 2, 2};
   const std::vector<Finding> findings = check_against_baseline(report, baseline);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].rule, "contract-coverage");
@@ -358,7 +367,7 @@ TEST(AnalyzeContracts, NewAndVanishedSubsystemsRequireBaselineUpdate) {
   const CoverageReport report =
       measure_contract_coverage({{"src/negf/a.cpp", "void f() {}\n"}});
   std::map<std::string, SubsystemCoverage> baseline;
-  baseline["poisson"] = {1, 1, 0, 1, 0};
+  baseline["poisson"] = {0, 1, 0};
   const std::vector<Finding> findings = check_against_baseline(report, baseline);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_NE(findings[0].message.find("no longer under src/"), std::string::npos);
@@ -371,8 +380,7 @@ TEST(AnalyzeContracts, MatchingBaselineIsClean) {
   const CoverageReport report = measure_contract_coverage(files);
   std::map<std::string, SubsystemCoverage> baseline;
   std::string error;
-  ASSERT_TRUE(parse_baseline_json(gnrfet::analysis::coverage_to_json(report, false), baseline,
-                                  error))
+  ASSERT_TRUE(read_baseline(gnrfet::analysis::coverage_to_json(report, false), baseline, error))
       << error;
   EXPECT_TRUE(check_against_baseline(report, baseline).empty());
 }
@@ -396,6 +404,65 @@ TEST(AnalyzeEnvKnobs, UnknownKnobLiteralIsRejectedAndLibraryKnobIsClean) {
   const std::vector<SourceFile> good = {
       {"src/common/b.cpp", "int n = env::get_positive_int(\"GNRFET_THREADS\", 4);\n"}};
   EXPECT_TRUE(check_library_env_knobs(good).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Repo rules
+// ---------------------------------------------------------------------------
+
+using Hits = std::vector<std::pair<size_t, std::string>>;
+
+/// The (line, rule) pairs the repo-rules pass reports for one file.
+Hits repo_rule_hits(const std::string& path, const std::string& content) {
+  Hits hits;
+  for (const Finding& f : check_repo_rules({{path, content}})) {
+    EXPECT_EQ(f.file, path);
+    hits.emplace_back(f.line, f.rule);
+  }
+  return hits;
+}
+
+TEST(AnalyzeRepoRules, RandInLibraryIsRejected) {
+  EXPECT_EQ(repo_rule_hits("src/explore/a.cpp", "int roll() {\n  return rand() % 6;\n}\n"),
+            (Hits{{2, "no-rand"}}));
+}
+
+TEST(AnalyzeRepoRules, StdioInLibraryIsRejected) {
+  EXPECT_EQ(repo_rule_hits("src/circuit/a.cpp", "void f() { printf(\"%d\", 1); }\n"
+                                                "void g() { std::cout << 1; }\n"),
+            (Hits{{1, "no-stdio"}, {2, "no-stdio"}}));
+}
+
+TEST(AnalyzeRepoRules, StdioInBenchIsFine) {
+  EXPECT_TRUE(repo_rule_hits("bench/a.cpp", "void f() { printf(\"%d\", 1); }\n").empty());
+}
+
+TEST(AnalyzeRepoRules, UsingNamespaceInHeaderIsRejected) {
+  const std::string content = "#pragma once\nusing namespace std;\n";
+  EXPECT_EQ(repo_rule_hits("tools/a.hpp", content), (Hits{{2, "using-namespace-header"}}));
+  EXPECT_TRUE(repo_rule_hits("tools/a.cpp", content).empty());
+}
+
+TEST(AnalyzeRepoRules, HeaderWithoutPragmaOnceIsRejected) {
+  EXPECT_EQ(repo_rule_hits("tests/a.hpp", "int x;\n"), (Hits{{1, "pragma-once"}}));
+}
+
+TEST(AnalyzeRepoRules, RawNewDeleteIsRejectedOutsideCommon) {
+  const std::string content =
+      "int* p = new int(1);\n"
+      "delete p;\n"
+      "struct S { S(const S&) = delete; };\n";
+  EXPECT_EQ(repo_rule_hits("src/device/a.cpp", content),
+            (Hits{{1, "raw-new-delete"}, {2, "raw-new-delete"}}));
+}
+
+TEST(AnalyzeRepoRules, RawNewInCommonIsFine) {
+  EXPECT_TRUE(repo_rule_hits("src/common/a.cpp", "int* p = new int(1);\n").empty());
+}
+
+TEST(AnalyzeRepoRules, GetenvOutsideEnvHelpersIsRejected) {
+  EXPECT_EQ(repo_rule_hits("bench/a.cpp", "const char* v = std::getenv(\"HOME\");\n"),
+            (Hits{{1, "unchecked-getenv"}}));
 }
 
 }  // namespace

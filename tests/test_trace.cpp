@@ -27,6 +27,7 @@
 #include "poisson/grid.hpp"
 #include "support/poisson_oracles.hpp"
 #include "test_support.hpp"
+#include "tools/json.hpp"
 
 namespace {
 
@@ -50,35 +51,11 @@ struct TraceGuard {
   std::string old_path_;
 };
 
-/// Minimal structural JSON check: every brace/bracket balanced, quotes
-/// paired, no trailing garbage. Good enough to catch emitter typos; the
-/// full parse is exercised by gnrfet_trace_report in CI.
-bool json_balanced(const std::string& text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return stack.empty() && !in_string;
+/// The export parses as one JSON object through the tools' reader, the one
+/// gnrfet_trace_report uses.
+bool parses_as_object(const std::string& text) {
+  json::Value root;
+  return json::Parser(text).parse(root) && root.kind == json::Value::Kind::kObject;
 }
 
 TEST(Trace, DisabledSpansRecordNothing) {
@@ -241,7 +218,7 @@ TEST(Trace, JsonOutputIsWellFormed) {
   metrics::add(metrics::Counter::kRgfSolves, 7);
   metrics::observe(metrics::Histogram::kPcgIterationsPerSolve, 12.0);
   const std::string json = trace::to_json();
-  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_TRUE(parses_as_object(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"unit_test_span\""), std::string::npos);
@@ -267,7 +244,7 @@ TEST(Trace, FlushWritesFileAndClears) {
   ASSERT_TRUE(in.good()) << path;
   std::stringstream ss;
   ss << in.rdbuf();
-  EXPECT_TRUE(json_balanced(ss.str()));
+  EXPECT_TRUE(parses_as_object(ss.str()));
   EXPECT_NE(ss.str().find("flushed_span"), std::string::npos);
   std::filesystem::remove_all(dir);
 }

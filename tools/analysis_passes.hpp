@@ -16,6 +16,8 @@
 //                                subsystem vs tools/analysis_baseline.json
 //   Pass 5  check_library_env_knobs  "GNRFET_..." string literals under src/
 //                                name only the library's env knobs
+//   Pass 6  check_repo_rules     project rules over src/, tests/, bench/ and
+//                                tools/ that the compiler does not enforce
 
 #include <algorithm>
 #include <map>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "tools/json.hpp"
 #include "tools/source_scan.hpp"
 
 namespace gnrfet::analysis {
@@ -177,7 +180,7 @@ inline std::vector<std::pair<size_t, std::string>> project_includes(const Source
   return out;
 }
 
-/// Pass 1. `files` should be every .hpp/.cpp under src/, sorted by path.
+/// Pass 1. Checks the src/ files among `files` (sorted by path).
 inline std::vector<Finding> check_layering(const std::vector<SourceFile>& files,
                                            const LayerConfig& cfg) {
   std::vector<Finding> findings;
@@ -404,7 +407,7 @@ inline std::vector<std::pair<size_t, size_t>> loop_body_ranges(const std::string
 
 }  // namespace detail
 
-/// Pass 2. `files` should be every .hpp/.cpp under src/, sorted by path.
+/// Pass 2. Checks the src/ files among `files` (sorted by path).
 inline std::vector<Finding> check_determinism(const std::vector<SourceFile>& files,
                                               const Allowlist& allowlist) {
   std::vector<Finding> findings;
@@ -677,8 +680,6 @@ inline std::vector<FunctionInfo> extract_functions(const std::string& stripped) 
 }
 
 struct SubsystemCoverage {
-  size_t files = 0;
-  size_t code_lines = 0;
   size_t contracts = 0;
   size_t functions = 0;
   size_t functions_with_contracts = 0;
@@ -691,7 +692,7 @@ struct CoverageReport {
   std::map<std::string, std::vector<std::string>> uncovered;
 };
 
-/// Pass 4 measurement. `files` should be every .hpp/.cpp under src/.
+/// Pass 4 measurement over the src/ files among `files`.
 inline CoverageReport measure_contract_coverage(const std::vector<SourceFile>& files) {
   static const std::vector<std::string> kContractMacros = {
       "GNRFET_REQUIRE", "GNRFET_ENSURE", "GNRFET_CHECK_FINITE"};
@@ -704,10 +705,6 @@ inline CoverageReport measure_contract_coverage(const std::vector<SourceFile>& f
     if (file.path == "src/common/contracts.hpp") continue;
     const std::string stripped = scan::strip_comments_and_strings(file.content);
     SubsystemCoverage& sub = report.subsystems[module];
-    ++sub.files;
-    for (const auto& line : split_lines(stripped)) {
-      if (line.find_first_not_of(" \t\r") != std::string::npos) ++sub.code_lines;
-    }
     std::vector<FunctionInfo> fns = extract_functions(stripped);
     for (const std::string& macro : kContractMacros) {
       size_t pos = scan::find_token(stripped, macro);
@@ -736,8 +733,6 @@ inline CoverageReport measure_contract_coverage(const std::vector<SourceFile>& f
     }
   }
   for (const auto& [module, sub] : report.subsystems) {
-    report.total.files += sub.files;
-    report.total.code_lines += sub.code_lines;
     report.total.contracts += sub.contracts;
     report.total.functions += sub.functions;
     report.total.functions_with_contracts += sub.functions_with_contracts;
@@ -747,8 +742,6 @@ inline CoverageReport measure_contract_coverage(const std::vector<SourceFile>& f
 
 inline void append_coverage_fields(std::string& out, const SubsystemCoverage& sub,
                                    const std::string& indent) {
-  out += indent + "\"files\": " + std::to_string(sub.files) + ",\n";
-  out += indent + "\"code_lines\": " + std::to_string(sub.code_lines) + ",\n";
   out += indent + "\"contracts\": " + std::to_string(sub.contracts) + ",\n";
   out += indent + "\"functions\": " + std::to_string(sub.functions) + ",\n";
   out += indent + "\"functions_with_contracts\": " +
@@ -784,113 +777,37 @@ inline std::string coverage_to_json(const CoverageReport& report, bool include_u
   return out;
 }
 
-/// Minimal parser for the baseline JSON this tool writes: an object whose
-/// "subsystems" member maps names to objects of integer fields. Anything
-/// else ("total") is skipped structurally.
-inline bool parse_baseline_json(const std::string& text,
-                                std::map<std::string, SubsystemCoverage>& out,
-                                std::string& error) {
+/// Reads the per-subsystem fields of a baseline written by coverage_to_json;
+/// the "total" member is ignored.
+inline bool read_baseline(const std::string& text, std::map<std::string, SubsystemCoverage>& out,
+                          std::string& error) {
   out.clear();
-  size_t i = 0;
-  auto fail = [&](const std::string& what) {
-    error = what + " near offset " + std::to_string(i);
+  json::Value root;
+  json::Parser parser(text);
+  if (!parser.parse(root) || root.kind != json::Value::Kind::kObject) {
+    error = "JSON parse error near byte " + std::to_string(parser.error_pos());
     return false;
-  };
-  auto skipws = [&] {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-                               text[i] == '\r'))
-      ++i;
-  };
-  auto expect = [&](char c) {
-    skipws();
-    if (i < text.size() && text[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  };
-  auto parse_string = [&](std::string& s) {
-    skipws();
-    if (i >= text.size() || text[i] != '"') return false;
-    const size_t close = text.find('"', i + 1);
-    if (close == std::string::npos) return false;
-    s = text.substr(i + 1, close - i - 1);
-    i = close + 1;
-    return true;
-  };
-  auto parse_uint = [&](size_t& v) {
-    skipws();
-    size_t b = i;
-    v = 0;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-      v = v * 10 + static_cast<size_t>(text[i] - '0');
-      ++i;
-    }
-    return i > b;
-  };
-  // Parses one {...} of integer fields into `sub`.
-  auto parse_fields = [&](SubsystemCoverage& sub) {
-    if (!expect('{')) return false;
-    skipws();
-    if (i < text.size() && text[i] == '}') {
-      ++i;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      size_t value = 0;
-      if (!parse_string(key) || !expect(':') || !parse_uint(value)) return false;
-      if (key == "files") sub.files = value;
-      if (key == "code_lines") sub.code_lines = value;
-      if (key == "contracts") sub.contracts = value;
-      if (key == "functions") sub.functions = value;
-      if (key == "functions_with_contracts") sub.functions_with_contracts = value;
-      skipws();
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      return expect('}');
-    }
-  };
-  if (!expect('{')) return fail("expected top-level object");
-  while (true) {
-    std::string key;
-    if (!parse_string(key) || !expect(':')) return fail("expected member name");
-    if (key == "subsystems") {
-      if (!expect('{')) return fail("expected subsystems object");
-      skipws();
-      if (i < text.size() && text[i] == '}') {
-        ++i;
-      } else {
-        while (true) {
-          std::string module;
-          SubsystemCoverage sub;
-          if (!parse_string(module) || !expect(':') || !parse_fields(sub)) {
-            return fail("bad subsystem entry");
-          }
-          out[module] = sub;
-          skipws();
-          if (i < text.size() && text[i] == ',') {
-            ++i;
-            continue;
-          }
-          if (!expect('}')) return fail("unterminated subsystems object");
-          break;
-        }
-      }
-    } else {
-      SubsystemCoverage ignored;
-      if (!parse_fields(ignored)) return fail("bad member value");
-    }
-    skipws();
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (!expect('}')) return fail("unterminated top-level object");
-    return true;
   }
+  const json::Value* subsystems = root.find("subsystems");
+  if (!subsystems || subsystems->kind != json::Value::Kind::kObject) {
+    error = "no \"subsystems\" object";
+    return false;
+  }
+  for (const auto& [module, fields] : subsystems->object) {
+    SubsystemCoverage& sub = out[module];
+    for (const auto& [key, member] : {std::pair{"contracts", &SubsystemCoverage::contracts},
+                                      std::pair{"functions", &SubsystemCoverage::functions},
+                                      std::pair{"functions_with_contracts",
+                                                &SubsystemCoverage::functions_with_contracts}}) {
+      const json::Value* v = fields.find(key);
+      if (!v || v->kind != json::Value::Kind::kNumber || v->number < 0) {
+        error = "subsystem '" + module + "': no count '" + key + "'";
+        return false;
+      }
+      sub.*member = static_cast<size_t>(v->number);
+    }
+  }
+  return true;
 }
 
 /// Pass 4 enforcement: coverage must not regress against the checked-in
@@ -984,6 +901,88 @@ inline std::vector<Finding> check_library_env_knobs(const std::vector<SourceFile
         findings.push_back({file.path, i + 1, "library-env-knob",
                             "'" + name + "' is not a library env knob; src/ may read only "
                             "GNRFET_CACHE_DIR, GNRFET_THREADS and GNRFET_TRACE"});
+      }
+    }
+  }
+  return findings;
+}
+
+// ---------------------------------------------------------------------------
+// Pass 6: repo rules
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// `delete` used as an operator (raw deallocation) rather than `= delete`.
+inline bool has_raw_delete(const std::string& line) {
+  size_t pos = scan::find_token(line, "delete");
+  while (pos != std::string::npos) {
+    size_t i = pos;
+    while (i > 0 && line[i - 1] == ' ') --i;
+    if (i == 0 || line[i - 1] != '=') return true;
+    pos = scan::find_token(line, "delete", pos + 1);
+  }
+  return false;
+}
+
+}  // namespace detail
+
+/// Pass 6, over every .hpp/.cpp under src/, tests/, bench/ and tools/,
+/// matched on stripped lines so comments and strings never trip it. In
+/// src/: no rand()/srand() (no-rand; Monte Carlo is seeded <random> only)
+/// and no printf/std::cout (no-stdio). Headers carry #pragma once and no
+/// `using namespace` (using-namespace-header). Outside src/common/: no raw
+/// new/delete (raw-new-delete), no std::getenv (unchecked-getenv; use the
+/// common/env.hpp helpers).
+inline std::vector<Finding> check_repo_rules(const std::vector<SourceFile>& files) {
+  std::vector<Finding> findings;
+  for (const auto& file : files) {
+    const bool in_src = file.path.rfind("src/", 0) == 0;
+    const bool in_common = file.path.rfind("src/common/", 0) == 0;
+    const bool is_header =
+        file.path.size() > 4 && file.path.compare(file.path.size() - 4, 4, ".hpp") == 0;
+    if (is_header && file.content.find("#pragma once") == std::string::npos) {
+      findings.push_back({file.path, 1, "pragma-once", "header is missing #pragma once"});
+    }
+    const std::vector<std::string> lines =
+        split_lines(scan::strip_comments_and_strings(file.content));
+    for (size_t i = 0; i < lines.size(); ++i) {
+      const std::string& line = lines[i];
+      const size_t lineno = i + 1;
+      if (in_src) {
+        if (scan::has_call(line, "rand") || scan::has_call(line, "srand")) {
+          findings.push_back({file.path, lineno, "no-rand",
+                              "rand()/srand() in a library: use seeded <random> engines"});
+        }
+        if (scan::has_call(line, "printf") ||
+            scan::find_token(line, "cout") != std::string::npos) {
+          findings.push_back({file.path, lineno, "no-stdio",
+                              "library code must not print; return data to the caller"});
+        }
+      }
+      if (is_header) {
+        const size_t u = scan::find_token(line, "using");
+        const size_t n = scan::find_token(line, "namespace", u);
+        if (u != std::string::npos && n != std::string::npos &&
+            line.find_first_not_of(' ', u + 5) == n) {
+          findings.push_back({file.path, lineno, "using-namespace-header",
+                              "headers must not inject namespaces into every includer"});
+        }
+      }
+      if (!in_common) {
+        if (scan::find_token(line, "new") != std::string::npos) {
+          findings.push_back({file.path, lineno, "raw-new-delete",
+                              "raw new outside src/common/: use containers/smart pointers"});
+        }
+        if (detail::has_raw_delete(line)) {
+          findings.push_back({file.path, lineno, "raw-new-delete",
+                              "raw delete outside src/common/: use containers/smart pointers"});
+        }
+        if (scan::find_token(line, "getenv") != std::string::npos) {
+          findings.push_back(
+              {file.path, lineno, "unchecked-getenv",
+               "use the checked helpers in common/env.hpp instead of std::getenv"});
+        }
       }
     }
   }

@@ -13,7 +13,9 @@
 #             and the text report must derive the MNA factorizations per
 #             transient step, the elimination updates per factorization,
 #             and the reduced-CG iterations per Newton step and µs per
-#             iteration
+#             iteration; --json on perfbench's fixture trace must match
+#             its fixture report on every key but "trace" (the shape
+#             perfbench/rollup.py reads)
 #   perf-smoke  Release build + the timed PerfGate.* tests, which ctest
 #               leaves out: the batched RGF kernel holds >= 1.5x the
 #               scalar solve rate and uses the fast reciprocal, and the
@@ -23,9 +25,10 @@
 #               iterations, reduced Newton vs the full-grid oracle, the
 #               energy-grid accuracy, the MNA replay counters) are tier-1
 #               tests: the werror and asan-ubsan stages run them.
-#   analyze   gnrfet_lint repo rules + the gnrfet_analyze passes: layering
-#             DAG, determinism rules, contract-coverage baseline; plus
-#             perfbench's Python self-tests (rollup, checks, run.py helpers)
+#   analyze   every gnrfet_analyze pass: layering DAG, determinism rules,
+#             contract-coverage baseline, library env knobs, repo rules;
+#             plus perfbench's Python self-tests (rollup, checks, run.py
+#             helpers)
 #   thread-safety  clang -Wthread-safety -Werror=thread-safety build over the
 #             capability annotations in src/common/annotations.hpp (skipped
 #             when clang++ is not installed; gcc ignores the annotations)
@@ -113,6 +116,15 @@ for stage in "${STAGES[@]}"; do
         grep -q "^    $row " <<<"$REPORT_TEXT" ||
           { echo "trace stage: no '$row' row in the text report" >&2; exit 1; }
       done
+      # The --json shape perfbench/rollup.py reads, pinned by its fixture.
+      "$ROOT/build-ci-trace/tools/gnrfet_trace_report" --json \
+        "$ROOT/perfbench/tests/fixture_trace.json" | python3 -c '
+import json, sys
+got = json.load(sys.stdin)
+want = json.load(open(sys.argv[1]))
+got.pop("trace"); want.pop("trace")
+sys.exit(0 if got == want else "trace stage: --json on the fixture trace differs from fixture_report.json")
+' "$ROOT/perfbench/tests/fixture_report.json"
       ;;
     perf-smoke)
       banner "Release build + timed PerfGate tests (batched RGF >= 1.5x scalar, blocked matvec >= 1.3x one-row)"
@@ -129,11 +141,8 @@ for stage in "${STAGES[@]}"; do
         { echo "perf-smoke: no PerfGate test ran" >&2; exit 1; }
       ;;
     analyze)
-      banner "static analysis: repo lint + layering/determinism/contract/env-knob passes + perfbench self-tests"
+      banner "static analysis: layering/determinism/contract/env-knob/repo-rules passes + perfbench self-tests"
       configure_and_build "$ROOT/build-ci-analyze"
-      cmake --build "$ROOT/build-ci-analyze" -j "$JOBS" \
-        --target gnrfet_lint gnrfet_analyze
-      "$ROOT/build-ci-analyze/tools/gnrfet_lint" "$ROOT"
       "$ROOT/build-ci-analyze/tools/gnrfet_analyze" "$ROOT"
       (cd "$ROOT" && PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests)
       ;;

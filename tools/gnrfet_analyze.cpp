@@ -15,6 +15,8 @@
 //   env-knobs     every "GNRFET_..." string literal in library code names
 //                 one of the three library env knobs (GNRFET_CACHE_DIR,
 //                 GNRFET_THREADS, GNRFET_TRACE)
+//   repo-rules    the six project rules of check_repo_rules, over src/,
+//                 tests/, bench/ and tools/ (the other passes read src/)
 //
 // (The thread-safety pass is the clang -Wthread-safety build over
 // src/common/annotations.hpp; CI's `thread-safety` stage runs it.)
@@ -22,7 +24,7 @@
 // Usage:
 //   gnrfet_analyze [repo_root]
 //       [--layers file] [--allowlist file] [--baseline file]
-//       [--pass layering|determinism|contracts|env-knobs]
+//       [--pass layering|determinism|contracts|env-knobs|repo-rules]
 //                                (repeatable; default all)
 //       [--report file]          write the full coverage JSON, with the
 //                                per-subsystem uncovered-function lists
@@ -31,6 +33,7 @@
 //
 // Exit codes: 0 clean, 1 findings, 2 bad usage/config.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -55,22 +58,27 @@ bool read_file(const fs::path& path, std::string& out) {
   return true;
 }
 
-/// Every .hpp/.cpp under root/src, sorted by repo-relative path.
+const std::set<std::string> kPasses = {"layering", "determinism", "contracts", "env-knobs",
+                                       "repo-rules"};
+
+/// Every .hpp/.cpp under root/{src,tests,bench,tools}, sorted by
+/// repo-relative path.
 std::vector<SourceFile> load_sources(const fs::path& root) {
   std::vector<SourceFile> files;
-  const fs::path src = root / "src";
-  if (!fs::exists(src)) return files;
-  for (const auto& entry : fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path& p = entry.path();
-    if (p.extension() != ".cpp" && p.extension() != ".hpp") continue;
-    SourceFile file;
-    file.path = fs::relative(p, root).generic_string();
-    if (!read_file(p, file.content)) {
-      std::cerr << "gnrfet_analyze: cannot read " << p << "\n";
-      continue;
+  for (const char* dir : {"src", "tests", "bench", "tools"}) {
+    if (!fs::exists(root / dir)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      if (!entry.is_regular_file()) continue;
+      const fs::path& p = entry.path();
+      if (p.extension() != ".cpp" && p.extension() != ".hpp") continue;
+      SourceFile file;
+      file.path = fs::relative(p, root).generic_string();
+      if (!read_file(p, file.content)) {
+        std::cerr << "gnrfet_analyze: cannot read " << p << "\n";
+        continue;
+      }
+      files.push_back(std::move(file));
     }
-    files.push_back(std::move(file));
   }
   std::sort(files.begin(), files.end(),
             [](const SourceFile& a, const SourceFile& b) { return a.path < b.path; });
@@ -80,7 +88,7 @@ std::vector<SourceFile> load_sources(const fs::path& root) {
 int usage() {
   std::cerr << "usage: gnrfet_analyze [repo_root] [--layers f] [--allowlist f] "
                "[--baseline f] [--report f] [--write-baseline] "
-               "[--pass layering|determinism|contracts|env-knobs]\n";
+               "[--pass layering|determinism|contracts|env-knobs|repo-rules]\n";
   return 2;
 }
 
@@ -106,10 +114,7 @@ int main(int argc, char** argv) {
       write_baseline = true;
     } else if (arg == "--pass") {
       const char* v = value();
-      if (!v || (std::string(v) != "layering" && std::string(v) != "determinism" &&
-                 std::string(v) != "contracts" && std::string(v) != "env-knobs")) {
-        return usage();
-      }
+      if (!v || kPasses.count(v) == 0) return usage();
       passes.insert(v);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
@@ -117,13 +122,15 @@ int main(int argc, char** argv) {
       root = arg;
     }
   }
-  if (passes.empty()) passes = {"layering", "determinism", "contracts", "env-knobs"};
+  if (passes.empty()) passes = kPasses;
   if (layers_path.empty()) layers_path = root / "tools" / "analysis_layers.txt";
   if (allowlist_path.empty()) allowlist_path = root / "tools" / "analysis_allowlist.txt";
   if (baseline_path.empty()) baseline_path = root / "tools" / "analysis_baseline.json";
 
   const std::vector<SourceFile> files = load_sources(root);
-  if (files.empty()) {
+  const size_t src_files = static_cast<size_t>(std::count_if(
+      files.begin(), files.end(), [](const SourceFile& f) { return !module_of(f.path).empty(); }));
+  if (src_files == 0) {
     std::cerr << "gnrfet_analyze: no sources under " << (root / "src") << "\n";
     return 2;
   }
@@ -144,11 +151,13 @@ int main(int argc, char** argv) {
       return 2;
     }
     size_t edges = 0;
-    for (const auto& file : files) edges += project_includes(file).size();
+    for (const auto& file : files) {
+      if (!module_of(file.path).empty()) edges += project_includes(file).size();
+    }
     const std::vector<Finding> f = check_layering(files, cfg);
     findings.insert(findings.end(), f.begin(), f.end());
     summaries.push_back("layering:    " + std::to_string(f.size()) + " finding(s) over " +
-                        std::to_string(files.size()) + " files, " + std::to_string(edges) +
+                        std::to_string(src_files) + " files, " + std::to_string(edges) +
                         " include edges, " + std::to_string(cfg.allowed.size()) + " modules");
   }
 
@@ -191,7 +200,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::map<std::string, SubsystemCoverage> baseline;
-      if (!parse_baseline_json(text, baseline, error)) {
+      if (!read_baseline(text, baseline, error)) {
         std::cerr << "gnrfet_analyze: " << baseline_path.generic_string() << ": " << error
                   << "\n";
         return 2;
@@ -212,6 +221,13 @@ int main(int argc, char** argv) {
     findings.insert(findings.end(), f.begin(), f.end());
     summaries.push_back("env-knobs:   " + std::to_string(f.size()) + " finding(s), " +
                         std::to_string(library_env_knobs().size()) + " library knobs");
+  }
+
+  if (passes.count("repo-rules") != 0) {
+    const std::vector<Finding> f = check_repo_rules(files);
+    findings.insert(findings.end(), f.begin(), f.end());
+    summaries.push_back("repo-rules:  " + std::to_string(f.size()) + " finding(s) over " +
+                        std::to_string(files.size()) + " files");
   }
 
   for (const auto& f : findings) {

@@ -1,7 +1,7 @@
 #pragma once
 
-// Shared lexical scanning helpers for the repo's source-analysis tools
-// (gnrfet_lint, gnrfet_analyze) and their tests. Everything operates on
+// Lexical scanning helpers for the analyzer passes (gnrfet_analyze) and
+// their tests. Everything operates on
 // whole-file strings; nothing here touches the filesystem.
 
 #include <cctype>
