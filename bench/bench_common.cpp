@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "common/parallel.hpp"
-#include "common/trace.hpp"
 
 namespace gnrfet::bench {
 
@@ -24,28 +22,16 @@ void banner(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
 
-PhaseTimer::PhaseTimer(std::string bench, std::string phase)
-    : bench_(std::move(bench)), phase_(std::move(phase)), start_us_(trace::now_us()) {}
+PhaseTimer::PhaseTimer(const char* name)
+    : name_(name), start_us_(trace::now_us()), span_(std::in_place, "bench", name) {}
 
 PhaseTimer::~PhaseTimer() { stop(); }
 
 double PhaseTimer::stop() {
   if (seconds_ >= 0.0) return seconds_;
-  // Phase rows and trace spans share the trace clock, so a
-  // perf_timings.csv row can be matched against the spans it encloses.
-  const double end_us = trace::now_us();
-  seconds_ = (end_us - start_us_) * 1e-6;
-  trace::emit_complete("bench", bench_ + "/" + phase_, start_us_, end_us - start_us_);
-  std::filesystem::create_directories("bench_out");
-  const std::string path = "bench_out/perf_timings.csv";
-  const bool fresh = !std::filesystem::exists(path);
-  std::ofstream out(path, std::ios::app);
-  if (out) {
-    if (fresh) out << "bench,phase,seconds,threads\n";
-    out << bench_ << "," << phase_ << "," << seconds_ << "," << par::thread_count() << "\n";
-  }
-  std::printf("[time] %s/%s: %.3f s on %d thread(s)\n", bench_.c_str(), phase_.c_str(),
-              seconds_, par::thread_count());
+  span_.reset();
+  seconds_ = (trace::now_us() - start_us_) * 1e-6;
+  std::printf("[time] %s: %.3f s on %d thread(s)\n", name_, seconds_, par::thread_count());
   return seconds_;
 }
 

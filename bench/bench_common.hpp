@@ -1,8 +1,10 @@
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "common/csv.hpp"
+#include "common/trace.hpp"
 
 /// Shared bench scaffolding: every bench prints the paper-style rows to
 /// stdout and mirrors the series into CSV files under bench_out/ (relative
@@ -18,25 +20,23 @@ void save_csv(const csv::Table& table, const std::string& name);
 /// Section banner.
 void banner(const std::string& title);
 
-/// Wall-clock timer for one named bench phase. On stop (or destruction)
-/// it prints the elapsed time and appends a
-/// `{bench, phase, seconds, threads}` row to bench_out/perf_timings.csv,
-/// so speedups stay measurable across PRs and thread counts. Runs on the
-/// trace clock (common/trace.hpp): with GNRFET_TRACE set, every phase
-/// also lands in the trace as a `bench` span aligned with the solver
-/// spans it encloses.
+/// Wall-clock timer for one named bench phase ("bench/phase", a string
+/// literal). On stop (or destruction) it prints the elapsed time. With
+/// GNRFET_TRACE set, the phase is also a `bench` span in the trace, on the
+/// clock of the solver spans it encloses.
 class PhaseTimer {
  public:
-  PhaseTimer(std::string bench, std::string phase);
+  explicit PhaseTimer(const char* name);
   ~PhaseTimer();
 
   /// Stop and record; returns elapsed seconds. Idempotent.
   double stop();
 
  private:
-  std::string bench_, phase_;
-  double start_us_ = 0.0;
+  const char* name_;
+  double start_us_;
   double seconds_ = -1.0;
+  std::optional<trace::Span> span_;  ///< ends at stop()
 };
 
 }  // namespace gnrfet::bench

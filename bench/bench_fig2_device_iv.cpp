@@ -15,7 +15,7 @@ using namespace gnrfet;
 int main() {
   bench::banner("Fig. 2(a): I-V of ideal N=12 GNRFET");
   explore::DesignKit kit;
-  bench::PhaseTimer table_timer("fig2_device_iv", "table_generation");
+  bench::PhaseTimer table_timer("fig2_device_iv/table_generation");
   const device::DeviceTable& t = kit.table({12, 0.0});
   table_timer.stop();
   const double width_um =

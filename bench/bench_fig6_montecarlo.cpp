@@ -24,7 +24,7 @@ int main() {
   opts.ring.dt_s = 0.5e-12;
   std::printf("samples: %d (override with GNRFET_MC_SAMPLES)\n", opts.samples);
 
-  bench::PhaseTimer mc_timer("fig6_montecarlo", "monte_carlo");
+  bench::PhaseTimer mc_timer("fig6_montecarlo/monte_carlo");
   const auto mc = explore::run_ring_monte_carlo(kit, opts);
   mc_timer.stop();
   std::printf("nominal: f = %.3f GHz, Pdyn = %.4g uW, Pstat = %.4g uW\n",

@@ -25,10 +25,11 @@
 ///                      lock-free functions and rejected)
 ///
 /// Deployed on the real shared state of the pipeline: the thread pool's
-/// run/registration mutexes (common/parallel.cpp), the DesignKit table
-/// cache (explore/tech_explore.hpp), the trace and metrics registries
-/// (common/trace.cpp, common/metrics.cpp), and the cache-directory
-/// once-init (common/cache.cpp).
+/// run/job mutexes and each region's first-exception slot
+/// (common/parallel.cpp), the DesignKit's variant map
+/// (explore/tech_explore.hpp), the capacitance-matrix memo
+/// (device/selfconsistent.cpp), and the trace and metrics registries
+/// (common/trace.cpp, common/metrics.cpp).
 #if defined(__clang__)
 #define GNRFET_THREAD_ANNOTATION(x) __attribute__((x))
 #else

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 
-#include "common/annotations.hpp"
 #include "common/env.hpp"
 #include "common/strings.hpp"
 
@@ -33,17 +32,11 @@ std::string resolve_default_directory() {
 }  // namespace
 
 std::string directory() {
-  // The GNRFET_CACHE_DIR override stays live (re-read every call, so tests
-  // can repoint it), but each distinct value only walks the filesystem /
-  // creates directories once.
-  if (const std::string env = common::env_or("GNRFET_CACHE_DIR", ""); !env.empty()) {
-    static common::Mutex mu;
-    static std::string created_for GNRFET_GUARDED_BY(mu);
-    common::MutexLock lk(mu);
-    if (env != created_for) {
-      std::filesystem::create_directories(env);
-      created_for = env;
-    }
+  // The GNRFET_CACHE_DIR override is re-read and created on every call, so
+  // tests can repoint it and a removed directory comes back; callers ask
+  // once per table, and create_directories on an existing path is one stat.
+  if (std::string env = common::env_or("GNRFET_CACHE_DIR", ""); !env.empty()) {
+    std::filesystem::create_directories(env);
     return env;
   }
   // No override: resolve and create exactly once, thread-safely, instead

@@ -12,49 +12,22 @@ namespace gnrfet::par {
 
 namespace {
 
-/// One parallel region. Chunks are pre-partitioned into per-participant
-/// ranges; a participant first drains its own range, then steals from the
-/// tail of the busiest-looking victim. Claiming is lock-free; everything
-/// that touches the job's lifetime goes through the pool mutex.
+/// One parallel region. Participants claim fixed chunks from one shared
+/// counter until it passes nchunks; which thread ran a chunk never reaches
+/// a result (reductions fold partials by chunk index). Claiming is
+/// lock-free; everything that touches the job's lifetime goes through the
+/// pool mutex.
 struct Job {
   const std::function<void(size_t, size_t, size_t)>* body = nullptr;
   size_t n = 0;
   size_t grain = 1;
   size_t nchunks = 0;
-  size_t participants = 0;
-
-  struct alignas(64) Cursor {
-    std::atomic<size_t> next{0};
-    size_t end = 0;
-  };
-  std::vector<Cursor> cursors;  // one per participant
+  size_t participants = 0;  ///< min(threads, nchunks); set by run()
+  std::atomic<size_t> next{0};
 
   std::atomic<bool> abort{false};
   common::Mutex error_mu;
   std::exception_ptr error GNRFET_GUARDED_BY(error_mu);
-
-  void init(size_t n_items, size_t grain_items, size_t nparticipants) {
-    n = n_items;
-    grain = grain_items;
-    nchunks = num_chunks(n, grain);
-    participants = nparticipants < nchunks ? nparticipants : nchunks;
-    if (participants == 0) participants = 1;
-    cursors = std::vector<Cursor>(participants);
-    for (size_t p = 0; p < participants; ++p) {
-      cursors[p].next.store(p * nchunks / participants, std::memory_order_relaxed);
-      cursors[p].end = (p + 1) * nchunks / participants;
-    }
-  }
-
-  /// Claim one chunk, preferring slot `home`; returns nchunks when drained.
-  size_t claim(size_t home) {
-    for (size_t k = 0; k < participants; ++k) {
-      Cursor& c = cursors[(home + k) % participants];
-      const size_t got = c.next.fetch_add(1, std::memory_order_relaxed);
-      if (got < c.end) return got;
-    }
-    return nchunks;
-  }
 
   void run_chunk(size_t chunk) {
     if (abort.load(std::memory_order_relaxed)) return;
@@ -69,8 +42,9 @@ struct Job {
     }
   }
 
-  void work(size_t home) {
-    for (size_t chunk = claim(home); chunk < nchunks; chunk = claim(home)) {
+  void work() {
+    for (size_t chunk = next.fetch_add(1, std::memory_order_relaxed); chunk < nchunks;
+         chunk = next.fetch_add(1, std::memory_order_relaxed)) {
       run_chunk(chunk);
     }
   }
@@ -119,16 +93,16 @@ class ThreadPool {
     // blocking — blocking here could deadlock if the winner's job body
     // waits on a lock the loser holds.
     if (!run_mu_.try_lock()) {
-      job.init(job.n, job.grain, 1);
       InRegionGuard in_region;
-      job.work(0);
+      job.work();
       if (std::exception_ptr err = job.take_error()) std::rethrow_exception(err);
       return;
     }
 
     {
       common::MutexLock lk(mu_);
-      job.init(job.n, job.grain, static_cast<size_t>(target_threads_));
+      const size_t threads = static_cast<size_t>(target_threads_);
+      job.participants = threads < job.nchunks ? threads : job.nchunks;
       job_ = &job;
       ++epoch_;
     }
@@ -141,7 +115,7 @@ class ThreadPool {
     // in turn be blocked on a lock this thread holds.
     {
       InRegionGuard in_region;
-      job.work(0);
+      job.work();
     }
 
     // Detach the job so late-waking workers skip it, then wait for every
@@ -203,7 +177,7 @@ class ThreadPool {
       if (!job || slot >= job->participants) continue;
       ++active_;
       mu_.unlock();
-      job->work(slot);
+      job->work();
       mu_.lock();
       if (--active_ == 0) done_cv_.notify_all();
     }
@@ -255,6 +229,7 @@ void parallel_for_chunks(size_t n, size_t grain,
   job.body = &body;
   job.n = n;
   job.grain = grain;
+  job.nchunks = chunks;
   ThreadPool::instance().run(job);
 }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/annotations.hpp"
@@ -17,12 +18,10 @@ namespace gnrfet::trace {
 
 namespace {
 
-/// One recorded span. `name` points at a string literal for Span-recorded
-/// events; PhaseTimer-style dynamic names live in `dyn_name` instead.
+/// One recorded span; category and name point at string literals.
 struct Event {
   const char* cat = nullptr;
   const char* name = nullptr;
-  std::string dyn_name;
   double ts_us = 0.0;
   double dur_us = 0.0;
 };
@@ -81,7 +80,7 @@ Buffer& local_buffer() {
   return *buffer;
 }
 
-void escape_json(const std::string& s, std::ostream& os) {
+void escape_json(std::string_view s, std::ostream& os) {
   for (const char c : s) {
     switch (c) {
       case '"': os << "\\\""; break;
@@ -133,14 +132,7 @@ Span::Span(const char* category, const char* name)
 Span::~Span() {
   if (!active_) return;
   const double end_us = now_us();
-  local_buffer().events.push_back(Event{category_, name_, {}, begin_us_, end_us - begin_us_});
-}
-
-void emit_complete(const char* category, const std::string& name, double begin_us,
-                   double dur_us) {
-  if (!enabled()) return;
-  ensure_exit_flush();
-  local_buffer().events.push_back(Event{category, nullptr, name, begin_us, dur_us});
+  local_buffer().events.push_back(Event{category_, name_, begin_us_, end_us - begin_us_});
 }
 
 size_t event_count() {
@@ -159,7 +151,7 @@ std::vector<EventRecord> snapshot_events() {
     for (const Event& e : b->events) {
       EventRecord rec;
       rec.category = e.cat;
-      rec.name = e.name ? e.name : e.dyn_name;
+      rec.name = e.name;
       rec.ts_us = e.ts_us;
       rec.dur_us = e.dur_us;
       rec.tid = b->tid;
@@ -180,7 +172,7 @@ void write_json(std::ostream& os) {
       if (!first) os << ",";
       first = false;
       os << "\n{\"name\":\"";
-      escape_json(e.name ? std::string(e.name) : e.dyn_name, os);
+      escape_json(e.name, os);
       os << "\",\"cat\":\"";
       escape_json(e.cat, os);
       os << "\",\"ph\":\"X\",\"ts\":" << e.ts_us << ",\"dur\":" << e.dur_us

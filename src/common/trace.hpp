@@ -38,14 +38,16 @@ std::string output_path();
 // Test seam: tests record without GNRFET_TRACE set.
 void set_output_path(const std::string& path);
 
-/// Microseconds since the process trace epoch (steady clock). All spans,
-/// PhaseTimer rows and the exported JSON share this one clock.
+/// Microseconds since the process trace epoch (steady clock). All spans
+/// and the exported JSON share this one clock, and callers that time a
+/// window of spans (the benchmark's timed call) read it too.
 double now_us();
 
 /// RAII scoped span: records [construction, destruction) as one complete
 /// event under (category, name). Category is the subsystem ("negf",
 /// "poisson", "device", "circuit", "linalg", "explore", "bench"); both
-/// strings must outlive the span (string literals in practice).
+/// must be string literals, since the recorded event keeps the pointers
+/// until the trace is written.
 class Span {
  public:
   Span(const char* category, const char* name);
@@ -60,12 +62,6 @@ class Span {
   double begin_us_;
   bool active_;
 };
-
-/// Record an already-timed complete event with a dynamic name (the bench
-/// PhaseTimer, whose phase names are composed at runtime). No-op while
-/// disabled.
-void emit_complete(const char* category, const std::string& name, double begin_us,
-                   double dur_us);
 
 /// One recorded event, merged across threads (tests and tools).
 struct EventRecord {

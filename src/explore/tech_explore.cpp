@@ -35,74 +35,65 @@ device::TableGenOptions standard_table_options() {
   return opts;
 }
 
-const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
-  common::MutexLock lk(mu_);
-  auto it = tables_.find(v);
-  if (it == tables_.end()) {
+DesignKit::Entry& DesignKit::entry(const VariantSpec& v) {
+  auto it = entries_.find(v);
+  if (it == entries_.end()) {
     // Resolve under the kit lock: one disk load or generation per variant
     // per kit. It cannot deadlock: generation never calls back into the
     // kit, and its parallel_for runs on the pool from a top-level caller
     // and inline from inside a region.
     trace::Span span("explore", "design_kit_table");
-    it = tables_.emplace(v, device::generate_device_table(spec_for(v), standard_table_options()))
-             .first;
+    Entry e{device::generate_device_table(spec_for(v), standard_table_options()), {}};
+    it = entries_.emplace(v, std::move(e)).first;
   }
   return it->second;
 }
 
+const device::DeviceTable& DesignKit::table(const VariantSpec& v) {
+  common::MutexLock lk(mu_);
+  return entry(v).table;
+}
+
 void DesignKit::warm(const std::vector<VariantSpec>& variants) {
   trace::Span span("explore", "design_kit_warm");
-  for (const auto& v : variants) table(v);
+  common::MutexLock lk(mu_);
+  for (const auto& v : variants) entry(v);
 }
 
 void DesignKit::set_table(const VariantSpec& v, device::DeviceTable table) {
   common::MutexLock lk(mu_);
   // Refuse to replace an existing entry: table() hands out references whose
   // validity rests on map entries never being reassigned.
-  if (!tables_.emplace(v, std::move(table)).second) {
+  if (!entries_.emplace(v, Entry{std::move(table), {}}).second) {
     throw std::logic_error(
         "DesignKit::set_table: variant already has a table; inject tables "
         "before the variant's first use");
   }
 }
 
-double DesignKit::vt0() {
-  {
-    common::MutexLock lk(mu_);
-    if (vt0_ >= 0.0) return vt0_;
-  }
-  // May generate: table() takes mu_ itself. A racing extraction computes
-  // the identical value (same table bits), so last write wins harmlessly.
-  const device::DeviceTable& t = table({12, 0.0});
+double DesignKit::nominal_vt0() {
+  if (vt0_ >= 0.0) return vt0_;
+  const device::DeviceTable& t = entry({12, 0.0}).table;
   // Extract at VD = 0.05 V, per the max-gm method of Fig. 2(b).
   const auto col = std::ranges::find_if(t.vd, [](double v) { return std::abs(v - 0.05) <= 1e-9; });
   if (col == t.vd.end()) throw std::invalid_argument("DesignKit::vt0: no 0.05 V on the VD axis");
   const size_t ivd = static_cast<size_t>(col - t.vd.begin());
   std::vector<double> id(t.vg.size());
   for (size_t ig = 0; ig < t.vg.size(); ++ig) id[ig] = t.at_current(ig, ivd);
-  const double vt0 = device::extract_threshold_voltage(t.vg, id);
-  common::MutexLock lk(mu_);
-  vt0_ = vt0;
+  vt0_ = device::extract_threshold_voltage(t.vg, id);
   return vt0_;
+}
+
+double DesignKit::vt0() {
+  common::MutexLock lk(mu_);
+  return nominal_vt0();
 }
 
 model::IntrinsicFet DesignKit::channel(const VariantSpec& v, model::Polarity pol,
                                        double offset) {
-  {
-    common::MutexLock lk(mu_);
-    const auto it = fet_tables_.find(v);
-    if (it != fet_tables_.end()) {
-      return model::IntrinsicFet(it->second.current_A, it->second.charge_C, pol, offset);
-    }
-  }
-  // Build the interpolation tables outside the lock (table() may generate).
-  // Racing builders produce bit-identical FetTables; the first emplace
-  // wins and everyone returns references into that entry.
-  const device::DeviceTable& t = table(v);
-  model::FetTables ft = model::make_fet_tables(t);
-  common::MutexLock lk(mu_);
-  const auto it = fet_tables_.emplace(v, std::move(ft)).first;
-  return model::IntrinsicFet(it->second.current_A, it->second.charge_C, pol, offset);
+  Entry& e = entry(v);
+  if (!e.fet.current_A) e.fet = model::make_fet_tables(e.table);
+  return model::IntrinsicFet(e.fet.current_A, e.fet.charge_C, pol, offset);
 }
 
 circuit::InverterModels DesignKit::inverter(double vt_target) {
@@ -112,7 +103,8 @@ circuit::InverterModels DesignKit::inverter(double vt_target) {
 circuit::InverterModels DesignKit::inverter_with_variants(const VariantSpec& n_variant,
                                                           const VariantSpec& p_variant,
                                                           int affected, double vt_target) {
-  const double offset = vt0() - vt_target;
+  common::MutexLock lk(mu_);
+  const double offset = nominal_vt0() - vt_target;
   const VariantSpec nominal{12, 0.0};
   // The p-FET is the particle-hole mirror of an n-device: a physical
   // impurity q in the p-device maps to -q in the mirrored table.
@@ -136,8 +128,8 @@ std::vector<ExplorePoint> explore_plane(DesignKit& kit, const std::vector<double
                                         const std::vector<double>& vdd_values,
                                         const ExploreOptions& opts) {
   trace::Span span("explore", "explore_plane");
-  // Generate the shared nominal table (and vt0) before fanning out so the
-  // parallel points only do circuit work under the kit's cache locks.
+  // Resolve the shared nominal table and vt0 before fanning out, so no
+  // point waits under the kit lock on a table generation.
   kit.vt0();
   const size_t nvt = vt_values.size();
   std::vector<ExplorePoint> grid(nvt * vdd_values.size());

@@ -39,9 +39,9 @@ device::TableGenOptions standard_table_options();
 /// cache (load on hit, generate and save on miss).
 ///
 /// Thread safety: all public methods may be called concurrently (the
-/// parallel Monte Carlo and plane sweeps do); the per-kit maps are guarded
-/// by a mutex. Table resolution runs under that lock, so concurrent first
-/// uses of a variant resolve it exactly once.
+/// parallel Monte Carlo and plane sweeps do). Each takes the kit lock once
+/// and does its work under it: table resolution and the interpolation-table
+/// build happen once per variant, and a failed resolution leaves no entry.
 class DesignKit {
  public:
   /// Cached table lookup; generates (minutes) on first use of a variant.
@@ -76,17 +76,28 @@ class DesignKit {
                                                  double vt_target);
 
  private:
-  model::IntrinsicFet channel(const VariantSpec& v, model::Polarity pol, double offset);
+  /// One variant: its device table and the interpolation tables built from
+  /// it on the first channel() call (null until then).
+  struct Entry {
+    device::DeviceTable table;
+    model::FetTables fet;
+  };
+
+  /// The variant's entry, resolving its table on first use.
+  Entry& entry(const VariantSpec& v) GNRFET_REQUIRES(mu_);
+  /// vt0() with the lock held: extracted once, then read from vt0_.
+  double nominal_vt0() GNRFET_REQUIRES(mu_);
+  model::IntrinsicFet channel(const VariantSpec& v, model::Polarity pol, double offset)
+      GNRFET_REQUIRES(mu_);
 
   /// Every kit FET's parasitics: RS = RD = 10 kOhm and CGS,e = CGD,e =
   /// 0.1 aF/nm x 40 nm contact width = 4 aF.
   const model::Parasitics parasitics_ = model::Parasitics::from_per_width(0.1, 40.0);
-  /// Guards every cache below. Map entries are stable under insertion and
-  /// never reassigned, so references table() hands out stay valid for the
-  /// kit's lifetime.
+  /// Guards the entries and vt0_. Map entries are stable under insertion
+  /// and never reassigned, so references table() hands out stay valid for
+  /// the kit's lifetime.
   common::Mutex mu_;
-  std::map<VariantSpec, device::DeviceTable> tables_ GNRFET_GUARDED_BY(mu_);
-  std::map<VariantSpec, model::FetTables> fet_tables_ GNRFET_GUARDED_BY(mu_);
+  std::map<VariantSpec, Entry> entries_ GNRFET_GUARDED_BY(mu_);
   double vt0_ GNRFET_GUARDED_BY(mu_) = -1.0;
 };
 

@@ -15,7 +15,7 @@ void multiply_into(CMatrix& c, const CMatrix& a, const CMatrix& b) {
   const double* bd = reinterpret_cast<const double*>(b.data());
   double* cd = reinterpret_cast<double*>(c.data());
   // k-tiles keep the touched rows of b resident across i. For a fixed
-  // (i, j) the tiles arrive in ascending k — the template's accumulation
+  // (i, j) the tiles arrive in ascending k — operator*'s accumulation
   // order exactly, so results stay bit-identical.
   constexpr size_t kTileK = 32;
   for (size_t k0 = 0; k0 < kk; k0 += kTileK) {

@@ -114,48 +114,18 @@ class Matrix {
   std::vector<T> data_;
 };
 
-/// c = a * b written into caller-owned storage (allocation reused). The
-/// accumulation runs in exactly the order of operator* above, so the two
-/// are bit-identical; c must not alias a or b.
-template <typename T>
-void multiply_into(Matrix<T>& c, const Matrix<T>& a, const Matrix<T>& b) {
-  if (a.cols() != b.rows()) throw std::invalid_argument("multiply_into: shape mismatch");
-  c.resize_zero(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t k = 0; k < a.cols(); ++k) {
-      const T aik = a(i, k);
-      if (aik == T{}) continue;
-      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
-    }
-  }
-}
-
-/// dst = adjoint(src) into caller-owned storage; dst must not alias src.
-template <typename T>
-void adjoint_into(Matrix<T>& dst, const Matrix<T>& src) {
-  dst.resize_zero(src.cols(), src.rows());
-  for (size_t i = 0; i < src.rows(); ++i) {
-    for (size_t j = 0; j < src.cols(); ++j) {
-      if constexpr (std::is_same_v<T, cplx>) {
-        dst(j, i) = std::conj(src(i, j));
-      } else {
-        dst(j, i) = src(i, j);
-      }
-    }
-  }
-}
-
 using CMatrix = Matrix<cplx>;
 using DMatrix = Matrix<double>;
 
-/// Non-template CMatrix overloads (preferred by overload resolution over
-/// the templates above): cache-blocked kernels with the complex arithmetic
-/// expanded to branch-free split-component form, so the inner loops
-/// vectorize instead of calling the NaN-recovery complex multiply. For
-/// finite operands they are bit-identical to the templates — the same
-/// per-element accumulation order (ascending k, zero-row skip included) and
-/// the exact product formula the compiler emits for finite std::complex
-/// multiplies. Defined in dense.cpp.
+/// c = a * b and dst = adjoint(src) written into caller-owned storage
+/// (allocation reused); the output must not alias an input. Cache-blocked
+/// kernels with the complex arithmetic expanded to branch-free
+/// split-component form, so the inner loops vectorize instead of calling
+/// the NaN-recovery complex multiply. For finite operands multiply_into is
+/// bit-identical to Matrix::operator* — the same per-element accumulation
+/// order (ascending k, zero-row skip included) and the exact product
+/// formula the compiler emits for finite std::complex multiplies — and
+/// adjoint_into to Matrix::adjoint(). Defined in dense.cpp.
 void multiply_into(CMatrix& c, const CMatrix& a, const CMatrix& b);
 void adjoint_into(CMatrix& dst, const CMatrix& src);
 

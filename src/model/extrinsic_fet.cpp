@@ -2,11 +2,8 @@
 
 namespace gnrfet::model {
 
-Parasitics Parasitics::from_per_width(double c_aF_per_nm, double contact_width_nm,
-                                      double rs_ohm, double rd_ohm) {
+Parasitics Parasitics::from_per_width(double c_aF_per_nm, double contact_width_nm) {
   Parasitics p;
-  p.rs_ohm = rs_ohm;
-  p.rd_ohm = rd_ohm;
   p.cgs_e_F = c_aF_per_nm * 1e-18 * contact_width_nm;
   p.cgd_e_F = p.cgs_e_F;
   return p;

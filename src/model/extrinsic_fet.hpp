@@ -16,9 +16,9 @@ struct Parasitics {
   double cgs_e_F = 1.0e-18;  ///< 0.025 aF/nm * 40 nm (the design kit uses 0.1 aF/nm)
   double cgd_e_F = 1.0e-18;
 
-  /// Paper parametrization: capacitance per unit contact width.
-  static Parasitics from_per_width(double c_aF_per_nm, double contact_width_nm,
-                                   double rs_ohm = 10e3, double rd_ohm = 10e3);
+  /// Paper parametrization: capacitance per unit contact width, with the
+  /// nominal 10 kOhm RS and RD.
+  static Parasitics from_per_width(double c_aF_per_nm, double contact_width_nm);
 };
 
 /// Value object handed to the circuit netlist builders.

@@ -156,8 +156,8 @@ TEST(BatchRgf, RecordsBatchMetrics) {
 }
 
 TEST(BatchRgfRealSpace, BlockedMultiplyBitIdenticalToTemplate) {
-  // The cache-blocked CMatrix overloads must reproduce the template
-  // kernels bit-for-bit, zero-skip rows included.
+  // The cache-blocked CMatrix kernels must reproduce Matrix::operator*
+  // and adjoint() bit-for-bit, zero-skip rows included.
   for (const size_t n : {size_t{1}, size_t{7}, size_t{18}, size_t{36}, size_t{50}}) {
     linalg::CMatrix a(n, n), b(n, n);
     for (size_t i = 0; i < n; ++i) {
@@ -170,7 +170,7 @@ TEST(BatchRgfRealSpace, BlockedMultiplyBitIdenticalToTemplate) {
       }
     }
     linalg::CMatrix blocked, adj;
-    linalg::multiply_into(blocked, a, b);  // non-template overload
+    linalg::multiply_into(blocked, a, b);
     linalg::adjoint_into(adj, a);
     const linalg::CMatrix ref = a * b;
     const linalg::CMatrix refadj = a.adjoint();

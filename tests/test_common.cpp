@@ -172,6 +172,20 @@ TEST(Cache, PathIsDeterministic) {
   EXPECT_NE(p1, p3);
 }
 
+TEST(Cache, RemovedOverrideDirectoryIsCreatedAgain) {
+  // A GNRFET_CACHE_DIR removed between two calls exists again after the
+  // second: directory() creates the override on every call.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_cache_dir_recreated";
+  std::filesystem::remove_all(dir);
+  EnvGuard cache_dir("GNRFET_CACHE_DIR", dir.c_str());
+  EXPECT_EQ(cache::directory(), dir.string());
+  ASSERT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(cache::directory(), dir.string());
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove_all(dir);
+}
+
 constexpr const char* kEnvName = "GNRFET_TEST_POSITIVE_INT";
 
 TEST(Env, GetPositiveIntParsesWellFormedValues) {
