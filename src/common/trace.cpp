@@ -7,7 +7,9 @@
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/annotations.hpp"
@@ -31,10 +33,27 @@ struct Buffer {
   std::vector<Event> events;
 };
 
+/// Whether `path` opens for writing: creates its parent directories, opens
+/// it for append, and removes it again if the probe created it. Run when
+/// tracing is switched on, so an unwritable path fails at the start of a
+/// run instead of losing the trace at exit.
+bool writable(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
 struct Registry {
   Registry()
       : epoch(std::chrono::steady_clock::now()),
         path(common::env_or("GNRFET_TRACE", "")) {
+    if (!path.empty() && !writable(path)) {
+      throw common::env::EnvError("GNRFET_TRACE", path, "cannot open the trace file for writing");
+    }
     recording.store(!path.empty(), std::memory_order_relaxed);
   }
 
@@ -109,6 +128,9 @@ std::string output_path() {
 }
 
 void set_output_path(const std::string& path) {
+  if (!path.empty() && !writable(path)) {
+    throw std::runtime_error("trace: cannot open '" + path + "' for writing");
+  }
   ensure_exit_flush();
   Registry& r = registry();
   common::MutexLock lk(r.mu);
@@ -221,16 +243,14 @@ void flush() {
     for (const auto& b : r.buffers) n += b->events.size();
     if (path.empty() || n == 0) return;
   }
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-  }
+  // The parent directories were made when the path was set.
   std::ofstream out(path);
   if (out) {
     out.precision(12);
     write_json(out);
+    out.close();
   }
+  if (!out) throw std::runtime_error("trace: writing '" + path + "' failed; events kept");
   clear();
 }
 

@@ -20,7 +20,10 @@
 ///
 /// Enabling: set GNRFET_TRACE=<path> (read through the checked env
 /// helpers) and the process writes <path> at exit; or call
-/// set_output_path() + flush() programmatically (tests, tools). When
+/// set_output_path() + flush() programmatically (tests, tools). A path
+/// that cannot be opened for writing is an error when tracing is switched
+/// on (an EnvError for GNRFET_TRACE, thrown from the first trace call),
+/// not a trace silently lost at exit. When
 /// disabled, a Span is one relaxed atomic load and a branch — cheap enough
 /// to leave the instrumentation in Release builds.
 namespace gnrfet::trace {
@@ -33,8 +36,10 @@ bool enabled();
 // Test seam: lets a test restore the path it overrode.
 std::string output_path();
 
-/// Override the output path at runtime; "" disables recording. Intended
-/// for tests and tools — not thread-safe against concurrently open spans.
+/// Override the output path at runtime; "" disables recording. Throws
+/// std::runtime_error naming `path`, and keeps the previous setting, when
+/// `path` cannot be opened for writing. Intended for tests and tools —
+/// not thread-safe against concurrently open spans.
 // Test seam: tests record without GNRFET_TRACE set.
 void set_output_path(const std::string& path);
 
@@ -88,8 +93,10 @@ void write_json(std::ostream& os);
 std::string to_json();
 
 /// Write the trace to output_path() and clear the buffers. No-op when
-/// disabled or when nothing was recorded. Runs automatically at process
-/// exit once tracing has been touched.
+/// disabled or when nothing was recorded. A failed write throws
+/// std::runtime_error naming the path and keeps the events. Runs
+/// automatically at process exit once tracing has been touched; a failed
+/// write there ends the process through std::terminate.
 void flush();
 
 /// Drop all recorded events (tests).

@@ -127,10 +127,11 @@ inline void reciprocal_lanes(bool fast, const double* cr, const double* ci, doub
 
 /// Solve one padded group of kW lanes; lanes [0, w) are live and scatter
 /// into `out` at [lane0, lane0 + w) with spectral stride `stride`. Every
-/// statement mirrors one statement of the scalar oracle
-/// (tests/support/negf_oracles.cpp) with std::complex operations expanded
-/// to the component arithmetic the compiler emits for them, in the same
-/// order — see that kernel for the physics commentary.
+/// statement mirrors one statement of the scalar oracle's forward and
+/// backward sweeps (tests/support/negf_oracles.cpp) with std::complex
+/// operations expanded to the component arithmetic the compiler emits for
+/// them, in the same order — see that kernel for the physics commentary.
+/// The oracle's third, drain-side sweep has no counterpart here.
 void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lane0,
                  size_t stride, double eta_eV, bool fast, ScalarRgfBatchWorkspace& ws,
                  ScalarRgfBatchResult& out) {
@@ -230,59 +231,6 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
       sl[l] = std::max(0.0, a_tot - a_r);
     }
   }
-
-  // Independent drain-side solve, batched the same way: right-connected
-  // sweep, then the mirrored column G_{n-1,0} lane by lane.
-  {
-    double* grr = ws.gr_re.data();
-    double* gri = ws.gr_im.data();
-    {
-      const double base_im = eta_eV - sig_r_im;
-      for (size_t l = 0; l < kW; ++l) ar[l] = e[l] - chain.onsite[n - 1];
-      for (size_t l = 0; l < kW; ++l) ai[l] = base_im;
-      reciprocal_lanes(fast, ar, ai, grr + last, gri + last);
-    }
-    for (size_t c = n - 1; c-- > 0;) {
-      const double base_im = c == 0 ? eta_eV - sig_l_im : eta_eV;
-      const double v = chain.hopping[c];
-      const double vv = v * v;
-      const double* pr = grr + (c + 1) * kW;
-      const double* pi = gri + (c + 1) * kW;
-      for (size_t l = 0; l < kW; ++l) ar[l] = (e[l] - chain.onsite[c]) - vv * pr[l];
-      for (size_t l = 0; l < kW; ++l) ai[l] = base_im - vv * pi[l];
-      reciprocal_lanes(fast, ar, ai, grr + c * kW, gri + c * kW);
-    }
-    double growr[kW];
-    double growi[kW];
-    for (size_t l = 0; l < kW; ++l) {
-      growr[l] = grr[l];
-      growi[l] = gri[l];
-    }
-    for (size_t c = 1; c < n; ++c) {
-      const double hh = chain.hopping[c - 1];
-      const double* pr = grr + c * kW;
-      const double* pi = gri + c * kW;
-      for (size_t l = 0; l < kW; ++l) {
-        // grow = (gr[c] * hopping[c-1]) * grow
-        const double tr = pr[l] * hh;
-        const double ti = pi[l] * hh;
-        const double nr = tr * growr[l] - ti * growi[l];
-        const double ni = tr * growi[l] + ti * growr[l];
-        growr[l] = nr;
-        growi[l] = ni;
-      }
-    }
-    for (size_t l = 0; l < w; ++l) {
-      const double trev = gg * (growr[l] * growr[l] + growi[l] * growi[l]);
-      out.transmission_reverse[lane0 + l] = trev;
-      const double t = out.transmission[lane0 + l];
-      const double mismatch = std::abs(t - trev);
-      GNRFET_ENSURE("negf", "reciprocal-transmission",
-                    mismatch <= 1e-6 * (t + trev + 1e-9),
-                    strings::format("T_forward = %.12g vs T_reverse = %.12g at E = %g", t, trev,
-                                    e[l]));
-    }
-  }
 }
 
 }  // namespace
@@ -311,10 +259,7 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
   ws.gd_im.resize(n * kW);
   ws.gcol_re.resize(n * kW);
   ws.gcol_im.resize(n * kW);
-  ws.gr_re.resize(n * kW);
-  ws.gr_im.resize(n * kW);
   out.transmission.assign(count, 0.0);
-  out.transmission_reverse.assign(count, 0.0);
   out.spectral_left.resize(n * count);
   out.spectral_right.resize(n * count);
 

@@ -16,15 +16,16 @@
 /// auto-vectorizes across lanes.
 ///
 /// Determinism contract: every lane performs arithmetic identical to the
-/// one-energy scalar_rgf_solve oracle (tests/support/negf_oracles.hpp) at
-/// that energy — the same operations in the same order, with complex
-/// multiplies expanded to the naive (ac - bd, ad + bc) form the compiler
-/// emits for finite std::complex products, and complex
-/// reciprocals through a branchless Smith kernel that reproduces libgcc's
-/// __divdc3 bit-for-bit for in-range operands (verified once per process
-/// against std::complex division over a probe grid spanning both Smith
-/// branches and extreme magnitudes; on any mismatch the kernel drops to
-/// per-lane std::complex division, which is bit-identical by construction).
+/// forward and backward sweeps of the one-energy scalar_rgf_solve oracle
+/// (tests/support/negf_oracles.hpp) at that energy — the same operations
+/// in the same order, with complex multiplies expanded to the naive
+/// (ac - bd, ad + bc) form the compiler emits for finite std::complex
+/// products, and complex reciprocals through a branchless Smith kernel
+/// that reproduces libgcc's __divdc3 bit-for-bit for in-range operands
+/// (verified once per process against std::complex division over a probe
+/// grid spanning both Smith branches and extreme magnitudes; on any
+/// mismatch the kernel drops to per-lane std::complex division, which is
+/// bit-identical by construction).
 /// Results are therefore bit-equal to the per-energy scalar path for any
 /// batch width, including ragged remainders — locked by tests.
 namespace gnrfet::negf {
@@ -56,15 +57,18 @@ inline bool rgf_batch_enabled() { return true; }
 // Test seam: the kernel picks its reciprocal itself; only the timed gate asks which.
 bool rgf_batch_uses_fast_reciprocal();
 
-/// Results of one batched solve. Per-lane scalars are indexed [lane];
-/// spectral planes are [site * lanes() + lane] (lane-major within a site)
-/// so the transport accumulation loop reads one site across the batch as
-/// a contiguous stripe.
+/// Results of one batched solve: two sweeps per lane, a forward
+/// (left-connected) pass and a backward pass for the diagonal and last
+/// column of G. Per-lane scalars are indexed [lane]; spectral planes are
+/// [site * lanes() + lane] (lane-major within a site) so the transport
+/// accumulation loop reads one site across the batch as a contiguous
+/// stripe. The drain-side transmission that witnesses reciprocity is not
+/// computed here: it lives in the scalar oracle, and a property test holds
+/// this kernel's T to it.
 struct ScalarRgfBatchResult {
-  std::vector<double> transmission;          ///< [lane]
-  std::vector<double> transmission_reverse;  ///< [lane]; drain-side sweep
-  std::vector<double> spectral_left;         ///< [site * lanes + lane]
-  std::vector<double> spectral_right;        ///< [site * lanes + lane]
+  std::vector<double> transmission;    ///< [lane]
+  std::vector<double> spectral_left;   ///< [site * lanes + lane]
+  std::vector<double> spectral_right;  ///< [site * lanes + lane]
 
   size_t lanes() const { return transmission.size(); }
 
@@ -83,7 +87,6 @@ struct ScalarRgfBatchWorkspace {
   std::vector<double> gl_re, gl_im;      ///< left-connected g planes
   std::vector<double> gd_re, gd_im;      ///< full-G diagonal planes
   std::vector<double> gcol_re, gcol_im;  ///< last-column G planes
-  std::vector<double> gr_re, gr_im;      ///< right-connected planes
 };
 
 /// Solve `chain` at `energies_eV[0..count)` + i*eta in one call. Each

@@ -67,7 +67,6 @@ std::pair<size_t, size_t> index_window(const std::vector<double>& points, double
 /// Per-chunk accumulator for one mode's slice of the energy grid.
 struct ModePartial {
   double current = 0.0;
-  double current_reverse = 0.0;
   std::vector<double> col_n, col_p;
 };
 
@@ -123,8 +122,7 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
   chain.gamma_left = kContactGamma_eV;
   chain.gamma_right = kContactGamma_eV;
 
-  double current_integral = 0.0;          // Integral T (f1 - f2) dE
-  double current_integral_reverse = 0.0;  // Same, from drain-side transmissions
+  double current_integral = 0.0;  // Integral T (f1 - f2) dE
 
   for (size_t p = 0; p < modes.modes.size(); ++p) {
     const auto& m = modes.modes[p];
@@ -179,7 +177,6 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
               const double f1 = f1v[k];
               const double f2 = f2v[k];
               part.current += w * m.degeneracy * br.transmission[k] * (f1 - f2);
-              part.current_reverse += w * m.degeneracy * br.transmission_reverse[k] * (f1 - f2);
               for (size_t c = 0; c < ncol; ++c) {
                 const BipolarDensity d =
                     bipolar_density(br.spectral_left_row(c)[k], br.spectral_right_row(c)[k], e,
@@ -196,14 +193,12 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
         },
         [](ModePartial& acc, ModePartial&& part) {
           acc.current += part.current;
-          acc.current_reverse += part.current_reverse;
           for (size_t c = 0; c < acc.col_n.size(); ++c) {
             acc.col_n[c] += part.col_n[c];
             acc.col_p[c] += part.col_p[c];
           }
         });
     current_integral += mode_sum.current;
-    current_integral_reverse += mode_sum.current_reverse;
 
     // Distribute the mode charge across dimer lines with the mode weights.
     for (size_t c = 0; c < ncol; ++c) {
@@ -215,7 +210,6 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
   }
 
   sol.current_A = constants::kCurrentPrefactor * current_integral;
-  sol.current_drain_A = constants::kCurrentPrefactor * current_integral_reverse;
   for (size_t c = 0; c < ncol; ++c) {
     for (size_t j = 0; j < nlines; ++j) {
       sol.total_net_electrons += sol.electrons[c][j] - sol.holes[c][j];
@@ -314,7 +308,6 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
   const std::vector<double>& n_per_atom = sum.n_atom;
   const std::vector<double>& p_per_atom = sum.p_atom;
   sol.current_A = constants::kCurrentPrefactor * sum.current;
-  sol.current_drain_A = sol.current_A;  // block RGF has no independent drain-side solve
 
   // Resolve per (column, dimer line): each slice holds two columns; the
   // column of an atom follows from its x offset within the slice.

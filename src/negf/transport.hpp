@@ -37,14 +37,11 @@ struct TransportOptions {
 
 /// Solution of one bias point.
 struct TransportSolution {
+  /// Landauer current from the source-side transmission. An uncoupled
+  /// mode-space chain is reciprocal, so the drain-side integral would
+  /// repeat it to roundoff; that witness is kept in the scalar test oracle
+  /// (tests/support/negf_oracles.hpp), not in production.
   double current_A = 0.0;
-  /// Source/drain continuity witness: the same Landauer integral assembled
-  /// from the independently computed drain-side transmissions. Mode-space
-  /// path: a plain result with the same bits in every build, checks on or
-  /// off. Real-space path: aliases current_A (the block RGF has no
-  /// drain-side sweep). The device layer contracts |current_A -
-  /// current_drain_A| to be below tolerance in the ballistic limit.
-  double current_drain_A = 0.0;
   /// Electron and hole populations (both >= 0), spin included, resolved on
   /// (column, dimer line); net charge is -e*(electrons - holes).
   /// Dimensions: [num_columns][N].

@@ -27,7 +27,8 @@ struct ScalarRgfResult {
   /// Transmission computed independently from the drain side (right-
   /// connected sweep). Equal to `transmission` up to roundoff in the
   /// ballistic limit; the reciprocal-transmission contract checks the
-  /// mismatch.
+  /// mismatch. The production kernel makes no drain-side sweep: this is
+  /// the witness its `transmission` is tested against.
   double transmission_reverse = 0.0;
   std::vector<double> spectral_left;   ///< A_L,cc per site
   std::vector<double> spectral_right;  ///< A_R,cc per site

@@ -248,6 +248,34 @@ TEST(Trace, FlushWritesFileAndClears) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Trace, UnwritableOutputPathFailsLoudly) {
+  // A path under a regular file can never be opened. Switching tracing on
+  // there throws an error that names the path and keeps the old setting.
+  const auto dir = std::filesystem::temp_directory_path() / "gnrfet_trace_unwritable_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "file") << "not a directory";
+  const std::string bad = (dir / "file" / "trace.json").string();
+  const std::string good = (dir / "out" / "trace.json").string();
+  TraceGuard guard(good);
+  try {
+    trace::set_output_path(bad);
+    ADD_FAILURE() << "set_output_path accepted " << bad;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(trace::output_path(), good);
+  // A write that fails at flush time throws too, and keeps the events.
+  {
+    trace::Span span("test", "kept_span");
+  }
+  std::filesystem::remove_all(dir / "out");
+  std::ofstream(dir / "out") << "not a directory";
+  EXPECT_THROW(trace::flush(), std::runtime_error);
+  EXPECT_EQ(trace::event_count(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Metrics, CounterAndHistogramNamesAreStable) {
   EXPECT_STREQ(metrics::counter_name(metrics::Counter::kGummelIterations),
                "gummel_iterations");

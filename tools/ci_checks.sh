@@ -15,7 +15,9 @@
 #             and the reduced-CG iterations per Newton step and µs per
 #             iteration; --json on perfbench's fixture trace must match
 #             its fixture report on every key but "trace" (the shape
-#             perfbench/rollup.py reads)
+#             perfbench/rollup.py reads); and the same traced filter with
+#             GNRFET_TRACE under a regular file must exit non-zero and
+#             name the path (an unwritable trace is an error, not lost)
 #   perf-smoke  Release build + the timed PerfGate.* tests, which ctest
 #               leaves out: the batched RGF kernel holds >= 1.5x the
 #               scalar solve rate and uses the fast reciprocal, and the
@@ -125,6 +127,16 @@ want = json.load(open(sys.argv[1]))
 got.pop("trace"); want.pop("trace")
 sys.exit(0 if got == want else "trace stage: --json on the fixture trace differs from fixture_report.json")
 ' "$ROOT/perfbench/tests/fixture_report.json"
+      # A trace path that cannot be opened fails the run and names itself.
+      BLOCKER="$ROOT/build-ci-trace/not_a_directory"
+      rm -rf "$BLOCKER"
+      : >"$BLOCKER"
+      if BAD_OUT="$(GNRFET_TRACE="$BLOCKER/t.json" "$ROOT/build-ci-trace/tests/gnrfet_tests" \
+          --gtest_filter='SelfConsistent.*:Dc.*:Transient.*' 2>&1)"; then
+        echo "trace stage: an unwritable GNRFET_TRACE exited 0" >&2; exit 1
+      fi
+      grep -qF "$BLOCKER/t.json" <<<"$BAD_OUT" ||
+        { echo "trace stage: the unwritable-trace error does not name the path" >&2; exit 1; }
       ;;
     perf-smoke)
       banner "Release build + timed PerfGate tests (batched RGF >= 1.5x scalar, blocked matvec >= 1.3x one-row)"
