@@ -11,6 +11,11 @@ namespace gnrfet::cmos {
 
 namespace {
 constexpr double kVt = constants::kRoomTemperatureKT_eV;  // thermal voltage [V]
+constexpr double kAlpha = 1.3;              // velocity-saturation exponent
+constexpr double kSubthresholdN = 1.5;      // softplus ideality (sets SS with alpha)
+constexpr double kDibl_V_per_V = 0.08;
+constexpr double kLambda_per_V = 0.12;      // channel-length modulation
+constexpr double kVdsatPerOverdrive = 0.8;
 
 double softplus(double x) {
   if (x > 30.0) return x;
@@ -19,25 +24,22 @@ double softplus(double x) {
 }
 
 double raw_current(const CmosParams& p, double vgs, double vds) {
-  const double vth_eff = p.vth_V - p.dibl_V_per_V * vds;
-  const double veff = p.subthreshold_n * kVt *
-                      softplus((vgs - vth_eff) / (p.subthreshold_n * kVt));
-  const double vdsat = p.vdsat_per_overdrive * veff + 1e-9;
+  const double vth_eff = p.vth_V - kDibl_V_per_V * vds;
+  const double veff = kSubthresholdN * kVt * softplus((vgs - vth_eff) / (kSubthresholdN * kVt));
+  const double vdsat = kVdsatPerOverdrive * veff + 1e-9;
   const double sat = std::tanh(vds / vdsat);
-  const double drive = p.k_A_per_um * p.width_um * std::pow(veff, p.alpha);
+  const double drive = p.k_A_per_um * p.width_um * std::pow(veff, kAlpha);
   const double leak = p.ioff_A_per_um * p.width_um * (1.0 - std::exp(-vds / kVt));
-  return drive * sat * (1.0 + p.lambda_per_V * vds) + leak;
+  return drive * sat * (1.0 + kLambda_per_V * vds) + leak;
 }
 }  // namespace
 
 CmosFet::CmosFet(const CmosParams& params) : params_(params) {
   GNRFET_REQUIRE("cmos", "physical-parameters",
                  params.width_um > 0.0 && std::isfinite(params.width_um) &&
-                     params.k_A_per_um >= 0.0 && std::isfinite(params.vth_V) &&
-                     params.subthreshold_n > 0.0,
-                 strings::format("width_um = %g, k_A_per_um = %g, vth_V = %g, n = %g",
-                                 params.width_um, params.k_A_per_um, params.vth_V,
-                                 params.subthreshold_n));
+                     params.k_A_per_um >= 0.0 && std::isfinite(params.vth_V),
+                 strings::format("width_um = %g, k_A_per_um = %g, vth_V = %g", params.width_um,
+                                 params.k_A_per_um, params.vth_V));
 }
 
 model::FetSample CmosFet::current_fwd(double vgs, double vds) const {

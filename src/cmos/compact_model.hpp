@@ -14,16 +14,14 @@
 /// trends, not BSIM-card fidelity (see DESIGN.md, substitutions).
 namespace gnrfet::cmos {
 
+/// What the node decks vary. The velocity-saturation exponent, subthreshold
+/// ideality, DIBL, channel-length modulation and Vdsat per overdrive are
+/// the same at every node: constants of the model (compact_model.cpp).
 struct CmosParams {
   model::Polarity polarity = model::Polarity::kN;
   double width_um = 1.0;
   double vth_V = 0.3;            ///< zero-bias threshold
   double k_A_per_um = 1.0e-3;    ///< drive strength at 1 V overdrive
-  double alpha = 1.3;            ///< velocity-saturation exponent
-  double subthreshold_n = 1.6;   ///< softplus ideality (sets SS with alpha)
-  double dibl_V_per_V = 0.08;
-  double lambda_per_V = 0.15;    ///< channel-length modulation
-  double vdsat_per_overdrive = 0.8;
   double cgate_fF_per_um = 1.2;  ///< total intrinsic gate capacitance
   double ioff_A_per_um = 0.0;    ///< additional junction/GIDL leakage floor
 };

@@ -14,10 +14,6 @@ NodeDeck scaled_deck(double k_n, double cg, double w_n, double vth, double ioff)
   d.nfet.width_um = w_n;
   d.nfet.vth_V = vth;
   d.nfet.k_A_per_um = k_n;
-  d.nfet.alpha = 1.3;
-  d.nfet.subthreshold_n = 1.5;
-  d.nfet.dibl_V_per_V = 0.08;
-  d.nfet.lambda_per_V = 0.12;
   d.nfet.cgate_fF_per_um = cg;
   d.nfet.ioff_A_per_um = ioff;
   d.pfet = d.nfet;

@@ -61,8 +61,9 @@ bool rgf_batch_uses_fast_reciprocal();
 /// (left-connected) pass and a backward pass for the diagonal and last
 /// column of G. Per-lane scalars are indexed [lane]; spectral planes are
 /// [site * lanes() + lane] (lane-major within a site) so the transport
-/// accumulation loop reads one site across the batch as a contiguous
-/// stripe. The drain-side transmission that witnesses reciprocity is not
+/// energy integrator reads one site across the batch as a contiguous
+/// stripe. The real-space path fills the same layout from per-energy
+/// block-RGF solves, one atom per site. The drain-side transmission that witnesses reciprocity is not
 /// computed here: it lives in the scalar oracle, and a property test holds
 /// this kernel's T to it.
 struct ScalarRgfBatchResult {
@@ -98,7 +99,7 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
                             ScalarRgfBatchResult& out);
 
 /// Fermi factors for a batch of energies: out[k] = fermi(e[k] - mu, kT),
-/// the exact per-energy calls of the transport accumulation loops hoisted
+/// the exact per-energy calls of the transport energy integrator hoisted
 /// into one precomputed array (bit-identical by construction).
 void fermi_factors(const double* energies_eV, size_t count, double mu_eV, double kT_eV,
                    double* out);

@@ -64,11 +64,108 @@ std::pair<size_t, size_t> index_window(const std::vector<double>& points, double
   return {static_cast<size_t>(lo - points.begin()), static_cast<size_t>(hi - points.begin())};
 }
 
-/// Per-chunk accumulator for one mode's slice of the energy grid.
-struct ModePartial {
+/// Per-chunk accumulator of the energy integral: the Landauer current
+/// integrand and the bipolar charge per site (chain site or atom).
+struct EnergyPartial {
   double current = 0.0;
-  std::vector<double> col_n, col_p;
+  std::vector<double> n, p;
 };
+
+/// The energy integral of both transport paths over `grid`: the current
+/// integrand sum w T (f1 - f2) and the bipolar charge of every site, each
+/// scaled by `degeneracy`, with degeneracy * T added into `transmission`.
+/// Only indices [i_lo, i_hi) are solved; `solve_chunk(first, count, out)`
+/// solves energies first .. first + count - 1 and writes energy first + k
+/// into lane k of `out` (its site rows follow `site_u`). The grid is cut
+/// into kEnergyGrain chunks whose partials fold in chunk order, so the
+/// result is bit-identical for any thread count.
+template <class SolveChunk>
+EnergyPartial integrate_energy(const EnergyGrid& grid, size_t i_lo, size_t i_hi,
+                               const std::vector<double>& site_u, double degeneracy,
+                               double mu_drain_eV, std::vector<double>& transmission,
+                               const SolveChunk& solve_chunk) {
+  const size_t nsites = site_u.size();
+  EnergyPartial init;
+  init.n.assign(nsites, 0.0);
+  init.p.assign(nsites, 0.0);
+  return par::parallel_reduce_ordered<EnergyPartial>(
+      grid.points.size(), kEnergyGrain, std::move(init),
+      [&](size_t begin, size_t end) {
+        EnergyPartial part;
+        part.n.assign(nsites, 0.0);
+        part.p.assign(nsites, 0.0);
+        const size_t e_begin = std::max(begin, i_lo);
+        const size_t e_end = std::min(end, i_hi);
+        const size_t nsolve = e_end > e_begin ? e_end - e_begin : 0;
+        if (nsolve > 0) {
+          // Fermi factors hoisted out of the accumulation loop: the same
+          // per-energy constants::fermi calls, precomputed once per chunk.
+          thread_local std::vector<double> f1v, f2v;
+          f1v.resize(nsolve);
+          f2v.resize(nsolve);
+          fermi_factors(grid.points.data() + e_begin, nsolve, kMuSource_eV, kT_eV, f1v.data());
+          fermi_factors(grid.points.data() + e_begin, nsolve, mu_drain_eV, kT_eV, f2v.data());
+          // The per-thread result makes the loop allocation-free once warm.
+          thread_local ScalarRgfBatchResult br;
+          solve_chunk(e_begin, nsolve, br);
+          for (size_t k = 0; k < nsolve; ++k) {
+            const size_t ie = e_begin + k;
+            const double e = grid.points[ie];
+            const double w = grid.weights[ie];
+            transmission[ie] += degeneracy * br.transmission[k];
+            const double f1 = f1v[k];
+            const double f2 = f2v[k];
+            part.current += w * degeneracy * br.transmission[k] * (f1 - f2);
+            for (size_t s = 0; s < nsites; ++s) {
+              const BipolarDensity d = bipolar_density(
+                  br.spectral_left_row(s)[k], br.spectral_right_row(s)[k], e, site_u[s], f1, f2);
+              part.n[s] += w * degeneracy * d.electrons;
+              part.p[s] += w * degeneracy * d.holes;
+            }
+          }
+        }
+        // One counter add per chunk, not per energy: metrics stay off the
+        // innermost loop.
+        metrics::add(metrics::Counter::kRgfSolves, static_cast<uint64_t>(nsolve));
+        return part;
+      },
+      [](EnergyPartial& acc, EnergyPartial&& part) {
+        acc.current += part.current;
+        for (size_t s = 0; s < acc.n.size(); ++s) {
+          acc.n[s] += part.n[s];
+          acc.p[s] += part.p[s];
+        }
+      });
+}
+
+/// The uniform grid over the charge window of mid-gap range [u_min, u_max],
+/// counted in the energy-point metrics, and `sol` zeroed on it with
+/// [ncol][nlines] charge arrays.
+EnergyGrid open_solution(double u_min, double u_max, double band_top,
+                         const TransportOptions& opts, size_t ncol, size_t nlines,
+                         TransportSolution& sol) {
+  const EnergyWindow win =
+      charge_window(u_min, u_max, kMuSource_eV, opts.mu_drain_eV, kT_eV, band_top);
+  EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
+  metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());
+  metrics::observe(metrics::Histogram::kEnergyPointsPerTransport,
+                   static_cast<double>(grid.points.size()));
+  sol.electrons.assign(ncol, std::vector<double>(nlines, 0.0));
+  sol.holes.assign(ncol, std::vector<double>(nlines, 0.0));
+  sol.energies_eV = grid.points;
+  sol.transmission.assign(grid.points.size(), 0.0);
+  return grid;
+}
+
+/// Sets the current from the Landauer integral and checks that current and
+/// net charge came out finite.
+void close_solution(double current_integral, TransportSolution& sol) {
+  sol.current_A = constants::kCurrentPrefactor * current_integral;
+  GNRFET_ENSURE("negf", "finite-current",
+                std::isfinite(sol.current_A) && std::isfinite(sol.total_net_electrons),
+                strings::format("current_A = %g, net electrons = %g", sol.current_A,
+                                sol.total_net_electrons));
+}
 
 }  // namespace
 
@@ -102,18 +199,8 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
     }
   }
 
-  const EnergyWindow win =
-      charge_window(u_min, u_max, kMuSource_eV, opts.mu_drain_eV, kT_eV, band_top);
-  const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
-
   TransportSolution sol;
-  sol.electrons.assign(ncol, std::vector<double>(nlines, 0.0));
-  sol.holes.assign(ncol, std::vector<double>(nlines, 0.0));
-  sol.energies_eV = grid.points;
-  sol.transmission.assign(grid.points.size(), 0.0);
-  metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());
-  metrics::observe(metrics::Histogram::kEnergyPointsPerTransport,
-                   static_cast<double>(grid.points.size()));
+  const EnergyGrid grid = open_solution(u_min, u_max, band_top, opts, ncol, nlines, sol);
 
   // Per-mode chains are static except for onsite; reuse buffers.
   ScalarChain chain;
@@ -141,84 +228,32 @@ TransportSolution solve_mode_space(const gnr::ModeSet& modes,
     const double skip_lo = u_min - m.band_top_eV() - kSupportMargin_eV;
     const double skip_hi = u_max + m.band_top_eV() + kSupportMargin_eV;
     const auto [i_lo, i_hi] = index_window(grid.points, skip_lo, skip_hi);
-    ModePartial init;
-    init.col_n.assign(ncol, 0.0);
-    init.col_p.assign(ncol, 0.0);
-    const ModePartial mode_sum = par::parallel_reduce_ordered<ModePartial>(
-        grid.points.size(), kEnergyGrain, std::move(init),
-        [&, i_lo = i_lo, i_hi = i_hi](size_t begin, size_t end) {
-          ModePartial part;
-          part.col_n.assign(ncol, 0.0);
-          part.col_p.assign(ncol, 0.0);
-          const size_t e_begin = std::max(begin, i_lo);
-          const size_t e_end = std::min(end, i_hi);
-          const size_t nsolve = e_end > e_begin ? e_end - e_begin : 0;
-          if (nsolve > 0) {
-            // Fermi factors hoisted out of the accumulation loop: the same
-            // per-energy constants::fermi calls, precomputed once per chunk.
-            thread_local std::vector<double> f1v, f2v;
-            f1v.resize(nsolve);
-            f2v.resize(nsolve);
-            fermi_factors(grid.points.data() + e_begin, nsolve, kMuSource_eV, kT_eV, f1v.data());
-            fermi_factors(grid.points.data() + e_begin, nsolve, opts.mu_drain_eV, kT_eV,
-                          f2v.data());
-            // One SoA kernel call for the whole chunk; lane k holds the
-            // bit-identical result of the per-energy solve at e_begin+k.
-            // The per-thread workspace makes the loop allocation-free once
-            // warm.
-            thread_local ScalarRgfBatchWorkspace bws;
-            thread_local ScalarRgfBatchResult br;
-            scalar_rgf_solve_batch(chain, grid.points.data() + e_begin, nsolve, kEta_eV, bws, br);
-            for (size_t k = 0; k < nsolve; ++k) {
-              const size_t ie = e_begin + k;
-              const double e = grid.points[ie];
-              const double w = grid.weights[ie];
-              sol.transmission[ie] += m.degeneracy * br.transmission[k];
-              const double f1 = f1v[k];
-              const double f2 = f2v[k];
-              part.current += w * m.degeneracy * br.transmission[k] * (f1 - f2);
-              for (size_t c = 0; c < ncol; ++c) {
-                const BipolarDensity d =
-                    bipolar_density(br.spectral_left_row(c)[k], br.spectral_right_row(c)[k], e,
-                                    u_mode[p][c], f1, f2);
-                part.col_n[c] += w * m.degeneracy * d.electrons;
-                part.col_p[c] += w * m.degeneracy * d.holes;
-              }
-            }
-          }
-          // One counter add per chunk, not per energy: metrics stay off the
-          // innermost loop.
-          metrics::add(metrics::Counter::kRgfSolves, static_cast<uint64_t>(nsolve));
-          return part;
-        },
-        [](ModePartial& acc, ModePartial&& part) {
-          acc.current += part.current;
-          for (size_t c = 0; c < acc.col_n.size(); ++c) {
-            acc.col_n[c] += part.col_n[c];
-            acc.col_p[c] += part.col_p[c];
-          }
+    // One SoA kernel call per chunk; lane k holds the bit-identical result
+    // of the per-energy solve at first + k. The per-thread workspace makes
+    // the solve allocation-free once warm.
+    const EnergyPartial mode_sum = integrate_energy(
+        grid, i_lo, i_hi, u_mode[p], m.degeneracy, opts.mu_drain_eV, sol.transmission,
+        [&](size_t first, size_t count, ScalarRgfBatchResult& out) {
+          thread_local ScalarRgfBatchWorkspace bws;
+          scalar_rgf_solve_batch(chain, grid.points.data() + first, count, kEta_eV, bws, out);
         });
     current_integral += mode_sum.current;
 
     // Distribute the mode charge across dimer lines with the mode weights.
     for (size_t c = 0; c < ncol; ++c) {
       for (size_t j = 0; j < nlines; ++j) {
-        sol.electrons[c][j] += mode_sum.col_n[c] * m.weight[j];
-        sol.holes[c][j] += mode_sum.col_p[c] * m.weight[j];
+        sol.electrons[c][j] += mode_sum.n[c] * m.weight[j];
+        sol.holes[c][j] += mode_sum.p[c] * m.weight[j];
       }
     }
   }
 
-  sol.current_A = constants::kCurrentPrefactor * current_integral;
   for (size_t c = 0; c < ncol; ++c) {
     for (size_t j = 0; j < nlines; ++j) {
       sol.total_net_electrons += sol.electrons[c][j] - sol.holes[c][j];
     }
   }
-  GNRFET_ENSURE("negf", "finite-current",
-                std::isfinite(sol.current_A) && std::isfinite(sol.total_net_electrons),
-                strings::format("current_A = %g, net electrons = %g", sol.current_A,
-                                sol.total_net_electrons));
+  close_solution(current_integral, sol);
   return sol;
 }
 
@@ -228,100 +263,55 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
                                    const TransportOptions& opts) {
   trace::Span span("negf", "solve_real_space");
   const gnr::BlockTridiagonal h = build_hamiltonian(lat, params, onsite_eV);
-  const size_t nb = h.num_blocks();
-  const auto& slices = lat.slice_atoms();
-
-  double u_min = 1e300, u_max = -1e300;
-  for (const double u : onsite_eV) {
-    u_min = std::min(u_min, u);
-    u_max = std::max(u_max, u);
-  }
+  GNRFET_REQUIRE("negf", "finite-potential", contracts::all_finite(onsite_eV),
+                 "onsite energy array contains NaN/inf (diverged Poisson input?)");
+  const auto [u_lo, u_hi] = std::minmax_element(onsite_eV.begin(), onsite_eV.end());
   const double band_top = 3.0 * params.hopping_eV * (1.0 + params.edge_delta);
   // The real-space path is the validation/reference solver, on the same
   // uniform grid as the mode-space path.
-  const EnergyWindow win =
-      charge_window(u_min, u_max, kMuSource_eV, opts.mu_drain_eV, kT_eV, band_top);
-  const EnergyGrid grid = make_energy_grid(win.lo, win.hi, opts.energy_step_eV);
-  metrics::add(metrics::Counter::kNegfEnergyPoints, grid.points.size());
-  metrics::observe(metrics::Histogram::kEnergyPointsPerTransport,
-                   static_cast<double>(grid.points.size()));
+  const size_t ncol = lat.column_x_nm().size();
+  TransportSolution sol;
+  const EnergyGrid grid = open_solution(*u_lo, *u_hi, band_top, opts, ncol,
+                                        static_cast<size_t>(lat.n_index()), sol);
 
+  const auto& slices = lat.slice_atoms();
   const linalg::CMatrix sig_l = wide_band_self_energy(h.diag.front().rows(), kContactGamma_eV);
   const linalg::CMatrix sig_r = wide_band_self_energy(h.diag.back().rows(), kContactGamma_eV);
-
-  TransportSolution sol;
-  sol.energies_eV = grid.points;
-  sol.transmission.assign(grid.points.size(), 0.0);
-
-  /// Per-chunk accumulator over the real-space energy grid.
-  struct RealPartial {
-    double current = 0.0;
-    std::vector<double> n_atom, p_atom;
-  };
-  const size_t natoms = lat.atoms().size();
-
-  // Parallel over energies (one block-RGF solve each); transmission writes
-  // are disjoint per ie and the charge/current partials fold in fixed
-  // chunk order — bit-identical for any thread count.
-  RealPartial init;
-  init.n_atom.assign(natoms, 0.0);
-  init.p_atom.assign(natoms, 0.0);
-  GNRFET_REQUIRE("negf", "finite-potential", contracts::all_finite(onsite_eV),
-                 "onsite energy array contains NaN/inf (diverged Poisson input?)");
-  const RealPartial sum = par::parallel_reduce_ordered<RealPartial>(
-      grid.points.size(), kEnergyGrain, std::move(init),
-      [&](size_t begin, size_t end) {
-        RealPartial part;
-        part.n_atom.assign(natoms, 0.0);
-        part.p_atom.assign(natoms, 0.0);
+  // One block-RGF solve per energy. Its orbitals run slice by slice; each
+  // goes to its atom's row of lane k, so the sites are the atoms.
+  const EnergyPartial sum = integrate_energy(
+      grid, 0, grid.points.size(), onsite_eV, 1.0, opts.mu_drain_eV, sol.transmission,
+      [&](size_t first, size_t count, ScalarRgfBatchResult& out) {
         thread_local RgfWorkspace ws;
         thread_local RgfResult r;
-        for (size_t ie = begin; ie < end; ++ie) {
-          const double e = grid.points[ie];
-          const double w = grid.weights[ie];
-          rgf_solve(h, e, kEta_eV, sig_l, sig_r, ws, r);
-          sol.transmission[ie] = r.transmission;
-          const double f1 = constants::fermi(e - kMuSource_eV, kT_eV);
-          const double f2 = constants::fermi(e - opts.mu_drain_eV, kT_eV);
-          part.current += w * r.transmission * (f1 - f2);
+        out.transmission.resize(count);
+        out.spectral_left.resize(onsite_eV.size() * count);
+        out.spectral_right.resize(onsite_eV.size() * count);
+        for (size_t k = 0; k < count; ++k) {
+          rgf_solve(h, grid.points[first + k], kEta_eV, sig_l, sig_r, ws, r);
+          out.transmission[k] = r.transmission;
           size_t orb = 0;
-          for (size_t b = 0; b < nb; ++b) {
-            for (const size_t atom : slices[b]) {
-              const BipolarDensity d = bipolar_density(r.spectral_left[orb], r.spectral_right[orb],
-                                                       e, onsite_eV[atom], f1, f2);
-              part.n_atom[atom] += w * d.electrons;
-              part.p_atom[atom] += w * d.holes;
+          for (const auto& slice : slices) {
+            for (const size_t atom : slice) {
+              out.spectral_left[atom * count + k] = r.spectral_left[orb];
+              out.spectral_right[atom * count + k] = r.spectral_right[orb];
               ++orb;
             }
           }
         }
-        metrics::add(metrics::Counter::kRgfSolves, static_cast<uint64_t>(end - begin));
-        return part;
-      },
-      [](RealPartial& acc, RealPartial&& part) {
-        acc.current += part.current;
-        for (size_t a = 0; a < acc.n_atom.size(); ++a) {
-          acc.n_atom[a] += part.n_atom[a];
-          acc.p_atom[a] += part.p_atom[a];
-        }
       });
-  const std::vector<double>& n_per_atom = sum.n_atom;
-  const std::vector<double>& p_per_atom = sum.p_atom;
-  sol.current_A = constants::kCurrentPrefactor * sum.current;
 
   // Resolve per (column, dimer line): each slice holds two columns; the
   // column of an atom follows from its x offset within the slice.
-  const size_t ncol = lat.column_x_nm().size();
-  sol.electrons.assign(ncol, std::vector<double>(static_cast<size_t>(lat.n_index()), 0.0));
-  sol.holes.assign(ncol, std::vector<double>(static_cast<size_t>(lat.n_index()), 0.0));
   for (size_t a = 0; a < lat.atoms().size(); ++a) {
     const auto& atom = lat.atoms()[a];
     const size_t col = static_cast<size_t>(2 * atom.slice) +
                        (std::abs(atom.x_nm - lat.column_x_nm()[static_cast<size_t>(2 * atom.slice)]) < 1e-9 ? 0 : 1);
-    sol.electrons[col][static_cast<size_t>(atom.dimer_line)] += n_per_atom[a];
-    sol.holes[col][static_cast<size_t>(atom.dimer_line)] += p_per_atom[a];
-    sol.total_net_electrons += n_per_atom[a] - p_per_atom[a];
+    sol.electrons[col][static_cast<size_t>(atom.dimer_line)] += sum.n[a];
+    sol.holes[col][static_cast<size_t>(atom.dimer_line)] += sum.p[a];
+    sol.total_net_electrons += sum.n[a] - sum.p[a];
   }
+  close_solution(sum.current, sol);
   return sol;
 }
 

@@ -8,7 +8,10 @@
 
 /// Ballistic transport drivers: integrate the RGF spectral quantities over
 /// energy to produce terminal current and the spatially resolved net mobile
-/// charge that feeds back into the Poisson equation.
+/// charge that feeds back into the Poisson equation. Both paths run the one
+/// energy integrator of transport.cpp (grid, chunked ordered reduction,
+/// Fermi factors, bipolar charge, current); they differ only in the solver
+/// that fills each chunk and in how sites map onto (column, dimer line).
 ///
 /// Bipolar convention: the pz model is particle-hole symmetric, so the
 /// local charge-neutrality level equals the local mid-gap energy (the

@@ -283,6 +283,40 @@ TEST(AnalyzeDeterminism, AllowlistParserRejectsMalformedLines) {
   EXPECT_FALSE(allowlist.contains("p", "r", "other"));
 }
 
+TEST(AnalyzeDeterminism, AllowlistEntryThatExemptsNoSiteIsAFinding) {
+  const std::string content =
+      "double total(const double* w, int n) {\n"
+      "  double acc = 0.0;\n"
+      "  for (int i = 0; i < n; ++i) acc += w[i];\n"
+      "  return acc;\n"
+      "}\n";
+  // The site the entry named was renamed away: the entry is stale, and the
+  // new accumulation is flagged on its own.
+  const auto findings = run_determinism(
+      "src/negf/x.cpp", content,
+      "# header\nsrc/negf/x.cpp fp-accumulation acc_reverse  # deleted variable\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "fp-accumulation");
+  EXPECT_EQ(findings[1].rule, "stale-allowlist");
+  EXPECT_EQ(findings[1].file, "tools/analysis_allowlist.txt");
+  EXPECT_EQ(findings[1].line, 2u);
+  EXPECT_NE(findings[1].message.find("src/negf/x.cpp fp-accumulation acc_reverse"),
+            std::string::npos);
+  // An entry for a file that no longer exists is stale too; exact and '*'
+  // entries that exempt a site are not.
+  EXPECT_EQ(run_determinism("src/negf/x.cpp", content,
+                            "src/negf/gone.cpp fp-accumulation acc  # moved\n")
+                .back()
+                .rule,
+            "stale-allowlist");
+  EXPECT_TRUE(run_determinism("src/negf/x.cpp", content,
+                              "src/negf/x.cpp fp-accumulation acc  # ok\n")
+                  .empty());
+  EXPECT_TRUE(
+      run_determinism("src/negf/x.cpp", content, "src/negf/x.cpp fp-accumulation *  # ok\n")
+          .empty());
+}
+
 // ---------------------------------------------------------------------------
 // Pass 4: contract coverage
 // ---------------------------------------------------------------------------

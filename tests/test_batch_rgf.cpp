@@ -296,8 +296,13 @@ TEST(BatchRgfParallel, UniformBatchedBitIdenticalAcrossThreadCounts) {
 
 /// Timed, unlike every other test: kept out of ctest by the PerfGate.*
 /// filter in tests/CMakeLists.txt and run from a Release build by the
-/// perf-smoke stage of tools/ci_checks.sh.
-TEST(PerfGate, BatchedRgfHoldsOneAndAHalfTimesTheScalarSolveRate) {
+/// perf-smoke stage of tools/ci_checks.sh. The kernel makes two sweeps per
+/// energy and the scalar oracle three: its drain-side sweep, the
+/// reciprocity witness, takes a share kOracleDrainShare of the oracle's
+/// time (measured on this gate's chains, Release, 4-core x86-64; see
+/// EXPERIMENTS.md, "One energy integrator"). The bound discounts it, so the
+/// gate holds batching at 1.5x the oracle's two sweeps.
+TEST(PerfGate, BatchedRgfHoldsOneAndAHalfTimesTheScalarTwoSweepRate) {
   EXPECT_TRUE(negf::rgf_batch_uses_fast_reciprocal());
   // The subband chains of a fig2-style source-drain ramp family: 3 drain
   // biases x 3 subbands of 32 columns, each solved at 304 energies.
@@ -352,7 +357,9 @@ TEST(PerfGate, BatchedRgfHoldsOneAndAHalfTimesTheScalarSolveRate) {
       }
     }));
   }
-  EXPECT_GE(scalar_s / batch_s, 1.5) << "scalar " << scalar_s << " s, batched " << batch_s << " s";
+  constexpr double kOracleDrainShare = 0.39;
+  EXPECT_GE(scalar_s / batch_s, 1.5 / (1.0 - kOracleDrainShare))
+      << "scalar " << scalar_s << " s, batched " << batch_s << " s";
 }
 
 }  // namespace

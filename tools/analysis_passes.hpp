@@ -288,9 +288,10 @@ inline std::vector<Finding> check_layering(const std::vector<SourceFile>& files,
 ///
 /// `token` is the flagged identifier ('*' matches any token of that rule in
 /// that file). Every entry names one audited site; the analyzer prints the
-/// exact entry to add when it flags something.
+/// exact entry to add when it flags something, and reports an entry that
+/// exempts no site (stale: its code moved or was deleted).
 struct Allowlist {
-  std::set<std::string> entries;  // "path|rule|token"
+  std::map<std::string, size_t> entries;  // "path|rule|token" -> line
 
   bool contains(const std::string& path, const std::string& rule,
                 const std::string& token) const {
@@ -314,7 +315,7 @@ inline bool parse_allowlist(const std::string& text, Allowlist& out, std::string
       error = "line " + std::to_string(lineno) + ": expected 'path rule token  # why'";
       return false;
     }
-    out.entries.insert(path + "|" + rule + "|" + token);
+    out.entries.emplace(path + "|" + rule + "|" + token, lineno);
   }
   return true;
 }
@@ -407,13 +408,19 @@ inline std::vector<std::pair<size_t, size_t>> loop_body_ranges(const std::string
 
 }  // namespace detail
 
-/// Pass 2. Checks the src/ files among `files` (sorted by path).
+/// Pass 2. Checks the src/ files among `files` (sorted by path), then
+/// reports every allowlist entry that exempted none of their sites.
 inline std::vector<Finding> check_determinism(const std::vector<SourceFile>& files,
                                               const Allowlist& allowlist) {
   std::vector<Finding> findings;
+  std::set<std::string> used;
   auto flag = [&](const SourceFile& f, size_t line, const std::string& rule,
                   const std::string& token, const std::string& why) {
-    if (allowlist.contains(f.path, rule, token)) return;
+    if (allowlist.contains(f.path, rule, token)) {
+      const std::string exact = f.path + "|" + rule + "|" + token;
+      used.insert(allowlist.entries.count(exact) != 0 ? exact : f.path + "|" + rule + "|*");
+      return;
+    }
     findings.push_back({f.path, line, rule,
                         why + " [audited exceptions go in tools/analysis_allowlist.txt as '" +
                             f.path + " " + rule + " " + token + "']"});
@@ -517,6 +524,15 @@ inline std::vector<Finding> check_determinism(const std::vector<SourceFile>& fil
         }
       }
     }
+  }
+  for (const auto& [key, line] : allowlist.entries) {
+    if (used.count(key) != 0) continue;
+    std::string entry = key;
+    std::replace(entry.begin(), entry.end(), '|', ' ');
+    findings.push_back({"tools/analysis_allowlist.txt", line, "stale-allowlist",
+                        "'" + entry +
+                            "' exempts no site; delete the entry, or fix it to name the "
+                            "moved site"});
   }
   return findings;
 }
