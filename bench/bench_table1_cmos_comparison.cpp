@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "circuit/netlists.hpp"
 #include "circuit/snm.hpp"
 #include "cmos/nodes.hpp"
 #include "explore/tech_explore.hpp"
@@ -24,7 +25,7 @@ struct Row {
 Row measure(const std::string& label, const circuit::InverterModels& inv, double vdd,
             const circuit::RingMeasureOptions& opts) {
   const circuit::RingMetrics m = circuit::measure_ring_oscillator(
-      std::vector<circuit::InverterModels>(15, inv), inv, vdd, opts);
+      std::vector<circuit::InverterModels>(circuit::kRingStages, inv), inv, vdd, opts);
   const circuit::Vtc vtc = circuit::compute_vtc(inv, vdd);
   Row r;
   r.label = label;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "circuit/measure.hpp"
+#include "circuit/netlists.hpp"
 #include "explore/tech_explore.hpp"
 
 using namespace gnrfet;
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
     opts.t_stop_s = 2e-9;
     opts.dt_s = 0.4e-12;
     const auto m = circuit::measure_ring_oscillator(
-        std::vector<circuit::InverterModels>(15, inv), inv, vdd, opts);
+        std::vector<circuit::InverterModels>(circuit::kRingStages, inv), inv, vdd, opts);
     if (!m.ok) {
       std::printf("%-8.2f (does not oscillate)\n", vdd);
       continue;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "circuit/elements.hpp"
@@ -30,8 +31,12 @@ struct Fo4Testbench {
 Fo4Testbench build_fo4_inverter(const InverterModels& driver, const InverterModels& load,
                                 double vdd, VoltageSource::Waveform input);
 
-/// 15-stage ring oscillator; every stage output carries 3 extra gate loads
-/// so each inverter drives a fanout of 4 (next stage + 3 dummies).
+/// Stage count of the paper's FO4 ring oscillator (Figs. 3 and 6, Table 1).
+inline constexpr size_t kRingStages = 15;
+
+/// Ring oscillator of `stages.size()` stages (kRingStages in the paper);
+/// every stage output carries 3 extra gate loads so each inverter drives a
+/// fanout of 4 (next stage + 3 dummies).
 struct RingOscillator {
   Circuit ckt;
   std::vector<NodeId> stage_out;

@@ -34,7 +34,6 @@ class CmosFet final : public model::ChannelModel {
   explicit CmosFet(const CmosParams& params);
   model::FetSample current(double vgs, double vds) const override;
   model::FetSample charge(double vgs, double vds) const override;
-  model::Polarity polarity() const override { return params_.polarity; }
 
  private:
   model::FetSample current_fwd(double vgs, double vds) const;  ///< vds >= 0, n-type frame

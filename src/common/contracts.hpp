@@ -10,8 +10,8 @@
 ///
 /// The paper's claims rest on identities the solvers would otherwise trust
 /// silently: Hermiticity of the tight-binding Hamiltonian, the NEGF
-/// spectral sum rule, ballistic source/drain current continuity, bounded
-/// Poisson residuals, non-singular MNA stamps, NaN-free bias tables.
+/// spectral sum rule, bounded Poisson residuals, non-singular MNA stamps,
+/// NaN-free bias tables.
 /// GNRFET_REQUIRE (precondition), GNRFET_ENSURE (postcondition) and
 /// GNRFET_CHECK_FINITE guard those invariants with a typed error
 /// (ContractViolation) naming the subsystem and the invariant, so a

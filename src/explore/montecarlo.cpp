@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "circuit/netlists.hpp"
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
@@ -31,8 +32,9 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
 
   const circuit::InverterModels nominal = kit.inverter(opts.vt);
   result.nominal =
-      circuit::measure_ring_oscillator(std::vector<circuit::InverterModels>(15, nominal),
-                                       nominal, opts.vdd, opts.ring);
+      circuit::measure_ring_oscillator(
+          std::vector<circuit::InverterModels>(circuit::kRingStages, nominal), nominal, opts.vdd,
+          opts.ring);
 
   // Width draws: N = 12 + 3 * z with z in {-1, 0, +1} -> {9, 12, 15};
   // charge draws: q = z in {-1, 0, +1}. Warm every table the draws can
@@ -53,8 +55,8 @@ MonteCarloResult run_ring_monte_carlo(DesignKit& kit, const MonteCarloOptions& o
     std::seed_seq seq{opts.seed, static_cast<unsigned>(s)};
     std::mt19937 rng(seq);
     std::vector<circuit::InverterModels> stages;
-    stages.reserve(15);
-    for (int i = 0; i < 15; ++i) {
+    stages.reserve(circuit::kRingStages);
+    for (size_t i = 0; i < circuit::kRingStages; ++i) {
       const VariantSpec nv{12 + 3 * draw_discretized_normal(rng),
                            static_cast<double>(draw_discretized_normal(rng))};
       const VariantSpec pv{12 + 3 * draw_discretized_normal(rng),

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "circuit/netlists.hpp"
 #include "circuit/snm.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
@@ -144,7 +145,7 @@ std::vector<ExplorePoint> explore_plane(DesignKit& kit, const std::vector<double
     p.vt = vt;
     p.vdd = vdd;
     const circuit::InverterModels inv = kit.inverter(vt);
-    const std::vector<circuit::InverterModels> stages(15, inv);
+    const std::vector<circuit::InverterModels> stages(circuit::kRingStages, inv);
     const circuit::RingMetrics rm = circuit::measure_ring_oscillator(stages, inv, vdd, opts.ring);
     if (rm.ok && rm.frequency_Hz > 0.0) {
       p.frequency_Hz = rm.frequency_Hz;

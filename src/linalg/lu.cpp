@@ -10,6 +10,14 @@ namespace gnrfet::linalg {
 namespace {
 constexpr double kPivotFloor = 1e-300;
 
+/// A pivot magnitude below the floor is a singular matrix; a NaN one is a
+/// corrupted input, which no later step can recover from.
+void check_pivot(double best) {
+  if (best >= kPivotFloor) return;
+  if (std::isnan(best)) throw std::invalid_argument("LU: non-finite pivot");
+  throw std::runtime_error("LU: singular matrix");
+}
+
 /// Returns the number of row-entry updates. The real (MNA) factor updates
 /// only the nonzero columns of each pivot row: a zero a(k, j) would
 /// subtract m * 0 and leave a(i, j) as it is. The complex RGF blocks are
@@ -31,7 +39,7 @@ size_t factor_in_place(Matrix<T>& a, std::vector<size_t>& perm, std::vector<size
         piv = i;
       }
     }
-    if (best < kPivotFloor) throw std::runtime_error("LU: singular matrix");
+    check_pivot(best);
     if (piv != k) {
       for (size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
       std::swap(perm[k], perm[piv]);
@@ -135,19 +143,17 @@ void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
   a_col_.resize(n);
   for (size_t j = 0; j < n; ++j) a_col_[j] = order_.empty() ? j : order_[j];
   // The dense factor of P^T A P, (P^T A P)(i, j) = A(a_col_[i], a_col_[j]),
-  // copied straight into the factor's storage (allocation reused when
+  // copied straight into the analysis storage (allocation reused when
   // shapes repeat) and factored there.
-  DMatrix& pa = dense_.lu_;
-  if (pa.rows() != n || pa.cols() != n) pa.resize_zero(n, n);
+  if (dense_.rows() != n || dense_.cols() != n) dense_.resize_zero(n, n);
   for (size_t i = 0; i < n; ++i) {
     const double* row = &a(a_col_[i], 0);
-    for (size_t j = 0; j < n; ++j) pa(i, j) = row[a_col_[j]];
+    for (size_t j = 0; j < n; ++j) dense_(i, j) = row[a_col_[j]];
   }
-  dense_.elimination_updates_ = factor_in_place(pa, dense_.perm_, dense_.pivot_row_cols_);
+  elimination_updates_ = factor_in_place(dense_, perm_, cols_);
   n_ = n;
-  elimination_updates_ = dense_.elimination_updates();
   a_row_.resize(n);
-  for (size_t i = 0; i < n; ++i) a_row_[i] = a_col_[dense_.perm_[i]];
+  for (size_t i = 0; i < n; ++i) a_row_[i] = a_col_[perm_[i]];
   // Ordered index of each row/column of A, and the factor row each ordered
   // row ends in.
   std::vector<size_t> ordered(n), final_row(n);
@@ -186,10 +192,8 @@ void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
   }
   cand_ptr_[n] = cand_rows.size();
 
-  // Factor pattern by rows. The dense factor can only leave it on a NaN
-  // pivot (NaN multipliers in every row); that factor is solved densely
-  // and never replayed.
-  replayable_ = true;
+  // Factor pattern by rows. With no NaN pivot (check_pivot), the dense
+  // factor is zero outside it unless `a` was nonzero outside `pattern`.
   slot_of_.assign(n * n, -1);
   row_ptr_.assign(n + 1, 0);
   diag_.assign(n, 0);
@@ -199,19 +203,18 @@ void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
     row_ptr_[i] = col_.size();
     for (size_t j = 0; j < n; ++j) {
       if (!s[i * n + j]) {
-        replayable_ = replayable_ && dense_.lu_(i, j) == 0.0;
+        if (dense_(i, j) != 0.0) {
+          throw std::invalid_argument("ReplayLU::analyse: matrix is nonzero outside the pattern");
+        }
         continue;
       }
       if (j == i) diag_[i] = col_.size();
       slot_of_[i * n + j] = static_cast<int32_t>(col_.size());
       col_.push_back(j);
-      val_.push_back(dense_.lu_(i, j));
+      val_.push_back(dense_(i, j));
     }
-    replayable_ = replayable_ && slot_of_[i * n + i] >= 0;
   }
   row_ptr_[n] = col_.size();
-  analysed_ = true;
-  if (!replayable_) return;
 
   cand_slot_.resize(cand_rows.size());
   for (size_t k = 0; k < n; ++k) {
@@ -242,10 +245,11 @@ void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
     const size_t i = final_row[ordered[pattern[e] / n]], j = ordered[pattern[e] % n];
     gather_dst_[e] = static_cast<size_t>(slot_of_[i * n + j]);
   }
+  analysed_ = true;
 }
 
 bool ReplayLU::refactor(const DMatrix& a) {
-  if (!analysed_ || !replayable_ || a.rows() != n_ || a.cols() != n_) {
+  if (!analysed_ || a.rows() != n_ || a.cols() != n_) {
     analysed_ = false;
     return false;
   }
@@ -273,8 +277,8 @@ bool ReplayLU::refactor(const DMatrix& a) {
         chosen = cand_slot_[c];
       }
     }
-    if (best < kPivotFloor) throw std::runtime_error("LU: singular matrix");
-    if (chosen != diag_[k] || std::isnan(best)) {
+    check_pivot(best);
+    if (chosen != diag_[k]) {
       analysed_ = false;
       return false;
     }
@@ -325,15 +329,6 @@ void ReplayLU::solve_into(const std::vector<double>& b, std::vector<double>& x) 
   if (b.size() != n) throw std::invalid_argument("ReplayLU::solve_into: size mismatch");
   std::vector<double>& y = y_;
   y.resize(n);
-  if (!replayable_) {
-    // The dense solve of P^T A P on P^T b, scattered back by the order.
-    for (size_t i = 0; i < n; ++i) y[i] = b[a_col_[i]];
-    dense_.solve_into(y, x);
-    y.swap(x);
-    x.resize(n);
-    for (size_t i = 0; i < n; ++i) x[a_col_[i]] = y[i];
-    return;
-  }
   for (size_t i = 0; i < n; ++i) y[i] = b[a_row_[i]];
   // Terms outside the pattern are signed zeros while every earlier unknown
   // is finite: they leave a nonzero sum as it is and can only flip the

@@ -19,17 +19,16 @@
 /// dense factor and solve.
 namespace gnrfet::linalg {
 
-class ReplayLU;
-
 /// In-place LU decomposition holder, instantiated for T = double and
 /// T = cplx. Throws std::runtime_error on a numerically singular pivot
-/// (|pivot| below an absolute floor).
+/// (|pivot| below an absolute floor) and std::invalid_argument on a NaN
+/// pivot.
 template <typename T>
 class LU {
  public:
   /// Empty factorization; call factor() before solving. A long-lived
-  /// workspace (negf::RgfWorkspace, linalg::ReplayLU) refactors matrix
-  /// after matrix without reallocating its storage.
+  /// workspace (negf::RgfWorkspace) refactors matrix after matrix without
+  /// reallocating its storage.
   LU() = default;
 
   /// Factor `a`: copies it into the internal storage (allocation reused
@@ -50,8 +49,6 @@ class LU {
   void solve_into(const Matrix<T>& b, Matrix<T>& x) const;
 
  private:
-  friend class ReplayLU;  // factors its permuted copy in lu_ and reads it
-
   Matrix<T> lu_;
   std::vector<size_t> perm_;  ///< row i of the factor is row perm_[i] of A
   std::vector<size_t> pivot_row_cols_;
@@ -91,16 +88,18 @@ class ReplayLU {
   /// `pattern` lists the structural entries of `a` as row-major indices
   /// r * n + c: every entry that may be nonzero in a later refactor().
   /// Entries of `a` outside it must be zero. Throws std::runtime_error on
-  /// a singular matrix, as LU does, and then holds no analysis; throws
-  /// std::invalid_argument when `a` is not square or does not match the
-  /// order's size.
+  /// a singular matrix and std::invalid_argument on a NaN pivot, as LU
+  /// does; throws std::invalid_argument when `a` is not square, does not
+  /// match the order's size, or its factor has a nonzero outside the
+  /// pattern's fill (an entry of `a` outside `pattern` was nonzero).
+  /// After any throw it holds no analysis.
   void analyse(const DMatrix& a, const std::vector<size_t>& pattern);
 
   /// Factor `a` (same pattern, zero elsewhere) by replaying the analysis.
   /// Returns false, and leaves no usable factor, when there is no analysis
   /// or a pivot row differs from the one partial pivoting picks on `a`;
-  /// analyse() then gives the dense result. Throws std::runtime_error on a
-  /// singular pivot, as LU does.
+  /// analyse() then gives the dense result. Throws on a singular or NaN
+  /// pivot, as LU does.
   bool refactor(const DMatrix& a);
 
   /// Solve A x = b with the last factor. b must not alias x.
@@ -117,9 +116,9 @@ class ReplayLU {
   double dense_upper_row(size_t i, const std::vector<double>& y) const;
 
   std::vector<size_t> order_;  ///< elimination order (empty: natural)
-  LU<double> dense_;           ///< the analysis factor, of P^T A P
+  DMatrix dense_;              ///< the analysis factor, of P^T A P
+  std::vector<size_t> perm_;   ///< its row permutation
   bool analysed_ = false;      ///< the factor below is usable
-  bool replayable_ = false;    ///< dense_'s nonzeros fit the recorded pattern
   size_t n_ = 0;
   size_t elimination_updates_ = 0;
   // Factor row i is row a_row_[i] of A; factor column j is column a_col_[j].
@@ -136,7 +135,7 @@ class ReplayLU {
   // column k, and per L slot the update target of each U slot of row k.
   std::vector<size_t> cand_ptr_, cand_slot_, lcol_ptr_, lcol_slot_, tgt_ptr_, tgt_;
   std::vector<char> cand_at_k_;
-  std::vector<size_t> cols_;      ///< reused: nonzero U slots of the pivot row
+  std::vector<size_t> cols_;      ///< reused: the pivot row's nonzero columns / U slots
   mutable std::vector<double> y_;  ///< reused work vector of solve_into
 };
 

@@ -54,6 +54,4 @@ FetSample ArrayFet::charge(double vgs, double vds) const {
   return sum(channels_, false, vgs, vds);
 }
 
-Polarity ArrayFet::polarity() const { return channels_.front().polarity(); }
-
 }  // namespace gnrfet::model

@@ -22,8 +22,6 @@ class ArrayFet final : public ChannelModel {
 
   FetSample current(double vgs, double vds) const override;
   FetSample charge(double vgs, double vds) const override;
-  Polarity polarity() const override;
-  size_t size() const { return channels_.size(); }
 
  private:
   std::vector<IntrinsicFet> channels_;

@@ -21,7 +21,6 @@ class ChannelModel {
   virtual FetSample current(double vgs, double vds) const = 0;
   /// Gate/channel charge [C], with partials (capacitance extraction).
   virtual FetSample charge(double vgs, double vds) const = 0;
-  virtual Polarity polarity() const = 0;
 };
 
 }  // namespace gnrfet::model

@@ -217,18 +217,11 @@ void solve_group(const ScalarChain& chain, const double* e, size_t w, size_t lan
     const double* pr = gcr + c * kW;
     const double* pi = gci + c * kW;
     const double* di = gdi + c * kW;
-    double* sl = out.spectral_left.data() + c * stride + lane0;
+    double* st = out.spectral_total.data() + c * stride + lane0;
     double* sr = out.spectral_right.data() + c * stride + lane0;
     for (size_t l = 0; l < w; ++l) {
-      const double a_tot = -2.0 * di[l];
-      const double a_r = chain.gamma_right * (pr[l] * pr[l] + pi[l] * pi[l]);
-      GNRFET_ENSURE("negf", "spectral-sum-rule",
-                    std::isfinite(a_tot) &&
-                        a_tot - a_r >= -1e-9 * (1.0 + std::abs(a_tot) + a_r),
-                    strings::format("site %zu: A_tot = %g, A_R = %g at E = %g", c, a_tot, a_r,
-                                    e[l]));
-      sr[l] = a_r;
-      sl[l] = std::max(0.0, a_tot - a_r);
+      st[l] = -2.0 * di[l];
+      sr[l] = chain.gamma_right * (pr[l] * pr[l] + pi[l] * pi[l]);
     }
   }
 }
@@ -260,7 +253,7 @@ void scalar_rgf_solve_batch(const ScalarChain& chain, const double* energies_eV,
   ws.gcol_re.resize(n * kW);
   ws.gcol_im.resize(n * kW);
   out.transmission.assign(count, 0.0);
-  out.spectral_left.resize(n * count);
+  out.spectral_total.resize(n * count);
   out.spectral_right.resize(n * count);
 
   metrics::add(metrics::Counter::kRgfBatchSolves);

@@ -63,18 +63,21 @@ bool rgf_batch_uses_fast_reciprocal();
 /// [site * lanes() + lane] (lane-major within a site) so the transport
 /// energy integrator reads one site across the batch as a contiguous
 /// stripe. The real-space path fills the same layout from per-energy
-/// block-RGF solves, one atom per site. The drain-side transmission that witnesses reciprocity is not
-/// computed here: it lives in the scalar oracle, and a property test holds
-/// this kernel's T to it.
+/// block-RGF solves, one atom per site. The planes are raw Green's-function
+/// quantities: the source/drain charge split and its sum-rule check live
+/// in the energy integrator (transport.cpp), once for both paths. The
+/// drain-side transmission that witnesses reciprocity is not computed
+/// here: it lives in the scalar oracle, and a property test holds this
+/// kernel's T to it.
 struct ScalarRgfBatchResult {
   std::vector<double> transmission;    ///< [lane]
-  std::vector<double> spectral_left;   ///< [site * lanes + lane]
-  std::vector<double> spectral_right;  ///< [site * lanes + lane]
+  std::vector<double> spectral_total;  ///< -2 Im G_cc, [site * lanes + lane]
+  std::vector<double> spectral_right;  ///< Gamma_R |G_{c,last}|^2, [site * lanes + lane]
 
   size_t lanes() const { return transmission.size(); }
 
-  const double* spectral_left_row(size_t site) const {
-    return spectral_left.data() + site * lanes();
+  const double* spectral_total_row(size_t site) const {
+    return spectral_total.data() + site * lanes();
   }
   const double* spectral_right_row(size_t site) const {
     return spectral_right.data() + site * lanes();

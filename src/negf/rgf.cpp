@@ -138,32 +138,20 @@ void rgf_solve(const gnr::BlockTridiagonal& h, double energy_eV, double eta_eV,
   GNRFET_ENSURE("negf", "transmission-positive",
                 std::isfinite(out.transmission) && out.transmission >= -1e-9,
                 strings::format("T(E=%g) = %g", energy_eV, out.transmission));
-  // Contact spectral functions: A_R,ii from the last-column blocks,
-  // A_L,ii = A_ii - A_R,ii with A = i (G - G^dagger).
-  out.spectral_left.clear();
+  // Spectral diagonals: A_ii = i (G - G^dagger)_ii, and A_R,ii from the
+  // last-column blocks.
+  out.spectral_total.clear();
   out.spectral_right.clear();
-  out.spectral_left.reserve(h.total_dim());
+  out.spectral_total.reserve(h.total_dim());
   out.spectral_right.reserve(h.total_dim());
   for (size_t i = 0; i < nb; ++i) {
     linalg::adjoint_into(ws.t1, gcol[i]);
     linalg::multiply_into(ws.t2, ws.gamma_r, ws.t1);
     linalg::multiply_into(ws.t1, gcol[i], ws.t2);
-    const CMatrix& ar = ws.t1;
     const size_t n = gdiag[i].rows();
     for (size_t k = 0; k < n; ++k) {
-      const double a_tot = -2.0 * gdiag[i](k, k).imag();
-      const double a_r = ar(k, k).real();
-      // Spectral sum rule A = G (Gamma_L + Gamma_R + 2 eta) G^dagger on the
-      // diagonal: A_ii >= (A_R)_ii >= 0 up to roundoff. A violation means
-      // the drain-injected density exceeds the total density of states —
-      // exactly the failure mode of a corrupted H or self-energy.
-      GNRFET_ENSURE("negf", "spectral-sum-rule",
-                    std::isfinite(a_tot) && a_r >= -1e-9 &&
-                        a_tot - a_r >= -1e-9 * (1.0 + std::abs(a_tot) + std::abs(a_r)),
-                    strings::format("block %zu orbital %zu: A_tot = %g, A_R = %g at E = %g",
-                                    i, k, a_tot, a_r, energy_eV));
-      out.spectral_right.push_back(a_r);
-      out.spectral_left.push_back(std::max(0.0, a_tot - a_r));
+      out.spectral_total.push_back(-2.0 * gdiag[i](k, k).imag());
+      out.spectral_right.push_back(ws.t1(k, k).real());
     }
   }
 }

@@ -10,15 +10,16 @@
 /// Hamiltonians with self-energies on the first and last block.
 ///
 /// For each energy it returns the quantities the transport layer needs:
-/// transmission T(E) and the orbital-resolved contact spectral functions
-/// A_L,ii and A_R,ii (diagonals), from which bipolar charge is assembled.
+/// transmission T(E) and the orbital-resolved diagonals of the total and
+/// drain-injected spectral functions A_ii and A_R,ii, from which the
+/// energy integrator (transport.cpp) splits and assembles bipolar charge.
 namespace gnrfet::negf {
 
 struct RgfResult {
   double transmission = 0.0;
-  /// Diagonal of the source-injected spectral function per orbital,
+  /// Diagonal of the total spectral function, -2 Im G_ii, per orbital,
   /// concatenated slice by slice.
-  std::vector<double> spectral_left;
+  std::vector<double> spectral_total;
   /// Diagonal of the drain-injected spectral function per orbital.
   std::vector<double> spectral_right;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -34,6 +35,8 @@ constexpr double kSupportMargin_eV = 0.05;
 /// The source Fermi level: the energy zero of the device.
 constexpr double kMuSource_eV = 0.0;
 constexpr double kT_eV = constants::kRoomTemperatureKT_eV;
+
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
 
 /// Bipolar charge for one orbital at one energy: electron density above
 /// the local mid-gap u (weighted by f), hole density below it (weighted by
@@ -76,9 +79,12 @@ struct EnergyPartial {
 /// scaled by `degeneracy`, with degeneracy * T added into `transmission`.
 /// Only indices [i_lo, i_hi) are solved; `solve_chunk(first, count, out)`
 /// solves energies first .. first + count - 1 and writes energy first + k
-/// into lane k of `out` (its site rows follow `site_u`). The grid is cut
-/// into kEnergyGrain chunks whose partials fold in chunk order, so the
-/// result is bit-identical for any thread count.
+/// into lane k of `out` (its site rows follow `site_u`). This is the one
+/// place where the raw planes become contact charge: every solved (site,
+/// energy) pair is checked against the spectral sum rule and split into
+/// A_L = max(0, A_tot - A_R) and A_R. The grid is cut into kEnergyGrain
+/// chunks whose partials fold in chunk order, so the result is
+/// bit-identical for any thread count.
 template <class SolveChunk>
 EnergyPartial integrate_energy(const EnergyGrid& grid, size_t i_lo, size_t i_hi,
                                const std::vector<double>& site_u, double degeneracy,
@@ -117,8 +123,26 @@ EnergyPartial integrate_energy(const EnergyGrid& grid, size_t i_lo, size_t i_hi,
             const double f2 = f2v[k];
             part.current += w * degeneracy * br.transmission[k] * (f1 - f2);
             for (size_t s = 0; s < nsites; ++s) {
-              const BipolarDensity d = bipolar_density(
-                  br.spectral_left_row(s)[k], br.spectral_right_row(s)[k], e, site_u[s], f1, f2);
+              const double a_tot = br.spectral_total_row(s)[k];
+              const double a_r = br.spectral_right_row(s)[k];
+              // Spectral sum rule A = G (Gamma_L + Gamma_R + 2 eta) G^dagger
+              // on the diagonal: A_tot >= A_R >= 0 up to roundoff. A violation
+              // means the drain-injected density exceeds the total density of
+              // states: the failure mode of a corrupted H or self-energy. The
+              // first clause implies the second (A_tot is then finite) and
+              // settles the exact case in three compares, so the check costs
+              // this loop about what it cost the kernel; the second admits
+              // roundoff.
+              GNRFET_ENSURE("negf", "spectral-sum-rule",
+                            (a_tot - a_r >= 0.0 && a_tot - a_r <= kMaxDouble && a_r >= 0.0) ||
+                                (std::isfinite(a_tot) && a_r >= -1e-9 &&
+                                 a_tot - a_r >= -1e-9 * (1.0 + std::abs(a_tot) + std::abs(a_r))),
+                            strings::format("site %zu: A_tot = %g, A_R = %g at E = %g", s, a_tot,
+                                            a_r, e));
+              // Source-injected A_L as the remainder of the total, which also
+              // absorbs the small eta-broadening background.
+              const double a_l = std::max(0.0, a_tot - a_r);
+              const BipolarDensity d = bipolar_density(a_l, a_r, e, site_u[s], f1, f2);
               part.n[s] += w * degeneracy * d.electrons;
               part.p[s] += w * degeneracy * d.holes;
             }
@@ -285,7 +309,7 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
         thread_local RgfWorkspace ws;
         thread_local RgfResult r;
         out.transmission.resize(count);
-        out.spectral_left.resize(onsite_eV.size() * count);
+        out.spectral_total.resize(onsite_eV.size() * count);
         out.spectral_right.resize(onsite_eV.size() * count);
         for (size_t k = 0; k < count; ++k) {
           rgf_solve(h, grid.points[first + k], kEta_eV, sig_l, sig_r, ws, r);
@@ -293,7 +317,7 @@ TransportSolution solve_real_space(const gnr::Lattice& lat,
           size_t orb = 0;
           for (const auto& slice : slices) {
             for (const size_t atom : slice) {
-              out.spectral_left[atom * count + k] = r.spectral_left[orb];
+              out.spectral_total[atom * count + k] = r.spectral_total[orb];
               out.spectral_right[atom * count + k] = r.spectral_right[orb];
               ++orb;
             }

@@ -103,6 +103,7 @@ void scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV,
                     out.transmission <= 1.0 + 1e-6,
                 strings::format("scalar T(E=%g) = %g outside [0, 1]", energy_eV,
                                 out.transmission));
+  out.spectral_total.resize(n);
   out.spectral_left.resize(n);
   out.spectral_right.resize(n);
   for (size_t c = 0; c < n; ++c) {
@@ -114,6 +115,7 @@ void scalar_rgf_solve(const ScalarChain& chain, double energy_eV, double eta_eV,
                       a_tot - a_r >= -1e-9 * (1.0 + std::abs(a_tot) + a_r),
                   strings::format("site %zu: A_tot = %g, A_R = %g at E = %g", c, a_tot, a_r,
                                   energy_eV));
+    out.spectral_total[c] = a_tot;
     out.spectral_right[c] = a_r;
     out.spectral_left[c] = std::max(0.0, a_tot - a_r);
   }
@@ -199,15 +201,11 @@ RgfResult dense_reference_solve(const gnr::BlockTridiagonal& h, double energy_eV
                                     k, a_tot, rhs));
     }
   }
-  r.spectral_left.resize(n);
+  r.spectral_total.resize(n);
   r.spectral_right.resize(n);
-  // Same convention as rgf_solve: A_R exact from Gamma_R, A_L as the
-  // remainder of the total spectral function (which also absorbs the small
-  // eta-broadening background).
   for (size_t k = 0; k < n; ++k) {
-    const double a_tot = -2.0 * g(k, k).imag();
+    r.spectral_total[k] = -2.0 * g(k, k).imag();
     r.spectral_right[k] = ar(k, k).real();
-    r.spectral_left[k] = std::max(0.0, a_tot - ar(k, k).real());
   }
   return r;
 }

@@ -30,7 +30,8 @@ struct ScalarRgfResult {
   /// mismatch. The production kernel makes no drain-side sweep: this is
   /// the witness its `transmission` is tested against.
   double transmission_reverse = 0.0;
-  std::vector<double> spectral_left;   ///< A_L,cc per site
+  std::vector<double> spectral_total;  ///< A_cc = -2 Im G_cc per site
+  std::vector<double> spectral_left;   ///< A_L,cc = max(0, A_cc - A_R,cc) per site
   std::vector<double> spectral_right;  ///< A_R,cc per site
 };
 

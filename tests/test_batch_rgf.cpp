@@ -81,12 +81,12 @@ TEST(BatchRgf, BitExactVsScalarAcrossChainAndBatchSizes) {
       const auto e = make_energies(count, static_cast<unsigned>(count));
       negf::scalar_rgf_solve_batch(chain, e.data(), count, 1e-4, ws, out);
       ASSERT_EQ(out.lanes(), count);
-      ASSERT_EQ(out.spectral_left.size(), n * count);
+      ASSERT_EQ(out.spectral_total.size(), n * count);
       for (size_t k = 0; k < count; ++k) {
         const auto ref = negf::scalar_rgf_solve(chain, e[k], 1e-4);
         EXPECT_BITS_EQ(out.transmission[k], ref.transmission);
         for (size_t c = 0; c < n; ++c) {
-          EXPECT_BITS_EQ(out.spectral_left_row(c)[k], ref.spectral_left[c]);
+          EXPECT_BITS_EQ(out.spectral_total_row(c)[k], ref.spectral_total[c]);
           EXPECT_BITS_EQ(out.spectral_right_row(c)[k], ref.spectral_right[c]);
         }
       }

@@ -8,6 +8,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -401,19 +402,40 @@ TEST(ReplayLU, ZeroAndNonFiniteSolutionEntriesCarryTheDenseBits) {
   }
 }
 
-TEST(ReplayLU, NanPivotFallsBackToTheDenseFactor) {
-  // A NaN pivot gives every row below it a NaN multiplier, outside any
-  // pattern: that factor is solved densely and never replayed.
+TEST(ReplayLU, NanPivotThrowsFromFactorAnalyseAndRefactor) {
+  // A NaN pivot would give every row below it a NaN multiplier: the dense
+  // factor, the analysis and the replay all reject it instead.
   DMatrix a(3, 3);
   a(0, 0) = std::numeric_limits<double>::quiet_NaN();
   a(0, 1) = 1.0;
   a(1, 0) = 1.0, a(1, 1) = 1.0;
   a(2, 2) = 1.0;
   const std::vector<size_t> pattern = {0, 1, 3, 4, 8};
+  gnrfet::linalg::LU<double> dense;
+  EXPECT_THROW(dense.factor(a), std::invalid_argument);
   gnrfet::linalg::ReplayLU replay;
-  replay.analyse(a, pattern);
-  expect_replay_matches_dense(replay, a, {}, {1.0, 2.0, 3.0});
+  EXPECT_THROW(replay.analyse(a, pattern), std::invalid_argument);
+  EXPECT_FALSE(replay.refactor(a));  // the failed analysis left none
+
+  DMatrix good = a;
+  good(0, 0) = 2.0;
+  replay.analyse(good, pattern);
+  expect_replay_matches_dense(replay, good, {}, {1.0, 2.0, 3.0});
+  EXPECT_THROW(replay.refactor(a), std::invalid_argument);
+}
+
+TEST(ReplayLU, NonzeroOutsideThePatternIsRejected) {
+  // a(2, 0) is nonzero but not in the pattern: its multiplier would sit
+  // outside the recorded L pattern, so no replay could reproduce it.
+  DMatrix a(3, 3);
+  a(0, 0) = 2.0, a(0, 1) = 1.0;
+  a(1, 0) = 1.0, a(1, 1) = 1.0;
+  a(2, 0) = 0.5, a(2, 2) = 1.0;
+  gnrfet::linalg::ReplayLU replay;
+  EXPECT_THROW(replay.analyse(a, {0, 1, 3, 4, 8}), std::invalid_argument);
   EXPECT_FALSE(replay.refactor(a));
+  replay.analyse(a, {0, 1, 3, 4, 6, 8});
+  expect_replay_matches_dense(replay, a, {}, {1.0, 2.0, 3.0});
 }
 
 TEST(Eigh, DiagonalizesHermitian) {

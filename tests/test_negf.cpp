@@ -72,9 +72,9 @@ TEST(Rgf, MatchesDenseReference) {
     const auto fast = tests::rgf_solve(h, e, 1e-4, sl, sr);
     const auto ref = negf::dense_reference_solve(h, e, 1e-4, sl, sr);
     EXPECT_NEAR(fast.transmission, ref.transmission, 1e-8 * std::max(1.0, ref.transmission));
-    ASSERT_EQ(fast.spectral_left.size(), ref.spectral_left.size());
-    for (size_t k = 0; k < fast.spectral_left.size(); ++k) {
-      EXPECT_NEAR(fast.spectral_left[k], ref.spectral_left[k], 1e-7);
+    ASSERT_EQ(fast.spectral_total.size(), ref.spectral_total.size());
+    for (size_t k = 0; k < fast.spectral_total.size(); ++k) {
+      EXPECT_NEAR(fast.spectral_total[k], ref.spectral_total[k], 1e-7);
       EXPECT_NEAR(fast.spectral_right[k], ref.spectral_right[k], 1e-7);
     }
   }
@@ -124,7 +124,7 @@ TEST(ScalarRgf, MatchesBlockRgfOnUniformChain) {
     const auto b = tests::rgf_solve(h, e, 1e-4, sl, sr);
     EXPECT_NEAR(a.transmission, b.transmission, 1e-10);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(a.spectral_left[i], b.spectral_left[i], 1e-9);
+      EXPECT_NEAR(a.spectral_total[i], b.spectral_total[i], 1e-9);
       EXPECT_NEAR(a.spectral_right[i], b.spectral_right[i], 1e-9);
     }
   }
@@ -331,6 +331,7 @@ TEST(ScalarRgfWorkspace, ReuseAcrossSolvesMatchesFreshWorkspace) {
       EXPECT_EQ(r_warm.transmission_reverse, r_fresh.transmission_reverse);
       ASSERT_EQ(r_warm.spectral_left.size(), r_fresh.spectral_left.size());
       for (size_t c = 0; c < r_warm.spectral_left.size(); ++c) {
+        EXPECT_EQ(r_warm.spectral_total[c], r_fresh.spectral_total[c]);
         EXPECT_EQ(r_warm.spectral_left[c], r_fresh.spectral_left[c]);
         EXPECT_EQ(r_warm.spectral_right[c], r_fresh.spectral_right[c]);
       }
