@@ -12,14 +12,12 @@ using namespace gnrfet;
 int main() {
   bench::banner("Table 2: width variation study (percent change vs nominal)");
   explore::DesignKit kit;
-  const auto base = explore::nominal_inverter_metrics(kit);
+  std::vector<explore::VariantSpec> widths = {{9, 0.0}, {12, 0.0}, {15, 0.0}, {18, 0.0}};
+  const auto [base, entries] = explore::run_variation_study(kit, widths, widths);
   std::printf("nominal: delay %.2f ps, Pstat %.4g uW, Pdyn %.4g uW, SNM %.3f V\n",
               base.delay_s * 1e12, base.static_power_W * 1e6, base.dynamic_power_W * 1e6,
               base.snm_V);
   std::printf("(paper nominal: 7.54 ps, 0.095 uW, 0.706 uW, 0.15 V)\n\n");
-
-  std::vector<explore::VariantSpec> widths = {{9, 0.0}, {12, 0.0}, {15, 0.0}, {18, 0.0}};
-  const auto entries = explore::run_variation_study(kit, widths, widths);
 
   csv::Table out({"n_N", "p_N", "affected", "delay_pct", "pstat_pct", "pdyn_pct", "snm_pct"});
   std::printf("%-5s %-5s | %-14s | %-14s | %-14s | %-14s\n", "pN", "nN", "delay % (1,4)",

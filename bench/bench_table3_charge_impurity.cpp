@@ -14,7 +14,7 @@ int main() {
   explore::DesignKit kit;
   std::vector<explore::VariantSpec> charges = {
       {12, -2.0}, {12, -1.0}, {12, 0.0}, {12, 1.0}, {12, 2.0}};
-  const auto entries = explore::run_variation_study(kit, charges, charges);
+  const auto entries = explore::run_variation_study(kit, charges, charges).entries;
 
   csv::Table out({"n_q", "p_q", "affected", "delay_pct", "pstat_pct", "pdyn_pct", "snm_pct"});
   std::printf("%-5s %-5s | %-14s | %-14s | %-14s | %-14s\n", "p_q", "n_q", "delay % (1,4)",

@@ -13,7 +13,7 @@ int main() {
   bench::banner("Table 4: simultaneous width + impurity study (percent change)");
   explore::DesignKit kit;
   std::vector<explore::VariantSpec> combos = {{9, -1.0}, {9, 1.0}, {18, -1.0}, {18, 1.0}};
-  const auto entries = explore::run_variation_study(kit, combos, combos);
+  const auto entries = explore::run_variation_study(kit, combos, combos).entries;
 
   csv::Table out({"n_N", "n_q", "p_N", "p_q", "affected", "delay_pct", "pstat_pct",
                   "pdyn_pct", "snm_pct"});

@@ -11,17 +11,16 @@ using namespace gnrfet;
 
 int main() {
   explore::DesignKit kit;
+  const std::vector<explore::VariantSpec> worst_n = {{9, 1.0}};
+  const std::vector<explore::VariantSpec> worst_p = {{18, -1.0}};
+  const auto [base, entries] = explore::run_variation_study(kit, worst_n, worst_p);
 
   std::printf("nominal inverter at VDD=%.1f V, VT=%.2f V:\n", explore::kPointB_VDD,
               explore::kPointB_VT);
-  const auto base = explore::nominal_inverter_metrics(kit);
   std::printf("  delay %.2f ps | Pstat %.4g uW | Pdyn %.4g uW | SNM %.3f V\n\n",
               base.delay_s * 1e12, base.static_power_W * 1e6, base.dynamic_power_W * 1e6,
               base.snm_V);
 
-  const std::vector<explore::VariantSpec> worst_n = {{9, 1.0}};
-  const std::vector<explore::VariantSpec> worst_p = {{18, -1.0}};
-  const auto entries = explore::run_variation_study(kit, worst_n, worst_p);
   for (const auto& e : entries) {
     for (int s = 0; s < 2; ++s) {
       std::printf("worst corner, %s: delay %+0.f%% | Pstat %+0.f%% | Pdyn %+0.f%% | SNM %+0.f%%\n",

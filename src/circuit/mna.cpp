@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/contracts.hpp"
-#include "common/metrics.hpp"
 #include "common/strings.hpp"
 
 namespace gnrfet::circuit {
@@ -51,7 +50,6 @@ size_t Circuit::num_unknowns() const { return num_nodes() - 1 + num_branches_; }
 void MnaWorkspace::record(size_t k) {
   in_pattern[k] = 1;
   pattern.insert(std::lower_bound(pattern.begin(), pattern.end(), k), k);
-  pattern_grew = true;
 }
 
 void MnaWorkspace::stamp(const Circuit& ckt, const std::vector<double>& x,
@@ -77,27 +75,17 @@ bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonP
     }
     ws.stamp(ckt, x, ctx);
     check_mna_stamp(ckt, ws);
-    if (!ws.ordered) {
-      ws.lu.set_order(linalg::minimum_degree_order(ws.jac));
-      ws.ordered = true;
-    }
     double res_norm = 0.0;
     for (const double r : ws.res) res_norm = std::max(res_norm, std::abs(r));
     // Tiny diagonal regularization (gmin) keeps floating internal nodes
     // solvable without visibly perturbing operating points.
     for (size_t i = 0; i < nodes; ++i) ws.add_jacobian(i, i, 1e-12);
     for (size_t i = 0; i < n; ++i) ws.rhs[i] = -ws.res[i];
-    metrics::add(metrics::Counter::kMnaFactorizations);
     try {
-      if (ws.pattern_grew || !ws.lu.refactor(ws.jac)) {
-        metrics::add(metrics::Counter::kMnaSymbolicAnalyses);
-        ws.pattern_grew = false;
-        ws.lu.analyse(ws.jac, ws.pattern);
-      }
+      ws.lu.factor(ws.jac, ws.pattern);
     } catch (const std::runtime_error&) {
       return false;  // singular Jacobian
     }
-    metrics::add(metrics::Counter::kMnaEliminationUpdates, ws.lu.elimination_updates());
     ws.lu.solve_into(ws.rhs, ws.dx);
     double max_dx = 0.0;
     for (size_t i = 0; i < n; ++i) {

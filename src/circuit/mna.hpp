@@ -10,10 +10,9 @@
 /// Sec. 3. Unknowns are the non-ground node voltages followed by the
 /// branch currents of voltage sources. The circuits of the paper are small
 /// (tens of nodes) and their Jacobians mostly zeros: each workspace records
-/// the structural pattern of its stamps, and its linalg::ReplayLU permutes
-/// the Jacobian into the minimum-degree order of the first stamp
-/// (linalg::minimum_degree_order), factors it once densely, and replays
-/// that factorization on the pattern, so one Newton iteration costs
+/// the structural pattern of its stamps and hands it, with the Jacobian, to
+/// its linalg::ReplayLU, which orders, factors once densely and replays that
+/// factorization on the pattern (see lu.hpp), so one Newton iteration costs
 /// O(nonzeros + fill + table samples).
 /// Elements stamp at each Newton iterate and commit their state at each
 /// accepted point; both analyses (dc.hpp, transient.hpp) drive the one
@@ -66,10 +65,8 @@ class Circuit {
 /// pattern is ever touched: every position an element has stamped in this
 /// workspace, whatever the value, plus the node-row diagonals that take
 /// gmin. stamp() zeroes just those entries, so the rest of `jac` stays
-/// zero. The first newton_solve sets the ReplayLU's elimination order from
-/// the first stamped Jacobian; every factorization after the first replays
-/// the analysis on the pattern. A stamp outside the pattern joins it and
-/// makes the next factorization analyse again.
+/// zero. A stamp outside the pattern joins it; `pattern` only grows, as
+/// ReplayLU::factor requires.
 struct MnaWorkspace {
   explicit MnaWorkspace(size_t n)
       : jac(n, n), res(n), rhs(n), dx(n), in_pattern(n * n, 0) {}
@@ -91,9 +88,7 @@ struct MnaWorkspace {
   std::vector<double> res, rhs, dx;
   std::vector<size_t> pattern;  ///< structural entries r * n + c, ascending
   std::vector<char> in_pattern;  ///< n * n membership mask of `pattern`
-  bool pattern_grew = false;     ///< an entry joined `pattern` since the last analysis
   linalg::ReplayLU lu;
-  bool ordered = false;  ///< lu's elimination order is set
 };
 
 /// Assembly facade passed to elements. Residuals follow the convention
@@ -210,9 +205,8 @@ inline constexpr NewtonPolicy kTransientNewton{.max_iterations = 60,
 
 /// Damped Newton on the MNA system of `ckt` under `ctx`, updating `x` in
 /// place. Each iteration stamps, runs check_mna_stamp, adds a 1e-12 S gmin
-/// on the node rows, LU-solves in the workspace's elimination order
-/// (replaying the analysis, or analysing again after a pattern change or a
-/// pivot change) and applies the node-clamped update. Returns
+/// on the node rows, factors through the workspace's ReplayLU, solves and
+/// applies the node-clamped update. Returns
 /// true when `policy` accepts an update; false when its iterations run out
 /// or the Jacobian is singular. A ContractViolation propagates.
 bool newton_solve(const Circuit& ckt, const TransientContext& ctx, const NewtonPolicy& policy,

@@ -35,9 +35,9 @@ enum class Counter {
   /// Never incremented. Read only by perfbench's timed-call gate; delete
   /// with the `[benchmark]` refresh.
   kTableServiceCoalesced,
-  kMnaFactorizations,         ///< circuit: LU factorizations of the MNA Jacobian
-  kMnaSymbolicAnalyses,       ///< circuit: of those, dense analyses (first + re-analyses)
-  kMnaEliminationUpdates,     ///< circuit: row-entry updates of those factorizations (fill)
+  kMnaFactorizations,         ///< circuit: MNA Jacobians factored (linalg::ReplayLU::factor calls)
+  kMnaSymbolicAnalyses,       ///< circuit: of those, ReplayLU analyses, thrown ones included
+  kMnaEliminationUpdates,     ///< circuit: row-entry updates of those that succeeded (fill)
   kTransientSteps,            ///< circuit: accepted transient time steps
   kGummelUnconverged,         ///< device: bias points that hit max_gummel_iterations
   kPoissonNewtonUnconverged,  ///< poisson: nonlinear solves that hit max_newton_iterations

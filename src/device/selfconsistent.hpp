@@ -16,7 +16,7 @@ struct BiasPoint {
 /// Gummel-loop settings. The transport runs at negf::kEta_eV and room
 /// temperature (constants::kRoomTemperatureKT_eV).
 struct SolveOptions {
-  double energy_step_eV = 2.5e-3;
+  double energy_step_eV = negf::kEnergyStep_eV;
   // Test seam: the tests' small devices converge to a looser tolerance.
   double gummel_tolerance_V = 1.5e-3;  ///< max potential change on the GNR
   // Test seam: the non-convergence tests cap the loop.

@@ -6,18 +6,13 @@ namespace {
 double pct(double value, double nominal) { return 100.0 * (value / nominal - 1.0); }
 }  // namespace
 
-circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit) {
+VariationStudy run_variation_study(DesignKit& kit, const std::vector<VariantSpec>& n_variants,
+                                   const std::vector<VariantSpec>& p_variants) {
   const circuit::InverterModels nominal = kit.inverter(kPointB_VT);
-  return circuit::measure_inverter(nominal, nominal, kPointB_VDD);
-}
+  VariationStudy study;
+  study.nominal = circuit::measure_inverter(nominal, nominal, kPointB_VDD);
+  const circuit::InverterMetrics& base = study.nominal;
 
-std::vector<VariationEntry> run_variation_study(DesignKit& kit,
-                                                const std::vector<VariantSpec>& n_variants,
-                                                const std::vector<VariantSpec>& p_variants) {
-  const circuit::InverterModels nominal = kit.inverter(kPointB_VT);
-  const circuit::InverterMetrics base = circuit::measure_inverter(nominal, nominal, kPointB_VDD);
-
-  std::vector<VariationEntry> out;
   for (const auto& pv : p_variants) {
     for (const auto& nv : n_variants) {
       VariationEntry e;
@@ -36,10 +31,10 @@ std::vector<VariationEntry> run_variation_study(DesignKit& kit,
           e.snm_pct[s] = pct(e.metrics[s].snm_V, base.snm_V);
         }
       }
-      out.push_back(e);
+      study.entries.push_back(e);
     }
   }
-  return out;
+  return study;
 }
 
 }  // namespace gnrfet::explore

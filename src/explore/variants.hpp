@@ -18,13 +18,15 @@ struct VariationEntry {
   double snm_pct[2] = {0.0, 0.0};
 };
 
-/// Nominal metrics at operating point B (kPointB_VT, kPointB_VDD).
-circuit::InverterMetrics nominal_inverter_metrics(DesignKit& kit);
+/// The nominal FO4 inverter at operating point B (kPointB_VT, kPointB_VDD)
+/// and every variant pair measured against it.
+struct VariationStudy {
+  circuit::InverterMetrics nominal;
+  std::vector<VariationEntry> entries;  ///< one per (n_variant, p_variant) pair
+};
 
-/// Full cross-product study at operating point B: one entry per
-/// (n_variant, p_variant) pair.
-std::vector<VariationEntry> run_variation_study(DesignKit& kit,
-                                                const std::vector<VariantSpec>& n_variants,
-                                                const std::vector<VariantSpec>& p_variants);
+/// Full cross-product study at operating point B.
+VariationStudy run_variation_study(DesignKit& kit, const std::vector<VariantSpec>& n_variants,
+                                   const std::vector<VariantSpec>& p_variants);
 
 }  // namespace gnrfet::explore

@@ -21,6 +21,7 @@ class Matrix {
   Matrix(size_t rows, size_t cols, T init = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, init) {}
 
+  // Test seam: the dense inverse and Jacobi eigensolver oracles start from it.
   static Matrix identity(size_t n) {
     Matrix m(n, n);
     for (size_t i = 0; i < n; ++i) m(i, i) = T{1};
@@ -61,6 +62,8 @@ class Matrix {
     return *this;
   }
 
+  // Test seam: the value-returning algebra below is the oracle of
+  // multiply_into and adjoint_into and the language of the negf oracles.
   friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
   friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
   friend Matrix operator*(Matrix a, T s) { return a *= s; }
@@ -81,6 +84,7 @@ class Matrix {
     return c;
   }
 
+  // Test seam: the oracle of adjoint_into and of the negf oracles.
   /// Conjugate transpose for complex T, plain transpose for real T.
   Matrix adjoint() const {
     Matrix m(cols_, rows_);

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "common/metrics.hpp"
+
 namespace gnrfet::linalg {
 
 namespace {
@@ -122,26 +124,23 @@ void LU<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
 template class LU<double>;
 template class LU<cplx>;
 
-void ReplayLU::set_order(const std::vector<size_t>& order) {
-  const size_t n = order.size();
-  std::vector<char> seen(n, 0);
-  for (const size_t o : order) {
-    if (o >= n || seen[o]) throw std::invalid_argument("ReplayLU::set_order: not a permutation");
-    seen[o] = 1;
+void ReplayLU::factor(const DMatrix& a, const std::vector<size_t>& pattern) {
+  if (a_col_.empty()) a_col_ = minimum_degree_order(a);
+  metrics::add(metrics::Counter::kMnaFactorizations);
+  if (pattern.size() != gather_src_.size() || !refactor(a)) {
+    metrics::add(metrics::Counter::kMnaSymbolicAnalyses);
+    analyse(a, pattern);
   }
-  order_ = order;
-  analysed_ = false;
+  metrics::add(metrics::Counter::kMnaEliminationUpdates, elimination_updates_);
 }
 
 void ReplayLU::analyse(const DMatrix& a, const std::vector<size_t>& pattern) {
   analysed_ = false;
   const size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("LU: matrix must be square");
-  if (!order_.empty() && order_.size() != n) {
+  if (a_col_.size() != n) {
     throw std::invalid_argument("ReplayLU::analyse: matrix does not match the elimination order");
   }
-  a_col_.resize(n);
-  for (size_t j = 0; j < n; ++j) a_col_[j] = order_.empty() ? j : order_[j];
   // The dense factor of P^T A P, (P^T A P)(i, j) = A(a_col_[i], a_col_[j]),
   // copied straight into the analysis storage (allocation reused when
   // shapes repeat) and factored there.

@@ -30,12 +30,15 @@ inline NegfGridKind negf_grid_from_env() { return NegfGridKind::kUniform; }
 inline constexpr double kContactGamma_eV = 1.0;
 /// Green's-function broadening eta [eV].
 inline constexpr double kEta_eV = 1e-3;
+/// Default spacing of the uniform charge/current energy grid [eV], for
+/// TransportOptions and the device solver (device::SolveOptions) alike.
+inline constexpr double kEnergyStep_eV = 2.5e-3;
 
 /// Common transport settings. The source Fermi level is the energy zero and
 /// the contacts sit at room temperature (constants::kRoomTemperatureKT_eV).
 struct TransportOptions {
   double mu_drain_eV = 0.0;
-  double energy_step_eV = 2e-3;  ///< charge/current grid spacing
+  double energy_step_eV = kEnergyStep_eV;  ///< charge/current grid spacing
 };
 
 /// Solution of one bias point.

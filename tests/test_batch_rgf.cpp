@@ -263,21 +263,6 @@ TEST(BatchRgfRealSpace, BlockedMultiplyBitIdenticalToTemplate) {
   }
 }
 
-TEST(BatchGolden, UniformGoldenPinsHoldWithBatchOnAndOff) {
-  // The uniform golden pins, captured from the per-energy kernel, must
-  // hold bit-for-bit on the batched kernel that now serves every
-  // mode-space solve.
-  GoldenProblem p;
-  const auto sol = negf::solve_mode_space(p.modes, p.u, p.opts);
-  EXPECT_EQ(sol.current_A, 0x1.12e6388bc3c3cp-17);
-  EXPECT_EQ(sol.total_net_electrons, 0x1.44d1522dd0c06p+1);
-  EXPECT_EQ(sol.energies_eV.size(), 613u);
-  EXPECT_EQ(fnv1a(sol.energies_eV), 0x6b11046d548574f5ull);
-  EXPECT_EQ(fnv1a(sol.transmission), 0x71b5bb6f38984168ull);
-  EXPECT_EQ(fnv1a(flatten(sol.electrons)), 0xc8e0b403a2f0723eull);
-  EXPECT_EQ(fnv1a(flatten(sol.holes)), 0xc3839b255526531eull);
-}
-
 TEST(BatchRgfParallel, UniformBatchedBitIdenticalAcrossThreadCounts) {
   // Thread-determinism contract of the batched mode-space path (also the
   // TSan coverage of the batched hot loop via the CI -R 'Parallel' run).

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -18,6 +20,7 @@
 #include "explore/contours.hpp"
 #include "explore/montecarlo.hpp"
 #include "explore/tech_explore.hpp"
+#include "explore/variants.hpp"
 #include "synthetic_device.hpp"
 #include "test_support.hpp"
 
@@ -50,6 +53,31 @@ TEST(DesignKit, SetTableRejectsOverwrite) {
   explore::DesignKit kit;
   kit.set_table({12, 0.0}, synthetic::synthetic_table());
   EXPECT_THROW(kit.set_table({12, 0.0}, synthetic::synthetic_table()), std::logic_error);
+}
+
+TEST(VariationStudy, NominalAgainstItselfReadsZeroPercent) {
+  // The study of the nominal variant against itself measures the nominal
+  // inverter three times (nominal, 1 of 4 and 4 of 4 GNRs "varied"): each
+  // must give the same bits, so every column reads exactly 0%.
+  explore::DesignKit kit;
+  kit.set_table({12, 0.0}, synthetic::synthetic_table());
+  const std::vector<explore::VariantSpec> nominal = {{12, 0.0}};
+  const explore::VariationStudy study = explore::run_variation_study(kit, nominal, nominal);
+  ASSERT_TRUE(study.nominal.ok);
+  ASSERT_EQ(study.entries.size(), 1u);
+  const explore::VariationEntry& e = study.entries[0];
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(e.metrics[s].ok, study.nominal.ok) << s;
+    EXPECT_EQ(bits(e.metrics[s].delay_s), bits(study.nominal.delay_s)) << s;
+    EXPECT_EQ(bits(e.metrics[s].static_power_W), bits(study.nominal.static_power_W)) << s;
+    EXPECT_EQ(bits(e.metrics[s].dynamic_power_W), bits(study.nominal.dynamic_power_W)) << s;
+    EXPECT_EQ(bits(e.metrics[s].snm_V), bits(study.nominal.snm_V)) << s;
+    EXPECT_EQ(bits(e.delay_pct[s]), bits(0.0)) << s;
+    EXPECT_EQ(bits(e.static_power_pct[s]), bits(0.0)) << s;
+    EXPECT_EQ(bits(e.dynamic_power_pct[s]), bits(0.0)) << s;
+    EXPECT_EQ(bits(e.snm_pct[s]), bits(0.0)) << s;
+  }
 }
 
 /// A nominal table on the standard VG axis (0..1 V, 0.05 V steps) whose VD

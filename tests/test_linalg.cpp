@@ -232,10 +232,16 @@ TEST(MinimumDegreeOrder, IsADeterministicPermutationWithLowestIndexTies) {
   std::iota(iota.begin(), iota.end(), 0);
   EXPECT_EQ(sorted, iota);
   for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(gnrfet::linalg::minimum_degree_order(a), order);
+}
 
-  gnrfet::linalg::ReplayLU lu;
-  EXPECT_THROW(lu.set_order({0, 2, 2}), std::invalid_argument);
-  EXPECT_THROW(lu.set_order({0, 3, 1}), std::invalid_argument);
+/// ReplayLU::factor(a, pattern), returning how many analyses it ran (0: it
+/// replayed the last one).
+uint64_t analyses_of_factor(gnrfet::linalg::ReplayLU& replay, const DMatrix& a,
+                            const std::vector<size_t>& pattern) {
+  using gnrfet::metrics::Counter;
+  const uint64_t before = gnrfet::tests::counter(Counter::kMnaSymbolicAnalyses);
+  replay.factor(a, pattern);
+  return gnrfet::tests::counter(Counter::kMnaSymbolicAnalyses) - before;
 }
 
 /// The transient Newton system of the 15-stage FO4 ring at its kick state
@@ -269,13 +275,12 @@ RingSystem ring_system() {
 }
 
 /// The replayed factor's solve and update count against a fresh dense LU
-/// of `a` in `order` (empty: the natural order), bit for bit.
+/// of `a` in `order`, bit for bit. An empty `order` is the minimum-degree
+/// order of `a`, which is the order ReplayLU::factor fixed on its first
+/// matrix wherever the off-diagonal pattern has stayed the same.
 void expect_replay_matches_dense(const gnrfet::linalg::ReplayLU& replay, const DMatrix& a,
                                  std::vector<size_t> order, const std::vector<double>& b) {
-  if (order.empty()) {
-    order.resize(a.rows());
-    std::iota(order.begin(), order.end(), 0);
-  }
+  if (order.empty()) order = gnrfet::linalg::minimum_degree_order(a);
   const auto dense = gnrfet::tests::lu_factor(gnrfet::tests::permuted(a, order));
   std::vector<double> x, pb(b.size()), xp, xd(b.size());
   replay.solve_into(b, x);
@@ -296,9 +301,7 @@ TEST(ReplayLU, RingJacobianSequenceMatchesDenseBitForBit) {
   const RingSystem sys = ring_system();
   const std::vector<size_t> order = gnrfet::linalg::minimum_degree_order(sys.jac);
   gnrfet::linalg::ReplayLU replay;
-  replay.set_order(order);
-  EXPECT_FALSE(replay.refactor(sys.jac));  // nothing to replay yet
-  replay.analyse(sys.jac, sys.pattern);
+  EXPECT_EQ(analyses_of_factor(replay, sys.jac, sys.pattern), 1u);  // nothing to replay yet
   expect_replay_matches_dense(replay, sys.jac, order, sys.rhs);
 
   std::mt19937 rng(7);
@@ -310,7 +313,7 @@ TEST(ReplayLU, RingJacobianSequenceMatchesDenseBitForBit) {
     }
     std::vector<double> b = sys.rhs;
     for (double& v : b) v *= 1.0 + 1e-3 * d(rng);
-    ASSERT_TRUE(replay.refactor(a)) << rep;
+    ASSERT_EQ(analyses_of_factor(replay, a, sys.pattern), 0u) << rep;
     expect_replay_matches_dense(replay, a, order, b);
     // Right-hand sides whose solution holds exact zeros: the signs of those
     // zeros come from terms outside the factor pattern.
@@ -323,9 +326,10 @@ TEST(ReplayLU, RingJacobianSequenceMatchesDenseBitForBit) {
 }
 
 TEST(ReplayLU, PivotChangeForcesReanalysis) {
-  // Natural order. Step 0 pivots on row 2 (|2| > |0.5|); raising a(0, 0)
-  // to 5 moves the pivot to row 0, so the replay declines and the next
-  // analysis gives the dense result.
+  // Natural order: the pattern couples all four unknowns, so the
+  // minimum-degree order takes them by index. Step 0 pivots on row 2
+  // (|2| > |0.5|); raising a(0, 0) to 5 moves the pivot to row 0, so the
+  // replay declines and the next analysis gives the dense result.
   DMatrix a(4, 4);
   a(0, 0) = 0.5, a(0, 1) = -1.0, a(0, 3) = 0.3;
   a(1, 1) = 1.0, a(1, 2) = 0.2;
@@ -337,16 +341,15 @@ TEST(ReplayLU, PivotChangeForcesReanalysis) {
   }
   const std::vector<double> b = {0.3, -1.1, 2.0, 0.7};
   gnrfet::linalg::ReplayLU replay;
-  replay.analyse(a, pattern);
+  EXPECT_EQ(analyses_of_factor(replay, a, pattern), 1u);
   expect_replay_matches_dense(replay, a, {}, b);
   a(3, 3) = 1.25;  // no pivot moves
-  ASSERT_TRUE(replay.refactor(a));
+  ASSERT_EQ(analyses_of_factor(replay, a, pattern), 0u);
   expect_replay_matches_dense(replay, a, {}, b);
   a(0, 0) = 5.0;
-  EXPECT_FALSE(replay.refactor(a));
-  replay.analyse(a, pattern);
+  EXPECT_EQ(analyses_of_factor(replay, a, pattern), 1u);
   expect_replay_matches_dense(replay, a, {}, b);
-  ASSERT_TRUE(replay.refactor(a));
+  ASSERT_EQ(analyses_of_factor(replay, a, pattern), 0u);
   expect_replay_matches_dense(replay, a, {}, b);
 }
 
@@ -367,16 +370,15 @@ TEST(ReplayLU, VoltageSourcePivotTieResolvesLikeTheDenseLoop) {
   }
   const std::vector<double> b = {1.0, 0.5, -0.25};
   gnrfet::linalg::ReplayLU replay;
-  replay.analyse(a, pattern);
+  EXPECT_EQ(analyses_of_factor(replay, a, pattern), 1u);
   expect_replay_matches_dense(replay, a, {}, b);
   a(2, 1) = -1.0;  // the tie
-  EXPECT_FALSE(replay.refactor(a));
-  replay.analyse(a, pattern);
+  EXPECT_EQ(analyses_of_factor(replay, a, pattern), 1u);
   expect_replay_matches_dense(replay, a, {}, b);
   // The tie held, other values moved: replayed, and still row 1 first.
   a(1, 2) = 0.75;
   a(2, 2) = 3.0;
-  ASSERT_TRUE(replay.refactor(a));
+  ASSERT_EQ(analyses_of_factor(replay, a, pattern), 0u);
   expect_replay_matches_dense(replay, a, {}, b);
 }
 
@@ -390,14 +392,15 @@ TEST(ReplayLU, ZeroAndNonFiniteSolutionEntriesCarryTheDenseBits) {
   DMatrix a(3, 3);
   a(0, 0) = 1.0, a(1, 1) = -2.0, a(2, 2) = 0.5;
   gnrfet::linalg::ReplayLU replay;
-  replay.analyse(a, {0, 4, 8});
+  const std::vector<size_t> pattern = {0, 4, 8};
+  replay.factor(a, pattern);
   for (const std::vector<double>& b : {std::vector<double>{-0.0, 0.0, -1.0},
                                        std::vector<double>{-1.0, -0.0, 0.0},
                                        std::vector<double>{1.0, 1.0, -0.0},
                                        std::vector<double>{inf, 1.0, 2.0},
                                        std::vector<double>{1.0, 2.0, -inf},
                                        std::vector<double>{-0.0, -0.0, -0.0}}) {
-    ASSERT_TRUE(replay.refactor(a));
+    ASSERT_EQ(analyses_of_factor(replay, a, pattern), 0u);
     expect_replay_matches_dense(replay, a, {}, b);
   }
 }
@@ -413,15 +416,17 @@ TEST(ReplayLU, NanPivotThrowsFromFactorAnalyseAndRefactor) {
   const std::vector<size_t> pattern = {0, 1, 3, 4, 8};
   gnrfet::linalg::LU<double> dense;
   EXPECT_THROW(dense.factor(a), std::invalid_argument);
-  gnrfet::linalg::ReplayLU replay;
-  EXPECT_THROW(replay.analyse(a, pattern), std::invalid_argument);
-  EXPECT_FALSE(replay.refactor(a));  // the failed analysis left none
+  gnrfet::linalg::ReplayLU replay;  // in order [2, 0, 1]
+  EXPECT_THROW(replay.factor(a, pattern), std::invalid_argument);
 
   DMatrix good = a;
   good(0, 0) = 2.0;
-  replay.analyse(good, pattern);
+  EXPECT_EQ(analyses_of_factor(replay, good, pattern), 1u);  // the failed analysis left none
   expect_replay_matches_dense(replay, good, {}, {1.0, 2.0, 3.0});
-  EXPECT_THROW(replay.refactor(a), std::invalid_argument);
+  const uint64_t before = gnrfet::tests::counter(gnrfet::metrics::Counter::kMnaSymbolicAnalyses);
+  EXPECT_THROW(replay.factor(a, pattern), std::invalid_argument);
+  // The replay threw, before any analysis.
+  EXPECT_EQ(gnrfet::tests::counter(gnrfet::metrics::Counter::kMnaSymbolicAnalyses), before);
 }
 
 TEST(ReplayLU, NonzeroOutsideThePatternIsRejected) {
@@ -431,11 +436,40 @@ TEST(ReplayLU, NonzeroOutsideThePatternIsRejected) {
   a(0, 0) = 2.0, a(0, 1) = 1.0;
   a(1, 0) = 1.0, a(1, 1) = 1.0;
   a(2, 0) = 0.5, a(2, 2) = 1.0;
-  gnrfet::linalg::ReplayLU replay;
-  EXPECT_THROW(replay.analyse(a, {0, 1, 3, 4, 8}), std::invalid_argument);
-  EXPECT_FALSE(replay.refactor(a));
-  replay.analyse(a, {0, 1, 3, 4, 6, 8});
+  gnrfet::linalg::ReplayLU replay;  // in order [1, 0, 2]
+  EXPECT_THROW(replay.factor(a, {0, 1, 3, 4, 8}), std::invalid_argument);
+  EXPECT_EQ(analyses_of_factor(replay, a, {0, 1, 3, 4, 6, 8}), 1u);
   expect_replay_matches_dense(replay, a, {}, {1.0, 2.0, 3.0});
+}
+
+TEST(ReplayLU, FirstAnalysisFixesTheOrderEvenWhenItThrows) {
+  // The first matrix is diagonal and singular: its minimum-degree order is
+  // the natural one, and its analysis throws. The second is an arrow with
+  // its hub at 0 (minimum-degree order [1, 2, 0, 3]): factored in the
+  // natural order the hub goes first and fills the whole matrix, 14
+  // updates against 3, so the oracle tells the two orders apart.
+  const size_t n = 4;
+  DMatrix singular(n, n);
+  for (size_t i = 0; i + 1 < n; ++i) singular(i, i) = 1.0;
+  std::vector<size_t> pattern = {0, 5, 10, 15};
+  gnrfet::linalg::ReplayLU replay;
+  EXPECT_THROW(replay.factor(singular, pattern), std::runtime_error);
+
+  DMatrix arrow(n, n);
+  arrow(0, 0) = 4.0;
+  for (size_t i = 1; i < n; ++i) {
+    arrow(i, i) = 2.0;
+    arrow(0, i) = arrow(i, 0) = 1.0;
+    pattern.push_back(i);
+    pattern.push_back(i * n);
+  }
+  std::sort(pattern.begin(), pattern.end());
+  ASSERT_NE(gnrfet::linalg::minimum_degree_order(arrow),
+            gnrfet::linalg::minimum_degree_order(singular));
+  EXPECT_EQ(analyses_of_factor(replay, arrow, pattern), 1u);
+  expect_replay_matches_dense(replay, arrow, gnrfet::linalg::minimum_degree_order(singular),
+                              {0.3, -1.1, 2.0, 0.7});
+  EXPECT_EQ(replay.elimination_updates(), 14u);
 }
 
 TEST(Eigh, DiagonalizesHermitian) {

@@ -53,9 +53,10 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+ALL_STAGES=(werror asan-ubsan tsan trace perf-smoke analyze thread-safety tidy)
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(werror asan-ubsan tsan trace perf-smoke analyze thread-safety tidy)
+  STAGES=("${ALL_STAGES[@]}")
 fi
 
 banner() { printf '\n=== ci_checks: %s ===\n' "$1"; }
@@ -187,8 +188,7 @@ sys.exit(0 if got == want else "trace stage: --json on the fixture trace differs
       ;;
     *)
       echo "ci_checks: unknown stage '$stage'" >&2
-      echo "known stages: werror asan-ubsan tsan trace perf-smoke" \
-           "analyze thread-safety tidy" >&2
+      echo "known stages: ${ALL_STAGES[*]}" >&2
       exit 2
       ;;
   esac

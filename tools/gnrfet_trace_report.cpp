@@ -287,7 +287,8 @@ int main(int argc, char** argv) {
       // The MNA fill per factorization: a netlist or node-numbering change
       // that fills the Jacobian again shows up as a jump here. The row above
       // it, mna_symbolic_analyses, counts the factorizations that ran the
-      // dense analysis; every other one replayed it (circuit/mna.hpp).
+      // dense analysis; every other one replayed it (linalg::ReplayLU::factor
+      // in linalg/lu.hpp decides which, and counts all three).
       if (const Value* factorizations = positive("mna_factorizations");
           name == "mna_elimination_updates" && factorizations) {
         derived_row("per factorization", v.number / factorizations->number, 1);
