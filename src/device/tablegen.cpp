@@ -34,11 +34,12 @@ std::string table_cache_payload(const DeviceSpec& spec, const TableGenOptions& o
      << "]de=" << opts.solve.energy_step_eV << ";eta=" << negf::kEta_eV
      << ";kT=" << constants::kRoomTemperatureKT_eV << ";gtol=" << opts.solve.gummel_tolerance_V
      << ";gmax=" << opts.solve.max_gummel_iterations;
-  // Poisson solver version: the capacitance-matrix solve moves table bits
-  // (~1e-10 relative) against the full-grid Newton that wrote the older,
-  // token-less entries, so those are regenerated instead of served, and a
-  // cache hit stays bit-equal to a miss.
-  os << ";poisson=cap";
+  // Poisson solver version: each change of the Newton solve moves table
+  // bits, so entries cached under an older token are regenerated instead of
+  // served, and a cache hit stays bit-equal to a miss. "cap-ew": the
+  // capacitance-matrix Newton, each CG stopped at an Eisenstat-Walker
+  // forcing term on the Newton residual.
+  os << ";poisson=cap-ew";
   return os.str();
 }
 

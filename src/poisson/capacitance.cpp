@@ -51,10 +51,17 @@ struct CgScratch {
 };
 
 /// Plain CG on M = I + S G S, S = diag(sqrt_d): SPD with every eigenvalue
-/// >= 1. Starts from z = 0; returns whether the residual reached the
-/// relative tolerance of the full-grid Newton solve.
-bool reduced_cg(const std::vector<double>& green, const std::vector<double>& sqrt_d,
-                const std::vector<double>& b, std::vector<double>& z, CgScratch& ws) {
+/// >= 1. Starts from z = 0. With delta = -F - G S z, the Newton residual of
+/// the step is (I + G D) delta + F = G S r for the CG residual r = b - M z,
+/// and ||G S r||_2 <= ||G||_2 ||S r||_2 <= ||G||_1 ||S r||_2 (G is
+/// symmetric). So CG stops as soon as green_norm1 * ||S r||_2 <=
+/// newton_target, which bounds the Newton residual itself: a bound on ||r||
+/// alone does not, since G S amplifies it wherever the charge saturates and
+/// D is huge. It also stops at the relative tolerance of the full-grid
+/// Newton solve, whichever comes first. Returns whether either test was met.
+bool reduced_cg(const std::vector<double>& green, double green_norm1,
+                const std::vector<double>& sqrt_d, const std::vector<double>& b,
+                double newton_target, std::vector<double>& z, CgScratch& ws) {
   trace::Span span("linalg", "reduced_cg");
   constexpr double kRelTolerance = 1e-9;
   constexpr double kAbsTolerance = 1e-14;
@@ -71,7 +78,11 @@ bool reduced_cg(const std::vector<double>& green, const std::vector<double>& sqr
   bool converged = false;
   for (; it < max_iterations; ++it) {
     const double r_norm = std::sqrt(rr);
-    if (r_norm <= kRelTolerance * b_norm || r_norm <= kAbsTolerance) {
+    for (size_t i = 0; i < n; ++i) ws.w[i] = sqrt_d[i] * ws.r[i];
+    const double newton_residual_bound =
+        green_norm1 * std::sqrt(linalg::kernels::dot(ws.w, ws.w));
+    if (newton_residual_bound <= newton_target || r_norm <= kRelTolerance * b_norm ||
+        r_norm <= kAbsTolerance) {
       converged = true;
       break;
     }
@@ -91,6 +102,15 @@ bool reduced_cg(const std::vector<double>& green, const std::vector<double>& sqr
   }
   metrics::add(metrics::Counter::kReducedCgIterations, static_cast<uint64_t>(it));
   return converged;
+}
+
+/// Eisenstat-Walker choice 2 (SIAM J. Sci. Comput. 17 (1996) 16) with
+/// gamma = kForcingGamma and alpha = 2, capped at kForcingMax: the forcing
+/// term of Newton step k > 0 from the residual 2-norms of steps k and k - 1.
+/// At this cap the choice-2 safeguard (gamma eta_{k-1}^2 > 0.1) never binds.
+double forcing_term(double f_norm2, double f_norm2_prev) {
+  const double ratio = f_norm2 / f_norm2_prev;
+  return std::min(kForcingMax, kForcingGamma * ratio * ratio);
 }
 
 /// The response of the charge nodes of `matrix` to the fixed charge
@@ -193,6 +213,12 @@ CapacitanceMatrix::CapacitanceMatrix(const Assembly& assembly,
       green_[j * ns + i] = v;
     }
   }
+  green_norm1_ = 0.0;
+  for (size_t i = 0; i < ns; ++i) {
+    double row = 0.0;
+    for (size_t j = 0; j < ns; ++j) row += std::abs(green_[i * ns + j]);
+    green_norm1_ = std::max(green_norm1_, row);
+  }
   metrics::add(metrics::Counter::kCapacitanceBuilds);
 }
 
@@ -251,6 +277,7 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
   CgScratch cg;
   newton::StepClamp step_clamp(kMaxNewtonStep_V);
   newton::ResidualGuard guard;
+  double f_norm2_prev = 0.0;
   for (int it = 0; it < opts.max_newton_iterations; ++it) {
     newton::linearised_charge(n0_e, p0_e, phi, phi_ref, constants::kRoomTemperatureKT_eV, q,
                               sqrt_d);
@@ -261,11 +288,15 @@ ReducedResult CapacitanceSolver::solve_nonlinear(const std::vector<double>& elec
       f_norm = std::max(f_norm, std::abs(f[s]));
     }
     guard.check(it, f_norm);
+    const double f_norm2 = std::sqrt(linalg::kernels::dot(f, f));
+    const double eta = it == 0 ? kForcingMax : forcing_term(f_norm2, f_norm2_prev);
+    f_norm2_prev = f_norm2;
     for (size_t s = 0; s < ns; ++s) {
       sqrt_d[s] = std::sqrt(sqrt_d[s]);
       rhs[s] = -sqrt_d[s] * f[s];
     }
-    if (!reduced_cg(green, sqrt_d, rhs, z, cg)) {
+    if (!reduced_cg(green, matrix_->green_norm1(), sqrt_d, rhs,
+                    std::max(eta * f_norm2, kLinearResidualFloor_V), z, cg)) {
       throw std::runtime_error("solve_nonlinear_poisson: reduced CG did not converge");
     }
     for (size_t s = 0; s < ns; ++s) z[s] *= sqrt_d[s];

@@ -48,14 +48,36 @@
 ///   F(phi) = phi - phi0 - G q(phi),   (I + G D) delta = -F,   D = -dq/dphi >= 0.
 ///
 /// Each step solves the symmetric form (I + D^1/2 G D^1/2) z = -D^1/2 F by
-/// plain CG and sets delta = -F - G D^1/2 z. Up to the build tolerance this
-/// is the full-grid Newton restricted to S; PoissonSolver::solve_nonlinear
-/// (tests/support/poisson_oracles.hpp) survives as its test oracle.
+/// plain CG and sets delta = -F - G D^1/2 z. The step is inexact Newton
+/// (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16): the Newton
+/// residual of delta is (I + G D) delta + F = G D^1/2 r for the CG residual
+/// r, so CG stops as soon as
+///
+///   ||G||_1 ||D^1/2 r||_2 <= max(eta_k ||F_k||_2, kLinearResidualFloor_V),
+///
+/// which bounds ||(I + G D) delta + F||_2 (G is symmetric, so
+/// ||G||_2 <= ||G||_1), or at the relative 1e-9 of the full-grid solve,
+/// whichever comes first. eta_0 = kForcingMax and eta_k = min(kForcingMax,
+/// kForcingGamma (||F_k||_2 / ||F_{k-1}||_2)^2). A forcing term on ||r||
+/// alone would not bound the Newton residual: G D^1/2 amplifies r wherever
+/// the exponential charge saturates and D is huge. Up to the build and
+/// Newton tolerances this is the full-grid Newton restricted to S;
+/// PoissonSolver::solve_nonlinear (tests/support/poisson_oracles.hpp)
+/// survives as its test oracle.
 ///
 /// Both objects are immutable after construction and solve_nonlinear()
 /// keeps its scratch in per-call locals, so one solver serves concurrent
 /// bias points and one CapacitanceMatrix serves concurrent solvers.
 namespace gnrfet::poisson {
+
+/// The forcing sequence of the reduced Newton's linear solves: the first
+/// step's forcing term and the cap of every later one.
+inline constexpr double kForcingMax = 0.1;
+/// gamma of Eisenstat-Walker choice 2 (its alpha is 2).
+inline constexpr double kForcingGamma = 0.9;
+/// No linear solve must push the Newton residual below this [V]: a small
+/// fraction of the Newton stop tolerance.
+inline constexpr double kLinearResidualFloor_V = 5e-3 * kNewtonTolerance_V;
 
 struct ReducedResult {
   std::vector<double> phi;  ///< potential on S [V], in nodes() order
@@ -84,6 +106,10 @@ class CapacitanceMatrix {
   /// G = (A^-1)_SS, row-major ns x ns [V/e].
   const std::vector<double>& green() const { return green_; }
 
+  /// ||G||_1, the largest absolute row sum of G; it bounds ||G||_2, since G
+  /// is symmetric.
+  double green_norm1() const { return green_norm1_; }
+
   size_t num_electrodes() const { return num_electrodes_; }
 
   /// Row e: the response of S to V_e = 1 V with no charge [V].
@@ -97,6 +123,7 @@ class CapacitanceMatrix {
   size_t num_electrodes_;
   std::vector<size_t> nodes_;
   std::vector<double> green_;
+  double green_norm1_ = 0.0;
   std::vector<double> electrode_response_;
 };
 

@@ -9,11 +9,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/constants.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "device/geometry.hpp"
 #include "device/selfconsistent.hpp"
 #include "poisson/capacitance.hpp"
+#include "poisson/newton.hpp"
 #include "golden.hpp"
 #include "support/poisson_oracles.hpp"
 #include "test_support.hpp"
@@ -69,6 +71,7 @@ struct OracleComparison {
   int reduced_newton = 0;
   int oracle_newton = 0;
   bool clamp_saturated = false;  ///< the first Newton step hit max_step_V
+  uint64_t reduced_cg_iterations = 0;  ///< reduced CG iterations of both reduced solves
   std::vector<double> oracle_phi_full;
 };
 
@@ -90,6 +93,7 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
   const device::ChargePopulations pop = solver.charge_populations(bias, phi_ref);
   const poisson::NonlinearOptions popt;
 
+  const uint64_t cg_before = counter(metrics::Counter::kReducedCgIterations);
   const poisson::ReducedResult reduced =
       cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_init, popt);
   poisson::PoissonSolver oracle(geo.domain(), linalg::PreconditionerKind::kIc0);
@@ -115,6 +119,7 @@ OracleComparison compare_with_oracle(const device::DeviceGeometry& geo,
       cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_init, one_step)
           .last_update_V;
   out.clamp_saturated = first_step == poisson::kMaxNewtonStep_V;
+  out.reduced_cg_iterations = counter(metrics::Counter::kReducedCgIterations) - cg_before;
   out.oracle_phi_full = full.phi_full;
   return out;
 }
@@ -204,6 +209,9 @@ TEST(Capacitance, ReducedNewtonMatchesOracleThroughClampSaturation) {
   EXPECT_GT(c.reduced_newton, 10);
   EXPECT_LE(c.max_dphi_V, 1e-8);
   EXPECT_EQ(c.reduced_newton, c.oracle_newton);
+  // Each CG stops at the forcing term on the Newton residual: at most half
+  // the 1,147 iterations of CG run to the relative 1e-9.
+  EXPECT_LE(c.reduced_cg_iterations, 573u);
 }
 
 TEST(Capacitance, ReducedNewtonMatchesOracleOnRealN12Systems) {
@@ -213,10 +221,12 @@ TEST(Capacitance, ReducedNewtonMatchesOracleOnRealN12Systems) {
   const device::DeviceGeometry geo(device::DeviceSpec{});
   const device::SelfConsistentSolver solver(geo);
   EXPECT_EQ(solver.capacitance().size(), 496u);
+  uint64_t cg_iterations = 0;
   for (const device::BiasPoint bias : {device::BiasPoint{0.75, 0.5}, device::BiasPoint{0.4, 0.25}}) {
     std::vector<double> phi_full = charge_free_potential(geo, bias);
     for (int gummel = 0; gummel < 2; ++gummel) {
       const OracleComparison c = compare_with_oracle(geo, solver, bias, phi_full);
+      cg_iterations += c.reduced_cg_iterations;
       EXPECT_LE(c.max_dphi_V, 1e-8) << "VG " << bias.vg << " VD " << bias.vd << " Gummel "
                                     << gummel;
       EXPECT_EQ(c.reduced_newton, c.oracle_newton)
@@ -224,6 +234,69 @@ TEST(Capacitance, ReducedNewtonMatchesOracleOnRealN12Systems) {
       phi_full = c.oracle_phi_full;
     }
   }
+  // Each CG stops at the forcing term on the Newton residual: at most half
+  // the 504 iterations of CG run to the relative 1e-9.
+  EXPECT_LE(cg_iterations, 252u);
+}
+
+TEST(Capacitance, InexactNewtonStepMeetsForcingTermOnNewtonResidual) {
+  // The witness of the CG stop rule on the real N = 12 systems of the test
+  // above: an unclamped first Newton step delta must leave a Newton
+  // residual ||(I + G D) delta + F||_2 within max(eta_0 ||F||_2, floor), with
+  // F, D and G v computed here independently of the solver. A forcing term
+  // on the scaled CG residual alone does not bound this residual.
+  const device::DeviceGeometry geo(device::DeviceSpec{});
+  const device::SelfConsistentSolver solver(geo);
+  const poisson::CapacitanceSolver& cap = solver.capacitance();
+  const size_t ns = cap.size();
+  const std::vector<double>& g = cap.green();
+  const auto green_times = [&](const std::vector<double>& v) {
+    std::vector<double> out(ns, 0.0);
+    for (size_t i = 0; i < ns; ++i) {
+      for (size_t j = 0; j < ns; ++j) out[i] += g[i * ns + j] * v[j];
+    }
+    return out;
+  };
+  const auto norm2 = [](const std::vector<double>& v) {
+    double s = 0.0;
+    for (const double x : v) s += x * x;
+    return std::sqrt(s);
+  };
+  poisson::NonlinearOptions one_step;
+  one_step.max_newton_iterations = 1;
+  int witnessed = 0;
+  for (const device::BiasPoint bias : {device::BiasPoint{0.75, 0.5}, device::BiasPoint{0.4, 0.25}}) {
+    const std::vector<double> volts = geo.electrode_voltages(0.0, bias.vd, bias.vg);
+    const std::vector<double> phi0 = cap.base_potential(volts);
+    std::vector<double> phi_ref = restrict_to(cap, charge_free_potential(geo, bias));
+    for (int gummel = 0; gummel < 2; ++gummel) {
+      const device::ChargePopulations pop = solver.charge_populations(bias, phi_ref);
+      const poisson::ReducedResult step =
+          cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_ref, one_step);
+      if (step.last_update_V < poisson::kMaxNewtonStep_V) {
+        std::vector<double> q(ns), d(ns);
+        poisson::newton::linearised_charge(pop.electrons, pop.holes, phi_ref, phi_ref,
+                                           constants::kRoomTemperatureKT_eV, q, d);
+        const std::vector<double> gq = green_times(q);
+        std::vector<double> f(ns), delta(ns), d_delta(ns);
+        for (size_t s = 0; s < ns; ++s) {
+          f[s] = phi_ref[s] - phi0[s] - gq[s];
+          delta[s] = step.phi[s] - phi_ref[s];
+          d_delta[s] = d[s] * delta[s];
+        }
+        const std::vector<double> gd_delta = green_times(d_delta);
+        std::vector<double> residual(ns);
+        for (size_t s = 0; s < ns; ++s) residual[s] = delta[s] + gd_delta[s] + f[s];
+        EXPECT_LE(norm2(residual),
+                  std::max(poisson::kForcingMax * norm2(f), poisson::kLinearResidualFloor_V))
+            << "VG " << bias.vg << " VD " << bias.vd << " Gummel " << gummel;
+        ++witnessed;
+      }
+      phi_ref =
+          cap.solve_nonlinear(volts, pop.electrons, pop.holes, phi_ref, phi_ref).phi;
+    }
+  }
+  EXPECT_GT(witnessed, 0);
 }
 
 TEST(Capacitance, BuildIsCountedOncePerGeometry) {

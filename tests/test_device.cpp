@@ -545,11 +545,12 @@ TEST(TableGen, PayloadDistinguishesNearbyBiasValues) {
 
 TEST(TableGen, PayloadCarriesPoissonSolverToken) {
   // Tables cached by the full-grid Newton Poisson path keyed without the
-  // token; the capacitance-matrix path moves their bits, so its keys must
-  // differ and those entries regenerate instead of being served.
+  // token, and the exact-CG capacitance path with ";poisson=cap"; today's
+  // inexact-Newton solve moves their bits, so its keys must differ and
+  // those entries regenerate instead of being served.
   const DeviceSpec spec = tiny_spec();
   const std::string payload = table_cache_payload(spec, TableGenOptions{});
-  const std::string token = ";poisson=cap";
+  const std::string token = ";poisson=cap-ew";
   ASSERT_GE(payload.size(), token.size()) << payload;
   EXPECT_EQ(payload.substr(payload.size() - token.size()), token) << payload;
 }
@@ -846,13 +847,14 @@ TEST(DeviceGolden, TableWithin1e8OfFullGridPoissonPins) {
 }
 
 TEST(DeviceGolden, TableBitPinned) {
-  // Bit-exact pin of the capacitance-matrix path.
+  // Bit-exact pin of the capacitance-matrix path, its Newton steps solved
+  // inexactly (CG stopped at the forcing term on the Newton residual).
   const DeviceTable t = golden_device_table();
-  EXPECT_EQ(fnv1a(t.current_A), 0x0d269d6939ea5b85ull);
-  EXPECT_EQ(fnv1a(t.charge_C), 0x177b3e0b2b80131full);
+  EXPECT_EQ(fnv1a(t.current_A), 0x457121923eb6d565ull);
+  EXPECT_EQ(fnv1a(t.charge_C), 0x3b815aa377053ceaull);
   ASSERT_EQ(t.current_A.size(), 6u);
-  EXPECT_EQ(t.current_A[0], 0x1.596231e6aabc5p-23);
-  EXPECT_EQ(t.current_A[5], 0x1.25844c102f333p-21);
+  EXPECT_EQ(t.current_A[0], 0x1.596231e40d37cp-23);
+  EXPECT_EQ(t.current_A[5], 0x1.25844c1a2c0b5p-21);
 }
 
 }  // namespace

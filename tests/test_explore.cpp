@@ -307,12 +307,12 @@ TEST(StandardTableOptions, DefaultCacheKeysArePinned) {
   EXPECT_EQ(device::table_cache_payload(nominal, opts),
             "N=12;L=15;tox=1.5;eps=3.9;t=2.7;delta=0.12;gamma=1;modes=3;cm=0.3;lm=3;h=0.25"
             "|vg[0,1,21]vd[0,0.75,16]de=0.0025000000000000001;eta=0.001;"
-            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap");
+            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap-ew");
   EXPECT_EQ(device::table_cache_payload(charged, opts),
             "N=12;L=15;tox=1.5;eps=3.9;t=2.7;delta=0.12;gamma=1;modes=3;cm=0.3;lm=3;h=0.25;"
             "imp(-1,1,0,0.4)"
             "|vg[0,1,21]vd[0,0.75,16]de=0.0025000000000000001;eta=0.001;"
-            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap");
+            "kT=0.025850000000000001;gtol=0.0015;gmax=40;poisson=cap-ew");
 }
 
 }  // namespace

@@ -26,9 +26,10 @@
 #               reciprocal, and the row-blocked dense matvec holds >= 1.3x
 #               the one-row loop's rate at n = 496. The deterministic perf
 #               gates (IC(0) below Jacobi in PCG iterations, reduced Newton
-#               vs the full-grid oracle, the energy-grid accuracy, the MNA
-#               replay counters) are tier-1 tests: the werror and
-#               asan-ubsan stages run them.
+#               vs the full-grid oracle, the reduced-CG iteration count of
+#               those oracle systems (at most half an exact CG's), the
+#               energy-grid accuracy, the MNA replay counters) are tier-1
+#               tests: the werror and asan-ubsan stages run them.
 #   analyze   every gnrfet_analyze pass: layering DAG, determinism rules,
 #             contract-coverage baseline, library env knobs, repo rules;
 #             plus perfbench's Python self-tests (rollup, checks, run.py
